@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Type, Union
 
 from repro.rdf.graph import RDFGraph
-from repro.spark.context import SparkContext
-from repro.spark.faults import FaultScheduler
+from repro.runtime import RuntimeConfig
 from repro.spark.metrics import MetricsSnapshot
 from repro.spark.tracing import Span, trace_payload
 from repro.sparql.algebra import evaluate
@@ -111,36 +110,17 @@ def run_engine_on_query(
 class BenchRun:
     """A matrix run: engines x named queries over one dataset.
 
-    ``faults`` (a spec string or a
-    :class:`~repro.spark.faults.FaultScheduler`) puts every engine of the
-    matrix under the *same* adversarial schedule: each engine gets a
-    fresh fork, so firing counters never leak between engines and the
-    matrix stays deterministic.  Correctness checking then doubles as a
-    recovery test -- answers must survive the schedule unchanged.
+    Every engine of the matrix gets its own context built from the one
+    ``config``.  A configured fault schedule therefore puts them all
+    under the *same* adversarial schedule, each on a fresh fork, so
+    firing counters never leak between engines and the matrix stays
+    deterministic.  Correctness checking then doubles as a recovery
+    test -- answers must survive the schedule unchanged.
     """
 
     graph: RDFGraph
-    parallelism: int = 4
-    faults: Union[None, str, FaultScheduler] = None
-    max_task_attempts: int = 4
-    speculation: bool = False
-    #: Executor backend for every engine context of the matrix
-    #: ("inprocess" or "parallel"; see :mod:`repro.spark.parallel`).
-    backend: str = "inprocess"
-    #: Worker-pool size under the parallel backend (None = default).
-    workers: Optional[int] = None
-    #: Opt-in closure verification at job submission on every engine
-    #: context (see :mod:`repro.analysis.closures`).
-    verify_closures: bool = False
+    config: RuntimeConfig = RuntimeConfig()
     results: List[RunResult] = field(default_factory=list)
-
-    def _fault_schedule(self) -> Optional[FaultScheduler]:
-        """A fresh, equivalent scheduler for the next engine, or None."""
-        if self.faults is None:
-            return None
-        if isinstance(self.faults, str):
-            return FaultScheduler.from_spec(self.faults)
-        return self.faults.fork()
 
     def run(
         self,
@@ -170,15 +150,7 @@ class BenchRun:
                 references[name] = None
         kwargs_by_name = engine_kwargs or {}
         for engine_class in engine_classes:
-            ctx = SparkContext(
-                self.parallelism,
-                faults=self._fault_schedule(),
-                max_task_attempts=self.max_task_attempts,
-                speculation=self.speculation,
-                backend=self.backend,
-                workers=self.workers,
-                verify_closures=self.verify_closures,
-            )
+            ctx = self.config.context(fresh=True)
             kwargs = kwargs_by_name.get(engine_class.profile.name, {})
             engine = engine_class(ctx, **kwargs)
             engine.load(self.graph)

@@ -111,33 +111,44 @@ closure; 5 lint/``analyze`` found errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import List, Optional
 
 from repro.analysis.closures import ClosureAnalysisError
-from repro.bench import BenchRun, format_table
-from repro.core import (
-    render_table_i,
-    render_table_ii,
-    render_taxonomy,
-)
-from repro.core.survey import render_survey
-from repro.data.lubm import LubmGenerator
-from repro.data.watdiv import WatdivGenerator
-from repro.rdf.ntriples import save_ntriples_file
+from repro.bench.reporting import format_table
 from repro.runtime import (
+    RuntimeConfig,
     RuntimeConfigError,
+    ServiceConfig,
     UnknownEngineError,
-    build_context,
+    cli_flag,
     load_graph,
     resolve_engine,
+    write_text,
 )
 from repro.shacl.shapes import ShaclError
 from repro.spark.faults import FaultSpecError, TaskFailedError
-from repro.spark.parallel import BackendConfigError
-from repro.sparql.results import SolutionSet
-from repro.systems import ALL_ENGINE_CLASSES, NaiveEngine
+
+
+def _config_from_args(cls, args, **fixed):
+    """A config of type *cls* from the argparse namespace.
+
+    Every knob is read under the ``dest`` of its CLI flag
+    (:func:`repro.runtime.cli_flag`; ``--no-X`` flags store the knob
+    inverted); knobs the subcommand does not expose keep their default.
+    """
+    values = dict(fixed)
+    for knob in dataclasses.fields(cls):
+        flag = cli_flag(knob)
+        dest = flag[2:].replace("-", "_") if flag else None
+        if dest is not None and hasattr(args, dest):
+            value = getattr(args, dest)
+            values[knob.name] = (
+                not value if flag.startswith("--no-") else value
+            )
+    return cls(**values)
 
 
 def _engine_class(name: str):
@@ -148,7 +159,17 @@ def _engine_class(name: str):
         raise SystemExit(str(exc))
 
 
+def _write_ntriples(path: str, triples) -> int:
+    """``save_ntriples_file``'s bytes, streamed through ``write_text`` so
+    an unwritable path is a typed error; returns the number written."""
+    items = sorted(triples)
+    write_text(path, (triple.n3() + "\n" for triple in items))
+    return len(items)
+
+
 def cmd_tables(_args) -> int:
+    from repro.core import render_table_i, render_table_ii, render_taxonomy
+
     print(render_taxonomy())
     print()
     print(render_table_i())
@@ -158,6 +179,8 @@ def cmd_tables(_args) -> int:
 
 
 def cmd_survey(_args) -> int:
+    from repro.core.survey import render_survey
+
     print(render_survey())
     return 0
 
@@ -179,20 +202,15 @@ def _read_query_arg(query_arg: str) -> str:
 
 
 def cmd_query(args) -> int:
+    from repro.sparql.results import SolutionSet
+
+    config = _config_from_args(RuntimeConfig, args)
     graph = load_graph(args.data)
     query_text = _read_query_arg(args.query)
-    sc = build_context(
-        parallelism=args.parallelism,
-        faults=args.faults,
-        max_task_attempts=args.max_task_attempts,
-        speculation=args.speculation,
-        backend=args.backend,
-        workers=args.workers,
-        verify_closures=args.verify_closures,
-    )
+    sc = config.context()
     engine = _engine_class(args.engine)(sc)
     engine.load(graph)
-    optimizer = _build_optimizer(args, graph)
+    optimizer = config.optimizer(graph)
     if optimizer is not None:
         engine.set_optimizer(optimizer)
     if args.trace:
@@ -244,41 +262,10 @@ def _write_query_trace(path, engine_name, cost, spans) -> None:
     write_trace_file(path, [run_record(engine_name, "query", cost, spans)])
 
 
-def _check_views_flags(args) -> None:
-    """--views is an optimizer substitution; reject it without --optimize."""
-    if getattr(args, "views", False) and not getattr(args, "optimize", False):
-        raise RuntimeConfigError("--views requires --optimize")
-
-
-def _check_route_flags(args) -> None:
-    """--route-engines narrows the routed pool; reject it without --route."""
-    if getattr(args, "route_engines", None) and not getattr(
-        args, "route", False
-    ):
-        raise RuntimeConfigError("--route-engines requires --route")
-
-
-def _build_optimizer(args, graph):
-    """The shared cost-based optimizer, or None when --optimize is off."""
-    _check_views_flags(args)
-    if not getattr(args, "optimize", False):
-        return None
-    from repro.optimizer import Optimizer
-
-    return Optimizer.for_graph(
-        graph,
-        mode=args.optimizer_mode,
-        broadcast_threshold=args.broadcast_threshold,
-        views=args.views,
-        view_threshold=args.view_threshold,
-    )
-
-
 def cmd_explain(args) -> int:
     from repro.explain import DEFAULT_EXPLAIN_ENGINES, explain
 
-    _check_views_flags(args)
-    _check_route_flags(args)
+    config = _config_from_args(RuntimeConfig, args)
     graph = load_graph(args.data)
     query_text = _read_query_arg(args.query)
     shapes = _load_shapes_arg(args.shapes) if args.shapes else None
@@ -286,23 +273,7 @@ def cmd_explain(args) -> int:
         _engine_class(name)
         for name in (args.engine or list(DEFAULT_EXPLAIN_ENGINES))
     ]
-    print(
-        explain(
-            graph,
-            query_text,
-            engines,
-            parallelism=args.parallelism,
-            optimize=args.optimize,
-            optimizer_mode=args.optimizer_mode,
-            broadcast_threshold=args.broadcast_threshold,
-            views=args.views,
-            view_threshold=args.view_threshold,
-            route=args.route,
-            route_engines=args.route_engines or None,
-            shapes=shapes,
-            verify_closures=args.verify_closures,
-        )
-    )
+    print(explain(graph, query_text, engines, config, shapes=shapes))
     return 0
 
 
@@ -332,8 +303,7 @@ def cmd_validate(args) -> int:
     else:
         print(report.render())
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
+        write_text(args.report, report.to_json())
         print("report written to %s" % args.report)
     return 0 if report.conforms else 1
 
@@ -369,7 +339,7 @@ def cmd_harvest(args) -> int:
             )
         )
     if args.output:
-        written = save_ntriples_file(args.output, subgraph.head())
+        written = _write_ntriples(args.output, subgraph.head())
         print("wrote %d triple(s) to %s" % (written, args.output))
     elif not args.json:
         for line in sorted(t.n3() for t in subgraph.head().to_list()):
@@ -420,30 +390,25 @@ def cmd_stats(args) -> int:
         )
     )
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(catalog.to_json())
+        write_text(args.json, catalog.to_json())
         print("catalog written to %s" % args.json)
     return 0
 
 
 def cmd_assess(args) -> int:
-    graph = load_graph(args.data)
+    from repro.bench import BenchRun
+    from repro.data.lubm import LubmGenerator
+    from repro.systems import ALL_ENGINE_CLASSES, NaiveEngine
+
+    bench = BenchRun(
+        load_graph(args.data), _config_from_args(RuntimeConfig, args)
+    )
     queries = {
         "star": LubmGenerator.query_star(),
         "linear": LubmGenerator.query_linear(),
         "snowflake": LubmGenerator.query_snowflake(),
         "complex": LubmGenerator.query_complex(),
     }
-    bench = BenchRun(
-        graph,
-        parallelism=args.parallelism,
-        faults=args.faults,
-        max_task_attempts=args.max_task_attempts,
-        speculation=args.speculation,
-        backend=args.backend,
-        workers=args.workers,
-        verify_closures=args.verify_closures,
-    )
     results = bench.run(
         (NaiveEngine,) + ALL_ENGINE_CLASSES, queries, trace=bool(args.trace)
     )
@@ -561,33 +526,10 @@ def _build_service(args):
     """Construct the QueryService every serving subcommand shares."""
     from repro.server import QueryService
 
-    _check_views_flags(args)
-    _check_route_flags(args)
-    graph = load_graph(args.data)
-    return QueryService(
-        graph,
-        engine=args.engine,
-        route=args.route,
-        route_engines=args.route_engines or None,
-        pool_size=args.pool,
-        parallelism=args.parallelism,
-        queue_limit=args.queue_limit,
-        default_deadline=args.deadline,
-        enable_plan_cache=not args.no_plan_cache,
-        enable_result_cache=not args.no_result_cache,
-        faults=args.faults,
-        max_task_attempts=args.max_task_attempts,
-        speculation=args.speculation,
-        optimize=args.optimize,
-        optimizer_mode=args.optimizer_mode,
-        broadcast_threshold=args.broadcast_threshold,
-        lint_admission=not args.no_lint,
-        enable_views=args.views,
-        view_threshold=args.view_threshold,
-        backend=args.backend,
-        workers=args.workers,
-        verify_closures=args.verify_closures,
+    config = _config_from_args(
+        ServiceConfig, args, runtime=_config_from_args(RuntimeConfig, args)
     )
+    return QueryService(load_graph(args.data), config)
 
 
 def cmd_serve(args) -> int:
@@ -607,7 +549,7 @@ def cmd_serve(args) -> int:
         processed = serve_lines(service, sys.stdin, sys.stdout)
     print(
         "served %d request(s) on %s (version %d)"
-        % (processed, service.engine_name, service.version),
+        % (processed, service.config.engine, service.version),
         file=sys.stderr,
     )
     return 0
@@ -690,24 +632,27 @@ def cmd_loadtest(args) -> int:
             )
         )
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
+        write_text(args.report, report.to_json())
         print("report written to %s" % args.report)
     return 0
 
 
 def cmd_generate(args) -> int:
     if args.kind == "lubm":
+        from repro.data.lubm import LubmGenerator
+
         graph = LubmGenerator(
             num_universities=args.scale, seed=args.seed
         ).generate()
     else:
+        from repro.data.watdiv import WatdivGenerator
+
         graph = WatdivGenerator(
             num_users=30 * args.scale,
             num_products=15 * args.scale,
             seed=args.seed,
         ).generate()
-    written = save_ntriples_file(args.path, graph)
+    written = _write_ntriples(args.path, graph)
     print("wrote %d triples to %s" % (written, args.path))
     return 0
 
@@ -744,8 +689,7 @@ def cmd_views(args) -> int:
         rows = [[name, summary[name]] for name in sorted(summary)]
         print(format_table(["statistic", "value"], rows))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(catalog.to_json())
+        write_text(args.json, catalog.to_json())
         print("view catalog written to %s" % args.json)
     return 0
 
@@ -763,7 +707,7 @@ def _add_optimizer_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--optimizer-mode",
         choices=list(ORDER_MODES),
-        default="dp",
+        default=RuntimeConfig.optimizer_mode,
         help="join ordering strategy under --optimize (default dp)",
     )
     parser.add_argument(
@@ -821,7 +765,7 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         choices=list(BACKEND_NAMES),
-        default="inprocess",
+        default=RuntimeConfig.backend,
         help="executor backend: 'inprocess' runs partition tasks serially "
         "in the driver (the byte-exact oracle); 'parallel' runs them on a "
         "forked worker pool (see docs/PARALLEL.md)",
@@ -859,7 +803,7 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-task-attempts",
         type=int,
-        default=4,
+        default=RuntimeConfig.max_task_attempts,
         metavar="N",
         help="retries before a failing task aborts the run (default 4)",
     )
@@ -878,19 +822,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("tables", help="print Figure 1 and Tables I/II")
-    sub.add_parser("survey", help="print the per-system survey report")
+    sub.add_parser(
+        "tables", help="print Figure 1 and Tables I/II"
+    ).set_defaults(handler=cmd_tables)
+    sub.add_parser(
+        "survey", help="print the per-system survey report"
+    ).set_defaults(handler=cmd_survey)
     sub.add_parser(
         "claims", help="check every performance claim of the paper"
-    )
+    ).set_defaults(handler=cmd_claims)
 
     query = sub.add_parser("query", help="run a SPARQL query on a data file")
+    query.set_defaults(handler=cmd_query)
     query.add_argument("data", help="RDF file (.nt or .ttl)")
     query.add_argument("query", help="SPARQL file or literal query text")
     query.add_argument(
         "--engine", default="SPARQLGX", help="engine name (default SPARQLGX)"
     )
-    query.add_argument("--parallelism", type=int, default=4)
+    query.add_argument(
+        "--parallelism", type=int, default=RuntimeConfig.parallelism
+    )
     query.add_argument(
         "--trace",
         metavar="FILE",
@@ -904,6 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explain",
         help="print a per-operator cost tree for a query on several engines",
     )
+    explain.set_defaults(handler=cmd_explain)
     explain.add_argument("data", help="RDF file (.nt or .ttl)")
     explain.add_argument("query", help="SPARQL file or literal query text")
     explain.add_argument(
@@ -911,7 +863,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="engine to explain (repeatable; default: SPARQLGX, S2RDF, HAQWA)",
     )
-    explain.add_argument("--parallelism", type=int, default=4)
+    explain.add_argument(
+        "--parallelism", type=int, default=RuntimeConfig.parallelism
+    )
     explain.add_argument(
         "--shapes",
         metavar="FILE",
@@ -928,6 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="show the adaptive routing decision for a query without "
         "executing it (see docs/ROUTING.md)",
     )
+    route.set_defaults(handler=cmd_route)
     route.add_argument("data", help="RDF file (.nt or .ttl)")
     route.add_argument("query", help="SPARQL file or literal query text")
     route.add_argument(
@@ -946,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument(
         "--optimizer-mode",
         choices=list(ORDER_MODES),
-        default="dp",
+        default=RuntimeConfig.optimizer_mode,
         help="join ordering used by the base cost estimate (default dp)",
     )
     route.add_argument(
@@ -961,8 +916,11 @@ def build_parser() -> argparse.ArgumentParser:
     assess = sub.add_parser(
         "assess", help="run the cross-system assessment on a data file"
     )
+    assess.set_defaults(handler=cmd_assess)
     assess.add_argument("data", help="RDF file (.nt or .ttl)")
-    assess.add_argument("--parallelism", type=int, default=4)
+    assess.add_argument(
+        "--parallelism", type=int, default=RuntimeConfig.parallelism
+    )
     assess.add_argument(
         "--trace",
         metavar="FILE",
@@ -974,6 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate = sub.add_parser(
         "generate", help="write a synthetic dataset to N-Triples"
     )
+    generate.set_defaults(handler=cmd_generate)
     generate.add_argument("kind", choices=["lubm", "watdiv"])
     generate.add_argument("path")
     generate.add_argument("--scale", type=int, default=1)
@@ -983,6 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats",
         help="compute the statistics catalog for a data file",
     )
+    stats.set_defaults(handler=cmd_stats)
     stats.add_argument("data", help="RDF file (.nt or .ttl)")
     stats.add_argument(
         "--json",
@@ -995,6 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="materialize the ExtVP view catalog for a data file "
         "(see docs/VIEWS.md)",
     )
+    views.set_defaults(handler=cmd_views)
     views.add_argument("data", help="RDF file (.nt or .ttl)")
     views.add_argument(
         "action",
@@ -1020,6 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="statically analyze SPARQL queries without executing them",
     )
+    lint.set_defaults(handler=cmd_lint)
     lint.add_argument(
         "queries",
         nargs="+",
@@ -1057,12 +1019,10 @@ def build_parser() -> argparse.ArgumentParser:
         "and run the closure analyzer (CL000..CL007) instead of the "
         "SPARQL linter; equivalent to `repro analyze`",
     )
-    from repro.optimizer import DEFAULT_BROADCAST_THRESHOLD, ORDER_MODES
-
     lint.add_argument(
         "--optimizer-mode",
         choices=list(ORDER_MODES),
-        default="dp",
+        default=RuntimeConfig.optimizer_mode,
         help="join ordering used by the cost estimate (default dp)",
     )
     lint.add_argument(
@@ -1079,6 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="statically analyze Python sources for worker-boundary "
         "closure violations (CL000..CL007; see docs/ANALYSIS.md)",
     )
+    analyze.set_defaults(handler=cmd_analyze)
     analyze.add_argument(
         "paths",
         nargs="+",
@@ -1096,6 +1057,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the query service over JSON-lines requests "
         "(see docs/SERVER.md)",
     )
+    serve.set_defaults(handler=cmd_serve)
     serve.add_argument("data", help="RDF file (.nt or .ttl)")
     serve.add_argument(
         "--input",
@@ -1112,6 +1074,7 @@ def build_parser() -> argparse.ArgumentParser:
         "loadtest",
         help="drive the service with the closed-loop load generator",
     )
+    loadtest.set_defaults(handler=cmd_loadtest)
     loadtest.add_argument("data", help="RDF file (.nt or .ttl)")
     loadtest.add_argument(
         "--clients", type=int, default=8, help="closed-loop clients"
@@ -1173,6 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate an RDF file against a SHACL-lite shapes file "
         "(see docs/SHACL.md)",
     )
+    validate.set_defaults(handler=cmd_validate)
     validate.add_argument("data", help="RDF file (.nt or .ttl)")
     validate.add_argument(
         "shapes", help="SHACL-lite shapes file (JSON; see docs/SHACL.md)"
@@ -1213,6 +1177,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="page a CONSTRUCT query out of a paired wire endpoint into "
         "a local subgraph (see docs/FEDERATION.md)",
     )
+    harvest.set_defaults(handler=cmd_harvest)
     harvest.add_argument("data", help="RDF file (.nt or .ttl)")
     harvest.add_argument(
         "query", help="CONSTRUCT query file or literal query text"
@@ -1276,16 +1241,23 @@ def _selectivity_factor(value: str) -> float:
 def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     """Service knobs shared by ``serve`` and ``loadtest``."""
     parser.add_argument(
-        "--engine", default="SPARQLGX", help="engine name (default SPARQLGX)"
+        "--engine",
+        default=ServiceConfig.engine,
+        help="engine name (default SPARQLGX)",
     )
-    parser.add_argument("--parallelism", type=int, default=4)
     parser.add_argument(
-        "--pool", type=int, default=2, help="warmed engine instances"
+        "--parallelism", type=int, default=RuntimeConfig.parallelism
+    )
+    parser.add_argument(
+        "--pool",
+        type=int,
+        default=ServiceConfig.pool_size,
+        help="warmed engine instances",
     )
     parser.add_argument(
         "--queue-limit",
         type=int,
-        default=8,
+        default=ServiceConfig.queue_limit,
         help="bounded admission queue length (beyond it: rejection)",
     )
     parser.add_argument(
@@ -1315,26 +1287,8 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "tables": cmd_tables,
-        "survey": cmd_survey,
-        "claims": cmd_claims,
-        "query": cmd_query,
-        "explain": cmd_explain,
-        "route": cmd_route,
-        "assess": cmd_assess,
-        "generate": cmd_generate,
-        "serve": cmd_serve,
-        "loadtest": cmd_loadtest,
-        "stats": cmd_stats,
-        "lint": cmd_lint,
-        "analyze": cmd_analyze,
-        "views": cmd_views,
-        "validate": cmd_validate,
-        "harvest": cmd_harvest,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ClosureAnalysisError as exc:
         print("error: closure rejected at job submission:", file=sys.stderr)
         print(str(exc), file=sys.stderr)
@@ -1344,9 +1298,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except FaultSpecError as exc:
         print("error: invalid --faults spec: %s" % exc, file=sys.stderr)
-        return 2
-    except BackendConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
         return 2
     except RuntimeConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Type, Union
 
 from repro.rdf.graph import RDFGraph
-from repro.spark.context import SparkContext
+from repro.runtime import RuntimeConfig, write_text
 from repro.spark.metrics import MetricsSnapshot
 from repro.spark.tracing import (
     Span,
@@ -118,9 +118,8 @@ def run_traced(
     graph: RDFGraph,
     query: Union[str, Query],
     engine_cls: Type[SparkRdfEngine],
-    parallelism: int = 4,
+    config: RuntimeConfig = RuntimeConfig(),
     optimizer=None,
-    verify_closures: bool = False,
 ) -> EngineExplain:
     """Load *engine_cls* on a fresh context and execute *query* traced.
 
@@ -130,17 +129,15 @@ def run_traced(
 
     Pass an :class:`~repro.optimizer.Optimizer` to run the cost-based
     path: the trace then carries its ``optimize`` span (chosen order and
-    strategies) and per-step estimated vs. actual row counts.  With
-    ``verify_closures=True`` the context enforces the worker-boundary
+    strategies) and per-step estimated vs. actual row counts.  Under
+    ``config.verify_closures`` the context enforces the worker-boundary
     rules at job submission (a violation raises
     :exc:`repro.analysis.closures.ClosureAnalysisError`) and the result
     carries the number of closures checked.
     """
     if isinstance(query, str):
         query = parse_sparql(query)
-    sc = SparkContext(
-        default_parallelism=parallelism, verify_closures=verify_closures
-    )
+    sc = config.context()
     engine = engine_cls(sc)
     engine.load(graph)
     if optimizer is not None:
@@ -172,7 +169,9 @@ def run_traced(
         spans=list(sc.tracer.roots),
         totals=totals,
         closures_verified=(
-            sc.metrics.get("closures_verified") if verify_closures else None
+            sc.metrics.get("closures_verified")
+            if config.verify_closures
+            else None
         ),
     )
 
@@ -181,32 +180,24 @@ def explain(
     graph: RDFGraph,
     query: Union[str, Query],
     engines: Sequence[Union[str, Type[SparkRdfEngine]]] = DEFAULT_EXPLAIN_ENGINES,
-    parallelism: int = 4,
-    optimize: bool = False,
-    optimizer_mode: str = "dp",
-    broadcast_threshold: Optional[int] = None,
-    views: bool = False,
-    view_threshold: Optional[float] = None,
-    route: bool = False,
-    route_engines: Optional[Sequence[str]] = None,
+    config: RuntimeConfig = RuntimeConfig(),
     shapes=None,
-    verify_closures: bool = False,
 ) -> str:
     """Side-by-side per-operator cost trees for *query* on *engines*.
 
-    With ``optimize=True`` one statistics catalog is computed for *graph*
-    and every engine runs the shared cost-based plan, so the sections
-    compare engines under identical join orders and strategies.  With
-    ``views=True`` on top, materialized ExtVP views are built at
-    *view_threshold* and a ``views:`` preamble block reports which views
-    the plan substitutes and why.  With ``route=True`` a ``routing:``
+    Under ``config.optimize`` one statistics catalog is computed for
+    *graph* and every engine runs the shared cost-based plan, so the
+    sections compare engines under identical join orders and strategies.
+    With ``views`` on top, materialized ExtVP views are built at
+    ``view_threshold`` and a ``views:`` preamble block reports which
+    views the plan substitutes and why.  With ``route`` a ``routing:``
     block shows where a fresh adaptive :class:`repro.routing.RoutingPolicy`
-    over *route_engines* would dispatch the query and at what priced
+    over ``route_engines`` would dispatch the query and at what priced
     bids.  With a :class:`~repro.shacl.shapes.ShapeSet` in ``shapes``, a
     ``shacl:`` block inventories the shape set's compiled validation
     queries and marks the one being explained (if any), placing the
     query inside the validation fan-out it belongs to.  With
-    ``verify_closures=True`` every engine context enforces the
+    ``verify_closures`` every engine context enforces the
     worker-boundary rules at job submission and a ``closures:`` block
     reports how many closures each engine cleared.
 
@@ -218,51 +209,18 @@ def explain(
     """
     if isinstance(query, str):
         query = parse_sparql(query)
-    optimizer = None
-    if optimize:
-        from repro.optimizer import DEFAULT_BROADCAST_THRESHOLD, Optimizer
-
-        optimizer = Optimizer.for_graph(
-            graph,
-            mode=optimizer_mode,
-            broadcast_threshold=(
-                DEFAULT_BROADCAST_THRESHOLD
-                if broadcast_threshold is None
-                else broadcast_threshold
-            ),
-            views=views,
-            view_threshold=view_threshold,
-        )
+    optimizer = config.optimizer(graph)
     # Engine runs happen first: the ``closures:`` preamble block reports
     # what the verifier actually checked during them.  Section order is
     # unchanged -- preamble blocks still render above every engine.
     runs: List[EngineExplain] = []
     for engine in engines:
         cls = engine_class(engine) if isinstance(engine, str) else engine
-        runs.append(
-            run_traced(
-                graph,
-                query,
-                cls,
-                parallelism,
-                optimizer=optimizer,
-                verify_closures=verify_closures,
-            )
-        )
+        runs.append(run_traced(graph, query, cls, config, optimizer))
     preamble: Dict[str, str] = {
-        "closures": _closures_section(runs, verify_closures),
-        "lint": _lint_section(
-            query, graph, optimizer, optimizer_mode, broadcast_threshold
-        ),
-        "routing": _routing_section(
-            query,
-            graph,
-            optimizer,
-            optimizer_mode,
-            broadcast_threshold,
-            route,
-            route_engines,
-        ),
+        "closures": _closures_section(runs, config.verify_closures),
+        "lint": _lint_section(query, graph, optimizer, config),
+        "routing": _routing_section(query, graph, optimizer, config),
         "shacl": _shacl_section(query, shapes),
         "views": _views_section(query, optimizer),
     }
@@ -299,11 +257,7 @@ def _closures_section(
 
 
 def _lint_section(
-    query: Query,
-    graph: RDFGraph,
-    optimizer,
-    optimizer_mode: str,
-    broadcast_threshold: Optional[int],
+    query: Query, graph: RDFGraph, optimizer, config: RuntimeConfig
 ) -> str:
     """The static-lint preamble of an EXPLAIN, empty when clean.
 
@@ -312,7 +266,6 @@ def _lint_section(
     ``== name ==`` header engines use).
     """
     from repro.analysis import lint_query
-    from repro.optimizer import DEFAULT_BROADCAST_THRESHOLD
     from repro.stats import StatsCatalog
 
     catalog = (
@@ -324,12 +277,8 @@ def _lint_section(
         query,
         subject="query",
         catalog=catalog,
-        broadcast_threshold=(
-            DEFAULT_BROADCAST_THRESHOLD
-            if broadcast_threshold is None
-            else broadcast_threshold
-        ),
-        mode=optimizer_mode,
+        broadcast_threshold=config.broadcast_threshold,
+        mode=config.optimizer_mode,
     )
     if not report.diagnostics:
         return ""
@@ -345,13 +294,7 @@ def _lint_section(
 
 
 def _routing_section(
-    query: Query,
-    graph: RDFGraph,
-    optimizer,
-    optimizer_mode: str,
-    broadcast_threshold: Optional[int],
-    route: bool,
-    route_engines: Optional[Sequence[str]],
+    query: Query, graph: RDFGraph, optimizer, config: RuntimeConfig
 ) -> str:
     """The adaptive-routing preamble of an EXPLAIN, empty unless asked.
 
@@ -361,20 +304,15 @@ def _routing_section(
     check excluded.  Like lint and views, this is a property of the
     query and the catalog, not of any engine section below it.
     """
-    if not route:
+    if not config.route:
         return ""
-    from repro.optimizer import DEFAULT_BROADCAST_THRESHOLD
     from repro.routing import RoutingPolicy
 
     policy = RoutingPolicy.for_graph(
         graph,
-        engines=route_engines,
-        mode=optimizer_mode,
-        broadcast_threshold=(
-            DEFAULT_BROADCAST_THRESHOLD
-            if broadcast_threshold is None
-            else broadcast_threshold
-        ),
+        engines=config.route_engines,
+        mode=config.optimizer_mode,
+        broadcast_threshold=config.broadcast_threshold,
         catalog=optimizer.catalog if optimizer is not None else None,
     )
     return policy.decide(query).render()
@@ -475,9 +413,11 @@ def trace_file_payload(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 def write_trace_file(path: str, records: Sequence[Dict[str, Any]]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(trace_file_payload(records), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_text(
+        path,
+        json.dumps(trace_file_payload(records), indent=2, sort_keys=True)
+        + "\n",
+    )
 
 
 def verify_conservation(run: EngineExplain) -> Dict[str, Any]:

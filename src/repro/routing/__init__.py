@@ -7,8 +7,7 @@ query's shape, prices every candidate engine as ``base cost estimate x
 per-(engine, shape) calibration factor``, and dispatches to the
 cheapest; a :class:`FeedbackLog` corrects the factors from observed
 cost units after every execution.  :mod:`repro.routing.defaults` holds
-the survey preference table both this policy and the static
-:class:`repro.systems.ShapeAwareRouter` derive from.
+the survey preference table the policy's priors derive from.
 """
 
 from repro.routing.defaults import (

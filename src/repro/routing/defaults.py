@@ -5,16 +5,9 @@ assessment (``benchmarks/bench_systems_comparison.py``) agree that no
 single mechanism wins every query shape: subject hashing answers stars
 locally, ExtVP semi-joins prune chains hardest, class indexes tame
 object-object joins.  This module is the *name-based* form of that
-conclusion.  Both consumers derive from it:
-
-* the static :class:`repro.systems.ShapeAwareRouter` resolves the names
-  to engine classes for its fixed dispatch table, and
-* the adaptive :class:`repro.routing.RoutingPolicy` turns them into
-  calibration priors -- the survey preference is where the ensemble
-  *starts*; the feedback loop takes it from there.
-
-Only :mod:`repro.sparql.shapes` is imported here, so the systems layer
-can depend on this table without an import cycle.
+conclusion: the adaptive :class:`repro.routing.RoutingPolicy` turns it
+into calibration priors -- the survey preference is where the ensemble
+*starts*; the feedback loop takes it from there.
 """
 
 from __future__ import annotations

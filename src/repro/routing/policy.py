@@ -13,8 +13,7 @@ For each admitted query the policy
 
 Candidates are the configured engine pool filtered by SPARQL fragment:
 an engine whose published feature set does not cover the query is
-*excluded* (the same ``profile.sparql_features`` check the static
-:class:`repro.systems.ShapeAwareRouter` uses).  When no pool engine
+*excluded* (the ``profile.sparql_features`` check).  When no pool engine
 covers the query, the deterministic fallback chain is walked instead
 (``Naive`` covers every feature, so a winner always exists).
 

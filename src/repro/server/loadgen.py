@@ -693,7 +693,7 @@ class LoadGenerator:
             per_shape["completed"] += 1
             per_shape["service_units"] += outcome.service_units
             report.shape_latencies.setdefault(shape, []).append(latency)
-            engine = outcome.engine or self.service.engine_name
+            engine = outcome.engine or self.service.config.engine
             report.routed_to[engine] = report.routed_to.get(engine, 0) + 1
             if outcome.status == "ok":
                 per_shape["ok"] += 1
@@ -799,7 +799,7 @@ class LoadGenerator:
 
     def _config(self) -> Dict[str, Any]:
         return {
-            "engine": self.service.engine_name,
+            "engine": self.service.config.engine,
             "route": bool(getattr(self.service, "route_enabled", False)),
             "route_engines": (
                 list(self.service.routing.engines)
@@ -812,9 +812,9 @@ class LoadGenerator:
             },
             "pool_size": self.service.pool_size,
             "queue_limit": self.service.queue.queue_limit,
-            "plan_cache": self.service.enable_plan_cache,
-            "result_cache": self.service.enable_result_cache,
-            "lint": self.service.lint_admission,
+            "plan_cache": self.service.config.enable_plan_cache,
+            "result_cache": self.service.config.enable_result_cache,
+            "lint": self.service.config.lint_admission,
             "clients": self.clients,
             "tenants": self.tenants,
             "requests_per_client": self.requests_per_client,

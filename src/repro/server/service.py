@@ -45,21 +45,21 @@ outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.core import AnalysisReport
 from repro.analysis.query import lint_query
 from repro.rdf.graph import RDFGraph
 from repro.evolution.versioned import VersionedGraph
-from repro.optimizer import DEFAULT_BROADCAST_THRESHOLD, Optimizer
+from repro.optimizer import Optimizer
 from repro.rdf.triple import Triple
 from repro.routing import RoutingPolicy
-from repro.runtime import build_engine, resolve_engine
+from repro.runtime import ServiceConfig, resolve_engine
 from repro.server.admission import FairShareQueue
 from repro.server.cache import PlanCache, ResultCache, normalize_query
 from repro.server.protocol import canonical_json, canonical_result
 from repro.spark.deadline import DeadlineExceededError, cost_units
-from repro.spark.faults import FaultScheduler, TaskFailedError
+from repro.spark.faults import TaskFailedError
 from repro.spark.metrics import MetricsCollector, MetricsSnapshot
 from repro.spark.tracing import Tracer
 from repro.sparql.parser import parse_sparql
@@ -163,113 +163,54 @@ class QueryService:
     def __init__(
         self,
         graph: RDFGraph,
-        engine: str = "SPARQLGX",
-        pool_size: int = 2,
-        parallelism: int = 4,
-        queue_limit: int = 8,
-        plan_cache_size: int = 64,
-        result_cache_size: int = 128,
-        default_deadline: Optional[int] = None,
-        enable_plan_cache: bool = True,
-        enable_result_cache: bool = True,
-        faults: Union[None, str, FaultScheduler] = None,
-        max_task_attempts: int = 4,
-        speculation: bool = False,
-        optimize: bool = False,
-        optimizer_mode: str = "dp",
-        broadcast_threshold: int = DEFAULT_BROADCAST_THRESHOLD,
-        lint_admission: bool = True,
-        enable_views: bool = False,
-        view_threshold: Optional[float] = None,
-        backend: str = "inprocess",
-        workers: Optional[int] = None,
-        route: bool = False,
-        route_engines: Optional[Sequence[str]] = None,
-        verify_closures: bool = False,
+        config: Optional[ServiceConfig] = None,
+        **knobs,
     ) -> None:
-        if pool_size <= 0:
-            raise ValueError("pool_size must be positive")
-        if route_engines and not route:
-            raise ValueError("route_engines requires route=True")
-        if default_deadline is not None and default_deadline <= 0:
-            raise ValueError(
-                "default_deadline must be a positive number of cost units"
-            )
-        resolve_engine(engine)  # fail fast on unknown names
-        self.engine_name = engine
-        self.parallelism = parallelism
-        self.default_deadline = default_deadline
-        self.enable_plan_cache = enable_plan_cache
-        self.enable_result_cache = enable_result_cache
+        """Serve *graph* under *config*, or under the flat keyword
+        spelling :meth:`ServiceConfig.from_knobs` accepts (``engine=``,
+        ``pool_size=``, ``optimize=``, ``enable_views=``, ...)."""
+        if config is None:
+            config = ServiceConfig.from_knobs(**knobs)
+        elif knobs:
+            raise TypeError("pass a ServiceConfig or keyword knobs, not both")
+        resolve_engine(config.engine)  # fail fast on unknown names
+        self.config = config
         self.versions = VersionedGraph(graph)
         #: Service-level counters (admissions, cache outcomes, deadlines);
         #: engine work is charged to each engine's own context.
         self.metrics = MetricsCollector()
         self.tracer = Tracer(self.metrics)
-        self.plan_cache = PlanCache(plan_cache_size)
-        self.result_cache = ResultCache(result_cache_size)
-        self.queue: FairShareQueue = FairShareQueue(queue_limit)
-        self._faults = faults
-        self._max_task_attempts = max_task_attempts
-        self._speculation = speculation
-        #: Executor backend for every pooled engine ("inprocess" or
-        #: "parallel"); canonical payload bytes are identical either way.
-        self.backend = backend
-        self.workers = workers
-        #: Opt-in worker-boundary enforcement on every pooled engine's
-        #: context (see :mod:`repro.analysis.closures`).
-        self.verify_closures = verify_closures
-        self._optimize = optimize
-        self._optimizer_mode = optimizer_mode
-        self._broadcast_threshold = broadcast_threshold
-        if enable_views and not optimize:
-            raise ValueError(
-                "enable_views requires optimize=True (views are an "
-                "optimizer substitution)"
-            )
-        self._enable_views = enable_views
-        self._view_threshold = view_threshold
+        self.plan_cache = PlanCache(config.plan_cache_size)
+        self.result_cache = ResultCache(config.result_cache_size)
+        self.queue: FairShareQueue = FairShareQueue(config.queue_limit)
         #: The last :class:`~repro.views.MaintenanceReport`, for stats().
         self.last_maintenance = None
-        self.optimizer: Optional[Optimizer] = None
-        if optimize:
-            self.optimizer = self._build_optimizer(views=enable_views)
-        self.lint_admission = lint_admission
+        #: One shared optimizer over statistics at the current head (None
+        #: when unoptimized).  Built with the materialized-view catalog
+        #: here; commits instead maintain that catalog incrementally and
+        #: re-attach it (:meth:`_commit`).
+        self.optimizer: Optional[Optimizer] = config.runtime.optimizer(
+            self.versions.head(), self.versions.head_version
+        )
         self._lint_catalog: Optional[StatsCatalog] = None
-        if lint_admission:
+        if config.lint_admission:
             self._lint_catalog = self._build_lint_catalog()
         #: The adaptive per-shape router (docs/ROUTING.md), or None for
         #: fixed-engine dispatch.  Shares the optimizer/lint statistics
         #: catalog; its feedback state survives commits.
         self.routing: Optional[RoutingPolicy] = None
-        if route:
+        if config.runtime.route:
             self.routing = RoutingPolicy.for_graph(
                 self.versions.head(),
-                engines=route_engines,
-                mode=self._optimizer_mode,
-                broadcast_threshold=self._broadcast_threshold,
+                engines=config.runtime.route_engines,
+                mode=config.runtime.optimizer_mode,
+                broadcast_threshold=config.runtime.broadcast_threshold,
                 catalog=self._routing_catalog(),
             )
         self.pool = [
-            self._build_worker() for _ in range(pool_size)
+            self._build_worker() for _ in range(config.pool_size)
         ]
         self._round_robin = 0
-
-    def _build_optimizer(self, views: bool = False) -> Optimizer:
-        """One shared optimizer over statistics at the current head.
-
-        With ``views=True`` the materialized-view catalog is built from
-        scratch too; commits instead maintain the existing catalog
-        incrementally and re-attach it (:meth:`_commit`).
-        """
-        return Optimizer.for_graph(
-            self.versions.head(),
-            version=self.versions.head_version,
-            mode=self._optimizer_mode,
-            broadcast_threshold=self._broadcast_threshold,
-            views=views,
-            view_threshold=self._view_threshold,
-        )
 
     def _build_lint_catalog(self) -> StatsCatalog:
         """Statistics for the admission linter at the current head.
@@ -300,17 +241,11 @@ class QueryService:
         )
 
     def _build_one_engine(self, name: str):
-        engine = build_engine(
-            name,
-            self.versions.head(),
-            parallelism=self.parallelism,
-            faults=self._fault_schedule(),
-            max_task_attempts=self._max_task_attempts,
-            speculation=self._speculation,
-            backend=self.backend,
-            workers=self.workers,
-            verify_closures=self.verify_closures,
-        )
+        # Each engine gets its own context on a fresh fault schedule
+        # (as BenchRun does), so firing counters never leak across slots.
+        engine = resolve_engine(name)(
+            self.config.runtime.context(fresh=True)
+        ).load(self.versions.head())
         if self.optimizer is not None:
             engine.set_optimizer(self.optimizer)
         return engine
@@ -326,15 +261,7 @@ class QueryService:
             return _EngineSet(
                 {name: self._build_one_engine(name) for name in names}
             )
-        return self._build_one_engine(self.engine_name)
-
-    def _fault_schedule(self) -> Union[None, FaultScheduler]:
-        """A fresh, equivalent scheduler per worker (as BenchRun does)."""
-        if self._faults is None:
-            return None
-        if isinstance(self._faults, str):
-            return FaultScheduler.from_spec(self._faults)
-        return self._faults.fork()
+        return self._build_one_engine(self.config.engine)
 
     # ------------------------------------------------------------------
     # Properties
@@ -407,7 +334,7 @@ class QueryService:
         budget = (
             request.deadline
             if request.deadline is not None
-            else self.default_deadline
+            else self.config.default_deadline
         )
 
         # Plan tier, lookup only: a lint rejection below must leave both
@@ -415,7 +342,7 @@ class QueryService:
         # deferred until the request is admitted.
         plan = None
         plan_hit = False
-        if self.enable_plan_cache:
+        if self.config.enable_plan_cache:
             plan = self.plan_cache.lookup(
                 normalized, stats_version=self.stats_version
             )
@@ -432,7 +359,7 @@ class QueryService:
         # Static admission: reject provably-bad queries before they
         # consume service units or populate any cache tier.  Runs on
         # plan-cache hits too -- QL005 depends on this request's budget.
-        if self.lint_admission:
+        if self.config.lint_admission:
             report = self._lint(plan, request, budget)
             errors = sorted(
                 report.errors, key=lambda d: d.sort_key()
@@ -451,7 +378,7 @@ class QueryService:
                 return outcome
 
         # Admitted: account the plan tier and keep the parse for reuse.
-        if self.enable_plan_cache:
+        if self.config.enable_plan_cache:
             if not plan_hit:
                 self.plan_cache.put(
                     normalized, plan, stats_version=self.stats_version
@@ -465,7 +392,7 @@ class QueryService:
         # which tests/server/test_routing_service.py pins).
         outcome.shape = classify_shape(plan).value
         decision = None
-        engine_label = self.engine_name
+        engine_label = self.config.engine
         if self.routing is not None:
             decision = self._route(plan, request)
             engine_label = decision.winner
@@ -473,7 +400,7 @@ class QueryService:
 
         # Result tier.
         key = (normalized, self.version, engine_label)
-        if self.enable_result_cache:
+        if self.config.enable_result_cache:
             cached = self.result_cache.get(key, self.metrics)
             if cached is not None:
                 outcome.payload = cached
@@ -528,7 +455,7 @@ class QueryService:
         outcome.service_units = max(spent, 1)
         if decision is not None:
             self.routing.record(decision, outcome.service_units)
-        if self.enable_result_cache:
+        if self.config.enable_result_cache:
             self.result_cache.put(key, outcome.payload, self.metrics)
         self.metrics.record_completion(0, outcome.service_units)
         return outcome
@@ -562,8 +489,8 @@ class QueryService:
                 subject=request.id or "query",
                 catalog=self._lint_catalog,
                 deadline=budget,
-                broadcast_threshold=self._broadcast_threshold,
-                mode=self._optimizer_mode,
+                broadcast_threshold=self.config.runtime.broadcast_threshold,
+                mode=self.config.runtime.optimizer_mode,
             )
 
         if self.tracer.enabled:
@@ -606,7 +533,9 @@ class QueryService:
             view_catalog = self.optimizer.view_catalog
             # Refresh statistics at the new head; the bumped stats version
             # retires every plan-cache entry keyed under the old catalog.
-            self.optimizer = self._build_optimizer()
+            self.optimizer = self.config.runtime.optimizer(
+                head, version, build_views=False
+            )
             if view_catalog is not None:
                 # Views stay warm across the commit: delta-apply the
                 # change set to the affected views (cost proportional to
@@ -621,7 +550,7 @@ class QueryService:
                 self.metrics.incr(
                     "views_maintained", report.views_affected
                 )
-        if self.lint_admission:
+        if self.config.lint_admission:
             # Lint statistics must track the served head, or admission
             # would reject queries over predicates this commit added.
             self._lint_catalog = self._build_lint_catalog()
@@ -643,12 +572,12 @@ class QueryService:
         """A JSON-ready snapshot of the service counters."""
         snapshot = self.metrics.snapshot()
         payload = {
-            "engine": self.engine_name,
+            "engine": self.config.engine,
             "pool_size": self.pool_size,
             "version": self.version,
-            "optimizer": self._optimizer_mode if self.optimizer else None,
+            "optimizer": self.optimizer.mode if self.optimizer else None,
             "stats_version": self.stats_version,
-            "lint_admission": self.lint_admission,
+            "lint_admission": self.config.lint_admission,
             "plan_cache_entries": len(self.plan_cache),
             "result_cache_entries": len(self.result_cache),
             "counters": {name: value for name, value in snapshot if value},
@@ -672,7 +601,7 @@ class QueryService:
 
     def __repr__(self) -> str:
         return "QueryService(engine=%s, pool=%d, version=%d)" % (
-            self.engine_name,
+            self.config.engine,
             self.pool_size,
             self.version,
         )

@@ -123,7 +123,7 @@ class ServiceExecutor:
         self.deadline = deadline
         self.id_prefix = id_prefix
         self.label = "service:%s" % (
-            "routed" if service.route_enabled else service.engine_name
+            "routed" if service.route_enabled else service.config.engine
         )
 
     def run(
@@ -156,7 +156,7 @@ class ServiceExecutor:
             "status": outcome.status,
             "cache": outcome.cache,
             "units": outcome.service_units,
-            "engine": outcome.engine or self.service.engine_name,
+            "engine": outcome.engine or self.service.config.engine,
         }
 
 

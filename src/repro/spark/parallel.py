@@ -96,7 +96,7 @@ def parallel_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def build_backend(backend: str = "inprocess", workers: Optional[int] = None):
+def build_backend(backend: str, workers: Optional[int]):
     """Construct an executor backend from the shared knob pair."""
     if backend == "inprocess":
         return InProcessBackend()

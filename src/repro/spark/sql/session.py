@@ -18,24 +18,13 @@ class SparkSession(Catalog):
     Parameters
     ----------
     ctx:
-        An existing :class:`SparkContext`; one is created when omitted.
+        An existing :class:`SparkContext` -- the place to configure fault
+        injection and the executor backend, which DataFrame and SQL
+        execution then run under; a default one is created when omitted.
     autoBroadcastJoinThreshold:
         Build sides whose estimated size (bytes) is at or below this are
         broadcast instead of shuffled; ``None`` disables automatic
         broadcasting (Spark's ``-1``).
-    faults / max_task_attempts / speculation:
-        Fault-injection knobs forwarded to the :class:`SparkContext`
-        created when ``ctx`` is omitted (see
-        :mod:`repro.spark.faults`); DataFrame and SQL execution then run
-        under the same adversarial schedule as raw RDD code.  Passing
-        them together with an explicit ``ctx`` is an error -- configure
-        the context instead.
-    backend / workers:
-        Executor-backend knobs forwarded the same way (see
-        :mod:`repro.spark.parallel`): ``"inprocess"`` (serial oracle,
-        the default) or ``"parallel"`` (forked worker pool).  Like
-        ``faults``, selecting a non-default backend together with an
-        explicit ``ctx`` is an error.
     """
 
     def __init__(
@@ -43,30 +32,8 @@ class SparkSession(Catalog):
         ctx: Optional[SparkContext] = None,
         default_parallelism: int = 4,
         autoBroadcastJoinThreshold: Optional[int] = 10 * 1024,
-        faults=None,
-        max_task_attempts: int = 4,
-        speculation: bool = False,
-        backend: str = "inprocess",
-        workers: Optional[int] = None,
     ) -> None:
-        if ctx is not None and faults is not None:
-            raise ValueError(
-                "pass faults either to the SparkContext or to the "
-                "SparkSession, not both"
-            )
-        if ctx is not None and backend != "inprocess":
-            raise ValueError(
-                "pass the executor backend either to the SparkContext or "
-                "to the SparkSession, not both"
-            )
-        self.ctx = ctx or SparkContext(
-            default_parallelism,
-            faults=faults,
-            max_task_attempts=max_task_attempts,
-            speculation=speculation,
-            backend=backend,
-            workers=workers,
-        )
+        self.ctx = ctx or SparkContext(default_parallelism)
         self.autoBroadcastJoinThreshold = autoBroadcastJoinThreshold
         self._tables: Dict[str, DataFrame] = {}
 

@@ -26,7 +26,6 @@ from repro.systems.graphx_sgm import GraphXSubgraphEngine
 from repro.systems.sparkql import SparkqlEngine
 from repro.systems.graphframes_sys import GraphFramesEngine
 from repro.systems.sparkrdf import SparkRdfMesgEngine
-from repro.systems.router import ShapeAwareRouter
 
 ALL_ENGINE_CLASSES = (
     HaqwaEngine,
@@ -51,7 +50,6 @@ __all__ = [
     "NaiveEngine",
     "S2RdfEngine",
     "S2XEngine",
-    "ShapeAwareRouter",
     "SparkRdfEngine",
     "SparkRdfMesgEngine",
     "SparkqlEngine",

@@ -249,7 +249,9 @@ class TestFaultSpans:
 
 class TestKnobThreading:
     def test_session_forwards_fault_knobs(self):
-        session = SparkSession(faults="fail:p=1", max_task_attempts=2)
+        session = SparkSession(
+            SparkContext(faults="fail:p=1", max_task_attempts=2)
+        )
         df = session.createDataFrame([(1, "a"), (2, "b")], ["n", "s"])
         with pytest.raises(TaskFailedError):
             df.collect()
@@ -257,14 +259,15 @@ class TestKnobThreading:
     def test_session_recovers_transparently(self):
         plain = SparkSession().createDataFrame([(1,), (2,), (3,)], ["n"])
         session = SparkSession(
-            faults=FaultScheduler([FaultRule("fail", times=1)])
+            SparkContext(faults=FaultScheduler([FaultRule("fail", times=1)]))
         )
         df = session.createDataFrame([(1,), (2,), (3,)], ["n"])
         assert df.collect() == plain.collect()
         assert session.ctx.metrics.snapshot().tasks_retried == 1
 
     def test_session_rejects_ctx_plus_faults(self):
-        with pytest.raises(ValueError):
+        # Fault knobs belong to the context; the session takes none.
+        with pytest.raises(TypeError):
             SparkSession(ctx=SparkContext(2), faults="fail:p=1")
 
     def test_context_rejects_bad_attempt_limit(self):

@@ -151,6 +151,7 @@ class TestEngineIntegration:
 
     def test_explain_closures_block(self, lubm_graph):
         from repro.explain import explain
+        from repro.runtime import RuntimeConfig
         from repro.systems import SparqlgxEngine
 
         text = explain(
@@ -158,7 +159,7 @@ class TestEngineIntegration:
             "SELECT ?s ?o WHERE { ?s "
             "<http://swat.cse.lehigh.edu/onto/univ-bench.owl#advisor> ?o }",
             [SparqlgxEngine],
-            verify_closures=True,
+            RuntimeConfig(verify_closures=True),
         )
         assert "closures:" in text
         assert "0 rejected" in text

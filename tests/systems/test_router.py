@@ -1,21 +1,24 @@
-"""Tests for the shape-aware router (the survey's conclusions as a system)."""
+"""The survey's per-shape dispatch table, as served by a routed service.
+
+``QueryService(route=True)`` is the one router: a fresh (prior-only)
+:class:`repro.routing.RoutingPolicy` reproduces the survey's static
+shape -> engine table, and these tests pin that table end to end --
+through admission, dispatch and execution -- where
+``tests/routing/test_policy.py`` pins the bare decisions.
+"""
 
 import pytest
 
 from repro.data.lubm import LubmGenerator
+from repro.routing.defaults import (
+    DEFAULT_FALLBACK_CHAIN,
+    DEFAULT_SHAPE_PREFERENCES,
+)
+from repro.server import QueryRequest, QueryService
+from repro.server.protocol import canonical_json, canonical_result
 from repro.sparql.algebra import evaluate
 from repro.sparql.parser import parse_sparql
 from repro.sparql.shapes import QueryShape
-from repro.systems import (
-    HaqwaEngine,
-    HybridEngine,
-    NaiveEngine,
-    S2RdfEngine,
-    ShapeAwareRouter,
-    SparkRdfMesgEngine,
-    SparqlgxEngine,
-)
-from repro.systems.router import DEFAULT_ROUTING
 
 PREFIX = (
     "PREFIX lubm: <http://repro.example.org/lubm#>\n"
@@ -25,35 +28,44 @@ PREFIX = (
 
 @pytest.fixture
 def router(lubm_graph):
-    return ShapeAwareRouter(parallelism=4).load(lubm_graph)
+    return QueryService(lubm_graph, route=True, pool_size=1)
+
+
+def routed_engine(service, text):
+    outcome = service.submit(QueryRequest(text))
+    assert outcome.status == "ok", outcome.error
+    return outcome.engine
 
 
 class TestRoutingChoices:
     def test_star_goes_to_haqwa(self, router):
-        assert router.choose(LubmGenerator.query_star()) is HaqwaEngine
+        assert routed_engine(router, LubmGenerator.query_star()) == "HAQWA"
 
     def test_linear_goes_to_s2rdf(self, router):
-        assert router.choose(LubmGenerator.query_linear()) is S2RdfEngine
+        assert routed_engine(router, LubmGenerator.query_linear()) == "S2RDF"
 
     def test_snowflake_goes_to_hybrid(self, router):
-        assert router.choose(LubmGenerator.query_snowflake()) is HybridEngine
+        assert (
+            routed_engine(router, LubmGenerator.query_snowflake())
+            == "SPARQL-Hybrid"
+        )
 
     def test_complex_goes_to_sparkrdf(self, router):
         assert (
-            router.choose(LubmGenerator.query_complex())
-            is SparkRdfMesgEngine
+            routed_engine(router, LubmGenerator.query_complex())
+            == "SparkRDF"
         )
 
     def test_single_goes_to_sparqlgx(self, router):
         assert (
-            router.choose(
-                PREFIX + "SELECT ?s WHERE { ?s lubm:age ?a }"
+            routed_engine(
+                router, PREFIX + "SELECT ?s WHERE { ?s lubm:age ?a }"
             )
-            is SparqlgxEngine
+            == "SPARQLGX"
         )
 
     def test_fragment_fallback(self, router):
-        # Snowflake prefers Hybrid (BGP only); FILTER forces a fallback.
+        # Snowflake prefers Hybrid (BGP only); FILTER forces it out.
         query = PREFIX + """
         SELECT ?s WHERE {
           ?s rdf:type lubm:GraduateStudent .
@@ -64,9 +76,7 @@ class TestRoutingChoices:
           FILTER(?s != ?p)
         }
         """
-        chosen = router.choose(query)
-        assert chosen is not HybridEngine
-        assert chosen in (SparqlgxEngine, NaiveEngine)
+        assert routed_engine(router, query) != "SPARQL-Hybrid"
 
     def test_optional_falls_back_past_s2rdf(self, router):
         query = PREFIX + """
@@ -77,13 +87,15 @@ class TestRoutingChoices:
         }
         """
         # Linear shape prefers S2RDF, which lacks OPTIONAL.
-        assert router.choose(query) is SparqlgxEngine
+        assert routed_engine(router, query) == "SPARQLGX"
 
     def test_custom_routing_override(self, lubm_graph):
-        router = ShapeAwareRouter(
-            routing={QueryShape.STAR: SparqlgxEngine}
-        ).load(lubm_graph)
-        assert router.choose(LubmGenerator.query_star()) is SparqlgxEngine
+        service = QueryService(
+            lubm_graph, route=True, route_engines=["SPARQLGX"], pool_size=1
+        )
+        assert (
+            routed_engine(service, LubmGenerator.query_star()) == "SPARQLGX"
+        )
 
 
 class TestRouterExecution:
@@ -91,56 +103,24 @@ class TestRouterExecution:
         "name", ["star", "linear", "snowflake", "complex", "filter", "optional"]
     )
     def test_matches_reference_everywhere(self, router, lubm_graph, name):
-        query = parse_sparql(LubmGenerator.all_queries()[name])
-        assert router.execute(query).same_as(evaluate(query, lubm_graph))
+        text = LubmGenerator.all_queries()[name]
+        query = parse_sparql(text)
+        outcome = router.submit(QueryRequest(text))
+        assert outcome.payload == canonical_json(
+            canonical_result(evaluate(query, lubm_graph), query)
+        )
 
     def test_last_engine_recorded(self, router):
-        router.execute(LubmGenerator.query_star())
-        assert router.last_engine is HaqwaEngine
-
-    def test_lazy_loading(self, router):
-        assert router.loaded_engines() == []
-        router.execute(LubmGenerator.query_star())
-        assert router.loaded_engines() == ["HAQWA"]
-        router.execute(LubmGenerator.query_linear())
-        assert "S2RDF" in router.loaded_engines()
-
-    def test_execute_before_load_raises(self):
-        with pytest.raises(RuntimeError):
-            ShapeAwareRouter().execute(LubmGenerator.query_star())
+        router.submit(QueryRequest(LubmGenerator.query_star()))
+        assert router.stats()["routing"]["decisions"]["star"] == {"HAQWA": 1}
 
     def test_default_routing_covers_every_shape(self):
-        assert set(DEFAULT_ROUTING) == set(QueryShape)
-
-    def test_reload_resets_engines(self, router, watdiv_graph):
-        router.execute(LubmGenerator.query_star())
-        router.load(watdiv_graph)
-        assert router.loaded_engines() == []
+        assert set(DEFAULT_SHAPE_PREFERENCES) == set(QueryShape)
 
 
 class TestSharedDefaults:
-    """The static table delegates to repro.routing (single source of truth)."""
-
-    def test_routing_table_derives_from_shared_preferences(self):
-        from repro.routing.defaults import DEFAULT_SHAPE_PREFERENCES
-        from repro.systems.router import DEFAULT_FALLBACKS
-
-        assert {
-            shape: cls.profile.name for shape, cls in DEFAULT_ROUTING.items()
-        } == DEFAULT_SHAPE_PREFERENCES
-        from repro.routing.defaults import DEFAULT_FALLBACK_CHAIN
-
-        assert (
-            tuple(cls.profile.name for cls in DEFAULT_FALLBACKS)
-            == DEFAULT_FALLBACK_CHAIN
-        )
-
-    def test_fragment_fallback_chain_is_pinned(self):
+    def test_fragment_fallback_chain_is_pinned(self, router):
         """Regression: the fallback order is part of the routing contract
         -- SPARQLGX (wide fragment) before Naive (full coverage)."""
-        from repro.routing.defaults import DEFAULT_FALLBACK_CHAIN
-
         assert DEFAULT_FALLBACK_CHAIN == ("SPARQLGX", "Naive")
-        assert tuple(
-            cls.profile.name for cls in ShapeAwareRouter().fallbacks
-        ) == DEFAULT_FALLBACK_CHAIN
+        assert tuple(router.routing.fallbacks) == DEFAULT_FALLBACK_CHAIN

@@ -6,7 +6,8 @@ The full map (documented in README.md):
 code  meaning
 ====  ==========================================================
 0     success; ``lint`` found nothing
-2     unusable inputs (bad spec, unknown engine, unreadable file)
+2     unusable inputs (bad spec, unknown engine, unreadable file,
+      unwritable output path)
 3     a fault schedule exhausted ``--max-task-attempts``
 4     ``lint`` found warnings only
 5     ``lint`` found errors
@@ -137,6 +138,49 @@ def test_exit_code(argv_builder, expected, data_file, tmp_path, capsys):
     code = main(argv_builder(data_file, tmp_path))
     capsys.readouterr()
     assert code == expected
+
+
+ADVISOR_CONSTRUCT = (
+    "PREFIX lubm: <http://repro.example.org/lubm#>"
+    " CONSTRUCT { ?s lubm:advisor ?o } WHERE { ?s lubm:advisor ?o }"
+)
+
+#: Every subcommand that writes a file, pointed at a path whose
+#: directory does not exist.
+UNWRITABLE_CASES = [
+    ("query-trace", lambda d, p: ["query", d, CLEAN_QUERY, "--trace", p]),
+    ("assess-trace", lambda d, p: ["assess", d, "--trace", p]),
+    ("loadtest-report", lambda d, p: ["loadtest", d, "--smoke", "--report", p]),
+    (
+        "validate-report",
+        lambda d, p: [
+            "validate", d, "examples/shapes/lubm_clean.json", "--report", p,
+        ],
+    ),
+    ("stats-json", lambda d, p: ["stats", d, "--json", p]),
+    ("views-json", lambda d, p: ["views", d, "build", "--json", p]),
+    (
+        "harvest-output",
+        lambda d, p: ["harvest", d, ADVISOR_CONSTRUCT, "--output", p],
+    ),
+    ("generate-path", lambda d, p: ["generate", "lubm", p]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv_builder",
+    [builder for _, builder in UNWRITABLE_CASES],
+    ids=[case_id for case_id, _ in UNWRITABLE_CASES],
+)
+def test_unwritable_output_path_is_a_typed_error(
+    argv_builder, data_file, tmp_path, capsys
+):
+    """Exit 2 and one ``error:`` line -- never a raw traceback."""
+    target = str(tmp_path / "no-such-dir" / "out.file")
+    assert main(argv_builder(data_file, target)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestLintOutput:

@@ -18,6 +18,7 @@ from repro.explain import (
     verify_conservation,
 )
 from repro.rdf.ntriples import save_ntriples_file
+from repro.runtime import RuntimeConfig
 from repro.systems import HybridEngine, S2RdfEngine, SparqlgxEngine
 
 STAR = LubmGenerator.query_star()
@@ -241,8 +242,7 @@ class TestPreambleOrder:
             lubm_graph,
             self.DIRTY_VIEWED,
             [SparqlgxEngine],
-            optimize=True,
-            views=True,
+            RuntimeConfig(optimize=True, views=True),
         )
         assert "lint:" in text and "views:" in text
         assert (
@@ -253,13 +253,18 @@ class TestPreambleOrder:
 
     def test_views_only_preamble_precedes_engines(self, lubm_graph):
         text = explain(
-            lubm_graph, STAR, [SparqlgxEngine], optimize=True, views=True
+            lubm_graph,
+            STAR,
+            [SparqlgxEngine],
+            RuntimeConfig(optimize=True, views=True),
         )
         assert "lint:" not in text
         assert text.index("views:") < text.index("== SPARQLGX ==")
 
     def test_clean_unviewed_has_no_preamble(self, lubm_graph):
-        text = explain(lubm_graph, STAR, [SparqlgxEngine], optimize=True)
+        text = explain(
+            lubm_graph, STAR, [SparqlgxEngine], RuntimeConfig(optimize=True)
+        )
         assert "lint:" not in text and "views:" not in text
         assert text.startswith("== SPARQLGX ==")
 
@@ -297,9 +302,7 @@ class TestShaclPreamble:
             lubm_graph,
             STAR,
             [SparqlgxEngine],
-            optimize=True,
-            views=True,
-            route=True,
+            RuntimeConfig(optimize=True, views=True, route=True),
             shapes=shapes,
         )
         assert (

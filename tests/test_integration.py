@@ -11,7 +11,7 @@ from repro.rdf.triple import Triple
 from repro.spark.context import SparkContext
 from repro.sparql.algebra import evaluate
 from repro.sparql.parser import parse_sparql
-from repro.systems import S2RdfEngine, ShapeAwareRouter, SparqlgxEngine
+from repro.systems import S2RdfEngine, SparqlgxEngine
 
 
 def test_generate_save_load_query_roundtrip(tmp_path):
@@ -68,14 +68,21 @@ def test_inference_construct_version_pipeline():
 
 
 def test_router_over_mixed_workload(lubm_graph):
-    """One router, many shapes: the adopter-facing happy path."""
-    router = ShapeAwareRouter(parallelism=4).load(lubm_graph)
+    """One routed service, many shapes: the adopter-facing happy path."""
+    from repro.server import QueryRequest, QueryService
+    from repro.server.protocol import canonical_json, canonical_result
+
+    service = QueryService(lubm_graph, route=True, pool_size=1)
+    engines = set()
     for name, text in LubmGenerator.all_queries().items():
         query = parse_sparql(text)
-        expected = evaluate(query, lubm_graph)
-        assert router.execute(query).same_as(expected), name
+        outcome = service.submit(QueryRequest(text, id=name))
+        assert outcome.payload == canonical_json(
+            canonical_result(evaluate(query, lubm_graph), query)
+        ), name
+        engines.add(outcome.engine)
     # Multiple engines were exercised behind one facade.
-    assert len(router.loaded_engines()) >= 3
+    assert len(engines) >= 3
 
 
 def test_describe_after_update(lubm_graph):
