@@ -69,16 +69,22 @@ class Optimizer:
         version: int = 0,
         views: bool = False,
         view_threshold: Optional[float] = None,
+        catalog: Optional[StatsCatalog] = None,
         **kwargs,
     ) -> "Optimizer":
-        """Build the catalog from *graph* and wrap it in an optimizer.
+        """Wrap *graph*'s statistics in an optimizer.
+
+        *catalog* is the graph's statistics at *version* when the caller
+        already computed them (a service shares one pass per version
+        among every consumer); without it the catalog is built here.
 
         With ``views=True`` a :class:`~repro.views.ViewCatalog` is built
         from the same statistics (at *view_threshold*, defaulting to
         :data:`~repro.views.DEFAULT_VIEW_THRESHOLD`) and attached, so
         plans substitute materialized ExtVP views for dominated scans.
         """
-        catalog = StatsCatalog.from_graph(graph, version=version)
+        if catalog is None:
+            catalog = StatsCatalog.from_graph(graph, version=version)
         view_catalog = None
         if views:
             from repro.views import DEFAULT_VIEW_THRESHOLD, ViewCatalog

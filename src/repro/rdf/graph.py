@@ -9,22 +9,40 @@ distributed representation from it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.rdf.terms import Term, URI
 from repro.rdf.triple import Triple
 from repro.rdf.vocab import RDF
 
 _Pattern = Tuple[Optional[Term], Optional[Term], Optional[Term]]
+_Index = Dict[Term, Dict[Term, Set[Term]]]
+
+
+def _copy_index(index: _Index) -> _Index:
+    return {
+        outer: {key: set(values) for key, values in inner.items()}
+        for outer, inner in index.items()
+    }
 
 
 class RDFGraph:
     """A set of triples with three hash indexes for pattern lookups."""
 
     def __init__(self, triples: Optional[Iterable[Triple]] = None) -> None:
-        self._spo: Dict[Term, Dict[Term, Set[Term]]] = {}
-        self._pos: Dict[Term, Dict[Term, Set[Term]]] = {}
-        self._osp: Dict[Term, Dict[Term, Set[Term]]] = {}
+        self._spo: _Index = {}
+        self._pos: _Index = {}
+        self._osp: _Index = {}
         self._size = 0
         if triples:
             for triple in triples:
@@ -59,6 +77,19 @@ class RDFGraph:
             return False
         self._pos[p][o].discard(s)
         self._osp[o][s].discard(p)
+        # Prune emptied containers, so the index keys stay exactly the
+        # terms some triple carries (subjects(), predicates(), objects()
+        # and the statistics pass read them as such).
+        for index, a, b in (
+            (self._spo, s, p),
+            (self._pos, p, o),
+            (self._osp, o, s),
+        ):
+            inner = index[a]
+            if not inner[b]:
+                del inner[b]
+                if not inner:
+                    del index[a]
         self._size -= 1
         return True
 
@@ -127,13 +158,28 @@ class RDFGraph:
     def objects(self) -> Set[Term]:
         return set(self._osp.keys())
 
+    def predicate_count(self, predicate: Term) -> int:
+        """Triples carrying *predicate* (0 when absent), counted from the
+        POS index without visiting a triple."""
+        return sum(
+            len(subjects) for subjects in self._pos.get(predicate, {}).values()
+        )
+
     def predicate_counts(self) -> Dict[Term, int]:
         """Triples per predicate -- the statistic SPARQLGX and the
         GraphFrames system order joins with."""
-        return {
-            p: sum(len(subjects) for subjects in objects.values())
-            for p, objects in self._pos.items()
-        }
+        return {p: self.predicate_count(p) for p in self._pos}
+
+    def by_predicate(self) -> Mapping[Term, Mapping[Term, AbstractSet[Term]]]:
+        """The POS index itself (predicate -> object -> subjects), for
+        read-only walks; ``len`` of a subject set is that object's
+        multiplicity under the predicate."""
+        return self._pos
+
+    def by_subject(self) -> Mapping[Term, Mapping[Term, AbstractSet[Term]]]:
+        """The SPO index itself (subject -> predicate -> objects), for
+        read-only walks."""
+        return self._spo
 
     def types_of(self, subject: Term) -> Set[Term]:
         """Classes the subject has via rdf:type."""
@@ -146,7 +192,15 @@ class RDFGraph:
         return set(self._pos.get(RDF.type, {}).keys())
 
     def copy(self) -> "RDFGraph":
-        return RDFGraph(iter(self))
+        """An independent graph holding the same triples: the three
+        indexes are copied container by container (terms are immutable
+        and shared), so nothing is re-validated or re-inserted."""
+        clone = RDFGraph()
+        clone._spo = _copy_index(self._spo)
+        clone._pos = _copy_index(self._pos)
+        clone._osp = _copy_index(self._osp)
+        clone._size = self._size
+        return clone
 
     def to_list(self) -> List[Triple]:
         return sorted(iter(self))

@@ -7,7 +7,7 @@ surveyed systems; local files or strings here).
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import BNode, Literal, Term, URI
@@ -69,13 +69,22 @@ def _unescape(text: str) -> str:
 
 
 def _parse_term(
-    line: str, position: int, line_number: int
+    line: str, position: int, line_number: int, uris: Dict[str, URI]
 ) -> tuple:
+    """The term starting at *position* and the offset just past it.
+
+    *uris* holds the URI object already built for each reference seen,
+    so one document's repeated subjects, predicates and classes are one
+    object each (hashed once, stored once) rather than one per mention.
+    """
     match = _TERM_RE.match(line, position)
     if match is None:
         raise NTriplesParseError(line_number, line, "expected a term")
-    if match.group("uri") is not None:
-        term: Term = URI(match.group("uri"))
+    reference = match.group("uri")
+    if reference is not None:
+        term: Optional[Term] = uris.get(reference)
+        if term is None:
+            term = uris[reference] = URI(reference)
     elif match.group("bnode") is not None:
         term = BNode(match.group("bnode"))
     else:
@@ -90,14 +99,22 @@ def _parse_term(
     return term, match.end()
 
 
-def parse_ntriples_line(line: str, line_number: int = 1) -> Optional[Triple]:
-    """Parse one line; returns None for blank lines and comments."""
+def parse_ntriples_line(
+    line: str, line_number: int = 1, uris: Optional[Dict[str, URI]] = None
+) -> Optional[Triple]:
+    """Parse one line; returns None for blank lines and comments.
+
+    A caller parsing many lines passes one *uris* dict for all of them
+    (see :func:`_parse_term`).
+    """
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
-    subject, position = _parse_term(line, 0, line_number)
-    predicate, position = _parse_term(line, position, line_number)
-    obj, position = _parse_term(line, position, line_number)
+    if uris is None:
+        uris = {}
+    subject, position = _parse_term(line, 0, line_number, uris)
+    predicate, position = _parse_term(line, position, line_number, uris)
+    obj, position = _parse_term(line, position, line_number, uris)
     tail = line[position:].strip()
     if tail != ".":
         raise NTriplesParseError(line_number, line, "expected terminating '.'")
@@ -109,8 +126,9 @@ def parse_ntriples_line(line: str, line_number: int = 1) -> Optional[Triple]:
 
 def iter_ntriples(lines: Iterable[str]) -> Iterator[Triple]:
     """Parse an iterable of lines, yielding triples."""
+    uris: Dict[str, URI] = {}
     for line_number, line in enumerate(lines, start=1):
-        triple = parse_ntriples_line(line, line_number)
+        triple = parse_ntriples_line(line, line_number, uris)
         if triple is not None:
             yield triple
 

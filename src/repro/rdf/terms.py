@@ -7,11 +7,19 @@ from __future__ import annotations
 
 from typing import Optional
 
+#: The one way past the raising ``__setattr__`` of the immutable terms.
+_set = object.__setattr__
+
 
 class Term:
     """Base class for RDF terms.  Terms are immutable and hashable."""
 
-    __slots__ = ()
+    #: The term's hash once something asked for it, None before: terms
+    #: key every graph index, so one term is probed many times and what
+    #: it hashes never changes.  Constructors only clear the slot and
+    #: ``__reduce__`` rebuilds through them, so neither parsing nor the
+    #: worker pipe computes (or carries) a hash nobody asked for.
+    __slots__ = ("_hash",)
 
     #: Sort rank between term kinds: blank nodes < URIs < literals.
     _kind_rank = 0
@@ -56,7 +64,8 @@ class URI(Term):
     def __init__(self, value: str) -> None:
         if not value:
             raise ValueError("URI cannot be empty")
-        object.__setattr__(self, "value", value)
+        _set(self, "value", value)
+        _set(self, "_hash", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("URI is immutable")
@@ -83,7 +92,11 @@ class URI(Term):
         return isinstance(other, URI) and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash(("URI", self.value))
+        value = self._hash
+        if value is None:
+            value = hash(("URI", self.value))
+            _set(self, "_hash", value)
+        return value
 
     def __repr__(self) -> str:
         return "URI(%r)" % self.value
@@ -100,7 +113,8 @@ class BNode(Term):
         if label is None:
             BNode._counter[0] += 1
             label = "b%d" % BNode._counter[0]
-        object.__setattr__(self, "label", label)
+        _set(self, "label", label)
+        _set(self, "_hash", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("BNode is immutable")
@@ -119,7 +133,11 @@ class BNode(Term):
         return isinstance(other, BNode) and self.label == other.label
 
     def __hash__(self) -> int:
-        return hash(("BNode", self.label))
+        value = self._hash
+        if value is None:
+            value = hash(("BNode", self.label))
+            _set(self, "_hash", value)
+        return value
 
     def __repr__(self) -> str:
         return "BNode(%r)" % self.label
@@ -148,9 +166,10 @@ class Literal(Term):
         elif isinstance(lexical, float):
             datatype = datatype or _XSD_DOUBLE
             lexical = repr(lexical)
-        object.__setattr__(self, "lexical", str(lexical))
-        object.__setattr__(self, "datatype", datatype)
-        object.__setattr__(self, "language", language)
+        _set(self, "lexical", str(lexical))
+        _set(self, "datatype", datatype)
+        _set(self, "language", language)
+        _set(self, "_hash", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("Literal is immutable")
@@ -201,7 +220,13 @@ class Literal(Term):
         )
 
     def __hash__(self) -> int:
-        return hash(("Literal", self.lexical, self.datatype, self.language))
+        value = self._hash
+        if value is None:
+            value = hash(
+                ("Literal", self.lexical, self.datatype, self.language)
+            )
+            _set(self, "_hash", value)
+        return value
 
     def __repr__(self) -> str:
         extra = ""

@@ -162,13 +162,19 @@ class RuntimeConfig:
             raise RuntimeConfigError(str(exc)) from exc
 
     def optimizer(
-        self, graph: RDFGraph, version: int = 0, build_views: bool = True
+        self,
+        graph: RDFGraph,
+        version: int = 0,
+        build_views: bool = True,
+        catalog=None,
     ):
         """The shared optimizer over *graph*'s statistics, or None when
         ``optimize`` is off.
 
         ``build_views=False`` skips materializing the view catalog, for
-        callers that maintain one incrementally and re-attach it.
+        callers that maintain one incrementally and re-attach it;
+        *catalog* hands down statistics already computed for *graph* at
+        *version* instead of computing them again.
         """
         if not self.optimize:
             return None
@@ -181,6 +187,7 @@ class RuntimeConfig:
             broadcast_threshold=self.broadcast_threshold,
             views=self.views and build_views,
             view_threshold=self.view_threshold,
+            catalog=catalog,
         )
 
 

@@ -32,6 +32,11 @@ versioned store, bumps the version, actively invalidates stale result
 cache entries, and refreshes every pooled engine's store (warm again
 before the next query).  Because the result-cache key embeds the
 version, staleness is impossible even between the bump and the purge.
+A version costs one statistics pass over the head
+(:attr:`QueryService.catalog`, the object the optimizer, the linter,
+routing and every pooled engine all read) and one store reload per
+pooled engine; the rest is proportional to the change set -- views are
+maintained by delta, never rebuilt.
 
 Determinism: the service owns its own
 :class:`~repro.spark.metrics.MetricsCollector` and
@@ -148,9 +153,9 @@ class _EngineSet:
     def names(self) -> List[str]:
         return sorted(self._engines)
 
-    def load(self, graph) -> None:
+    def load(self, graph, catalog=None) -> None:
         for name in sorted(self._engines):
-            self._engines[name].load(graph)
+            self._engines[name].load(graph, catalog)
 
     def set_optimizer(self, optimizer) -> None:
         for name in sorted(self._engines):
@@ -185,19 +190,23 @@ class QueryService:
         self.queue: FairShareQueue = FairShareQueue(config.queue_limit)
         #: The last :class:`~repro.views.MaintenanceReport`, for stats().
         self.last_maintenance = None
-        #: One shared optimizer over statistics at the current head (None
-        #: when unoptimized).  Built with the materialized-view catalog
-        #: here; commits instead maintain that catalog incrementally and
+        #: The head's statistics: the one pass over the graph a version
+        #: costs, shared by the optimizer, the admission linter, routing
+        #: and every pooled engine; replaced on each commit.
+        self.catalog = StatsCatalog.from_graph(
+            self.versions.head(), version=self.versions.head_version
+        )
+        #: One shared optimizer over :attr:`catalog` (None when
+        #: unoptimized).  Built with the materialized-view catalog here;
+        #: commits instead maintain that catalog incrementally and
         #: re-attach it (:meth:`_commit`).
         self.optimizer: Optional[Optimizer] = config.runtime.optimizer(
-            self.versions.head(), self.versions.head_version
+            self.versions.head(),
+            self.versions.head_version,
+            catalog=self.catalog,
         )
-        self._lint_catalog: Optional[StatsCatalog] = None
-        if config.lint_admission:
-            self._lint_catalog = self._build_lint_catalog()
         #: The adaptive per-shape router (docs/ROUTING.md), or None for
-        #: fixed-engine dispatch.  Shares the optimizer/lint statistics
-        #: catalog; its feedback state survives commits.
+        #: fixed-engine dispatch.  Its feedback state survives commits.
         self.routing: Optional[RoutingPolicy] = None
         if config.runtime.route:
             self.routing = RoutingPolicy.for_graph(
@@ -205,47 +214,19 @@ class QueryService:
                 engines=config.runtime.route_engines,
                 mode=config.runtime.optimizer_mode,
                 broadcast_threshold=config.runtime.broadcast_threshold,
-                catalog=self._routing_catalog(),
+                catalog=self.catalog,
             )
         self.pool = [
             self._build_worker() for _ in range(config.pool_size)
         ]
         self._round_robin = 0
 
-    def _build_lint_catalog(self) -> StatsCatalog:
-        """Statistics for the admission linter at the current head.
-
-        Shares the optimizer's catalog when one exists (same graph pass,
-        same version); otherwise computes a catalog of its own, so lint
-        admission works on unoptimized services too.
-        """
-        if self.optimizer is not None:
-            return self.optimizer.catalog
-        return StatsCatalog.from_graph(
-            self.versions.head(), version=self.versions.head_version
-        )
-
-    def _routing_catalog(self) -> StatsCatalog:
-        """Statistics anchoring the routing cost estimates.
-
-        Shares the optimizer's catalog (or the lint catalog) when one
-        exists -- same graph pass, same version -- so routing never pays
-        for a second statistics build.
-        """
-        if self.optimizer is not None:
-            return self.optimizer.catalog
-        if self._lint_catalog is not None:
-            return self._lint_catalog
-        return StatsCatalog.from_graph(
-            self.versions.head(), version=self.versions.head_version
-        )
-
     def _build_one_engine(self, name: str):
         # Each engine gets its own context on a fresh fault schedule
         # (as BenchRun does), so firing counters never leak across slots.
         engine = resolve_engine(name)(
             self.config.runtime.context(fresh=True)
-        ).load(self.versions.head())
+        ).load(self.versions.head(), self.catalog)
         if self.optimizer is not None:
             engine.set_optimizer(self.optimizer)
         return engine
@@ -487,7 +468,7 @@ class QueryService:
             return lint_query(
                 plan,
                 subject=request.id or "query",
-                catalog=self._lint_catalog,
+                catalog=self.catalog,
                 deadline=budget,
                 broadcast_threshold=self.config.runtime.broadcast_threshold,
                 mode=self.config.runtime.optimizer_mode,
@@ -529,12 +510,16 @@ class QueryService:
         version = self.versions.commit(additions, deletions)
         dropped = self.result_cache.invalidate_below(version, self.metrics)
         head = self.versions.head()
+        # The commit's one pass over the head: lint statistics must track
+        # it (or admission would reject queries over predicates this
+        # commit added), and every consumer below shares this object.
+        self.catalog = StatsCatalog.from_graph(head, version=version)
         if self.optimizer is not None:
             view_catalog = self.optimizer.view_catalog
-            # Refresh statistics at the new head; the bumped stats version
-            # retires every plan-cache entry keyed under the old catalog.
+            # The bumped stats version retires every plan-cache entry
+            # keyed under the old catalog.
             self.optimizer = self.config.runtime.optimizer(
-                head, version, build_views=False
+                head, version, build_views=False, catalog=self.catalog
             )
             if view_catalog is not None:
                 # Views stay warm across the commit: delta-apply the
@@ -550,16 +535,12 @@ class QueryService:
                 self.metrics.incr(
                     "views_maintained", report.views_affected
                 )
-        if self.config.lint_admission:
-            # Lint statistics must track the served head, or admission
-            # would reject queries over predicates this commit added.
-            self._lint_catalog = self._build_lint_catalog()
         if self.routing is not None:
             # Routing estimates re-anchor on the new head's statistics;
             # calibration (the feedback history) deliberately survives.
-            self.routing.refresh(self._routing_catalog())
+            self.routing.refresh(self.catalog)
         for engine in self.pool:
-            engine.load(head)
+            engine.load(head, self.catalog)
             if self.optimizer is not None:
                 engine.set_optimizer(self.optimizer)
         return version, dropped

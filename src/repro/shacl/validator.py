@@ -52,7 +52,7 @@ class ValidationExecutionError(RuntimeError):
 def term_from_n3(text: str) -> Term:
     """Decode one N3-rendered term from a canonical wire row."""
     try:
-        term, end = _parse_term(text, 0, 1)
+        term, end = _parse_term(text, 0, 1, {})
     except NTriplesParseError as exc:
         raise ValueError("not an N3 term: %r (%s)" % (text, exc)) from exc
     if text[end:].strip():

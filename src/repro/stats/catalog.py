@@ -138,24 +138,42 @@ class StatsCatalog:
 
     @classmethod
     def from_graph(cls, graph: RDFGraph, version: int = 0) -> "StatsCatalog":
-        """Compute every statistic in a single pass over *graph*."""
-        pred_count: Dict[str, int] = {}
+        """Compute every statistic in a single pass over *graph*.
+
+        The pass reads the graph's own POS and SPO indexes: the size of
+        ``pos[p][o]`` is the object's multiplicity under ``p`` and the
+        size of ``spo[s][p]`` the subject's, so no triple is rebuilt and
+        each predicate is rendered to N3 once.
+        """
+        names = {p: p.n3() for p in graph.by_predicate()}
         # Per predicate: subject -> multiplicity and object -> multiplicity
         # (multiplicities make the triple-level selectivity factors exact).
-        pred_subjects: Dict[str, Dict[object, int]] = {}
-        pred_objects: Dict[str, Dict[object, int]] = {}
-        # Per subject: predicate n3 -> triple count (characteristic sets).
-        subject_preds: Dict[object, Dict[str, int]] = {}
+        pred_subjects: Dict[str, Dict[object, int]] = {
+            p: {} for p in names.values()
+        }
+        pred_objects: Dict[str, Dict[object, int]] = {
+            names[predicate]: {
+                o: len(subjects) for o, subjects in by_object.items()
+            }
+            for predicate, by_object in graph.by_predicate().items()
+        }
+        pred_count = {p: sum(objs.values()) for p, objs in pred_objects.items()}
 
-        for triple in graph:
-            p = triple.predicate.n3()
-            pred_count[p] = pred_count.get(p, 0) + 1
-            subs = pred_subjects.setdefault(p, {})
-            subs[triple.subject] = subs.get(triple.subject, 0) + 1
-            objs = pred_objects.setdefault(p, {})
-            objs[triple.object] = objs.get(triple.object, 0) + 1
-            per_subject = subject_preds.setdefault(triple.subject, {})
-            per_subject[p] = per_subject.get(p, 0) + 1
+        # Characteristic sets: subjects grouped by their exact predicate
+        # set, each predicate with the triples those subjects carry for it.
+        grouped: Dict[Tuple[str, ...], Dict[str, object]] = {}
+        for subject, by_predicate in graph.by_subject().items():
+            per_subject = {
+                names[predicate]: len(objects)
+                for predicate, objects in by_predicate.items()
+            }
+            key = tuple(sorted(per_subject))
+            entry = grouped.setdefault(key, {"subjects": 0, "occ": {}})
+            entry["subjects"] += 1
+            occ: Dict[str, int] = entry["occ"]  # type: ignore[assignment]
+            for p, count in per_subject.items():
+                pred_subjects[p][subject] = count
+                occ[p] = occ.get(p, 0) + count
 
         predicates = {
             p: PredicateStats(
@@ -166,15 +184,6 @@ class StatsCatalog:
             for p in pred_count
         }
 
-        # Characteristic sets: subjects grouped by their exact predicate set.
-        grouped: Dict[Tuple[str, ...], Dict[str, object]] = {}
-        for per_subject in subject_preds.values():
-            key = tuple(sorted(per_subject))
-            entry = grouped.setdefault(key, {"subjects": 0, "occ": {}})
-            entry["subjects"] += 1
-            occ: Dict[str, int] = entry["occ"]  # type: ignore[assignment]
-            for p, count in per_subject.items():
-                occ[p] = occ.get(p, 0) + count
         characteristic_sets = [
             CharacteristicSet(
                 predicates=key,

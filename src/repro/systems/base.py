@@ -201,13 +201,18 @@ class SparkRdfEngine:
     # Loading
     # ------------------------------------------------------------------
 
-    def load(self, graph: RDFGraph) -> "SparkRdfEngine":
-        """Ingest a graph, building the engine's distributed representation."""
-        self._build(graph)
+    def load(self, graph: RDFGraph, catalog=None) -> "SparkRdfEngine":
+        """Ingest a graph, building the engine's distributed representation.
+
+        *catalog* is *graph*'s :class:`~repro.stats.catalog.StatsCatalog`
+        when the caller already holds one; an engine that plans from
+        statistics then reads it instead of computing its own.
+        """
+        self._build(graph, catalog)
         self._loaded = True
         return self
 
-    def _build(self, graph: RDFGraph) -> None:
+    def _build(self, graph: RDFGraph, catalog=None) -> None:
         raise NotImplementedError
 
     # ------------------------------------------------------------------

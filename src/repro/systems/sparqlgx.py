@@ -82,7 +82,7 @@ class SparqlgxEngine(SparkRdfEngine):
         #: Ablation switch: disable the statistics-based join reordering.
         self.enable_reordering = enable_reordering
 
-    def _build(self, graph: RDFGraph) -> None:
+    def _build(self, graph: RDFGraph, catalog=None) -> None:
         # One "file" (RDD) per predicate, holding (s, o) pairs only.
         self.vp_tables: Dict[Term, RDD] = {}
         for predicate in sorted(graph.predicates(), key=lambda t: t.sort_key()):
@@ -94,11 +94,14 @@ class SparqlgxEngine(SparkRdfEngine):
             self.vp_tables[predicate] = self.ctx.parallelize(pairs).cache()
 
         # Statistics come from the shared catalog (repro.stats): the same
-        # one pass the cost-based optimizer uses.  The numbers it yields
+        # one pass the cost-based optimizer uses -- the loader's own
+        # catalog object when it passed one.  The numbers it yields
         # (per-predicate partition sizes, distinct subject / predicate /
         # object counts) are exactly what this engine counted privately
         # before, so the reordering heuristic is unchanged.
-        self.catalog = StatsCatalog.from_graph(graph)
+        self.catalog = (
+            catalog if catalog is not None else StatsCatalog.from_graph(graph)
+        )
         self.vp_sizes: Dict[Term, int] = {
             predicate: self.catalog.predicate_count(predicate.n3())
             for predicate in self.vp_tables

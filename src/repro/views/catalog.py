@@ -380,14 +380,17 @@ class ViewCatalog:
             if key[1] in touched or key[2] in touched
         )
         terms = _predicate_terms(graph)
+        # Post-commit partition sizes, counted from the index once per
+        # predicate; one the head no longer carries is absent (size 0).
+        sizes = {n3: graph.predicate_count(term) for n3, term in terms.items()}
         for key in affected:
             view = self.views[key]
             report.views_affected += 1
             report.cost_units += self._maintain_view(
                 view, delta, graph, terms, report
             )
-            p1_count = _partition_size(graph, terms.get(key[1]))
-            p2_count = _partition_size(graph, terms.get(key[2]))
+            p1_count = sizes.get(key[1], 0)
+            p2_count = sizes.get(key[2], 0)
             report.rebuild_cost_units += p1_count + p2_count
             view.version = version
             view.factor = (
@@ -486,13 +489,6 @@ class ViewCatalog:
             self.threshold,
             self.version,
         )
-
-
-def _partition_size(graph: RDFGraph, predicate: Optional[Term]) -> int:
-    """Triples carrying *predicate* in *graph* (0 when absent)."""
-    if predicate is None:
-        return 0
-    return sum(1 for _ in graph.triples((None, predicate, None)))
 
 
 def _delta_values(triples, predicate_n3: str, column: str) -> List[Term]:

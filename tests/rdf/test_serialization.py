@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.rdf.graph import RDFGraph
 from repro.rdf.ntriples import (
     NTriplesParseError,
+    iter_ntriples,
     load_ntriples_file,
     parse_ntriples,
     parse_ntriples_line,
@@ -52,6 +53,22 @@ class TestNTriplesParsing:
     def test_comments_and_blank_lines_skipped(self):
         graph = parse_ntriples("# comment\n\n<http://x/s> <http://x/p> <http://x/o> .\n")
         assert len(graph) == 1
+
+    def test_one_document_shares_one_object_per_uri(self):
+        first, second = iter_ntriples(
+            [
+                "<http://x/s> <http://x/p> <http://x/o> .",
+                "<http://x/o> <http://x/p> <http://x/s> .",
+            ]
+        )
+        assert first.subject is second.object
+        assert first.predicate is second.predicate
+        assert first.object is second.subject
+        # Separate documents (and lone lines) share nothing.
+        line = "<http://x/s> <http://x/p> <http://x/o> ."
+        alone = parse_ntriples_line(line)
+        assert alone == parse_ntriples_line(line) == first
+        assert alone.subject is not first.subject
 
     def test_missing_dot_raises(self):
         with pytest.raises(NTriplesParseError):

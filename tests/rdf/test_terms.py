@@ -1,6 +1,10 @@
 """Tests for RDF terms: URIs, literals, blank nodes, ordering."""
 
+import pickle
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.rdf.terms import BNode, Literal, URI
 from repro.rdf.vocab import XSD
@@ -100,3 +104,48 @@ class TestOrdering:
 
     def test_comparison_with_non_term(self):
         assert URI("http://a").__lt__(42) is NotImplemented
+
+
+# Text that exercises str hashing beyond ASCII, and the empty literal.
+texts = st.text(max_size=12)
+names = st.text(alphabet="abcXYZ019_", min_size=1, max_size=12)
+literals = st.one_of(
+    st.builds(Literal, texts),
+    st.builds(Literal, texts, language=st.sampled_from(["en", "fr-CA"])),
+    st.builds(Literal, texts, datatype=st.builds(URI, names)),
+    st.builds(Literal, st.one_of(st.integers(), st.booleans())),
+)
+
+
+class TestCachedHash:
+    """A term hashes once; the value is the tagged-tuple formula terms
+    always had, so no set or dict anywhere iterates differently."""
+
+    @given(name=names)
+    def test_uri_and_bnode_keep_the_tuple_formula(self, name):
+        assert hash(URI(name)) == hash(("URI", name))
+        assert hash(BNode(name)) == hash(("BNode", name))
+
+    @given(literal=literals)
+    def test_literal_keeps_the_tuple_formula(self, literal):
+        assert hash(literal) == hash(
+            ("Literal", literal.lexical, literal.datatype, literal.language)
+        )
+
+    @given(term=st.one_of(st.builds(URI, names), st.builds(BNode, names), literals))
+    def test_hash_is_stable_and_survives_the_pipe(self, term):
+        first = hash(term)  # a hashed term, so a cache exists to leak
+        assert hash(term) == first
+        copy = pickle.loads(pickle.dumps(term, pickle.HIGHEST_PROTOCOL))
+        assert copy._hash is None
+        assert copy == term and hash(copy) == first
+
+    def test_pickle_does_not_carry_the_cache(self):
+        term = URI("http://x/a")
+        cold = pickle.dumps(term)
+        hash(term)
+        assert pickle.dumps(term) == cold
+
+    def test_cache_slot_is_not_writable(self):
+        with pytest.raises(AttributeError):
+            URI("http://x/a")._hash = 7

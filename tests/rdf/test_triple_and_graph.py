@@ -1,11 +1,13 @@
 """Tests for triples (position validity) and the indexed graph."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import BNode, Literal, URI
 from repro.rdf.triple import Triple, TripleValidityError
 from repro.rdf.vocab import RDF
+from tests.graph_edits import apply_edits, edit_scripts
 
 EX = "http://example.org/"
 
@@ -91,6 +93,56 @@ class TestGraphMutation:
     def test_contains(self, graph):
         assert Triple(uri("alice"), uri("knows"), uri("bob")) in graph
         assert Triple(uri("bob"), uri("knows"), uri("alice")) not in graph
+
+    def test_remove_prunes_terms_no_triple_carries(self, graph):
+        # age's only triple, and the only triple with object 30.
+        graph.remove(Triple(uri("alice"), uri("age"), Literal(30)))
+        assert uri("age") not in graph.predicates()
+        assert Literal(30) not in graph.objects()
+        assert uri("alice") in graph.subjects()  # still knows bob
+        graph.remove(Triple(uri("bob"), uri("knows"), uri("carol")))
+        graph.remove(Triple(uri("bob"), RDF.type, uri("Person")))
+        assert uri("bob") not in graph.subjects()
+        assert uri("bob") in graph.objects()  # alice still knows bob
+        assert graph.predicate_counts() == {uri("knows"): 1, RDF.type: 1}
+
+
+class TestEditedGraphEqualsFreshGraph:
+    """Whatever sequence of adds and removes built it, a graph reports
+    exactly what the same triples loaded fresh report."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(script=edit_scripts)
+    def test_vocabulary_and_counts(self, script):
+        graph = RDFGraph()
+        apply_edits(graph, script)
+        fresh = RDFGraph(sorted(graph))
+        assert len(graph) == len(fresh)
+        assert graph.subjects() == fresh.subjects()
+        assert graph.predicates() == fresh.predicates()
+        assert graph.objects() == fresh.objects()
+        assert graph.predicate_counts() == fresh.predicate_counts()
+        for predicate in fresh.predicates():
+            assert graph.predicate_count(predicate) == len(
+                list(fresh.triples((None, predicate, None)))
+            )
+        assert graph.predicate_count(uri("never")) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(script=edit_scripts, later=edit_scripts)
+    def test_copy_is_equal_and_shares_no_container(self, script, later):
+        graph = RDFGraph()
+        apply_edits(graph, script)
+        clone = graph.copy()
+        assert clone == graph and len(clone) == len(graph)
+        assert sorted(clone.triples((None, uri("p0"), None))) == sorted(
+            graph.triples((None, uri("p0"), None))
+        )
+        before = (len(graph), sorted(graph), graph.predicates())
+        apply_edits(clone, later)
+        assert (len(graph), sorted(graph), graph.predicates()) == before
+        assert clone == RDFGraph(sorted(clone))
+        assert len(clone) == len(sorted(clone))
 
 
 class TestGraphLookup:

@@ -1,11 +1,14 @@
 """The statistics catalog: correctness, determinism, serialization."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import URI
 from repro.rdf.triple import Triple
 from repro.stats import StatsCatalog
+from repro.stats.catalog import CharacteristicSet, PredicateStats
+from tests.graph_edits import apply_edits, edit_scripts
 
 EX = "http://example.org/"
 
@@ -92,6 +95,61 @@ def test_json_round_trip_and_build_determinism(lubm_graph):
     assert restored.version == 3
     assert restored.to_json() == first.to_json()
     assert restored.summary() == first.summary()
+
+
+def triple_walk_catalog(graph):
+    """The catalog counted triple by triple, the way ``from_graph`` did
+    before it read the graph's indexes: the reference for the index walk."""
+    count, subjects, objects, per_subject = {}, {}, {}, {}
+    for triple in graph:
+        p = triple.predicate.n3()
+        count[p] = count.get(p, 0) + 1
+        for table, term in ((subjects, triple.subject), (objects, triple.object)):
+            row = table.setdefault(p, {})
+            row[term] = row.get(term, 0) + 1
+        row = per_subject.setdefault(triple.subject, {})
+        row[p] = row.get(p, 0) + 1
+    grouped = {}
+    for row in per_subject.values():
+        entry = grouped.setdefault(tuple(sorted(row)), [0, {}])
+        entry[0] += 1
+        for p, n in row.items():
+            entry[1][p] = entry[1].get(p, 0) + n
+    return StatsCatalog(
+        triples=len(graph),
+        distinct_subjects=len({t.subject for t in graph}),
+        distinct_predicates=len(count),
+        distinct_objects=len({t.object for t in graph}),
+        predicates={
+            p: PredicateStats(count[p], len(subjects[p]), len(objects[p]))
+            for p in count
+        },
+        characteristic_sets=[
+            CharacteristicSet(key, n, occ) for key, (n, occ) in grouped.items()
+        ],
+        pair_selectivity=StatsCatalog._pair_selectivities(
+            count, subjects, objects
+        ),
+    )
+
+
+def test_index_walk_equals_triple_walk_on_lubm(lubm_graph):
+    assert (
+        StatsCatalog.from_graph(lubm_graph).to_json()
+        == triple_walk_catalog(lubm_graph).to_json()
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(script=edit_scripts)
+def test_edited_graph_catalog_equals_fresh_graph_catalog(script):
+    """Bytes depend on the triples held, not on the edits that got there
+    (a removed predicate, subject or object leaves nothing behind)."""
+    graph = RDFGraph()
+    apply_edits(graph, script)
+    expected = triple_walk_catalog(RDFGraph(sorted(graph))).to_json()
+    assert StatsCatalog.from_graph(graph).to_json() == expected
+    assert StatsCatalog.from_graph(graph.copy()).to_json() == expected
 
 
 def test_from_payload_rejects_unknown_format():

@@ -171,3 +171,88 @@ class TestIncrementalEqualsRebuildProperty:
             assert catalog.version == version
             assert report.cost_units >= 0
             assert_views_exact(catalog, store.head())
+
+
+class ProbeRecordingGraph(RDFGraph):
+    """Records each ``triples()`` pattern and counts the triples handed out."""
+
+    def __init__(self, triples=None):
+        super().__init__(triples)
+        self.patterns = []
+        self.yielded = 0
+
+    def triples(self, pattern=(None, None, None)):
+        self.patterns.append(pattern)
+        for triple in super().triples(pattern):
+            self.yielded += 1
+            yield triple
+
+    def __iter__(self):
+        self.patterns.append((None, None, None))
+        for triple in super().__iter__():
+            self.yielded += 1
+            yield triple
+
+
+class TestMaintenanceWorkIsProportionalToTheDelta:
+    """Counted, not clocked: what apply_delta reads from the graph."""
+
+    def test_forty_triple_delta_never_walks_a_partition(self):
+        graph = LubmGenerator(num_universities=1, seed=7).generate()
+        deck = sorted(graph)
+        store = VersionedGraph(graph)
+        head = store.head()
+        catalog = ViewCatalog.build(
+            head, StatsCatalog.from_graph(head), threshold=0.6
+        )
+        # Two commits, so the second both removes triples and brings
+        # removed ones back: all four maintenance steps see work.
+        first = store.commit(deletions=deck[::20][:20])
+        catalog.apply_delta(store.delta(first), store.head(), first)
+        version = store.commit(
+            additions=deck[::20][:20], deletions=deck[7::20][:20]
+        )
+        delta = store.delta(version)
+        assert delta.size() == 40
+
+        probed = ProbeRecordingGraph(store.head())
+        report = catalog.apply_delta(delta, probed, version)
+
+        assert report.views_affected > 0
+        assert report.rows_added > 0 and report.rows_removed > 0
+        # Every probe binds the predicate and a join value; a partition
+        # scan (predicate only) or a graph scan never happens.
+        assert probed.patterns
+        assert all(
+            sum(position is not None for position in pattern) >= 2
+            for pattern in probed.patterns
+        )
+        # At most one triple per delta triple a view looks at plus one
+        # per row added or evicted -- which is what cost_units counts.
+        assert probed.yielded <= report.cost_units
+        assert report.cost_units <= (
+            report.views_affected * delta.size()
+            + report.rows_added
+            + report.rows_removed
+        )
+        assert report.cost_units < report.rebuild_cost_units
+        # The index-counted sizes are the scanned sizes of the same head.
+        fresh = RDFGraph(sorted(store.head()))
+        terms = {term.n3(): term for term in fresh.predicates()}
+        sizes = {
+            n3: len(list(fresh.triples((None, term, None))))
+            for n3, term in terms.items()
+        }
+        touched = {t.predicate.n3() for t in delta.added + delta.removed}
+        affected = [
+            view
+            for view in catalog.sorted_views()
+            if view.p1 in touched or view.p2 in touched
+        ]
+        assert report.views_affected == len(affected)
+        assert report.rebuild_cost_units == sum(
+            sizes.get(view.p1, 0) + sizes.get(view.p2, 0) for view in affected
+        )
+        for view in affected:
+            assert view.factor == round(len(view) / sizes[view.p1], 6)
+        assert_views_exact(catalog, fresh)
