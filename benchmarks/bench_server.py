@@ -16,16 +16,8 @@ All times are virtual cost units (see docs/METRICS.md); the load
 schedule is a seeded discrete-event simulation, so every number here is
 byte-reproducible.
 
-Run as a script, this file instead measures the one thing the virtual
-clock cannot: **wall-clock** execution under the executor backends
-(docs/PARALLEL.md)::
-
-    python benchmarks/bench_server.py --backend parallel --workers 4
-    python benchmarks/bench_server.py --backend parallel --workers 1
-
-Both runs print per-query wall seconds on the committed LUBM workload;
-the 4-worker run should beat the 1-worker run while producing the same
-answers (row counts are printed so the identity is visible).
+Wall-clock execution under the executor backends (docs/PARALLEL.md) is
+measured by the ``parallel_exec`` workload of ``benchmarks/wallclock``.
 """
 
 from repro.bench import format_table
@@ -114,102 +106,6 @@ def test_cache_ablation(benchmark, lubm_small):
     assert result.holds
 
 
-def wallclock_main(argv=None):
-    """Measure wall-clock query latency under a chosen executor backend.
-
-    The pytest benchmarks above run in virtual cost units; this entry
-    point times real seconds, because the parallel backend's whole point
-    is multi-core wall-clock speedup at unchanged answers.
-    """
-    import argparse
-    import os
-    import time
-
-    from repro.data.lubm import LubmGenerator
-    from repro.runtime import build_engine
-    from repro.sparql.parser import parse_sparql
-
-    parser = argparse.ArgumentParser(
-        description="wall-clock executor-backend benchmark "
-        "(committed LUBM workload)"
-    )
-    parser.add_argument(
-        "--backend", choices=["inprocess", "parallel"], default="inprocess"
-    )
-    parser.add_argument("--workers", type=int, default=None, metavar="N")
-    parser.add_argument(
-        "--engine", default="Naive", help="engine name (default Naive)"
-    )
-    parser.add_argument(
-        "--scale",
-        type=int,
-        default=120,
-        metavar="UNIVERSITIES",
-        help="LUBM scale; the default is large enough that per-task "
-        "compute dominates fork and pipe overhead (default 120)",
-    )
-    parser.add_argument(
-        "--parallelism", type=int, default=8, help="partitions per stage"
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3, help="timed runs per query"
-    )
-    args = parser.parse_args(argv)
-
-    graph = LubmGenerator(num_universities=args.scale, seed=42).generate()
-    engine = build_engine(
-        args.engine,
-        graph,
-        parallelism=args.parallelism,
-        backend=args.backend,
-        workers=args.workers,
-    )
-    workload = {
-        "star": LubmGenerator.query_star(),
-        "snowflake": LubmGenerator.query_snowflake(),
-        "complex": LubmGenerator.query_complex(),
-    }
-    rows = []
-    total = 0.0
-    for name in sorted(workload):
-        query = parse_sparql(workload[name])
-        result_rows = None
-        start = time.perf_counter()
-        for _ in range(args.repeats):
-            result_rows = len(engine.execute(query))
-        elapsed = (time.perf_counter() - start) / args.repeats
-        total += elapsed
-        rows.append([name, result_rows, "%.3f" % elapsed])
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        cores = os.cpu_count() or 1
-    body = (
-        format_table(["query", "rows", "mean seconds"], rows)
-        + "\ntotal %.3f s/iteration on %d host core(s)" % (total, cores)
-    )
-    if engine.ctx.backend == "parallel" and engine.ctx.workers > cores:
-        body += (
-            "\nnote: %d workers > %d core(s); the pool can only "
-            "time-slice, so expect no wall-clock speedup on this host "
-            "(results are byte-identical regardless)"
-            % (engine.ctx.workers, cores)
-        )
-    report(
-        "SRV: wall-clock on backend=%s workers=%d (LUBM-%d, %d triples, "
-        "%s engine)"
-        % (
-            engine.ctx.backend,
-            engine.ctx.workers,
-            args.scale,
-            len(graph),
-            args.engine,
-        ),
-        body,
-    )
-    return 0
-
-
 def test_admission_ablation(benchmark, lubm_small):
     # One worker, zero think time: every client is always either running
     # or waiting, so the queue policy is the whole story.
@@ -279,8 +175,3 @@ def test_admission_ablation(benchmark, lubm_small):
         + "\n" + result.summary(),
     )
     assert result.holds
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(wallclock_main())

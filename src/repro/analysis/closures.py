@@ -78,7 +78,6 @@ from typing import (
     Dict,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -87,7 +86,7 @@ from repro.analysis.core import (
     AnalysisReport,
     Diagnostic,
     RuleSet,
-    merge_reports,
+    SourceAnalyzer,
     suppressed,
 )
 
@@ -660,99 +659,35 @@ class _ModuleScan:
             self._record(finding)
 
 
-@dataclass
-class ModuleContext:
-    """One Python source file under closure analysis."""
-
-    path: str
-    source: str
-    tree: Optional[ast.Module] = None
-    syntax_error: str = ""
-    _findings: Optional[Dict[str, List[Tuple[int, int, str]]]] = field(
-        default=None, repr=False
-    )
-
-    @classmethod
-    def from_source(cls, path: str, source: str) -> "ModuleContext":
-        context = cls(path=path, source=source)
-        try:
-            context.tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            context.syntax_error = str(exc)
-        return context
-
-    def findings(self, code: str) -> List[Tuple[int, int, str]]:
-        if self._findings is None:
-            if self.tree is None:
-                self._findings = {}
-            else:
-                self._findings = _ModuleScan(self.tree).findings
-        return self._findings.get(code, [])
-
-
-def _rule_check(code: str):
-    def check(context: ModuleContext, found):
-        for line, column, message in context.findings(code):
-            yield found(message, context.path, line, column)
-
-    return check
-
-
-CLOSURE_RULES.rule(
+_ANALYZER = SourceAnalyzer(
+    CLOSURE_RULES,
+    lambda tree: _ModuleScan(tree).findings,
+    "flag worker-boundary violations in closures "
+    "handed to RDD/DataFrame operations (see docs/ANALYSIS.md)",
+)
+_ANALYZER.rule(
     "CL000", "error", "worker closure captures a driver-only object"
-)(_rule_check("CL000"))
-CLOSURE_RULES.rule(
+)
+_ANALYZER.rule(
     "CL001", "error", "mutation of captured state in a worker closure"
-)(_rule_check("CL001"))
-CLOSURE_RULES.rule(
-    "CL002", "error", "accumulator .value read in a worker closure"
-)(_rule_check("CL002"))
-CLOSURE_RULES.rule(
-    "CL003", "error", "broadcast variable mutated after capture"
-)(_rule_check("CL003"))
-CLOSURE_RULES.rule(
+)
+_ANALYZER.rule("CL002", "error", "accumulator .value read in a worker closure")
+_ANALYZER.rule("CL003", "error", "broadcast variable mutated after capture")
+_ANALYZER.rule(
     "CL004", "warning", "exception type cannot cross the worker pipe"
-)(_rule_check("CL004"))
-CLOSURE_RULES.rule(
-    "CL005", "warning", "worker closure captures a loop variable"
-)(_rule_check("CL005"))
-CLOSURE_RULES.rule(
-    "CL006", "error", "global/nonlocal write in worker code"
-)(_rule_check("CL006"))
-CLOSURE_RULES.rule(
+)
+_ANALYZER.rule("CL005", "warning", "worker closure captures a loop variable")
+_ANALYZER.rule("CL006", "error", "global/nonlocal write in worker code")
+_ANALYZER.rule(
     "CL007", "error", "worker closure calls a boundary-violating function"
-)(_rule_check("CL007"))
+)
 
-
-def check_source(path: str, source: str) -> AnalysisReport:
-    """Analyze one in-memory source file (the testable core).
-
-    Unparseable files are skipped silently: syntax errors are the
-    determinism checker's ``DT000`` territory, and double-reporting
-    them would make the two gates disagree about counts.
-    """
-    context = ModuleContext.from_source(path, source)
-    report = AnalysisReport(analyzer=CLOSURE_RULES.analyzer, subject=path)
-    if context.syntax_error:
-        return report
-    lines = source.splitlines()
-    for diagnostic in CLOSURE_RULES.run(context):
-        if not suppressed(diagnostic, lines):
-            report.diagnostics.append(diagnostic)
-    return report
-
-
-def check_paths(paths: Sequence[str]) -> AnalysisReport:
-    """Analyze every ``.py`` file under *paths* into one merged report."""
-    from repro.analysis.determinism import collect_files
-
-    reports = []
-    for path in collect_files(paths):
-        with open(path, "r", encoding="utf-8") as handle:
-            reports.append(check_source(path, handle.read()))
-    return merge_reports(
-        CLOSURE_RULES.analyzer, reports, subject=",".join(paths)
-    )
+#: Unparseable files are skipped silently: syntax errors are the
+#: determinism checker's ``DT000`` territory, and double-reporting them
+#: would make the two gates disagree about counts.
+check_source = _ANALYZER.check_source
+check_paths = _ANALYZER.check_paths
+main = _ANALYZER.main
 
 
 # ----------------------------------------------------------------------
@@ -968,40 +903,6 @@ def verify_rdd(rdd) -> int:
                 report.diagnostics = list(report.errors)
                 raise ClosureAnalysisError(report)
     return checked
-
-
-# ----------------------------------------------------------------------
-# CLI entry point
-# ----------------------------------------------------------------------
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro.analysis.closures",
-        description="flag worker-boundary violations in closures "
-        "handed to RDD/DataFrame operations (see docs/ANALYSIS.md)",
-    )
-    parser.add_argument(
-        "paths", nargs="+", help="Python files or directories to check"
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the deterministic JSON report instead of text",
-    )
-    args = parser.parse_args(argv)
-    try:
-        report = check_paths(args.paths)
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    if args.json:
-        sys.stdout.write(report.to_json())
-    else:
-        print(report.render())
-    return report.exit_code()
 
 
 if __name__ == "__main__":

@@ -19,10 +19,23 @@ byte-identical (asserted in ``tests/analysis/test_core.py``).
 
 from __future__ import annotations
 
+import ast
 import json
+import os
 import re
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 #: Exit codes shared by ``repro lint`` and ``repro.analysis.determinism``.
 EXIT_CLEAN = 0
@@ -274,3 +287,122 @@ def merge_reports(
     for report in reports:
         merged.extend(report.diagnostics)
     return merged
+
+
+# ----------------------------------------------------------------------
+# Source-level analyzers: one AST scan per file, one rule per code
+# ----------------------------------------------------------------------
+
+#: What one scan of a module yields: code -> [(line, column, message)].
+Findings = Dict[str, List[Tuple[int, int, str]]]
+
+
+@dataclass
+class SourceContext:
+    """One Python source file under a source-level analyzer."""
+
+    path: str
+    #: Why the file did not parse ("" when it did; no findings then).
+    syntax_error: str = ""
+    findings: Findings = field(default_factory=dict)
+
+
+def collect_files(paths: Sequence[str]) -> List[str]:
+    """Expand file/directory arguments to a sorted ``.py`` file list."""
+    out: List[str] = []
+    for path in paths:
+        if os.path.isfile(path):
+            out.append(path)
+        elif os.path.isdir(path):
+            for dirpath, dirnames, filenames in os.walk(path):
+                dirnames.sort()
+                for name in sorted(filenames):
+                    if name.endswith(".py"):
+                        out.append(os.path.join(dirpath, name))
+        else:
+            raise FileNotFoundError("no such file or directory: %s" % path)
+    return sorted(dict.fromkeys(out))
+
+
+class SourceAnalyzer:
+    """A :class:`RuleSet` over Python sources, fed by one walk per file.
+
+    *scan* turns a parsed module into :data:`Findings` for every code at
+    once; :meth:`rule` registers a code whose check reports its share.
+    A file that does not parse has no findings and is skipped, unless
+    the rule set has a rule of its own reading
+    :attr:`SourceContext.syntax_error` (the determinism checker's
+    ``DT000``; one gate reporting it is enough).
+    """
+
+    def __init__(
+        self,
+        rules: RuleSet,
+        scan: Callable[[ast.Module], Findings],
+        description: str,
+    ) -> None:
+        self.rules = rules
+        self.scan = scan
+        self.description = description
+
+    def rule(self, code: str, severity: str, title: str) -> None:
+        """Register *code* as "whatever the scan found under it"."""
+
+        def check(context: SourceContext, found):
+            for line, column, message in context.findings.get(code, ()):
+                yield found(message, context.path, line, column)
+
+        self.rules.rule(code, severity, title)(check)
+
+    def check_source(self, path: str, source: str) -> AnalysisReport:
+        """Analyze one in-memory source file (the testable core)."""
+        context = SourceContext(path)
+        try:
+            context.findings = self.scan(ast.parse(source, filename=path))
+        except SyntaxError as exc:
+            context.syntax_error = str(exc)
+        report = AnalysisReport(analyzer=self.rules.analyzer, subject=path)
+        lines = source.splitlines()
+        return report.extend(
+            diagnostic
+            for diagnostic in self.rules.run(context)
+            if not suppressed(diagnostic, lines)
+        )
+
+    def check_paths(self, paths: Sequence[str]) -> AnalysisReport:
+        """Analyze every ``.py`` file under *paths* into one merged report."""
+        reports = []
+        for path in collect_files(paths):
+            with open(path, "r", encoding="utf-8") as handle:
+                reports.append(self.check_source(path, handle.read()))
+        return merge_reports(
+            self.rules.analyzer, reports, subject=",".join(paths)
+        )
+
+    def main(self, argv: Optional[List[str]] = None) -> int:
+        """``python -m repro.analysis.<analyzer> PATH... [--json]``."""
+        import argparse
+
+        parser = argparse.ArgumentParser(
+            prog="repro.analysis.%s" % self.rules.analyzer,
+            description=self.description,
+        )
+        parser.add_argument(
+            "paths", nargs="+", help="Python files or directories to check"
+        )
+        parser.add_argument(
+            "--json",
+            action="store_true",
+            help="emit the deterministic JSON report instead of text",
+        )
+        args = parser.parse_args(argv)
+        try:
+            report = self.check_paths(args.paths)
+        except FileNotFoundError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+        if args.json:
+            sys.stdout.write(report.to_json())
+        else:
+            print(report.render())
+        return report.exit_code()

@@ -42,16 +42,14 @@ above.  The CI gate ships with zero unsuppressed findings.
 from __future__ import annotations
 
 import ast
-import os
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.core import (
-    AnalysisReport,
+    Findings,
     RuleSet,
-    merge_reports,
-    suppressed,
+    SourceAnalyzer,
+    SourceContext,
 )
 
 DETERMINISM_RULES = RuleSet("determinism")
@@ -108,47 +106,6 @@ _ORDER_INSENSITIVE = frozenset(
 )
 
 _MUTABLE_CALLS = frozenset(("bytearray", "dict", "list", "set"))
-
-
-@dataclass
-class FileContext:
-    """One Python source file under analysis."""
-
-    path: str
-    source: str
-    tree: Optional[ast.Module] = None
-    syntax_error: str = ""
-    _findings: Optional[Dict[str, List[Tuple[int, int, str]]]] = field(
-        default=None, repr=False
-    )
-
-    @classmethod
-    def from_file(cls, path: str) -> "FileContext":
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        return cls.from_source(path, source)
-
-    @classmethod
-    def from_source(cls, path: str, source: str) -> "FileContext":
-        context = cls(path=path, source=source)
-        try:
-            context.tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            context.syntax_error = str(exc)
-        return context
-
-    def findings(self, code: str) -> List[Tuple[int, int, str]]:
-        """(line, column, message) findings for one rule code."""
-        if self._findings is None:
-            scan = _Scan(
-                _set_bound_names(self.tree)
-                if self.tree is not None
-                else frozenset()
-            )
-            if self.tree is not None:
-                scan.visit(self.tree)
-            self._findings = scan.findings
-        return self._findings.get(code, [])
 
 
 #: Set-preserving augmented assignments: ``s |= other`` keeps *s* a set.
@@ -272,7 +229,7 @@ class _Scan(ast.NodeVisitor):
         #: like iterating the set expression inline.
         self._set_names = set_names
         #: code -> [(line, column, message)]
-        self.findings: Dict[str, List[Tuple[int, int, str]]] = {}
+        self.findings: Findings = {}
         # Module-name aliases bound by imports ("import json as j").
         self._json_modules: set = set()
         self._random_modules: set = set()
@@ -536,114 +493,36 @@ class _Scan(ast.NodeVisitor):
         self._check_defaults(node)
 
 
-def _rule_check(code: str):
-    """A check function pulling one code's findings off the shared scan."""
+def _scan(tree: ast.Module) -> Findings:
+    scan = _Scan(_set_bound_names(tree))
+    scan.visit(tree)
+    return scan.findings
 
-    def check(context: FileContext, found):
-        for line, column, message in context.findings(code):
-            yield found(message, context.path, line, column)
 
-    return check
+_ANALYZER = SourceAnalyzer(
+    DETERMINISM_RULES,
+    _scan,
+    "flag byte-determinism contract violations (see docs/ANALYSIS.md)",
+)
 
 
 @DETERMINISM_RULES.rule("DT000", "error", "file does not parse")
-def _check_parses(context: FileContext, found):
+def _check_parses(context: SourceContext, found):
     if context.syntax_error:
         yield found(
             "syntax error: %s" % context.syntax_error, context.path
         )
 
 
-DETERMINISM_RULES.rule(
-    "DT001", "error", "json serialization without sort_keys"
-)(_rule_check("DT001"))
-DETERMINISM_RULES.rule("DT002", "error", "iteration over a bare set")(
-    _rule_check("DT002")
-)
-DETERMINISM_RULES.rule("DT003", "error", "unseeded module-level random")(
-    _rule_check("DT003")
-)
-DETERMINISM_RULES.rule("DT004", "error", "wall-clock read")(
-    _rule_check("DT004")
-)
-DETERMINISM_RULES.rule("DT005", "warning", "mutable default argument")(
-    _rule_check("DT005")
-)
+_ANALYZER.rule("DT001", "error", "json serialization without sort_keys")
+_ANALYZER.rule("DT002", "error", "iteration over a bare set")
+_ANALYZER.rule("DT003", "error", "unseeded module-level random")
+_ANALYZER.rule("DT004", "error", "wall-clock read")
+_ANALYZER.rule("DT005", "warning", "mutable default argument")
 
-
-def check_source(path: str, source: str) -> AnalysisReport:
-    """Analyze one in-memory source file (the testable core)."""
-    context = FileContext.from_source(path, source)
-    report = AnalysisReport(
-        analyzer=DETERMINISM_RULES.analyzer, subject=path
-    )
-    lines = source.splitlines()
-    for diagnostic in DETERMINISM_RULES.run(context):
-        if not suppressed(diagnostic, lines):
-            report.diagnostics.append(diagnostic)
-    return report
-
-
-def collect_files(paths: Sequence[str]) -> List[str]:
-    """Expand file/directory arguments to a sorted ``.py`` file list."""
-    out: List[str] = []
-    for path in paths:
-        if os.path.isfile(path):
-            out.append(path)
-        elif os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames.sort()
-                for name in sorted(filenames):
-                    if name.endswith(".py"):
-                        out.append(os.path.join(dirpath, name))
-        else:
-            raise FileNotFoundError("no such file or directory: %s" % path)
-    return sorted(dict.fromkeys(out))
-
-
-def check_paths(paths: Sequence[str]) -> AnalysisReport:
-    """Analyze every ``.py`` file under *paths* into one merged report."""
-    reports = [
-        check_source(path, _read(path)) for path in collect_files(paths)
-    ]
-    return merge_reports(
-        DETERMINISM_RULES.analyzer, reports, subject=",".join(paths)
-    )
-
-
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro.analysis.determinism",
-        description="flag byte-determinism contract violations "
-        "(see docs/ANALYSIS.md)",
-    )
-    parser.add_argument(
-        "paths", nargs="+", help="Python files or directories to check"
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the deterministic JSON report instead of text",
-    )
-    args = parser.parse_args(argv)
-    try:
-        report = check_paths(args.paths)
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    if args.json:
-        sys.stdout.write(report.to_json())
-    else:
-        print(report.render())
-    return report.exit_code()
-
+check_source = _ANALYZER.check_source
+check_paths = _ANALYZER.check_paths
+main = _ANALYZER.main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -63,20 +63,12 @@ def run_engine_on_query(
     the result carries the span tree in :attr:`RunResult.trace`; the
     tracer's previous enabled state is restored afterwards.
     """
-    if isinstance(query, str):
-        query = parse_sparql(query)
-    ctx = engine.ctx
-    was_enabled = ctx.tracer.enabled
-    if trace:
-        ctx.tracer.clear().enable()
-    before = ctx.metrics.snapshot()
     # Wall time is display-only (never serialized into byte-stable
     # artifacts; cost units are the reproducible measure).
     start = time.perf_counter()  # repro: allow(DT004)
     try:
-        result = engine.execute(query)
+        run = engine.measure(query, trace=trace)
     except UnsupportedQueryError:
-        ctx.tracer.enabled = was_enabled
         return RunResult(
             engine=engine.profile.name,
             query=name,
@@ -86,23 +78,19 @@ def run_engine_on_query(
             seconds=0.0,
             metrics=MetricsSnapshot({}),
         )
-    finally:
-        ctx.tracer.enabled = was_enabled
     elapsed = time.perf_counter() - start  # repro: allow(DT004)
-    cost = ctx.metrics.snapshot() - before
     correct = None
-    if reference is not None and isinstance(result, SolutionSet):
-        correct = result.same_as(reference)
-    rows = len(result) if isinstance(result, SolutionSet) else int(result)
+    if reference is not None and isinstance(run.answer, SolutionSet):
+        correct = run.answer.same_as(reference)
     return RunResult(
         engine=engine.profile.name,
         query=name,
-        rows=rows,
+        rows=run.rows,
         correct=correct,
         supported=True,
         seconds=elapsed,
-        metrics=cost,
-        trace=list(ctx.tracer.roots) if trace else None,
+        metrics=run.cost,
+        trace=run.spans,
     )
 
 
@@ -149,11 +137,15 @@ class BenchRun:
             else:
                 references[name] = None
         kwargs_by_name = engine_kwargs or {}
+        optimizer = self.config.optimizer(self.graph)
         for engine_class in engine_classes:
-            ctx = self.config.context(fresh=True)
-            kwargs = kwargs_by_name.get(engine_class.profile.name, {})
-            engine = engine_class(ctx, **kwargs)
-            engine.load(self.graph)
+            engine = self.config.engine(
+                engine_class,
+                self.graph,
+                fresh=True,
+                optimizer=optimizer,
+                **kwargs_by_name.get(engine_class.profile.name, {}),
+            )
             for name, query in parsed.items():
                 self.results.append(
                     run_engine_on_query(

@@ -102,7 +102,8 @@ closure aborts the run with exit code 4.
 Exit codes (the full table lives in README.md): 0 success / clean lint
 / conformant ``validate``; 1 failed ``assess``/``claims`` checks or a
 non-conformant ``validate``; 2 unusable inputs (bad ``--faults`` spec,
-unknown engine, unreadable data/query/stats/shapes file); 3 when a
+unknown engine, unreadable data/query/stats/shapes file, malformed or
+unsupported query); 3 when a
 fault schedule exhausts ``--max-task-attempts``; 4 lint/``analyze``
 found warnings only, or ``--verify-closures`` rejected a submitted
 closure; 5 lint/``analyze`` found errors.
@@ -122,14 +123,14 @@ from repro.runtime import (
     RuntimeConfig,
     RuntimeConfigError,
     ServiceConfig,
-    UnknownEngineError,
     cli_flag,
     load_graph,
-    resolve_engine,
     write_text,
 )
 from repro.shacl.shapes import ShaclError
 from repro.spark.faults import FaultSpecError, TaskFailedError
+from repro.sparql.tokenizer import SparqlParseError
+from repro.systems.base import UnsupportedQueryError
 
 
 def _config_from_args(cls, args, **fixed):
@@ -149,14 +150,6 @@ def _config_from_args(cls, args, **fixed):
                 not value if flag.startswith("--no-") else value
             )
     return cls(**values)
-
-
-def _engine_class(name: str):
-    """Engine class for the legacy subcommands (SystemExit on junk)."""
-    try:
-        return resolve_engine(name)
-    except UnknownEngineError as exc:
-        raise SystemExit(str(exc))
 
 
 def _write_ntriples(path: str, triples) -> int:
@@ -205,32 +198,24 @@ def cmd_query(args) -> int:
     from repro.sparql.results import SolutionSet
 
     config = _config_from_args(RuntimeConfig, args)
-    graph = load_graph(args.data)
-    query_text = _read_query_arg(args.query)
-    sc = config.context()
-    engine = _engine_class(args.engine)(sc)
-    engine.load(graph)
-    optimizer = config.optimizer(graph)
-    if optimizer is not None:
-        engine.set_optimizer(optimizer)
+    engine = config.engine(args.engine, load_graph(args.data))
+    run = engine.measure(_read_query_arg(args.query), trace=bool(args.trace))
+    result, cost, sc = run.answer, run.cost, engine.ctx
     if args.trace:
-        sc.tracer.clear().enable()
-    before = sc.metrics.snapshot()
-    result = engine.execute(query_text)
-    cost = sc.metrics.snapshot() - before
-    if args.trace:
-        sc.tracer.disable()
-        _write_query_trace(args.trace, engine.profile.name, cost, sc.tracer.roots)
+        from repro.explain import run_record, write_trace_file
+
+        record = run_record(engine.profile.name, "query", cost, run.spans)
+        write_trace_file(args.trace, [record])
     if isinstance(result, SolutionSet):
         headers = ["?" + v for v in result.variables]
         print(format_table(headers, result.to_table()))
-        print("%d solution(s)" % len(result))
+        print("%d solution(s)" % run.rows)
     elif isinstance(result, bool):
         print("yes" if result else "no")
     else:  # CONSTRUCT / DESCRIBE -> a graph
         for triple in result.to_list():
             print(triple.n3())
-        print("%d triple(s)" % len(result))
+        print("%d triple(s)" % run.rows)
     print(
         "cost: scanned=%d shuffled=%d remote=%d comparisons=%d"
         % (
@@ -256,12 +241,6 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _write_query_trace(path, engine_name, cost, spans) -> None:
-    from repro.explain import run_record, write_trace_file
-
-    write_trace_file(path, [run_record(engine_name, "query", cost, spans)])
-
-
 def cmd_explain(args) -> int:
     from repro.explain import DEFAULT_EXPLAIN_ENGINES, explain
 
@@ -269,10 +248,7 @@ def cmd_explain(args) -> int:
     graph = load_graph(args.data)
     query_text = _read_query_arg(args.query)
     shapes = _load_shapes_arg(args.shapes) if args.shapes else None
-    engines = [
-        _engine_class(name)
-        for name in (args.engine or list(DEFAULT_EXPLAIN_ENGINES))
-    ]
+    engines = args.engine or DEFAULT_EXPLAIN_ENGINES
     print(explain(graph, query_text, engines, config, shapes=shapes))
     return 0
 
@@ -1299,7 +1275,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FaultSpecError as exc:
         print("error: invalid --faults spec: %s" % exc, file=sys.stderr)
         return 2
-    except RuntimeConfigError as exc:
+    except (
+        RuntimeConfigError,
+        SparqlParseError,
+        UnsupportedQueryError,
+    ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except TaskFailedError as exc:

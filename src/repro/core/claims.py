@@ -23,9 +23,7 @@ def _lubm():
 
 
 def _query_cost(engine, query_text):
-    before = engine.ctx.metrics.snapshot()
-    engine.execute(query_text)
-    return engine.ctx.metrics.snapshot() - before
+    return engine.measure(query_text).cost
 
 
 def _claim_star_local() -> ClaimResult:

@@ -30,8 +30,8 @@ from repro.systems.sparqlgx import SparqlgxEngine
 class UpdatableSparqlgxEngine(SparqlgxEngine):
     """SPARQLGX with per-predicate incremental updates."""
 
-    def _build(self, graph: RDFGraph, catalog=None) -> None:
-        super()._build(graph, catalog)
+    def _build(self, graph: RDFGraph) -> None:
+        super()._build(graph)
         self._pairs: Dict[Term, List[Tuple[Term, Term]]] = {}
         for predicate, table in self.vp_tables.items():
             self._pairs[predicate] = table.collect()
@@ -102,7 +102,7 @@ class UpdatableSparqlgxEngine(SparqlgxEngine):
 class UpdatableNaiveEngine(NaiveEngine):
     """Naive engine where any update rewrites the whole store."""
 
-    def _build(self, graph: RDFGraph, catalog=None) -> None:
+    def _build(self, graph: RDFGraph) -> None:
         self._triples: Set[Tuple[Term, Term, Term]] = {
             t.as_tuple() for t in graph
         }

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Type, Union
 
 from repro.rdf.graph import RDFGraph
-from repro.runtime import RuntimeConfig, write_text
+from repro.runtime import RuntimeConfig, resolve_engine, write_text
 from repro.spark.metrics import MetricsSnapshot
 from repro.spark.tracing import (
     Span,
@@ -35,37 +35,13 @@ from repro.spark.tracing import (
 )
 from repro.sparql.ast import Query
 from repro.sparql.parser import parse_sparql
-from repro.sparql.results import SolutionSet
+from repro.stats import StatsCatalog
 from repro.systems.base import SparkRdfEngine, UnsupportedQueryError
 
 #: Engines shown by ``repro explain`` when none are named: one vertical-
 #: partitioning system, one SQL-compiling system, one hash-fragmenting
 #: system -- three different cost profiles for the same query.
 DEFAULT_EXPLAIN_ENGINES = ("SPARQLGX", "S2RDF", "HAQWA")
-
-
-def engine_class(name: str) -> Type[SparkRdfEngine]:
-    """Resolve an engine name (case-insensitive; ``Naive`` included).
-
-    Raises ``KeyError`` listing the valid choices for unknown names.
-    """
-    from repro.core.registry import default_registry
-    from repro.systems import NaiveEngine
-
-    if name.lower() == "naive":
-        return NaiveEngine
-    registry = default_registry()
-    try:
-        return registry.by_name(name)
-    except KeyError:
-        pass
-    for cls in registry:
-        if cls.profile.name.lower() == name.lower():
-            return cls
-    choices = ["Naive"] + [cls.profile.name for cls in registry]
-    raise KeyError(
-        "unknown engine %r; choose one of: %s" % (name, ", ".join(choices))
-    )
 
 
 @dataclass
@@ -120,6 +96,7 @@ def run_traced(
     engine_cls: Type[SparkRdfEngine],
     config: RuntimeConfig = RuntimeConfig(),
     optimizer=None,
+    catalog=None,
 ) -> EngineExplain:
     """Load *engine_cls* on a fresh context and execute *query* traced.
 
@@ -129,23 +106,18 @@ def run_traced(
 
     Pass an :class:`~repro.optimizer.Optimizer` to run the cost-based
     path: the trace then carries its ``optimize`` span (chosen order and
-    strategies) and per-step estimated vs. actual row counts.  Under
-    ``config.verify_closures`` the context enforces the worker-boundary
-    rules at job submission (a violation raises
+    strategies) and per-step estimated vs. actual row counts; *catalog*
+    hands down *graph*'s statistics when the caller already holds them.
+    Under ``config.verify_closures`` the context enforces the
+    worker-boundary rules at job submission (a violation raises
     :exc:`repro.analysis.closures.ClosureAnalysisError`) and the result
     carries the number of closures checked.
     """
-    if isinstance(query, str):
-        query = parse_sparql(query)
-    sc = config.context()
-    engine = engine_cls(sc)
-    engine.load(graph)
-    if optimizer is not None:
-        engine.set_optimizer(optimizer)
-    sc.tracer.clear().enable()
-    before = sc.metrics.snapshot()
+    engine = config.engine(
+        engine_cls, graph, catalog=catalog, optimizer=optimizer
+    )
     try:
-        result = engine.execute(query)
+        run = engine.measure(query, trace=True)
     except UnsupportedQueryError as exc:
         return EngineExplain(
             engine=engine.profile.name,
@@ -153,23 +125,14 @@ def run_traced(
             rows=None,
             error=str(exc),
         )
-    finally:
-        sc.tracer.disable()
-    totals = sc.metrics.snapshot() - before
-    if isinstance(result, SolutionSet):
-        rows: int = len(result)
-    elif isinstance(result, bool):
-        rows = int(result)
-    else:  # CONSTRUCT / DESCRIBE graphs
-        rows = len(result)
     return EngineExplain(
         engine=engine.profile.name,
         supported=True,
-        rows=rows,
-        spans=list(sc.tracer.roots),
-        totals=totals,
+        rows=run.rows,
+        spans=run.spans,
+        totals=run.cost,
         closures_verified=(
-            sc.metrics.get("closures_verified")
+            engine.ctx.metrics.get("closures_verified")
             if config.verify_closures
             else None
         ),
@@ -185,9 +148,11 @@ def explain(
 ) -> str:
     """Side-by-side per-operator cost trees for *query* on *engines*.
 
-    Under ``config.optimize`` one statistics catalog is computed for
-    *graph* and every engine runs the shared cost-based plan, so the
-    sections compare engines under identical join orders and strategies.
+    One statistics catalog is computed for *graph*; the optimizer, every
+    engine that plans from statistics, the linter and routing read it.
+    Under ``config.optimize`` every engine runs the shared cost-based
+    plan, so the sections compare engines under identical join orders
+    and strategies.
     With ``views`` on top, materialized ExtVP views are built at
     ``view_threshold`` and a ``views:`` preamble block reports which
     views the plan substitutes and why.  With ``route`` a ``routing:``
@@ -209,18 +174,23 @@ def explain(
     """
     if isinstance(query, str):
         query = parse_sparql(query)
-    optimizer = config.optimizer(graph)
+    classes = [
+        resolve_engine(engine) if isinstance(engine, str) else engine
+        for engine in engines
+    ]
+    catalog = StatsCatalog.from_graph(graph)
+    optimizer = config.optimizer(graph, catalog=catalog)
     # Engine runs happen first: the ``closures:`` preamble block reports
     # what the verifier actually checked during them.  Section order is
     # unchanged -- preamble blocks still render above every engine.
-    runs: List[EngineExplain] = []
-    for engine in engines:
-        cls = engine_class(engine) if isinstance(engine, str) else engine
-        runs.append(run_traced(graph, query, cls, config, optimizer))
+    runs = [
+        run_traced(graph, query, cls, config, optimizer, catalog)
+        for cls in classes
+    ]
     preamble: Dict[str, str] = {
         "closures": _closures_section(runs, config.verify_closures),
-        "lint": _lint_section(query, graph, optimizer, config),
-        "routing": _routing_section(query, graph, optimizer, config),
+        "lint": _lint_section(query, catalog, config),
+        "routing": _routing_section(query, graph, catalog, config),
         "shacl": _shacl_section(query, shapes),
         "views": _views_section(query, optimizer),
     }
@@ -256,9 +226,7 @@ def _closures_section(
     return "\n".join(lines)
 
 
-def _lint_section(
-    query: Query, graph: RDFGraph, optimizer, config: RuntimeConfig
-) -> str:
+def _lint_section(query: Query, catalog, config: RuntimeConfig) -> str:
     """The static-lint preamble of an EXPLAIN, empty when clean.
 
     Findings apply to the query, not to any engine, so they render once
@@ -266,13 +234,7 @@ def _lint_section(
     ``== name ==`` header engines use).
     """
     from repro.analysis import lint_query
-    from repro.stats import StatsCatalog
 
-    catalog = (
-        optimizer.catalog
-        if optimizer is not None
-        else StatsCatalog.from_graph(graph)
-    )
     report = lint_query(
         query,
         subject="query",
@@ -294,7 +256,7 @@ def _lint_section(
 
 
 def _routing_section(
-    query: Query, graph: RDFGraph, optimizer, config: RuntimeConfig
+    query: Query, graph: RDFGraph, catalog, config: RuntimeConfig
 ) -> str:
     """The adaptive-routing preamble of an EXPLAIN, empty unless asked.
 
@@ -313,7 +275,7 @@ def _routing_section(
         engines=config.route_engines,
         mode=config.optimizer_mode,
         broadcast_threshold=config.broadcast_threshold,
-        catalog=optimizer.catalog if optimizer is not None else None,
+        catalog=catalog,
     )
     return policy.decide(query).render()
 

@@ -10,7 +10,9 @@ once and is the single construction path everything uses:
   :meth:`~RuntimeConfig.context` builds the
   :class:`~repro.spark.context.SparkContext`,
   :meth:`~RuntimeConfig.optimizer` the shared cost-based optimizer,
-  :meth:`~RuntimeConfig.fresh_faults` a per-context fault schedule;
+  :meth:`~RuntimeConfig.fresh_faults` a per-context fault schedule,
+  :meth:`~RuntimeConfig.engine` a warmed engine on all three (store
+  built exactly once, one statistics pass per graph);
 * :class:`ServiceConfig` -- the serving-only knobs of
   :class:`repro.server.QueryService`, holding a :class:`RuntimeConfig`;
 * :func:`load_graph` -- read an RDF file by extension (``.nt`` / ``.ttl``),
@@ -22,9 +24,7 @@ once and is the single construction path everything uses:
 * :func:`resolve_engine` -- engine name to class, raising
   :class:`UnknownEngineError` listing the valid choices;
 * :func:`build_context` / :func:`build_engine` -- the keyword spelling
-  of ``RuntimeConfig(**knobs).context()`` and a warmed engine on it
-  (store built -- dictionary encoding, vertical partitions, indexes,
-  whatever the engine's ``_build`` does -- exactly once).
+  of ``RuntimeConfig(**knobs).context()`` and ``.engine(name, graph)``.
 
 Both configs are frozen and validate in ``__post_init__``, so a bad
 combination fails with a :class:`RuntimeConfigError` (a ``ValueError``;
@@ -190,6 +190,32 @@ class RuntimeConfig:
             catalog=catalog,
         )
 
+    def engine(
+        self,
+        engine,
+        graph: RDFGraph,
+        fresh: bool = False,
+        catalog=None,
+        optimizer=None,
+        **engine_kwargs,
+    ):
+        """A warmed engine on *graph*: the one construction path.
+
+        *engine*, a name (:func:`resolve_engine`) or a class, is built
+        with *engine_kwargs* on its own :meth:`context` (``fresh`` as
+        there), loaded once and given the shared optimizer under
+        ``optimize``.  One statistics pass per graph: the engine reads
+        the optimizer's catalog, and a builder of several engines hands
+        in the *optimizer* (unoptimized: the *catalog*) it holds.
+        """
+        cls = resolve_engine(engine) if isinstance(engine, str) else engine
+        if optimizer is None:
+            optimizer = self.optimizer(graph, catalog=catalog)
+        if catalog is None and optimizer is not None:
+            catalog = optimizer.catalog
+        built = cls(self.context(fresh), **engine_kwargs).load(graph, catalog)
+        return built.set_optimizer(optimizer)
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -313,14 +339,16 @@ def resolve_engine(name: str):
     Raises :class:`UnknownEngineError` whose message lists every valid
     choice, suitable for printing verbatim.
     """
-    from repro.explain import engine_class
+    from repro.systems import ALL_ENGINE_CLASSES, NaiveEngine
 
-    try:
-        return engine_class(name)
-    except KeyError as exc:
-        raise UnknownEngineError(
-            str(exc.args[0]) if exc.args else str(exc)
-        ) from exc
+    classes = (NaiveEngine,) + ALL_ENGINE_CLASSES
+    for cls in classes:
+        if cls.profile.name.lower() == name.lower():
+            return cls
+    raise UnknownEngineError(
+        "unknown engine %r; choose one of: %s"
+        % (name, ", ".join(cls.profile.name for cls in classes))
+    )
 
 
 def build_context(**knobs) -> SparkContext:
@@ -330,11 +358,6 @@ def build_context(**knobs) -> SparkContext:
 
 
 def build_engine(engine: str, graph: RDFGraph, **knobs):
-    """Resolve, construct, and warm one engine on *graph*.
-
-    The returned engine has its store built (graph ingested, encoded,
-    partitioned) and is ready for any number of ``execute`` calls --
-    engines are reusable across queries; only the store build is
-    per-instance.
-    """
-    return resolve_engine(engine)(build_context(**knobs)).load(graph)
+    """``RuntimeConfig(**knobs).engine(engine, graph)``: the keyword
+    spelling of the one construction path."""
+    return RuntimeConfig(**knobs).engine(engine, graph)

@@ -224,12 +224,13 @@ class QueryService:
     def _build_one_engine(self, name: str):
         # Each engine gets its own context on a fresh fault schedule
         # (as BenchRun does), so firing counters never leak across slots.
-        engine = resolve_engine(name)(
-            self.config.runtime.context(fresh=True)
-        ).load(self.versions.head(), self.catalog)
-        if self.optimizer is not None:
-            engine.set_optimizer(self.optimizer)
-        return engine
+        return self.config.runtime.engine(
+            name,
+            self.versions.head(),
+            fresh=True,
+            catalog=self.catalog,
+            optimizer=self.optimizer,
+        )
 
     def _build_worker(self):
         if self.routing is not None:
@@ -398,10 +399,9 @@ class QueryService:
             else slot
         )
         ctx = engine.ctx
-        before = ctx.metrics.snapshot()
         ctx.set_deadline(budget, query=request.id or normalized[:40])
         try:
-            result = engine.execute(plan)
+            run = engine.measure(plan)
         except DeadlineExceededError as exc:
             outcome.status = "deadline"
             outcome.error = str(exc)
@@ -426,12 +426,11 @@ class QueryService:
             return outcome
         finally:
             ctx.set_deadline(None)
-        delta = ctx.metrics.snapshot() - before
-        spent = cost_units(delta)
-        if delta["view_scans"]:
+        spent = cost_units(run.cost)
+        if run.cost["view_scans"]:
             # This execution read at least one materialized ExtVP view.
-            self.metrics.incr("view_hits", delta["view_scans"])
-        outcome.payload = canonical_json(canonical_result(result, plan))
+            self.metrics.incr("view_hits", run.cost["view_scans"])
+        outcome.payload = canonical_json(canonical_result(run.answer, plan))
         outcome.cache = "plan" if plan_hit else "cold"
         outcome.service_units = max(spent, 1)
         if decision is not None:

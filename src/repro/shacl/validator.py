@@ -94,16 +94,13 @@ class EngineExecutor:
         from repro.sparql.parser import parse_sparql
 
         plan = parse_sparql(compiled.text)
-        before = self.engine.ctx.metrics.snapshot()
-        result = self.engine.execute(plan)
-        units = cost_units(self.engine.ctx.metrics.snapshot() - before)
-        payload = canonical_result(result, plan)
-        return payload, {
+        run = self.engine.measure(plan)
+        return canonical_result(run.answer, plan), {
             "id": compiled.id,
             "kind": compiled.kind,
             "status": "ok",
             "cache": "none",
-            "units": units,
+            "units": cost_units(run.cost),
             "engine": self.label,
         }
 

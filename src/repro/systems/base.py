@@ -11,8 +11,18 @@ storage/partitioning/matching machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.dimensions import (
     Contribution,
@@ -26,7 +36,9 @@ from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term
 from repro.spark.context import SparkContext
 from repro.spark.faults import TaskFailedError
+from repro.spark.metrics import MetricsSnapshot
 from repro.spark.rdd import RDD
+from repro.spark.tracing import Span
 from repro.sparql.algebra import (
     AlgebraFilter,
     AlgebraJoin,
@@ -37,13 +49,9 @@ from repro.sparql.algebra import (
     apply_solution_modifiers,
     translate,
 )
-from repro.sparql.ast import AskQuery, Query, SelectQuery, TriplePattern, Variable
+from repro.sparql.ast import AskQuery, Query, TriplePattern, Variable
 from repro.sparql.filtereval import passes_filter
-from repro.sparql.fragments import (
-    ALL_FEATURES,
-    FEATURE_BGP,
-    features_of,
-)
+from repro.sparql.fragments import FEATURE_BGP, features_of
 from repro.sparql.parser import parse_sparql
 from repro.sparql.results import Solution, SolutionSet
 
@@ -53,6 +61,19 @@ Binding = Dict[str, Term]
 
 class UnsupportedQueryError(ValueError):
     """The engine's published SPARQL fragment does not cover the query."""
+
+
+class Measured(NamedTuple):
+    """One answer with what it cost (:meth:`SparkRdfEngine.measure`)."""
+
+    #: What ``execute`` returned: a SolutionSet, a bool or an RDFGraph.
+    answer: object
+    #: Solutions of a SELECT, 0/1 for an ASK, triples of a graph answer.
+    rows: int
+    #: The context's counter delta across exactly this execution.
+    cost: MetricsSnapshot
+    #: Root spans of the execution when it was traced, else None.
+    spans: Optional[List[Span]]
 
 
 @dataclass(frozen=True)
@@ -204,15 +225,16 @@ class SparkRdfEngine:
     def load(self, graph: RDFGraph, catalog=None) -> "SparkRdfEngine":
         """Ingest a graph, building the engine's distributed representation.
 
-        *catalog* is *graph*'s :class:`~repro.stats.catalog.StatsCatalog`
-        when the caller already holds one; an engine that plans from
-        statistics then reads it instead of computing its own.
+        *catalog*, *graph*'s :class:`~repro.stats.catalog.StatsCatalog`
+        when the caller holds one (else ``None``), is kept on the engine:
+        one that plans from statistics reads it or computes its own.
         """
-        self._build(graph, catalog)
+        self.catalog = catalog
+        self._build(graph)
         self._loaded = True
         return self
 
-    def _build(self, graph: RDFGraph, catalog=None) -> None:
+    def _build(self, graph: RDFGraph) -> None:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -266,6 +288,33 @@ class SparkRdfEngine:
             if exc.engine is None:
                 exc.engine = self.profile.name
             raise
+
+    def measure(
+        self, query: Union[str, Query], trace: bool = False
+    ) -> Measured:
+        """:meth:`execute`, bracketed: the one place an answer is costed.
+
+        ``cost`` is the counter delta across exactly the ``execute``
+        call -- the query's marginal cost on a warm store.  ``trace=True``
+        clears the context's tracer and records the run (``spans`` sum to
+        ``cost``); its enabled state is restored either way, also when
+        ``execute`` raises, which it does as for any other caller.
+        """
+        tracer = self.ctx.tracer
+        was_enabled = tracer.enabled
+        if trace:
+            tracer.clear().enable()
+        before = self.ctx.metrics.snapshot()
+        try:
+            answer = self.execute(query)
+        finally:
+            tracer.enabled = was_enabled
+        return Measured(
+            answer,
+            int(answer) if isinstance(answer, bool) else len(answer),
+            self.ctx.metrics.snapshot() - before,
+            list(tracer.roots) if trace else None,
+        )
 
     def _execute_parsed(self, query: Query):
         """Run an already parsed, supported query (the body of execute)."""

@@ -60,7 +60,7 @@ class GraphFramesEngine(SparkRdfEngine):
     #: Set by the last query: edges surviving local search-space pruning.
     last_pruned_edge_count: Optional[int] = None
 
-    def _build(self, graph: RDFGraph, catalog=None) -> None:
+    def _build(self, graph: RDFGraph) -> None:
         self.session = SparkSession(self.ctx)
         nodes = sorted(
             graph.subjects() | graph.objects(), key=lambda t: t.sort_key()

@@ -110,7 +110,7 @@ class GraphXSubgraphEngine(SparkRdfEngine):
         ),
     )
 
-    def _build(self, graph: RDFGraph, catalog=None) -> None:
+    def _build(self, graph: RDFGraph) -> None:
         vertices = sorted(
             graph.subjects() | graph.objects(), key=lambda t: t.sort_key()
         )

@@ -134,7 +134,7 @@ class HaqwaEngine(SparkRdfEngine):
     # Build
     # ------------------------------------------------------------------
 
-    def _build(self, graph: RDFGraph, catalog=None) -> None:
+    def _build(self, graph: RDFGraph) -> None:
         self.dictionary = Dictionary()
         num_partitions = self.ctx.default_parallelism
         self._num_partitions = num_partitions

@@ -97,7 +97,7 @@ class HybridEngine(SparkRdfEngine):
     # Build: subject-hash partitioned triples + DataFrame + SQL views
     # ------------------------------------------------------------------
 
-    def _build(self, graph: RDFGraph, catalog=None) -> None:
+    def _build(self, graph: RDFGraph) -> None:
         self.dictionary = Dictionary()
         encoded = [self.dictionary.encode(t).as_tuple() for t in sorted(graph)]
         self._partitioner = HashPartitioner(self.ctx.default_parallelism)

@@ -48,7 +48,7 @@ class NaiveEngine(SparkRdfEngine):
         description="Unpartitioned full-scan baseline (not in the survey).",
     )
 
-    def _build(self, graph: RDFGraph, catalog=None) -> None:
+    def _build(self, graph: RDFGraph) -> None:
         # Deliberately uncached: the baseline has no storage scheme, so
         # every triple pattern re-reads the whole source -- the behaviour
         # Section IV-A3 ascribes to plain RDD evaluation ("RDDs always

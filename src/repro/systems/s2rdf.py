@@ -97,7 +97,7 @@ class S2RdfEngine(SparkRdfEngine):
     # Build
     # ------------------------------------------------------------------
 
-    def _build(self, graph: RDFGraph, catalog=None) -> None:
+    def _build(self, graph: RDFGraph) -> None:
         self.session = SparkSession(self.ctx)
         self.dictionary = Dictionary()
         self.table_sizes: Dict[str, int] = {}

@@ -91,7 +91,7 @@ class S2XEngine(SparkRdfEngine):
         #: assemble raw edge matches directly.
         self.validate = validate
 
-    def _build(self, graph: RDFGraph, catalog=None) -> None:
+    def _build(self, graph: RDFGraph) -> None:
         vertices = sorted(
             graph.subjects() | graph.objects(), key=lambda t: t.sort_key()
         )

@@ -61,7 +61,7 @@ class SparkqlEngine(SparkRdfEngine):
         ),
     )
 
-    def _build(self, graph: RDFGraph, catalog=None) -> None:
+    def _build(self, graph: RDFGraph) -> None:
         # Split object properties (edges) from data properties (node attrs).
         node_attrs: Dict[Term, Dict] = {}
 

@@ -71,7 +71,7 @@ class SparkRdfMesgEngine(SparkRdfEngine):
     #: Records read from each index level by the last query.
     last_index_reads: Dict[str, int]
 
-    def _build(self, graph: RDFGraph, catalog=None) -> None:
+    def _build(self, graph: RDFGraph) -> None:
         self.last_index_reads = {}
         #: subject -> classes (a subject may have several types)
         self.classes_of: Dict[Term, Set[Term]] = {}

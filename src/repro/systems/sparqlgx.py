@@ -82,7 +82,7 @@ class SparqlgxEngine(SparkRdfEngine):
         #: Ablation switch: disable the statistics-based join reordering.
         self.enable_reordering = enable_reordering
 
-    def _build(self, graph: RDFGraph, catalog=None) -> None:
+    def _build(self, graph: RDFGraph) -> None:
         # One "file" (RDD) per predicate, holding (s, o) pairs only.
         self.vp_tables: Dict[Term, RDD] = {}
         for predicate in sorted(graph.predicates(), key=lambda t: t.sort_key()):
@@ -93,15 +93,13 @@ class SparqlgxEngine(SparkRdfEngine):
             pairs.sort(key=lambda so: (so[0].sort_key(), so[1].sort_key()))
             self.vp_tables[predicate] = self.ctx.parallelize(pairs).cache()
 
-        # Statistics come from the shared catalog (repro.stats): the same
-        # one pass the cost-based optimizer uses -- the loader's own
-        # catalog object when it passed one.  The numbers it yields
-        # (per-predicate partition sizes, distinct subject / predicate /
-        # object counts) are exactly what this engine counted privately
-        # before, so the reordering heuristic is unchanged.
-        self.catalog = (
-            catalog if catalog is not None else StatsCatalog.from_graph(graph)
-        )
+        # Statistics come from the shared catalog (repro.stats): the
+        # loader's own object when ``load`` was handed one, else one pass
+        # here.  Its numbers (per-predicate partition sizes, distinct
+        # subject / predicate / object counts) are what this engine once
+        # counted privately, so the reordering heuristic is unchanged.
+        if self.catalog is None:
+            self.catalog = StatsCatalog.from_graph(graph)
         self.vp_sizes: Dict[Term, int] = {
             predicate: self.catalog.predicate_count(predicate.n3())
             for predicate in self.vp_tables

@@ -5,7 +5,15 @@ import pytest
 from repro.bench import BenchRun, format_series, format_table, run_engine_on_query
 from repro.data.lubm import LubmGenerator
 from repro.spark.context import SparkContext
+from repro.sparql.algebra import evaluate
+from repro.sparql.parser import parse_sparql
 from repro.systems import HybridEngine, NaiveEngine, SparqlgxEngine
+
+PREFIX = "PREFIX lubm: <http://repro.example.org/lubm#> "
+CONSTRUCT_ADVISOR = (
+    PREFIX + "CONSTRUCT { ?p lubm:advises ?s } WHERE { ?s lubm:advisor ?p }"
+)
+ASK_MEMBER = PREFIX + "ASK WHERE { ?s lubm:memberOf ?d }"
 
 
 class TestRunEngineOnQuery:
@@ -21,9 +29,6 @@ class TestRunEngineOnQuery:
         assert result.seconds >= 0
 
     def test_correctness_checked_against_reference(self, lubm_graph):
-        from repro.sparql.algebra import evaluate
-        from repro.sparql.parser import parse_sparql
-
         engine = NaiveEngine(SparkContext(4))
         engine.load(lubm_graph)
         query = parse_sparql(LubmGenerator.query_star())
@@ -68,6 +73,23 @@ class TestBenchRun:
         assert bench.incorrect() == []
         by_engine = bench.by_engine()
         assert set(by_engine) == {"Naive", "SPARQLGX"}
+
+    def test_graph_and_boolean_answers_are_counted(self, lubm_graph):
+        """CONSTRUCT and ASK through the matrix: rows = triples / 0-or-1,
+        nothing to check against the SELECT oracle, cost and trace as
+        for any query."""
+        expected = len(evaluate(parse_sparql(CONSTRUCT_ADVISOR), lubm_graph))
+        results = BenchRun(lubm_graph).run(
+            [NaiveEngine, SparqlgxEngine],
+            {"c": CONSTRUCT_ADVISOR, "a": ASK_MEMBER},
+            trace=True,
+        )
+        assert [r.rows for r in results] == [expected, 1] * 2
+        assert expected > 0
+        for result in results:
+            assert result.supported and result.correct is None
+            assert result.metrics.records_scanned > 0
+            assert result.trace[0].kind == "query"
 
     def test_engine_kwargs_forwarded(self, lubm_graph):
         bench = BenchRun(lubm_graph)

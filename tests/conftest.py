@@ -8,6 +8,7 @@ from repro.data.lubm import LubmGenerator
 from repro.data.watdiv import WatdivGenerator
 from repro.spark.context import SparkContext
 from repro.spark.sql.session import SparkSession
+from repro.stats.catalog import StatsCatalog
 
 
 @pytest.fixture
@@ -38,3 +39,17 @@ def lubm_graph_with_tbox():
 def watdiv_graph():
     """A small WatDiv-like instance graph (shared; treat as read-only)."""
     return WatdivGenerator(num_users=30, num_products=15, seed=7).generate()
+
+
+@pytest.fixture
+def stats_passes(monkeypatch):
+    """The graphs ``StatsCatalog.from_graph`` was asked to count, in order."""
+    counted = []
+    original = StatsCatalog.from_graph.__func__
+
+    def counting(cls, graph, version=0):
+        counted.append(graph)
+        return original(cls, graph, version=version)
+
+    monkeypatch.setattr(StatsCatalog, "from_graph", classmethod(counting))
+    return counted

@@ -21,20 +21,6 @@ from repro.views import materialize_view
 LUBM = "http://repro.example.org/lubm#"
 
 
-@pytest.fixture
-def stats_passes(monkeypatch):
-    """The graphs ``StatsCatalog.from_graph`` was asked to count, in order."""
-    counted = []
-    original = StatsCatalog.from_graph.__func__
-
-    def counting(cls, graph, version=0):
-        counted.append(graph)
-        return original(cls, graph, version=version)
-
-    monkeypatch.setattr(StatsCatalog, "from_graph", classmethod(counting))
-    return counted
-
-
 def change_set(graph, epoch):
     """Fifteen deletions and one addition, distinct per epoch."""
     doomed = sorted(graph)[epoch * 15 : (epoch + 1) * 15]

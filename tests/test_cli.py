@@ -96,10 +96,35 @@ class TestCli:
         )
         assert "triple(s)" in capsys.readouterr().out
 
-    def test_unknown_engine_exits(self, data_file):
-        with pytest.raises(SystemExit):
-            main(["query", data_file, "SELECT ?s WHERE { ?s ?p ?o }",
-                  "--engine", "NoSuchEngine"])
+    def test_unknown_engine_exits(self, data_file, capsys):
+        for command in ("query", "explain"):
+            code = main([command, data_file, "SELECT ?s WHERE { ?s ?p ?o }",
+                         "--engine", "NoSuchEngine"])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith(
+                "error: unknown engine 'NoSuchEngine'; choose one of: Naive,"
+            )
+            assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--engine", "SPARQLGX", "--optimize"],
+            ["query", "--engine", "SPARQLGX"],
+            ["explain"],  # SPARQLGX + S2RDF + HAQWA, lint block on
+            ["explain", "--optimize", "--views", "--route"],
+        ],
+        ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv),
+    )
+    def test_one_statistics_pass_per_invocation(
+        self, data_file, stats_passes, capsys, argv
+    ):
+        """Engine, optimizer, linter and routing read one catalog: the
+        graph is counted once however many of them an invocation has."""
+        star = LubmGenerator.query_star()
+        assert main(argv[:1] + [data_file, star] + argv[1:]) == 0
+        assert len(stats_passes) == 1
 
     def test_generate_then_load_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "generated.nt"

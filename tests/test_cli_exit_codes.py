@@ -7,7 +7,7 @@ code  meaning
 ====  ==========================================================
 0     success; ``lint`` found nothing
 2     unusable inputs (bad spec, unknown engine, unreadable file,
-      unwritable output path)
+      unwritable output path, malformed or unsupported query)
 3     a fault schedule exhausted ``--max-task-attempts``
 4     ``lint`` found warnings only
 5     ``lint`` found errors
@@ -181,6 +181,61 @@ def test_unwritable_output_path_is_a_typed_error(
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+MALFORMED_QUERY = "SELEKT ?s"
+LIMIT_QUERY = CLEAN_QUERY + " LIMIT 1"
+
+#: Inputs that parse as arguments but cannot be answered, each with the
+#: start of the one ``error:`` line it must produce.
+UNANSWERABLE_CASES = [
+    (
+        "query-unknown-engine",
+        lambda d: ["query", d, CLEAN_QUERY, "--engine", "Junk"],
+        "error: unknown engine 'Junk'; choose one of: Naive, ",
+    ),
+    (
+        "explain-unknown-engine",
+        lambda d: ["explain", d, CLEAN_QUERY, "--engine", "Junk"],
+        "error: unknown engine 'Junk'; choose one of: Naive, ",
+    ),
+    (
+        "query-malformed",
+        lambda d: ["query", d, MALFORMED_QUERY],
+        "error: unexpected bare word 'SELEKT'",
+    ),
+    (
+        "explain-malformed",
+        lambda d: ["explain", d, MALFORMED_QUERY],
+        "error: unexpected bare word 'SELEKT'",
+    ),
+    (
+        "route-malformed",
+        lambda d: ["route", d, MALFORMED_QUERY],
+        "error: unexpected bare word 'SELEKT'",
+    ),
+    (
+        "query-unsupported-fragment",
+        lambda d: ["query", d, LIMIT_QUERY, "--engine", "SPARQLGX"],
+        "error: SPARQLGX supports BGP+ only; query needs ['LIMIT']",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv_builder,message",
+    [(builder, message) for _, builder, message in UNANSWERABLE_CASES],
+    ids=[case_id for case_id, _, _ in UNANSWERABLE_CASES],
+)
+def test_unanswerable_input_is_a_typed_error(
+    argv_builder, message, data_file, capsys
+):
+    """Exit 2 and one ``error:`` line on stderr, nothing on stdout."""
+    assert main(argv_builder(data_file)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 class TestLintOutput:

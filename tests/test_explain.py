@@ -12,13 +12,12 @@ from repro.data.watdiv import WatdivGenerator
 from repro.explain import (
     DEFAULT_EXPLAIN_ENGINES,
     EngineExplain,
-    engine_class,
     explain,
     run_traced,
     verify_conservation,
 )
 from repro.rdf.ntriples import save_ntriples_file
-from repro.runtime import RuntimeConfig
+from repro.runtime import RuntimeConfig, UnknownEngineError, resolve_engine
 from repro.systems import HybridEngine, S2RdfEngine, SparqlgxEngine
 
 STAR = LubmGenerator.query_star()
@@ -34,7 +33,7 @@ class TestRunTraced:
 
     def test_conservation_across_engines(self, lubm_graph):
         for name in DEFAULT_EXPLAIN_ENGINES:
-            run = run_traced(lubm_graph, STAR, engine_class(name))
+            run = run_traced(lubm_graph, STAR, resolve_engine(name))
             assert verify_conservation(run) == {}, name
 
     def test_unsupported_query_reported(self, lubm_graph):
@@ -82,11 +81,14 @@ class TestExplainStability:
         for name in DEFAULT_EXPLAIN_ENGINES:
             assert "== %s ==" % name in text
 
-    def test_engine_class_resolution(self):
-        assert engine_class("sparqlgx") is SparqlgxEngine
-        assert engine_class("Naive").profile.name == "Naive"
-        with pytest.raises(KeyError):
-            engine_class("NoSuchEngine")
+    def test_engine_class_resolution(self, lubm_graph):
+        """Names resolve in one place (``runtime.resolve_engine``), which
+        ``explain`` calls for every name it is handed."""
+        assert resolve_engine("sparqlgx") is SparqlgxEngine
+        assert resolve_engine("Naive").profile.name == "Naive"
+        assert "== S2RDF ==" in explain(lubm_graph, STAR, ["s2rdf"])
+        with pytest.raises(UnknownEngineError, match="choose one of: Naive,"):
+            explain(lubm_graph, STAR, ["NoSuchEngine"])
 
 
 @pytest.fixture()
