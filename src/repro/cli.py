@@ -129,6 +129,7 @@ from repro.runtime import (
 )
 from repro.shacl.shapes import ShaclError
 from repro.spark.faults import FaultSpecError, TaskFailedError
+from repro.spark.parallel import WorkerCrashError
 from repro.sparql.tokenizer import SparqlParseError
 from repro.systems.base import UnsupportedQueryError
 
@@ -1289,6 +1290,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             "limit or relax --faults",
             file=sys.stderr,
         )
+        return 3
+    except WorkerCrashError as exc:
+        # The first line names the worker and how it ended; the rest is
+        # the worker's own traceback, when it lived to send one.
+        print("error: %s" % str(exc).splitlines()[0], file=sys.stderr)
         return 3
     except BrokenPipeError:
         # Output piped into a closed reader (e.g. `| head`): not an error.

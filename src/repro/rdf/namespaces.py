@@ -28,9 +28,13 @@ class Namespace:
     def __getattr__(self, local: str) -> URI:
         if local.startswith("_"):
             raise AttributeError(local)
-        return self.term(local)
+        # Kept on the instance, so ``RDF.type`` is one object however
+        # many triples name it; code spells a bounded vocabulary this way.
+        term = self.__dict__[local] = self.term(local)
+        return term
 
     def __getitem__(self, local: str) -> URI:
+        # Not kept: data generators mint one URI per entity through here.
         return self.term(local)
 
     def __contains__(self, uri: URI) -> bool:

@@ -89,12 +89,14 @@ def _parse_term(
         term = BNode(match.group("bnode"))
     else:
         lexical = _unescape(match.group("lexical"))
-        datatype = match.group("datatype")
-        lang = match.group("lang")
+        reference = match.group("datatype")
+        datatype = None
+        if reference:
+            datatype = uris.get(reference)
+            if datatype is None:
+                datatype = uris[reference] = URI(reference)
         term = Literal(
-            lexical,
-            datatype=URI(datatype) if datatype else None,
-            language=lang,
+            lexical, datatype=datatype, language=match.group("lang")
         )
     return term, match.end()
 

@@ -5,6 +5,7 @@ be sorted deterministically (ORDER BY, range partitioning).
 
 from __future__ import annotations
 
+import zlib
 from typing import Optional
 
 #: The one way past the raising ``__setattr__`` of the immutable terms.
@@ -14,15 +15,35 @@ _set = object.__setattr__
 class Term:
     """Base class for RDF terms.  Terms are immutable and hashable."""
 
-    #: The term's hash once something asked for it, None before: terms
-    #: key every graph index, so one term is probed many times and what
-    #: it hashes never changes.  Constructors only clear the slot and
+    #: Per-term facts, each filled once something asks for it and None
+    #: before: the term's hash (terms key every graph index), the bytes
+    #: the cost model charges to move it and the hash that places it on
+    #: a partition (every shuffled record asks for both).  None of them
+    #: ever changes.  Constructors only clear the slots and
     #: ``__reduce__`` rebuilds through them, so neither parsing nor the
-    #: worker pipe computes (or carries) a hash nobody asked for.
-    __slots__ = ("_hash",)
+    #: worker pipe computes (or carries) a fact nobody asked for.
+    __slots__ = ("_hash", "_size", "_placement")
 
     #: Sort rank between term kinds: blank nodes < URIs < literals.
     _kind_rank = 0
+
+    def serialized_size(self) -> int:
+        """What :func:`repro.spark.metrics.estimate_size` charges for
+        the term: ``len(repr(term))``."""
+        size = self._size
+        if size is None:
+            size = len(repr(self))
+            _set(self, "_size", size)
+        return size
+
+    def placement_hash(self) -> int:
+        """Where :func:`repro.spark.partitioner.stable_hash` puts the
+        term: ``crc32(repr(term).encode("utf-8"))``."""
+        value = self._placement
+        if value is None:
+            value = zlib.crc32(repr(self).encode("utf-8"))
+            _set(self, "_placement", value)
+        return value
 
     def n3(self) -> str:
         """The term in N-Triples syntax."""
@@ -66,6 +87,8 @@ class URI(Term):
             raise ValueError("URI cannot be empty")
         _set(self, "value", value)
         _set(self, "_hash", None)
+        _set(self, "_size", None)
+        _set(self, "_placement", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("URI is immutable")
@@ -115,6 +138,8 @@ class BNode(Term):
             label = "b%d" % BNode._counter[0]
         _set(self, "label", label)
         _set(self, "_hash", None)
+        _set(self, "_size", None)
+        _set(self, "_placement", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("BNode is immutable")
@@ -170,6 +195,8 @@ class Literal(Term):
         _set(self, "datatype", datatype)
         _set(self, "language", language)
         _set(self, "_hash", None)
+        _set(self, "_size", None)
+        _set(self, "_placement", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("Literal is immutable")

@@ -108,7 +108,7 @@ def canonical_result(
     if isinstance(result, SolutionSet):
         rows = [
             [
-                solution.get(v).n3() if solution.get(v) is not None else ""
+                term.n3() if (term := solution.get(v)) is not None else ""
                 for v in result.variables
             ]
             for solution in result.solutions

@@ -13,6 +13,8 @@ import bisect
 import zlib
 from typing import Callable, List, Optional, Sequence
 
+from repro.rdf.terms import BNode, Literal, Term, URI
+
 
 def stable_hash(value: object) -> int:
     """A deterministic, process-independent hash.
@@ -20,7 +22,29 @@ def stable_hash(value: object) -> int:
     Python's builtin ``hash`` is salted per process for strings; a simulated
     cluster must place the same key on the same partition across runs so
     tests and benchmarks are reproducible.
+
+    In full: ``str``/``bytes`` hash to the CRC-32 of their (UTF-8) bytes,
+    bools to 0/1, ints to their low 32 bits, ``None`` to 0, a tuple folds
+    its items' hashes (``acc = acc * 31 + h``, 32-bit, from 0x811C9DC5)
+    and anything else -- floats, lists, RDF terms -- hashes the CRC-32 of
+    its ``repr``, which a term computes once
+    (:meth:`~repro.rdf.terms.Term.placement_hash`).  Every shuffled key
+    is placed here, so a tuple folds its terms in its own loop.
     """
+    if isinstance(value, tuple):
+        acc = 0x811C9DC5
+        for item in value:
+            kind = type(item)
+            if kind is URI or kind is Literal or kind is BNode:
+                placed = item._placement
+                if placed is None:
+                    placed = item.placement_hash()
+            else:
+                placed = stable_hash(item)
+            acc = (acc * 31 + placed) & 0xFFFFFFFF
+        return acc
+    if isinstance(value, Term):
+        return value.placement_hash()
     if isinstance(value, str):
         return zlib.crc32(value.encode("utf-8"))
     if isinstance(value, bytes):
@@ -29,13 +53,6 @@ def stable_hash(value: object) -> int:
         return int(value)
     if isinstance(value, int):
         return value & 0xFFFFFFFF
-    if isinstance(value, float):
-        return zlib.crc32(repr(value).encode("utf-8"))
-    if isinstance(value, tuple):
-        acc = 0x811C9DC5
-        for item in value:
-            acc = (acc * 31 + stable_hash(item)) & 0xFFFFFFFF
-        return acc
     if value is None:
         return 0
     return zlib.crc32(repr(value).encode("utf-8"))

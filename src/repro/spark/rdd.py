@@ -942,13 +942,18 @@ class ShuffledRDD(RDD):
             outgoing: Iterable[Tuple[Any, Any]] = combined.items()
         else:
             outgoing = part
+        # Whether a record bound for each reduce partition leaves this
+        # map task's executor: placement is fixed for the whole task.
+        here = ctx.executor_for(map_index)
+        is_remote = [ctx.executor_for(r) != here for r in range(num_out)]
+        partition_for = self.partitioner.partition_for
         for key, value in outgoing:
-            reduce_index = self.partitioner.partition_for(key)
-            fragments[reduce_index].append((key, value))
+            reduce_index = partition_for(key)
+            record = (key, value)
+            fragments[reduce_index].append(record)
             records += 1
-            nbytes += estimate_size((key, value))
-            if ctx.executor_for(map_index) != ctx.executor_for(reduce_index):
-                remote += 1
+            nbytes += estimate_size(record)
+            remote += is_remote[reduce_index]
         return fragments, records, remote, nbytes
 
     def _finish_shuffle(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     List,
@@ -429,20 +430,47 @@ class SparkRdfEngine:
 # ----------------------------------------------------------------------
 
 
-def triple_matches_pattern(
-    triple_tuple: Tuple[Term, Term, Term], pattern: TriplePattern
-) -> Optional[Binding]:
-    """Bindings for a single triple against a pattern, or None."""
-    binding: Binding = {}
-    for value, position in zip(triple_tuple, pattern.positions()):
-        if isinstance(position, Variable):
-            bound = binding.get(position.name)
-            if bound is not None and bound != value:
+def compile_pattern(
+    pattern: Union[TriplePattern, Sequence[object]],
+) -> Callable[[Sequence[object]], Optional[Binding]]:
+    """*pattern* as a function from an ``(s, p, o)`` tuple to its binding
+    (variable name -> value), or None when the triple does not match.
+
+    *pattern* is a :class:`TriplePattern` or its three positions in the
+    store's value space (terms or dictionary-encoded ints).  What a
+    pattern asks of every triple is worked out here, once: which
+    positions must equal a constant, which pairs of positions must be
+    equal because a variable repeats (``?x p ?x``), and which position
+    first binds each variable.  The matcher captures only those tuples,
+    so it ships to workers like any other closure.
+    """
+    positions = (
+        pattern.positions() if isinstance(pattern, TriplePattern) else pattern
+    )
+    constants = []
+    equalities = []
+    first: Dict[str, int] = {}
+    for index, position in enumerate(positions):
+        if not isinstance(position, Variable):
+            constants.append((index, position))
+        elif position.name in first:
+            equalities.append((first[position.name], index))
+        else:
+            first[position.name] = index
+    must_equal = tuple(constants)
+    must_agree = tuple(equalities)
+    binds = tuple(first.items())
+
+    def match(triple: Sequence[object]) -> Optional[Binding]:
+        for index, constant in must_equal:
+            if constant != triple[index]:
                 return None
-            binding[position.name] = value
-        elif position != value:
-            return None
-    return binding
+        for index, other in must_agree:
+            if triple[index] != triple[other]:
+                return None
+        return {name: triple[index] for name, index in binds}
+
+    return match
 
 
 def fold_join_order(

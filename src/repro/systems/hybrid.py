@@ -46,8 +46,8 @@ from repro.sparql.fragments import FEATURE_BGP
 from repro.systems.base import (
     EngineProfile,
     SparkRdfEngine,
+    compile_pattern,
     pattern_variables,
-    triple_matches_pattern,
 )
 
 
@@ -140,15 +140,17 @@ class HybridEngine(SparkRdfEngine):
         if encoded_pattern is None:
             return self.ctx.emptyRDD()
 
-        def match(part: List[Tuple[int, int, int]]) -> List[dict]:
+        match = compile_pattern(encoded_pattern)
+
+        def scan(part: List[Tuple[int, int, int]]) -> List[dict]:
             out = []
             for triple in part:
-                binding = triple_matches_pattern(triple, encoded_pattern)
+                binding = match(triple)
                 if binding is not None:
                     out.append(binding)
             return out
 
-        return self.triples.mapPartitions(match, preserves_partitioning=True)
+        return self.triples.mapPartitions(scan, preserves_partitioning=True)
 
     def _encode_pattern(
         self, pattern: TriplePattern

@@ -9,9 +9,10 @@ the common subject-bound case.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Set, Tuple, Union
 
 from repro.sparql.ast import TriplePattern, Variable
+from repro.systems.base import compile_pattern
 
 #: A pattern position: a Variable or a constant in the store's value space.
 LocalPosition = Union[Variable, Any]
@@ -48,43 +49,37 @@ def match_bgp_local(
         by_subject.setdefault(triple[0], []).append(triple)
 
     bindings: List[Dict[str, Any]] = [{}]
+    bound: Set[str] = set()
     for pattern in patterns:
-        subject, predicate, obj = pattern
+        match = compile_pattern(pattern)
+        subject = pattern[0]
+        names = {p.name for p in pattern if isinstance(p, Variable)}
+        # Every binding so far binds exactly *bound*, so what a candidate
+        # must agree with is known per pattern; a subject found through
+        # the index already agrees.
+        by_index = isinstance(subject, Variable) and subject.name in bound
+        agree = sorted(names & bound)
+        if by_index:
+            agree.remove(subject.name)
+        bound |= names
         next_bindings: List[Dict[str, Any]] = []
         for binding in bindings:
-            s_val = (
-                binding.get(subject.name)
-                if isinstance(subject, Variable)
-                else subject
-            )
-            candidates = (
-                by_subject.get(s_val, ()) if s_val is not None else triples
-            )
+            if by_index:
+                candidates = by_subject.get(binding[subject.name], ())
+            elif isinstance(subject, Variable):
+                candidates = triples
+            else:
+                candidates = by_subject.get(subject, ())
             for triple in candidates:
-                extended = _extend(binding, pattern, triple)
-                if extended is not None:
-                    next_bindings.append(extended)
+                matched = match(triple)
+                if matched is None:
+                    continue
+                for name in agree:
+                    if binding[name] != matched[name]:
+                        break
+                else:
+                    next_bindings.append({**binding, **matched})
         bindings = next_bindings
         if not bindings:
             break
     return bindings
-
-
-def _extend(
-    binding: Dict[str, Any],
-    pattern: LocalPattern,
-    triple: Tuple[Any, Any, Any],
-) -> Union[Dict[str, Any], None]:
-    out = None
-    for position, value in zip(pattern, triple):
-        if isinstance(position, Variable):
-            bound = (out or binding).get(position.name)
-            if bound is None:
-                if out is None:
-                    out = dict(binding)
-                out[position.name] = value
-            elif bound != value:
-                return None
-        elif position != value:
-            return None
-    return out if out is not None else dict(binding)

@@ -25,10 +25,10 @@ from repro.sparql.fragments import ALL_FEATURES
 from repro.systems.base import (
     EngineProfile,
     SparkRdfEngine,
+    compile_pattern,
     fold_join_order,
     join_binding_rdds,
     pattern_variables,
-    triple_matches_pattern,
 )
 
 
@@ -63,10 +63,8 @@ class NaiveEngine(SparkRdfEngine):
         bound_vars: set = set()
         for pattern in ordered:
             matches = self.triples.mapPartitions(
-                lambda part, p=pattern: [
-                    b
-                    for t in part
-                    if (b := triple_matches_pattern(t, p)) is not None
+                lambda part, match=compile_pattern(pattern): [
+                    b for t in part if (b := match(t)) is not None
                 ]
             )
             if result is None:

@@ -37,8 +37,8 @@ from repro.sparql.fragments import FEATURE_BGP
 from repro.systems.base import (
     EngineProfile,
     SparkRdfEngine,
+    compile_pattern,
     join_binding_rdds,
-    triple_matches_pattern,
 )
 
 
@@ -189,43 +189,30 @@ class SparkqlEngine(SparkRdfEngine):
     def _edge_bindings(self, pattern: TriplePattern) -> RDD:
         """Bindings contributed by one object-property pattern."""
 
-        def match(part) -> List[dict]:
+        match = compile_pattern(pattern)
+
+        def scan(part) -> List[dict]:
             out = []
             for edge in part:
-                if edge.attr != pattern.predicate:
-                    continue
-                binding: Dict[str, Term] = {}
-                ok = True
-                for position, value in (
-                    (pattern.subject, edge.src),
-                    (pattern.object, edge.dst),
-                ):
-                    if isinstance(position, Variable):
-                        bound = binding.get(position.name)
-                        if bound is None:
-                            binding[position.name] = value
-                        elif bound != value:
-                            ok = False
-                            break
-                    elif position != value:
-                        ok = False
-                        break
-                if ok:
-                    out.append(binding)
-            return out
-
-        return self.graph.edges.mapPartitions(match)
-
-    def _fallback_bindings(self, pattern: TriplePattern) -> RDD:
-        def match(part) -> List[dict]:
-            out = []
-            for triple in part:
-                binding = triple_matches_pattern(triple, pattern)
+                binding = match((edge.src, edge.attr, edge.dst))
                 if binding is not None:
                     out.append(binding)
             return out
 
-        return self._all_triples.mapPartitions(match)
+        return self.graph.edges.mapPartitions(scan)
+
+    def _fallback_bindings(self, pattern: TriplePattern) -> RDD:
+        match = compile_pattern(pattern)
+
+        def scan(part) -> List[dict]:
+            out = []
+            for triple in part:
+                binding = match(triple)
+                if binding is not None:
+                    out.append(binding)
+            return out
+
+        return self._all_triples.mapPartitions(scan)
 
     # ------------------------------------------------------------------
     # BFS plan

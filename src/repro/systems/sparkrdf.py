@@ -45,7 +45,7 @@ from repro.sparql.fragments import FEATURE_BGP
 from repro.systems.base import (
     EngineProfile,
     SparkRdfEngine,
-    triple_matches_pattern,
+    compile_pattern,
 )
 
 
@@ -226,6 +226,7 @@ class SparkRdfMesgEngine(SparkRdfEngine):
         pattern: TriplePattern,
         constraints: Dict[str, Set[Term]],
     ) -> List[dict]:
+        match = compile_pattern(pattern)
         if isinstance(pattern.predicate, Variable):
             # Variable predicate: the whole MESG level 1 must be read.
             out = []
@@ -234,7 +235,7 @@ class SparkRdfMesgEngine(SparkRdfEngine):
             ):
                 self._count_read("REL", len(pairs))
                 for s, o in pairs:
-                    binding = triple_matches_pattern((s, predicate, o), pattern)
+                    binding = match((s, predicate, o))
                     if binding is not None and self._classes_ok(
                         binding, constraints
                     ):
@@ -244,9 +245,7 @@ class SparkRdfMesgEngine(SparkRdfEngine):
             ):
                 self._count_read("CLASS", len(members))
                 for member in members:
-                    binding = triple_matches_pattern(
-                        (member, RDF.type, cls), pattern
-                    )
+                    binding = match((member, RDF.type, cls))
                     if binding is not None and self._classes_ok(
                         binding, constraints
                     ):
@@ -258,9 +257,7 @@ class SparkRdfMesgEngine(SparkRdfEngine):
                 members = self.class_index.get(pattern.object, [])
                 self._count_read("CLASS", len(members))
                 for member in members:
-                    binding = triple_matches_pattern(
-                        (member, RDF.type, pattern.object), pattern
-                    )
+                    binding = match((member, RDF.type, pattern.object))
                     if binding is not None:
                         out.append(binding)
             else:
@@ -270,9 +267,7 @@ class SparkRdfMesgEngine(SparkRdfEngine):
                 ):
                     self._count_read("CLASS", len(members))
                     for member in members:
-                        binding = triple_matches_pattern(
-                            (member, RDF.type, cls), pattern
-                        )
+                        binding = match((member, RDF.type, cls))
                         if binding is not None:
                             out.append(binding)
             return out
@@ -280,9 +275,7 @@ class SparkRdfMesgEngine(SparkRdfEngine):
         self._count_read(level, len(pairs))
         out = []
         for s, o in pairs:
-            binding = triple_matches_pattern(
-                (s, pattern.predicate, o), pattern
-            )
+            binding = match((s, pattern.predicate, o))
             if binding is not None and self._classes_ok(binding, constraints):
                 out.append(binding)
         return out

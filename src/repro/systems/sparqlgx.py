@@ -43,9 +43,9 @@ from repro.sparql.fragments import (
 from repro.systems.base import (
     EngineProfile,
     SparkRdfEngine,
+    compile_pattern,
     join_binding_rdds,
     pattern_variables,
-    triple_matches_pattern,
 )
 
 
@@ -163,15 +163,17 @@ class SparqlgxEngine(SparkRdfEngine):
     def _match_in_store(
         self, pattern: TriplePattern, predicate: Term, table: RDD
     ) -> RDD:
-        def match(part: List[Tuple[Term, Term]]) -> List[dict]:
+        match = compile_pattern(pattern)
+
+        def scan(part: List[Tuple[Term, Term]]) -> List[dict]:
             out = []
             for s, o in part:
-                binding = triple_matches_pattern((s, predicate, o), pattern)
+                binding = match((s, predicate, o))
                 if binding is not None:
                     out.append(binding)
             return out
 
-        return table.mapPartitions(match)
+        return table.mapPartitions(scan)
 
     def _evaluate_bgp(self, patterns: List[TriplePattern]) -> RDD:
         if self.enable_reordering:

@@ -10,11 +10,11 @@ from repro.sparql.algebra import translate
 from repro.sparql.parser import parse_sparql
 from repro.systems import NaiveEngine, UnsupportedQueryError
 from repro.systems.base import (
+    compile_pattern,
     fold_join_order,
     join_binding_rdds,
     node_variables,
     pattern_variables,
-    triple_matches_pattern,
 )
 from repro.sparql.ast import TriplePattern, Variable
 
@@ -86,26 +86,20 @@ class TestDriverGuards:
 
 
 class TestHelpers:
-    def test_triple_matches_pattern(self):
-        pattern = TriplePattern(Variable("s"), uri("p"), Variable("o"))
-        binding = triple_matches_pattern(
-            (uri("a"), uri("p"), uri("b")), pattern
+    def test_compile_pattern(self):
+        match = compile_pattern(
+            TriplePattern(Variable("s"), uri("p"), Variable("o"))
         )
+        binding = match((uri("a"), uri("p"), uri("b")))
         assert binding == {"s": uri("a"), "o": uri("b")}
-        assert (
-            triple_matches_pattern((uri("a"), uri("q"), uri("b")), pattern)
-            is None
-        )
+        assert match((uri("a"), uri("q"), uri("b"))) is None
 
-    def test_triple_matches_repeated_variable(self):
-        pattern = TriplePattern(Variable("x"), uri("p"), Variable("x"))
-        assert (
-            triple_matches_pattern((uri("a"), uri("p"), uri("b")), pattern)
-            is None
+    def test_compile_pattern_repeated_variable(self):
+        match = compile_pattern(
+            TriplePattern(Variable("x"), uri("p"), Variable("x"))
         )
-        assert triple_matches_pattern(
-            (uri("a"), uri("p"), uri("a")), pattern
-        ) == {"x": uri("a")}
+        assert match((uri("a"), uri("p"), uri("b"))) is None
+        assert match((uri("a"), uri("p"), uri("a"))) == {"x": uri("a")}
 
     def test_pattern_variables_order(self):
         patterns = [

@@ -8,7 +8,8 @@ code  meaning
 0     success; ``lint`` found nothing
 2     unusable inputs (bad spec, unknown engine, unreadable file,
       unwritable output path, malformed or unsupported query)
-3     a fault schedule exhausted ``--max-task-attempts``
+3     a fault schedule exhausted ``--max-task-attempts``, or a
+      parallel worker process crashed
 4     ``lint`` found warnings only
 5     ``lint`` found errors
 ====  ==========================================================
@@ -19,11 +20,15 @@ their own tests.)
 """
 
 import json
+import os
+import signal
 
 import pytest
 
 from repro.cli import main
 from repro.rdf.ntriples import save_ntriples_file
+from repro.spark import rdd as rdd_module
+from repro.spark.parallel import parallel_available
 
 CLEAN_QUERY = (
     "PREFIX lubm: <http://repro.example.org/lubm#>"
@@ -235,6 +240,29 @@ def test_unanswerable_input_is_a_typed_error(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.skipif(
+    not parallel_available(), reason="the parallel backend needs fork"
+)
+def test_killed_worker_is_a_typed_error(data_file, capsys, monkeypatch):
+    """A worker that dies mid-task ends in exit 3 and one ``error:``
+    line: killed from inside a shuffle map task, no flag involved."""
+    driver = os.getpid()
+    price = rdd_module.estimate_size
+
+    def die_in_a_worker(record):
+        if os.getpid() != driver:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return price(record)
+
+    monkeypatch.setattr(rdd_module, "estimate_size", die_in_a_worker)
+    argv = ["query", data_file, STAR_QUERY, "--backend", "parallel"]
+    assert main(argv + ["--workers", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: parallel worker ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
