@@ -25,18 +25,25 @@ All are built on :mod:`repro.analysis.core`: a rule registry emitting
 renderings are byte-deterministic.  Rule catalog: ``docs/ANALYSIS.md``.
 """
 
-from repro.analysis.core import (
-    AnalysisReport,
-    Diagnostic,
-    EXIT_CLEAN,
-    EXIT_ERRORS,
-    EXIT_WARNINGS,
-    Rule,
-    RuleSet,
-    SEVERITIES,
-    merge_reports,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.core": (
+            "AnalysisReport",
+            "Diagnostic",
+            "EXIT_CLEAN",
+            "EXIT_ERRORS",
+            "EXIT_WARNINGS",
+            "Rule",
+            "RuleSet",
+            "SEVERITIES",
+            "merge_reports",
+        ),
+        "repro.analysis.query": ("lint_query", "lint_text"),
+    },
 )
-from repro.analysis.query import lint_query, lint_text
 
 __all__ = [
     "AnalysisReport",

@@ -3,8 +3,19 @@ verify correctness against the reference evaluator, and print result
 tables.
 """
 
-from repro.bench.harness import BenchRun, RunResult, run_engine_on_query
-from repro.bench.reporting import format_table, format_series
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.bench.harness": (
+            "BenchRun",
+            "RunResult",
+            "run_engine_on_query",
+        ),
+        "repro.bench.reporting": ("format_table", "format_series"),
+    },
+)
 
 __all__ = [
     "BenchRun",

@@ -117,8 +117,13 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.analysis.closures import ClosureAnalysisError
 from repro.bench.reporting import format_table
+from repro.defaults import (
+    DEFAULT_BROADCAST_THRESHOLD,
+    DEFAULT_PAGE_SIZE,
+    DEFAULT_VIEW_THRESHOLD,
+    ORDER_MODES,
+)
 from repro.runtime import (
     RuntimeConfig,
     RuntimeConfigError,
@@ -127,11 +132,7 @@ from repro.runtime import (
     load_graph,
     write_text,
 )
-from repro.shacl.shapes import ShaclError
-from repro.spark.faults import FaultSpecError, TaskFailedError
-from repro.spark.parallel import WorkerCrashError
-from repro.sparql.tokenizer import SparqlParseError
-from repro.systems.base import UnsupportedQueryError
+from repro.spark.parallel import BACKEND_NAMES, DEFAULT_WORKERS
 
 
 def _config_from_args(cls, args, **fixed):
@@ -636,7 +637,7 @@ def cmd_generate(args) -> int:
 
 def cmd_views(args) -> int:
     from repro.stats import StatsCatalog
-    from repro.views import DEFAULT_VIEW_THRESHOLD, ViewCatalog
+    from repro.views import ViewCatalog
 
     graph = load_graph(args.data)
     threshold = (
@@ -673,8 +674,6 @@ def cmd_views(args) -> int:
 
 def _add_optimizer_arguments(parser: argparse.ArgumentParser) -> None:
     """Cost-based-optimizer knobs shared by every executing subcommand."""
-    from repro.optimizer import DEFAULT_BROADCAST_THRESHOLD, ORDER_MODES
-
     parser.add_argument(
         "--optimize",
         action="store_true",
@@ -706,8 +705,6 @@ def _add_optimizer_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_view_threshold_argument(parser: argparse.ArgumentParser) -> None:
-    from repro.views import DEFAULT_VIEW_THRESHOLD
-
     parser.add_argument(
         "--view-threshold",
         type=_selectivity_factor,
@@ -737,8 +734,6 @@ def _add_routing_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     """Executor-backend knobs shared by every executing subcommand."""
-    from repro.spark.parallel import BACKEND_NAMES, DEFAULT_WORKERS
-
     parser.add_argument(
         "--backend",
         choices=list(BACKEND_NAMES),
@@ -873,8 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the decision as deterministic JSON instead of text",
     )
-    from repro.optimizer import DEFAULT_BROADCAST_THRESHOLD, ORDER_MODES
-
     route.add_argument(
         "--optimizer-mode",
         choices=list(ORDER_MODES),
@@ -1106,8 +1099,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_arguments(loadtest)
     _add_backend_arguments(loadtest)
 
-    from repro.federation import DEFAULT_PAGE_SIZE
-
     validate = sub.add_parser(
         "validate",
         help="validate an RDF file against a SHACL-lite shapes file "
@@ -1262,28 +1253,44 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _raised(*names: str) -> tuple:
+    """The typed errors called *names* (``module.Class``) for an
+    ``except`` clause, read when a failure is being handled.  A class
+    whose module was never imported is left out -- nothing can have
+    raised it -- so no subsystem is loaded merely to name its errors.
+    """
+    homes = (name.rpartition(".") for name in names)
+    return tuple(
+        getattr(sys.modules[module], cls)
+        for module, _dot, cls in homes
+        if module in sys.modules
+    )
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ClosureAnalysisError as exc:
+    except _raised("repro.analysis.closures.ClosureAnalysisError") as exc:
         print("error: closure rejected at job submission:", file=sys.stderr)
         print(str(exc), file=sys.stderr)
         return 4
-    except ShaclError as exc:
+    except _raised("repro.shacl.shapes.ShaclError") as exc:
         print("error: bad shapes file: %s" % exc, file=sys.stderr)
         return 2
-    except FaultSpecError as exc:
+    except _raised("repro.spark.faults.FaultSpecError") as exc:
         print("error: invalid --faults spec: %s" % exc, file=sys.stderr)
         return 2
     except (
         RuntimeConfigError,
-        SparqlParseError,
-        UnsupportedQueryError,
+        *_raised(
+            "repro.sparql.tokenizer.SparqlParseError",
+            "repro.systems.base.UnsupportedQueryError",
+        ),
     ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except TaskFailedError as exc:
+    except _raised("repro.spark.faults.TaskFailedError") as exc:
         print("error: %s" % exc, file=sys.stderr)
         print(
             "the fault schedule exhausted --max-task-attempts; raise the "
@@ -1291,7 +1298,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 3
-    except WorkerCrashError as exc:
+    except _raised("repro.spark.parallel.WorkerCrashError") as exc:
         # The first line names the worker and how it ended; the rest is
         # the worker's own traceback, when it lived to send one.
         print("error: %s" % str(exc).splitlines()[0], file=sys.stderr)

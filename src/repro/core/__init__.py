@@ -6,25 +6,32 @@ report generators that regenerate Table I / Table II / Figure 1, and the
 claim-checking assessment framework.
 """
 
-from repro.core.dimensions import (
-    Contribution,
-    DataModel,
-    Optimization,
-    PartitioningStrategy,
-    QueryProcessing,
-    SparkAbstraction,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.dimensions": (
+            "Contribution",
+            "DataModel",
+            "Optimization",
+            "PartitioningStrategy",
+            "QueryProcessing",
+            "SparkAbstraction",
+        ),
+        "repro.core.taxonomy": ("TAXONOMY", "TaxonomyNode", "render_taxonomy"),
+        "repro.core.registry": ("SystemRegistry", "default_registry"),
+        "repro.core.reports": (
+            "PAPER_TABLE_I",
+            "PAPER_TABLE_II",
+            "render_table_i",
+            "render_table_ii",
+        ),
+        "repro.core.assessment": ("Claim", "ClaimResult", "Assessment"),
+        "repro.core.claims": ("build_default_assessment",),
+        "repro.core.survey": ("render_survey",),
+    },
 )
-from repro.core.taxonomy import TAXONOMY, TaxonomyNode, render_taxonomy
-from repro.core.registry import SystemRegistry, default_registry
-from repro.core.reports import (
-    PAPER_TABLE_I,
-    PAPER_TABLE_II,
-    render_table_i,
-    render_table_ii,
-)
-from repro.core.assessment import Claim, ClaimResult, Assessment
-from repro.core.claims import build_default_assessment
-from repro.core.survey import render_survey
 
 __all__ = [
     "Assessment",

@@ -6,14 +6,21 @@ shape-parameterized query workload generators (star / linear / snowflake /
 complex) over arbitrary graphs.
 """
 
-from repro.data.lubm import LubmGenerator, LUBM
-from repro.data.watdiv import WatdivGenerator, WATDIV
-from repro.data.sp2bench import Sp2bGenerator, SP2B
-from repro.data.workload import (
-    QueryWorkload,
-    WeightedQuery,
-    generate_query,
-    generate_workload,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.data.lubm": ("LubmGenerator", "LUBM"),
+        "repro.data.watdiv": ("WatdivGenerator", "WATDIV"),
+        "repro.data.sp2bench": ("Sp2bGenerator", "SP2B"),
+        "repro.data.workload": (
+            "QueryWorkload",
+            "WeightedQuery",
+            "generate_query",
+            "generate_workload",
+        ),
+    },
 )
 
 __all__ = [

@@ -16,14 +16,21 @@ data in an uninterrupted manner."
   store *without* a full reload, keeping query answering uninterrupted.
 """
 
-from repro.evolution.versioned import (
-    ArchivePolicy,
-    Delta,
-    VersionedGraph,
-)
-from repro.evolution.live import (
-    UpdatableNaiveEngine,
-    UpdatableSparqlgxEngine,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.evolution.versioned": (
+            "ArchivePolicy",
+            "Delta",
+            "VersionedGraph",
+        ),
+        "repro.evolution.live": (
+            "UpdatableNaiveEngine",
+            "UpdatableSparqlgxEngine",
+        ),
+    },
 )
 
 __all__ = [

@@ -17,15 +17,22 @@ the triples a shape set's compiled queries touch and validates locally
 (the differential property ``tests/federation/test_subgraph.py`` pins).
 """
 
-from repro.federation.endpoint import EndpointError, WireEndpoint
-from repro.federation.subgraph import (
-    DEFAULT_PAGE_SIZE,
-    HarvestError,
-    HarvestRecord,
-    StaleSubgraphError,
-    Subgraph,
-    harvest_for_shapes,
-    validate_remote_first,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.federation.endpoint": ("EndpointError", "WireEndpoint"),
+        "repro.federation.subgraph": (
+            "DEFAULT_PAGE_SIZE",
+            "HarvestError",
+            "HarvestRecord",
+            "StaleSubgraphError",
+            "Subgraph",
+            "harvest_for_shapes",
+            "validate_remote_first",
+        ),
+    },
 )
 
 __all__ = [

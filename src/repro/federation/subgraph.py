@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.defaults import DEFAULT_PAGE_SIZE
 from repro.evolution.versioned import Delta, VersionedGraph
 from repro.federation.endpoint import WireEndpoint
 from repro.rdf.graph import RDFGraph
@@ -35,9 +36,6 @@ from repro.rdf.ntriples import parse_ntriples
 from repro.server.protocol import canonical_result
 from repro.sparql.ast import ConstructQuery
 from repro.sparql.parser import parse_sparql
-
-#: Default triples per CONSTRUCT page (the shaclAPI ROW_LIMIT analogue).
-DEFAULT_PAGE_SIZE = 32
 
 
 class HarvestError(RuntimeError):

@@ -19,25 +19,34 @@ the unoptimized path stays the default (and the ablation baseline).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.executor import (
-    collect_q_errors,
-    execute_plan,
-    q_error,
+from repro._lazy import lazy_exports
+from repro.defaults import DEFAULT_BROADCAST_THRESHOLD, ORDER_MODES
+
+if TYPE_CHECKING:
+    from repro.optimizer.planner import BgpPlan
+    from repro.rdf.graph import RDFGraph
+    from repro.sparql.ast import TriplePattern
+    from repro.stats.catalog import StatsCatalog
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.optimizer.cardinality": ("CardinalityEstimator",),
+        "repro.optimizer.executor": (
+            "collect_q_errors",
+            "execute_plan",
+            "q_error",
+        ),
+        "repro.optimizer.planner": (
+            "BgpPlan",
+            "JoinPlanner",
+            "JoinStep",
+            "ViewChoice",
+        ),
+    },
 )
-from repro.optimizer.planner import (
-    BgpPlan,
-    DEFAULT_BROADCAST_THRESHOLD,
-    JoinPlanner,
-    JoinStep,
-    ORDER_MODES,
-    ViewChoice,
-)
-from repro.rdf.graph import RDFGraph
-from repro.sparql.ast import TriplePattern
-from repro.stats.catalog import StatsCatalog
 
 
 class Optimizer:
@@ -51,6 +60,9 @@ class Optimizer:
         enable_broadcast: bool = True,
         view_catalog=None,
     ) -> None:
+        from repro.optimizer.cardinality import CardinalityEstimator
+        from repro.optimizer.planner import JoinPlanner
+
         self.catalog = catalog
         self.estimator = CardinalityEstimator(catalog)
         self.view_catalog = view_catalog
@@ -84,6 +96,8 @@ class Optimizer:
         plans substitute materialized ExtVP views for dominated scans.
         """
         if catalog is None:
+            from repro.stats.catalog import StatsCatalog
+
             catalog = StatsCatalog.from_graph(graph, version=version)
         view_catalog = None
         if views:
@@ -124,6 +138,8 @@ class Optimizer:
         With tracing on, planning is bracketed by an ``optimize`` span
         whose attrs carry the chosen order and per-step strategies.
         """
+        from repro.optimizer.executor import execute_plan
+
         tracer = engine.ctx.tracer
         if tracer.enabled:
             with tracer.span("optimize", name=self.mode) as span:

@@ -40,18 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.defaults import DEFAULT_BROADCAST_THRESHOLD, ORDER_MODES
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.sparql.ast import TriplePattern, Variable
 
-#: Default broadcast threshold in estimated build-side rows.  Sized so the
-#: small vertical partitions of the test workloads broadcast while full
-#: scans of anything dataset-sized do not.
-DEFAULT_BROADCAST_THRESHOLD = 64
-
 #: Past this many patterns, exact DP (2^n subsets) yields to greedy.
 MAX_DP_PATTERNS = 12
-
-ORDER_MODES = ("dp", "greedy", "parse")
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,20 @@ This package implements both directions the paper points to:
   balance.
 """
 
-from repro.partitioning.edgecut import (
-    EdgeCutPartitioner,
-    edge_cut_fraction,
-    ldg_partition,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.partitioning.edgecut": (
+            "EdgeCutPartitioner",
+            "edge_cut_fraction",
+            "ldg_partition",
+        ),
+        "repro.partitioning.semantic": ("SemanticPartitioner",),
+        "repro.partitioning.store": ("PartitionedTripleStore",),
+    },
 )
-from repro.partitioning.semantic import SemanticPartitioner
-from repro.partitioning.store import PartitionedTripleStore
 
 __all__ = [
     "EdgeCutPartitioner",

@@ -6,18 +6,25 @@ Turtle (subset) parsers, RDFS entailment, and the string-to-integer
 dictionary encoding HAQWA applies before distribution.
 """
 
-from repro.rdf.terms import BNode, Literal, Term, URI
-from repro.rdf.triple import Triple, TripleValidityError
-from repro.rdf.graph import RDFGraph
-from repro.rdf.namespaces import Namespace, NamespaceManager
-from repro.rdf.vocab import RDF, RDFS, XSD
-from repro.rdf.encoding import Dictionary, EncodedTriple
-from repro.rdf.ntriples import (
-    NTriplesParseError,
-    parse_ntriples,
-    serialize_ntriples,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.rdf.terms": ("BNode", "Literal", "Term", "URI"),
+        "repro.rdf.triple": ("Triple", "TripleValidityError"),
+        "repro.rdf.graph": ("RDFGraph",),
+        "repro.rdf.namespaces": ("Namespace", "NamespaceManager"),
+        "repro.rdf.vocab": ("RDF", "RDFS", "XSD"),
+        "repro.rdf.encoding": ("Dictionary", "EncodedTriple"),
+        "repro.rdf.ntriples": (
+            "NTriplesParseError",
+            "parse_ntriples",
+            "serialize_ntriples",
+        ),
+        "repro.rdf.rdfs": ("RDFSReasoner",),
+    },
 )
-from repro.rdf.rdfs import RDFSReasoner
 
 __all__ = [
     "BNode",

@@ -45,8 +45,7 @@ class RDFGraph:
         self._osp: _Index = {}
         self._size = 0
         if triples:
-            for triple in triples:
-                self.add(triple)
+            self.add_all(triples)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -180,6 +179,11 @@ class RDFGraph:
         """The SPO index itself (subject -> predicate -> objects), for
         read-only walks."""
         return self._spo
+
+    def by_object(self) -> Mapping[Term, Mapping[Term, AbstractSet[Term]]]:
+        """The OSP index itself (object -> subject -> predicates), for
+        read-only walks."""
+        return self._osp
 
     def types_of(self, subject: Term) -> Set[Term]:
         """Classes the subject has via rdf:type."""

@@ -11,7 +11,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import BNode, Literal, Term, URI
-from repro.rdf.triple import Triple
+from repro.rdf.triple import Triple, TripleValidityError
 
 
 class NTriplesParseError(ValueError):
@@ -24,115 +24,138 @@ class NTriplesParseError(ValueError):
         self.line_number = line_number
 
 
-_TERM_RE = re.compile(
-    r"""
-    \s*
-    (?: <(?P<uri>[^>]*)>
-      | _:(?P<bnode>[A-Za-z0-9_]+)
-      | "(?P<lexical>(?:[^"\\]|\\.)*)"
-        (?: \^\^<(?P<datatype>[^>]*)> | @(?P<lang>[A-Za-z0-9\-]+) )?
-    )
-    """,
+#: A literal token, split.
+_LITERAL = r"""
+    "(?P<lexical>(?:[^"\\]|\\.)*)"
+    (?: \^\^<(?P<datatype>[^>]*)> | @(?P<language>[A-Za-z0-9\-]+) )?
+"""
+_LITERAL_RE = re.compile(_LITERAL, re.VERBOSE)
+#: One term of any kind, captured as text.  The lookahead keeps a
+#: blank-node label maximal (``_`` may continue a label *and* start the
+#: next term), so a term matches in exactly one way and the line pattern
+#: cannot split a line differently from the term-by-term walk.
+_TOKEN = r"( <[^>]*> | _:[A-Za-z0-9_]+ (?![A-Za-z0-9_]) | %s )" % re.sub(
+    r"\(\?P<\w+>", "(?:", _LITERAL
+)
+_TERM_RE = re.compile(r"\s*" + _TOKEN, re.VERBOSE)
+#: A whole well-formed line.
+_LINE_RE = re.compile(
+    r"\s* %s \s* %s \s* %s \s* \. \s* \Z" % (_TOKEN, _TOKEN, _TOKEN),
     re.VERBOSE,
 )
 
-_UNESCAPES = {
-    "\\n": "\n",
-    "\\r": "\r",
-    "\\t": "\t",
-    '\\"': '"',
-    "\\\\": "\\",
-}
+_ESCAPE_RE = re.compile(r'\\([nrt"\\]|u.{4}|U.{8})', re.DOTALL)
+_UNESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
 
 
 def _unescape(text: str) -> str:
-    out = []
-    index = 0
-    while index < len(text):
-        if text[index] == "\\" and index + 1 < len(text):
-            pair = text[index : index + 2]
-            if pair in _UNESCAPES:
-                out.append(_UNESCAPES[pair])
-                index += 2
-                continue
-            if pair == "\\u" and index + 6 <= len(text):
-                out.append(chr(int(text[index + 2 : index + 6], 16)))
-                index += 6
-                continue
-            if pair == "\\U" and index + 10 <= len(text):
-                out.append(chr(int(text[index + 2 : index + 10], 16)))
-                index += 10
-                continue
-        out.append(text[index])
-        index += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(_unescaped, text) if "\\" in text else text
+
+
+def _unescaped(match) -> str:
+    escape = match.group(1)
+    return _UNESCAPES.get(escape) or chr(int(escape[1:], 16))
+
+
+def _term(
+    token: str, terms: Dict[str, Term], line_number: int, line: str
+) -> Term:
+    """The term *token* spells, entered in *terms*.
+
+    *terms* holds the term built for each token seen, so one document's
+    repeated subjects, predicates, classes and values are one object
+    each (hashed once, stored once) rather than one per mention; a
+    datatype is shared as the URI token it would be.
+    """
+    try:
+        if token[0] == "<":
+            term: Term = URI(token[1:-1])
+        elif token[0] == "_":
+            term = BNode(token[2:])
+        else:
+            lexical, reference, language = _LITERAL_RE.match(token).groups()
+            lexical = _unescape(lexical)
+            datatype = None
+            if reference is not None:
+                shared = "<%s>" % reference
+                datatype = terms.get(shared)
+                if datatype is None:
+                    datatype = terms[shared] = URI(reference)
+            term = Literal(lexical, datatype, language)
+    except (ValueError, OverflowError) as exc:
+        # An empty reference, or an escape naming no character.
+        raise NTriplesParseError(line_number, line, str(exc)) from exc
+    terms[token] = term
+    return term
 
 
 def _parse_term(
-    line: str, position: int, line_number: int, uris: Dict[str, URI]
+    line: str, position: int, line_number: int, terms: Dict[str, Term]
 ) -> tuple:
-    """The term starting at *position* and the offset just past it.
-
-    *uris* holds the URI object already built for each reference seen,
-    so one document's repeated subjects, predicates and classes are one
-    object each (hashed once, stored once) rather than one per mention.
-    """
+    """The term starting at *position* and the offset just past it."""
     match = _TERM_RE.match(line, position)
     if match is None:
         raise NTriplesParseError(line_number, line, "expected a term")
-    reference = match.group("uri")
-    if reference is not None:
-        term: Optional[Term] = uris.get(reference)
-        if term is None:
-            term = uris[reference] = URI(reference)
-    elif match.group("bnode") is not None:
-        term = BNode(match.group("bnode"))
-    else:
-        lexical = _unescape(match.group("lexical"))
-        reference = match.group("datatype")
-        datatype = None
-        if reference:
-            datatype = uris.get(reference)
-            if datatype is None:
-                datatype = uris[reference] = URI(reference)
-        term = Literal(
-            lexical, datatype=datatype, language=match.group("lang")
-        )
+    token = match.group(1)
+    term = terms.get(token) or _term(token, terms, line_number, line)
     return term, match.end()
 
 
 def parse_ntriples_line(
-    line: str, line_number: int = 1, uris: Optional[Dict[str, URI]] = None
+    line: str, line_number: int = 1, terms: Optional[Dict[str, Term]] = None
 ) -> Optional[Triple]:
-    """Parse one line; returns None for blank lines and comments.
+    """Parse one line term by term; returns None for blank lines and
+    comments.
 
-    A caller parsing many lines passes one *uris* dict for all of them
-    (see :func:`_parse_term`).
+    A caller parsing many lines passes one *terms* dict for all of them
+    (see :func:`_term`).
     """
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
-    if uris is None:
-        uris = {}
-    subject, position = _parse_term(line, 0, line_number, uris)
-    predicate, position = _parse_term(line, position, line_number, uris)
-    obj, position = _parse_term(line, position, line_number, uris)
+    if terms is None:
+        terms = {}
+    subject, position = _parse_term(line, 0, line_number, terms)
+    predicate, position = _parse_term(line, position, line_number, terms)
+    obj, position = _parse_term(line, position, line_number, terms)
     tail = line[position:].strip()
     if tail != ".":
         raise NTriplesParseError(line_number, line, "expected terminating '.'")
     try:
         return Triple(subject, predicate, obj)
-    except ValueError as exc:
+    except TripleValidityError as exc:
         raise NTriplesParseError(line_number, line, str(exc)) from exc
 
 
 def iter_ntriples(lines: Iterable[str]) -> Iterator[Triple]:
-    """Parse an iterable of lines, yielding triples."""
-    uris: Dict[str, URI] = {}
+    """Parse an iterable of lines, yielding triples.
+
+    A well-formed line costs one match of the line pattern and one table
+    lookup per term.  Any other line -- blank, comment or malformed --
+    goes through :func:`parse_ntriples_line`, so what is accepted and
+    what each error says is the term-by-term walk's.  The token table
+    lives as long as the call.
+    """
+    terms: Dict[str, Term] = {}
+    known = terms.get
+    match_line = _LINE_RE.match
     for line_number, line in enumerate(lines, start=1):
-        triple = parse_ntriples_line(line, line_number, uris)
-        if triple is not None:
-            yield triple
+        match = match_line(line)
+        if match is None:
+            triple = parse_ntriples_line(line, line_number, terms)
+            if triple is not None:
+                yield triple
+            continue
+        subject, predicate, obj = match.groups()
+        try:
+            triple = Triple(
+                known(subject) or _term(subject, terms, line_number, line),
+                known(predicate) or _term(predicate, terms, line_number, line),
+                known(obj) or _term(obj, terms, line_number, line),
+            )
+        except TripleValidityError as exc:
+            raise NTriplesParseError(line_number, line, str(exc)) from exc
+        yield triple
 
 
 def parse_ntriples(source: Union[str, Iterable[str]]) -> RDFGraph:

@@ -10,23 +10,34 @@ cost units after every execution.  :mod:`repro.routing.defaults` holds
 the survey preference table the policy's priors derive from.
 """
 
-from repro.routing.defaults import (
-    DEFAULT_ENGINE_POOL,
-    DEFAULT_FALLBACK_CHAIN,
-    DEFAULT_SHAPE_PREFERENCES,
-    default_priors,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.routing.defaults": (
+            "DEFAULT_ENGINE_POOL",
+            "DEFAULT_FALLBACK_CHAIN",
+            "DEFAULT_SHAPE_PREFERENCES",
+            "default_priors",
+        ),
+        "repro.routing.feedback": (
+            "DEFAULT_HISTORY",
+            "DEFAULT_MIN_OBSERVATIONS",
+            "DEFAULT_PRIOR_WEIGHT",
+            "EXPLORE_DISCOUNT",
+            "FACTOR_MAX",
+            "FACTOR_MIN",
+            "FeedbackLog",
+            "clamp_factor",
+        ),
+        "repro.routing.policy": (
+            "EngineBid",
+            "RoutingDecision",
+            "RoutingPolicy",
+        ),
+    },
 )
-from repro.routing.feedback import (
-    DEFAULT_HISTORY,
-    DEFAULT_MIN_OBSERVATIONS,
-    DEFAULT_PRIOR_WEIGHT,
-    EXPLORE_DISCOUNT,
-    FACTOR_MAX,
-    FACTOR_MIN,
-    FeedbackLog,
-    clamp_factor,
-)
-from repro.routing.policy import EngineBid, RoutingDecision, RoutingPolicy
 
 __all__ = [
     "DEFAULT_ENGINE_POOL",

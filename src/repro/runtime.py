@@ -38,10 +38,9 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple, Union
 
-from repro.optimizer.planner import DEFAULT_BROADCAST_THRESHOLD
+from repro.defaults import DEFAULT_BROADCAST_THRESHOLD
 from repro.rdf.graph import RDFGraph
 from repro.rdf.ntriples import load_ntriples_file
-from repro.rdf.turtle import parse_turtle
 from repro.spark.context import SparkContext
 from repro.spark.faults import FaultScheduler
 from repro.spark.parallel import BackendConfigError
@@ -307,6 +306,8 @@ def load_graph(path: str) -> RDFGraph:
     """
     try:
         if path.endswith((".ttl", ".turtle")):
+            from repro.rdf.turtle import parse_turtle
+
             with open(path, "r", encoding="utf-8") as handle:
                 return parse_turtle(handle.read())
         return load_ntriples_file(path)
@@ -339,15 +340,14 @@ def resolve_engine(name: str):
     Raises :class:`UnknownEngineError` whose message lists every valid
     choice, suitable for printing verbatim.
     """
-    from repro.systems import ALL_ENGINE_CLASSES, NaiveEngine
+    from repro.systems import ENGINE_HOMES, engine_class
 
-    classes = (NaiveEngine,) + ALL_ENGINE_CLASSES
-    for cls in classes:
-        if cls.profile.name.lower() == name.lower():
-            return cls
+    for known in ENGINE_HOMES:
+        if known.lower() == name.lower():
+            return engine_class(known)
     raise UnknownEngineError(
         "unknown engine %r; choose one of: %s"
-        % (name, ", ".join(cls.profile.name for cls in classes))
+        % (name, ", ".join(ENGINE_HOMES))
     )
 
 

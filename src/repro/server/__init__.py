@@ -9,34 +9,41 @@ deterministic virtual time; :mod:`repro.server.frontend` exposes it as a
 JSON-lines request loop (``repro serve``).
 """
 
-from repro.server.admission import AdmissionRejectedError, FairShareQueue
-from repro.server.cache import PlanCache, ResultCache, normalize_query
-from repro.server.frontend import handle_request, serve_lines
-from repro.server.loadgen import (
-    LoadGenerator,
-    LoadReport,
-    SHAPE_NAMES,
-    build_federated_workload,
-    build_shacl_workload,
-    build_shape_workload,
-    build_workload,
-    grouped_tenant_profiles,
-    percentile,
-    shape_tenant_profiles,
-)
-from repro.server.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    canonical_json,
-    canonical_result,
-    decode_request,
-    encode_response,
-)
-from repro.server.service import (
-    CACHE_HIT_UNITS,
-    QueryOutcome,
-    QueryRequest,
-    QueryService,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.server.admission": ("AdmissionRejectedError", "FairShareQueue"),
+        "repro.server.cache": ("PlanCache", "ResultCache", "normalize_query"),
+        "repro.server.frontend": ("handle_request", "serve_lines"),
+        "repro.server.loadgen": (
+            "LoadGenerator",
+            "LoadReport",
+            "SHAPE_NAMES",
+            "build_federated_workload",
+            "build_shacl_workload",
+            "build_shape_workload",
+            "build_workload",
+            "grouped_tenant_profiles",
+            "percentile",
+            "shape_tenant_profiles",
+        ),
+        "repro.server.protocol": (
+            "PROTOCOL_VERSION",
+            "ProtocolError",
+            "canonical_json",
+            "canonical_result",
+            "decode_request",
+            "encode_response",
+        ),
+        "repro.server.service": (
+            "CACHE_HIT_UNITS",
+            "QueryOutcome",
+            "QueryRequest",
+            "QueryService",
+        ),
+    },
 )
 
 __all__ = [

@@ -16,28 +16,35 @@ analytic benchmarks (the ROADMAP's open item; grounded in the shaclAPI
 exemplar of SNIPPETS.md).
 """
 
-from repro.shacl.shapes import (
-    NodeShape,
-    PropertyShape,
-    ShaclError,
-    ShapeSet,
-    default_shapes_for,
-    load_shapes_file,
-)
-from repro.shacl.compile import (
-    CompiledQuery,
-    class_probe,
-    compile_shape,
-    compile_shape_set,
-    harvest_queries,
-)
-from repro.shacl.report import REPORT_FORMAT_VERSION, ValidationReport
-from repro.shacl.validator import (
-    EngineExecutor,
-    LocalGraphExecutor,
-    ServiceExecutor,
-    ShaclValidator,
-    ValidationExecutionError,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.shacl.shapes": (
+            "NodeShape",
+            "PropertyShape",
+            "ShaclError",
+            "ShapeSet",
+            "default_shapes_for",
+            "load_shapes_file",
+        ),
+        "repro.shacl.compile": (
+            "CompiledQuery",
+            "class_probe",
+            "compile_shape",
+            "compile_shape_set",
+            "harvest_queries",
+        ),
+        "repro.shacl.report": ("REPORT_FORMAT_VERSION", "ValidationReport"),
+        "repro.shacl.validator": (
+            "EngineExecutor",
+            "LocalGraphExecutor",
+            "ServiceExecutor",
+            "ShaclValidator",
+            "ValidationExecutionError",
+        ),
+    },
 )
 
 __all__ = [

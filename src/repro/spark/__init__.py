@@ -14,31 +14,38 @@ performs, how much data a broadcast ships, and how partition placement
 interacts with query shape.
 """
 
-from repro.spark.broadcast import Broadcast
-from repro.spark.context import SparkContext
-from repro.spark.dataframe import DataFrame
-from repro.spark.faults import (
-    FaultRule,
-    FaultScheduler,
-    FaultSpecError,
-    TaskFailedError,
-)
-from repro.spark.metrics import MetricsCollector, MetricsSnapshot
-from repro.spark.partitioner import (
-    HashPartitioner,
-    Partitioner,
-    RangePartitioner,
-)
-from repro.spark.rdd import RDD
-from repro.spark.row import Row
-from repro.spark.sql.session import SparkSession
-from repro.spark.tracing import (
-    Span,
-    Tracer,
-    render_trace,
-    trace_from_json,
-    trace_to_json,
-    trace_totals,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.spark.broadcast": ("Broadcast",),
+        "repro.spark.context": ("SparkContext",),
+        "repro.spark.dataframe": ("DataFrame",),
+        "repro.spark.faults": (
+            "FaultRule",
+            "FaultScheduler",
+            "FaultSpecError",
+            "TaskFailedError",
+        ),
+        "repro.spark.metrics": ("MetricsCollector", "MetricsSnapshot"),
+        "repro.spark.partitioner": (
+            "HashPartitioner",
+            "Partitioner",
+            "RangePartitioner",
+        ),
+        "repro.spark.rdd": ("RDD",),
+        "repro.spark.row": ("Row",),
+        "repro.spark.sql.session": ("SparkSession",),
+        "repro.spark.tracing": (
+            "Span",
+            "Tracer",
+            "render_trace",
+            "trace_from_json",
+            "trace_to_json",
+            "trace_totals",
+        ),
+    },
 )
 
 __all__ = [

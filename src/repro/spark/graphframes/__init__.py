@@ -6,7 +6,18 @@ language implemented here (``(a)-[e]->(b); (b)-[f]->(c)``) is what the
 Bahrami et al. system compiles SPARQL BGPs into.
 """
 
-from repro.spark.graphframes.graphframe import GraphFrame
-from repro.spark.graphframes.motif import MotifPattern, MotifSyntaxError, parse_motif
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.spark.graphframes.graphframe": ("GraphFrame",),
+        "repro.spark.graphframes.motif": (
+            "MotifPattern",
+            "MotifSyntaxError",
+            "parse_motif",
+        ),
+    },
+)
 
 __all__ = ["GraphFrame", "MotifPattern", "MotifSyntaxError", "parse_motif"]

@@ -8,15 +8,30 @@ GraphX shipping with (PageRank, connected components, triangle counting,
 shortest paths).
 """
 
-from repro.spark.graphx.graph import Edge, EdgeContext, EdgeTriplet, Graph
+from repro._lazy import lazy_exports
+
+# Eager, the one exception: ``pregel`` is also its home submodule's name,
+# and the import system would bind the module over a lazy export.
 from repro.spark.graphx.pregel import pregel
-from repro.spark.graphx.lib import (
-    connected_components,
-    connected_components_pregel,
-    pagerank,
-    shortest_paths,
-    shortest_paths_pregel,
-    triangle_count,
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.spark.graphx.graph": (
+            "Edge",
+            "EdgeContext",
+            "EdgeTriplet",
+            "Graph",
+        ),
+        "repro.spark.graphx.lib": (
+            "connected_components",
+            "connected_components_pregel",
+            "pagerank",
+            "shortest_paths",
+            "shortest_paths_pregel",
+            "triangle_count",
+        ),
+    },
 )
 
 __all__ = [

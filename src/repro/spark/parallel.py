@@ -55,11 +55,10 @@ fire in task order, which is interleaving-dependent under concurrency.
 
 from __future__ import annotations
 
-import multiprocessing
+import gc
 import os
 import pickle
 import traceback
-from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.spark import accumulator as accumulator_module
@@ -93,6 +92,8 @@ class WorkerCrashError(RuntimeError):
 
 def parallel_available() -> bool:
     """Whether this platform can run the parallel backend (needs ``fork``)."""
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -500,6 +501,11 @@ class ParallelBackend:
         ctx.check_deadline()
         if num_tasks == 1:
             return [run_one(0)]
+        # Loaded by the first forked stage, in the driver: an in-process
+        # run never needs them.
+        import multiprocessing
+        from multiprocessing import connection as mp_connection
+
         workers = min(self.workers, num_tasks)
         if workers == 1 and self.workers == 1:
             # One worker still forks: the workers=1 configuration is the
@@ -509,17 +515,37 @@ class ParallelBackend:
         mp_ctx = multiprocessing.get_context("fork")
         conns = []
         procs = []
-        for worker_id in range(workers):
-            recv_end, send_end = mp_ctx.Pipe(duplex=False)
-            proc = mp_ctx.Process(
-                target=_worker_main,
-                args=(worker_id, assigned[worker_id], ctx, nodes, run_one, send_end),
-            )
-            proc.daemon = True
-            proc.start()
-            send_end.close()
-            conns.append(recv_end)
-            procs.append(proc)
+        # Workers are forked with the driver's heap frozen: a worker's
+        # collections then pass over what it inherited instead of walking
+        # it -- and, by touching every object header, copying its pages.
+        # ``gc.freeze`` is process-wide and does not nest, so a caller
+        # that already holds a frozen heap (a pre-fork server) keeps it
+        # exactly as it was: no freeze here, and above all no unfreeze.
+        ours = gc.get_freeze_count() == 0
+        if ours:
+            gc.freeze()
+        try:
+            for worker_id in range(workers):
+                recv_end, send_end = mp_ctx.Pipe(duplex=False)
+                proc = mp_ctx.Process(
+                    target=_worker_main,
+                    args=(
+                        worker_id,
+                        assigned[worker_id],
+                        ctx,
+                        nodes,
+                        run_one,
+                        send_end,
+                    ),
+                )
+                proc.daemon = True
+                proc.start()
+                send_end.close()
+                conns.append(recv_end)
+                procs.append(proc)
+        finally:
+            if ours:
+                gc.unfreeze()
         results: List[Any] = [None] * num_tasks
         buffered: Dict[int, Dict[str, Any]] = {}
         done_msgs: Dict[int, Tuple[Any, Any]] = {}

@@ -7,6 +7,13 @@ folding, predicate pushdown, projection pruning, size-based join ordering)
 and execution against the session catalog's DataFrames.
 """
 
-from repro.spark.sql.session import SparkSession
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.spark.sql.session": ("SparkSession",),
+    },
+)
 
 __all__ = ["SparkSession"]

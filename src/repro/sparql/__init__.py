@@ -7,18 +7,25 @@ reference evaluator over any triple source, query-shape classification
 (star / linear / snowflake / complex), and solution-set containers.
 """
 
-from repro.sparql.ast import (
-    AskQuery,
-    GroupGraphPattern,
-    SelectQuery,
-    TriplePattern,
-    Variable,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sparql.ast": (
+            "AskQuery",
+            "GroupGraphPattern",
+            "SelectQuery",
+            "TriplePattern",
+            "Variable",
+        ),
+        "repro.sparql.parser": ("SparqlParseError", "parse_sparql"),
+        "repro.sparql.algebra": ("evaluate", "translate"),
+        "repro.sparql.results": ("Solution", "SolutionSet"),
+        "repro.sparql.shapes": ("QueryShape", "classify_shape"),
+        "repro.sparql.fragments": ("SparqlFragment", "fragment_of"),
+    },
 )
-from repro.sparql.parser import SparqlParseError, parse_sparql
-from repro.sparql.algebra import evaluate, translate
-from repro.sparql.results import Solution, SolutionSet
-from repro.sparql.shapes import QueryShape, classify_shape
-from repro.sparql.fragments import SparqlFragment, fragment_of
 
 __all__ = [
     "AskQuery",

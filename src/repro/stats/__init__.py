@@ -8,10 +8,17 @@ read the same numbers, computed in one pass and serialized as
 deterministic sorted-key JSON.
 """
 
-from repro.stats.catalog import (
-    CharacteristicSet,
-    PredicateStats,
-    StatsCatalog,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.stats.catalog": (
+            "CharacteristicSet",
+            "PredicateStats",
+            "StatsCatalog",
+        ),
+    },
 )
 
 __all__ = ["CharacteristicSet", "PredicateStats", "StatsCatalog"]

@@ -11,33 +11,53 @@ Every engine implements the same interface (:class:`SparkRdfEngine`):
 ``profile`` describing its Table I/II classification.
 """
 
-from repro.systems.base import (
-    EngineProfile,
-    SparkRdfEngine,
-    UnsupportedQueryError,
-)
-from repro.systems.naive import NaiveEngine
-from repro.systems.haqwa import HaqwaEngine
-from repro.systems.sparqlgx import SparqlgxEngine
-from repro.systems.s2rdf import S2RdfEngine
-from repro.systems.hybrid import HybridEngine, JoinStrategy
-from repro.systems.s2x import S2XEngine
-from repro.systems.graphx_sgm import GraphXSubgraphEngine
-from repro.systems.sparkql import SparkqlEngine
-from repro.systems.graphframes_sys import GraphFramesEngine
-from repro.systems.sparkrdf import SparkRdfMesgEngine
+from repro._lazy import lazy_exports
 
-ALL_ENGINE_CLASSES = (
-    HaqwaEngine,
-    SparqlgxEngine,
-    S2RdfEngine,
-    HybridEngine,
-    S2XEngine,
-    GraphXSubgraphEngine,
-    SparkqlEngine,
-    GraphFramesEngine,
-    SparkRdfMesgEngine,
+#: Engine name (``profile.name``) -> (module, class): the baseline first,
+#: then the survey's order.  Resolving a name loads that engine alone.
+ENGINE_HOMES = {
+    "Naive": ("repro.systems.naive", "NaiveEngine"),
+    "HAQWA": ("repro.systems.haqwa", "HaqwaEngine"),
+    "SPARQLGX": ("repro.systems.sparqlgx", "SparqlgxEngine"),
+    "S2RDF": ("repro.systems.s2rdf", "S2RdfEngine"),
+    "SPARQL-Hybrid": ("repro.systems.hybrid", "HybridEngine"),
+    "S2X": ("repro.systems.s2x", "S2XEngine"),
+    "SPARQL-GraphX": ("repro.systems.graphx_sgm", "GraphXSubgraphEngine"),
+    "Spar(k)ql": ("repro.systems.sparkql", "SparkqlEngine"),
+    "GraphFrames-RDF": ("repro.systems.graphframes_sys", "GraphFramesEngine"),
+    "SparkRDF": ("repro.systems.sparkrdf", "SparkRdfMesgEngine"),
+}
+
+_exported, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.systems.base": (
+            "EngineProfile",
+            "SparkRdfEngine",
+            "UnsupportedQueryError",
+        ),
+        **{module: (cls,) for module, cls in ENGINE_HOMES.values()},
+        # Two exports from one home, so its entry is restated whole.
+        "repro.systems.hybrid": ("HybridEngine", "JoinStrategy"),
+    },
 )
+
+
+def engine_class(name: str):
+    """The engine class whose ``profile.name`` is *name* (``KeyError``
+    when there is none), importing only its own module."""
+    return _exported(ENGINE_HOMES[name][1])
+
+
+def __getattr__(name: str):
+    if name != "ALL_ENGINE_CLASSES":
+        return _exported(name)
+    # The one computed export: the nine surveyed engines (no baseline),
+    # all loaded by naming the tuple.
+    classes = tuple(engine_class(n) for n in ENGINE_HOMES if n != "Naive")
+    globals()[name] = classes
+    return classes
+
 
 __all__ = [
     "ALL_ENGINE_CLASSES",

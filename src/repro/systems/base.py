@@ -227,8 +227,8 @@ class SparkRdfEngine:
         """Ingest a graph, building the engine's distributed representation.
 
         *catalog*, *graph*'s :class:`~repro.stats.catalog.StatsCatalog`
-        when the caller holds one (else ``None``), is kept on the engine:
-        one that plans from statistics reads it or computes its own.
+        when the caller holds one (else ``None``), is kept on the engine
+        as ``engine.catalog``; no engine's build reads it.
         """
         self.catalog = catalog
         self._build(graph)

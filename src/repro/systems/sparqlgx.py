@@ -31,7 +31,6 @@ from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term
 from repro.spark.rdd import RDD
 from repro.sparql.ast import TriplePattern, Variable
-from repro.stats import StatsCatalog
 from repro.sparql.fragments import (
     FEATURE_BGP,
     FEATURE_DISTINCT,
@@ -83,32 +82,38 @@ class SparqlgxEngine(SparkRdfEngine):
         self.enable_reordering = enable_reordering
 
     def _build(self, graph: RDFGraph) -> None:
-        # One "file" (RDD) per predicate, holding (s, o) pairs only.
+        # One "file" (RDD) per predicate, holding (s, o) pairs only, read
+        # off the graph's predicate -> object -> subjects index and sorted
+        # by the terms' sort keys, each key taken once per term.
+        by_predicate = graph.by_predicate()
+        sort_keys: Dict[Term, tuple] = {}
         self.vp_tables: Dict[Term, RDD] = {}
-        for predicate in sorted(graph.predicates(), key=lambda t: t.sort_key()):
-            pairs = [
-                (t.subject, t.object)
-                for t in graph.triples((None, predicate, None))
-            ]
-            pairs.sort(key=lambda so: (so[0].sort_key(), so[1].sort_key()))
-            self.vp_tables[predicate] = self.ctx.parallelize(pairs).cache()
+        self.vp_sizes: Dict[Term, int] = {}
+        for predicate in sorted(by_predicate, key=Term.sort_key):
+            pairs, keys = [], []
+            for obj, subjects in by_predicate[predicate].items():
+                object_key = obj.sort_key()
+                for subject in subjects:
+                    subject_key = sort_keys.get(subject)
+                    if subject_key is None:
+                        subject_key = sort_keys[subject] = subject.sort_key()
+                    pairs.append((subject, obj))
+                    keys.append((subject_key, object_key))
+            order = sorted(range(len(pairs)), key=keys.__getitem__)
+            self.vp_tables[predicate] = self.ctx.parallelize(
+                [pairs[index] for index in order]
+            ).cache()
+            self.vp_sizes[predicate] = len(pairs)
 
-        # Statistics come from the shared catalog (repro.stats): the
-        # loader's own object when ``load`` was handed one, else one pass
-        # here.  Its numbers (per-predicate partition sizes, distinct
-        # subject / predicate / object counts) are what this engine once
-        # counted privately, so the reordering heuristic is unchanged.
-        if self.catalog is None:
-            self.catalog = StatsCatalog.from_graph(graph)
-        self.vp_sizes: Dict[Term, int] = {
-            predicate: self.catalog.predicate_count(predicate.n3())
-            for predicate in self.vp_tables
-        }
+        # The statistics the survey says SPARQLGX counts -- partition
+        # sizes above, and the distinct subjects, predicates and objects
+        # -- are sizes of the graph's own indexes: the numbers a
+        # StatsCatalog holds, by definition, with no statistics pass.
         self.stats = {
-            "distinct_subjects": self.catalog.distinct_subjects,
-            "distinct_predicates": self.catalog.distinct_predicates,
-            "distinct_objects": self.catalog.distinct_objects,
-            "triples": self.catalog.triples,
+            "distinct_subjects": len(graph.by_subject()),
+            "distinct_predicates": len(by_predicate),
+            "distinct_objects": len(graph.by_object()),
+            "triples": len(graph),
         }
 
     # ------------------------------------------------------------------

@@ -8,15 +8,22 @@ and plugs into :mod:`repro.optimizer` so any engine's plans substitute a
 view for a base scan whenever the view strictly dominates it.
 """
 
-from repro.views.catalog import (
-    DEFAULT_VIEW_THRESHOLD,
-    MaintenanceReport,
-    MaterializedView,
-    VIEW_FORMAT_VERSION,
-    ViewCatalog,
-    ViewKey,
-    materialize_view,
-    view_name,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.views.catalog": (
+            "DEFAULT_VIEW_THRESHOLD",
+            "MaintenanceReport",
+            "MaterializedView",
+            "VIEW_FORMAT_VERSION",
+            "ViewCatalog",
+            "ViewKey",
+            "materialize_view",
+            "view_name",
+        ),
+    },
 )
 
 __all__ = [

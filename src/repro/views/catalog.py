@@ -50,14 +50,10 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.defaults import DEFAULT_VIEW_THRESHOLD
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term
 from repro.stats.catalog import PAIR_KINDS, StatsCatalog
-
-#: Default selectivity threshold: materialize reductions that keep at
-#: most half of p1's triples (S2RDF's evaluations use thresholds in this
-#: range; the stats catalog stores only factors < 1.0 anyway).
-DEFAULT_VIEW_THRESHOLD = 0.5
 
 #: Bumped when the serialized view-catalog layout changes incompatibly.
 VIEW_FORMAT_VERSION = 1

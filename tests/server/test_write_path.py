@@ -73,10 +73,39 @@ def test_unoptimized_service_also_pays_one_pass(lubm_graph, stats_passes):
     assert service.pool[1].catalog is service.catalog
 
 
-def test_engine_loaded_without_a_catalog_counts_its_own(lubm_graph, stats_passes):
-    engine = build_engine("SPARQLGX", lubm_graph)
-    assert len(stats_passes) == 1
-    assert engine.catalog.triples == len(lubm_graph)
+def test_engine_loaded_without_a_catalog_counts_its_own(
+    lubm_graph, watdiv_graph, stats_passes
+):
+    """SPARQLGX's statistics are sizes of the graph's indexes: it reads
+    them there -- the catalog's numbers, and no pass."""
+
+    def assert_counts_like_the_catalog(graph):
+        engine = build_engine("SPARQLGX", graph)
+        assert stats_passes == [] and engine.catalog is None
+        catalog = StatsCatalog.from_graph(graph)
+        del stats_passes[:]
+        assert {p.n3(): n for p, n in engine.vp_sizes.items()} == {
+            name: stats.count for name, stats in catalog.predicates.items()
+        }
+        assert engine.stats == {
+            "distinct_subjects": catalog.distinct_subjects,
+            "distinct_predicates": catalog.distinct_predicates,
+            "distinct_objects": catalog.distinct_objects,
+            "triples": catalog.triples,
+        }
+
+    assert_counts_like_the_catalog(lubm_graph)
+    assert_counts_like_the_catalog(watdiv_graph)
+    # Index pruning: a predicate whose last triple was removed is gone
+    # from the key sets, not counted as an empty partition.
+    pruned = lubm_graph.copy()
+    lonely = Triple(
+        URI(LUBM + "Student0_0_0"), URI(LUBM + "mentors"), URI(LUBM + "Nobody")
+    )
+    pruned.add(lonely)
+    pruned.remove(lonely)
+    assert_counts_like_the_catalog(pruned)
+    assert lonely.predicate not in build_engine("SPARQLGX", pruned).vp_sizes
 
 
 def query_pool(graph):

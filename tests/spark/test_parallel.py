@@ -7,6 +7,7 @@ merge protocol (metrics, accumulators), typed error shipping across the
 process boundary, deadline aborts, and cache installation.
 """
 
+import gc
 import os
 import pickle
 
@@ -90,6 +91,50 @@ def test_tasks_actually_run_in_worker_processes():
         sc.parallelize(list(range(8)), 4).map(lambda _: os.getpid()).collect()
     )
     assert pids and driver_pid not in pids
+
+
+@needs_fork
+def test_workers_inherit_a_frozen_heap_and_the_driver_keeps_none():
+    """Forks are bracketed by ``gc.freeze``/``gc.unfreeze``: a worker's
+    collections skip the heap it inherited (no walk, no copy-on-write of
+    every page), and the driver is back to an unfrozen heap right after
+    -- also when a task raises."""
+    sc = SparkContext(default_parallelism=4, backend="parallel", workers=2)
+    assert gc.get_freeze_count() == 0
+    frozen = sc.parallelize(list(range(8)), 4).map(
+        lambda _: (os.getpid(), gc.get_freeze_count())
+    )
+    seen = frozen.collect()
+    assert all(pid != os.getpid() and count > 0 for pid, count in seen)
+    assert gc.get_freeze_count() == 0
+
+    def boom(x):
+        if gc.get_freeze_count() > 0:
+            raise ValueError("raised under a frozen heap")
+        return x
+
+    with pytest.raises(ValueError, match="under a frozen heap"):
+        sc.parallelize(list(range(8)), 4).map(boom).collect()
+    assert gc.get_freeze_count() == 0
+    # Shuffle map stages fork too.
+    counts = sc.parallelize([(i % 3, i) for i in range(12)], 4).groupByKey()
+    assert sorted(counts.mapValues(len).collect()) == [(0, 4), (1, 4), (2, 4)]
+    assert gc.get_freeze_count() == 0
+    # A caller that froze its own heap first (a pre-fork server) keeps
+    # it: the process-wide freeze does not nest, so the bracket stands
+    # aside -- also when a task raises.  (The count only falls as frozen
+    # objects are freed; nothing is added to it and it never reaches 0.)
+    gc.freeze()
+    try:
+        held = gc.get_freeze_count()
+        seen = frozen.collect()
+        assert all(0 < count <= held for _, count in seen)
+        assert 0 < gc.get_freeze_count() <= held
+        with pytest.raises(ValueError, match="under a frozen heap"):
+            sc.parallelize(list(range(8)), 4).map(boom).collect()
+        assert 0 < gc.get_freeze_count() <= held
+    finally:
+        gc.unfreeze()
 
 
 @needs_fork

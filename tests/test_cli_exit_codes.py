@@ -243,6 +243,29 @@ def test_unanswerable_input_is_a_typed_error(
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "bad_line, reason",
+    [
+        ("<> <http://x/p> <http://x/o> .", "URI cannot be empty"),
+        # Once loaded, silently, as the plain literal "x".
+        ('<http://x/s> <http://x/p> "x"^^<> .', "URI cannot be empty"),
+        ("<http://x/s> <http://x/p> <http://x/o>", "expected terminating '.'"),
+    ],
+    ids=["empty-subject", "empty-datatype", "missing-dot"],
+)
+def test_bad_data_line_is_named_by_number(bad_line, reason, tmp_path, capsys):
+    """Exit 2 and one ``error:`` line that says which line of the file
+    and why -- for a term that is well-formed but empty, too."""
+    path = tmp_path / "bad.nt"
+    path.write_text("<http://x/s> <http://x/p> <http://x/o> .\n" + bad_line + "\n")
+    assert main(["query", str(path), CLEAN_QUERY]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot parse RDF file %r: line 2: %s (in %r)\n" % (
+        str(path), reason, bad_line
+    )
+
+
 @pytest.mark.skipif(
     not parallel_available(), reason="the parallel backend needs fork"
 )
