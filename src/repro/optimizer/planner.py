@@ -42,7 +42,12 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.defaults import DEFAULT_BROADCAST_THRESHOLD, ORDER_MODES
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.sparql.ast import TriplePattern, Variable
+from repro.sparql.ast import (
+    TriplePattern,
+    Variable,
+    connected_order,
+    variables_of,
+)
 
 #: Past this many patterns, exact DP (2^n subsets) yields to greedy.
 MAX_DP_PATTERNS = 12
@@ -176,22 +181,12 @@ class JoinPlanner:
     def _greedy_order(self, patterns: List[TriplePattern]) -> List[int]:
         """Most selective first, then smallest connected next."""
         estimate = self.estimator.pattern_cardinality
-        remaining = sorted(
-            range(len(patterns)), key=lambda i: (estimate(patterns[i]), i)
+        return connected_order(
+            sorted(
+                range(len(patterns)), key=lambda i: (estimate(patterns[i]), i)
+            ),
+            names=lambda i: variables_of(patterns[i]),
         )
-        order = [remaining.pop(0)]
-        bound = {v.name for v in patterns[order[0]].variables()}
-        while remaining:
-            connected = [
-                i
-                for i in remaining
-                if bound & {v.name for v in patterns[i].variables()}
-            ]
-            chosen = connected[0] if connected else remaining[0]
-            remaining.remove(chosen)
-            order.append(chosen)
-            bound |= {v.name for v in patterns[chosen].variables()}
-        return order
 
     def _dp_order(self, patterns: List[TriplePattern]) -> List[int]:
         """Left-deep Selinger DP minimizing the sum of intermediate rows."""

@@ -10,7 +10,7 @@ paper's claim is about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.rdf.metricsutil import term_volume
 from repro.rdf.terms import Term
@@ -57,8 +57,17 @@ class Dictionary:
         """The id for *term*; raises KeyError when unseen."""
         return self._term_to_id[term]
 
+    def get(self, term: Term) -> Optional[int]:
+        """The id for *term*, or None when unseen (no triple has it)."""
+        return self._term_to_id.get(term)
+
     def decode_id(self, term_id: int) -> Term:
         return self._id_to_term[term_id]
+
+    def decode_binding(self, binding: Dict[str, int]) -> Dict[str, Term]:
+        """A binding of ids as the same binding of terms."""
+        terms = self._id_to_term
+        return {name: terms[value] for name, value in binding.items()}
 
     def __contains__(self, term: Term) -> bool:
         return term in self._term_to_id
@@ -76,6 +85,12 @@ class Dictionary:
             self.decode_id(encoded.predicate),
             self.decode_id(encoded.object),
         )
+
+    def encode_graph(self, graph: Iterable[Triple]) -> List[Tuple[int, int, int]]:
+        """*graph* as ``(s, p, o)`` id tuples in sorted triple order, which
+        is also the order ids are handed out in: an engine's encoded store
+        is this list, placed."""
+        return [self.encode(t).as_tuple() for t in sorted(graph)]
 
     def encode_all(self, triples: Iterable[Triple]) -> List[EncodedTriple]:
         return [self.encode(t) for t in triples]

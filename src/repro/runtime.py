@@ -203,16 +203,14 @@ class RuntimeConfig:
         *engine*, a name (:func:`resolve_engine`) or a class, is built
         with *engine_kwargs* on its own :meth:`context` (``fresh`` as
         there), loaded once and given the shared optimizer under
-        ``optimize``.  One statistics pass per graph: the engine reads
-        the optimizer's catalog, and a builder of several engines hands
-        in the *optimizer* (unoptimized: the *catalog*) it holds.
+        ``optimize``.  One statistics pass per graph: a builder of
+        several engines hands in the *optimizer* it holds, or the
+        *catalog* to build one over.
         """
         cls = resolve_engine(engine) if isinstance(engine, str) else engine
         if optimizer is None:
             optimizer = self.optimizer(graph, catalog=catalog)
-        if catalog is None and optimizer is not None:
-            catalog = optimizer.catalog
-        built = cls(self.context(fresh), **engine_kwargs).load(graph, catalog)
+        built = cls(self.context(fresh), **engine_kwargs).load(graph)
         return built.set_optimizer(optimizer)
 
 

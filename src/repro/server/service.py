@@ -33,8 +33,8 @@ cache entries, and refreshes every pooled engine's store (warm again
 before the next query).  Because the result-cache key embeds the
 version, staleness is impossible even between the bump and the purge.
 A version costs one statistics pass over the head
-(:attr:`QueryService.catalog`, the object the optimizer, the linter,
-routing and every pooled engine all read) and one store reload per
+(:attr:`QueryService.catalog`, the object the optimizer, the linter
+and routing all read) and one store reload per
 pooled engine; the rest is proportional to the change set -- views are
 maintained by delta, never rebuilt.
 
@@ -153,9 +153,9 @@ class _EngineSet:
     def names(self) -> List[str]:
         return sorted(self._engines)
 
-    def load(self, graph, catalog=None) -> None:
+    def load(self, graph) -> None:
         for name in sorted(self._engines):
-            self._engines[name].load(graph, catalog)
+            self._engines[name].load(graph)
 
     def set_optimizer(self, optimizer) -> None:
         for name in sorted(self._engines):
@@ -191,8 +191,8 @@ class QueryService:
         #: The last :class:`~repro.views.MaintenanceReport`, for stats().
         self.last_maintenance = None
         #: The head's statistics: the one pass over the graph a version
-        #: costs, shared by the optimizer, the admission linter, routing
-        #: and every pooled engine; replaced on each commit.
+        #: costs, shared by the optimizer, the admission linter and
+        #: routing; replaced on each commit.
         self.catalog = StatsCatalog.from_graph(
             self.versions.head(), version=self.versions.head_version
         )
@@ -228,7 +228,6 @@ class QueryService:
             name,
             self.versions.head(),
             fresh=True,
-            catalog=self.catalog,
             optimizer=self.optimizer,
         )
 
@@ -539,7 +538,7 @@ class QueryService:
             # calibration (the feedback history) deliberately survives.
             self.routing.refresh(self.catalog)
         for engine in self.pool:
-            engine.load(head, self.catalog)
+            engine.load(head)
             if self.optimizer is not None:
                 engine.set_optimizer(self.optimizer)
         return version, dropped

@@ -5,7 +5,7 @@ filter expressions and query forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.rdf.terms import Term
 
@@ -66,6 +66,40 @@ class TriplePattern:
             return repr(p) if isinstance(p, Variable) else p.n3()
 
         return "%s %s %s" % tuple(show(p) for p in self.positions())
+
+
+def variables_of(unit) -> Set[str]:
+    """The variable names of a triple pattern, or of a group of them (a
+    subject star, a chain)."""
+    if isinstance(unit, TriplePattern):
+        return {v.name for v in unit.variables()}
+    return {v.name for pattern in unit for v in pattern.variables()}
+
+
+def connected_order(
+    units: Sequence[Any], names: Callable[[Any], Set[str]] = variables_of
+) -> List[Any]:
+    """*units* reordered so that each one after the first shares a
+    variable with an earlier one where possible, avoiding needless
+    cartesian products: the first stays first, then always the earliest
+    remaining unit that connects, else the earliest remaining.
+
+    A unit is whatever *names* maps to variable names -- a pattern or a
+    group of patterns by default, an index into a pattern list with
+    ``names=lambda i: variables_of(patterns[i])``.
+    """
+    remaining = [(unit, names(unit)) for unit in units]
+    first, first_names = remaining.pop(0)
+    ordered = [first]
+    bound = set(first_names)
+    while remaining:
+        index = next(
+            (i for i, (_, later) in enumerate(remaining) if bound & later), 0
+        )
+        chosen, chosen_names = remaining.pop(index)
+        ordered.append(chosen)
+        bound |= chosen_names
+    return ordered
 
 
 # ----------------------------------------------------------------------

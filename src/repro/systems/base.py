@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    Any,
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -50,7 +52,13 @@ from repro.sparql.algebra import (
     apply_solution_modifiers,
     translate,
 )
-from repro.sparql.ast import AskQuery, Query, TriplePattern, Variable
+from repro.sparql.ast import (
+    AskQuery,
+    Query,
+    TriplePattern,
+    Variable,
+    variables_of,
+)
 from repro.sparql.filtereval import passes_filter
 from repro.sparql.fragments import FEATURE_BGP, features_of
 from repro.sparql.parser import parse_sparql
@@ -162,19 +170,22 @@ def join_binding_rdds(
     """
     tracer = left.ctx.tracer
     if not tracer.enabled:
-        return _join_binding_rdds(left, right, shared, how)
+        return hash_join_bindings(left, right, shared, how)
     with tracer.span(
         "bgp_step",
         name="cartesian" if not shared else "hash",
         on=",".join(sorted(shared)),
         how=how,
     ):
-        return _force_rdd(_join_binding_rdds(left, right, shared, how))
+        return _force_rdd(hash_join_bindings(left, right, shared, how))
 
 
-def _join_binding_rdds(
+def hash_join_bindings(
     left: RDD, right: RDD, shared: Sequence[str], how: str = "inner"
 ) -> RDD:
+    """:func:`join_binding_rdds` without the span: the keyed hash join
+    (cartesian product for no shared variable) as a lazy RDD, for engines
+    whose own join operators are not ``bgp_step`` stages."""
     if not shared:
         product = left.cartesian(right)
         return product.map(lambda pair: {**pair[0], **pair[1]})
@@ -223,14 +234,8 @@ class SparkRdfEngine:
     # Loading
     # ------------------------------------------------------------------
 
-    def load(self, graph: RDFGraph, catalog=None) -> "SparkRdfEngine":
-        """Ingest a graph, building the engine's distributed representation.
-
-        *catalog*, *graph*'s :class:`~repro.stats.catalog.StatsCatalog`
-        when the caller holds one (else ``None``), is kept on the engine
-        as ``engine.catalog``; no engine's build reads it.
-        """
-        self.catalog = catalog
+    def load(self, graph: RDFGraph) -> "SparkRdfEngine":
+        """Ingest a graph, building the engine's distributed representation."""
         self._build(graph)
         self._loaded = True
         return self
@@ -426,7 +431,8 @@ class SparkRdfEngine:
 
 
 # ----------------------------------------------------------------------
-# Shared pattern-matching helpers for RDD-based engines
+# What the engines share below the algebra: match, scan, fold
+# (the join is above, the order is repro.sparql.ast.connected_order)
 # ----------------------------------------------------------------------
 
 
@@ -473,24 +479,46 @@ def compile_pattern(
     return match
 
 
-def fold_join_order(
-    patterns: Sequence[TriplePattern],
-) -> List[TriplePattern]:
-    """Reorder patterns so each (after the first) shares a variable with an
-    earlier one when possible, avoiding needless cartesian products."""
-    remaining = list(patterns)
-    ordered: List[TriplePattern] = [remaining.pop(0)]
-    bound: Set[str] = {v.name for v in ordered[0].variables()}
-    while remaining:
-        index = next(
-            (
-                i
-                for i, p in enumerate(remaining)
-                if bound & {v.name for v in p.variables()}
-            ),
-            0,
-        )
-        chosen = remaining.pop(index)
-        ordered.append(chosen)
-        bound |= {v.name for v in chosen.variables()}
-    return ordered
+def scan_triples(
+    rdd: RDD,
+    pattern: Union[TriplePattern, Sequence[object]],
+    preserves_partitioning: bool = False,
+) -> RDD:
+    """The bindings of *pattern* over an RDD of ``(s, p, o)`` tuples, in
+    the tuples' own value space; the pattern is compiled once and the
+    matcher runs in one loop per partition."""
+    return rdd.mapPartitions(
+        lambda part, match=compile_pattern(pattern): [
+            b for t in part if (b := match(t)) is not None
+        ],
+        preserves_partitioning,
+    )
+
+
+def fold_joins(
+    units: Iterable[Any],
+    evaluate: Callable[[Any], RDD],
+    names: Callable[[Any], Set[str]] = variables_of,
+    join: Callable[[RDD, RDD, List[str]], RDD] = join_binding_rdds,
+) -> Optional[RDD]:
+    """The left-deep fold every engine ends in: the first unit's bindings,
+    then each next unit's joined in on the variables it shares with the
+    units before it (sorted; none is the cross product).  None for no
+    units.
+
+    A unit -- a pattern, a subject star, a chain, a table row -- is
+    evaluated right before its join, never ahead of it: RDDs are
+    allocated in that order, and the ``rdd%d`` span names and the fault
+    schedule's decisions follow from it.
+    """
+    result: Optional[RDD] = None
+    bound: Set[str] = set()
+    for unit in units:
+        bindings = evaluate(unit)
+        unit_names = names(unit)
+        if result is None:
+            result = bindings
+        else:
+            result = join(result, bindings, sorted(bound & unit_names))
+        bound |= unit_names
+    return result

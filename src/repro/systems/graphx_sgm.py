@@ -22,7 +22,7 @@ are joined with Spark operators at the end.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List
 
 from repro.core.dimensions import (
     Contribution,
@@ -36,14 +36,9 @@ from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term
 from repro.spark.graphx import Edge, EdgeContext, Graph
 from repro.spark.rdd import RDD
-from repro.sparql.ast import TriplePattern, Variable
+from repro.sparql.ast import TriplePattern, Variable, connected_order
 from repro.sparql.fragments import FEATURE_BGP
-from repro.systems.base import (
-    EngineProfile,
-    SparkRdfEngine,
-    join_binding_rdds,
-    pattern_variables,
-)
+from repro.systems.base import EngineProfile, SparkRdfEngine, fold_joins
 
 
 def decompose_into_paths(
@@ -171,40 +166,6 @@ class GraphXSubgraphEngine(SparkRdfEngine):
 
     def _evaluate_bgp(self, patterns: List[TriplePattern]) -> RDD:
         paths = decompose_into_paths(list(patterns))
-        result: Optional[RDD] = None
-        bound: Set[str] = set()
-        # Join chains in a connectivity-friendly order.
+        # Join chains in a connectivity-friendly order, longest first.
         paths.sort(key=len, reverse=True)
-        ordered: List[List[TriplePattern]] = [paths.pop(0)]
-        seen = {
-            v.name for pattern in ordered[0] for v in pattern.variables()
-        }
-        while paths:
-            index = next(
-                (
-                    i
-                    for i, path in enumerate(paths)
-                    if seen
-                    & {v.name for pattern in path for v in pattern.variables()}
-                ),
-                0,
-            )
-            chosen = paths.pop(index)
-            ordered.append(chosen)
-            seen |= {
-                v.name for pattern in chosen for v in pattern.variables()
-            }
-        for path in ordered:
-            partial = self._evaluate_path(path)
-            path_vars = {
-                v.name for pattern in path for v in pattern.variables()
-            }
-            if result is None:
-                result = partial
-                bound = path_vars
-            else:
-                shared = sorted(bound & path_vars)
-                result = join_binding_rdds(result, partial, shared)
-                bound |= path_vars
-        assert result is not None
-        return result
+        return fold_joins(connected_order(paths), self._evaluate_path)

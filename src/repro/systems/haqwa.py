@@ -39,7 +39,7 @@ from repro.rdf.terms import Term
 from repro.spark.context import SparkContext
 from repro.spark.partitioner import HashPartitioner, stable_hash
 from repro.spark.rdd import RDD
-from repro.sparql.ast import TriplePattern, Variable
+from repro.sparql.ast import TriplePattern, Variable, connected_order
 from repro.sparql.fragments import (
     FEATURE_BGP,
     FEATURE_DISTINCT,
@@ -49,11 +49,7 @@ from repro.sparql.fragments import (
     FEATURE_ORDER_BY,
     FEATURE_UNION,
 )
-from repro.systems.base import (
-    EngineProfile,
-    SparkRdfEngine,
-    join_binding_rdds,
-)
+from repro.systems.base import EngineProfile, SparkRdfEngine, fold_joins
 from repro.systems.localmatch import encode_pattern, match_bgp_local
 
 
@@ -139,10 +135,7 @@ class HaqwaEngine(SparkRdfEngine):
         num_partitions = self.ctx.default_parallelism
         self._num_partitions = num_partitions
 
-        encoded: List[Tuple[int, int, int]] = []
-        for triple in sorted(graph):
-            e = self.dictionary.encode(triple)
-            encoded.append(e.as_tuple())
+        encoded = self.dictionary.encode_graph(graph)
 
         partitions: List[List[Tuple[int, int, int]]] = [
             [] for _ in range(num_partitions)
@@ -162,10 +155,9 @@ class HaqwaEngine(SparkRdfEngine):
             for weighted in self.workload.most_frequent(self.frequent_top):
                 patterns = weighted.query.where.triple_patterns()
                 for predicate in linking_predicates(patterns):
-                    if predicate in self.dictionary:
-                        self._replicated_predicates.add(
-                            self.dictionary.lookup_term(predicate)
-                        )
+                    predicate_id = self.dictionary.get(predicate)
+                    if predicate_id is not None:
+                        self._replicated_predicates.add(predicate_id)
             already_placed = [set(p) for p in partitions]
             for triple in encoded:
                 if triple[1] not in self._replicated_predicates:
@@ -187,11 +179,6 @@ class HaqwaEngine(SparkRdfEngine):
     def _partition_of(self, subject_id: int) -> int:
         return stable_hash(subject_id) % self._num_partitions
 
-    def _encode_constant(self, term: Term) -> int:
-        if term not in self.dictionary:
-            raise KeyError(term)
-        return self.dictionary.lookup_term(term)
-
     # ------------------------------------------------------------------
     # BGP evaluation
     # ------------------------------------------------------------------
@@ -199,22 +186,32 @@ class HaqwaEngine(SparkRdfEngine):
     def _evaluate_bgp(self, patterns: List[TriplePattern]) -> RDD:
         try:
             local_patterns = [
-                encode_pattern(p, self._encode_constant) for p in patterns
+                encode_pattern(p, self.dictionary.lookup_term)
+                for p in patterns
             ]
         except KeyError:
             # A query constant never seen in the data: no results.
             return self.ctx.emptyRDD()
 
         groups = group_by_subject(patterns)
-        if len(groups) == 1 or self._locally_coverable(patterns, groups):
-            return self._evaluate_locally(patterns, local_patterns)
-        return self._evaluate_with_shuffles(patterns)
+        if len(groups) == 1 or self._locally_coverable(groups):
+            # Whole-pattern evaluation inside each partition (no shuffle),
+            # anchored on the seed sub-query's subject.
+            seed_group = max(groups, key=len)
+            return self._match_in_partitions(
+                local_patterns, seed_group[0].subject
+            )
+        # Fallback: local stars, largest first and connected where
+        # possible, then shuffle joins between them.
+        return fold_joins(
+            connected_order(sorted(groups, key=len, reverse=True)),
+            lambda group: self._match_in_partitions(
+                [encode_pattern(p, self.dictionary.lookup_term) for p in group],
+                group[0].subject,
+            ),
+        )
 
-    def _locally_coverable(
-        self,
-        patterns: List[TriplePattern],
-        groups: List[List[TriplePattern]],
-    ) -> bool:
+    def _locally_coverable(self, groups: List[List[TriplePattern]]) -> bool:
         """Whether replication makes the whole pattern seed-local.
 
         Replication copies the triples of a link's *target* subject into
@@ -231,116 +228,42 @@ class HaqwaEngine(SparkRdfEngine):
         for pattern in seed_group:
             if isinstance(pattern.predicate, Variable):
                 continue
-            if pattern.predicate not in self.dictionary:
-                continue
-            predicate_id = self.dictionary.lookup_term(pattern.predicate)
+            predicate_id = self.dictionary.get(pattern.predicate)
             if predicate_id not in self._replicated_predicates:
                 continue
             if isinstance(pattern.object, Variable):
                 reachable.add(pattern.object)
         return other_subjects <= reachable
 
-    def _evaluate_locally(
-        self,
-        patterns: List[TriplePattern],
-        local_patterns: List[tuple],
+    def _match_in_partitions(
+        self, local_patterns: List[tuple], anchor_subject
     ) -> RDD:
-        """Whole-pattern evaluation inside each partition (no shuffle).
+        """The bindings of *local_patterns* matched inside each partition.
 
-        The seed sub-query's subject anchors deduplication: a binding is
-        emitted only from the home partition of its seed subject, so
-        replicas never produce duplicates.
+        *anchor_subject* -- a subject of the patterns, variable or
+        constant -- anchors deduplication: a binding is emitted only from
+        the home partition of the subject it binds there, so the replicas
+        other partitions hold never produce duplicates.
         """
-        groups = group_by_subject(patterns)
-        seed_group = max(groups, key=len)
-        seed_subject = seed_group[0].subject
-        seed_var = (
-            seed_subject.name if isinstance(seed_subject, Variable) else None
-        )
-        engine = self
+        anchor_var = constant_home = None
+        if isinstance(anchor_subject, Variable):
+            anchor_var = anchor_subject.name
+        else:
+            constant_home = self._partition_of(
+                self.dictionary.lookup_term(anchor_subject)
+            )
+        partition_of = self._partition_of
+        decode = self.dictionary.decode_binding
 
         def run_partition(index: int, part: List[tuple]) -> List[dict]:
             out = []
             for binding in match_bgp_local(local_patterns, part):
-                if seed_var is not None:
-                    anchor = binding[seed_var]
+                if anchor_var is None:
+                    home = constant_home
                 else:
-                    anchor = engine._encode_constant(seed_subject)
-                if engine._partition_of(anchor) != index:
-                    continue
-                out.append(
-                    {
-                        name: engine.dictionary.decode_id(value)
-                        for name, value in binding.items()
-                    }
-                )
+                    home = partition_of(binding[anchor_var])
+                if home == index:
+                    out.append(decode(binding))
             return out
 
         return self.store.mapPartitionsWithIndex(run_partition)
-
-    def _evaluate_with_shuffles(
-        self, patterns: List[TriplePattern]
-    ) -> RDD:
-        """Fallback: local stars, then shuffle joins between them."""
-        groups = sorted(group_by_subject(patterns), key=len, reverse=True)
-        # Greedy connectivity order to avoid needless cartesian products.
-        ordered: List[List[TriplePattern]] = [groups.pop(0)]
-        seen_vars = {
-            v.name for pattern in ordered[0] for v in pattern.variables()
-        }
-        while groups:
-            index = next(
-                (
-                    i
-                    for i, g in enumerate(groups)
-                    if seen_vars
-                    & {v.name for pattern in g for v in pattern.variables()}
-                ),
-                0,
-            )
-            chosen = groups.pop(index)
-            ordered.append(chosen)
-            seen_vars |= {
-                v.name for pattern in chosen for v in pattern.variables()
-            }
-        result: Optional[RDD] = None
-        bound: Set[str] = set()
-        for group in ordered:
-            local = [encode_pattern(p, self._encode_constant) for p in group]
-            group_vars = {
-                v.name for pattern in group for v in pattern.variables()
-            }
-            subject = group[0].subject
-            subject_var = (
-                subject.name if isinstance(subject, Variable) else None
-            )
-            engine = self
-
-            def run_partition(
-                index: int, part: List[tuple], local=local, sv=subject_var
-            ) -> List[dict]:
-                out = []
-                for binding in match_bgp_local(local, part):
-                    anchor = binding[sv] if sv is not None else None
-                    if anchor is not None and engine._partition_of(
-                        anchor
-                    ) != index:
-                        continue
-                    out.append(
-                        {
-                            name: engine.dictionary.decode_id(value)
-                            for name, value in binding.items()
-                        }
-                    )
-                return out
-
-            star = self.store.mapPartitionsWithIndex(run_partition)
-            if result is None:
-                result = star
-                bound = group_vars
-            else:
-                shared = sorted(bound & group_vars)
-                result = join_binding_rdds(result, star, shared)
-                bound |= group_vars
-        assert result is not None
-        return result

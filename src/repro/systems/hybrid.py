@@ -24,7 +24,7 @@ Data is partitioned by subject hash, as in the study.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.dimensions import (
     Contribution,
@@ -36,19 +36,27 @@ from repro.core.dimensions import (
 )
 from repro.rdf.encoding import Dictionary
 from repro.rdf.graph import RDFGraph
-from repro.rdf.terms import Term
 from repro.spark.context import SparkContext
 from repro.spark.partitioner import HashPartitioner
 from repro.spark.rdd import RDD
 from repro.spark.sql.session import SparkSession
-from repro.sparql.ast import TriplePattern, Variable
+from repro.sparql.ast import TriplePattern, Variable, connected_order
 from repro.sparql.fragments import FEATURE_BGP
 from repro.systems.base import (
     EngineProfile,
     SparkRdfEngine,
-    compile_pattern,
-    pattern_variables,
+    fold_joins,
+    hash_join_bindings,
+    scan_triples,
 )
+from repro.systems.bgpsql import bgp_to_sql, run_bgp_sql
+from repro.systems.localmatch import encode_pattern
+
+
+def _subject_variable(pattern: TriplePattern) -> Optional[str]:
+    """The name of *pattern*'s subject variable; None for a constant."""
+    subject = pattern.subject
+    return subject.name if isinstance(subject, Variable) else None
 
 
 class JoinStrategy(Enum):
@@ -99,7 +107,7 @@ class HybridEngine(SparkRdfEngine):
 
     def _build(self, graph: RDFGraph) -> None:
         self.dictionary = Dictionary()
-        encoded = [self.dictionary.encode(t).as_tuple() for t in sorted(graph)]
+        encoded = self.dictionary.encode_graph(graph)
         self._partitioner = HashPartitioner(self.ctx.default_parallelism)
         keyed = self.ctx.parallelize(encoded).keyBy(lambda t: t[0])
         self.triples = keyed.partitionBy(self._partitioner).values().cache()
@@ -113,17 +121,13 @@ class HybridEngine(SparkRdfEngine):
         self.session.createOrReplaceTempView("triples", df.cache())
         self.total_triples = len(encoded)
 
-    def _encode(self, term: Term) -> Optional[int]:
-        if term not in self.dictionary:
-            return None
-        return self.dictionary.lookup_term(term)
-
     def _estimated_size(self, pattern: TriplePattern) -> int:
         if isinstance(pattern.predicate, Variable):
             base = self.total_triples
         else:
-            encoded = self._encode(pattern.predicate)
-            base = self.predicate_counts.get(encoded, 0) if encoded is not None else 0
+            base = self.predicate_counts.get(
+                self.dictionary.get(pattern.predicate), 0
+            )
         if not isinstance(pattern.subject, Variable):
             base = max(base // 10, 1)
         if not isinstance(pattern.object, Variable):
@@ -136,44 +140,12 @@ class HybridEngine(SparkRdfEngine):
 
     def _pattern_rdd(self, pattern: TriplePattern) -> RDD:
         """Bindings of one pattern (reads the whole subject-partitioned set)."""
-        encoded_pattern = self._encode_pattern(pattern)
-        if encoded_pattern is None:
+        try:
+            local = encode_pattern(pattern, self.dictionary.lookup_term)
+        except KeyError:
+            # A query constant never seen in the data: no results.
             return self.ctx.emptyRDD()
-
-        match = compile_pattern(encoded_pattern)
-
-        def scan(part: List[Tuple[int, int, int]]) -> List[dict]:
-            out = []
-            for triple in part:
-                binding = match(triple)
-                if binding is not None:
-                    out.append(binding)
-            return out
-
-        return self.triples.mapPartitions(scan, preserves_partitioning=True)
-
-    def _encode_pattern(
-        self, pattern: TriplePattern
-    ) -> Optional[TriplePattern]:
-        positions = []
-        for value in pattern.positions():
-            if isinstance(value, Variable):
-                positions.append(value)
-            else:
-                encoded = self._encode(value)
-                if encoded is None:
-                    return None
-                positions.append(encoded)
-        return TriplePattern(*positions)
-
-    def _decode_bindings(self, rdd: RDD) -> RDD:
-        dictionary = self.dictionary
-        return rdd.map(
-            lambda binding: {
-                name: dictionary.decode_id(value)
-                for name, value in binding.items()
-            }
-        )
+        return scan_triples(self.triples, local, preserves_partitioning=True)
 
     # ------------------------------------------------------------------
     # Strategies
@@ -183,92 +155,34 @@ class HybridEngine(SparkRdfEngine):
         if self.strategy is JoinStrategy.SPARK_SQL:
             return self._evaluate_sql(patterns)
         if self.strategy is JoinStrategy.RDD:
-            return self._evaluate_rdd(patterns)
-        if self.strategy is JoinStrategy.DATAFRAME:
-            return self._evaluate_generic(patterns, use_threshold=True, use_partitioning=False)
-        return self._evaluate_generic(
-            patterns, use_threshold=True, use_partitioning=True
-        )
+            # Partitioned joins in the input logical order, never broadcast.
+            joined = fold_joins(
+                patterns, self._pattern_rdd, join=hash_join_bindings
+            )
+        else:
+            joined = self._evaluate_generic(
+                patterns,
+                use_partitioning=self.strategy is JoinStrategy.HYBRID,
+            )
+        return joined.map(self.dictionary.decode_binding)
 
     def _evaluate_sql(self, patterns: List[TriplePattern]) -> RDD:
         """Self-joins over the triples table, planned by Catalyst."""
-        variables: List[str] = []
-        var_source: Dict[str, str] = {}
-        from_parts: List[str] = []
-        where_parts: List[str] = []
-        for k, pattern in enumerate(patterns):
-            alias = "t%d" % k
-            conditions: List[str] = []
-            for position, column in (
-                ("subject", "s"),
-                ("predicate", "p"),
-                ("object", "o"),
-            ):
-                value = getattr(pattern, position)
-                qualified = "%s.%s" % (alias, column)
-                if isinstance(value, Variable):
-                    if value.name in var_source:
-                        conditions.append(
-                            "%s = %s" % (qualified, var_source[value.name])
-                        )
-                    else:
-                        var_source[value.name] = qualified
-                        variables.append(value.name)
-                else:
-                    encoded = self._encode(value)
-                    if encoded is None:
-                        return self.ctx.emptyRDD()
-                    where_parts.append("%s = %d" % (qualified, encoded))
-            if k == 0:
-                from_parts.append("triples AS %s" % alias)
-                where_parts.extend(conditions)
-            elif conditions:
-                from_parts.append(
-                    "JOIN triples AS %s ON %s" % (alias, " AND ".join(conditions))
-                )
-            else:
-                from_parts.append("CROSS JOIN triples AS %s" % alias)
-        select_list = ", ".join(
-            "%s AS %s" % (var_source[name], name) for name in variables
-        ) or "t0.s AS one"
-        sql = "SELECT %s FROM %s" % (select_list, " ".join(from_parts))
-        if where_parts:
-            sql += " WHERE %s" % " AND ".join(where_parts)
-        self.last_sql = sql
-        result = self.session.sql(sql)
-        names = list(result.columns)
-        dictionary = self.dictionary
-
-        def decode(values: tuple) -> dict:
-            return {
-                name: dictionary.decode_id(value)
-                for name, value in zip(names, values)
-                if name in variables
-            }
-
-        return result.rdd.map(decode)
-
-    def _evaluate_rdd(self, patterns: List[TriplePattern]) -> RDD:
-        """Partitioned joins in the input logical order, never broadcast."""
-        result: Optional[RDD] = None
-        bound: Set[str] = set()
-        for pattern in patterns:
-            matches = self._pattern_rdd(pattern)
-            if result is None:
-                result = matches
-                bound = set(pattern_variables([pattern]))
-                continue
-            shared = sorted(bound & set(pattern_variables([pattern])))
-            result = self._partitioned_join(result, matches, shared)
-            bound |= set(pattern_variables([pattern]))
-        assert result is not None
-        return self._decode_bindings(result)
+        compiled = bgp_to_sql(
+            patterns,
+            ["triples"] * len(patterns),
+            "triples",
+            self.dictionary.get,
+        )
+        if compiled is None:
+            return self.ctx.emptyRDD()
+        self.last_sql, variables = compiled
+        return run_bgp_sql(
+            self.session, self.dictionary, self.last_sql, variables
+        )
 
     def _evaluate_generic(
-        self,
-        patterns: List[TriplePattern],
-        use_threshold: bool,
-        use_partitioning: bool,
+        self, patterns: List[TriplePattern], use_partitioning: bool
     ) -> RDD:
         """Greedy plan: smallest-first, broadcast/partitioned per join.
 
@@ -276,109 +190,59 @@ class HybridEngine(SparkRdfEngine):
         keyed by the subject so the existing subject-hash placement makes
         the join shuffle-free -- the hybrid strategy's advantage.
         """
-        order = sorted(range(len(patterns)), key=lambda i: self._estimated_size(patterns[i]))
-        ordered: List[int] = [order.pop(0)]
-        bound = {v.name for v in patterns[ordered[0]].variables()}
-        while order:
-            position = next(
-                (
-                    pos
-                    for pos, i in enumerate(order)
-                    if bound & {v.name for v in patterns[i].variables()}
-                ),
-                0,
-            )
-            chosen = order.pop(position)
-            ordered.append(chosen)
-            bound |= {v.name for v in patterns[chosen].variables()}
+        ordered = connected_order(sorted(patterns, key=self._estimated_size))
+        # What the plan knows of the accumulated side, starting from the
+        # first pattern; fold_joins brings the others in, in this order.
+        incoming = iter(ordered)
+        first = next(incoming)
+        result_size = self._estimated_size(first)
+        subject_keyed_var = _subject_variable(first)
 
-        result: Optional[RDD] = None
-        result_vars: Set[str] = set()
-        result_size = 0
-        subject_keyed_var: Optional[str] = None
-        for index in ordered:
-            pattern = patterns[index]
-            matches = self._pattern_rdd(pattern)
+        def join(result: RDD, matches: RDD, shared: List[str]) -> RDD:
+            nonlocal result_size, subject_keyed_var
+            pattern = next(incoming)
             size = self._estimated_size(pattern)
-            subject_var = (
-                pattern.subject.name
-                if isinstance(pattern.subject, Variable)
-                else None
-            )
-            if result is None:
-                result = matches
-                result_vars = set(pattern_variables([pattern]))
-                result_size = size
-                subject_keyed_var = subject_var
-                continue
-            shared = sorted(result_vars & set(pattern_variables([pattern])))
-            local_ok = (
+            subject_var = _subject_variable(pattern)
+            accumulated_size = result_size
+            result_size = max(result_size, size)
+            if (
                 use_partitioning
                 and subject_keyed_var is not None
                 and shared == [subject_keyed_var]
                 and subject_var == subject_keyed_var
-            )
-            if local_ok:
+            ):
                 # Both sides derive from the same subject-hash placement:
                 # zip partitions locally, no shuffle, no broadcast.
-                result = self._local_subject_join(result, matches, shared[0])
-            elif use_threshold and size <= self.broadcast_threshold:
-                result = self._broadcast_join(result, matches, shared)
-            elif (
-                use_threshold
-                and shared
-                and result_size <= self.broadcast_threshold
-            ):
+                return self._local_subject_join(result, matches, shared[0])
+            if size <= self.broadcast_threshold:
+                return self._broadcast_join(result, matches, shared)
+            if shared and accumulated_size <= self.broadcast_threshold:
                 # The accumulated side is the small one: broadcast it and
                 # probe with the new pattern's (larger) match stream.
-                result = self._broadcast_join(matches, result, shared)
                 subject_keyed_var = None
+                return self._broadcast_join(matches, result, shared)
+            if subject_var is not None and shared == [subject_var]:
+                subject_keyed_var = subject_var
             else:
-                result = self._partitioned_join(result, matches, shared)
-                if subject_var is not None and shared == [subject_var]:
-                    subject_keyed_var = subject_var
-                else:
-                    subject_keyed_var = None
-            result_vars |= set(pattern_variables([pattern]))
-            result_size = max(result_size, size)
-        assert result is not None
-        return self._decode_bindings(result)
+                subject_keyed_var = None
+            return hash_join_bindings(result, matches, shared)
+
+        return fold_joins(ordered, self._pattern_rdd, join=join)
 
     # ------------------------------------------------------------------
     # Join operators
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _key_of(shared: List[str]):
-        def key(binding: dict):
-            return tuple(binding[name] for name in shared)
-
-        return key
-
-    def _partitioned_join(
-        self, left: RDD, right: RDD, shared: List[str]
-    ) -> RDD:
-        if not shared:
-            return left.cartesian(right).map(
-                lambda pair: {**pair[0], **pair[1]}
-            )
-        key = self._key_of(shared)
-        joined = left.map(lambda b: (key(b), b)).join(
-            right.map(lambda b: (key(b), b))
-        )
-        return joined.map(lambda kv: {**kv[1][0], **kv[1][1]})
-
     def _broadcast_join(
         self, left: RDD, right: RDD, shared: List[str]
     ) -> RDD:
         if not shared:
-            return left.cartesian(right).map(
-                lambda pair: {**pair[0], **pair[1]}
-            )
-        key = self._key_of(shared)
-        joined = left.map(lambda b: (key(b), b)).broadcastJoin(
-            right.map(lambda b: (key(b), b))
-        )
+            return hash_join_bindings(left, right, shared)
+
+        def keyed(binding: dict):
+            return tuple(binding[name] for name in shared), binding
+
+        joined = left.map(keyed).broadcastJoin(right.map(keyed))
         return joined.map(lambda kv: {**kv[1][0], **kv[1][1]})
 
     def _local_subject_join(

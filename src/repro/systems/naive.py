@@ -20,15 +20,13 @@ from repro.core.dimensions import (
 )
 from repro.rdf.graph import RDFGraph
 from repro.spark.rdd import RDD
-from repro.sparql.ast import TriplePattern
+from repro.sparql.ast import TriplePattern, connected_order
 from repro.sparql.fragments import ALL_FEATURES
 from repro.systems.base import (
     EngineProfile,
     SparkRdfEngine,
-    compile_pattern,
-    fold_join_order,
-    join_binding_rdds,
-    pattern_variables,
+    fold_joins,
+    scan_triples,
 )
 
 
@@ -58,22 +56,7 @@ class NaiveEngine(SparkRdfEngine):
         )
 
     def _evaluate_bgp(self, patterns: List[TriplePattern]) -> RDD:
-        ordered = fold_join_order(patterns)
-        result: RDD = None
-        bound_vars: set = set()
-        for pattern in ordered:
-            matches = self.triples.mapPartitions(
-                lambda part, match=compile_pattern(pattern): [
-                    b for t in part if (b := match(t)) is not None
-                ]
-            )
-            if result is None:
-                result = matches
-                bound_vars = set(pattern_variables([pattern]))
-            else:
-                shared = sorted(
-                    bound_vars & set(pattern_variables([pattern]))
-                )
-                result = join_binding_rdds(result, matches, shared)
-                bound_vars |= set(pattern_variables([pattern]))
-        return result
+        return fold_joins(
+            connected_order(patterns),
+            lambda pattern: scan_triples(self.triples, pattern),
+        )

@@ -20,7 +20,7 @@ Mechanics reproduced from Section IV-A2 of the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.dimensions import (
     Contribution,
@@ -32,11 +32,15 @@ from repro.core.dimensions import (
 )
 from repro.rdf.encoding import Dictionary
 from repro.rdf.graph import RDFGraph
-from repro.rdf.terms import Term
 from repro.spark.context import SparkContext
 from repro.spark.rdd import RDD
 from repro.spark.sql.session import SparkSession
-from repro.sparql.ast import TriplePattern, Variable
+from repro.sparql.ast import (
+    TriplePattern,
+    Variable,
+    connected_order,
+    variables_of,
+)
 from repro.sparql.fragments import (
     FEATURE_BGP,
     FEATURE_DISTINCT,
@@ -47,6 +51,7 @@ from repro.sparql.fragments import (
     FEATURE_UNION,
 )
 from repro.systems.base import EngineProfile, SparkRdfEngine
+from repro.systems.bgpsql import bgp_to_sql, run_bgp_sql
 
 #: ExtVP correlation kinds: how pattern 1's table is restricted by pattern 2.
 _EXTVP_KINDS = ("ss", "os", "so")
@@ -108,7 +113,7 @@ class S2RdfEngine(SparkRdfEngine):
         #: (kind, p1, p2) -> selectivity factor, for all computed pairs
         self.selectivity_factors: Dict[Tuple[str, int, int], float] = {}
 
-        encoded = [self.dictionary.encode(t).as_tuple() for t in sorted(graph)]
+        encoded = self.dictionary.encode_graph(graph)
 
         all_df = self.session.createDataFrame(encoded, ["s", "p", "o"])
         self.session.createOrReplaceTempView("alltriples", all_df.cache())
@@ -180,11 +185,6 @@ class S2RdfEngine(SparkRdfEngine):
     # Query compilation
     # ------------------------------------------------------------------
 
-    def _encode(self, term: Term) -> Optional[int]:
-        if term not in self.dictionary:
-            return None
-        return self.dictionary.lookup_term(term)
-
     def _choose_table(
         self,
         index: int,
@@ -194,7 +194,7 @@ class S2RdfEngine(SparkRdfEngine):
         pattern = patterns[index]
         if isinstance(pattern.predicate, Variable):
             return "alltriples"
-        p1 = self._encode(pattern.predicate)
+        p1 = self.dictionary.get(pattern.predicate)
         if p1 is None or p1 not in self._vp_names:
             return None  # predicate never occurs: empty result
         best = self._vp_names[p1]
@@ -202,7 +202,7 @@ class S2RdfEngine(SparkRdfEngine):
         for j, other in enumerate(patterns):
             if j == index or isinstance(other.predicate, Variable):
                 continue
-            p2 = self._encode(other.predicate)
+            p2 = self.dictionary.get(other.predicate)
             if p2 is None:
                 continue
             for kind, mine, theirs in (
@@ -232,23 +232,11 @@ class S2RdfEngine(SparkRdfEngine):
             size = self.table_sizes.get(table, 0) if table else 0
             return (-pattern.bound_count(), size)
 
-        order = sorted(range(len(patterns)), key=sort_key)
         # Keep joins connected where possible.
-        ordered: List[int] = [order.pop(0)]
-        bound = {v.name for v in patterns[ordered[0]].variables()}
-        while order:
-            position = next(
-                (
-                    pos
-                    for pos, i in enumerate(order)
-                    if bound & {v.name for v in patterns[i].variables()}
-                ),
-                0,
-            )
-            chosen = order.pop(position)
-            ordered.append(chosen)
-            bound |= {v.name for v in patterns[chosen].variables()}
-        return ordered
+        return connected_order(
+            sorted(range(len(patterns)), key=sort_key),
+            names=lambda index: variables_of(patterns[index]),
+        )
 
     def compile_sql(
         self, patterns: List[TriplePattern]
@@ -259,68 +247,15 @@ class S2RdfEngine(SparkRdfEngine):
         (guaranteed-empty result).
         """
         order = self._order_patterns(list(patterns))
-        aliases = {index: "t%d" % k for k, index in enumerate(order)}
-        variables: List[str] = []
-        var_source: Dict[str, str] = {}
-        from_parts: List[str] = []
-        where_parts: List[str] = []
-
-        for k, index in enumerate(order):
-            pattern = patterns[index]
-            table = self._choose_table(index, patterns)
-            if table is None:
-                return None
-            alias = aliases[index]
-            columns = (
-                {"subject": "s", "predicate": "p", "object": "o"}
-                if table == "alltriples"
-                else {"subject": "s", "object": "o"}
-            )
-            join_conditions: List[str] = []
-            for position, column in columns.items():
-                value = getattr(pattern, position)
-                qualified = "%s.%s" % (alias, column)
-                if isinstance(value, Variable):
-                    if value.name in var_source:
-                        join_conditions.append(
-                            "%s = %s" % (qualified, var_source[value.name])
-                        )
-                    else:
-                        var_source[value.name] = qualified
-                        variables.append(value.name)
-                else:
-                    encoded = self._encode(value)
-                    if encoded is None:
-                        return None
-                    where_parts.append("%s = %d" % (qualified, encoded))
-            if table != "alltriples" and not isinstance(
-                pattern.predicate, Variable
-            ):
-                pass  # predicate constraint is implicit in the VP table
-            if k == 0:
-                from_parts.append("%s AS %s" % (table, alias))
-            elif join_conditions:
-                from_parts.append(
-                    "JOIN %s AS %s ON %s"
-                    % (table, alias, " AND ".join(join_conditions))
-                )
-            else:
-                from_parts.append("CROSS JOIN %s AS %s" % (table, alias))
-            # Equalities discovered later (same variable in this pattern
-            # joining an earlier one) go to WHERE via join_conditions above;
-            # duplicates within one pattern (?x p ?x) need an extra check.
-            if join_conditions and k == 0:
-                where_parts.extend(join_conditions)
-
-        select_list = ", ".join(
-            "%s AS %s" % (var_source[name], name) for name in variables
+        tables = [self._choose_table(index, patterns) for index in order]
+        if None in tables:
+            return None
+        return bgp_to_sql(
+            [patterns[index] for index in order],
+            tables,
+            "alltriples",
+            self.dictionary.get,
         )
-        if not variables:
-            select_list = "%s.%s AS one" % (aliases[order[0]], "s")
-        sql = "SELECT %s FROM %s" % (select_list, " ".join(from_parts))
-        if where_parts:
-            sql += " WHERE %s" % " AND ".join(where_parts)
-        return sql, variables
 
     # ------------------------------------------------------------------
     # Execution
@@ -330,17 +265,7 @@ class S2RdfEngine(SparkRdfEngine):
         compiled = self.compile_sql(list(patterns))
         if compiled is None:
             return self.ctx.emptyRDD()
-        sql, variables = compiled
-        self.last_sql = sql
-        result = self.session.sql(sql)
-        dictionary = self.dictionary
-        names = list(result.columns)
-
-        def decode(values: tuple) -> dict:
-            return {
-                name: dictionary.decode_id(value)
-                for name, value in zip(names, values)
-                if name in variables
-            }
-
-        return result.rdd.map(decode)
+        self.last_sql, variables = compiled
+        return run_bgp_sql(
+            self.session, self.dictionary, self.last_sql, variables
+        )

@@ -22,7 +22,7 @@ Mechanics reproduced from Section IV-B1 of the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.core.dimensions import (
     Contribution,
@@ -36,7 +36,12 @@ from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term
 from repro.spark.graphx import Edge, Graph
 from repro.spark.rdd import RDD
-from repro.sparql.ast import TriplePattern, Variable
+from repro.sparql.ast import (
+    TriplePattern,
+    Variable,
+    connected_order,
+    variables_of,
+)
 from repro.sparql.fragments import (
     FEATURE_BGP,
     FEATURE_FILTER,
@@ -45,13 +50,7 @@ from repro.sparql.fragments import (
     FEATURE_OPTIONAL,
     FEATURE_ORDER_BY,
 )
-from repro.systems.base import (
-    EngineProfile,
-    SparkRdfEngine,
-    fold_join_order,
-    join_binding_rdds,
-    pattern_variables,
-)
+from repro.systems.base import EngineProfile, SparkRdfEngine, fold_joins
 
 
 class S2XEngine(SparkRdfEngine):
@@ -133,7 +132,7 @@ class S2XEngine(SparkRdfEngine):
         return self.graph.triplets().mapPartitions(match)
 
     def _evaluate_bgp(self, patterns: List[TriplePattern]) -> RDD:
-        ordered = fold_join_order(patterns)
+        ordered = connected_order(patterns)
         matches: List[RDD] = [self._edge_matches(p).cache() for p in ordered]
 
         # Iterative validation: per-variable candidate sets shrink until
@@ -181,15 +180,8 @@ class S2XEngine(SparkRdfEngine):
         self.last_validation_rounds = rounds
 
         # Assembly with data-parallel joins.
-        result: Optional[RDD] = None
-        bound: Set[str] = set()
-        for index, pattern in enumerate(ordered):
-            if result is None:
-                result = matches[index]
-                bound = set(pattern_variables([pattern]))
-            else:
-                shared = sorted(bound & set(pattern_variables([pattern])))
-                result = join_binding_rdds(result, matches[index], shared)
-                bound |= set(pattern_variables([pattern]))
-        assert result is not None
-        return result
+        return fold_joins(
+            range(len(ordered)),
+            matches.__getitem__,
+            names=lambda index: variables_of(ordered[index]),
+        )

@@ -17,7 +17,8 @@ Mechanics reproduced from Section IV-B1 of the paper:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Dict, List, Set, Tuple
 
 from repro.core.dimensions import (
     Contribution,
@@ -32,13 +33,14 @@ from repro.rdf.terms import BNode, Literal, Term, URI
 from repro.rdf.vocab import RDF
 from repro.spark.graphx import Edge, Graph
 from repro.spark.rdd import RDD
-from repro.sparql.ast import TriplePattern, Variable
+from repro.sparql.ast import TriplePattern, Variable, variables_of
 from repro.sparql.fragments import FEATURE_BGP
 from repro.systems.base import (
     EngineProfile,
     SparkRdfEngine,
     compile_pattern,
-    join_binding_rdds,
+    fold_joins,
+    scan_triples,
 )
 
 
@@ -201,19 +203,6 @@ class SparkqlEngine(SparkRdfEngine):
 
         return self.graph.edges.mapPartitions(scan)
 
-    def _fallback_bindings(self, pattern: TriplePattern) -> RDD:
-        match = compile_pattern(pattern)
-
-        def scan(part) -> List[dict]:
-            out = []
-            for triple in part:
-                binding = match(triple)
-                if binding is not None:
-                    out.append(binding)
-            return out
-
-        return self._all_triples.mapPartitions(scan)
-
     # ------------------------------------------------------------------
     # BFS plan
     # ------------------------------------------------------------------
@@ -260,59 +249,36 @@ class SparkqlEngine(SparkRdfEngine):
 
     def _evaluate_bgp(self, patterns: List[TriplePattern]) -> RDD:
         local, edges, fallback = self._classify(list(patterns))
-        plan = self._bfs_order(edges)
 
-        result: Optional[RDD] = None
-        bound: Set[str] = set()
-        attached_tables: Set[str] = set()
-
-        def attach_table(var: str, current: Optional[RDD], bound_vars: Set[str]):
-            constraints = local.pop(var, None)
-            if constraints is None:
-                return current, bound_vars
-            table = self._node_table(var, constraints)
-            table_vars = {var} | {
+        def node_table(var: str):
+            constraints = local.pop(var)
+            names = {var} | {
                 p.object.name
                 for p in constraints
                 if isinstance(p.object, Variable)
             }
-            if current is None:
-                return table, table_vars
-            shared = sorted(bound_vars & table_vars)
-            return (
-                join_binding_rdds(current, table, shared),
-                bound_vars | table_vars,
-            )
+            return names, partial(self._node_table, var, constraints)
 
-        for pattern in plan:
-            bindings = self._edge_bindings(pattern)
-            pattern_vars = {v.name for v in pattern.variables()}
-            if result is None:
-                result = bindings
-                bound = pattern_vars
-            else:
-                shared = sorted(bound & pattern_vars)
-                result = join_binding_rdds(result, bindings, shared)
-                bound |= pattern_vars
-            for position in (pattern.subject, pattern.object):
-                if isinstance(position, Variable):
-                    result, bound = attach_table(position.name, result, bound)
+        def steps():
+            """(variable names, bindings to be) per join, in plan order."""
+            for edge in self._bfs_order(edges):
+                yield variables_of(edge), partial(self._edge_bindings, edge)
+                # The node tables of the edge's ends, once each.
+                for end in (edge.subject, edge.object):
+                    if isinstance(end, Variable) and end.name in local:
+                        yield node_table(end.name)
+            # Entity variables with only node-local constraints.
+            for var in sorted(local):
+                yield node_table(var)
+            # The full triple view, for what the node model cannot answer.
+            for pattern in fallback:
+                yield variables_of(pattern), partial(
+                    scan_triples, self._all_triples, pattern
+                )
 
-        # Entity variables with only node-local constraints.
-        for var in sorted(local):
-            result, bound = attach_table(var, result, bound)
-
-        for pattern in fallback:
-            bindings = self._fallback_bindings(pattern)
-            pattern_vars = {v.name for v in pattern.variables()}
-            if result is None:
-                result = bindings
-                bound = pattern_vars
-            else:
-                shared = sorted(bound & pattern_vars)
-                result = join_binding_rdds(result, bindings, shared)
-                bound |= pattern_vars
-
+        result = fold_joins(
+            steps(), lambda step: step[1](), names=lambda step: step[0]
+        )
         if result is None:
             return self.ctx.parallelize([{}], 1)
         return result

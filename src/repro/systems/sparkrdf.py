@@ -40,12 +40,14 @@ from repro.rdf.terms import Term
 from repro.rdf.vocab import RDF
 from repro.spark.partitioner import stable_hash
 from repro.spark.rdd import RDD
-from repro.sparql.ast import TriplePattern, Variable
+from repro.sparql.ast import TriplePattern, Variable, variables_of
 from repro.sparql.fragments import FEATURE_BGP
 from repro.systems.base import (
     EngineProfile,
     SparkRdfEngine,
     compile_pattern,
+    fold_joins,
+    hash_join_bindings,
 )
 
 
@@ -336,52 +338,27 @@ class SparkRdfMesgEngine(SparkRdfEngine):
             var_count, key=lambda name: (-var_count[name], name)
         )
 
-        result: Optional[RDD] = None
-        bound: Set[str] = set()
-        evaluated: Set[int] = set()
+        # (pattern, the variable it is pre-partitioned on), in join order.
+        units: List[Tuple[TriplePattern, str]] = []
+        placed: Set[int] = set()
         for variable in variable_order:
             for index, pattern in enumerate(kept):
-                if index in evaluated:
-                    continue
-                if variable not in {v.name for v in pattern.variables()}:
-                    continue
-                rdsg = self._generate_rdsg(pattern, constraints, variable)
-                pattern_vars = {v.name for v in pattern.variables()}
-                if result is None:
-                    result = rdsg
-                    bound = pattern_vars
-                else:
-                    shared = sorted(bound & pattern_vars)
-                    result = self._rdsg_join(result, rdsg, shared)
-                    bound |= pattern_vars
-                evaluated.add(index)
+                if index not in placed and variable in variables_of(pattern):
+                    placed.add(index)
+                    units.append((pattern, variable))
+        # Distributed joins of the RDSGs on their shared variables.
+        result = fold_joins(
+            units,
+            lambda unit: self._generate_rdsg(unit[0], constraints, unit[1]),
+            names=lambda unit: variables_of(unit[0]),
+            join=hash_join_bindings,
+        )
         # Patterns with no variables at all (fully ground).
-        for index, pattern in enumerate(kept):
-            if index in evaluated:
-                exists = True
-            else:
-                exists = bool(self._match_pattern(pattern, constraints))
-                evaluated.add(index)
-                if not exists:
-                    return self.ctx.emptyRDD()
+        for pattern in kept:
+            if not pattern.variables() and not self._match_pattern(
+                pattern, constraints
+            ):
+                return self.ctx.emptyRDD()
         if result is None:
             return self.ctx.parallelize([{}], 1)
         return result
-
-    def _rdsg_join(self, left: RDD, right: RDD, shared: List[str]) -> RDD:
-        """Distributed join of two RDSGs on shared variables."""
-        if not shared:
-            return left.cartesian(right).map(
-                lambda pair: {**pair[0], **pair[1]}
-            )
-        key_vars = tuple(shared)
-
-        def key_of(binding: dict):
-            if len(key_vars) == 1:
-                return (binding[key_vars[0]],)
-            return tuple(binding[name] for name in key_vars)
-
-        joined = left.map(lambda b: (key_of(b), b)).join(
-            right.map(lambda b: (key_of(b), b))
-        )
-        return joined.map(lambda kv: {**kv[1][0], **kv[1][1]})

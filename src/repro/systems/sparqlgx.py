@@ -17,7 +17,7 @@ Mechanics reproduced from Section IV-A1 of the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.dimensions import (
     Contribution,
@@ -30,7 +30,7 @@ from repro.core.dimensions import (
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term
 from repro.spark.rdd import RDD
-from repro.sparql.ast import TriplePattern, Variable
+from repro.sparql.ast import TriplePattern, Variable, connected_order
 from repro.sparql.fragments import (
     FEATURE_BGP,
     FEATURE_DISTINCT,
@@ -43,8 +43,7 @@ from repro.systems.base import (
     EngineProfile,
     SparkRdfEngine,
     compile_pattern,
-    join_binding_rdds,
-    pattern_variables,
+    fold_joins,
 )
 
 
@@ -134,22 +133,9 @@ class SparqlgxEngine(SparkRdfEngine):
         self, patterns: List[TriplePattern]
     ) -> List[TriplePattern]:
         """Most selective first, then greedily keep joins connected."""
-        remaining = sorted(patterns, key=self._estimated_cardinality)
-        ordered = [remaining.pop(0)]
-        bound: Set[str] = {v.name for v in ordered[0].variables()}
-        while remaining:
-            index = next(
-                (
-                    i
-                    for i, p in enumerate(remaining)
-                    if bound & {v.name for v in p.variables()}
-                ),
-                0,
-            )
-            chosen = remaining.pop(index)
-            ordered.append(chosen)
-            bound |= {v.name for v in chosen.variables()}
-        return ordered
+        return connected_order(
+            sorted(patterns, key=self._estimated_cardinality)
+        )
 
     def _pattern_rdd(self, pattern: TriplePattern) -> RDD:
         """The bindings of one pattern, scanning only its predicate store."""
@@ -182,20 +168,6 @@ class SparqlgxEngine(SparkRdfEngine):
 
     def _evaluate_bgp(self, patterns: List[TriplePattern]) -> RDD:
         if self.enable_reordering:
-            ordered = self._order_patterns(list(patterns))
-        else:
-            ordered = list(patterns)
-        result: Optional[RDD] = None
-        bound: Set[str] = set()
-        for pattern in ordered:
-            matches = self._pattern_rdd(pattern)
-            if result is None:
-                result = matches
-                bound = set(pattern_variables([pattern]))
-            else:
-                shared = sorted(bound & set(pattern_variables([pattern])))
-                # keyBy on the common variable, or cross product if none.
-                result = join_binding_rdds(result, matches, shared)
-                bound |= set(pattern_variables([pattern]))
-        assert result is not None
-        return result
+            patterns = self._order_patterns(patterns)
+        # keyBy on the common variable, or cross product if none.
+        return fold_joins(patterns, self._pattern_rdd)

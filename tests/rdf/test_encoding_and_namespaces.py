@@ -40,6 +40,26 @@ class TestDictionary:
         d.encode_term(uri("a"))
         assert uri("a") in d and uri("b") not in d
 
+    def test_get_is_none_for_an_unseen_term(self):
+        d = Dictionary()
+        d.encode_term(uri("a"))
+        assert d.get(uri("a")) == 0 and d.get(uri("b")) is None
+
+    def test_encode_graph_hands_out_ids_in_sorted_triple_order(self):
+        triples = [
+            Triple(uri("s2"), uri("p"), uri("o")),
+            Triple(uri("s1"), uri("p"), Literal(5)),
+        ]
+        d = Dictionary()
+        # Whatever order the triples arrive in: s1 p 5 sorts first.
+        assert d.encode_graph(triples) == [(0, 1, 2), (3, 1, 4)]
+        assert d.decode_id(0) == uri("s1") and d.decode_id(3) == uri("s2")
+
+    def test_decode_binding(self):
+        d = Dictionary()
+        ids = {"x": d.encode_term(uri("a")), "y": d.encode_term(Literal(5))}
+        assert d.decode_binding(ids) == {"x": uri("a"), "y": Literal(5)}
+
     def test_triple_roundtrip(self):
         d = Dictionary()
         triple = Triple(uri("s"), uri("p"), Literal(5))

@@ -112,6 +112,23 @@ class TestWorkloadAwareAllocation:
         assert_engine_matches_reference(engine, lubm_graph, STAR)
         assert_engine_matches_reference(engine, lubm_graph, LINEAR)
 
+    def test_constant_subject_star_on_the_shuffle_path(self, lubm_graph, workload):
+        # The professor's triples are replicated beside every advisee;
+        # a star anchored on the constant must still come from its home
+        # partition alone (12 rows for the reference's 4 before the fix).
+        engine = HaqwaEngine(SparkContext(4), workload=workload)
+        engine.load(lubm_graph)
+        assert engine.replicated_triples > 0
+        result = assert_engine_matches_reference(
+            engine,
+            lubm_graph,
+            PREFIX
+            + "SELECT ?dep ?s WHERE {"
+            " lubm:Professor0_1_2 lubm:worksFor ?dep ."
+            " ?s lubm:advisor lubm:Professor0_1_2 }",
+        )
+        assert len(result) == 4
+
     def test_infrequent_query_still_correct(self, lubm_graph, workload):
         engine = HaqwaEngine(SparkContext(4), workload=workload)
         engine.load(lubm_graph)
