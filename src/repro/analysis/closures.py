@@ -729,10 +729,14 @@ def _live_registries(func: Callable) -> _Registries:
     freevars = code.co_freevars if code is not None else ()
     bindings: List[Tuple[str, Any]] = list(zip(freevars, cells))
     globalns = getattr(func, "__globals__", {})
-    names = code.co_names if code is not None else ()
-    for name in names:
-        if name in globalns:
-            bindings.append((name, globalns[name]))
+    # A comprehension or a nested lambda is a code object of its own
+    # (before 3.12) and reads the same globals.
+    codes = [code] if code is not None else []
+    for nested in codes:
+        codes.extend(c for c in nested.co_consts if hasattr(c, "co_names"))
+        for name in nested.co_names:
+            if name in globalns:
+                bindings.append((name, globalns[name]))
 
     for name, holder in bindings:
         value = holder

@@ -34,15 +34,9 @@ from repro.spark.rdd import RDD
 from repro.spark.tracing import Span
 from repro.optimizer.planner import BgpPlan, JoinStep
 from repro.sparql.ast import Variable
+from repro.systems.base import key_bindings, keyer
 
 Binding = Dict[str, object]
-
-
-def _key_func(names: Tuple[str, ...]):
-    def key_of(binding: Binding):
-        return tuple(binding[name] for name in names)
-
-    return key_of
 
 
 class _State:
@@ -60,9 +54,7 @@ class _State:
         """The (key, binding) view for the given join variables."""
         if self.key == names:
             return self.rdd
-        return self.bindings().map(
-            lambda b, key_of=_key_func(names): (key_of(b), b)
-        )
+        return key_bindings(self.bindings(), names)
 
 
 def execute_plan(engine, plan: BgpPlan, view_catalog=None) -> RDD:
@@ -183,9 +175,12 @@ def _partitioned_join(
     """The shuffle hash join; a no-op shuffle on the accumulated side when
     it is already partitioned on *shared* (the planner's ``local`` case)."""
     left = state.keyed_by(shared)
-    right = fresh.map(lambda b, key_of=_key_func(shared): (key_of(b), b))
+    right = key_bindings(fresh, shared)
     joined = left.join(right, num_partitions=ctx.default_parallelism)
-    merged = joined.mapValues(lambda lr: {**lr[0], **lr[1]})
+    merged = joined.mapPartitions(
+        lambda part: [(key, {**l, **r}) for key, (l, r) in part],
+        preserves_partitioning=True,
+    )
     return _State(merged, key=shared)
 
 
@@ -193,11 +188,11 @@ def _broadcast_join(
     ctx, state: _State, fresh: RDD, shared: Tuple[str, ...]
 ) -> _State:
     """Broadcast the fresh side; probe the accumulated side in place."""
-    key_of = _key_func(shared)
+    keyed_part = keyer(shared)
     build: Dict[Tuple[object, ...], List[Binding]] = {}
     for part in fresh._materialize():
-        for binding in part:
-            build.setdefault(key_of(binding), []).append(binding)
+        for key, binding in keyed_part(part):
+            build.setdefault(key, []).append(binding)
     bcast = ctx.broadcast(build)
     metrics = ctx.metrics
     keyed = state.key is not None
@@ -206,9 +201,9 @@ def _broadcast_join(
         table = bcast.value
         out: List[object] = []
         comparisons = 0
-        for item in part:
-            binding = item[1] if keyed else item
-            matches = table.get(key_of(binding))
+        bindings = [item[1] for item in part] if keyed else part
+        for item, (key, binding) in zip(part, keyed_part(bindings)):
+            matches = table.get(key)
             if matches:
                 comparisons += len(matches)
                 for build_binding in matches:

@@ -18,7 +18,7 @@ from repro.spark.context import SparkContext
 from repro.spark.partitioner import Partitioner
 from repro.spark.rdd import RDD
 from repro.sparql.ast import TriplePattern, Variable
-from repro.systems.localmatch import match_bgp_local
+from repro.systems.localmatch import compile_bgp_local
 
 
 class PartitionedTripleStore:
@@ -97,12 +97,9 @@ class PartitionedTripleStore:
         subjects = {p.subject for p in patterns}
         if len(subjects) != 1:
             raise ValueError("evaluate_star_locally needs a star BGP")
-        local_patterns = [tuple(p.positions()) for p in patterns]
-
-        def run(part: List[Tuple[Term, Term, Term]]) -> List[dict]:
-            return match_bgp_local(local_patterns, part)
-
-        return self.rdd.mapPartitions(run)
+        return self.rdd.mapPartitions(
+            compile_bgp_local([tuple(p.positions()) for p in patterns])
+        )
 
     def linear_hop_locality(self, predicate: Term) -> float:
         """Fraction of *predicate* hops resolvable without leaving the

@@ -73,7 +73,7 @@ error-severity diagnostic, in which case the response also carries a
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.rdf.graph import RDFGraph
 from repro.sparql.ast import ConstructQuery, Query, SelectQuery
@@ -94,10 +94,6 @@ def canonical_json(payload: Any) -> str:
     )
 
 
-def _row_key(row: List[str]) -> tuple:
-    return tuple(row)
-
-
 def canonical_result(
     result: Union[SolutionSet, bool, RDFGraph],
     query: Optional[Query] = None,
@@ -106,24 +102,18 @@ def canonical_result(
     if isinstance(result, bool):
         return {"type": "boolean", "value": result}
     if isinstance(result, SolutionSet):
-        rows = [
-            [
-                term.n3() if (term := solution.get(v)) is not None else ""
-                for v in result.variables
-            ]
-            for solution in result.solutions
-        ]
+        table = result.to_table()
         ordered = bool(
             query is not None
             and isinstance(query, SelectQuery)
             and query.order_by
         )
         if not ordered:
-            rows.sort(key=_row_key)
+            table.sort()
         return {
             "type": "bindings",
             "vars": list(result.variables),
-            "rows": rows,
+            "rows": [list(row) for row in table],
             "ordered": ordered,
         }
     # CONSTRUCT / DESCRIBE -> a graph; N-Triples lines, sorted.  The

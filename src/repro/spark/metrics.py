@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Iterable, Iterator, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 from repro.rdf.terms import BNode, Literal, Term, URI
 
@@ -74,6 +75,52 @@ def estimate_size(value: object) -> int:
         else:
             total += estimate_size(item)
     return total
+
+
+_TERM_KINDS = frozenset((URI, Literal, BNode))
+_SIZE = attrgetter("_size")
+
+
+def estimate_sizes(records: Sequence[object]) -> int:
+    """``sum(estimate_size(record) for record in records)``, by column.
+
+    A shuffle map task prices its whole output here: ``(key, value)``
+    pairs cost 16 each plus their key column plus their value column,
+    and a column of one exact kind is summed with no call per record --
+    containers by their overheads plus their flattened items, terms from
+    the size each keeps, ints by count, strings by length.  Any other
+    column goes item by item through :func:`estimate_size`, the definition.
+    """
+    if set(map(type, records)) == {tuple} and set(map(len, records)) == {2}:
+        keys, values = zip(*records)
+        return 16 * len(records) + _column_size(keys) + _column_size(values)
+    return _column_size(records)
+
+
+def _column_size(column: Sequence[object]) -> int:
+    kinds = set(map(type, column))
+    count = len(column)
+    if kinds <= _TERM_KINDS:
+        try:
+            return sum(map(_SIZE, column))
+        except TypeError:  # a term nobody priced yet holds None
+            return sum(term.serialized_size() for term in column)
+    if kinds == {int}:
+        return 8 * count
+    if kinds == {str}:
+        text = "".join(column)
+        return len(text) if text.isascii() else len(text.encode("utf-8"))
+    if kinds == {tuple} or kinds == {list}:
+        items = list(chain.from_iterable(column))
+        return 8 * count + 4 * len(items) + _column_size(items)
+    if kinds == {dict}:
+        names = list(chain.from_iterable(column))
+        values = list(chain.from_iterable(map(dict.values, column)))
+        return (
+            8 * count + 8 * len(names)
+            + _column_size(names) + _column_size(values)
+        )
+    return sum(map(estimate_size, column))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import (
 )
 
 from repro.spark.faults import TaskFailedError
-from repro.spark.metrics import estimate_size
+from repro.spark.metrics import estimate_sizes
 from repro.spark.partitioner import HashPartitioner, Partitioner, RangePartitioner
 
 T = TypeVar("T")
@@ -494,11 +494,9 @@ class RDD:
         grouped = self.cogroup(other, num_partitions)
         metrics = self.ctx.metrics
 
-        def emit(part: List[Any]) -> List[Any]:
+        def outer(part: List[Any]) -> List[Any]:
             out: List[Any] = []
-            comparisons = 0
             for key, (lefts, rights) in part:
-                comparisons += max(len(lefts), 1) * max(len(rights), 1)
                 if lefts and rights:
                     for lv in lefts:
                         for rv in rights:
@@ -509,6 +507,22 @@ class RDD:
                 elif rights and join_type in ("right", "full"):
                     for rv in rights:
                         out.append((key, (None, rv)))
+            return out
+
+        def emit(part: List[Any]) -> List[Any]:
+            if join_type != "inner":
+                out = outer(part)
+            else:
+                # One pass: a group with an empty side pairs nothing.
+                out = [
+                    (key, (lv, rv))
+                    for key, (lefts, rights) in part
+                    for lv in lefts
+                    for rv in rights
+                ]
+            comparisons = sum(
+                [(len(ls) or 1) * (len(rs) or 1) for _key, (ls, rs) in part]
+            )
             metrics.record_join(comparisons, len(part), len(out))
             return out
 
@@ -929,7 +943,6 @@ class ShuffledRDD(RDD):
         ctx = self.ctx
         num_out = self.partitioner.num_partitions
         fragments: List[List[Any]] = [[] for _ in range(num_out)]
-        records = remote = nbytes = 0
         part = self.parent._iterate(map_index)
         if self.aggregator is not None:
             create, merge_value, _merge_combiners = self.aggregator
@@ -939,22 +952,26 @@ class ShuffledRDD(RDD):
                     combined[key] = merge_value(combined[key], value)
                 else:
                     combined[key] = create(value)
-            outgoing: Iterable[Tuple[Any, Any]] = combined.items()
+            outgoing: List[Tuple[Any, Any]] = list(combined.items())
         else:
             outgoing = part
+        if not outgoing:
+            return fragments, 0, 0, 0
+        # The task's records are placed and priced together, by column;
+        # a pair that came as anything but a plain tuple becomes one.
+        if set(map(type, outgoing)) != {tuple}:
+            outgoing = [(key, value) for key, value in outgoing]
+        placements = self.partitioner.partitions_for(
+            [key for key, _value in outgoing]
+        )
+        for reduce_index, record in zip(placements, outgoing):
+            fragments[reduce_index].append(record)
         # Whether a record bound for each reduce partition leaves this
         # map task's executor: placement is fixed for the whole task.
         here = ctx.executor_for(map_index)
         is_remote = [ctx.executor_for(r) != here for r in range(num_out)]
-        partition_for = self.partitioner.partition_for
-        for key, value in outgoing:
-            reduce_index = partition_for(key)
-            record = (key, value)
-            fragments[reduce_index].append(record)
-            records += 1
-            nbytes += estimate_size(record)
-            remote += is_remote[reduce_index]
-        return fragments, records, remote, nbytes
+        remote = sum(map(is_remote.__getitem__, placements))
+        return fragments, len(outgoing), remote, estimate_sizes(outgoing)
 
     def _finish_shuffle(
         self,
@@ -994,11 +1011,17 @@ class CoGroupedRDD(RDD):
         self.right = right
 
     def compute(self, index: int) -> List[Any]:
+        # One hash per record, and a group's lists are allocated on its
+        # key's first sight only: the spare is replaced when it is taken.
         groups: Dict[Any, Tuple[List[Any], List[Any]]] = {}
-        for key, value in self.left._iterate(index):
-            groups.setdefault(key, ([], []))[0].append(value)
-        for key, value in self.right._iterate(index):
-            groups.setdefault(key, ([], []))[1].append(value)
+        group_of = groups.setdefault
+        spare: Tuple[List[Any], List[Any]] = ([], [])
+        for side, rdd in enumerate((self.left, self.right)):
+            for key, value in rdd._iterate(index):
+                group = group_of(key, spare)
+                if group is spare:
+                    spare = ([], [])
+                group[side].append(value)
         return list(groups.items())
 
 

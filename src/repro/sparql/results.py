@@ -23,6 +23,14 @@ class Solution:
     def __init__(self, bindings: Optional[Dict[str, Term]] = None) -> None:
         object.__setattr__(self, "_bindings", dict(bindings or {}))
 
+    @classmethod
+    def _over(cls, bindings: Dict[str, Term]) -> "Solution":
+        """The solution over *bindings* itself, not a copy: for a dict
+        built here, which nobody else holds."""
+        solution = cls.__new__(cls)
+        object.__setattr__(solution, "_bindings", bindings)
+        return solution
+
     def __setattr__(self, name, value):
         raise AttributeError("Solution is immutable")
 
@@ -69,8 +77,9 @@ class Solution:
         names = [
             v.name if isinstance(v, Variable) else v for v in variables
         ]
-        return Solution(
-            {n: self._bindings[n] for n in names if n in self._bindings}
+        bindings = self._bindings
+        return Solution._over(
+            {n: bindings[n] for n in names if n in bindings}
         )
 
     def frozen(self) -> frozenset:
@@ -136,15 +145,19 @@ class SolutionSet:
 
     def to_table(self) -> List[Tuple]:
         """Rows of n3-rendered strings, ordered by the header."""
-        out = []
+        names = self.variables
+        rows = []
         for solution in self.solutions:
-            out.append(
+            bound = solution._bindings.get  # the row's mapping, read once
+            rows.append(
                 tuple(
-                    solution.get(v).n3() if solution.get(v) is not None else ""
-                    for v in self.variables
+                    [
+                        term.n3() if (term := bound(name)) is not None else ""
+                        for name in names
+                    ]
                 )
             )
-        return out
+        return rows
 
     def __repr__(self) -> str:
         return "SolutionSet(vars=%r, size=%d)" % (self.variables, len(self))

@@ -11,6 +11,7 @@ storage/partitioning/matching machinery.
 
 from __future__ import annotations
 
+import linecache
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -180,6 +181,28 @@ def join_binding_rdds(
         return _force_rdd(hash_join_bindings(left, right, shared, how))
 
 
+def keyer(names: Sequence[str]) -> Callable[[List[Binding]], List[tuple]]:
+    """The function from a partition of bindings to its ``(key, binding)``
+    pairs, the key being the tuple of the binding's values for *names*:
+    one comprehension with the key spelled out, no call per record."""
+    key = "".join("b[%r], " % name for name in names)
+    source = "key = lambda part: [((%s), b) for b in part]\n" % key
+    return _generate("key " + " ".join(names), source, {})["key"]
+
+
+def key_bindings(rdd: RDD, names: Sequence[str]) -> RDD:
+    """*rdd*'s bindings as ``(key, binding)`` pairs (:func:`keyer`)."""
+    return rdd.mapPartitions(keyer(names))
+
+
+def merge_joined(joined: RDD) -> RDD:
+    """The ``(key, (left, right))`` pairs of a join of bindings as merged
+    bindings; the missing right side of a left join adds nothing."""
+    return joined.mapPartitions(
+        lambda part: [{**left, **(right or {})} for _, (left, right) in part]
+    )
+
+
 def hash_join_bindings(
     left: RDD, right: RDD, shared: Sequence[str], how: str = "inner"
 ) -> RDD:
@@ -189,22 +212,13 @@ def hash_join_bindings(
     if not shared:
         product = left.cartesian(right)
         return product.map(lambda pair: {**pair[0], **pair[1]})
-    key = tuple(sorted(shared))
-
-    def key_of(binding: Binding):
-        return tuple(binding[name] for name in key)
-
-    left_pairs = left.map(lambda b: (key_of(b), b))
-    right_pairs = right.map(lambda b: (key_of(b), b))
+    if how not in ("inner", "left"):
+        raise ValueError("unknown join type %r" % how)
+    key = keyer(sorted(shared))
+    left_pairs, right_pairs = left.mapPartitions(key), right.mapPartitions(key)
     if how == "inner":
-        joined = left_pairs.join(right_pairs)
-        return joined.map(lambda kv: {**kv[1][0], **kv[1][1]})
-    if how == "left":
-        joined = left_pairs.leftOuterJoin(right_pairs)
-        return joined.map(
-            lambda kv: {**kv[1][0], **(kv[1][1] or {})}
-        )
-    raise ValueError("unknown join type %r" % how)
+        return merge_joined(left_pairs.join(right_pairs))
+    return merge_joined(left_pairs.leftOuterJoin(right_pairs))
 
 
 class SparkRdfEngine:
@@ -436,47 +450,106 @@ class SparkRdfEngine:
 # ----------------------------------------------------------------------
 
 
+#: A record layout: where a scanned record ``t`` keeps its subject,
+#: predicate and object, as source text.  An entry that is not text is
+#: the position's value in every record of the store.
+TRIPLE = ("t[0]", "t[1]", "t[2]")
+
+
+#: Generated code by (source, file name), oldest first.  A pattern asked
+#: again is not compiled again, and a served process that is asked ever
+#: new patterns keeps at most this many compiled and filed in linecache.
+_KERNELS: Dict[Tuple[str, str], Any] = {}
+_KERNEL_LIMIT = 1024
+
+
+def _generate(
+    label: str, source: str, namespace: Dict[str, object]
+) -> Dict[str, Callable]:
+    """What *source* -- one ``name = lambda ...`` per line -- assigns when
+    run with *namespace* for globals.  The text is filed in ``linecache``,
+    so a traceback shows the line, ``inspect.getsource`` finds it and the
+    closure verifier reads generated code like any other."""
+    filename = "<repro kernel: %s>" % label
+    code = _KERNELS.get((source, filename))
+    if code is None:
+        if len(_KERNELS) >= _KERNEL_LIMIT:
+            evicted = next(iter(_KERNELS))
+            del _KERNELS[evicted]
+            linecache.cache.pop(evicted[1], None)
+        code = _KERNELS[source, filename] = compile(source, filename, "exec")
+        linecache.cache[filename] = (
+            len(source), None, source.splitlines(True), filename
+        )
+    made: Dict[str, Callable] = {}
+    exec(code, namespace, made)
+    return made
+
+
+def _show(position: object) -> str:
+    """A pattern position or a layout entry as a kernel's name shows it."""
+    return position.n3() if isinstance(position, Term) else str(position)
+
+
 def compile_pattern(
     pattern: Union[TriplePattern, Sequence[object]],
-) -> Callable[[Sequence[object]], Optional[Binding]]:
-    """*pattern* as a function from an ``(s, p, o)`` tuple to its binding
-    (variable name -> value), or None when the triple does not match.
+    layout: Sequence[object] = TRIPLE,
+) -> Callable[[Any], Optional[Binding]]:
+    """*pattern* as ``match(record) -> binding or None`` (variable name ->
+    value, in first-occurrence order) for probes of a few candidates,
+    and ``match.scan(partition) -> [binding, ...]`` for everything else:
+    one comprehension with the tests and the binding written inline, no
+    Python call per record.
 
     *pattern* is a :class:`TriplePattern` or its three positions in the
-    store's value space (terms or dictionary-encoded ints).  What a
-    pattern asks of every triple is worked out here, once: which
-    positions must equal a constant, which pairs of positions must be
-    equal because a variable repeats (``?x p ?x``), and which position
-    first binds each variable.  The matcher captures only those tuples,
-    so it ships to workers like any other closure.
+    store's value space (terms or dictionary-encoded ints); *layout*
+    says where a record keeps them.  What a pattern asks of every record
+    is worked out here, once per pattern per query: which positions must
+    equal a constant, which must be equal because a variable repeats
+    (``?x p ?x``), and which first binds each variable.  A term constant
+    is compared hash slot first (``==`` runs on a hash match or on a term
+    nobody hashed yet), so to terms only.  Both functions come from one
+    condition and one display; their globals hold the constants, the
+    constants' hashes and nothing else.
     """
     positions = (
         pattern.positions() if isinstance(pattern, TriplePattern) else pattern
     )
-    constants = []
-    equalities = []
-    first: Dict[str, int] = {}
-    for index, position in enumerate(positions):
-        if not isinstance(position, Variable):
-            constants.append((index, position))
-        elif position.name in first:
-            equalities.append((first[position.name], index))
+    namespace: Dict[str, object] = {}
+    tests: List[str] = []
+    binds: Dict[str, str] = {}
+    for index, (position, at) in enumerate(zip(positions, layout)):
+        fixed = not isinstance(at, str)
+        if fixed and not isinstance(position, Variable):
+            if position != at:  # decided here, once for the store
+                tests.append("False")
+        elif isinstance(position, Variable):
+            if fixed:
+                namespace["f%d" % index] = at
+                at = "f%d" % index
+            if position.name in binds:
+                tests.append("%s == %s" % (binds[position.name], at))
+            else:
+                binds[position.name] = at
         else:
-            first[position.name] = index
-    must_equal = tuple(constants)
-    must_agree = tuple(equalities)
-    binds = tuple(first.items())
-
-    def match(triple: Sequence[object]) -> Optional[Binding]:
-        for index, constant in must_equal:
-            if constant != triple[index]:
-                return None
-        for index, other in must_agree:
-            if triple[index] != triple[other]:
-                return None
-        return {name: triple[index] for name, index in binds}
-
-    return match
+            namespace["c%d" % index] = position
+            test = "{at} == c{i}"
+            if isinstance(position, Term):
+                namespace["h%d" % index] = hash(position)
+                test = "((h := {at}._hash) == h{i} or h is None) and " + test
+            tests.append(test.format(at=at, i=index))
+    binding = "{%s}" % ", ".join("%r: %s" % bind for bind in binds.items())
+    condition = " and ".join(tests) or "True"
+    label = " ".join(map(_show, positions))
+    if layout is not TRIPLE:
+        label += " over " + ", ".join(map(_show, layout))
+    source = (
+        "scan = lambda part: [{binding} for t in part if {condition}]\n"
+        "match = lambda t: {binding} if {condition} else None\n"
+    ).format(binding=binding, condition=condition)
+    made = _generate(label, source, namespace)
+    made["match"].scan = made["scan"]
+    return made["match"]
 
 
 def scan_triples(
@@ -485,13 +558,9 @@ def scan_triples(
     preserves_partitioning: bool = False,
 ) -> RDD:
     """The bindings of *pattern* over an RDD of ``(s, p, o)`` tuples, in
-    the tuples' own value space; the pattern is compiled once and the
-    matcher runs in one loop per partition."""
+    the tuples' own value space: its compiled scan, once per partition."""
     return rdd.mapPartitions(
-        lambda part, match=compile_pattern(pattern): [
-            b for t in part if (b := match(t)) is not None
-        ],
-        preserves_partitioning,
+        compile_pattern(pattern).scan, preserves_partitioning
     )
 
 

@@ -50,7 +50,7 @@ from repro.sparql.fragments import (
     FEATURE_UNION,
 )
 from repro.systems.base import EngineProfile, SparkRdfEngine, fold_joins
-from repro.systems.localmatch import encode_pattern, match_bgp_local
+from repro.systems.localmatch import compile_bgp_local, encode_pattern
 
 
 def group_by_subject(
@@ -252,18 +252,21 @@ class HaqwaEngine(SparkRdfEngine):
             constant_home = self._partition_of(
                 self.dictionary.lookup_term(anchor_subject)
             )
-        partition_of = self._partition_of
+        homes_of = self.store.partitioner.partitions_for
         decode = self.dictionary.decode_binding
+        match_locally = compile_bgp_local(local_patterns)
 
         def run_partition(index: int, part: List[tuple]) -> List[dict]:
-            out = []
-            for binding in match_bgp_local(local_patterns, part):
-                if anchor_var is None:
-                    home = constant_home
-                else:
-                    home = partition_of(binding[anchor_var])
-                if home == index:
-                    out.append(decode(binding))
-            return out
+            if anchor_var is None:  # a constant subject: its home answers
+                if index != constant_home:
+                    return []
+                return list(map(decode, match_locally(part)))
+            found = match_locally(part)
+            homes = homes_of([binding[anchor_var] for binding in found])
+            return [
+                decode(binding)
+                for binding, home in zip(found, homes)
+                if home == index
+            ]
 
         return self.store.mapPartitionsWithIndex(run_partition)

@@ -47,6 +47,8 @@ from repro.systems.base import (
     SparkRdfEngine,
     fold_joins,
     hash_join_bindings,
+    key_bindings,
+    merge_joined,
     scan_triples,
 )
 from repro.systems.bgpsql import bgp_to_sql, run_bgp_sql
@@ -238,12 +240,11 @@ class HybridEngine(SparkRdfEngine):
     ) -> RDD:
         if not shared:
             return hash_join_bindings(left, right, shared)
-
-        def keyed(binding: dict):
-            return tuple(binding[name] for name in shared), binding
-
-        joined = left.map(keyed).broadcastJoin(right.map(keyed))
-        return joined.map(lambda kv: {**kv[1][0], **kv[1][1]})
+        return merge_joined(
+            key_bindings(left, shared).broadcastJoin(
+                key_bindings(right, shared)
+            )
+        )
 
     def _local_subject_join(
         self, left: RDD, right: RDD, subject_var: str
@@ -254,9 +255,12 @@ class HybridEngine(SparkRdfEngine):
         partitioning preserved, so bindings for one subject live in the
         same partition index on both sides.
         """
-        left_keyed = left.map(lambda b: (b[subject_var], b))
-        right_keyed = right.map(lambda b: (b[subject_var], b))
+
+        def keyed(part: List[dict]) -> List[tuple]:
+            return [(b[subject_var], b) for b in part]
+
+        left_keyed = left.mapPartitions(keyed)
+        right_keyed = right.mapPartitions(keyed)
         left_placed = left_keyed.partitionBy(self._partitioner)
         right_placed = right_keyed.partitionBy(self._partitioner)
-        joined = left_placed.join(right_placed)
-        return joined.map(lambda kv: {**kv[1][0], **kv[1][1]})
+        return merge_joined(left_placed.join(right_placed))

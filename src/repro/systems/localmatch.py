@@ -9,7 +9,7 @@ the common subject-bound case.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Sequence, Set, Tuple, Union
 
 from repro.sparql.ast import TriplePattern, Variable
 from repro.systems.base import compile_pattern
@@ -37,21 +37,15 @@ def encode_pattern(
     return tuple(out)
 
 
-def match_bgp_local(
+def compile_bgp_local(
     patterns: Sequence[LocalPattern],
-    triples: Sequence[Tuple[Any, Any, Any]],
-) -> List[Dict[str, Any]]:
-    """All bindings of *patterns* over *triples* (nested-index join)."""
-    if not patterns:
-        return [{}]
-    by_subject: Dict[Any, List[Tuple[Any, Any, Any]]] = {}
-    for triple in triples:
-        by_subject.setdefault(triple[0], []).append(triple)
-
-    bindings: List[Dict[str, Any]] = [{}]
+) -> Callable[[Sequence[Tuple[Any, Any, Any]]], List[Dict[str, Any]]]:
+    """*patterns* as the function from the triples of one partition to
+    their bindings (nested-index join): the patterns are compiled and
+    what each must agree on is worked out here, once for all partitions."""
+    steps = []
     bound: Set[str] = set()
     for pattern in patterns:
-        match = compile_pattern(pattern)
         subject = pattern[0]
         names = {p.name for p in pattern if isinstance(p, Variable)}
         # Every binding so far binds exactly *bound*, so what a candidate
@@ -62,24 +56,43 @@ def match_bgp_local(
         if by_index:
             agree.remove(subject.name)
         bound |= names
-        next_bindings: List[Dict[str, Any]] = []
-        for binding in bindings:
-            if by_index:
-                candidates = by_subject.get(binding[subject.name], ())
-            elif isinstance(subject, Variable):
-                candidates = triples
-            else:
-                candidates = by_subject.get(subject, ())
-            for triple in candidates:
-                matched = match(triple)
-                if matched is None:
-                    continue
-                for name in agree:
-                    if binding[name] != matched[name]:
-                        break
-                else:
-                    next_bindings.append({**binding, **matched})
-        bindings = next_bindings
-        if not bindings:
-            break
-    return bindings
+        steps.append((compile_pattern(pattern).scan, subject, by_index, agree))
+
+    def run(triples: Sequence[Tuple[Any, Any, Any]]) -> List[Dict[str, Any]]:
+        by_subject: Dict[Any, List[Tuple[Any, Any, Any]]] = {}
+        for triple in triples:
+            by_subject.setdefault(triple[0], []).append(triple)
+        bindings: List[Dict[str, Any]] = [{}]
+        for scan, subject, by_index, agree in steps:
+            if not by_index:
+                # Scanned once, not once per binding: the partition, or
+                # the triples of the pattern's constant subject.
+                matches = scan(
+                    triples
+                    if isinstance(subject, Variable)
+                    else by_subject.get(subject, ())
+                )
+            next_bindings: List[Dict[str, Any]] = []
+            for binding in bindings:
+                if by_index:
+                    matches = scan(by_subject.get(binding[subject.name], ()))
+                for matched in matches:
+                    for other in agree:
+                        if binding[other] != matched[other]:
+                            break
+                    else:
+                        next_bindings.append({**binding, **matched})
+            bindings = next_bindings
+            if not bindings:
+                break
+        return bindings
+
+    return run
+
+
+def match_bgp_local(
+    patterns: Sequence[LocalPattern],
+    triples: Sequence[Tuple[Any, Any, Any]],
+) -> List[Dict[str, Any]]:
+    """All bindings of *patterns* over *triples*."""
+    return compile_bgp_local(patterns)(triples)

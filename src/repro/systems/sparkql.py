@@ -190,18 +190,9 @@ class SparkqlEngine(SparkRdfEngine):
 
     def _edge_bindings(self, pattern: TriplePattern) -> RDD:
         """Bindings contributed by one object-property pattern."""
-
-        match = compile_pattern(pattern)
-
-        def scan(part) -> List[dict]:
-            out = []
-            for edge in part:
-                binding = match((edge.src, edge.attr, edge.dst))
-                if binding is not None:
-                    out.append(binding)
-            return out
-
-        return self.graph.edges.mapPartitions(scan)
+        return self.graph.edges.mapPartitions(
+            compile_pattern(pattern, ("t.src", "t.attr", "t.dst")).scan
+        )
 
     # ------------------------------------------------------------------
     # BFS plan

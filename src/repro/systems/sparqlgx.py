@@ -17,7 +17,7 @@ Mechanics reproduced from Section IV-A1 of the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.dimensions import (
     Contribution,
@@ -154,17 +154,11 @@ class SparqlgxEngine(SparkRdfEngine):
     def _match_in_store(
         self, pattern: TriplePattern, predicate: Term, table: RDD
     ) -> RDD:
-        match = compile_pattern(pattern)
-
-        def scan(part: List[Tuple[Term, Term]]) -> List[dict]:
-            out = []
-            for s, o in part:
-                binding = match((s, predicate, o))
-                if binding is not None:
-                    out.append(binding)
-            return out
-
-        return table.mapPartitions(scan)
+        # An (s, o) pair is scanned as it lies: the store's predicate is
+        # compared, or bound, when the pattern is compiled.
+        return table.mapPartitions(
+            compile_pattern(pattern, ("t[0]", predicate, "t[1]")).scan
+        )
 
     def _evaluate_bgp(self, patterns: List[TriplePattern]) -> RDD:
         if self.enable_reordering:

@@ -460,3 +460,94 @@ class TestReportShape:
         )
         assert main([str(bad)]) == 5
         capsys.readouterr()
+
+
+class TestGeneratedKernels:
+    """``compile_pattern`` / ``keyer`` write their functions as source
+    text; the text is filed in ``linecache``, so the runtime verifier
+    reads a generated kernel like any other closure."""
+
+    @staticmethod
+    def kernels(constant):
+        from repro.sparql.ast import Variable
+        from repro.systems.base import compile_pattern, keyer
+
+        match = compile_pattern((Variable("s"), constant, Variable("o")))
+        return match, match.scan, keyer(["s", "o"])
+
+    def test_source_is_recoverable_and_verifies_clean(self):
+        import inspect
+
+        from repro.analysis.closures import verify_callable
+        from repro.rdf.terms import URI
+
+        for kernel in self.kernels(URI("http://x/p")):
+            assert kernel.__code__.co_filename.startswith("<repro kernel: ")
+            assert "lambda" in inspect.getsource(kernel)
+            assert verify_callable(kernel).diagnostics == []
+
+    def test_namespace_holds_the_constants_and_nothing_else(self):
+        from repro.rdf.terms import URI
+
+        constant = URI("http://x/p")
+        match, scan, key = self.kernels(constant)
+        assert match.__globals__ is scan.__globals__
+        held = {
+            name: value
+            for name, value in scan.__globals__.items()
+            if name != "__builtins__"
+        }
+        assert held == {"c1": constant, "h1": hash(constant)}
+        assert set(key.__globals__) <= {"__builtins__"}
+
+    def test_traceback_shows_the_generated_line(self):
+        import traceback
+
+        from repro.rdf.terms import URI
+
+        _match, scan, _key = self.kernels(URI("http://x/p"))
+        with pytest.raises(TypeError) as raised:
+            scan([7])
+        shown = "".join(traceback.format_tb(raised.value.__traceback__))
+        assert "<repro kernel: ?s <http://x/p> ?o>" in shown
+        assert "for t in part" in shown
+
+    def test_driver_object_as_a_constant_is_rejected(self):
+        from repro.analysis.closures import verify_callable
+        from repro.spark.context import SparkContext
+
+        match, scan, _key = self.kernels(SparkContext(default_parallelism=2))
+        for kernel in (match, scan):
+            assert "CL000" in {
+                d.code for d in verify_callable(kernel).diagnostics
+            }
+
+    def test_kernels_in_a_lineage_are_verified_at_submission(self, lubm_graph):
+        from repro.runtime import build_engine
+
+        engine = build_engine("SPARQLGX", lubm_graph, verify_closures=True)
+        query = (
+            "PREFIX lubm: <http://repro.example.org/lubm#>"
+            " SELECT ?s ?d WHERE { ?s lubm:memberOf ?d . ?s lubm:name ?n }"
+        )
+        assert engine.measure(query).rows > 0
+        assert engine.ctx.metrics.get("closures_rejected") == 0
+
+    def test_kernels_kept_are_bounded(self):
+        import inspect
+        import linecache
+
+        from repro.sparql.ast import Variable
+        from repro.systems import base
+
+        for constant in range(base._KERNEL_LIMIT + 50):
+            latest = base.compile_pattern(
+                (Variable("s"), constant, Variable("o"))
+            )
+        filed = [
+            name for name in linecache.cache
+            if name.startswith("<repro kernel: ")
+        ]
+        assert len(filed) <= base._KERNEL_LIMIT
+        assert len(base._KERNELS) <= base._KERNEL_LIMIT
+        assert "t[1] == c1" in inspect.getsource(latest.scan)

@@ -16,9 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.rdf.terms import BNode, Literal, URI
-from repro.spark.metrics import estimate_size
+from repro.spark.metrics import estimate_size, estimate_sizes
 from repro.spark.parallel import parallel_available
-from repro.spark.partitioner import stable_hash
+from repro.spark.partitioner import (
+    FunctionPartitioner,
+    HashPartitioner,
+    RangePartitioner,
+    stable_hash,
+)
 
 
 def reference_size(value):
@@ -135,6 +140,93 @@ def test_equal_after_a_pickle_round_trip(value):
     # (A set's repr, so its hash, follows its iteration order, which a
     # round trip may change: the copy is held to the copy's definition.)
     assert facts(copy) == (reference_size(value), reference_hash(copy))
+
+
+# A shuffle map task prices and places its records by column: the
+# columns below pick each branch -- one exact kind, kinds mixed, bools
+# among ints (``type(True) is not int``), names that are not ASCII,
+# keys of length 0, 1, 2 and ragged, bare keys -- next to anything at
+# all from *values*.
+ints = st.integers(-(2**40), 2**40)
+names = st.one_of(st.sampled_from(["s", "o", "name", "é", "日本"]), text)
+key_kinds = [
+    st.tuples(terms),
+    st.tuples(terms, terms),
+    st.tuples(ints),
+    st.tuples(ints, ints),
+    st.tuples(st.one_of(ints, st.booleans())),
+    st.tuples(st.one_of(ints, terms)),
+    st.just(()),
+    st.lists(terms, max_size=3).map(tuple),
+    terms,
+    ints,
+    hashable_leaves,
+    values,
+]
+value_kinds = [
+    st.dictionaries(names, terms, max_size=4),
+    st.dictionaries(names, ints, max_size=4),
+    st.dictionaries(names, leaves, max_size=4),
+    st.lists(terms, max_size=3),
+    st.tuples(st.dictionaries(names, terms, max_size=2), st.none()),
+    terms,
+    ints,
+    text,
+    values,
+]
+pair_columns = st.tuples(
+    st.sampled_from(key_kinds), st.sampled_from(value_kinds)
+).flatmap(lambda kinds: st.lists(st.tuples(*kinds), max_size=6))
+record_lists = st.one_of(pair_columns, st.lists(values, max_size=6))
+
+
+@given(records=record_lists)
+@settings(max_examples=400, deadline=None)
+def test_a_column_is_priced_like_its_records(records):
+    expected = sum(map(reference_size, records))
+    # Fresh from the pipe no term knows its size; then every term does.
+    copy = pickle.loads(pickle.dumps(records))
+    assert estimate_sizes(copy) == expected
+    assert estimate_sizes(copy) == expected
+    assert estimate_sizes(records) == expected
+    assert estimate_sizes(tuple(records)) == expected
+
+
+def _by_repr_length(key):
+    return len(repr(key)) % 5
+
+
+@given(
+    keys=st.one_of(*(st.lists(kind, max_size=6) for kind in key_kinds)),
+    num_partitions=st.integers(1, 7),
+)
+@settings(max_examples=400, deadline=None)
+def test_a_column_is_placed_like_its_keys(keys, num_partitions):
+    # Fresh from the pipe no term knows its placement; then every term
+    # does.  (The copy is held to the copy's definition, see above.)
+    copy = pickle.loads(pickle.dumps(keys))
+    expected = [reference_hash(key) % num_partitions for key in copy]
+    hashed = HashPartitioner(num_partitions)
+    assert hashed.partitions_for(copy) == expected
+    assert hashed.partitions_for(copy) == expected
+    assert hashed.partitions_for(tuple(copy)) == expected
+    assert [hashed.partition_for(key) for key in copy] == expected
+    by_function = FunctionPartitioner(5, _by_repr_length)
+    assert by_function.partitions_for(keys) == [
+        by_function.partition_for(key) for key in keys
+    ]
+
+
+@given(
+    keys=st.lists(st.one_of(ints, st.booleans()), max_size=8),
+    bounds=st.lists(ints, max_size=4).map(sorted),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_range_partitioner_places_a_column_key_by_key(keys, bounds):
+    partitioner = RangePartitioner(len(bounds) + 1, bounds)
+    assert partitioner.partitions_for(keys) == [
+        partitioner.partition_for(key) for key in keys
+    ]
 
 
 @given(term=terms)

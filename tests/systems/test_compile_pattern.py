@@ -1,6 +1,8 @@
 """``compile_pattern`` against a matcher that re-reads the pattern per
 triple, over every layout a triple pattern can have, in both value
-spaces the engines scan (terms and dictionary-encoded ints); and
+spaces the engines scan (terms and dictionary-encoded ints) and in the
+three shapes a scanned record has (a triple, SPARQLGX's ``(s, o)`` pair
+in a store of one predicate, Spar(k)ql's ``Edge``); and
 ``match_bgp_local``, which joins through it, against the per-candidate
 walk it replaced."""
 
@@ -10,6 +12,7 @@ import pickle
 import pytest
 
 from repro.rdf.terms import BNode, Literal, URI
+from repro.spark.graphx import Edge
 from repro.sparql.ast import TriplePattern, Variable
 from repro.systems.base import compile_pattern
 from repro.systems.localmatch import match_bgp_local
@@ -99,6 +102,58 @@ def test_every_layout_matches_like_the_reference(universe):
                     assert list(got) == list(expected)  # same key order
         seen += 1
     assert seen == 27
+
+
+def record_layouts(universe):
+    """(name, layout, records, the triple each record stands for)."""
+    triples = list(itertools.product(universe, repeat=3))
+    yield "triple", ("t[0]", "t[1]", "t[2]"), triples, triples
+    for predicate in universe:
+        # One SPARQLGX store: its predicate equals some patterns'
+        # constant and differs from the others'.
+        held = [t for t in triples if t[1] == predicate]
+        pairs = [(s, o) for s, _p, o in held]
+        yield "pair", ("t[0]", predicate, "t[1]"), pairs, held
+    edges = [Edge(s, o, p) for s, p, o in triples]
+    yield "edge", ("t.src", "t.attr", "t.dst"), edges, triples
+
+
+@pytest.mark.parametrize("hashed", [False, True], ids=["unhashed", "hashed"])
+@pytest.mark.parametrize("universe", [TERMS, INTS], ids=["terms", "ints"])
+def test_every_layout_scans_like_the_reference(universe, hashed):
+    """``scan(part)`` is the reference matcher over the partition, in
+    order and with the same key order, whatever shape a record has --
+    over copies nobody hashed (a term's ``==`` decides) and over the
+    same copies once hashed (its hash slot decides first)."""
+    seen = set()
+    for name, layout, records, stood_for in record_layouts(universe):
+        records = pickle.loads(pickle.dumps(records))
+        values = {
+            id(value): value
+            for record in records
+            for value in (vars(record).values() if name == "edge" else record)
+        }
+        if universe is TERMS:
+            assert all(value._hash is None for value in values.values())
+        if hashed:
+            for value in values.values():
+                hash(value)
+        for positions in layouts(universe):
+            match = compile_pattern(positions, layout)
+            expected = [
+                binding
+                for triple in stood_for
+                if (binding := reference_match(triple, positions)) is not None
+            ]
+            got = match.scan(records)
+            assert got == expected, (name, positions)
+            assert [list(b) for b in got] == [list(b) for b in expected]
+            # The probe entry point is the same kernel, one record a call.
+            assert [
+                b for r in records if (b := match(r)) is not None
+            ] == expected
+            seen.add((name, positions))
+    assert len(seen) == 3 * 27
 
 
 @pytest.mark.parametrize("universe", [TERMS, INTS], ids=["terms", "ints"])

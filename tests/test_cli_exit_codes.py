@@ -273,14 +273,14 @@ def test_killed_worker_is_a_typed_error(data_file, capsys, monkeypatch):
     """A worker that dies mid-task ends in exit 3 and one ``error:``
     line: killed from inside a shuffle map task, no flag involved."""
     driver = os.getpid()
-    price = rdd_module.estimate_size
+    price = rdd_module.estimate_sizes
 
-    def die_in_a_worker(record):
+    def die_in_a_worker(records):
         if os.getpid() != driver:
             os.kill(os.getpid(), signal.SIGKILL)
-        return price(record)
+        return price(records)
 
-    monkeypatch.setattr(rdd_module, "estimate_size", die_in_a_worker)
+    monkeypatch.setattr(rdd_module, "estimate_sizes", die_in_a_worker)
     argv = ["query", data_file, STAR_QUERY, "--backend", "parallel"]
     assert main(argv + ["--workers", "2"]) == 3
     captured = capsys.readouterr()
