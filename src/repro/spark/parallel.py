@@ -14,13 +14,21 @@ with one entry point, ``materialize(rdd)``, and two implementations:
 :class:`ParallelBackend`
     Runs partition tasks on forked worker processes (``fork`` start
     method, so RDD lineage and closures are inherited copy-on-write and
-    never pickled).  Execution is staged like real Spark:
+    never pickled).  A job forks its pool once, at its first stage with
+    more than one task, and stops it when the job ends; each later stage
+    is a command to the same workers, carrying what a worker forked
+    after the previous stage would have inherited.  Execution is staged
+    like real Spark:
 
     1. **Shuffle map stages.**  Pending :class:`~repro.spark.rdd.ShuffledRDD`
        barriers in the lineage are resolved deepest-first.  Each map
        task computes the bucket *fragments* of one parent partition
        (scan -> combine -> route, the same per-partition pipeline the
-       serial shuffle runs) and streams them to the driver over a pipe.
+       serial shuffle runs) and streams them to the driver over a pipe,
+       pickled per reduce partition.  The driver routes those blocks to
+       the workers as the bytes they are
+       (:class:`~repro.spark.rdd.ShuffleBlocks`); the reduce task that
+       reads a partition decodes it.
     2. **Final stage.**  The target RDD's partitions are computed by the
        pool and streamed back the same way.
 
@@ -62,7 +70,7 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.spark import accumulator as accumulator_module
-from repro.spark.rdd import RDD, ShuffledRDD
+from repro.spark.rdd import RDD, ShuffleBlocks, ShuffledRDD
 from repro.spark.tracing import Span
 
 #: Backend names accepted by every ``backend=`` knob.
@@ -75,6 +83,11 @@ DEFAULT_WORKERS = 2
 
 #: Seconds between liveness checks while waiting on worker pipes.
 _POLL_INTERVAL = 0.25
+
+#: Consecutive polls in which no worker of a stage said anything before
+#: the stage counts as hung (five minutes): a task that never returns
+#: would otherwise block the driver forever.
+_STALL_POLLS = 1200
 
 #: Process-wide flag: true inside a forked worker.  Any nested
 #: materialization in a worker falls back to the serial loop -- the
@@ -265,8 +278,19 @@ def merge_fault_delta(faults, delta) -> None:
         faults._losses_fired[key] = faults._losses_fired.get(key, 0) + count
 
 
+def _install_fault_state(faults, state) -> None:
+    """Set a worker's scheduler to the driver's merged state (absolute)."""
+    if faults is None:
+        return
+    fired, draws, losses = state
+    for rule, count in zip(faults.rules, fired):
+        rule.fired = count
+    faults._loss_draws = dict(draws)
+    faults._losses_fired = dict(losses)
+
+
 def _cache_bases(nodes: List[RDD]) -> Dict[int, frozenset]:
-    """Which partitions of each lineage RDD were cached before the fork."""
+    """Which partitions of each lineage RDD are cached right now."""
     return {
         node.id: frozenset(node._cached or ())
         for node in nodes
@@ -274,7 +298,7 @@ def _cache_bases(nodes: List[RDD]) -> Dict[int, frozenset]:
 
 
 def _cache_delta(nodes: List[RDD], bases: Dict[int, frozenset]):
-    """Partitions this worker cached that the driver does not have yet."""
+    """Partitions cached since *bases* was taken, with their data."""
     out = []
     for node in nodes:
         if node._cached is None:
@@ -291,7 +315,7 @@ def _cache_delta(nodes: List[RDD], bases: Dict[int, frozenset]):
 
 
 def merge_cache_delta(nodes: List[RDD], delta) -> None:
-    """Install worker-cached partitions on the driver's RDD objects.
+    """Install partitions cached by another process on these RDD objects.
 
     ``setdefault`` keeps the first installed copy; partition data is a
     deterministic function of the pre-fork state, so any worker's copy
@@ -308,63 +332,91 @@ def merge_cache_delta(nodes: List[RDD], delta) -> None:
             node._cached.setdefault(index, data)
 
 
-def _worker_main(worker_id, task_indices, ctx, nodes, run_one, conn):
-    """Body of one forked worker: run assigned tasks, stream results.
+def _stage_task(kind: str, node: RDD) -> Callable[[int], Any]:
+    """What one task of a stage runs: a shuffle's map task or a partition."""
+    return node._map_blocks if kind == "map" else node._iterate
 
+
+def _worker_main(worker_id, ctx, nodes, conn, driver_ends):
+    """Body of one forked worker: serve the job's stages, one command each.
+
+    A command is ``(map | final, rdd id, task indices)`` plus what a
+    worker forked after the previous stage would have inherited: the
+    shuffles resolved since (as blocks), the driver's merged
+    fault-scheduler state, and the partitions other processes cached.
     Everything the driver must merge rides in per-task messages:
     partition data, the marginal metrics delta, completed trace spans,
     and the accumulator journal.  Scheduler-state and cache deltas are
-    batched into the final ``done`` message (they are commutative /
-    idempotent, unlike the per-task streams).
+    batched into the stage's closing ``done`` message (they are
+    commutative / idempotent, unlike the per-task streams).  ``None``
+    -- or a driver that is gone -- ends the loop.
     """
     try:
         _WORKER_STATE["active"] = True
+        # The forked copies of the driver's pipe ends (this worker's and
+        # the earlier workers'): while any is open a dead driver does not
+        # read as end-of-file, and its workers would wait on it forever.
+        for end in driver_ends:
+            end.close()
         # The driver is the only deadline authority under this backend.
         ctx.deadline = None
         tracer = ctx.tracer
         faults = ctx.faults
-        fault_base = _fault_state(faults)
-        cache_base = _cache_bases(nodes)
+        by_id = {node.id: node for node in nodes}
         journal: List[Tuple[int, Any]] = []
         accumulator_module._WORKER_JOURNAL = journal
-        for index in task_indices:
-            if tracer.enabled:
-                # Worker spans root at task level; the driver reattaches
-                # them under its currently open span and renumbers seq.
-                tracer.roots = []
-                tracer._stack = []
-            del journal[:]
-            before = ctx.metrics.snapshot()
-            data = None
-            error = None
+        while True:
             try:
-                data = run_one(index)
-            except Exception as exc:  # shipped to the driver, re-raised there
-                error = _encode_error(exc)
-            delta = ctx.metrics.snapshot() - before
-            payload = {
-                "data": data,
-                "metrics": [(name, value) for name, value in delta if value],
-                "spans": (
-                    [span.to_dict() for span in tracer.roots]
-                    if tracer.enabled
-                    else []
-                ),
-                "accums": list(journal),
-                "error": error,
-            }
-            conn.send(("task", index, payload))
-            if error is not None:
-                # Mirror the serial loop: no work past a failed task.
+                command = conn.recv()
+            except EOFError:
                 break
-        conn.send(
-            (
-                "done",
-                worker_id,
-                _cache_delta(nodes, cache_base),
-                _fault_delta(faults, fault_base),
+            if command is None:
+                break
+            kind, rdd_id, task_indices, shuffles, fault_base, installs = command
+            for shuffle_id, blocks in shuffles:
+                by_id[shuffle_id]._buckets = ShuffleBlocks(blocks)
+            _install_fault_state(faults, fault_base)
+            merge_cache_delta(nodes, installs)
+            cache_base = _cache_bases(nodes)
+            run_one = _stage_task(kind, by_id[rdd_id])
+            for index in task_indices:
+                if tracer.enabled:
+                    # Worker spans root at task level; the driver reattaches
+                    # them under its currently open span and renumbers seq.
+                    tracer.roots = []
+                    tracer._stack = []
+                del journal[:]
+                before = ctx.metrics.snapshot()
+                data = None
+                error = None
+                try:
+                    data = run_one(index)
+                except Exception as exc:  # shipped to the driver, re-raised there
+                    error = _encode_error(exc)
+                delta = ctx.metrics.snapshot() - before
+                payload = {
+                    "data": data,
+                    "metrics": [(name, value) for name, value in delta if value],
+                    "spans": (
+                        [span.to_dict() for span in tracer.roots]
+                        if tracer.enabled
+                        else []
+                    ),
+                    "accums": list(journal),
+                    "error": error,
+                }
+                conn.send(("task", index, payload))
+                if error is not None:
+                    # Mirror the serial loop: no work past a failed task.
+                    break
+            conn.send(
+                (
+                    "done",
+                    worker_id,
+                    _cache_delta(nodes, cache_base),
+                    _fault_delta(faults, fault_base),
+                )
             )
-        )
     except BaseException:
         try:
             conn.send(("fatal", worker_id, traceback.format_exc()))
@@ -382,6 +434,76 @@ def _worker_main(worker_id, task_indices, ctx, nodes, run_one, conn):
 # ----------------------------------------------------------------------
 # The parallel backend
 # ----------------------------------------------------------------------
+
+
+class _Pool:
+    """The workers of one job: forked at its first stage with more than
+    one task, stopped when the job ends, and what the driver has yet to
+    tell them -- a later stage's command carries what a worker forked
+    after the earlier ones would have found in its image.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.procs: List[Any] = []
+        self.conns: List[Any] = []
+        #: Shuffles resolved since the last command (sent once, as blocks).
+        self.resolved: List[ShuffledRDD] = []
+        #: The driver's cache as the workers last heard of it.
+        self.cache_base: Dict[int, frozenset] = {}
+        #: ``(rdd id, index)`` of what each worker cached in its last stage.
+        self.cached_by: List[frozenset] = [frozenset()] * size
+
+    def fork(self, ctx, nodes: List[RDD]) -> None:
+        # Loaded by the first forked stage, in the driver: an in-process
+        # run never needs it.
+        import multiprocessing
+
+        mp_ctx = multiprocessing.get_context("fork")
+        # Workers are forked with the driver's heap frozen: a worker's
+        # collections then pass over what it inherited instead of walking
+        # it -- and, by touching every object header, copying its pages.
+        # ``gc.freeze`` is process-wide and does not nest, so a caller
+        # that already holds a frozen heap (a pre-fork server) keeps it
+        # exactly as it was: no freeze here, and above all no unfreeze.
+        ours = gc.get_freeze_count() == 0
+        if ours:
+            gc.freeze()
+        try:
+            for worker_id in range(self.size):
+                driver_end, worker_end = mp_ctx.Pipe()
+                self.conns.append(driver_end)
+                proc = mp_ctx.Process(
+                    target=_worker_main,
+                    args=(worker_id, ctx, nodes, worker_end, self.conns),
+                )
+                proc.daemon = True
+                proc.start()
+                worker_end.close()
+                self.procs.append(proc)
+        finally:
+            if ours:
+                gc.unfreeze()
+        self.cache_base = _cache_bases(nodes)
+
+    def stop(self, kill: bool) -> None:
+        """Reap every worker: told to exit after a job that succeeded,
+        killed after one that did not -- a worker may then be in the
+        middle of a task that never returns, or blocked sending to a
+        driver that has stopped reading."""
+        for conn in self.conns:
+            if not kill:
+                try:
+                    conn.send(None)
+                except OSError:  # already gone; reaped below all the same
+                    pass
+        for proc in self.procs:
+            proc.join(timeout=0 if kill else 2.0)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+        for conn in self.conns:
+            conn.close()
 
 
 class ParallelBackend:
@@ -402,7 +524,8 @@ class ParallelBackend:
                 "which this platform does not provide"
             )
         self.workers = workers
-        self._in_flight = False
+        #: The running job's pool; ``None`` between jobs.
+        self._pool: Optional[_Pool] = None
 
     def __repr__(self) -> str:
         return "ParallelBackend(workers=%d)" % self.workers
@@ -411,22 +534,30 @@ class ParallelBackend:
 
     def materialize(self, rdd: RDD) -> List[List[Any]]:
         _maybe_verify(rdd)
-        if _WORKER_STATE["active"] or self._in_flight:
+        if _WORKER_STATE["active"] or self._pool is not None:
             # Nested materialization (inside a worker task or a stage
             # already being driven) always takes the oracle path.
             return _serial_materialize(rdd)
-        self._in_flight = True
+        nodes = lineage(rdd)
+        # No stage is wider than the lineage's widest RDD: a worker that
+        # could never be given a task is not forked.
+        widest = max(node.num_partitions for node in nodes)
+        self._pool = pool = _Pool(min(self.workers, widest))
+        succeeded = False
         try:
-            nodes = lineage(rdd)
             for shuffled in pending_shuffles(nodes):
                 self._resolve_shuffle(shuffled, nodes)
             if isinstance(rdd, ShuffledRDD):
-                # Buckets are resolved; reading them is trivial driver
+                # Buckets are resolved; reading them is plain driver
                 # work and keeps the task charges on the oracle path.
-                return _serial_materialize(rdd)
-            return self._final_stage(rdd, nodes)
+                results = _serial_materialize(rdd)
+            else:
+                results = self._final_stage(rdd, nodes)
+            succeeded = True
+            return results
         finally:
-            self._in_flight = False
+            self._pool = None
+            pool.stop(kill=not succeeded)
 
     # -- stages ---------------------------------------------------------
 
@@ -444,36 +575,43 @@ class ParallelBackend:
                 partitions=shuffled.partitioner.num_partitions,
                 aggregated=shuffled.aggregator is not None,
             ) as span:
-                buckets = self._shuffle_buckets(shuffled, nodes, span)
+                buckets = self._shuffle_blocks(shuffled, nodes, span)
         else:
-            buckets = self._shuffle_buckets(shuffled, nodes, None)
+            buckets = self._shuffle_blocks(shuffled, nodes, None)
         shuffled._buckets = buckets
+        if self._pool.procs:
+            # Workers forked later find the buckets in their image.
+            self._pool.resolved.append(shuffled)
 
-    def _shuffle_buckets(
+    def _shuffle_blocks(
         self, shuffled: ShuffledRDD, nodes: List[RDD], span
-    ) -> List[List[Any]]:
+    ) -> ShuffleBlocks:
         num_out = shuffled.partitioner.num_partitions
-        buckets: List[List[Any]] = [[] for _ in range(num_out)]
+        buckets = ShuffleBlocks([[] for _ in range(num_out)])
         records = remote = nbytes = 0
-        fragments = self._run_stage(
-            shuffled.ctx,
-            nodes,
-            shuffled._map_fragments,
-            shuffled.parent.num_partitions,
+        outputs = self._run_stage(
+            shuffled.ctx, nodes, "map", shuffled, shuffled.parent.num_partitions
         )
-        # Ascending map-index concatenation reproduces the serial bucket
-        # order byte-for-byte.
-        for task_fragments, task_records, task_remote, task_bytes in fragments:
-            for reduce_index, fragment in enumerate(task_fragments):
-                buckets[reduce_index].extend(fragment)
+        # Appending in ascending map index reproduces the serial bucket
+        # order byte-for-byte; the driver routes the blocks unread.
+        for encoded, task_records, task_remote, task_bytes in outputs:
+            buckets.append(encoded)
             records += task_records
             remote += task_remote
             nbytes += task_bytes
-        shuffled._finish_shuffle(buckets, records, remote, nbytes, span)
+        if shuffled.aggregator is None:
+            shuffled._finish_shuffle(buckets, records, remote, nbytes, span)
+            return buckets
+        # The reduce-side combine is the driver's: it decodes, merges,
+        # and encodes each merged bucket once for the push.
+        merged = [buckets[index] for index in range(num_out)]
+        shuffled._finish_shuffle(merged, records, remote, nbytes, span)
+        buckets = ShuffleBlocks([[] for _ in range(num_out)])
+        buckets.append(ShuffleBlocks.encode(merged))
         return buckets
 
     def _final_stage(self, rdd: RDD, nodes: List[RDD]) -> List[List[Any]]:
-        results = self._run_stage(rdd.ctx, nodes, rdd._iterate, rdd.num_partitions)
+        results = self._run_stage(rdd.ctx, nodes, "final", rdd, rdd.num_partitions)
         if rdd._cache_requested:
             if rdd._cached is None:
                 rdd._cached = {}
@@ -484,132 +622,104 @@ class ParallelBackend:
     # -- the stage engine -----------------------------------------------
 
     def _run_stage(
-        self,
-        ctx,
-        nodes: List[RDD],
-        run_one: Callable[[int], Any],
-        num_tasks: int,
+        self, ctx, nodes: List[RDD], kind: str, node: RDD, num_tasks: int
     ) -> List[Any]:
         """Run tasks ``0..num_tasks-1`` on the pool; merge in task order.
 
         A single-task stage runs on the driver directly -- that is the
-        oracle path, so it is always semantically safe and skips a
-        pointless fork.
+        oracle path, so it is always semantically safe and keeps a job
+        of such stages from forking at all.  One worker still forks:
+        ``workers=1`` is the honest single-worker baseline.
         """
         if num_tasks <= 0:
             return []
         ctx.check_deadline()
         if num_tasks == 1:
-            return [run_one(0)]
-        # Loaded by the first forked stage, in the driver: an in-process
-        # run never needs them.
-        import multiprocessing
+            return [_stage_task(kind, node)(0)]
         from multiprocessing import connection as mp_connection
 
-        workers = min(self.workers, num_tasks)
-        if workers == 1 and self.workers == 1:
-            # One worker still forks: the workers=1 configuration is the
-            # honest single-worker baseline of the parallel backend.
-            pass
-        assigned = [list(range(w, num_tasks, workers)) for w in range(workers)]
-        mp_ctx = multiprocessing.get_context("fork")
-        conns = []
-        procs = []
-        # Workers are forked with the driver's heap frozen: a worker's
-        # collections then pass over what it inherited instead of walking
-        # it -- and, by touching every object header, copying its pages.
-        # ``gc.freeze`` is process-wide and does not nest, so a caller
-        # that already holds a frozen heap (a pre-fork server) keeps it
-        # exactly as it was: no freeze here, and above all no unfreeze.
-        ours = gc.get_freeze_count() == 0
-        if ours:
-            gc.freeze()
+        pool = self._pool
+        if not pool.procs:
+            pool.fork(ctx, nodes)
+        shuffles = [(done.id, done._buckets.blocks) for done in pool.resolved]
+        pool.resolved = []
+        fault_state = _fault_state(ctx.faults)
+        cached = _cache_delta(nodes, pool.cache_base)
+        pool.cache_base = _cache_bases(nodes)
         try:
-            for worker_id in range(workers):
-                recv_end, send_end = mp_ctx.Pipe(duplex=False)
-                proc = mp_ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        worker_id,
-                        assigned[worker_id],
-                        ctx,
-                        nodes,
-                        run_one,
-                        send_end,
-                    ),
-                )
-                proc.daemon = True
-                proc.start()
-                send_end.close()
-                conns.append(recv_end)
-                procs.append(proc)
-        finally:
-            if ours:
-                gc.unfreeze()
+            for worker_id, conn in enumerate(pool.conns):
+                own = pool.cached_by[worker_id]
+                installs = [
+                    (rdd_id, [item for item in items if (rdd_id, item[0]) not in own])
+                    for rdd_id, items in cached
+                ]
+                tasks = list(range(worker_id, num_tasks, pool.size))
+                conn.send((kind, node.id, tasks, shuffles, fault_state, installs))
+        except OSError as exc:
+            raise WorkerCrashError(
+                "parallel worker %d is gone between stages: %s" % (worker_id, exc)
+            )
         results: List[Any] = [None] * num_tasks
         buffered: Dict[int, Dict[str, Any]] = {}
         done_msgs: Dict[int, Tuple[Any, Any]] = {}
         next_merge = 0
-        try:
-            live = list(conns)
-            finished = set()
-            while live:
-                ready = mp_connection.wait(live, timeout=_POLL_INTERVAL)
-                if not ready:
-                    self._check_liveness(procs, conns, live, finished)
-                    continue
-                for conn in ready:
-                    try:
-                        message = conn.recv()
-                    except EOFError:
-                        live.remove(conn)
-                        worker_id = conns.index(conn)
-                        if worker_id not in finished:
-                            raise WorkerCrashError(
-                                "parallel worker %d exited before "
-                                "completing its tasks (exit code %s)"
-                                % (worker_id, procs[worker_id].exitcode)
-                            )
-                        continue
-                    kind = message[0]
-                    if kind == "task":
-                        _, index, payload = message
-                        buffered[index] = payload
-                        next_merge = self._merge_ready(
-                            ctx, results, buffered, next_merge
-                        )
-                    elif kind == "done":
-                        _, worker_id, cache_delta, fault_delta = message
-                        finished.add(worker_id)
-                        done_msgs[worker_id] = (cache_delta, fault_delta)
-                    else:  # fatal
-                        _, worker_id, trace = message
-                        raise WorkerCrashError(
-                            "parallel worker %d crashed:\n%s" % (worker_id, trace)
-                        )
-            if next_merge != num_tasks:
-                raise WorkerCrashError(
-                    "parallel stage lost tasks: merged %d of %d"
-                    % (next_merge, num_tasks)
-                )
-            # Batched, commutative state: merged only on full success, in
-            # worker-id order for determinism.
-            for worker_id in sorted(done_msgs):
-                cache_delta, fault_delta = done_msgs[worker_id]
-                merge_cache_delta(nodes, cache_delta)
-                merge_fault_delta(ctx.faults, fault_delta)
-            return results
-        finally:
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in procs:
-                proc.join(timeout=2.0)
-            for conn in conns:
+        silent_polls = 0
+        while len(done_msgs) < pool.size:
+            ready = mp_connection.wait(pool.conns, timeout=_POLL_INTERVAL)
+            if not ready:
+                self._check_liveness(pool.procs, done_msgs)
+                # Polls are counted, not timed: no clock is read here.
+                silent_polls += 1
+                if silent_polls >= _STALL_POLLS:
+                    raise WorkerCrashError(
+                        "no parallel worker reported for %d polls of %gs "
+                        "(a task that never returns?); the pool was killed"
+                        % (silent_polls, _POLL_INTERVAL)
+                    )
+                continue
+            silent_polls = 0
+            for conn in ready:
                 try:
-                    conn.close()
-                except Exception:
-                    pass
+                    message = conn.recv()
+                except EOFError:
+                    worker_id = pool.conns.index(conn)
+                    raise WorkerCrashError(
+                        "parallel worker %d exited before "
+                        "completing its tasks (exit code %s)"
+                        % (worker_id, pool.procs[worker_id].exitcode)
+                    )
+                tag = message[0]
+                if tag == "task":
+                    _, index, payload = message
+                    buffered[index] = payload
+                    next_merge = self._merge_ready(
+                        ctx, results, buffered, next_merge
+                    )
+                elif tag == "done":
+                    _, worker_id, cache_delta, fault_delta = message
+                    done_msgs[worker_id] = (cache_delta, fault_delta)
+                else:  # fatal
+                    _, worker_id, trace = message
+                    raise WorkerCrashError(
+                        "parallel worker %d crashed:\n%s" % (worker_id, trace)
+                    )
+        if next_merge != num_tasks:
+            raise WorkerCrashError(
+                "parallel stage lost tasks: merged %d of %d"
+                % (next_merge, num_tasks)
+            )
+        # Batched, commutative state: merged only on full success, in
+        # worker-id order for determinism.
+        for worker_id in sorted(done_msgs):
+            cache_delta, fault_delta = done_msgs[worker_id]
+            merge_cache_delta(nodes, cache_delta)
+            merge_fault_delta(ctx.faults, fault_delta)
+            pool.cached_by[worker_id] = frozenset(
+                (rdd_id, index)
+                for rdd_id, items in cache_delta
+                for index, _data in items
+            )
+        return results
 
     def _merge_ready(self, ctx, results, buffered, next_merge) -> int:
         """Merge buffered payloads while the next task index is present.
@@ -655,12 +765,11 @@ class ParallelBackend:
             else:
                 tracer.roots.append(span)
 
-    def _check_liveness(self, procs, conns, live, finished) -> None:
+    def _check_liveness(self, procs, done_msgs) -> None:
         """Detect workers that died without closing their pipe cleanly."""
         for worker_id, proc in enumerate(procs):
             if (
-                conns[worker_id] in live
-                and worker_id not in finished
+                worker_id not in done_msgs
                 and not proc.is_alive()
                 and proc.exitcode not in (0, None)
             ):

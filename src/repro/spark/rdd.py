@@ -14,8 +14,10 @@ already co-located (local) or had to cross executors (remote).
 
 from __future__ import annotations
 
+import pickle
 import random
 from collections import defaultdict
+from itertools import chain
 from typing import (
     Any,
     Callable,
@@ -25,6 +27,7 @@ from typing import (
     Optional,
     Tuple,
     TypeVar,
+    Union,
 )
 
 from repro.spark.faults import TaskFailedError
@@ -895,7 +898,9 @@ class ShuffledRDD(RDD):
         super().__init__(parent.ctx, partitioner.num_partitions, partitioner)
         self.parent = parent
         self.aggregator = aggregator
-        self._buckets: Optional[List[List[Any]]] = None
+        #: One list of records per reduce partition once the shuffle has
+        #: run -- or, under the forked backend, its :class:`ShuffleBlocks`.
+        self._buckets: Union[None, List[List[Any]], ShuffleBlocks] = None
 
     def _ensure_shuffled(self) -> List[List[Any]]:
         if self._buckets is not None:
@@ -973,6 +978,17 @@ class ShuffledRDD(RDD):
         remote = sum(map(is_remote.__getitem__, placements))
         return fragments, len(outgoing), remote, estimate_sizes(outgoing)
 
+    def _map_blocks(
+        self, map_index: int
+    ) -> Tuple[List[Optional[bytes]], int, int, int]:
+        """One shuffle map task as the forked backend runs it:
+        :meth:`_map_fragments` with each fragment pickled (``None`` for
+        an empty one), so the driver routes bytes it never decodes and
+        the reduce task that reads a partition is the one to build it.
+        """
+        fragments, records, remote, nbytes = self._map_fragments(map_index)
+        return ShuffleBlocks.encode(fragments), records, remote, nbytes
+
     def _finish_shuffle(
         self,
         buckets: List[List[Any]],
@@ -999,7 +1015,39 @@ class ShuffledRDD(RDD):
             span.attrs["bytes"] = nbytes
 
     def compute(self, index: int) -> List[Any]:
-        return list(self._ensure_shuffled()[index])
+        buckets = self._ensure_shuffled()
+        if type(buckets) is list:
+            return list(buckets[index])
+        return buckets[index]  # decoded for this read: already the caller's
+
+
+class ShuffleBlocks:
+    """A shuffle's output as its map tasks serialized it.
+
+    ``blocks[i]`` holds reduce partition *i* as the pickled fragments of
+    :meth:`ShuffledRDD._map_blocks` in ascending map order -- the order
+    the serial shuffle concatenates them in.  Indexing decodes: a read
+    returns a fresh list equal to the serial bucket, built by whoever
+    runs the reduce task, as Spark's shuffle files are fetched and not
+    re-serialized on the way.
+    """
+
+    def __init__(self, blocks: List[List[bytes]]) -> None:
+        self.blocks = blocks
+
+    @staticmethod
+    def encode(fragments: List[List[Any]]) -> List[Optional[bytes]]:
+        """One map task's fragments, each pickled; ``None`` for an empty one."""
+        return [pickle.dumps(fragment) if fragment else None for fragment in fragments]
+
+    def append(self, encoded: List[Optional[bytes]]) -> None:
+        """Add one map task's encoded fragments, unread; call in map order."""
+        for bucket, block in zip(self.blocks, encoded):
+            if block is not None:
+                bucket.append(block)
+
+    def __getitem__(self, index: int) -> List[Any]:
+        return list(chain.from_iterable(map(pickle.loads, self.blocks[index])))
 
 
 class CoGroupedRDD(RDD):

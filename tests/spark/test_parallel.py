@@ -8,8 +8,15 @@ process boundary, deadline aborts, and cache installation.
 """
 
 import gc
+import json
+import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from multiprocessing.process import BaseProcess
 
 import pytest
 
@@ -17,15 +24,19 @@ from repro.rdf.terms import BNode, Literal, URI
 from repro.rdf.triple import Triple
 from repro.spark.context import SparkContext
 from repro.spark.deadline import DeadlineExceededError
-from repro.spark.faults import TaskFailedError
+from repro.spark import parallel as parallel_module
+from repro.spark.faults import FaultRule, TaskFailedError
 from repro.spark.metrics import MetricsCollector
 from repro.spark.parallel import (
     BackendConfigError,
     InProcessBackend,
     ParallelBackend,
+    WorkerCrashError,
+    _fault_state,
     build_backend,
     parallel_available,
 )
+from repro.spark.partitioner import HashPartitioner
 from repro.spark.row import Row
 
 needs_fork = pytest.mark.skipif(
@@ -359,3 +370,319 @@ def test_cache_contents_match_serial_backend():
     assert job(SparkContext(4, backend="parallel", workers=2)) == job(
         SparkContext(4)
     )
+
+
+# ----------------------------------------------------------------------
+# The pool's life: one fork set per job
+# ----------------------------------------------------------------------
+
+
+def span_charges(roots):
+    """Every span of a trace as (kind, name, attrs, own charges), sorted.
+
+    ``normalize_spans`` without the nesting, for jobs of several
+    shuffles: the oracle opens a shuffle's span inside the span of the
+    stage that first reads it, the staged backend resolves the barriers
+    deepest-first, side by side (docs/PARALLEL.md).  What each span is
+    and what it was charged itself must still agree.
+    """
+    return sorted(
+        json.dumps(
+            [span.kind, span.name, span.attrs, span.self_metrics], sort_keys=True
+        )
+        for root in roots
+        for span in root.walk()
+    )
+
+
+def oracle_and_pool(job, workers=2, **knobs):
+    """Run ``job(sc)`` on a fresh in-process context and on a fresh
+    forked one, traced; return the two contexts after asserting that the
+    answers (as bytes), the counters and the spans' charges agree."""
+    serial = SparkContext(4, **knobs)
+    forked = SparkContext(4, backend="parallel", workers=workers, **knobs)
+    answers = []
+    for sc in (serial, forked):
+        sc.tracer.enable()
+        answers.append(repr(job(sc)).encode())
+    assert answers[1] == answers[0]
+    assert dict(forked.metrics.snapshot()) == dict(serial.metrics.snapshot())
+    assert span_charges(forked.tracer.roots) == span_charges(serial.tracer.roots)
+    return serial, forked
+
+
+@pytest.fixture
+def process_starts(monkeypatch):
+    """Every ``Process.start`` made while the test runs, as pids."""
+    started = []
+    start = BaseProcess.start
+
+    def counting_start(self):
+        start(self)
+        started.append(self.pid)
+
+    monkeypatch.setattr(BaseProcess, "start", counting_start)
+    return started
+
+
+def three_stage_job(sc, seen):
+    """Two shuffles and a final stage; every task of every stage notes
+    ``(stage, partition, pid)`` in the accumulator *seen*."""
+
+    def noting(stage):
+        def note(index, part):
+            seen.add(frozenset([(stage, index, os.getpid())]))
+            return part
+
+        return note
+
+    return (
+        sc.parallelize([(i % 5, i) for i in range(40)], 4)
+        .mapPartitionsWithIndex(noting("map 1"))
+        .reduceByKey(lambda a, b: a + b)
+        .mapPartitionsWithIndex(noting("map 2"))
+        .map(lambda kv: (kv[1] % 3, kv[0]))
+        .groupByKey()
+        .mapPartitionsWithIndex(noting("final"))
+    )
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_job_forks_once_and_its_workers_serve_every_stage(
+    process_starts, workers
+):
+    def union_accumulator(ctx):
+        return ctx.accumulator(frozenset(), lambda a, b: a | b)
+
+    serial = SparkContext(4)
+    expected = three_stage_job(serial, union_accumulator(serial)).collect()
+    sc = SparkContext(4, backend="parallel", workers=workers)
+    seen = union_accumulator(sc)
+    assert three_stage_job(sc, seen).collect() == expected
+    assert len(process_starts) == workers
+    assert {(stage, index) for stage, index, _pid in seen.value} == {
+        (stage, index)
+        for stage in ("map 1", "map 2", "final")
+        for index in range(4)
+    }
+    pids = {pid for _stage, _index, pid in seen.value}
+    assert pids <= set(process_starts) and os.getpid() not in pids
+    # The next job has a pool of its own.
+    first, seen._value = pids, frozenset()
+    assert three_stage_job(sc, seen).collect() == expected
+    assert len(process_starts) == 2 * workers
+    assert not first & {pid for _stage, _index, pid in seen.value}
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_pool_is_no_wider_than_the_widest_stage_and_absent_without_one(
+    process_starts,
+):
+    sc = SparkContext(4, backend="parallel", workers=4)
+    # A single-stage job forks for its one stage, as it always did.
+    assert sc.parallelize(list(range(6)), 2).map(abs).collect() == list(range(6))
+    assert len(process_starts) == 2
+    # A job of single-task stages runs in the driver and forks nothing.
+    del process_starts[:]
+    single = sc.parallelize([(i % 3, i) for i in range(9)], 1)
+    assert sorted(single.reduceByKey(lambda a, b: a + b, 1).collect()) == [
+        (0, 9), (1, 12), (2, 15)
+    ]
+    assert process_starts == []
+
+
+def assert_nothing_left_behind():
+    """No child process, and the caller's ``gc.freeze`` count (none)."""
+    assert multiprocessing.active_children() == []
+    assert gc.get_freeze_count() == 0
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", ["task error", "deadline", "killed worker"])
+def test_a_failed_job_leaves_no_worker_and_the_context_usable(failure):
+    """After a job that raised, the pool is gone -- also the workers that
+    were blocked sending results nobody will read (each task's output is
+    larger than a pipe buffer) -- and the context's next job is the
+    oracle's, bytes and counters."""
+    sc = SparkContext(4, backend="parallel", workers=2)
+    driver = os.getpid()
+
+    def bulky(x):
+        if failure == "task error" and x == 0:
+            raise ValueError("first task fails")
+        if failure == "killed worker" and x == 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return "x" * 400000
+
+    raised = {
+        "task error": ValueError,
+        "deadline": DeadlineExceededError,
+        "killed worker": WorkerCrashError,
+    }[failure]
+    if failure == "deadline":
+        sc.set_deadline(1)
+    with pytest.raises(raised):
+        sc.parallelize(list(range(8)), 8).map(bulky).collect()
+    assert os.getpid() == driver
+    assert_nothing_left_behind()
+    sc.set_deadline(None)
+
+    def next_job(ctx):
+        pairs = ctx.parallelize([(i % 4, i) for i in range(32)], 4)
+        return pairs.reduceByKey(lambda a, b: a + b).mapValues(str).collect()
+
+    before = sc.metrics.snapshot()
+    answer = next_job(sc)
+    serial = SparkContext(4)
+    assert repr(answer) == repr(next_job(serial))
+    assert dict(sc.metrics.snapshot() - before) == dict(serial.metrics.snapshot())
+    assert_nothing_left_behind()
+
+
+@needs_fork
+def test_a_task_that_never_returns_is_a_worker_crash(monkeypatch):
+    """Liveness polling sees dead workers only; silence from every live
+    one is counted in polls and, past the limit, ends the job."""
+    monkeypatch.setattr(parallel_module, "_STALL_POLLS", 2)
+    sc = SparkContext(4, backend="parallel", workers=2)
+
+    def spin(x):
+        while True:
+            pass
+
+    with pytest.raises(WorkerCrashError, match="no parallel worker reported"):
+        sc.parallelize(list(range(8)), 4).map(spin).collect()
+    assert_nothing_left_behind()
+    assert sc.parallelize(list(range(8)), 4).map(abs).collect() == list(range(8))
+
+
+# ----------------------------------------------------------------------
+# What a later stage is sent instead of inheriting
+# ----------------------------------------------------------------------
+
+
+def cached_and_read_by_another_worker(sc):
+    """A cached RDD whose partitions are computed in one stage and read
+    again in the next two, through ``coalesce`` and ``union``, by tasks
+    of other indices -- so by the other worker of a pool of two."""
+    base = (
+        sc.parallelize([(i % 5, i) for i in range(40)], 4)
+        .mapValues(lambda v: v + 1)
+        .cache()
+    )
+    spread = base.partitionBy(HashPartitioner(4))
+    folded = base.coalesce(2).partitionBy(HashPartitioner(3))
+    return base, spread.union(folded).union(base)
+
+
+@needs_fork
+def test_a_fault_rule_fired_in_one_stage_is_spent_in_the_next():
+    """``times=N`` budgets and seeded loss draws are scheduler state a
+    worker used to inherit with each fork: the rule that fired twice in
+    the first stage must read as exhausted when a lost partition is
+    rebuilt by another worker, and a loss draw must continue the count."""
+
+    def job(sc):
+        base, result = cached_and_read_by_another_worker(sc)
+        sc.faults.add_rule(FaultRule("fail", stage=base.id, partition=1, times=2))
+        return result.collect()
+
+    serial, forked = oracle_and_pool(job, faults="lose:p=0.6;seed=5")
+    assert serial.metrics.get("tasks_failed") == 2
+    assert serial.metrics.get("partitions_recomputed") > 2
+    assert _fault_state(forked.faults) == _fault_state(serial.faults)
+
+
+@needs_fork
+def test_a_partition_cached_by_one_worker_is_read_by_another():
+    serial, forked = oracle_and_pool(
+        lambda sc: cached_and_read_by_another_worker(sc)[1].collect()
+    )
+    # Nothing was computed twice: four scans, four cached partitions,
+    # eight reads of them that were not tasks.
+    assert forked.metrics.get("tasks") == serial.metrics.get("tasks")
+
+
+@needs_fork
+def test_a_driver_run_stage_that_caches_between_two_forked_ones():
+    def job(sc):
+        pairs = sc.parallelize([(i % 7, i) for i in range(60)], 4)
+        summed = pairs.reduceByKey(lambda a, b: a + b, 4)
+        single = summed.coalesce(1).cache()
+        regrouped = single.map(lambda kv: (kv[1] % 3, kv[0])).partitionBy(
+            HashPartitioner(2)
+        )
+        return regrouped.union(single).collect()
+
+    serial, forked = oracle_and_pool(job)
+    assert forked.metrics.get("tasks") == serial.metrics.get("tasks")
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_aggregated_shuffles_feed_a_second_shuffle_in_the_same_job(workers):
+    def job(sc):
+        pairs = sc.parallelize([(i % 6, i % 4) for i in range(48)], 4)
+        summed = pairs.reduceByKey(lambda a, b: a + b)
+        unique = summed.map(lambda kv: kv[1] % 5).distinct()
+        return unique.map(lambda x: (x % 2, x)).groupByKey().collect()
+
+    oracle_and_pool(job, workers=workers)
+
+
+DRIVER_THAT_DIES_BETWEEN_STAGES = """
+import os, signal, sys
+from repro.spark.context import SparkContext
+
+driver = os.getpid()
+
+def note_pid(part):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    return part
+
+def die_in_the_driver(a, b):
+    # The reduce-side combine runs in the driver, between two stages:
+    # every worker is idle, waiting for its next command.
+    if os.getpid() == driver:
+        os.kill(driver, signal.SIGKILL)
+    return a + b
+
+sc = SparkContext(4, backend="parallel", workers=2)
+pairs = sc.parallelize([(i % 3, i) for i in range(24)], 4).mapPartitions(note_pid)
+pairs.reduceByKey(die_in_the_driver).map(lambda kv: kv).collect()
+"""
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_workers_of_a_driver_that_died_do_not_wait_for_it(tmp_path):
+    """A worker holds forked copies of the driver's pipe ends; it closes
+    them, so a driver killed while its workers sit idle reads as
+    end-of-file and they exit instead of waiting for ever."""
+    proc = subprocess.run(
+        [sys.executable, "-c", DRIVER_THAT_DIES_BETWEEN_STAGES, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        timeout=60,
+    )
+    assert proc.returncode == -signal.SIGKILL
+    workers = [int(name) for name in os.listdir(str(tmp_path))]
+    assert len(workers) == 2
+
+    def running(pid):
+        try:
+            with open("/proc/%d/stat" % pid) as handle:
+                return handle.read().rpartition(")")[2].split()[0] != "Z"
+        except OSError:
+            return False
+
+    try:
+        for _ in range(100):
+            if not any(map(running, workers)):
+                break
+            time.sleep(0.1)
+        assert not any(map(running, workers))
+    finally:
+        for pid in filter(running, workers):
+            os.kill(pid, signal.SIGKILL)

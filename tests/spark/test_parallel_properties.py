@@ -18,6 +18,12 @@ from repro.rdf.triple import Triple
 from repro.server.protocol import canonical_json, canonical_result
 from repro.spark.context import SparkContext
 from repro.spark.parallel import parallel_available
+from repro.spark.partitioner import (
+    FunctionPartitioner,
+    HashPartitioner,
+    RangePartitioner,
+)
+from repro.spark.rdd import ShuffleBlocks
 from repro.sparql.parser import parse_sparql
 from repro.systems import NaiveEngine, SparqlgxEngine
 
@@ -115,3 +121,74 @@ def test_partitioned_engine_agrees_on_random_bgps(raw_edges, raw_shapes):
     assert (
         run_canonical(SparqlgxEngine, graph, query, "parallel", 2) == oracle
     )
+
+
+#: Keys of mixed kinds the placement hash is defined on; values anything
+#: that pickles.  Few distinct keys and many partitions leave fragments
+#: -- and whole map and reduce partitions -- empty.
+pair_keys = st.one_of(
+    st.integers(-4, 12),
+    st.text("abc", max_size=2),
+    st.integers(0, 3).map(lambda n: URI("%sk%d" % (NS, n))),
+)
+pair_partitions = st.lists(
+    st.lists(
+        st.tuples(pair_keys, st.one_of(st.integers(), st.text("xy", max_size=3))),
+        max_size=12,
+    ),
+    min_size=2,
+    max_size=5,
+)
+
+
+def partitioner_for(kind, num_out, keys):
+    if kind == "hash":
+        return HashPartitioner(num_out)
+    if kind == "function":
+        return FunctionPartitioner(
+            num_out, lambda key: len(repr(key)) % num_out, "repr-length"
+        )
+    bounds = sorted(keys)
+    step = max(len(bounds) // num_out, 1)
+    return RangePartitioner(num_out, bounds[step::step][: num_out - 1])
+
+
+@given(
+    partitions=pair_partitions,
+    num_out=st.integers(1, 6),
+    kind=st.sampled_from(["hash", "range", "function"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_decoded_blocks_equal_the_serial_buckets(partitions, num_out, kind):
+    """What a reduce task decodes from the blocks the driver routed is,
+    partition by partition, the bucket the serial shuffle builds -- and
+    an empty fragment is no block at all."""
+    if kind == "range":
+        # Range placement compares keys: give it keys of one kind.
+        partitions = [
+            [(repr(key), value) for key, value in part] for part in partitions
+        ]
+    partitioner = partitioner_for(
+        kind, num_out, [key for part in partitions for key, _value in part]
+    )
+
+    def shuffled(**backend):
+        ctx = SparkContext(4, **backend)
+        return ctx.fromPartitions(partitions).partitionBy(partitioner)
+
+    serial, forked = shuffled(), shuffled(backend="parallel", workers=2)
+    assert forked._materialize() == serial._materialize()
+    charged = [
+        {name: value for name, value in side.ctx.metrics.snapshot() if value}
+        for side in (forked, serial)
+    ]
+    assert charged[0] == charged[1]
+    assert isinstance(forked._buckets, ShuffleBlocks)
+    fragments = [
+        shuffled()._map_fragments(index)[0] for index in range(len(partitions))
+    ]
+    for index in range(num_out):
+        assert forked._buckets[index] == serial._buckets[index]
+        assert len(forked._buckets.blocks[index]) == sum(
+            bool(task_fragments[index]) for task_fragments in fragments
+        )

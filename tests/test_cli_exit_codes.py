@@ -20,6 +20,7 @@ their own tests.)
 """
 
 import json
+import multiprocessing
 import os
 import signal
 
@@ -27,6 +28,7 @@ import pytest
 
 from repro.cli import main
 from repro.rdf.ntriples import save_ntriples_file
+from repro.spark import parallel as parallel_module
 from repro.spark import rdd as rdd_module
 from repro.spark.parallel import parallel_available
 
@@ -287,6 +289,31 @@ def test_killed_worker_is_a_typed_error(data_file, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: parallel worker ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.skipif(
+    not parallel_available(), reason="the parallel backend needs fork"
+)
+def test_task_that_never_returns_is_a_typed_error(data_file, capsys, monkeypatch):
+    """Workers that are alive and silent past the stall limit end the
+    same way: exit 3, one ``error:`` line, nothing left running."""
+    driver = os.getpid()
+    price = rdd_module.estimate_sizes
+
+    def spin_in_a_worker(records):
+        while os.getpid() != driver:
+            pass
+        return price(records)
+
+    monkeypatch.setattr(rdd_module, "estimate_sizes", spin_in_a_worker)
+    monkeypatch.setattr(parallel_module, "_STALL_POLLS", 2)
+    argv = ["query", data_file, STAR_QUERY, "--backend", "parallel"]
+    assert main(argv + ["--workers", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no parallel worker reported ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert multiprocessing.active_children() == []
 
 
 class TestLintOutput:

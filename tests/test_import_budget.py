@@ -47,14 +47,14 @@ imported = sorted(sys.modules)
 at_fork, workers = set(), sys.argv[1]
 os.register_at_fork(before=lambda: at_fork.update(sys.modules))
 worker_main = parallel._worker_main
-def reporting_worker(worker_id, tasks, ctx, nodes, run_one, conn):
+def reporting_worker(worker_id, ctx, nodes, conn, driver_ends):
     class Reporting:
-        send = conn.send
+        send, recv = conn.send, conn.recv
         def close(self):
             with open(os.path.join(workers, str(os.getpid())), "w") as handle:
                 json.dump(sorted(set(sys.modules) - at_fork), handle)
             conn.close()
-    worker_main(worker_id, tasks, ctx, nodes, run_one, Reporting())
+    worker_main(worker_id, ctx, nodes, Reporting(), driver_ends)
 parallel._worker_main = reporting_worker
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -136,7 +136,7 @@ def test_optimized_query_loads_the_optimizer_and_answers_the_same(run_cli):
 @pytest.mark.skipif(not parallel_available(), reason="needs fork")
 def test_forked_workers_import_nothing_new(run_cli):
     """Whatever a task needs was loaded by the driver before it forked:
-    no worker pays for an import, once per worker per stage."""
+    no worker pays for an import, once per worker per job."""
     serial, forked = run_cli(), run_cli("--backend", "parallel", "--workers", "2")
     assert forked["out"] == serial["out"]
     assert len(forked["workers"]) >= 2
