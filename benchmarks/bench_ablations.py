@@ -37,12 +37,6 @@ SELECT ?s ?d ?c WHERE {
 """
 
 
-def _cost(engine, query):
-    before = engine.ctx.metrics.snapshot()
-    engine.execute(query)
-    return engine.ctx.metrics.snapshot() - before
-
-
 def test_sparqlgx_reordering_ablation(benchmark, lubm_graph):
     def run():
         with_stats = SparqlgxEngine(SparkContext(4))
@@ -50,8 +44,8 @@ def test_sparqlgx_reordering_ablation(benchmark, lubm_graph):
         without = SparqlgxEngine(SparkContext(4), enable_reordering=False)
         without.load(lubm_graph)
         return (
-            _cost(with_stats, BADLY_ORDERED),
-            _cost(without, BADLY_ORDERED),
+            with_stats.measure(BADLY_ORDERED).cost,
+            without.measure(BADLY_ORDERED).cost,
         )
 
     optimized, plain = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -83,8 +77,8 @@ def test_s2x_validation_ablation(benchmark, lubm_small):
         with_validation.load(lubm_small)
         without = S2XEngine(SparkContext(4), validate=False)
         without.load(lubm_small)
-        validated_cost = _cost(with_validation, query)
-        raw_cost = _cost(without, query)
+        validated_cost = with_validation.measure(query).cost
+        raw_cost = without.measure(query).cost
         correct = with_validation.execute(query).same_as(
             without.execute(query)
         )
@@ -133,8 +127,8 @@ def test_haqwa_workload_depth_sweep(benchmark, lubm_small):
             )
             engine.load(lubm_small)
             shuffle = (
-                _cost(engine, linear).shuffle_records
-                + _cost(engine, teaching).shuffle_records
+                engine.measure(linear).cost.shuffle_records
+                + engine.measure(teaching).cost.shuffle_records
             )
             rows.append([top, engine.replicated_triples, shuffle])
         return rows

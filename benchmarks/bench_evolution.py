@@ -14,14 +14,10 @@ over a commit history, and the cost of keeping a running engine current
 from repro.bench import format_table
 from repro.core.assessment import ClaimResult
 from repro.data.lubm import LUBM
-from repro.evolution import (
-    ArchivePolicy,
-    UpdatableNaiveEngine,
-    UpdatableSparqlgxEngine,
-    VersionedGraph,
-)
+from repro.evolution import ArchivePolicy, VersionedGraph
 from repro.rdf.triple import Triple
 from repro.spark.context import SparkContext
+from repro.systems import NaiveEngine, SparqlgxEngine
 
 from conftest import report
 
@@ -124,20 +120,15 @@ def test_uninterrupted_updates(benchmark, lubm_small):
     )
 
     def run():
-        incremental = UpdatableSparqlgxEngine(SparkContext(4))
-        incremental.load(lubm_small)
-        rewrite_all = UpdatableNaiveEngine(SparkContext(4))
-        rewrite_all.load(lubm_small)
-        incremental.apply_update(additions=additions)
-        rewrite_all.apply_update(additions=additions)
+        incremental = SparqlgxEngine(SparkContext(4)).load(lubm_small)
+        rewrite_all = NaiveEngine(SparkContext(4)).load(lubm_small)
+        store = VersionedGraph(lubm_small)
+        delta = store.delta(store.commit(additions=additions))
+        touched_inc = incremental.apply_delta(delta, store.head())
+        touched_naive = rewrite_all.apply_delta(delta, store.head())
         rows_inc = len(incremental.execute(query))
         rows_naive = len(rewrite_all.execute(query))
-        return (
-            incremental.last_update_touched,
-            rewrite_all.last_update_touched,
-            rows_inc,
-            rows_naive,
-        )
+        return touched_inc, touched_naive, rows_inc, rows_naive
 
     touched_inc, touched_naive, rows_inc, rows_naive = benchmark.pedantic(
         run, rounds=1, iterations=1

@@ -13,79 +13,40 @@ thresholds.
 
 from repro.bench import format_table
 from repro.core.assessment import ClaimResult
-from repro.rdf.graph import RDFGraph
-from repro.rdf.terms import URI
-from repro.rdf.triple import Triple
+from repro.core.claims import build_default_assessment
 from repro.spark.context import SparkContext
 from repro.systems import S2RdfEngine
 
 from conftest import report
 
-EX = "http://example.org/"
-QUERY = (
-    "PREFIX ex: <http://example.org/>\n"
-    "SELECT ?x ?y ?z WHERE { ?x ex:likes ?y . ?x ex:follows ?z }"
-)
-
-
-def paper_example_graph():
-    """Two 100-row predicates sharing exactly 10 subjects (the SS case)."""
-    graph = RDFGraph()
-    for i in range(100):
-        graph.add(
-            Triple(URI(EX + "a%d" % i), URI(EX + "likes"), URI(EX + "La%d" % i))
-        )
-    for i in range(100):
-        # Subjects a0..a9 overlap; b10..b99 do not.
-        subject = "a%d" % i if i < 10 else "b%d" % i
-        graph.add(
-            Triple(
-                URI(EX + subject), URI(EX + "follows"), URI(EX + "Fb%d" % i)
-            )
-        )
-    return graph
-
-
-def _comparisons(engine, query):
-    before = engine.ctx.metrics.snapshot()
-    engine.execute(query)
-    return (engine.ctx.metrics.snapshot() - before).join_comparisons
-
 
 def test_paper_100x100_example(benchmark):
-    graph = paper_example_graph()
-    with_extvp = S2RdfEngine(SparkContext(1))
-    with_extvp.load(graph)
-    without = S2RdfEngine(SparkContext(1), build_extvp=False)
-    without.load(graph)
-
-    plain = _comparisons(without, QUERY)
-    reduced = benchmark.pedantic(
-        lambda: _comparisons(with_extvp, QUERY), rounds=1, iterations=1
+    # The scenario -- two 100-row predicates sharing exactly 10 subjects,
+    # joined with and without ExtVP -- is `repro claims`' own.
+    claim = next(
+        claim
+        for claim in build_default_assessment().claims()
+        if claim.claim_id == "extvp-semi-join-reduction"
     )
-
-    rows = [
-        ["VP only (100 x 100, 10 shared)", plain],
-        ["ExtVP (10 x 10)", reduced],
-    ]
+    result = benchmark.pedantic(claim.check, rounds=1, iterations=1)
+    plain = result.evidence["comparisons_vp"]
+    reduced = result.evidence["comparisons_extvp"]
     # Paper's numbers assume a nested-loop 100*100 = 10,000 vs 10; our hash
     # join charges per matching key, so the *ratio* is the claim's shape:
     # ExtVP must cut comparisons by roughly the 10x subject selectivity.
-    result = ClaimResult(
-        "CLM-EXTVP",
-        holds=reduced * 5 <= plain,
-        evidence={
-            "comparisons_vp": plain,
-            "comparisons_extvp": reduced,
-            "reduction_factor": round(plain / max(reduced, 1), 1),
-        },
-    )
     report(
         "CLM-EXTVP: the paper's 100x100 / 10-overlap example",
-        format_table(["storage", "join comparisons"], rows)
-        + "\n" + result.summary(),
+        format_table(
+            ["storage", "join comparisons"],
+            [
+                ["VP only (100 x 100, 10 shared)", plain],
+                ["ExtVP (10 x 10)", reduced],
+            ],
+        )
+        + "\n" + result.summary()
+        + "\nreduction factor: %.1f" % (plain / max(reduced, 1)),
     )
-    assert result.holds
+    assert result.holds and (plain, reduced) == (100, 10)
 
 
 def test_sf_threshold_storage_tradeoff(benchmark, lubm_small):

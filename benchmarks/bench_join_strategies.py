@@ -40,12 +40,6 @@ QUERIES = {
 }
 
 
-def _cost(engine, query_text):
-    before = engine.ctx.metrics.snapshot()
-    engine.execute(query_text)
-    return engine.ctx.metrics.snapshot() - before
-
-
 def test_strategy_matrix(benchmark, lubm_graph):
     def run_matrix():
         rows = []
@@ -54,7 +48,7 @@ def test_strategy_matrix(benchmark, lubm_graph):
             engine = HybridEngine(SparkContext(4), strategy=strategy)
             engine.load(lubm_graph)
             for name, query in QUERIES.items():
-                cost = _cost(engine, query)
+                cost = engine.measure(query).cost
                 costs[(strategy, name)] = cost
                 rows.append(
                     [
@@ -147,7 +141,7 @@ def test_small_build_side_crossover(benchmark):
                 broadcast_threshold=4,
             )
             threshold_engine.load(graph)
-            cost = _cost(threshold_engine, query)
+            cost = threshold_engine.measure(query).cost
             series[small] = (
                 "broadcast" if cost.broadcast_bytes > 0 else "partitioned",
                 cost.shuffle_records,
@@ -183,9 +177,9 @@ def test_sql_cartesian_drawback(benchmark, lubm_small):
     engine.load(lubm_small)
 
     def run():
-        disconnected_cost = _cost(engine, disconnected)
+        disconnected_cost = engine.measure(disconnected).cost
         disconnected_sql = engine.last_sql
-        connected_cost = _cost(engine, connected)
+        connected_cost = engine.measure(connected).cost
         connected_sql = engine.last_sql
         return disconnected_cost, disconnected_sql, connected_sql
 

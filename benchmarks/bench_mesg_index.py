@@ -111,12 +111,11 @@ def test_dynamic_prepartitioning_locality(benchmark, lubm_graph):
     engine = SparkRdfMesgEngine(SparkContext(4))
     engine.load(lubm_graph)
 
-    def run():
-        before = engine.ctx.metrics.snapshot()
-        engine.execute(LubmGenerator.query_star())
-        return engine.ctx.metrics.snapshot() - before
-
-    cost = benchmark.pedantic(run, rounds=1, iterations=1)
+    cost = benchmark.pedantic(
+        lambda: engine.measure(LubmGenerator.query_star()).cost,
+        rounds=1,
+        iterations=1,
+    )
     result = ClaimResult(
         "CLM-MESG-prepartition",
         holds=cost.shuffle_records > 0 and cost.locality_fraction() > 0.9,

@@ -69,11 +69,10 @@ def _run_profile(graph, mode: str, enable_broadcast: bool, queries):
         engine = SparqlgxEngine(SparkContext(4))
         engine.load(graph)
         engine.set_optimizer(optimizer)
-        before = engine.ctx.metrics.snapshot()
-        result = engine.execute(text)
-        cost = engine.ctx.metrics.snapshot() - before
+        run = engine.measure(text)
+        cost = run.cost
         measured[name] = {
-            "rows": len(result),
+            "rows": run.rows,
             "join_comparisons": cost.join_comparisons,
             "shuffle_records": cost.shuffle_records,
             "broadcast_bytes": cost.broadcast_bytes,

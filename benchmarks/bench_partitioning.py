@@ -31,19 +31,13 @@ LINEAR = (
 )
 
 
-def _run(engine, query_text):
-    before = engine.ctx.metrics.snapshot()
-    engine.execute(query_text)
-    return engine.ctx.metrics.snapshot() - before
-
-
 def test_star_queries_local_linear_not(benchmark, lubm_graph):
     engine = HaqwaEngine(SparkContext(4))
     engine.load(lubm_graph)
 
-    star_cost = _run(engine, STAR)
+    star_cost = engine.measure(STAR).cost
     linear_cost = benchmark.pedantic(
-        lambda: _run(engine, LINEAR), rounds=1, iterations=1
+        lambda: engine.measure(LINEAR).cost, rounds=1, iterations=1
     )
 
     rows = [
@@ -82,9 +76,9 @@ def test_workload_aware_allocation_removes_linear_shuffle(
     aware = HaqwaEngine(SparkContext(4), workload=workload)
     aware.load(lubm_graph)
 
-    plain_cost = _run(plain, LINEAR)
+    plain_cost = plain.measure(LINEAR).cost
     aware_cost = benchmark.pedantic(
-        lambda: _run(aware, LINEAR), rounds=1, iterations=1
+        lambda: aware.measure(LINEAR).cost, rounds=1, iterations=1
     )
 
     rows = [

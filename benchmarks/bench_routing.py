@@ -88,10 +88,8 @@ def _fresh_engine(name: str, graph):
 
 
 def _measure(engine, query) -> Dict[str, int]:
-    before = engine.ctx.metrics.snapshot()
-    result = engine.execute(query)
-    units = cost_units(engine.ctx.metrics.snapshot() - before)
-    return {"units": units, "rows": len(result)}
+    measured = engine.measure(query)
+    return {"units": cost_units(measured.cost), "rows": measured.rows}
 
 
 def _run_fixed(graph, engine_name: str, workload, rounds: int):

@@ -33,11 +33,8 @@ def test_scan_cost_scaling(benchmark):
             for engine_class in ENGINES:
                 engine = engine_class(SparkContext(4))
                 engine.load(graph)
-                before = engine.ctx.metrics.snapshot()
-                engine.execute(query)
-                cost = engine.ctx.metrics.snapshot() - before
                 series[(engine_class.profile.name, scale)] = (
-                    cost.records_scanned
+                    engine.measure(query).cost.records_scanned
                 )
         return series, sizes
 

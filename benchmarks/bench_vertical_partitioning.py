@@ -23,12 +23,6 @@ BOUNDED = WatdivGenerator.query_bounded_predicate()
 UNBOUNDED = WatdivGenerator.query_unbounded_predicate()
 
 
-def _scan_cost(engine, query_text):
-    before = engine.ctx.metrics.snapshot()
-    engine.execute(query_text)
-    return (engine.ctx.metrics.snapshot() - before).records_scanned
-
-
 def test_bounded_predicates_scan_less(benchmark, watdiv_graph):
     sparqlgx = SparqlgxEngine(SparkContext(4))
     sparqlgx.load(watdiv_graph)
@@ -37,9 +31,9 @@ def test_bounded_predicates_scan_less(benchmark, watdiv_graph):
 
     def run_all():
         return {
-            ("SPARQLGX", "bounded"): _scan_cost(sparqlgx, BOUNDED),
-            ("SPARQLGX", "unbounded"): _scan_cost(sparqlgx, UNBOUNDED),
-            ("Naive", "bounded"): _scan_cost(naive, BOUNDED),
+            ("SPARQLGX", "bounded"): sparqlgx.measure(BOUNDED).cost.records_scanned,
+            ("SPARQLGX", "unbounded"): sparqlgx.measure(UNBOUNDED).cost.records_scanned,
+            ("Naive", "bounded"): naive.measure(BOUNDED).cost.records_scanned,
         }
 
     scans = benchmark.pedantic(run_all, rounds=1, iterations=1)

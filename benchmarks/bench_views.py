@@ -70,11 +70,10 @@ def _run_queries(graph, views: bool, queries) -> Dict[str, Dict[str, int]]:
         engine = SparqlgxEngine(SparkContext(4))
         engine.load(graph)
         engine.set_optimizer(optimizer)
-        before = engine.ctx.metrics.snapshot()
-        result = engine.execute(text)
-        cost = engine.ctx.metrics.snapshot() - before
+        run = engine.measure(text)
+        cost = run.cost
         measured[name] = {
-            "rows": len(result),
+            "rows": run.rows,
             "records_scanned": cost.records_scanned,
             "join_comparisons": cost.join_comparisons,
             "shuffle_records": cost.shuffle_records,

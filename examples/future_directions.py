@@ -16,11 +16,7 @@ Run with:  python examples/future_directions.py
 
 from repro.bench import format_table
 from repro.data.lubm import LUBM, LubmGenerator
-from repro.evolution import (
-    ArchivePolicy,
-    UpdatableSparqlgxEngine,
-    VersionedGraph,
-)
+from repro.evolution import ArchivePolicy, VersionedGraph
 from repro.partitioning import (
     EdgeCutPartitioner,
     PartitionedTripleStore,
@@ -29,6 +25,7 @@ from repro.partitioning import (
 from repro.rdf.triple import Triple
 from repro.spark import SparkContext
 from repro.spark.partitioner import HashPartitioner
+from repro.systems import SparqlgxEngine
 
 
 def partitioning_demo(graph) -> None:
@@ -95,8 +92,7 @@ def versioning_demo(graph) -> None:
 
 def live_update_demo(graph) -> None:
     print("\n3. Uninterrupted updates to a running engine\n")
-    engine = UpdatableSparqlgxEngine(SparkContext(4))
-    engine.load(graph)
+    engine = SparqlgxEngine(SparkContext(4)).load(graph)
     query = (
         "PREFIX lubm: <http://repro.example.org/lubm#>\n"
         "SELECT ?s WHERE { ?s lubm:memberOf ?d }"
@@ -106,7 +102,9 @@ def live_update_demo(graph) -> None:
         Triple(LUBM["Transfer%d" % i], LUBM.memberOf, LUBM.Department0_0)
         for i in range(4)
     ]
-    touched = engine.apply_update(additions=additions)
+    store = VersionedGraph(graph)
+    version = store.commit(additions=additions)
+    touched = engine.apply_delta(store.delta(version), store.head())
     after = len(engine.execute(query))
     print(
         "   answers %d -> %d after enrolling 4 transfer students;"

@@ -27,7 +27,7 @@ renderings are byte-deterministic.  Rule catalog: ``docs/ANALYSIS.md``.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.analysis.core": (
@@ -44,17 +44,3 @@ __getattr__, __dir__ = lazy_exports(
         "repro.analysis.query": ("lint_query", "lint_text"),
     },
 )
-
-__all__ = [
-    "AnalysisReport",
-    "Diagnostic",
-    "EXIT_CLEAN",
-    "EXIT_ERRORS",
-    "EXIT_WARNINGS",
-    "Rule",
-    "RuleSet",
-    "SEVERITIES",
-    "lint_query",
-    "lint_text",
-    "merge_reports",
-]

@@ -114,9 +114,6 @@ class RuleSet:
     def __iter__(self) -> Iterator[Rule]:
         return iter(self._rules)
 
-    def __len__(self) -> int:
-        return len(self._rules)
-
     def by_code(self, code: str) -> Rule:
         for rule in self._rules:
             if rule.code == code:
@@ -235,10 +232,6 @@ class AnalysisReport:
     @property
     def errors(self) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == "error"]
-
-    @property
-    def warnings(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == "warning"]
 
     def exit_code(self) -> int:
         """The CLI convention: 0 clean, 4 warnings only, 5 errors."""

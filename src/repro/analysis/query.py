@@ -54,12 +54,10 @@ from repro.analysis.core import (
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.planner import DEFAULT_BROADCAST_THRESHOLD, JoinPlanner
 from repro.sparql.algebra import (
-    AlgebraFilter,
     AlgebraJoin,
     AlgebraNode,
-    AlgebraUnion,
     BGP,
-    LeftJoin,
+    node_variables,
     translate_group,
 )
 from repro.sparql.ast import (
@@ -115,24 +113,6 @@ class LintContext:
 # ----------------------------------------------------------------------
 # Shared walkers
 # ----------------------------------------------------------------------
-
-
-def _node_variables(node: AlgebraNode) -> Set[str]:
-    """Variable names a subtree can bind."""
-    if isinstance(node, BGP):
-        return {
-            v.name for pattern in node.patterns for v in pattern.variables()
-        }
-    if isinstance(node, (AlgebraJoin, LeftJoin)):
-        return _node_variables(node.left) | _node_variables(node.right)
-    if isinstance(node, AlgebraUnion):
-        out: Set[str] = set()
-        for branch in node.branches:
-            out |= _node_variables(branch)
-        return out
-    if isinstance(node, AlgebraFilter):
-        return _node_variables(node.child)
-    return set()
 
 
 def _walk_algebra(node: AlgebraNode) -> Iterator[AlgebraNode]:
@@ -387,8 +367,8 @@ def _check_cartesian(context: LintContext, found):
                     context.subject,
                 )
         elif isinstance(node, AlgebraJoin):
-            left = _node_variables(node.left)
-            right = _node_variables(node.right)
+            left = node_variables(node.left)
+            right = node_variables(node.right)
             if left and right and not (left & right):
                 yield found(
                     "join sides share no variable ({%s} vs {%s}): the join "

@@ -5,7 +5,7 @@ tables.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.bench.harness": (
@@ -16,11 +16,3 @@ __getattr__, __dir__ = lazy_exports(
         "repro.bench.reporting": ("format_table", "format_series"),
     },
 )
-
-__all__ = [
-    "BenchRun",
-    "RunResult",
-    "format_series",
-    "format_table",
-    "run_engine_on_query",
-]

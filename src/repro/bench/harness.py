@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Type, Union
 from repro.rdf.graph import RDFGraph
 from repro.runtime import RuntimeConfig
 from repro.spark.metrics import MetricsSnapshot
-from repro.spark.tracing import Span, trace_payload
+from repro.spark.tracing import Span
 from repro.sparql.algebra import evaluate
 from repro.sparql.ast import Query, SelectQuery
 from repro.sparql.parser import parse_sparql
@@ -30,15 +30,6 @@ class RunResult:
     metrics: MetricsSnapshot
     #: Root spans of the execution trace when the run was traced, else None.
     trace: Optional[List[Span]] = None
-
-    def trace_payload(self) -> Optional[Dict[str, object]]:
-        """JSON-ready trace document, or None for untraced runs."""
-        if self.trace is None:
-            return None
-        payload = trace_payload(self.trace)
-        payload["engine"] = self.engine
-        payload["query"] = self.query
-        return payload
 
     def cost_summary(self) -> Dict[str, int]:
         return {

@@ -672,6 +672,24 @@ def cmd_views(args) -> int:
     return 0
 
 
+def _add_data_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("data", help="RDF file (.nt or .ttl)")
+
+
+def _add_parallelism_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--parallelism", type=int, default=RuntimeConfig.parallelism
+    )
+
+
+def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--engine",
+        default=ServiceConfig.engine,
+        help="engine name (default SPARQLGX)",
+    )
+
+
 def _add_optimizer_arguments(parser: argparse.ArgumentParser) -> None:
     """Cost-based-optimizer knobs shared by every executing subcommand."""
     parser.add_argument(
@@ -806,14 +824,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     query = sub.add_parser("query", help="run a SPARQL query on a data file")
     query.set_defaults(handler=cmd_query)
-    query.add_argument("data", help="RDF file (.nt or .ttl)")
+    _add_data_argument(query)
     query.add_argument("query", help="SPARQL file or literal query text")
-    query.add_argument(
-        "--engine", default="SPARQLGX", help="engine name (default SPARQLGX)"
-    )
-    query.add_argument(
-        "--parallelism", type=int, default=RuntimeConfig.parallelism
-    )
+    _add_engine_argument(query)
+    _add_parallelism_argument(query)
     query.add_argument(
         "--trace",
         metavar="FILE",
@@ -828,16 +842,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a per-operator cost tree for a query on several engines",
     )
     explain.set_defaults(handler=cmd_explain)
-    explain.add_argument("data", help="RDF file (.nt or .ttl)")
+    _add_data_argument(explain)
     explain.add_argument("query", help="SPARQL file or literal query text")
     explain.add_argument(
         "--engine",
         action="append",
         help="engine to explain (repeatable; default: SPARQLGX, S2RDF, HAQWA)",
     )
-    explain.add_argument(
-        "--parallelism", type=int, default=RuntimeConfig.parallelism
-    )
+    _add_parallelism_argument(explain)
     explain.add_argument(
         "--shapes",
         metavar="FILE",
@@ -855,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
         "executing it (see docs/ROUTING.md)",
     )
     route.set_defaults(handler=cmd_route)
-    route.add_argument("data", help="RDF file (.nt or .ttl)")
+    _add_data_argument(route)
     route.add_argument("query", help="SPARQL file or literal query text")
     route.add_argument(
         "--engine",
@@ -887,10 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
         "assess", help="run the cross-system assessment on a data file"
     )
     assess.set_defaults(handler=cmd_assess)
-    assess.add_argument("data", help="RDF file (.nt or .ttl)")
-    assess.add_argument(
-        "--parallelism", type=int, default=RuntimeConfig.parallelism
-    )
+    _add_data_argument(assess)
+    _add_parallelism_argument(assess)
     assess.add_argument(
         "--trace",
         metavar="FILE",
@@ -913,7 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute the statistics catalog for a data file",
     )
     stats.set_defaults(handler=cmd_stats)
-    stats.add_argument("data", help="RDF file (.nt or .ttl)")
+    _add_data_argument(stats)
     stats.add_argument(
         "--json",
         metavar="FILE",
@@ -926,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(see docs/VIEWS.md)",
     )
     views.set_defaults(handler=cmd_views)
-    views.add_argument("data", help="RDF file (.nt or .ttl)")
+    _add_data_argument(views)
     views.add_argument(
         "action",
         choices=["build", "list", "stats"],
@@ -1028,24 +1038,20 @@ def build_parser() -> argparse.ArgumentParser:
         "(see docs/SERVER.md)",
     )
     serve.set_defaults(handler=cmd_serve)
-    serve.add_argument("data", help="RDF file (.nt or .ttl)")
+    _add_data_argument(serve)
     serve.add_argument(
         "--input",
         metavar="FILE",
         help="read request lines from FILE instead of stdin",
     )
     _add_service_arguments(serve)
-    _add_routing_arguments(serve)
-    _add_optimizer_arguments(serve)
-    _add_fault_arguments(serve)
-    _add_backend_arguments(serve)
 
     loadtest = sub.add_parser(
         "loadtest",
         help="drive the service with the closed-loop load generator",
     )
     loadtest.set_defaults(handler=cmd_loadtest)
-    loadtest.add_argument("data", help="RDF file (.nt or .ttl)")
+    _add_data_argument(loadtest)
     loadtest.add_argument(
         "--clients", type=int, default=8, help="closed-loop clients"
     )
@@ -1094,10 +1100,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default uniform)",
     )
     _add_service_arguments(loadtest)
-    _add_routing_arguments(loadtest)
-    _add_optimizer_arguments(loadtest)
-    _add_fault_arguments(loadtest)
-    _add_backend_arguments(loadtest)
 
     validate = sub.add_parser(
         "validate",
@@ -1105,7 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(see docs/SHACL.md)",
     )
     validate.set_defaults(handler=cmd_validate)
-    validate.add_argument("data", help="RDF file (.nt or .ttl)")
+    _add_data_argument(validate)
     validate.add_argument(
         "shapes", help="SHACL-lite shapes file (JSON; see docs/SHACL.md)"
     )
@@ -1135,10 +1137,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report JSON to FILE",
     )
     _add_service_arguments(validate)
-    _add_routing_arguments(validate)
-    _add_optimizer_arguments(validate)
-    _add_fault_arguments(validate)
-    _add_backend_arguments(validate)
 
     harvest = sub.add_parser(
         "harvest",
@@ -1146,7 +1144,7 @@ def build_parser() -> argparse.ArgumentParser:
         "a local subgraph (see docs/FEDERATION.md)",
     )
     harvest.set_defaults(handler=cmd_harvest)
-    harvest.add_argument("data", help="RDF file (.nt or .ttl)")
+    _add_data_argument(harvest)
     harvest.add_argument(
         "query", help="CONSTRUCT query file or literal query text"
     )
@@ -1170,10 +1168,6 @@ def build_parser() -> argparse.ArgumentParser:
         "as deterministic JSON instead of the triples",
     )
     _add_service_arguments(harvest)
-    _add_routing_arguments(harvest)
-    _add_optimizer_arguments(harvest)
-    _add_fault_arguments(harvest)
-    _add_backend_arguments(harvest)
 
     return parser
 
@@ -1207,15 +1201,11 @@ def _selectivity_factor(value: str) -> float:
 
 
 def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
-    """Service knobs shared by ``serve`` and ``loadtest``."""
-    parser.add_argument(
-        "--engine",
-        default=ServiceConfig.engine,
-        help="engine name (default SPARQLGX)",
-    )
-    parser.add_argument(
-        "--parallelism", type=int, default=RuntimeConfig.parallelism
-    )
+    """Every knob of a served pool (``serve``, ``loadtest``, ``validate``,
+    ``harvest``): the service's own, then the routing, optimizer, fault
+    and backend groups."""
+    _add_engine_argument(parser)
+    _add_parallelism_argument(parser)
     parser.add_argument(
         "--pool",
         type=int,
@@ -1251,6 +1241,10 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         help="disable static lint admission (repro.analysis.query); "
         "lint-rejectable queries then run and fail at execution time",
     )
+    _add_routing_arguments(parser)
+    _add_optimizer_arguments(parser)
+    _add_fault_arguments(parser)
+    _add_backend_arguments(parser)
 
 
 def _raised(*names: str) -> tuple:

@@ -8,7 +8,7 @@ claim-checking assessment framework.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.core.dimensions": (
@@ -32,26 +32,3 @@ __getattr__, __dir__ = lazy_exports(
         "repro.core.survey": ("render_survey",),
     },
 )
-
-__all__ = [
-    "Assessment",
-    "Claim",
-    "ClaimResult",
-    "Contribution",
-    "DataModel",
-    "Optimization",
-    "PAPER_TABLE_I",
-    "PAPER_TABLE_II",
-    "PartitioningStrategy",
-    "QueryProcessing",
-    "SparkAbstraction",
-    "SystemRegistry",
-    "TAXONOMY",
-    "TaxonomyNode",
-    "build_default_assessment",
-    "render_survey",
-    "default_registry",
-    "render_table_i",
-    "render_table_ii",
-    "render_taxonomy",
-]

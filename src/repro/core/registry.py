@@ -33,12 +33,6 @@ class SystemRegistry:
     def __iter__(self):
         return iter(self._classes)
 
-    def engine_classes(self) -> List[type]:
-        return list(self._classes)
-
-    def profiles(self) -> List:
-        return [cls.profile for cls in self._classes]
-
     def by_name(self, name: str) -> type:
         for cls in self._classes:
             if cls.profile.name == name:

@@ -133,32 +133,3 @@ def render_table_ii(registry: Optional[SystemRegistry] = None) -> str:
     headers = ["System", "Query Processing", "Optimization", "Partitioning", "SPARQL"]
     return _grid(headers, [list(row) for row in rows])
 
-
-def diff_against_paper(registry: SystemRegistry) -> List[str]:
-    """Human-readable mismatches between profiles and the published tables.
-
-    Empty means the reproduction's classification agrees with the paper.
-    """
-    problems: List[str] = []
-    computed_i = table_i_cells(registry)
-    cells = sorted(
-        set(PAPER_TABLE_I) | set(computed_i),
-        key=lambda cell: (cell[0].value, cell[1].value),
-    )
-    for key in cells:
-        expected = tuple(sorted(PAPER_TABLE_I.get(key, ())))
-        actual = tuple(sorted(computed_i.get(key, ())))
-        if expected != actual:
-            problems.append(
-                "Table I cell %s/%s: paper %r vs computed %r"
-                % (key[0].value, key[1].value, expected, actual)
-            )
-    for expected_row, actual_row in zip(
-        PAPER_TABLE_II, table_ii_rows(registry)
-    ):
-        if tuple(expected_row) != tuple(actual_row):
-            problems.append(
-                "Table II row %s: paper %r vs computed %r"
-                % (expected_row[0], expected_row, actual_row)
-            )
-    return problems

@@ -8,7 +8,7 @@ complex) over arbitrary graphs.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.data.lubm": ("LubmGenerator", "LUBM"),
@@ -22,16 +22,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "LUBM",
-    "LubmGenerator",
-    "QueryWorkload",
-    "SP2B",
-    "Sp2bGenerator",
-    "WATDIV",
-    "WatdivGenerator",
-    "WeightedQuery",
-    "generate_query",
-    "generate_workload",
-]

@@ -11,14 +11,15 @@ data in an uninterrupted manner."
   the three archiving policies studied by the cited archiving literature
   (full materialization, delta chains, hybrid checkpoints) and
   cross-version queries/diffs.
-* :mod:`repro.evolution.live` -- incremental updates to running engines:
-  ``UpdatableEngine`` applies additions/deletions to the distributed
-  store *without* a full reload, keeping query answering uninterrupted.
+
+A running engine takes a version's :class:`Delta` through
+``SparkRdfEngine.apply_delta(delta, graph)``: a reload by default,
+SPARQLGX rewrites only the predicate stores the delta touches.
 """
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.evolution.versioned": (
@@ -26,17 +27,5 @@ __getattr__, __dir__ = lazy_exports(
             "Delta",
             "VersionedGraph",
         ),
-        "repro.evolution.live": (
-            "UpdatableNaiveEngine",
-            "UpdatableSparqlgxEngine",
-        ),
     },
 )
-
-__all__ = [
-    "ArchivePolicy",
-    "Delta",
-    "UpdatableNaiveEngine",
-    "UpdatableSparqlgxEngine",
-    "VersionedGraph",
-]

@@ -48,9 +48,6 @@ class Delta:
     def size(self) -> int:
         return len(self.added) + len(self.removed)
 
-    def inverted(self) -> "Delta":
-        return Delta(self.removed, self.added)
-
     @staticmethod
     def between(old: RDFGraph, new: RDFGraph) -> "Delta":
         old_set = set(old)

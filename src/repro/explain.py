@@ -74,21 +74,6 @@ class EngineExplain:
         rows_line = "rows: %s" % self.rows
         return "\n".join([header, rows_line, totals_line, body])
 
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-ready record; span deltas sum to ``totals`` by construction."""
-        payload = {
-            "engine": self.engine,
-            "supported": self.supported,
-            "rows": self.rows,
-            "totals": {
-                counter: value for counter, value in self.totals if value
-            },
-            "spans": [span.to_dict() for span in self.spans],
-        }
-        if self.closures_verified is not None:
-            payload["closures_verified"] = self.closures_verified
-        return payload
-
 
 def run_traced(
     graph: RDFGraph,

@@ -19,7 +19,7 @@ the triples a shape set's compiled queries touch and validates locally
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.federation.endpoint": ("EndpointError", "WireEndpoint"),
@@ -34,15 +34,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "DEFAULT_PAGE_SIZE",
-    "EndpointError",
-    "HarvestError",
-    "HarvestRecord",
-    "StaleSubgraphError",
-    "Subgraph",
-    "WireEndpoint",
-    "harvest_for_shapes",
-    "validate_remote_first",
-]

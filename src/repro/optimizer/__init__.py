@@ -30,7 +30,7 @@ if TYPE_CHECKING:
     from repro.sparql.ast import TriplePattern
     from repro.stats.catalog import StatsCatalog
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.optimizer.cardinality": ("CardinalityEstimator",),
@@ -46,6 +46,7 @@ __getattr__, __dir__ = lazy_exports(
             "ViewChoice",
         ),
     },
+    eager=("DEFAULT_BROADCAST_THRESHOLD", "ORDER_MODES", "Optimizer"),
 )
 
 
@@ -156,18 +157,3 @@ class Optimizer:
             self.stats_version,
             self.planner.broadcast_threshold,
         )
-
-
-__all__ = [
-    "BgpPlan",
-    "CardinalityEstimator",
-    "DEFAULT_BROADCAST_THRESHOLD",
-    "JoinPlanner",
-    "JoinStep",
-    "ORDER_MODES",
-    "Optimizer",
-    "ViewChoice",
-    "collect_q_errors",
-    "execute_plan",
-    "q_error",
-]

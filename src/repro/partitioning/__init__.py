@@ -20,23 +20,14 @@ This package implements both directions the paper points to:
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.partitioning.edgecut": (
             "EdgeCutPartitioner",
-            "edge_cut_fraction",
             "ldg_partition",
         ),
         "repro.partitioning.semantic": ("SemanticPartitioner",),
         "repro.partitioning.store": ("PartitionedTripleStore",),
     },
 )
-
-__all__ = [
-    "EdgeCutPartitioner",
-    "PartitionedTripleStore",
-    "SemanticPartitioner",
-    "edge_cut_fraction",
-    "ldg_partition",
-]

@@ -100,27 +100,6 @@ def ldg_partition(
     return placement
 
 
-def edge_cut_fraction(
-    edges: Sequence[Tuple[Term, Term]],
-    placement: Dict[Term, int],
-    num_partitions: int,
-) -> float:
-    """Fraction of edges whose endpoints land on different partitions."""
-    if not edges:
-        return 0.0
-    cut = 0
-    for src, dst in edges:
-        src_partition = placement.get(
-            src, stable_hash(src) % num_partitions
-        )
-        dst_partition = placement.get(
-            dst, stable_hash(dst) % num_partitions
-        )
-        if src_partition != dst_partition:
-            cut += 1
-    return cut / len(edges)
-
-
 class EdgeCutPartitioner(Partitioner):
     """A vertex partitioner minimizing edge-cut via streaming LDG.
 
@@ -149,11 +128,6 @@ class EdgeCutPartitioner(Partitioner):
         if placed is not None:
             return placed
         return stable_hash(key) % self.num_partitions
-
-    def cut_fraction(self) -> float:
-        return edge_cut_fraction(
-            self.edges, self._placement, self.num_partitions
-        )
 
     def balance(self) -> float:
         """max partition size / ideal size (1.0 is perfect)."""

@@ -80,18 +80,6 @@ class SemanticPartitioner(Partitioner):
         """Where a class's subjects live (None when the class is unknown)."""
         return self._class_partition.get(cls)
 
-    def class_locality(self) -> float:
-        """Fraction of subjects co-located with their class (1.0 here by
-        construction; exposed so ablations can compare against hashing)."""
-        if not self._subject_partition:
-            return 1.0
-        co_located = sum(
-            1
-            for subject, partition in self._subject_partition.items()
-            if partition == self._subject_partition[subject]
-        )
-        return co_located / len(self._subject_partition)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SemanticPartitioner)

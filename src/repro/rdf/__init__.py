@@ -8,7 +8,7 @@ dictionary encoding HAQWA applies before distribution.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.rdf.terms": ("BNode", "Literal", "Term", "URI"),
@@ -25,24 +25,3 @@ __getattr__, __dir__ = lazy_exports(
         "repro.rdf.rdfs": ("RDFSReasoner",),
     },
 )
-
-__all__ = [
-    "BNode",
-    "Dictionary",
-    "EncodedTriple",
-    "Literal",
-    "NTriplesParseError",
-    "Namespace",
-    "NamespaceManager",
-    "RDF",
-    "RDFS",
-    "RDFSReasoner",
-    "RDFGraph",
-    "Term",
-    "Triple",
-    "TripleValidityError",
-    "URI",
-    "XSD",
-    "parse_ntriples",
-    "serialize_ntriples",
-]

@@ -18,10 +18,6 @@ class Namespace:
     def __init__(self, base: str) -> None:
         self._base = base
 
-    @property
-    def base(self) -> str:
-        return self._base
-
     def term(self, local: str) -> URI:
         return URI(self._base + local)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.rdf.namespaces import Namespace
-from repro.rdf import terms as _terms
 
 
 class _RDF(Namespace):
@@ -28,9 +27,3 @@ class _XSD(Namespace):
 RDF = _RDF()
 RDFS = _RDFS()
 XSD = _XSD()
-
-# Re-export the literal datatypes terms.py already interned.
-XSD_INTEGER = _terms._XSD_INTEGER
-XSD_DOUBLE = _terms._XSD_DOUBLE
-XSD_BOOLEAN = _terms._XSD_BOOLEAN
-XSD_STRING = _terms._XSD_STRING

@@ -12,7 +12,7 @@ the survey preference table the policy's priors derive from.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.routing.defaults": (
@@ -38,21 +38,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "DEFAULT_ENGINE_POOL",
-    "DEFAULT_FALLBACK_CHAIN",
-    "DEFAULT_HISTORY",
-    "DEFAULT_MIN_OBSERVATIONS",
-    "DEFAULT_PRIOR_WEIGHT",
-    "DEFAULT_SHAPE_PREFERENCES",
-    "EXPLORE_DISCOUNT",
-    "EngineBid",
-    "FACTOR_MAX",
-    "FACTOR_MIN",
-    "FeedbackLog",
-    "RoutingDecision",
-    "RoutingPolicy",
-    "clamp_factor",
-    "default_priors",
-]

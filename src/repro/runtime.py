@@ -121,6 +121,14 @@ class RuntimeConfig:
             "route_engines",
             tuple(self.route_engines) if self.route_engines else None,
         )
+        # Ranges the constructors below also check, said here so a bad
+        # flag is a configuration error (exit 2), not a traceback.
+        if self.parallelism <= 0:
+            raise RuntimeConfigError("--parallelism must be positive")
+        if self.max_task_attempts < 1:
+            raise RuntimeConfigError("--max-task-attempts must be >= 1")
+        if self.broadcast_threshold <= 0:
+            raise RuntimeConfigError("--broadcast-threshold must be positive")
         if self.views and not self.optimize:
             raise RuntimeConfigError("--views requires --optimize")
         if self.route_engines and not self.route:
@@ -251,6 +259,8 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.pool_size <= 0:
             raise RuntimeConfigError("pool_size must be positive")
+        if self.queue_limit < 0:
+            raise RuntimeConfigError("queue_limit must be >= 0")
         if self.default_deadline is not None and self.default_deadline <= 0:
             raise RuntimeConfigError(
                 "default_deadline must be a positive number of cost units"

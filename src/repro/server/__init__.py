@@ -11,7 +11,7 @@ JSON-lines request loop (``repro serve``).
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.server.admission": ("AdmissionRejectedError", "FairShareQueue"),
@@ -45,33 +45,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "AdmissionRejectedError",
-    "CACHE_HIT_UNITS",
-    "FairShareQueue",
-    "LoadGenerator",
-    "LoadReport",
-    "PROTOCOL_VERSION",
-    "PlanCache",
-    "ProtocolError",
-    "QueryOutcome",
-    "QueryRequest",
-    "QueryService",
-    "ResultCache",
-    "SHAPE_NAMES",
-    "build_federated_workload",
-    "build_shacl_workload",
-    "build_shape_workload",
-    "build_workload",
-    "grouped_tenant_profiles",
-    "canonical_json",
-    "canonical_result",
-    "decode_request",
-    "encode_response",
-    "handle_request",
-    "normalize_query",
-    "percentile",
-    "serve_lines",
-    "shape_tenant_profiles",
-]

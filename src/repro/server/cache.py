@@ -208,5 +208,3 @@ class ResultCache:
             metrics.record_result_invalidations(len(dead))
         return len(dead)
 
-    def clear(self) -> None:
-        self._entries.clear()

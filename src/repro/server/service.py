@@ -150,9 +150,6 @@ class _EngineSet:
     def engine_for(self, name: str):
         return self._engines[name]
 
-    def names(self) -> List[str]:
-        return sorted(self._engines)
-
     def load(self, graph) -> None:
         for name in sorted(self._engines):
             self._engines[name].load(graph)

@@ -18,7 +18,7 @@ exemplar of SNIPPETS.md).
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.shacl.shapes": (
@@ -46,24 +46,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "CompiledQuery",
-    "EngineExecutor",
-    "LocalGraphExecutor",
-    "NodeShape",
-    "PropertyShape",
-    "REPORT_FORMAT_VERSION",
-    "ServiceExecutor",
-    "ShaclError",
-    "ShaclValidator",
-    "ShapeSet",
-    "ValidationExecutionError",
-    "ValidationReport",
-    "class_probe",
-    "compile_shape",
-    "compile_shape_set",
-    "default_shapes_for",
-    "harvest_queries",
-    "load_shapes_file",
-]

@@ -45,9 +45,6 @@ class CompiledQuery:
     kind: str  # target | values | class | harvest
     text: str  # the SPARQL text submitted downstream
 
-    def describe(self) -> str:
-        return "%s [%s] %s" % (self.id, self.kind, self.text)
-
 
 def _iri(value: str) -> str:
     return URI(value).n3()

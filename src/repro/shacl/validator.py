@@ -36,7 +36,7 @@ from repro.shacl.compile import (
 )
 from repro.shacl.report import ValidationReport
 from repro.shacl.shapes import NodeShape, PropertyShape, ShapeSet
-from repro.server.protocol import canonical_json, canonical_result
+from repro.server.protocol import canonical_result
 from repro.spark.deadline import cost_units
 
 _XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
@@ -388,8 +388,3 @@ class ShaclValidator:
                             value,
                         )
         return violations
-
-
-def canonical_payload_bytes(payload: Dict[str, Any]) -> str:
-    """Canonical JSON of a wire payload (shared test helper)."""
-    return canonical_json(payload)

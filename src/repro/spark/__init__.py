@@ -16,7 +16,7 @@ interacts with query shape.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.spark.broadcast": ("Broadcast",),
@@ -47,27 +47,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "Broadcast",
-    "DataFrame",
-    "FaultRule",
-    "FaultScheduler",
-    "FaultSpecError",
-    "HashPartitioner",
-    "MetricsCollector",
-    "MetricsSnapshot",
-    "Partitioner",
-    "RDD",
-    "RangePartitioner",
-    "Row",
-    "Span",
-    "SparkContext",
-    "SparkSession",
-    "TaskFailedError",
-    "Tracer",
-    "render_trace",
-    "trace_from_json",
-    "trace_to_json",
-    "trace_totals",
-]

@@ -22,9 +22,6 @@ class Expression:
         """Column names this expression reads."""
         raise NotImplementedError
 
-    def children(self) -> Sequence["Expression"]:
-        return ()
-
     # -- operator sugar -------------------------------------------------
 
     def _binary(self, op: str, other: object) -> "BinaryOp":
@@ -170,9 +167,6 @@ class BinaryOp(Expression):
     def references(self) -> FrozenSet[str]:
         return self.left.references() | self.right.references()
 
-    def children(self) -> Sequence[Expression]:
-        return (self.left, self.right)
-
     def __repr__(self) -> str:
         return "(%r %s %r)" % (self.left, self.op, self.right)
 
@@ -199,9 +193,6 @@ class UnaryOp(Expression):
     def references(self) -> FrozenSet[str]:
         return self.child.references()
 
-    def children(self) -> Sequence[Expression]:
-        return (self.child,)
-
     def __repr__(self) -> str:
         return "%s(%r)" % (self.op, self.child)
 
@@ -222,9 +213,6 @@ class InList(Expression):
         for option in self.options:
             refs |= option.references()
         return refs
-
-    def children(self) -> Sequence[Expression]:
-        return (self.needle, *self.options)
 
     def __repr__(self) -> str:
         return "in(%r, %r)" % (self.needle, self.options)
@@ -253,9 +241,6 @@ class LikeExpr(Expression):
     def references(self) -> FrozenSet[str]:
         return self.child.references()
 
-    def children(self) -> Sequence[Expression]:
-        return (self.child,)
-
     def __repr__(self) -> str:
         return "like(%r, %r)" % (self.child, self.pattern)
 
@@ -272,9 +257,6 @@ class Alias(Expression):
 
     def references(self) -> FrozenSet[str]:
         return self.child.references()
-
-    def children(self) -> Sequence[Expression]:
-        return (self.child,)
 
     def __repr__(self) -> str:
         return "alias(%r, %r)" % (self.child, self.name)

@@ -57,9 +57,6 @@ class DataFrame:
     def _with(self, rdd: RDD, columns: Sequence[str]) -> "DataFrame":
         return DataFrame(self.session, rdd, columns)
 
-    def _row_dict(self, values: Tuple[Any, ...]) -> Dict[str, Any]:
-        return dict(zip(self.columns, values))
-
     def _require_columns(self, names: Iterable[str]) -> None:
         missing = [n for n in names if n not in self.columns]
         if missing:
@@ -161,13 +158,6 @@ class DataFrame:
         else:
             directions = list(ascending)
         source_columns = self.columns
-
-        # Multi-direction sorts need a single comparable key; invert
-        # numeric keys for descending components, otherwise sort twice
-        # (stable) from the least significant key.
-        def sort_key(values: Tuple[Any, ...]):
-            row = dict(zip(source_columns, values))
-            return tuple(expr.eval(row) for expr in exprs)
 
         rows = self._rdd.collect()
         for position in range(len(exprs) - 1, -1, -1):
@@ -335,26 +325,6 @@ class DataFrame:
     def cache(self) -> "DataFrame":
         self._rdd.cache()
         return self
-
-    def show(self, n: int = 20) -> str:
-        """Render the first *n* rows as an ASCII table (returned, not printed)."""
-        rows = self._rdd.take(n)
-        cells = [[str(v) for v in values] for values in rows]
-        widths = [
-            max([len(name)] + [len(row[i]) for row in cells])
-            for i, name in enumerate(self.columns)
-        ]
-        sep = "+" + "+".join("-" * (w + 2) for w in widths) + "+"
-        header = "|" + "|".join(
-            " %s " % name.ljust(widths[i]) for i, name in enumerate(self.columns)
-        ) + "|"
-        body = [
-            "|" + "|".join(
-                " %s " % row[i].ljust(widths[i]) for i in range(len(widths))
-            ) + "|"
-            for row in cells
-        ]
-        return "\n".join([sep, header, sep] + body + [sep])
 
     def _estimated_bytes(self) -> int:
         """Row-format size estimate used by the broadcast threshold."""

@@ -121,9 +121,6 @@ class Deadline:
         """Cost units charged since the deadline was armed."""
         return self._reading() - self._start
 
-    def remaining(self) -> int:
-        return self.budget - self.spent()
-
     def check(self) -> None:
         """Raise :class:`DeadlineExceededError` when the budget is spent."""
         spent = self.spent()

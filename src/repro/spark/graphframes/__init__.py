@@ -8,7 +8,7 @@ Bahrami et al. system compiles SPARQL BGPs into.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.spark.graphframes.graphframe": ("GraphFrame",),
@@ -19,5 +19,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = ["GraphFrame", "MotifPattern", "MotifSyntaxError", "parse_motif"]

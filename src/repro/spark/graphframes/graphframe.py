@@ -75,19 +75,6 @@ class GraphFrame:
         """Keep matching edges (vertices are untouched, like GraphFrames)."""
         return GraphFrame(self.vertices, self.edges.where(condition))
 
-    def dropIsolatedVertices(self) -> "GraphFrame":
-        used = {row["src"] for row in self.edges.select("src").collect()}
-        used |= {row["dst"] for row in self.edges.select("dst").collect()}
-        bcast = self.session.ctx.broadcast(used)
-        id_idx = self.vertices.columns.index("id")
-        vertices_rdd = self.vertices.rdd.filter(
-            lambda values: values[id_idx] in bcast.value
-        )
-        return GraphFrame(
-            DataFrame(self.session, vertices_rdd, self.vertices.columns),
-            self.edges,
-        )
-
     # ------------------------------------------------------------------
     # Motif finding
     # ------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro._lazy import lazy_exports
 # and the import system would bind the module over a lazy export.
 from repro.spark.graphx.pregel import pregel
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.spark.graphx.graph": (
@@ -32,18 +32,5 @@ __getattr__, __dir__ = lazy_exports(
             "triangle_count",
         ),
     },
+    eager=("pregel",),
 )
-
-__all__ = [
-    "Edge",
-    "EdgeContext",
-    "EdgeTriplet",
-    "Graph",
-    "connected_components",
-    "connected_components_pregel",
-    "pagerank",
-    "pregel",
-    "shortest_paths",
-    "shortest_paths_pregel",
-    "triangle_count",
-]

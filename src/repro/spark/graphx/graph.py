@@ -188,15 +188,6 @@ class Graph:
     def out_degrees(self) -> RDD:
         return self.edges.map(lambda e: (e.src, 1)).reduceByKey(lambda a, b: a + b)
 
-    def in_degrees(self) -> RDD:
-        return self.edges.map(lambda e: (e.dst, 1)).reduceByKey(lambda a, b: a + b)
-
-    def degrees(self) -> RDD:
-        return (
-            self.edges.flatMap(lambda e: [(e.src, 1), (e.dst, 1)])
-            .reduceByKey(lambda a, b: a + b)
-        )
-
     # ------------------------------------------------------------------
     # Vertex joins
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ S2X and Spar(k)ql are Pregel computations; this module provides the loop.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.spark.graphx.graph import EdgeContext, Graph
 
@@ -44,22 +44,3 @@ def pregel(
         current.vertices.cache()
     return current
 
-
-def iterate_until_fixpoint(
-    graph: Graph,
-    step: Callable[[Graph], Optional[Graph]],
-    max_iterations: int = 50,
-) -> Graph:
-    """Apply *step* until it returns ``None`` (converged) or the cap hits.
-
-    A convenience wrapper for systems whose iteration doesn't fit the strict
-    Pregel mold (e.g. S2X's validation rounds, which inspect global change
-    counts between supersteps).
-    """
-    current = graph
-    for _iteration in range(max_iterations):
-        next_graph = step(current)
-        if next_graph is None:
-            return current
-        current = next_graph
-    return current

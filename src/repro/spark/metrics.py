@@ -202,14 +202,6 @@ class MetricsSnapshot:
 
     # Serving-layer counters (see repro.server and docs/SERVER.md).
     @property
-    def queries_admitted(self) -> int:
-        return self["queries_admitted"]
-
-    @property
-    def queries_rejected(self) -> int:
-        return self["queries_rejected"]
-
-    @property
     def queries_completed(self) -> int:
         return self["queries_completed"]
 

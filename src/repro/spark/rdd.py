@@ -249,10 +249,6 @@ class RDD:
         self._cached = None
         return self
 
-    @property
-    def is_cached(self) -> bool:
-        return self._cached is not None
-
     def checkpoint(self) -> "RDD":
         """Persist to (simulated) reliable storage, truncating lineage.
 

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Sequence, Tuple
+from typing import Any, Iterator, Sequence
 
 
 class Row:
     """An immutable record with named fields.
 
     Supports access by field name (``row["s"]``, ``row.s``) and by position
-    (``row[0]``), equality by (fields, values), and conversion to a dict.
+    (``row[0]``) and equality by (fields, values).
     """
 
     __slots__ = ("_fields", "_values")
@@ -21,18 +21,6 @@ class Row:
             )
         object.__setattr__(self, "_fields", tuple(fields))
         object.__setattr__(self, "_values", tuple(values))
-
-    @classmethod
-    def fromDict(cls, mapping: Dict[str, Any]) -> "Row":
-        return cls(tuple(mapping.keys()), tuple(mapping.values()))
-
-    @property
-    def fields(self) -> Tuple[str, ...]:
-        return self._fields
-
-    @property
-    def values(self) -> Tuple[Any, ...]:
-        return self._values
 
     def __getitem__(self, key: object) -> Any:
         if isinstance(key, int):
@@ -60,12 +48,6 @@ class Row:
     def __reduce__(self):
         return (Row, (self._fields, self._values))
 
-    def get(self, key: str, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
     def __contains__(self, key: str) -> bool:
         return key in self._fields
 
@@ -74,9 +56,6 @@ class Row:
 
     def __len__(self) -> int:
         return len(self._values)
-
-    def asDict(self) -> Dict[str, Any]:
-        return dict(zip(self._fields, self._values))
 
     def __eq__(self, other: object) -> bool:
         return (

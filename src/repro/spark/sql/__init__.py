@@ -9,11 +9,9 @@ and execution against the session catalog's DataFrames.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.spark.sql.session": ("SparkSession",),
     },
 )
-
-__all__ = ["SparkSession"]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 
 class SqlSyntaxError(ValueError):
@@ -120,5 +120,3 @@ class TokenStream:
         token = self.peek()
         return token.kind == "keyword" and token.value in keywords
 
-    def __iter__(self) -> Iterator[Token]:
-        return iter(self._tokens[self._index :])

@@ -75,9 +75,6 @@ class SparkSession(Catalog):
         """Register *df* under *name* for use in SQL queries."""
         self._tables[name] = df
 
-    def dropTempView(self, name: str) -> None:
-        self._tables.pop(name, None)
-
     def table(self, name: str) -> DataFrame:
         if name not in self._tables:
             raise KeyError(
@@ -85,9 +82,6 @@ class SparkSession(Catalog):
                 % (name, sorted(self._tables))
             )
         return self._tables[name]
-
-    def tableNames(self) -> List[str]:
-        return sorted(self._tables)
 
     def table_columns(self, name: str) -> List[str]:
         return list(self.table(name).columns)

@@ -131,11 +131,6 @@ class Span:
     # ------------------------------------------------------------------
 
     @property
-    def inclusive(self) -> MetricsSnapshot:
-        """Everything charged while this span was open (children included)."""
-        return MetricsSnapshot(dict(self.metrics))
-
-    @property
     def self_metrics(self) -> Dict[str, int]:
         """This span's own charges: inclusive minus the children's inclusive."""
         own = dict(self.metrics)
@@ -265,16 +260,6 @@ class Tracer:
                 self._stack[-1].children.append(span)
             else:
                 self.roots.append(span)
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-
-    def to_payload(self) -> Dict[str, Any]:
-        return trace_payload(self.roots)
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_payload(), indent=indent, sort_keys=True)
 
 
 # ----------------------------------------------------------------------

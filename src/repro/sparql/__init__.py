@@ -9,7 +9,7 @@ reference evaluator over any triple source, query-shape classification
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.sparql.ast": (
@@ -26,21 +26,3 @@ __getattr__, __dir__ = lazy_exports(
         "repro.sparql.fragments": ("SparqlFragment", "fragment_of"),
     },
 )
-
-__all__ = [
-    "AskQuery",
-    "GroupGraphPattern",
-    "QueryShape",
-    "SelectQuery",
-    "Solution",
-    "SolutionSet",
-    "SparqlFragment",
-    "SparqlParseError",
-    "TriplePattern",
-    "Variable",
-    "classify_shape",
-    "evaluate",
-    "fragment_of",
-    "parse_sparql",
-    "translate",
-]

@@ -8,7 +8,16 @@ is validated against it.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.rdf.terms import Term
 from repro.sparql.ast import (
@@ -94,6 +103,32 @@ class AlgebraFilter(AlgebraNode):
 
     def _children(self):
         return [self.child]
+
+
+def pattern_variables(patterns: Sequence[TriplePattern]) -> List[str]:
+    """All variable names across *patterns*, in first-seen order."""
+    seen: List[str] = []
+    for pattern in patterns:
+        for variable in pattern.variables():
+            if variable.name not in seen:
+                seen.append(variable.name)
+    return seen
+
+
+def node_variables(node: AlgebraNode) -> Set[str]:
+    """Variables an algebra node can bind (join keys, cartesian checks)."""
+    if isinstance(node, BGP):
+        return set(pattern_variables(node.patterns))
+    if isinstance(node, (AlgebraJoin, LeftJoin)):
+        return node_variables(node.left) | node_variables(node.right)
+    if isinstance(node, AlgebraUnion):
+        out: Set[str] = set()
+        for branch in node.branches:
+            out |= node_variables(branch)
+        return out
+    if isinstance(node, AlgebraFilter):
+        return node_variables(node.child)
+    raise TypeError("unknown algebra node %r" % (node,))
 
 
 # ----------------------------------------------------------------------

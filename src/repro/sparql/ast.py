@@ -49,14 +49,6 @@ class TriplePattern:
     def variables(self) -> List[Variable]:
         return [p for p in self.positions() if isinstance(p, Variable)]
 
-    def variable_positions(self) -> List[Tuple[str, Variable]]:
-        """(position name, variable) pairs for the unbound positions."""
-        out = []
-        for name, value in zip(("subject", "predicate", "object"), self.positions()):
-            if isinstance(value, Variable):
-                out.append((name, value))
-        return out
-
     def bound_count(self) -> int:
         """How many positions are constants (S2RDF orders by this)."""
         return sum(1 for p in self.positions() if not isinstance(p, Variable))

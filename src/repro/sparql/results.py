@@ -91,9 +91,6 @@ class Solution:
     def __hash__(self) -> int:
         return hash(self.frozen())
 
-    def __len__(self) -> int:
-        return len(self._bindings)
-
     def __repr__(self) -> str:
         inner = ", ".join(
             "?%s=%s" % (k, v.n3()) for k, v in sorted(self._bindings.items())

@@ -10,7 +10,7 @@ deterministic sorted-key JSON.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.stats.catalog": (
@@ -20,5 +20,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = ["CharacteristicSet", "PredicateStats", "StatsCatalog"]

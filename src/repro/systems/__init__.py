@@ -28,7 +28,7 @@ ENGINE_HOMES = {
     "SparkRDF": ("repro.systems.sparkrdf", "SparkRdfMesgEngine"),
 }
 
-_exported, __dir__ = lazy_exports(
+_exported, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.systems.base": (
@@ -40,6 +40,7 @@ _exported, __dir__ = lazy_exports(
         # Two exports from one home, so its entry is restated whole.
         "repro.systems.hybrid": ("HybridEngine", "JoinStrategy"),
     },
+    eager=("ALL_ENGINE_CLASSES",),
 )
 
 
@@ -57,22 +58,3 @@ def __getattr__(name: str):
     classes = tuple(engine_class(n) for n in ENGINE_HOMES if n != "Naive")
     globals()[name] = classes
     return classes
-
-
-__all__ = [
-    "ALL_ENGINE_CLASSES",
-    "EngineProfile",
-    "GraphFramesEngine",
-    "GraphXSubgraphEngine",
-    "HaqwaEngine",
-    "HybridEngine",
-    "JoinStrategy",
-    "NaiveEngine",
-    "S2RdfEngine",
-    "S2XEngine",
-    "SparkRdfEngine",
-    "SparkRdfMesgEngine",
-    "SparkqlEngine",
-    "SparqlgxEngine",
-    "UnsupportedQueryError",
-]

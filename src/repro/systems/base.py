@@ -51,6 +51,8 @@ from repro.sparql.algebra import (
     BGP,
     LeftJoin,
     apply_solution_modifiers,
+    node_variables,
+    pattern_variables,
     translate,
 )
 from repro.sparql.ast import (
@@ -105,32 +107,6 @@ class EngineProfile:
     def sparql_fragment(self) -> str:
         """"BGP" or "BGP+" exactly as Table II prints it."""
         return "BGP" if self.sparql_features == {FEATURE_BGP} else "BGP+"
-
-
-def pattern_variables(patterns: Sequence[TriplePattern]) -> List[str]:
-    """All variable names across *patterns*, in first-seen order."""
-    seen: List[str] = []
-    for pattern in patterns:
-        for variable in pattern.variables():
-            if variable.name not in seen:
-                seen.append(variable.name)
-    return seen
-
-
-def node_variables(node: AlgebraNode) -> Set[str]:
-    """Variables an algebra node can bind (for static join-key planning)."""
-    if isinstance(node, BGP):
-        return set(pattern_variables(node.patterns))
-    if isinstance(node, (AlgebraJoin, LeftJoin)):
-        return node_variables(node.left) | node_variables(node.right)
-    if isinstance(node, AlgebraUnion):
-        out: Set[str] = set()
-        for branch in node.branches:
-            out |= node_variables(branch)
-        return out
-    if isinstance(node, AlgebraFilter):
-        return node_variables(node.child)
-    raise TypeError("unknown algebra node %r" % (node,))
 
 
 def _force_rdd(rdd: RDD) -> RDD:
@@ -256,6 +232,13 @@ class SparkRdfEngine:
 
     def _build(self, graph: RDFGraph) -> None:
         raise NotImplementedError
+
+    def apply_delta(self, delta, graph: RDFGraph) -> int:
+        """Bring a loaded store from *graph* minus *delta* (anything with
+        ``added`` / ``removed`` triples) to *graph*; returns the records
+        rewritten.  The default is a reload: every record."""
+        self.load(graph)
+        return len(graph)
 
     # ------------------------------------------------------------------
     # Query execution

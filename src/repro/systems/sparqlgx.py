@@ -81,16 +81,21 @@ class SparqlgxEngine(SparkRdfEngine):
         self.enable_reordering = enable_reordering
 
     def _build(self, graph: RDFGraph) -> None:
+        self.vp_tables: Dict[Term, RDD] = {}
+        self.vp_sizes: Dict[Term, int] = {}
+        self._build_stores(graph, graph.by_predicate())
+
+    def _build_stores(self, graph: RDFGraph, predicates) -> int:
+        """(Re)build the stores of *predicates*; returns records written."""
         # One "file" (RDD) per predicate, holding (s, o) pairs only, read
         # off the graph's predicate -> object -> subjects index and sorted
         # by the terms' sort keys, each key taken once per term.
         by_predicate = graph.by_predicate()
         sort_keys: Dict[Term, tuple] = {}
-        self.vp_tables: Dict[Term, RDD] = {}
-        self.vp_sizes: Dict[Term, int] = {}
-        for predicate in sorted(by_predicate, key=Term.sort_key):
+        written = 0
+        for predicate in sorted(predicates, key=Term.sort_key):
             pairs, keys = [], []
-            for obj, subjects in by_predicate[predicate].items():
+            for obj, subjects in by_predicate.get(predicate, {}).items():
                 object_key = obj.sort_key()
                 for subject in subjects:
                     subject_key = sort_keys.get(subject)
@@ -98,11 +103,17 @@ class SparqlgxEngine(SparkRdfEngine):
                         subject_key = sort_keys[subject] = subject.sort_key()
                     pairs.append((subject, obj))
                     keys.append((subject_key, object_key))
+            if not pairs:
+                # Its last triple was deleted: the file goes.
+                self.vp_tables.pop(predicate, None)
+                self.vp_sizes.pop(predicate, None)
+                continue
             order = sorted(range(len(pairs)), key=keys.__getitem__)
             self.vp_tables[predicate] = self.ctx.parallelize(
                 [pairs[index] for index in order]
             ).cache()
             self.vp_sizes[predicate] = len(pairs)
+            written += len(pairs)
 
         # The statistics the survey says SPARQLGX counts -- partition
         # sizes above, and the distinct subjects, predicates and objects
@@ -114,6 +125,14 @@ class SparqlgxEngine(SparkRdfEngine):
             "distinct_objects": len(graph.by_object()),
             "triples": len(graph),
         }
+        return written
+
+    def apply_delta(self, delta, graph: RDFGraph) -> int:
+        # Vertical partitioning localizes a change to the predicate
+        # files it touches; every other store keeps its cached RDD.
+        return self._build_stores(
+            graph, {t.predicate for t in (*delta.added, *delta.removed)}
+        )
 
     # ------------------------------------------------------------------
 

@@ -10,7 +10,7 @@ view for a base scan whenever the view strictly dominates it.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.views.catalog": (
@@ -25,14 +25,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "DEFAULT_VIEW_THRESHOLD",
-    "MaintenanceReport",
-    "MaterializedView",
-    "VIEW_FORMAT_VERSION",
-    "ViewCatalog",
-    "ViewKey",
-    "materialize_view",
-    "view_name",
-]

@@ -71,13 +71,13 @@ print(repr(estimator.subset_cardinality(patterns)))
         )
 
     def test_paper_diff_report(self):
-        """core/reports.py: Table I cells compared in sorted order."""
+        """core/reports.py: Table I cells render in sorted order."""
         assert_hashseed_invariant(
             """
-from repro.core.registry import default_registry
-from repro.core.reports import diff_against_paper
+from repro.core.reports import render_table_i, render_table_ii
 
-print(diff_against_paper(default_registry()))
+print(render_table_i())
+print(render_table_ii())
 """
         )
 
@@ -103,29 +103,29 @@ print(repr(estimator.reduction_factor(first, second)))
         )
 
     def test_incremental_update_rebuild_order(self):
-        """evolution/live.py: touched predicate stores rebuild in sorted
+        """systems/sparqlgx.py: touched predicate stores rebuild in sorted
         order, so RDD ids and vp_tables insertion order are stable."""
         assert_hashseed_invariant(
             """
 from repro.data.lubm import LubmGenerator
-from repro.evolution.live import UpdatableSparqlgxEngine
+from repro.evolution import VersionedGraph
 from repro.rdf.triple import Triple
 from repro.rdf.terms import URI
 from repro.spark.context import SparkContext
+from repro.systems.sparqlgx import SparqlgxEngine
 
 graph = LubmGenerator(num_universities=1, seed=42).generate()
-engine = UpdatableSparqlgxEngine(SparkContext(default_parallelism=4))
-engine.load(graph)
+engine = SparqlgxEngine(SparkContext(default_parallelism=4)).load(graph)
 subject = URI('http://repro.example.org/lubm#extra1')
-additions = [
+store = VersionedGraph(graph)
+version = store.commit(additions=[
     Triple(subject, URI('http://repro.example.org/lubm#name'), subject),
     Triple(subject, URI('http://repro.example.org/lubm#memberOf'), subject),
     Triple(subject, URI('http://repro.example.org/lubm#age'), subject),
-]
-engine.apply_update(additions=additions)
+])
+print(engine.apply_delta(store.delta(version), store.head()))
 print([p.n3() for p in sorted(engine.vp_sizes, key=lambda t: t.sort_key())])
 print([t.id for t in engine.vp_tables.values()])
-print(engine.last_update_touched)
 """
         )
 

@@ -58,6 +58,29 @@ class TestCartesian:
         report = lint("SELECT ?s WHERE { ?s lubm:memberOf ?d }")
         assert codes(report) == []
 
+    def test_union_sharing_a_variable_with_the_bgp_clean(self):
+        # A BGP beside a UNION is a join node, not one BGP.
+        report = lint(
+            "SELECT ?s ?x WHERE { ?s lubm:name ?n "
+            "{ ?s lubm:memberOf ?x } UNION { ?s lubm:teacherOf ?x } }"
+        )
+        assert "QL001" not in codes(report)
+
+    def test_union_disjoint_from_the_bgp_flagged(self):
+        report = lint(
+            "SELECT ?s ?x WHERE { ?s lubm:name ?n "
+            "{ ?t lubm:memberOf ?x } UNION { ?t lubm:teacherOf ?x } }"
+        )
+        (finding,) = [d for d in report.diagnostics if d.code == "QL001"]
+        assert "{n,s} vs {t,x}" in finding.message
+
+    def test_nested_group_disjoint_from_the_bgp_flagged(self):
+        report = lint(
+            "SELECT ?s ?t WHERE { ?s lubm:name ?n "
+            "{ ?t lubm:memberOf ?d OPTIONAL { ?t lubm:age ?a } } }"
+        )
+        assert "QL001" in codes(report)
+
 
 class TestUnboundProjection:
     def test_phantom_variable_flagged(self):

@@ -120,8 +120,19 @@ class TestFeedbackLoop:
         assert "routing" not in QueryService(lubm_graph).stats()
 
     def test_route_span_and_metrics(self, routed):
-        routed.submit(QueryRequest(text=STAR_QUERY))
+        routed.tracer.clear().enable()
+        routed.submit(QueryRequest(text=STAR_QUERY, id="star"))
+        routed.tracer.disable()
         assert routed.metrics.snapshot()["routing_decisions"] == 1
+        (request_span,) = routed.tracer.roots
+        (route,) = [s for s in request_span.walk() if s.kind == "route"]
+        # The attrs docs/METRICS.md and docs/ROUTING.md document.
+        assert route.name == "star"
+        assert route.attrs["shape"] == "star"
+        assert route.attrs["engine"] == "HAQWA"
+        assert route.attrs["fallback"] is False
+        assert route.attrs["candidates"] >= 2
+        assert route.attrs["base_cost"] > 0
 
     def test_calibration_survives_commit(self, routed):
         routed.submit(QueryRequest(text=STAR_QUERY))

@@ -228,10 +228,6 @@ class TestActionsAndStorage:
         assert people.first()["id"] == 1
         assert session.emptyDataFrame(["x"]).isEmpty()
 
-    def test_show_renders_grid(self, people):
-        text = people.show(2)
-        assert "alice" in text and "|" in text and "+" in text
-
     def test_columnar_storage_is_smaller_on_repetitive_data(self, session):
         rows = [("constant-string-value", i % 3) for i in range(200)]
         df = session.createDataFrame(rows, ["text", "bucket"])

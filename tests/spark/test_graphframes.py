@@ -87,12 +87,6 @@ class TestGraphFrame:
         assert filtered.edges.count() == 1
         assert filtered.vertices.count() == 5  # untouched
 
-    def test_dropIsolatedVertices(self, social):
-        filtered = social.filterEdges(
-            col("relationship") == lit("likes")
-        ).dropIsolatedVertices()
-        assert {r["id"] for r in filtered.vertices.collect()} == {1, 3}
-
 
 class TestMotifFinding:
     def test_single_edge_motif(self, social):

@@ -18,7 +18,7 @@ from repro.explain import EngineExplain, verify_conservation
 from repro.spark.context import SparkContext
 from repro.spark.faults import FaultScheduler
 from repro.spark.parallel import parallel_available
-from repro.spark.tracing import normalize_spans
+from repro.spark.tracing import normalize_spans, trace_to_json
 from repro.sparql.parser import parse_sparql
 from repro.systems import (
     ALL_ENGINE_CLASSES,
@@ -133,7 +133,7 @@ def test_same_seed_reproduces_trace_json_byte_identically(lubm_graph):
         _rows, _delta, sc = chaos_run(
             SparqlgxEngine, lubm_graph, STAR, seed=7, trace=True
         )
-        traces.append(sc.tracer.to_json())
+        traces.append(trace_to_json(sc.tracer.roots))
     assert traces[0] == traces[1]
     payload = json.loads(traces[0])
     kinds = set()

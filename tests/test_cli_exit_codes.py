@@ -226,6 +226,31 @@ UNANSWERABLE_CASES = [
         lambda d: ["query", d, LIMIT_QUERY, "--engine", "SPARQLGX"],
         "error: SPARQLGX supports BGP+ only; query needs ['LIMIT']",
     ),
+    # Out-of-range numbers: a config error, not the constructor's
+    # ValueError five layers down.
+    (
+        "query-negative-broadcast-threshold",
+        lambda d: [
+            "query", d, CLEAN_QUERY, "--optimize",
+            "--broadcast-threshold", "-5",
+        ],
+        "error: --broadcast-threshold must be positive",
+    ),
+    (
+        "query-zero-max-task-attempts",
+        lambda d: ["query", d, CLEAN_QUERY, "--max-task-attempts", "0"],
+        "error: --max-task-attempts must be >= 1",
+    ),
+    (
+        "query-zero-parallelism",
+        lambda d: ["query", d, CLEAN_QUERY, "--parallelism", "0"],
+        "error: --parallelism must be positive",
+    ),
+    (
+        "loadtest-negative-queue-limit",
+        lambda d: ["loadtest", d, "--smoke", "--queue-limit", "-1"],
+        "error: queue_limit must be >= 0",
+    ),
 ]
 
 

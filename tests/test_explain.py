@@ -13,6 +13,7 @@ from repro.explain import (
     DEFAULT_EXPLAIN_ENGINES,
     EngineExplain,
     explain,
+    run_record,
     run_traced,
     verify_conservation,
 )
@@ -179,11 +180,8 @@ class TestHarnessTrace:
         result = run_engine_on_query(engine, STAR, "star", trace=True)
         assert result.trace and result.trace[0].kind == "query"
         assert not engine.ctx.tracer.enabled
-        payload = result.trace_payload()
-        assert payload["engine"] == "SPARQLGX"
         untraced = run_engine_on_query(engine, STAR, "star")
         assert untraced.trace is None
-        assert untraced.trace_payload() is None
 
     def test_bench_run_resets_results_between_calls(self, lubm_graph):
         from repro.bench import BenchRun
@@ -213,16 +211,14 @@ class TestHarnessTrace:
 class TestEngineExplainPayload:
     def test_payload_shape(self, lubm_graph):
         run = run_traced(lubm_graph, STAR, SparqlgxEngine)
-        payload = run.to_payload()
-        assert payload["engine"] == "SPARQLGX"
-        assert payload["supported"] is True
-        assert isinstance(payload["spans"], list)
-        assert payload["totals"]
+        payload = run_record(run.engine, STAR, run.totals, run.spans)
+        assert run.supported and payload["engine"] == "SPARQLGX"
+        assert payload["spans"] and payload["totals"]
 
     def test_unsupported_payload(self, lubm_graph):
         run = EngineExplain(engine="X", supported=False, rows=None, error="no")
-        payload = run.to_payload()
-        assert payload["supported"] is False and payload["spans"] == []
+        payload = run_record(run.engine, STAR, run.totals, run.spans)
+        assert not run.supported and payload["spans"] == []
 
 
 class TestPreambleOrder:

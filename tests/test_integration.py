@@ -87,16 +87,18 @@ def test_router_over_mixed_workload(lubm_graph):
 
 def test_describe_after_update(lubm_graph):
     """DESCRIBE sees freshly applied incremental updates."""
-    from repro.evolution import UpdatableSparqlgxEngine
+    from repro.evolution import VersionedGraph
+    from repro.systems import SparqlgxEngine
 
-    engine = UpdatableSparqlgxEngine(SparkContext(4))
-    engine.load(lubm_graph)
+    engine = SparqlgxEngine(SparkContext(4)).load(lubm_graph)
     newcomer = LUBM.BrandNewStudent
-    engine.apply_update(
+    store = VersionedGraph(lubm_graph)
+    version = store.commit(
         additions=[
             Triple(newcomer, LUBM.memberOf, LUBM.Department0_0),
             Triple(newcomer, LUBM.age, Literal(19)),
         ]
     )
+    engine.apply_delta(store.delta(version), store.head())
     description = engine.execute("DESCRIBE <%s>" % newcomer.value)
     assert len(description) == 2

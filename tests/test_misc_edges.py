@@ -41,9 +41,6 @@ class TestRow:
         assert list(row) == [1, 2]
         assert len(row) == 2
         assert "a" in row
-        assert row.get("missing", 9) == 9
-        assert row.asDict() == {"a": 1, "b": 2}
-        assert Row.fromDict({"a": 1}) == Row(["a"], (1,))
         assert hash(row) == hash(Row(["a", "b"], (1, 2)))
 
 
