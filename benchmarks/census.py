@@ -18,11 +18,16 @@ the place to say why a function only tests enter is kept (``safety``,
 ``doc``, ``wallclock``, ``item-N``).  So print to a new file and move it
 over ``CENSUS.tsv``; a redirect onto the table empties it before it is
 read.  ``--strict`` exits 1 when a function that no claim, bench, CLI
-path or example enters has no reason.  The commands CI records are the
-``census`` job of ``ci.yml``.
+path or example enters has no reason.  Such a function reads
+``referenced`` in the ``why`` column (computed, never carried over) when
+its name still occurs in ``src/repro`` outside its own body: a caller in
+a branch no run takes, which the census cannot see -- ``--strict`` lists
+those apart from the ones nothing names.  The commands CI records are
+the ``census`` job of ``ci.yml``.
 """
 
 import ast
+import collections
 import os
 import subprocess
 import sys
@@ -36,6 +41,7 @@ ROOT = os.path.dirname(HERE)
 LOGS = os.environ.get("CENSUS_LOGS") or os.path.join(HERE, ".census")
 TABLE = os.path.join(HERE, "CENSUS.tsv")
 MARK = os.sep + os.path.join("src", "repro", "")
+REFERENCED = "referenced"
 
 
 def install(log):
@@ -44,9 +50,14 @@ def install(log):
     seen = set()
 
     def hook(frame, event, _arg):
-        if event == "call" and frame.f_code not in seen:
-            code = frame.f_code
-            seen.add(code)
+        if event != "call":
+            return
+        code = frame.f_code
+        # Not the code object: two files with the same body on the same
+        # line (the two ``TokenStream.at_keyword``) hold equal ones.
+        key = (code.co_filename, code.co_firstlineno)
+        if key not in seen:
+            seen.add(key)
             path = os.path.abspath(code.co_filename)
             at = path.rfind(MARK)
             if at >= 0:
@@ -80,8 +91,24 @@ def record(tag, command):
         return subprocess.call(command, env=env)
 
 
-def functions():
-    """``(file, first line, qualified name, body lines)`` of every def."""
+def identifiers(node):
+    """How often each ``Name`` id and ``Attribute`` attr occurs in *node*."""
+    return collections.Counter(
+        getattr(n, "id", None) or n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def referenced(node, used):
+    """Whether the name of def *node* occurs beyond its own body in what
+    *used* counted."""
+    return used[node.name] > identifiers(node)[node.name]
+
+
+def functions(used):
+    """``(file, first line, qualified name, body lines, def node)`` of
+    every def; *used* gains every module's :func:`identifiers`."""
     top = os.path.join(ROOT, "src", "repro")
     for folder, folders, files in os.walk(top):
         folders.sort()
@@ -89,6 +116,7 @@ def functions():
             path = os.path.join(folder, name)
             with open(path, encoding="utf-8") as handle:
                 tree = ast.parse(handle.read())
+            used.update(identifiers(tree))
             stack = [("", tree)]
             while stack:
                 prefix, node = stack.pop()
@@ -105,6 +133,7 @@ def functions():
                             first,
                             inner[:-1],
                             child.end_lineno - child.lineno + 1,
+                            child,
                         )
                     elif isinstance(child, ast.ClassDef):
                         inner = prefix + child.name + "."
@@ -123,19 +152,26 @@ def report(strict):
         with open(TABLE) as handle:
             for line in handle.read().splitlines()[1:]:
                 cells = line.split("\t")
-                why[cells[0].split(":")[0], cells[1]] = cells[-1]
+                if cells[-1] != REFERENCED:
+                    why[cells[0].split(":")[0], cells[1]] = cells[-1]
     print("\t".join(("file:line", "name", "lines") + TAGS + ("why",)))
+    used = collections.Counter()
+    rows = sorted(functions(used), key=lambda row: row[:4])
     unexplained = 0
-    for path, first, name, lines in sorted(functions()):
+    for path, first, name, lines, node in rows:
         key = "%s:%d" % (path, first)
         marks = ["x" if key in entered.get(tag, ()) else "" for tag in TAGS]
         reason = why.get((path, name), "")
-        print("\t".join([key, name, str(lines)] + marks + [reason]))
-        if strict and not any(marks[1:]) and not reason:
+        if not any(marks[1:]) and not reason:
             unexplained += 1
-            print("no claim, bench, CLI path, example or reason: %s %s"
-                  % (key, name), file=sys.stderr)
-    return 1 if unexplained else 0
+            if referenced(node, used):
+                reason = REFERENCED
+            if strict:
+                print("no claim, bench, CLI path, example or reason%s: %s %s"
+                      % (" (but referenced)" if reason else "", key, name),
+                      file=sys.stderr)
+        print("\t".join([key, name, str(lines)] + marks + [reason]))
+    return 1 if strict and unexplained else 0
 
 
 def main(argv):

@@ -330,13 +330,14 @@ def cmd_route(args) -> int:
 
     from repro.routing import RoutingPolicy
 
+    config = _config_from_args(RuntimeConfig, args)
     graph = load_graph(args.data)
     query_text = _read_query_arg(args.query)
     policy = RoutingPolicy.for_graph(
         graph,
         engines=args.engine or None,
-        mode=args.optimizer_mode,
-        broadcast_threshold=args.broadcast_threshold,
+        mode=config.optimizer_mode,
+        broadcast_threshold=config.broadcast_threshold,
     )
     decision = policy.decide(query_text)
     if args.json:
@@ -440,6 +441,7 @@ def cmd_lint(args) -> int:
     from repro.analysis import lint_text, merge_reports
     from repro.stats import StatsCatalog
 
+    config = _config_from_args(RuntimeConfig, args)
     if args.closures:
         if args.data or args.stats or args.deadline is not None:
             print(
@@ -488,8 +490,8 @@ def cmd_lint(args) -> int:
                 subject=subject,
                 catalog=catalog,
                 deadline=args.deadline,
-                broadcast_threshold=args.broadcast_threshold,
-                mode=args.optimizer_mode,
+                broadcast_threshold=config.broadcast_threshold,
+                mode=config.optimizer_mode,
             )
         )
     merged = merge_reports("query-lint", reports)
@@ -915,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.set_defaults(handler=cmd_generate)
     generate.add_argument("kind", choices=["lubm", "watdiv"])
     generate.add_argument("path")
-    generate.add_argument("--scale", type=int, default=1)
+    generate.add_argument("--scale", type=_positive_int, default=1)
     generate.add_argument("--seed", type=int, default=42)
 
     stats = sub.add_parser(
@@ -1052,15 +1054,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadtest.set_defaults(handler=cmd_loadtest)
     _add_data_argument(loadtest)
-    loadtest.add_argument(
-        "--clients", type=int, default=8, help="closed-loop clients"
-    )
-    loadtest.add_argument(
-        "--tenants", type=int, default=2, help="tenants clients spread over"
-    )
-    loadtest.add_argument(
-        "--requests", type=int, default=8, help="requests per client"
-    )
+    for flag, default, text in (
+        ("--clients", 8, "closed-loop clients"),
+        ("--tenants", 2, "tenants clients spread over"),
+        ("--requests", 8, "requests per client"),
+    ):
+        loadtest.add_argument(
+            flag, type=_positive_int, default=default, help=text
+        )
     loadtest.add_argument(
         "--queries", type=int, default=6, help="distinct workload queries"
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.sparql.ast import TriplePattern, Variable
+from repro.sparql.ast import TriplePattern, Variable, semi_join_kinds
 from repro.stats.catalog import StatsCatalog
 
 
@@ -119,38 +119,11 @@ class CardinalityEstimator:
         p2 = _n3(other.predicate)
         if p1 is None or p2 is None or p1 == p2:
             return 1.0
-        factor = 1.0
-        shared = set(v.name for v in pattern.variables()) & set(
-            v.name for v in other.variables()
+        kinds = semi_join_kinds(pattern, other)
+        return min(
+            (self.catalog.selectivity(kind, p1, p2) for kind in kinds),
+            default=1.0,
         )
-        # Sorted: float multiplication is not associativity-stable, so
-        # accumulating the per-variable factors in set order would leak
-        # PYTHONHASHSEED into cost estimates.
-        for name in sorted(shared):
-            mine = self._so_position(pattern, name)
-            theirs = self._so_position(other, name)
-            if mine is None or theirs is None:
-                continue
-            kind = mine + theirs  # "ss" | "so" | "os" | "oo"
-            if kind == "oo":
-                continue  # ExtVP keeps no object-object tables
-            factor = min(factor, self.catalog.selectivity(kind, p1, p2))
-        return factor
-
-    @staticmethod
-    def _so_position(pattern: TriplePattern, name: str) -> Optional[str]:
-        """'s'/'o' when *name* sits in a subject/object slot, else None."""
-        if (
-            isinstance(pattern.subject, Variable)
-            and pattern.subject.name == name
-        ):
-            return "s"
-        if (
-            isinstance(pattern.object, Variable)
-            and pattern.object.name == name
-        ):
-            return "o"
-        return None
 
     def reduced_cardinality(
         self, pattern: TriplePattern, others: Sequence[TriplePattern]

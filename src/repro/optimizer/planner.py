@@ -46,6 +46,7 @@ from repro.sparql.ast import (
     TriplePattern,
     Variable,
     connected_order,
+    semi_join_kinds,
     variables_of,
 )
 
@@ -336,7 +337,6 @@ class JoinPlanner:
         p1 = pattern.predicate.n3()
         stats = self.estimator.catalog.predicate_stats(p1)
         base_rows = stats.count if stats is not None else 0
-        position_of = CardinalityEstimator._so_position
         best = None  # ((rows, view key, partner index), view)
         for partner, other in enumerate(patterns):
             if partner == index or isinstance(other.predicate, Variable):
@@ -344,17 +344,7 @@ class JoinPlanner:
             p2 = other.predicate.n3()
             if p2 == p1:
                 continue
-            shared = {v.name for v in pattern.variables()} & {
-                v.name for v in other.variables()
-            }
-            for name in sorted(shared):
-                mine = position_of(pattern, name)
-                theirs = position_of(other, name)
-                if mine is None or theirs is None:
-                    continue
-                kind = mine + theirs
-                if kind == "oo":
-                    continue  # ExtVP keeps no object-object tables
+            for kind in semi_join_kinds(pattern, other):
                 view = catalog.get((kind, p1, p2))
                 if view is None or len(view) >= base_rows:
                     continue

@@ -75,7 +75,7 @@ class Join(LogicalPlan):
     left: LogicalPlan
     right: LogicalPlan
     condition: Optional[Expression]
-    how: str = "inner"  # inner | left | right | outer | cross | semi
+    how: str = "inner"  # inner | left | right | outer | cross
 
     def children(self) -> List[LogicalPlan]:
         return [self.left, self.right]

@@ -59,8 +59,6 @@ def output_columns(plan: LogicalPlan, catalog: Catalog) -> List[str]:
     if isinstance(plan, (Filter, Distinct, Sort, Limit)):
         return output_columns(plan.child, catalog)
     if isinstance(plan, Join):
-        if plan.how == "semi":
-            return output_columns(plan.left, catalog)
         return output_columns(plan.left, catalog) + output_columns(
             plan.right, catalog
         )
@@ -337,8 +335,6 @@ def estimated_rows(plan: LogicalPlan, catalog: Catalog) -> int:
     if isinstance(plan, Filter):
         return max(estimated_rows(plan.child, catalog) // 3, 1)
     if isinstance(plan, Join):
-        if plan.how == "semi":
-            return estimated_rows(plan.left, catalog)
         left = estimated_rows(plan.left, catalog)
         right = estimated_rows(plan.right, catalog)
         return max(left, right)

@@ -227,9 +227,6 @@ def _execute_join(plan: Join, session) -> DataFrame:
         plan.condition, left.columns, right.columns
     )
 
-    if plan.how == "semi":
-        return _execute_semi_join(left, right, pairs, residual, session)
-
     if not pairs:
         # No equi component: fall back to a cartesian product plus filter --
         # the very inefficiency Section IV-A3 calls out for naive SQL
@@ -253,39 +250,3 @@ def _execute_join(plan: Join, session) -> DataFrame:
     if residual is not None:
         joined = joined.where(resolve_expr(residual, joined.columns))
     return joined.drop(*key_names)
-
-
-def _execute_semi_join(
-    left: DataFrame,
-    right: DataFrame,
-    pairs: List[Tuple[Expression, Expression]],
-    residual: Optional[Expression],
-    session,
-) -> DataFrame:
-    """LEFT SEMI JOIN: keep left rows with at least one right match.
-
-    Implemented as a broadcast of the right side's key set -- the primitive
-    with which S2RDF materializes its ExtVP semi-join reductions.
-    """
-    if not pairs:
-        raise SqlAnalysisError("semi join requires at least one equi condition")
-    if residual is not None:
-        raise SqlAnalysisError("semi join supports only equi conditions")
-    right_key_exprs = [expr for _l, expr in pairs]
-    right_columns = right.columns
-
-    key_rows = set()
-    for values in right.rdd.collect():
-        row = dict(zip(right_columns, values))
-        key_rows.add(tuple(expr.eval(row) for expr in right_key_exprs))
-    bcast = session.ctx.broadcast(key_rows)
-
-    left_key_exprs = [expr for expr, _r in pairs]
-    left_columns = left.columns
-
-    def keep(values) -> bool:
-        row = dict(zip(left_columns, values))
-        key = tuple(expr.eval(row) for expr in left_key_exprs)
-        return key in bcast.value
-
-    return DataFrame(session, left.rdd.filter(keep), left.columns)

@@ -16,7 +16,7 @@ KEYWORDS = {
     "LIMIT", "OFFSET", "JOIN", "INNER", "LEFT", "RIGHT", "FULL", "OUTER",
     "CROSS", "ON", "AS", "AND", "OR", "NOT", "IN", "IS", "NULL",
     "UNION", "ALL", "ASC", "DESC", "TRUE", "FALSE", "COUNT", "SUM",
-    "MIN", "MAX", "AVG", "SEMI", "HAVING", "BETWEEN", "LIKE",
+    "MIN", "MAX", "AVG", "HAVING", "BETWEEN", "LIKE",
 }
 
 _TOKEN_RE = re.compile(

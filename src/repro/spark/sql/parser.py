@@ -184,8 +184,6 @@ def _parse_join(stream: TokenStream, left: LogicalPlan) -> LogicalPlan:
     elif stream.accept("keyword", "LEFT"):
         stream.accept("keyword", "OUTER")
         how = "left"
-        if stream.accept("keyword", "SEMI"):
-            how = "semi"
     elif stream.accept("keyword", "RIGHT"):
         stream.accept("keyword", "OUTER")
         how = "right"

@@ -94,6 +94,29 @@ def connected_order(
     return ordered
 
 
+def semi_join_kinds(pattern: TriplePattern, other: TriplePattern) -> List[str]:
+    """The ExtVP kinds under which *other*'s predicate reduces *pattern*'s
+    vertical partition: per shared variable (by name, sorted) the
+    subject/object slot it takes in *pattern*, then the one in *other*
+    -- ``"s" + "o"`` is kind ``so``.  The subject slot wins for a
+    variable a pattern repeats; a variable in a predicate slot joins no
+    columns, and object-object is no kind: ExtVP keeps no such tables.
+    :func:`repro.stats.catalog.pair_columns` reads a kind back."""
+
+    def slot(of: TriplePattern, name: str) -> Optional[str]:
+        for column, term in (("s", of.subject), ("o", of.object)):
+            if isinstance(term, Variable) and term.name == name:
+                return column
+        return None
+
+    kinds = []
+    for name in sorted(variables_of(pattern) & variables_of(other)):
+        mine, theirs = slot(pattern, name), slot(other, name)
+        if mine and theirs and (mine, theirs) != ("o", "o"):
+            kinds.append(mine + theirs)
+    return kinds
+
+
 # ----------------------------------------------------------------------
 # Filter expressions
 # ----------------------------------------------------------------------

@@ -37,9 +37,18 @@ from typing import Dict, List, Optional, Tuple
 from repro.rdf.graph import RDFGraph
 
 #: Pair-selectivity join kinds, following S2RDF's ExtVP table families:
-#: ``ss`` compares subject(p1) with subject(p2), ``so`` subject(p1) with
-#: object(p2), ``os`` object(p1) with subject(p2).
-PAIR_KINDS = ("ss", "so", "os")
+#: ``ss`` compares subject(p1) with subject(p2), ``os`` object(p1) with
+#: subject(p2), ``so`` subject(p1) with object(p2) -- in the order S2RDF
+#: builds them.  The one home of the scheme (docs/VIEWS.md).
+PAIR_KINDS = ("ss", "os", "so")
+
+
+def pair_columns(kind: str) -> Tuple[str, str]:
+    """The join columns *kind* names, each ``"s"`` or ``"o"``: the column
+    of p1's vertical partition, then the column of p2's it must occur in."""
+    if kind not in PAIR_KINDS:
+        raise ValueError("unknown pair kind %r" % kind)
+    return kind[0], kind[1]
 
 #: Pair selectivities are O(predicates^2); beyond this many predicates the
 #: catalog skips them (the estimator then falls back to independence).
@@ -219,17 +228,17 @@ class StatsCatalog:
             return {}
         out: Dict[Tuple[str, str, str], float] = {}
         names = sorted(pred_count)
+        by_column = {"s": pred_subjects, "o": pred_objects}
         for p1 in names:
             for p2 in names:
                 if p1 == p2:
                     continue
                 for kind in PAIR_KINDS:
-                    left = pred_subjects if kind in ("ss", "so") else pred_objects
-                    right = pred_subjects if kind in ("ss", "os") else pred_objects
-                    other = right[p2]
+                    column1, column2 = pair_columns(kind)
+                    other = by_column[column2][p2]
                     surviving = sum(
                         mult
-                        for term, mult in left[p1].items()
+                        for term, mult in by_column[column1][p1].items()
                         if term in other
                     )
                     factor = surviving / pred_count[p1]

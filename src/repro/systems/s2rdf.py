@@ -8,7 +8,9 @@ Mechanics reproduced from Section IV-A2 of the paper:
   object-subject (OS) and subject-object (SO).  At query time a triple
   pattern reads the smallest reduction applicable to its joins instead of
   the full VP table, which is where the paper's "10,000 comparisons vs 10"
-  example comes from.
+  example comes from.  The loader builds a reduction by filtering the
+  cached VP table (the scheme's home is :mod:`repro.stats.catalog`,
+  docs/VIEWS.md); only queries go through Spark SQL.
 * *Selectivity factor* -- each ExtVP table's size relative to its VP table
   is its SF; tables with SF above the threshold are not kept (they would
   save little and cost storage).
@@ -33,6 +35,7 @@ from repro.core.dimensions import (
 from repro.rdf.encoding import Dictionary
 from repro.rdf.graph import RDFGraph
 from repro.spark.context import SparkContext
+from repro.spark.dataframe import DataFrame
 from repro.spark.rdd import RDD
 from repro.spark.sql.session import SparkSession
 from repro.sparql.ast import (
@@ -50,11 +53,14 @@ from repro.sparql.fragments import (
     FEATURE_ORDER_BY,
     FEATURE_UNION,
 )
+from repro.stats.catalog import PAIR_KINDS, pair_columns
 from repro.systems.base import EngineProfile, SparkRdfEngine
 from repro.systems.bgpsql import bgp_to_sql, run_bgp_sql
 
-#: ExtVP correlation kinds: how pattern 1's table is restricted by pattern 2.
-_EXTVP_KINDS = ("ss", "os", "so")
+
+def _member(position: int, ids: set):
+    """Row predicate: the value at *position* is one of *ids*."""
+    return lambda row: row[position] in ids
 
 
 class S2RdfEngine(SparkRdfEngine):
@@ -135,30 +141,31 @@ class S2RdfEngine(SparkRdfEngine):
     def _build_extvp(
         self, by_predicate: Dict[int, List[Tuple[int, int]]]
     ) -> None:
-        """Pre-compute the SS/OS/SO semi-join reductions (via Spark SQL)."""
-        join_columns = {"ss": ("s", "s"), "os": ("o", "s"), "so": ("s", "o")}
-        predicates = sorted(by_predicate)
-        for p1 in predicates:
-            vp1 = self._vp_names[p1]
-            for p2 in predicates:
-                for kind in _EXTVP_KINDS:
-                    if p1 == p2 and kind == "ss":
+        """Pre-compute the SS/OS/SO semi-join reductions: each one is a
+        VP table filtered by the ids its partner's join column holds."""
+        ids = {
+            p: {"s": {s for s, _o in rows}, "o": {o for _s, o in rows}}
+            for p, rows in by_predicate.items()
+        }
+        for p1, rows in sorted(by_predicate.items()):
+            vp1 = self.session.table(self._vp_names[p1])
+            vp1.count()  # Every VP table is materialized at load.
+            for p2 in sorted(by_predicate):
+                for kind in PAIR_KINDS:
+                    column1, column2 = pair_columns(kind)
+                    if p1 == p2 and column1 == column2:
                         continue  # SF is 1 by construction, never kept.
-                    left_col, right_col = join_columns[kind]
-                    vp2 = self._vp_names[p2]
-                    sql = (
-                        "SELECT a.s AS s, a.o AS o FROM %s AS a "
-                        "LEFT SEMI JOIN %s AS b ON a.%s = b.%s"
-                        % (vp1, vp2, left_col, right_col)
-                    )
-                    reduced = self.session.sql(sql).cache()
-                    size = reduced.count()
-                    base = self.table_sizes[vp1]
-                    sf = size / base if base else 1.0
+                    keep = _member(vp1.columns.index(column1), ids[p2][column2])
+                    size = sum(map(keep, rows))
+                    sf = size / len(rows)
                     self.selectivity_factors[(kind, p1, p2)] = sf
                     if 0 < size and sf < self.sf_threshold:
                         name = "extvp_%s_%d_%d" % (kind, p1, p2)
-                        self.session.createOrReplaceTempView(name, reduced)
+                        reduced = vp1.rdd.filter(keep).cache()
+                        reduced.count()
+                        self.session.createOrReplaceTempView(
+                            name, DataFrame(self.session, reduced, vp1.columns)
+                        )
                         self._extvp_names[(kind, p1, p2)] = name
                         self.table_sizes[name] = size
 

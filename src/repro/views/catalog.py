@@ -53,7 +53,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.defaults import DEFAULT_VIEW_THRESHOLD
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term
-from repro.stats.catalog import PAIR_KINDS, StatsCatalog
+from repro.stats.catalog import StatsCatalog, pair_columns
 
 #: Bumped when the serialized view-catalog layout changes incompatibly.
 VIEW_FORMAT_VERSION = 1
@@ -141,10 +141,9 @@ class MaterializedView:
         factor: float,
         version: int = 0,
     ) -> None:
-        kind = key[0]
-        if kind not in PAIR_KINDS:
-            raise ValueError("unknown pair kind %r" % kind)
         self.key = key
+        #: The join columns of p1 and of p2 (an unknown kind raises).
+        self.column1, self.column2 = pair_columns(key[0])
         self.factor = factor
         self.version = version
         self._rows: Dict[Tuple[Term, Term], None] = {}
@@ -166,16 +165,6 @@ class MaterializedView:
     @property
     def p2(self) -> str:
         return self.key[2]
-
-    @property
-    def column1(self) -> str:
-        """The p1 join column: 's' for ss/so, 'o' for os."""
-        return "s" if self.kind in ("ss", "so") else "o"
-
-    @property
-    def column2(self) -> str:
-        """The p2 join column: 's' for ss/os, 'o' for so."""
-        return "s" if self.kind in ("ss", "os") else "o"
 
     @property
     def name(self) -> str:
@@ -256,8 +245,7 @@ def materialize_view(
     terms = predicate_terms or _predicate_terms(graph)
     p1 = terms.get(p1_n3)
     p2 = terms.get(p2_n3)
-    column1 = "s" if kind in ("ss", "so") else "o"
-    column2 = "s" if kind in ("ss", "os") else "o"
+    column1, column2 = pair_columns(kind)
     rows: List[Tuple[Term, Term]] = []
     if p1 is not None:
         survivors = set()

@@ -6,15 +6,18 @@ objects the compiler makes, which is what the recorder logs -- and marks
 what each command entered under that command's tag only.
 
 The census is dynamic: a branch no run takes is invisible to it, so a
-function it calls unentered can still have a caller.  The second test is
-the static half of the deletion rule -- no function under ``src/repro``
-loads a global that its module never binds.
+function it calls unentered can still have a caller.  The report says
+``referenced`` where the name of such a function still occurs outside
+its own body (the toy case), and the last test is the static half of the
+deletion rule -- no function under ``src/repro`` loads a global that its
+module never binds.
 """
 
 import ast
 import builtins
 import dis
 import os
+import runpy
 import subprocess
 import sys
 
@@ -56,7 +59,10 @@ def test_report_is_deterministic_and_names_every_function_once(tmp_path):
     census(tmp_path, "record", "cli", "--", sys.executable, "-m", "repro", "survey")
     census(
         tmp_path, "record", "examples", "--", sys.executable, "-c",
-        "from repro.rdf.terms import URI; URI('http://x/a').n3()",
+        "from repro.rdf.terms import URI; URI('http://x/a').n3();"
+        "from repro.sparql.parser import parse_sparql as q;"
+        "from repro.spark.sql.parser import parse_sql;"
+        "q('SELECT ?s WHERE { ?s ?p ?o }'); parse_sql('SELECT a FROM t')",
     )
     report = census(tmp_path, "report")
     assert report == census(tmp_path, "report")
@@ -73,6 +79,31 @@ def test_report_is_deterministic_and_names_every_function_once(tmp_path):
     assert entered["cmd_survey"] == {"cli"}
     assert entered["URI.n3"] == {"examples"}
     assert entered["cmd_query"] == set() == entered["BNode.n3"]
+    # Two files, one body, one line number: equal code objects, two rows.
+    twins = [row for row in rows if row[1] == "TokenStream.at_keyword"]
+    assert [row[3:-1] for row in twins] == [["", "", "", "", "", "x"]] * 2
+    # Unentered here, without a reason in the committed table, and named
+    # by build_parser: not deletable on the census alone.
+    assert {row[-1] for row in rows if row[1] == "cmd_query"} == {"referenced"}
+
+
+def test_referenced_means_named_outside_the_own_body():
+    census = runpy.run_path(CENSUS)
+    tree = ast.parse(
+        "def called(): pass\n"
+        "def caller(): called()\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class Box:\n"
+        "    def method(self): return self.method\n"
+        "    alias = method\n"
+        "    def looked_up(self): pass\n"
+        "Box().looked_up\n"
+    )
+    used = census["identifiers"](tree)
+    defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    assert {n.name for n in defs if census["referenced"](n, used)} == {
+        "called", "method", "looked_up",
+    }
 
 
 def unbound_globals(path):

@@ -95,7 +95,6 @@ class TestParser:
             ("LEFT OUTER JOIN", "left"),
             ("RIGHT JOIN", "right"),
             ("FULL OUTER JOIN", "outer"),
-            ("LEFT SEMI JOIN", "semi"),
         ]:
             plan = parse_sql(
                 "SELECT a FROM t %s u ON t.k = u.k" % sql_kind
@@ -250,13 +249,6 @@ class TestExecution:
             "SELECT customer FROM orders UNION SELECT customer FROM orders"
         )
         assert result.count() == 3
-
-    def test_semi_join(self, catalog):
-        result = catalog.sql(
-            "SELECT a.order_id FROM orders AS a LEFT SEMI JOIN customers AS b "
-            "ON a.customer = b.name"
-        )
-        assert result.count() == 4
 
     def test_cross_join(self, catalog):
         result = catalog.sql(

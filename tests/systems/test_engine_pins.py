@@ -27,7 +27,12 @@ scratch clone, before any line of ``src/`` changes::
 
 ``--write`` refuses to pin an answer the reference evaluator disagrees
 with.  A PR that changes an answer or a cost on purpose regenerates the
-file on its own tree and says which pins moved and why.
+file on its own tree and says which pins moved and why -- ``--diff``
+(before ``--write``) prints that list: one line per cell/query whose
+fresh pin is not the committed one, with the fields that moved, and
+exits 1 if a ``rows`` or an ``answer`` is among them::
+
+    PYTHONPATH=src python tests/systems/test_engine_pins.py --diff
 """
 
 from __future__ import annotations
@@ -245,7 +250,33 @@ def _write() -> None:
     )
 
 
+#: The fields of a pin, in the order ``--diff`` names them.
+PIN_FIELDS = ("trace", "cost", "traced_cost", "rows", "answer")
+
+
+def _diff() -> int:
+    """Print which pins a fresh run moves; 1 if an answer is among them."""
+    with open(PINS_PATH, "r", encoding="utf-8") as handle:
+        pinned = json.load(handle)
+    answers_moved = False
+    for cell in sorted(set(CELLS) | set(pinned)):
+        fresh = _pin_cell(*CELLS[cell]) if cell in CELLS else {}
+        committed = pinned.get(cell, {})
+        for query in sorted(set(fresh) | set(committed)):
+            before, after = committed.get(query, {}), fresh.get(query, {})
+            moved = [f for f in PIN_FIELDS if before.get(f) != after.get(f)]
+            if moved:
+                print("%s/%s: %s" % (cell, query, " ".join(moved)))
+            answers_moved |= "rows" in moved or "answer" in moved
+    return 1 if answers_moved else 0
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python %s --write" % sys.argv[0])
-    _write()
+    if sys.argv[1:] == ["--write"]:
+        _write()
+    elif sys.argv[1:] == ["--diff"]:
+        sys.exit(_diff())
+    else:
+        sys.exit(
+            "usage: PYTHONPATH=src python %s --write | --diff" % sys.argv[0]
+        )

@@ -1,13 +1,20 @@
 """S2RDF mechanism tests: ExtVP, SF threshold, SQL compilation."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import URI
 from repro.rdf.triple import Triple
 from repro.spark.context import SparkContext
+from repro.spark.sql.session import SparkSession
 from repro.sparql.parser import parse_sparql
+from repro.stats.catalog import StatsCatalog
 from repro.systems.s2rdf import S2RdfEngine
+from repro.views.catalog import materialize_view
 from tests.systems.conftest import assert_engine_matches_reference
 
 EX = "http://x/"
@@ -72,6 +79,57 @@ class TestExtVPBuild:
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
             S2RdfEngine(SparkContext(2), sf_threshold=0.0)
+
+
+def assert_extvp_computations_agree(graph):
+    """S2RDF's tables, the view builder and the statistics catalog state
+    one scheme: same rows per kept table, same factor per pair."""
+    with mock.patch.object(
+        SparkSession, "sql", side_effect=AssertionError("load ran SQL")
+    ):
+        engine = S2RdfEngine(SparkContext(4)).load(graph)
+    stats = StatsCatalog.from_graph(graph)
+
+    def n3(term_id):
+        return engine.dictionary.decode_id(term_id).n3()
+
+    for (kind, p1, p2), name in engine._extvp_names.items():
+        rows = engine.session.table(name).rdd.collect()
+        view = materialize_view(graph, (kind, n3(p1), n3(p2)), 0.0)
+        assert sorted((n3(s), n3(o)) for s, o in rows) == [
+            (s.n3(), o.n3()) for s, o in view.rows()
+        ]
+    for (kind, p1, p2), factor in engine.selectivity_factors.items():
+        if p1 != p2:  # the catalogs keep no self-pairs (docs/VIEWS.md)
+            assert round(factor, 6) == stats.selectivity(kind, n3(p1), n3(p2))
+    return engine
+
+
+class TestOneScheme:
+    @pytest.mark.parametrize(
+        "fixture", ["lubm_graph", "watdiv_graph", "chain_graph"]
+    )
+    def test_three_computations_agree(self, fixture, request):
+        engine = assert_extvp_computations_agree(
+            request.getfixturevalue(fixture)
+        )
+        assert engine.extvp_table_count() > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5), st.integers(0, 3), st.integers(0, 5)
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_three_computations_agree_on_any_small_graph(self, edges):
+        graph = RDFGraph()
+        for s, p, o in edges:
+            graph.add(Triple(uri("n%d" % s), uri("p%d" % p), uri("n%d" % o)))
+        assert_extvp_computations_agree(graph)
 
 
 class TestSqlCompilation:

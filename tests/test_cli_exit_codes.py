@@ -251,6 +251,20 @@ UNANSWERABLE_CASES = [
         lambda d: ["loadtest", d, "--smoke", "--queue-limit", "-1"],
         "error: queue_limit must be >= 0",
     ),
+    # The same range check on the two subcommands that used to read the
+    # flag past it (route died in JoinPlanner, lint accepted it).
+    (
+        "route-negative-broadcast-threshold",
+        lambda d: ["route", d, CLEAN_QUERY, "--broadcast-threshold", "-5"],
+        "error: --broadcast-threshold must be positive",
+    ),
+    (
+        "lint-negative-broadcast-threshold",
+        lambda d: [
+            "lint", CLEAN_QUERY, "--data", d, "--broadcast-threshold", "-5",
+        ],
+        "error: --broadcast-threshold must be positive",
+    ),
 ]
 
 
@@ -268,6 +282,32 @@ def test_unanswerable_input_is_a_typed_error(
     assert captured.out == ""
     assert captured.err.startswith(message)
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["loadtest", "DATA", "--smoke", "--tenants", "0"],
+        ["loadtest", "DATA", "--smoke", "--clients", "0"],
+        ["loadtest", "DATA", "--smoke", "--requests", "0"],
+        ["generate", "lubm", "OUT", "--scale", "0"],
+    ],
+    ids=["loadtest-tenants", "loadtest-clients", "loadtest-requests", "scale"],
+)
+def test_zero_count_is_a_usage_error(argv, data_file, tmp_path, capsys):
+    """Exit 2 from the argument parser, one ``error:`` line after the
+    usage -- not a ValueError from the harness, not an empty file."""
+    out = tmp_path / "out.nt"
+    argv = [{"DATA": data_file, "OUT": str(out)}.get(arg, arg) for arg in argv]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro %s " % argv[0])
+    assert err.endswith(
+        "error: argument %s: must be a positive integer\n" % argv[-2]
+    )
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize(
