@@ -32,21 +32,12 @@ def handle_request(service: QueryService, payload: Dict[str, Any]) -> Dict[str, 
     """Apply one decoded request object; returns the response object."""
     op = payload.get("op", "query")
     if op == "query":
-        deadline = payload.get("deadline")
-        if deadline is not None and (
-            not isinstance(deadline, int) or deadline <= 0
-        ):
-            return {
-                "id": payload.get("id", ""),
-                "status": "error",
-                "error": "deadline must be a positive integer of cost units",
-            }
         outcome = service.submit(
             QueryRequest(
                 text=payload["query"],
                 tenant=str(payload.get("tenant", "default")),
                 id=str(payload.get("id", "")),
-                deadline=deadline,
+                deadline=payload.get("deadline"),
             )
         )
         return outcome.to_response()
@@ -94,7 +85,7 @@ def serve_lines(
             payload = decode_request(line)
         except ProtocolError as exc:
             response: Dict[str, Any] = {
-                "id": "",
+                "id": exc.id,
                 "status": "error",
                 "error": str(exc),
             }

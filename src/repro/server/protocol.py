@@ -44,10 +44,12 @@ boundary, never in the engines, so every engine -- BGP-only profiles
 included -- serves identical pages.
 
 :func:`canonical_json` renders any payload with sorted keys, compact
-separators, and no trailing whitespace -- the exact bytes the result
-cache stores, so a cache hit is byte-identical to the cold execution
-that populated it (regression-tested in
-``tests/server/test_protocol.py``).
+separators, and no trailing whitespace.  A result-cache entry is the
+:class:`WireLiteral` of that text -- the JSON string literal that
+follows ``"result":`` on the wire, escaped once, on the miss, the only
+form kept -- and a hit costs :func:`encode_response` the envelope's
+other keys and one splice: byte-identical to the cold execution
+(``tests/server/test_protocol.py``, ``tests/server/test_service.py``).
 
 Request / response lines
 ========================
@@ -59,7 +61,8 @@ One JSON object per line.  Requests::
     {"op": "commit", "additions": ["<s> <p> <o> ."], "deletions": []}
     {"op": "stats"}
 
-``op`` defaults to ``query`` when omitted.  Responses echo the request
+``op`` defaults to ``query`` when omitted; a field of the wrong type
+makes the line malformed (``status: "error"``).  Responses echo the request
 ``id`` and carry ``status`` (``ok`` / ``rejected`` / ``deadline`` /
 ``error`` / ``unsupported``), the canonical ``result`` for ``ok``, and
 accounting fields (``units``, ``cache``, ``version``).  ``rejected``
@@ -84,7 +87,12 @@ PROTOCOL_VERSION = 1
 
 
 class ProtocolError(ValueError):
-    """A request line is not a well-formed protocol object."""
+    """A request line is not a well-formed protocol object; *id* is the
+    request's own when a field of an otherwise addressed request is bad."""
+
+    def __init__(self, message: str, id: Any = "") -> None:
+        super().__init__(message)
+        self.id = id
 
 
 def canonical_json(payload: Any) -> str:
@@ -113,7 +121,7 @@ def canonical_result(
         return {
             "type": "bindings",
             "vars": list(result.variables),
-            "rows": [list(row) for row in table],
+            "rows": table,
             "ordered": ordered,
         }
     # CONSTRUCT / DESCRIBE -> a graph; N-Triples lines, sorted.  The
@@ -153,11 +161,52 @@ def decode_request(line: str) -> Dict[str, Any]:
     op = payload["op"]
     if op not in ("query", "commit", "stats"):
         raise ProtocolError("unknown op %r" % (op,))
-    if op == "query" and not payload.get("query"):
-        raise ProtocolError("query op requires a non-empty 'query' field")
+    request_id = payload.get("id", "")
+    if op == "query":
+        query, deadline = payload.get("query"), payload.get("deadline")
+        if not (isinstance(query, str) and query):
+            raise ProtocolError("query op requires a non-empty 'query' field")
+        if deadline is not None and (
+            type(deadline) is not int or deadline <= 0  # True is no budget
+        ):
+            raise ProtocolError(
+                "deadline must be a positive integer of cost units", request_id
+            )
+    elif op == "commit":
+        for name in ("additions", "deletions"):
+            lines = payload.get(name, [])
+            if not isinstance(lines, list) or not all(
+                isinstance(line, str) for line in lines
+            ):
+                raise ProtocolError(
+                    "'%s' must be a list of N-Triples lines" % name, request_id
+                )
     return payload
+
+
+class WireLiteral(str):
+    """A JSON string literal, quotes and escapes included, that is
+    already canonical: :func:`encode_response` splices it as it is."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, text: str) -> "WireLiteral":
+        return cls(canonical_json(text))
 
 
 def encode_response(payload: Dict[str, Any]) -> str:
     """One canonical response line (no newline appended)."""
-    return canonical_json(payload)
+    result = payload.get("result")
+    if not isinstance(result, WireLiteral):
+        return canonical_json(payload)
+    # The keys sorting before and after "result"; the literal between.
+    before = canonical_json(
+        {k: v for k, v in payload.items() if k < "result"}
+    )[1:-1]
+    after = canonical_json(
+        {k: v for k, v in payload.items() if k > "result"}
+    )[1:-1]
+    return '{%s%s"result":%s%s%s}' % (
+        before, "," if before else "", result, "," if after else "", after
+    )

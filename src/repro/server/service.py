@@ -21,10 +21,10 @@ Request lifecycle::
       plan cache insert (miss, admitted only)
       routing (route=True): classify shape, price candidates, pick the
             engine (repro.routing; traced as a ``route`` span)
-      result cache (text, version, engine) -- hit: return stored bytes
+      result cache (text, version, engine) -- hit: return stored literal
             (the engine component is the routed winner under route=True)
-      miss: engine.execute under ctx.set_deadline(budget)
-            -> canonical_result -> canonical_json -> cache put
+      miss: engine.execute under ctx.set_deadline(budget) -> canonical_result
+            -> canonical_json -> WireLiteral (escaped once) -> cache put
       outcome: ok | deadline | rejected | unsupported | failed
 
 Graph evolution: :meth:`commit` applies a change set through the
@@ -49,6 +49,7 @@ outcomes.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -62,7 +63,11 @@ from repro.routing import RoutingPolicy
 from repro.runtime import ServiceConfig, resolve_engine
 from repro.server.admission import FairShareQueue
 from repro.server.cache import PlanCache, ResultCache, normalize_query
-from repro.server.protocol import canonical_json, canonical_result
+from repro.server.protocol import (
+    WireLiteral,
+    canonical_json,
+    canonical_result,
+)
 from repro.spark.deadline import DeadlineExceededError, cost_units
 from repro.spark.faults import TaskFailedError
 from repro.spark.metrics import MetricsCollector, MetricsSnapshot
@@ -96,8 +101,9 @@ class QueryOutcome:
     id: str
     tenant: str
     status: str  # ok | deadline | rejected | unsupported | failed | error
-    #: Canonical JSON bytes of the answer (``ok`` only).
-    payload: Optional[str] = None
+    #: The answer as it goes on the wire (``ok`` only): the JSON string
+    #: literal of its canonical text, the one form the service keeps.
+    result: Optional[WireLiteral] = None
     #: Which tier answered: "result" (result-cache hit), "plan"
     #: (plan-cache hit, executed), or "cold" (parsed and executed).
     cache: str = "cold"
@@ -118,6 +124,11 @@ class QueryOutcome:
     #: of :meth:`to_response` -- the wire envelope is routing-agnostic.
     engine: str = ""
 
+    @property
+    def payload(self) -> Optional[str]:
+        """Canonical JSON text of the answer, decoded from :attr:`result`."""
+        return None if self.result is None else json.loads(self.result)
+
     def to_response(self) -> Dict[str, Any]:
         """The JSON-lines response object for this outcome."""
         response: Dict[str, Any] = {
@@ -127,8 +138,8 @@ class QueryOutcome:
             "units": self.service_units,
             "version": self.version,
         }
-        if self.payload is not None:
-            response["result"] = self.payload
+        if self.result is not None:
+            response["result"] = self.result
         if self.error:
             response["error"] = self.error
         if self.diagnostics:
@@ -381,7 +392,7 @@ class QueryService:
         if self.config.enable_result_cache:
             cached = self.result_cache.get(key, self.metrics)
             if cached is not None:
-                outcome.payload = cached
+                outcome.result = cached
                 outcome.cache = "result"
                 outcome.service_units = CACHE_HIT_UNITS
                 self.metrics.record_completion(0, CACHE_HIT_UNITS)
@@ -426,13 +437,15 @@ class QueryService:
         if run.cost["view_scans"]:
             # This execution read at least one materialized ExtVP view.
             self.metrics.incr("view_hits", run.cost["view_scans"])
-        outcome.payload = canonical_json(canonical_result(run.answer, plan))
+        outcome.result = WireLiteral.of(
+            canonical_json(canonical_result(run.answer, plan))
+        )
         outcome.cache = "plan" if plan_hit else "cold"
         outcome.service_units = max(spent, 1)
         if decision is not None:
             self.routing.record(decision, outcome.service_units)
         if self.config.enable_result_cache:
-            self.result_cache.put(key, outcome.payload, self.metrics)
+            self.result_cache.put(key, outcome.result, self.metrics)
         self.metrics.record_completion(0, outcome.service_units)
         return outcome
 

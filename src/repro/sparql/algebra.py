@@ -12,6 +12,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -280,9 +281,13 @@ def evaluate_node(node: AlgebraNode, source) -> List[Solution]:
 
 
 def apply_solution_modifiers(
-    query: SelectQuery, solutions: List[Solution]
+    query: SelectQuery, solutions: Iterable[Mapping[str, Term]]
 ) -> SolutionSet:
-    """ORDER BY -> projection -> DISTINCT -> OFFSET/LIMIT, per the spec."""
+    """ORDER BY -> projection -> DISTINCT -> OFFSET/LIMIT, per the spec.
+
+    *solutions* are the collected binding mappings (an engine's dicts,
+    the evaluator's ``Solution`` objects); each leaves as one tuple.
+    """
     ordered = list(solutions)
     if query.order_by:
         # SPARQL leaves tie order unspecified; pin it to the canonical
@@ -295,26 +300,23 @@ def apply_solution_modifiers(
             )
         )
     for variable, ascending in reversed(query.order_by):
+        name = variable.name
         ordered.sort(
             key=lambda s: (
-                s.get(variable) is not None,
-                s.get(variable).sort_key() if s.get(variable) is not None else None,
+                (term := s.get(name)) is not None,
+                term.sort_key() if term is not None else None,
             ),
             reverse=not ascending,
         )
-    projected_vars = query.projected()
-    result = SolutionSet(
-        projected_vars,
-        (s.project(projected_vars) for s in ordered),
-    )
+    result = SolutionSet(query.projected())
+    names = result.variables
+    result.rows = [tuple([s.get(n) for n in names]) for s in ordered]
     if query.distinct:
         result = result.distinct()
     if query.offset:
-        result = SolutionSet(result.variables, result.solutions[query.offset :])
+        result.rows = result.rows[query.offset :]
     if query.limit is not None:
-        result = SolutionSet(
-            result.variables, result.solutions[: query.limit]
-        )
+        result.rows = result.rows[: query.limit]
     return result
 
 

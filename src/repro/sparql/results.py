@@ -1,9 +1,11 @@
 """Solutions and solution sets (bag semantics).
 
 A :class:`Solution` is a partial mapping from variables to RDF terms; a
-:class:`SolutionSet` is a multiset of solutions with a header of projected
-variables.  Cross-engine correctness checks compare solution sets as
-multisets, which is what SPARQL's bag semantics requires.
+:class:`SolutionSet` is a multiset of solutions held as rows over a header
+of projected variables: one tuple of terms per solution, what the modifiers
+cut and the renderers read (a caller that iterates gets ``Solution`` objects).
+Cross-engine correctness checks compare solution sets as multisets, which
+is what SPARQL's bag semantics requires.
 """
 
 from __future__ import annotations
@@ -22,14 +24,6 @@ class Solution:
 
     def __init__(self, bindings: Optional[Dict[str, Term]] = None) -> None:
         object.__setattr__(self, "_bindings", dict(bindings or {}))
-
-    @classmethod
-    def _over(cls, bindings: Dict[str, Term]) -> "Solution":
-        """The solution over *bindings* itself, not a copy: for a dict
-        built here, which nobody else holds."""
-        solution = cls.__new__(cls)
-        object.__setattr__(solution, "_bindings", bindings)
-        return solution
 
     def __setattr__(self, name, value):
         raise AttributeError("Solution is immutable")
@@ -73,23 +67,11 @@ class Solution:
         merged.update(other._bindings)
         return Solution(merged)
 
-    def project(self, variables: Iterable) -> "Solution":
-        names = [
-            v.name if isinstance(v, Variable) else v for v in variables
-        ]
-        bindings = self._bindings
-        return Solution._over(
-            {n: bindings[n] for n in names if n in bindings}
-        )
-
-    def frozen(self) -> frozenset:
-        return frozenset(self._bindings.items())
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Solution) and self._bindings == other._bindings
 
     def __hash__(self) -> int:
-        return hash(self.frozen())
+        return hash(frozenset(self._bindings.items()))
 
     def __repr__(self) -> str:
         inner = ", ".join(
@@ -99,7 +81,8 @@ class Solution:
 
 
 class SolutionSet:
-    """A multiset of solutions plus the projected variable header."""
+    """A multiset of solutions: a header of projected variables and, per
+    solution, one tuple of terms over it (``None`` where unbound)."""
 
     def __init__(
         self,
@@ -109,52 +92,55 @@ class SolutionSet:
         self.variables: List[str] = [
             v.name if isinstance(v, Variable) else v for v in variables
         ]
-        self.solutions: List[Solution] = list(solutions)
+        #: The solutions, each read at the header's variables.
+        self.rows: List[Tuple[Optional[Term], ...]] = []
+        for solution in solutions:
+            self.add(solution)
+
+    @property
+    def solutions(self) -> List[Solution]:
+        """The rows as :class:`Solution` objects, built when asked for."""
+        names = self.variables
+        return [
+            Solution({n: t for n, t in zip(names, row) if t is not None})
+            for row in self.rows
+        ]
 
     def __len__(self) -> int:
-        return len(self.solutions)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[Solution]:
         return iter(self.solutions)
 
     def __bool__(self) -> bool:
-        return bool(self.solutions)
+        return bool(self.rows)
 
     def add(self, solution: Solution) -> None:
-        self.solutions.append(solution)
+        self.rows.append(tuple([solution.get(n) for n in self.variables]))
 
     def as_multiset(self) -> Counter:
-        return Counter(s.frozen() for s in self.solutions)
+        names = self.variables
+        return Counter(
+            frozenset((n, t) for n, t in zip(names, row) if t is not None)
+            for row in self.rows
+        )
 
     def same_as(self, other: "SolutionSet") -> bool:
         """Multiset equality, ignoring solution order."""
         return self.as_multiset() == other.as_multiset()
 
     def distinct(self) -> "SolutionSet":
-        seen = set()
-        out = []
-        for solution in self.solutions:
-            key = solution.frozen()
-            if key not in seen:
-                seen.add(key)
-                out.append(solution)
-        return SolutionSet(self.variables, out)
+        """Each row once, where it first stood."""
+        out = SolutionSet(self.variables)
+        out.rows = list(dict.fromkeys(self.rows))
+        return out
 
     def to_table(self) -> List[Tuple]:
         """Rows of n3-rendered strings, ordered by the header."""
-        names = self.variables
-        rows = []
-        for solution in self.solutions:
-            bound = solution._bindings.get  # the row's mapping, read once
-            rows.append(
-                tuple(
-                    [
-                        term.n3() if (term := bound(name)) is not None else ""
-                        for name in names
-                    ]
-                )
-            )
-        return rows
+        return [
+            tuple([term.n3() if term is not None else "" for term in row])
+            for row in self.rows
+        ]
 
     def __repr__(self) -> str:
         return "SolutionSet(vars=%r, size=%d)" % (self.variables, len(self))

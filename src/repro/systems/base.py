@@ -333,12 +333,10 @@ class SparkRdfEngine:
             return instantiate_template(query.template, solutions)
         if isinstance(query, DescribeQuery):
             return self._execute_describe(query)
-        node = translate(query)
-        bindings = self._evaluate_node(node)
-        solutions = [Solution(b) for b in bindings.collect()]
+        collected = self._evaluate_node(translate(query)).collect()
         if isinstance(query, AskQuery):
-            return bool(solutions)
-        return apply_solution_modifiers(query, solutions)
+            return bool(collected)
+        return apply_solution_modifiers(query, collected)
 
     def _execute_describe(self, query):
         """DESCRIBE: resolve resources, then fetch their subject triples

@@ -6,11 +6,15 @@ produced them (for unordered queries) and across repeated runs, or the
 result cache's byte-identity guarantee is vacuous.
 """
 
+import json
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.runtime import build_engine
 from repro.server.protocol import (
     ProtocolError,
+    WireLiteral,
     canonical_json,
     canonical_result,
     decode_request,
@@ -124,11 +128,76 @@ class TestRequestDecoding:
         with pytest.raises(ProtocolError):
             decode_request("   \n")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"op": "query", "query": 123}',
+            '{"op": "query", "query": ["SELECT"]}',
+            '{"op": "commit", "additions": 5}',
+            '{"op": "commit", "additions": [1, 2]}',
+            '{"op": "commit", "additions": "<s> <p> <o> ."}',
+            '{"op": "commit", "deletions": null}',
+            '{"query": "ASK { ?s ?p ?o }", "deadline": true}',
+            '{"query": "ASK { ?s ?p ?o }", "deadline": 0}',
+            '{"query": "ASK { ?s ?p ?o }", "deadline": 2.5}',
+            '{"query": "ASK { ?s ?p ?o }", "deadline": "9"}',
+        ],
+    )
+    def test_rejects_mistyped_fields(self, line):
+        with pytest.raises(ProtocolError):
+            decode_request(line)
+
+    def test_a_bad_field_names_its_request(self):
+        with pytest.raises(ProtocolError) as caught:
+            decode_request('{"id": "q7", "query": "ASK {}", "deadline": -3}')
+        assert caught.value.id == "q7" and "deadline" in str(caught.value)
+
+    def test_well_typed_fields_pass(self):
+        decode_request('{"query": "ASK { ?s ?p ?o }", "deadline": 9}')
+        decode_request('{"op": "commit", "additions": ["<s> <p> <o> ."]}')
+        decode_request('{"op": "commit"}')
+
     def test_encode_response_is_canonical(self):
         assert (
             encode_response({"status": "ok", "id": "x"})
             == '{"id":"x","status":"ok"}'
         )
+
+
+#: What JSON escapes (quotes, backslashes, controls, U+2028, non-BMP) and
+#: what would fool a textual splice (the word ``"result"`` itself).
+wire_text = st.text(
+    alphabet=st.one_of(
+        st.characters(min_codepoint=32, max_codepoint=126),
+        st.sampled_from('\\"\n\t\x00\u2028é日\U0001d11e'),
+    ),
+    max_size=30,
+) | st.sampled_from(['"result":', '{"result":"x"}', ',"result"'])
+
+
+@given(
+    text=wire_text,
+    envelope=st.fixed_dictionaries(
+        {"status": st.sampled_from(["ok", "error"])},
+        optional={
+            "id": wire_text,
+            "cache": st.sampled_from(["cold", "plan", "result"]),
+            "units": st.integers(0, 10**6),
+            "version": st.integers(0, 9),
+            "error": wire_text,
+            "diagnostics": st.lists(
+                st.dictionaries(wire_text, wire_text | st.integers(), max_size=3),
+                max_size=2,
+            ),
+        },
+    ),
+)
+def test_a_spliced_literal_is_the_escaped_text(text, envelope):
+    plain = dict(envelope, result=text)
+    marked = dict(envelope, result=WireLiteral.of(text))
+    line = encode_response(marked)
+    assert line == canonical_json(plain) == encode_response(plain)
+    assert json.loads(line)["result"] == text == json.loads(marked["result"])
 
 
 class TestStablePaging:

@@ -1,13 +1,23 @@
 """QueryService: warm pool, cache tiers, deadlines, version invalidation."""
 
+import glob
+import json
+import os
+
 import pytest
 
 from repro.data.lubm import LUBM
+from repro.rdf.terms import Literal
 from repro.rdf.triple import Triple
 from repro.runtime import UnknownEngineError
 from repro.server import QueryRequest, QueryService
+from repro.server.frontend import handle_request
+from repro.server.protocol import WireLiteral, encode_response
 from repro.spark.deadline import DeadlineExceededError
 
+SHAPE_QUERIES = os.path.join(
+    os.path.dirname(__file__), "..", "..", "examples", "queries", "shapes"
+)
 MEMBER_QUERY = (
     "PREFIX lubm: <http://repro.example.org/lubm#>\n"
     "SELECT DISTINCT ?d WHERE { ?s lubm:memberOf ?d }"
@@ -54,6 +64,69 @@ class TestCaching:
             service.versions.head(), engine="SPARQLGX", pool_size=1
         ).submit(QueryRequest(text=MEMBER_QUERY))
         assert fresh.payload == cold.payload
+
+    def test_a_hit_is_a_miss_on_the_wire(self, lubm_graph):
+        """Every shape query through ``handle_request`` + ``encode_response``:
+        the spliced hit differs from the miss in ``cache`` and ``units``
+        only, and a commit that changes the answer brings a cold miss."""
+        service = QueryService(
+            lubm_graph, engine="SPARQLGX", pool_size=1, optimize=True
+        )
+        texts = [
+            open(path).read()
+            for path in sorted(glob.glob(SHAPE_QUERIES + "/*/*.rq"))
+        ]
+        assert len(texts) == 10
+
+        def ask(text):
+            line = encode_response(
+                handle_request(service, {"op": "query", "query": text})
+            )
+            return line, json.loads(line)
+
+        def accounting_removed(response):
+            return {
+                k: v for k, v in response.items() if k not in ("cache", "units")
+            }
+
+        before = []
+        for text in texts:
+            miss_line, miss = ask(text)
+            hit_line, hit = ask(text)
+            assert (miss["cache"], hit["cache"]) == ("cold", "result")
+            assert accounting_removed(hit) == accounting_removed(miss)
+            assert hit_line == miss_line.replace(
+                '"cache":"cold"', '"cache":"result"'
+            ).replace('"units":%d' % miss["units"], '"units":1')
+            outcomes = [
+                service.submit(QueryRequest(text=text)) for _ in range(2)
+            ]
+            assert type(outcomes[0].payload) is str
+            assert outcomes[0].payload == outcomes[1].payload == miss["result"]
+            before.append(miss["result"])
+        entries = list(service.result_cache._entries.values())
+        assert len(entries) == 10
+        assert all(type(entry) is WireLiteral for entry in entries)
+
+        # A student in every pattern: a name, an age, a department, a
+        # course and its teacher as advisor, who gets one more course.
+        prof, _, course = next(iter(lubm_graph.triples((None, LUBM.teacherOf, None))))
+        dept = next(iter(lubm_graph.triples((prof, LUBM.worksFor, None)))).object
+        new = LUBM["StudentNew"]
+        service.commit(
+            additions=[
+                Triple(new, LUBM.name, Literal('New "Student"')),
+                Triple(new, LUBM.age, Literal(21)),
+                Triple(new, LUBM.memberOf, dept),
+                Triple(new, LUBM.takesCourse, course),
+                Triple(new, LUBM.advisor, prof),
+                Triple(prof, LUBM.teacherOf, LUBM["CourseNew"]),
+            ]
+        )
+        for text, stale in zip(texts, before):
+            _, fresh = ask(text)
+            assert fresh["cache"] == "cold" and fresh["version"] == 1
+            assert fresh["result"] != stale
 
     def test_textual_variants_share_cache_entries(self, service):
         service.submit(QueryRequest(text=MEMBER_QUERY))

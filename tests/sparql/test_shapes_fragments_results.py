@@ -161,10 +161,6 @@ class TestSolution:
         merged = a.merge(b)
         assert merged["x"] == Literal(1) and merged["y"] == Literal(2)
 
-    def test_project(self):
-        s = Solution({"x": Literal(1), "y": Literal(2)})
-        assert s.project(["x", "z"]).variables() == ["x"]
-
     def test_equality_and_hash(self):
         assert Solution({"x": Literal(1)}) == Solution({"x": Literal(1)})
         assert len({Solution({"x": Literal(1)}), Solution({"x": Literal(1)})}) == 1
@@ -189,6 +185,12 @@ class TestSolutionSet:
         s = Solution({"x": Literal(1)})
         dedup = SolutionSet(["x"], [s, s]).distinct()
         assert len(dedup) == 1
+
+    def test_solution_is_read_at_the_header(self):
+        s = Solution({"x": Literal(1), "y": Literal(2)})
+        kept = SolutionSet(["x", "z"], [s])
+        assert kept.rows == [(Literal(1), None)]
+        assert kept.solutions[0].variables() == ["x"]
 
     def test_to_table_respects_header(self):
         s = Solution({"x": Literal(1), "y": Literal(2)})

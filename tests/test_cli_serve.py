@@ -157,6 +157,33 @@ class TestServe:
         assert response["status"] == "error"
         assert "deadline" in response["error"]
 
+    def test_mistyped_fields_keep_loop_alive(
+        self, data_file, tmp_path, capsys
+    ):
+        """Three of these lines used to end the process with a traceback;
+        the other two were misread (a 1-unit deadline, a change set read
+        character by character)."""
+        requests = write_requests(
+            tmp_path,
+            [
+                {"op": "query", "id": "b1", "query": 123},
+                {"op": "commit", "id": "b2", "additions": 5},
+                {"op": "commit", "id": "b3", "additions": [1, 2]},
+                {"op": "query", "id": "b4", "query": MEMBER_QUERY, "deadline": True},
+                {"op": "commit", "id": "b5", "additions": "<s> <p> <o> ."},
+                {"op": "query", "id": "good", "query": MEMBER_QUERY},
+            ],
+        )
+        assert main(["serve", data_file, "--input", requests]) == 0
+        responses = [
+            json.loads(line)
+            for line in capsys.readouterr().out.strip().splitlines()
+        ]
+        assert [r["status"] for r in responses] == ["error"] * 5 + ["ok"]
+        assert "deadline" in responses[3]["error"]
+        assert "list of N-Triples lines" in responses[4]["error"]
+        assert responses[5]["id"] == "good" and responses[5]["version"] == 0
+
     # -- error paths (exit codes asserted) ------------------------------
 
     def test_unknown_engine_exits_2(self, data_file, capsys):
