@@ -27,12 +27,10 @@ simulated-cluster cost units; fixed seed, byte-reproducible.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from typing import Dict, List, Optional
 
-from repro.bench import format_table
+from repro.bench import artifact_main, format_table, report
 from repro.core.assessment import ClaimResult
 from repro.data.lubm import LubmGenerator
 from repro.routing import RoutingPolicy
@@ -42,12 +40,6 @@ from repro.spark.context import SparkContext
 from repro.spark.deadline import cost_units
 from repro.sparql.parser import parse_sparql
 
-try:
-    from conftest import report
-except ImportError:  # script mode: benchmarks/ is not on sys.path
-    def report(title, body):
-        banner = "=" * 72
-        print("\n%s\n%s\n%s\n%s" % (banner, title, banner, body))
 
 #: Fixed-engine baselines: the routed pool minus the last-resort
 #: full-scan engine (it loses on every shape by an order of magnitude
@@ -258,30 +250,15 @@ def test_routing_ablation(benchmark):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="adaptive routing ablation benchmark"
+    return artifact_main(
+        "adaptive routing ablation benchmark",
+        "BENCH_routing.json",
+        "tiny fixed-size run for CI (fewer rounds)",
+        run_bench,
+        check_payload,
+        _table,
+        argv,
     )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        default="BENCH_routing.json",
-        help="where to write the JSON artifact (default BENCH_routing.json)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny fixed-size run for CI (fewer rounds)",
-    )
-    args = parser.parse_args(argv)
-    payload = run_bench(smoke=args.smoke)
-    result = check_payload(payload)
-    print(_table(payload))
-    print(result.summary())
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("wrote %s" % args.output)
-    return 0 if result.holds else 1
 
 
 if __name__ == "__main__":

@@ -29,12 +29,10 @@ byte-reproducible.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from typing import Dict, List, Optional
 
-from repro.bench import format_table
+from repro.bench import artifact_main, format_table, report
 from repro.core.assessment import ClaimResult
 from repro.data.lubm import LubmGenerator
 from repro.federation import WireEndpoint, validate_remote_first
@@ -46,12 +44,6 @@ from repro.shacl import (
     default_shapes_for,
 )
 
-try:
-    from conftest import report
-except ImportError:  # script mode: benchmarks/ is not on sys.path
-    def report(title, body):
-        banner = "=" * 72
-        print("\n%s\n%s\n%s\n%s" % (banner, title, banner, body))
 
 #: The acceptance bar for the warm pass's plan-cache hit rate.
 WARM_HIT_RATE_BOUND = 0.5
@@ -226,30 +218,15 @@ def test_shacl_serving(benchmark):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="SHACL validation / federated harvest benchmark"
+    return artifact_main(
+        "SHACL validation / federated harvest benchmark",
+        "BENCH_shacl.json",
+        "tiny fixed-size run for CI (fewer shapes, coarser pages)",
+        run_bench,
+        check_payload,
+        _table,
+        argv,
     )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        default="BENCH_shacl.json",
-        help="where to write the JSON artifact (default BENCH_shacl.json)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny fixed-size run for CI (fewer shapes, coarser pages)",
-    )
-    args = parser.parse_args(argv)
-    payload = run_bench(smoke=args.smoke)
-    result = check_payload(payload)
-    print(_table(payload))
-    print(result.summary())
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("wrote %s" % args.output)
-    return 0 if result.holds else 1
 
 
 if __name__ == "__main__":

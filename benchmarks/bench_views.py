@@ -27,12 +27,10 @@ byte-reproducible.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from typing import Dict, List, Optional
 
-from repro.bench import format_table
+from repro.bench import artifact_main, format_table, report
 from repro.core.assessment import ClaimResult
 from repro.data.lubm import LubmGenerator
 from repro.evolution.versioned import VersionedGraph
@@ -43,12 +41,6 @@ from repro.systems import SparqlgxEngine
 from repro.views import ViewCatalog
 from repro.views.catalog import _predicate_terms, materialize_view
 
-try:
-    from conftest import report
-except ImportError:  # script mode: benchmarks/ is not on sys.path
-    def report(title, body):
-        banner = "=" * 72
-        print("\n%s\n%s\n%s\n%s" % (banner, title, banner, body))
 
 THRESHOLD = 0.5
 
@@ -275,30 +267,15 @@ def test_views_ablation(benchmark):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="materialized ExtVP view ablation benchmark"
+    return artifact_main(
+        "materialized ExtVP view ablation benchmark",
+        "BENCH_views.json",
+        "tiny fixed-size run for CI (smaller data, fewer queries)",
+        run_bench,
+        check_payload,
+        _table,
+        argv,
     )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        default="BENCH_views.json",
-        help="where to write the JSON artifact (default BENCH_views.json)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny fixed-size run for CI (smaller data, fewer queries)",
-    )
-    args = parser.parse_args(argv)
-    payload = run_bench(smoke=args.smoke)
-    result = check_payload(payload)
-    print(_table(payload))
-    print(result.summary())
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("wrote %s" % args.output)
-    return 0 if result.holds else 1
 
 
 if __name__ == "__main__":

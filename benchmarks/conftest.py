@@ -9,6 +9,7 @@ record).  Benchmarks print their tables/series to stdout; run with
 
 import pytest
 
+from repro.bench import report  # noqa: F401  (the benches import it from here)
 from repro.data.lubm import LubmGenerator
 from repro.data.watdiv import WatdivGenerator
 
@@ -26,9 +27,3 @@ def lubm_small():
 @pytest.fixture(scope="session")
 def watdiv_graph():
     return WatdivGenerator(num_users=50, num_products=25, seed=7).generate()
-
-
-def report(title, body):
-    """Print a benchmark artifact with a recognizable banner."""
-    banner = "=" * 72
-    print("\n%s\n%s\n%s\n%s" % (banner, title, banner, body))

@@ -13,6 +13,11 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "RunResult",
             "run_engine_on_query",
         ),
-        "repro.bench.reporting": ("format_table", "format_series"),
+        "repro.bench.reporting": (
+            "artifact_main",
+            "format_series",
+            "format_table",
+            "report",
+        ),
     },
 )

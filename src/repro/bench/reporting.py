@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import argparse
+import json
+from typing import Callable, Dict, List, Optional, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -39,3 +41,43 @@ def format_series(
         suffix = " %s" % unit if unit else ""
         lines.append("  %s -> %s%s" % (x, y, suffix))
     return "\n".join(lines)
+
+
+def report(title: str, body: str) -> None:
+    """Print a benchmark artifact with a recognizable banner."""
+    banner = "=" * 72
+    print("\n%s\n%s\n%s\n%s" % (banner, title, banner, body))
+
+
+def artifact_main(
+    description: str,
+    output: str,
+    smoke_help: str,
+    run_bench: Callable[..., dict],
+    check_payload: Callable[[dict], object],
+    table: Callable[[dict], str],
+    argv: Optional[List[str]] = None,
+) -> int:
+    """The command line of a benchmark that commits a ``BENCH_*.json``.
+
+    Runs the bench, prints its table and the claim summary, writes the
+    payload to ``--output`` and exits 1 when the claim does not hold.
+    """
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument(
+        "--output",
+        metavar="FILE",
+        default=output,
+        help="where to write the JSON artifact (default %s)" % output,
+    )
+    parser.add_argument("--smoke", action="store_true", help=smoke_help)
+    args = parser.parse_args(argv)
+    payload = run_bench(smoke=args.smoke)
+    result = check_payload(payload)
+    print(table(payload))
+    print(result.summary())
+    with open(args.output, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print("wrote %s" % args.output)
+    return 0 if result.holds else 1

@@ -543,7 +543,6 @@ def cmd_loadtest(args) -> int:
         build_shape_workload,
         build_workload,
         grouped_tenant_profiles,
-        shape_tenant_profiles,
     )
 
     workload_kind = args.workload
@@ -560,20 +559,19 @@ def cmd_loadtest(args) -> int:
         args.queries = min(args.queries, 4)
     service = _build_service(args)
     graph = service.versions.head()
-    profiles = None
     if workload_kind == "shape":
         workload = build_shape_workload(
             graph, per_shape=max(1, args.queries // 5), seed=args.seed
         )
-        profiles = shape_tenant_profiles(workload, args.tenants)
     elif workload_kind == "shacl":
         workload = build_shacl_workload(graph, seed=args.seed)
-        profiles = grouped_tenant_profiles(workload, args.tenants)
     elif workload_kind == "federated":
         workload = build_federated_workload(graph, seed=args.seed)
-        profiles = grouped_tenant_profiles(workload, args.tenants)
     else:
         workload = build_workload(graph, size=args.queries, seed=args.seed)
+    profiles = None
+    if workload_kind != "uniform":  # which has no families to prefer
+        profiles = grouped_tenant_profiles(workload, args.tenants)
     generator = LoadGenerator(
         service,
         workload,
@@ -948,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_view_threshold_argument(views)
     views.add_argument(
         "--limit",
-        type=int,
+        type=_positive_int,
         default=20,
         metavar="N",
         help="views shown by the list action (default 20)",
@@ -1067,7 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadtest.add_argument(
         "--think",
-        type=int,
+        type=_non_negative_int,
         default=50,
         metavar="UNITS",
         help="max client think time between requests (cost units)",
@@ -1178,6 +1176,14 @@ def _positive_int(value: str) -> int:
     number = int(value)
     if number <= 0:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return number
+
+
+def _non_negative_int(value: str) -> int:
+    """argparse type: an integer that is zero or more."""
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
     return number
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.bench.reporting import format_table
 from repro.core.dimensions import DataModel, SparkAbstraction
 from repro.core.registry import SystemRegistry
 
@@ -86,29 +87,6 @@ def table_ii_rows(
 # ----------------------------------------------------------------------
 
 
-def _grid(headers: List[str], rows: List[List[str]]) -> str:
-    widths = [
-        max([len(headers[i])] + [len(row[i]) for row in rows])
-        for i in range(len(headers))
-    ]
-    sep = "+" + "+".join("-" * (w + 2) for w in widths) + "+"
-    out = [sep]
-    out.append(
-        "|" + "|".join(
-            " %s " % headers[i].ljust(widths[i]) for i in range(len(headers))
-        ) + "|"
-    )
-    out.append(sep)
-    for row in rows:
-        out.append(
-            "|" + "|".join(
-                " %s " % row[i].ljust(widths[i]) for i in range(len(row))
-            ) + "|"
-        )
-    out.append(sep)
-    return "\n".join(out)
-
-
 def render_table_i(registry: Optional[SystemRegistry] = None) -> str:
     """Table I as an ASCII grid (abstraction rows x data-model columns)."""
     from repro.core.registry import default_registry
@@ -122,7 +100,7 @@ def render_table_i(registry: Optional[SystemRegistry] = None) -> str:
             citations = cells.get((abstraction, model), ())
             row.append(", ".join(citations))
         rows.append(row)
-    return _grid(headers, rows)
+    return format_table(headers, rows)
 
 
 def render_table_ii(registry: Optional[SystemRegistry] = None) -> str:
@@ -131,5 +109,5 @@ def render_table_ii(registry: Optional[SystemRegistry] = None) -> str:
 
     rows = table_ii_rows(registry or default_registry())
     headers = ["System", "Query Processing", "Optimization", "Partitioning", "SPARQL"]
-    return _grid(headers, [list(row) for row in rows])
+    return format_table(headers, rows)
 

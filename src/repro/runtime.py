@@ -232,10 +232,6 @@ class ServiceConfig:
     pool_size: int = field(default=2, metadata={"flag": "--pool"})
     #: Bounded admission queue length (beyond it: rejection).
     queue_limit: int = 8
-    #: Parsed-plan cache capacity.
-    plan_cache_size: int = field(default=64, metadata={"flag": None})
-    #: Version-keyed result cache capacity.
-    result_cache_size: int = field(default=128, metadata={"flag": None})
     #: Per-query budget in cost units for requests that name none.
     default_deadline: Optional[int] = field(
         default=None, metadata={"flag": "--deadline"}

@@ -27,7 +27,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "build_workload",
             "grouped_tenant_profiles",
             "percentile",
-            "shape_tenant_profiles",
         ),
         "repro.server.protocol": (
             "PROTOCOL_VERSION",

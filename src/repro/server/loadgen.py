@@ -390,39 +390,6 @@ def build_shape_workload(
     return workload
 
 
-def shape_tenant_profiles(
-    workload: Sequence[Tuple[str, str]],
-    tenants: int,
-    emphasis: int = 3,
-) -> Dict[str, List[str]]:
-    """Shape-mixed tenant profiles over a stratified workload.
-
-    Tenant *i* draws every workload query but sees its preferred shape
-    (round-robin over the shapes present) ``emphasis`` times as often --
-    a deterministic skew that gives the routing feedback loop every
-    shape while keeping tenants distinguishable in the report.
-    """
-    if tenants <= 0:
-        raise ValueError("tenants must be positive")
-    shapes: List[str] = []
-    by_shape: Dict[str, List[str]] = {}
-    for name, _text in workload:
-        shape = name.rstrip("0123456789")
-        if shape not in by_shape:
-            shapes.append(shape)
-            by_shape[shape] = []
-        by_shape[shape].append(name)
-    profiles: Dict[str, List[str]] = {}
-    for tenant in range(tenants):
-        preferred = shapes[tenant % len(shapes)]
-        profile = by_shape[preferred] * emphasis
-        for shape in shapes:
-            if shape != preferred:
-                profile.extend(by_shape[shape])
-        profiles["tenant%d" % tenant] = profile
-    return profiles
-
-
 def build_shacl_workload(
     graph,
     seed: int = 42,
@@ -525,14 +492,16 @@ def grouped_tenant_profiles(
     tenants: int,
     emphasis: int = 3,
 ) -> Dict[str, List[str]]:
-    """Tenant profiles over a grouped workload (shacl / federated).
+    """Tenant profiles over a grouped workload (shape / shacl / federated).
 
     Queries group by family -- the shape name for compiled validation
     queries (``shacl/<shape>/...``), the harvest family for paged
-    CONSTRUCTs (``harvest<i>p<j>``), the literal prefix otherwise --
-    and tenant *i* sees its preferred family ``emphasis`` times as
-    often, mirroring :func:`shape_tenant_profiles` for the validation
-    and harvesting workloads.
+    CONSTRUCTs (``harvest<i>p<j>``), the literal prefix otherwise (the
+    query shape of a stratified workload, ``star0`` -> ``star``).  Tenant
+    *i* draws every workload query but sees its preferred family
+    (round-robin over the families present) ``emphasis`` times as often
+    -- a deterministic skew that gives the routing feedback loop every
+    family while keeping tenants distinguishable in the report.
     """
     if tenants <= 0:
         raise ValueError("tenants must be positive")

@@ -193,8 +193,8 @@ class QueryService:
         #: engine work is charged to each engine's own context.
         self.metrics = MetricsCollector()
         self.tracer = Tracer(self.metrics)
-        self.plan_cache = PlanCache(config.plan_cache_size)
-        self.result_cache = ResultCache(config.result_cache_size)
+        self.plan_cache = PlanCache()
+        self.result_cache = ResultCache()
         self.queue: FairShareQueue = FairShareQueue(config.queue_limit)
         #: The last :class:`~repro.views.MaintenanceReport`, for stats().
         self.last_maintenance = None

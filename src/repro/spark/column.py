@@ -8,10 +8,49 @@ predicate splitting), so the node set is deliberately small and closed.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Optional, Sequence
+from typing import Any, Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
 
-class Expression:
+class TreeNode:
+    """What a column expression and a logical-plan node share.
+
+    A node class names, once, the attributes that hold its children (one
+    node or a list of nodes, of its own kind); walking and rebuilding are
+    written here and nowhere else -- Catalyst's ``TreeNode``.  Nodes are
+    never changed in place.
+    """
+
+    child_fields: Tuple[str, ...] = ()
+
+    def children(self) -> list:
+        found: list = []
+        for name in self.child_fields:
+            value = getattr(self, name)
+            if isinstance(value, list):
+                found.extend(value)
+            else:
+                found.append(value)
+        return found
+
+    def map_children(self, rewrite: Callable[..., Any], *args: Any) -> Any:
+        """This node over ``rewrite(child, *args)`` of each child."""
+        if not self.child_fields:
+            return self
+        # A shallow copy without copy.copy's pickle-protocol detour (4x this).
+        node = object.__new__(type(self))
+        fields = node.__dict__
+        fields.update(self.__dict__)
+        for name in self.child_fields:
+            value = fields[name]
+            fields[name] = (
+                [rewrite(child, *args) for child in value]
+                if isinstance(value, list)
+                else rewrite(value, *args)
+            )
+        return node
+
+
+class Expression(TreeNode):
     """Base class for column expression nodes."""
 
     def eval(self, row: Dict[str, Any]) -> Any:
@@ -20,7 +59,10 @@ class Expression:
 
     def references(self) -> FrozenSet[str]:
         """Column names this expression reads."""
-        raise NotImplementedError
+        refs: FrozenSet[str] = frozenset()
+        for child in self.children():
+            refs |= child.references()
+        return refs
 
     # -- operator sugar -------------------------------------------------
 
@@ -121,9 +163,6 @@ class Literal(Expression):
     def eval(self, row: Dict[str, Any]) -> Any:
         return self.value
 
-    def references(self) -> FrozenSet[str]:
-        return frozenset()
-
     def __repr__(self) -> str:
         return "lit(%r)" % (self.value,)
 
@@ -145,6 +184,8 @@ _BINARY_IMPLS: Dict[str, Callable[[Any, Any], Any]] = {
 class BinaryOp(Expression):
     """Binary operator; ``and``/``or`` short-circuit and are null-tolerant."""
 
+    child_fields = ("left", "right")
+
     def __init__(self, op: str, left: Expression, right: Expression) -> None:
         if op not in _BINARY_IMPLS and op not in ("and", "or"):
             raise ValueError("unknown binary operator %r" % op)
@@ -164,15 +205,14 @@ class BinaryOp(Expression):
             return None if self.op in ("+", "-", "*", "/") else False
         return _BINARY_IMPLS[self.op](left, right)
 
-    def references(self) -> FrozenSet[str]:
-        return self.left.references() | self.right.references()
-
     def __repr__(self) -> str:
         return "(%r %s %r)" % (self.left, self.op, self.right)
 
 
 class UnaryOp(Expression):
     """``not``, ``isnull`` and ``isnotnull``."""
+
+    child_fields = ("child",)
 
     def __init__(self, op: str, child: Expression) -> None:
         if op not in ("not", "isnull", "isnotnull", "neg"):
@@ -190,15 +230,14 @@ class UnaryOp(Expression):
             return value is not None
         return -value
 
-    def references(self) -> FrozenSet[str]:
-        return self.child.references()
-
     def __repr__(self) -> str:
         return "%s(%r)" % (self.op, self.child)
 
 
 class InList(Expression):
     """``expr IN (v1, v2, ...)``."""
+
+    child_fields = ("needle", "options")
 
     def __init__(self, needle: Expression, options: Sequence[Expression]) -> None:
         self.needle = needle
@@ -208,18 +247,14 @@ class InList(Expression):
         value = self.needle.eval(row)
         return any(value == option.eval(row) for option in self.options)
 
-    def references(self) -> FrozenSet[str]:
-        refs = self.needle.references()
-        for option in self.options:
-            refs |= option.references()
-        return refs
-
     def __repr__(self) -> str:
         return "in(%r, %r)" % (self.needle, self.options)
 
 
 class LikeExpr(Expression):
     """SQL LIKE with ``%`` (any run) and ``_`` (one char) wildcards."""
+
+    child_fields = ("child",)
 
     def __init__(self, child: Expression, pattern: str) -> None:
         import re
@@ -238,9 +273,6 @@ class LikeExpr(Expression):
             return False
         return self._regex.match(str(value)) is not None
 
-    def references(self) -> FrozenSet[str]:
-        return self.child.references()
-
     def __repr__(self) -> str:
         return "like(%r, %r)" % (self.child, self.pattern)
 
@@ -248,15 +280,14 @@ class LikeExpr(Expression):
 class Alias(Expression):
     """Renames the value an expression produces in a projection."""
 
+    child_fields = ("child",)
+
     def __init__(self, child: Expression, name: str) -> None:
         self.child = child
         self.name = name
 
     def eval(self, row: Dict[str, Any]) -> Any:
         return self.child.eval(row)
-
-    def references(self) -> FrozenSet[str]:
-        return self.child.references()
 
     def __repr__(self) -> str:
         return "alias(%r, %r)" % (self.child, self.name)

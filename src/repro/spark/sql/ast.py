@@ -7,17 +7,14 @@ The plan is a tree of relational operators; the Catalyst-style optimizer in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.spark.column import Expression
+from repro.spark.column import Expression, TreeNode
 
 
-class LogicalPlan:
-    """Base class for plan nodes."""
-
-    def children(self) -> List["LogicalPlan"]:
-        raise NotImplementedError
+class LogicalPlan(TreeNode):
+    """Base class for plan nodes; ``child_fields`` names a node's inputs."""
 
     def pretty(self, indent: int = 0) -> str:
         """Indented tree rendering, for tests and EXPLAIN output."""
@@ -43,9 +40,6 @@ class Scan(LogicalPlan):
     alias: Optional[str] = None
     required_columns: Optional[List[str]] = None
 
-    def children(self) -> List[LogicalPlan]:
-        return []
-
     def _describe(self) -> str:
         alias = " AS %s" % self.alias if self.alias else ""
         cols = (
@@ -61,8 +55,7 @@ class Filter(LogicalPlan):
     condition: Expression
     child: LogicalPlan
 
-    def children(self) -> List[LogicalPlan]:
-        return [self.child]
+    child_fields = ("child",)
 
     def _describe(self) -> str:
         return "Filter(%r)" % self.condition
@@ -77,8 +70,7 @@ class Join(LogicalPlan):
     condition: Optional[Expression]
     how: str = "inner"  # inner | left | right | outer | cross
 
-    def children(self) -> List[LogicalPlan]:
-        return [self.left, self.right]
+    child_fields = ("left", "right")
 
     def _describe(self) -> str:
         return "Join(%s, on=%r)" % (self.how, self.condition)
@@ -91,8 +83,7 @@ class Project(LogicalPlan):
     items: List[Tuple[Expression, str]]
     child: LogicalPlan
 
-    def children(self) -> List[LogicalPlan]:
-        return [self.child]
+    child_fields = ("child",)
 
     def _describe(self) -> str:
         return "Project(%s)" % ", ".join(name for _e, name in self.items)
@@ -109,8 +100,7 @@ class Aggregate(LogicalPlan):
     aggregates: List[Tuple[str, str, str]]
     child: LogicalPlan
 
-    def children(self) -> List[LogicalPlan]:
-        return [self.child]
+    child_fields = ("child",)
 
     def _describe(self) -> str:
         return "Aggregate(keys=%r, aggs=%r)" % (self.group_by, self.aggregates)
@@ -120,8 +110,7 @@ class Aggregate(LogicalPlan):
 class Distinct(LogicalPlan):
     child: LogicalPlan
 
-    def children(self) -> List[LogicalPlan]:
-        return [self.child]
+    child_fields = ("child",)
 
 
 @dataclass
@@ -131,8 +120,7 @@ class Sort(LogicalPlan):
     orders: List[Tuple[str, bool]]
     child: LogicalPlan
 
-    def children(self) -> List[LogicalPlan]:
-        return [self.child]
+    child_fields = ("child",)
 
     def _describe(self) -> str:
         return "Sort(%r)" % (self.orders,)
@@ -144,8 +132,7 @@ class Limit(LogicalPlan):
     offset: int
     child: LogicalPlan
 
-    def children(self) -> List[LogicalPlan]:
-        return [self.child]
+    child_fields = ("child",)
 
     def _describe(self) -> str:
         return "Limit(%d, offset=%d)" % (self.count, self.offset)
@@ -159,8 +146,7 @@ class Union(LogicalPlan):
     right: LogicalPlan
     dedup: bool = False
 
-    def children(self) -> List[LogicalPlan]:
-        return [self.left, self.right]
+    child_fields = ("left", "right")
 
     def _describe(self) -> str:
         return "Union(%s)" % ("DISTINCT" if self.dedup else "ALL")

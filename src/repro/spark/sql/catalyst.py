@@ -4,18 +4,20 @@ Implements the optimizations the paper attributes to Spark SQL's Catalyst
 (Section III): constant folding, predicate pushdown through joins,
 projection pruning into scans, and a size-based choice of join build side
 (which downstream becomes the broadcast side).
+
+A rule names the node types it changes and leaves every other node to
+``map_children``; what a node type *is* -- its columns, its size -- is said
+in :func:`output_columns` and :func:`estimated_rows`.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional
 
 from repro.spark.column import (
-    Alias,
     BinaryOp,
     ColumnRef,
     Expression,
-    InList,
     Literal,
     UnaryOp,
     conjoin,
@@ -75,7 +77,6 @@ def _matches(available: List[str], name: str) -> List[str]:
     """Columns in *available* a reference *name* could resolve to."""
     if name in available:
         return [name]
-    suffix = "." + name.split(".")[-1] if "." not in name else "." + name
     hits = [c for c in available if c.endswith("." + name)]
     if hits:
         return hits
@@ -102,64 +103,44 @@ def references_resolve_in(
 
 def fold_constants(expr: Expression) -> Expression:
     """Collapse operator applications over literals into literals."""
-    if isinstance(expr, BinaryOp):
-        left = fold_constants(expr.left)
-        right = fold_constants(expr.right)
-        folded = BinaryOp(expr.op, left, right)
-        if isinstance(left, Literal) and isinstance(right, Literal):
-            return Literal(folded.eval({}))
-        # Boolean short-circuits with one literal side.
-        if expr.op == "and":
-            if isinstance(left, Literal):
-                return right if left.value else Literal(False)
-            if isinstance(right, Literal):
-                return left if right.value else Literal(False)
-        if expr.op == "or":
-            if isinstance(left, Literal):
-                return Literal(True) if left.value else right
-            if isinstance(right, Literal):
-                return Literal(True) if right.value else left
-        return folded
-    if isinstance(expr, UnaryOp):
-        child = fold_constants(expr.child)
-        folded = UnaryOp(expr.op, child)
-        if isinstance(child, Literal):
-            return Literal(folded.eval({}))
-        return folded
-    if isinstance(expr, InList):
-        return InList(
-            fold_constants(expr.needle),
-            [fold_constants(option) for option in expr.options],
-        )
-    if isinstance(expr, Alias):
-        return Alias(fold_constants(expr.child), expr.name)
+    expr = expr.map_children(fold_constants)
+    if isinstance(expr, UnaryOp) and isinstance(expr.child, Literal):
+        return Literal(expr.eval({}))
+    if not isinstance(expr, BinaryOp):
+        return expr
+    left, right = expr.left, expr.right
+    if isinstance(left, Literal) and isinstance(right, Literal):
+        return Literal(expr.eval({}))
+    # Boolean short-circuits with one literal side.
+    if expr.op == "and":
+        if isinstance(left, Literal):
+            return right if left.value else Literal(False)
+        if isinstance(right, Literal):
+            return left if right.value else Literal(False)
+    if expr.op == "or":
+        if isinstance(left, Literal):
+            return Literal(True) if left.value else right
+        if isinstance(right, Literal):
+            return Literal(True) if right.value else left
     return expr
 
 
 def _fold_plan(plan: LogicalPlan) -> LogicalPlan:
     if isinstance(plan, Filter):
         return Filter(fold_constants(plan.condition), _fold_plan(plan.child))
-    if isinstance(plan, Join):
-        condition = (
-            fold_constants(plan.condition) if plan.condition is not None else None
+    if isinstance(plan, Join) and plan.condition is not None:
+        return Join(
+            _fold_plan(plan.left),
+            _fold_plan(plan.right),
+            fold_constants(plan.condition),
+            plan.how,
         )
-        return Join(_fold_plan(plan.left), _fold_plan(plan.right), condition, plan.how)
     if isinstance(plan, Project):
         return Project(
             [(fold_constants(e), n) for e, n in plan.items],
             _fold_plan(plan.child),
         )
-    if isinstance(plan, Aggregate):
-        return Aggregate(plan.group_by, plan.aggregates, _fold_plan(plan.child))
-    if isinstance(plan, Distinct):
-        return Distinct(_fold_plan(plan.child))
-    if isinstance(plan, Sort):
-        return Sort(plan.orders, _fold_plan(plan.child))
-    if isinstance(plan, Limit):
-        return Limit(plan.count, plan.offset, _fold_plan(plan.child))
-    if isinstance(plan, Union):
-        return Union(_fold_plan(plan.left), _fold_plan(plan.right), plan.dedup)
-    return plan
+    return plan.map_children(_fold_plan)
 
 
 # ----------------------------------------------------------------------
@@ -168,81 +149,56 @@ def _fold_plan(plan: LogicalPlan) -> LogicalPlan:
 
 
 def _push_filters(plan: LogicalPlan, catalog: Catalog) -> LogicalPlan:
-    if isinstance(plan, Filter):
-        child = _push_filters(plan.child, catalog)
-        conjuncts = split_conjuncts(plan.condition)
-        if isinstance(child, Join) and child.how in ("inner", "cross"):
-            left_cols = output_columns(child.left, catalog)
-            right_cols = output_columns(child.right, catalog)
-            to_left: List[Expression] = []
-            to_right: List[Expression] = []
-            to_join: List[Expression] = []
-            remainder: List[Expression] = []
-            for conjunct in conjuncts:
-                refs = conjunct.references()
-                if refs and references_resolve_in(refs, left_cols) and not any(
-                    _matches(right_cols, r) for r in refs
-                ):
-                    to_left.append(conjunct)
-                elif refs and references_resolve_in(refs, right_cols) and not any(
-                    _matches(left_cols, r) for r in refs
-                ):
-                    to_right.append(conjunct)
-                elif references_resolve_in(refs, left_cols + right_cols):
-                    to_join.append(conjunct)
-                else:
-                    remainder.append(conjunct)
-            new_left = child.left
-            new_right = child.right
-            if to_left:
-                new_left = Filter(conjoin(to_left), new_left)
-            if to_right:
-                new_right = Filter(conjoin(to_right), new_right)
-            join_condition = child.condition
-            if to_join:
-                extra = conjoin(to_join)
-                join_condition = (
-                    extra
-                    if join_condition is None
-                    else BinaryOp("and", join_condition, extra)
-                )
-            how = "inner" if (child.how == "cross" and join_condition) else child.how
-            new_join = Join(
-                _push_filters(new_left, catalog),
-                _push_filters(new_right, catalog),
-                join_condition,
-                how,
-            )
-            if remainder:
-                return Filter(conjoin(remainder), new_join)
-            return new_join
-        return Filter(plan.condition, child)
-    if isinstance(plan, Join):
-        return Join(
-            _push_filters(plan.left, catalog),
-            _push_filters(plan.right, catalog),
-            plan.condition,
-            plan.how,
+    plan = plan.map_children(_push_filters, catalog)
+    if not isinstance(plan, Filter):
+        return plan
+    child = plan.child
+    if not (isinstance(child, Join) and child.how in ("inner", "cross")):
+        return plan
+    left_cols = output_columns(child.left, catalog)
+    right_cols = output_columns(child.right, catalog)
+    to_left: List[Expression] = []
+    to_right: List[Expression] = []
+    to_join: List[Expression] = []
+    remainder: List[Expression] = []
+    for conjunct in split_conjuncts(plan.condition):
+        refs = conjunct.references()
+        if refs and references_resolve_in(refs, left_cols) and not any(
+            _matches(right_cols, r) for r in refs
+        ):
+            to_left.append(conjunct)
+        elif refs and references_resolve_in(refs, right_cols) and not any(
+            _matches(left_cols, r) for r in refs
+        ):
+            to_right.append(conjunct)
+        elif references_resolve_in(refs, left_cols + right_cols):
+            to_join.append(conjunct)
+        else:
+            remainder.append(conjunct)
+    new_left = child.left
+    new_right = child.right
+    if to_left:
+        new_left = Filter(conjoin(to_left), new_left)
+    if to_right:
+        new_right = Filter(conjoin(to_right), new_right)
+    join_condition = child.condition
+    if to_join:
+        extra = conjoin(to_join)
+        join_condition = (
+            extra
+            if join_condition is None
+            else BinaryOp("and", join_condition, extra)
         )
-    if isinstance(plan, Project):
-        return Project(plan.items, _push_filters(plan.child, catalog))
-    if isinstance(plan, Aggregate):
-        return Aggregate(
-            plan.group_by, plan.aggregates, _push_filters(plan.child, catalog)
-        )
-    if isinstance(plan, Distinct):
-        return Distinct(_push_filters(plan.child, catalog))
-    if isinstance(plan, Sort):
-        return Sort(plan.orders, _push_filters(plan.child, catalog))
-    if isinstance(plan, Limit):
-        return Limit(plan.count, plan.offset, _push_filters(plan.child, catalog))
-    if isinstance(plan, Union):
-        return Union(
-            _push_filters(plan.left, catalog),
-            _push_filters(plan.right, catalog),
-            plan.dedup,
-        )
-    return plan
+    how = "inner" if (child.how == "cross" and join_condition) else child.how
+    new_join = Join(
+        _push_filters(new_left, catalog),
+        _push_filters(new_right, catalog),
+        join_condition,
+        how,
+    )
+    if remainder:
+        return Filter(conjoin(remainder), new_join)
+    return new_join
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +211,9 @@ def _prune_columns(
 ) -> LogicalPlan:
     """Push the set of needed (possibly qualified) names down to scans.
 
-    ``required`` of None means "everything" (e.g. under SELECT *).
+    ``required`` of None means "everything" (e.g. under SELECT *).  A node
+    that reads its input by name adds what it reads; any other node hands
+    ``required`` on as it got it.
     """
     if isinstance(plan, Scan):
         if required is None:
@@ -270,57 +228,23 @@ def _prune_columns(
             )
         ]
         return Scan(plan.table, plan.alias, keep)
-    if isinstance(plan, Filter):
-        needed = (
-            None
-            if required is None
-            else required | plan.condition.references()
-        )
-        return Filter(plan.condition, _prune_columns(plan.child, needed, catalog))
-    if isinstance(plan, Join):
-        needed = required
-        if needed is not None and plan.condition is not None:
-            needed = needed | plan.condition.references()
-        return Join(
-            _prune_columns(plan.left, needed, catalog),
-            _prune_columns(plan.right, needed, catalog),
-            plan.condition,
-            plan.how,
-        )
+    needed = required
     if isinstance(plan, Project):
-        needed: FrozenSet[str] = frozenset()
+        needed = frozenset()
         for expr, _name in plan.items:
             needed |= expr.references()
-        return Project(plan.items, _prune_columns(plan.child, needed, catalog))
-    if isinstance(plan, Aggregate):
+    elif isinstance(plan, Aggregate):
         needed = frozenset(plan.group_by) | frozenset(
             arg for _f, arg, _n in plan.aggregates if arg != "*"
         )
-        return Aggregate(
-            plan.group_by,
-            plan.aggregates,
-            _prune_columns(plan.child, needed, catalog),
-        )
-    if isinstance(plan, Distinct):
-        return Distinct(_prune_columns(plan.child, required, catalog))
-    if isinstance(plan, Sort):
-        needed = (
-            None
-            if required is None
-            else required | frozenset(name for name, _asc in plan.orders)
-        )
-        return Sort(plan.orders, _prune_columns(plan.child, needed, catalog))
-    if isinstance(plan, Limit):
-        return Limit(
-            plan.count, plan.offset, _prune_columns(plan.child, required, catalog)
-        )
-    if isinstance(plan, Union):
-        return Union(
-            _prune_columns(plan.left, None, catalog),
-            _prune_columns(plan.right, None, catalog),
-            plan.dedup,
-        )
-    return plan
+    elif isinstance(plan, Union):
+        needed = None
+    elif required is not None:
+        if isinstance(plan, (Filter, Join)) and plan.condition is not None:
+            needed = required | plan.condition.references()
+        elif isinstance(plan, Sort):
+            needed = required | frozenset(name for name, _asc in plan.orders)
+    return plan.map_children(_prune_columns, needed, catalog)
 
 
 # ----------------------------------------------------------------------
@@ -335,9 +259,7 @@ def estimated_rows(plan: LogicalPlan, catalog: Catalog) -> int:
     if isinstance(plan, Filter):
         return max(estimated_rows(plan.child, catalog) // 3, 1)
     if isinstance(plan, Join):
-        left = estimated_rows(plan.left, catalog)
-        right = estimated_rows(plan.right, catalog)
-        return max(left, right)
+        return max(estimated_rows(side, catalog) for side in plan.children())
     if isinstance(plan, (Project, Distinct, Sort)):
         return estimated_rows(plan.child, catalog)
     if isinstance(plan, Aggregate):
@@ -345,10 +267,8 @@ def estimated_rows(plan: LogicalPlan, catalog: Catalog) -> int:
     if isinstance(plan, Limit):
         return plan.count
     if isinstance(plan, Union):
-        return estimated_rows(plan.left, catalog) + estimated_rows(
-            plan.right, catalog
-        )
-    return 1
+        return sum(estimated_rows(side, catalog) for side in plan.children())
+    raise TypeError("unknown plan node %r" % plan)
 
 
 def _choose_build_sides(plan: LogicalPlan, catalog: Catalog) -> LogicalPlan:
@@ -356,48 +276,35 @@ def _choose_build_sides(plan: LogicalPlan, catalog: Catalog) -> LogicalPlan:
 
     The executor broadcasts the right side when it fits under the session
     threshold, so this rule is what turns size estimates into broadcast
-    joins -- the Catalyst behaviour Section IV-A3 describes.
+    joins -- the Catalyst behaviour Section IV-A3 describes.  Swapping
+    moves columns; where their order shows -- at the root and in a Union's
+    positional inputs -- a Project puts them back.
     """
-    if isinstance(plan, Join):
-        left = _choose_build_sides(plan.left, catalog)
-        right = _choose_build_sides(plan.right, catalog)
-        if plan.how == "inner" and estimated_rows(
-            left, catalog
-        ) < estimated_rows(right, catalog):
-            return Join(right, left, plan.condition, plan.how)
-        return Join(left, right, plan.condition, plan.how)
-    if isinstance(plan, Filter):
-        return Filter(plan.condition, _choose_build_sides(plan.child, catalog))
-    if isinstance(plan, Project):
-        return Project(plan.items, _choose_build_sides(plan.child, catalog))
-    if isinstance(plan, Aggregate):
-        return Aggregate(
-            plan.group_by, plan.aggregates, _choose_build_sides(plan.child, catalog)
-        )
-    if isinstance(plan, Distinct):
-        return Distinct(_choose_build_sides(plan.child, catalog))
-    if isinstance(plan, Sort):
-        return Sort(plan.orders, _choose_build_sides(plan.child, catalog))
-    if isinstance(plan, Limit):
-        return Limit(plan.count, plan.offset, _choose_build_sides(plan.child, catalog))
+    columns = output_columns(plan, catalog)
+    plan = _swap_joins(plan, catalog)
+    if output_columns(plan, catalog) == columns:
+        return plan
+    return Project([(ColumnRef(name), name) for name in columns], plan)
+
+
+def _swap_joins(plan: LogicalPlan, catalog: Catalog) -> LogicalPlan:
     if isinstance(plan, Union):
-        return Union(
-            _choose_build_sides(plan.left, catalog),
-            _choose_build_sides(plan.right, catalog),
-            plan.dedup,
-        )
-    return plan
+        # Positional: each input is a root of its own, columns kept.
+        return plan.map_children(_choose_build_sides, catalog)
+    if not isinstance(plan, Join):
+        return plan.map_children(_swap_joins, catalog)
+    left = _swap_joins(plan.left, catalog)
+    right = _swap_joins(plan.right, catalog)
+    if plan.how == "inner" and estimated_rows(left, catalog) < estimated_rows(
+        right, catalog
+    ):
+        left, right = right, left
+    return Join(left, right, plan.condition, plan.how)
 
 
-def optimize(
-    plan: LogicalPlan,
-    catalog: Catalog,
-    reorder_joins: bool = True,
-) -> LogicalPlan:
-    """Run all rules in order; returns a new plan."""
+def optimize(plan: LogicalPlan, catalog: Catalog) -> LogicalPlan:
+    """Run all rules in order; returns a new plan with *plan*'s columns."""
     plan = _fold_plan(plan)
     plan = _push_filters(plan, catalog)
     plan = _prune_columns(plan, None, catalog)
-    if reorder_joins:
-        plan = _choose_build_sides(plan, catalog)
-    return plan
+    return _choose_build_sides(plan, catalog)

@@ -9,10 +9,6 @@ from repro.spark.column import (
     BinaryOp,
     ColumnRef,
     Expression,
-    InList,
-    LikeExpr,
-    Literal,
-    UnaryOp,
     conjoin,
     split_conjuncts,
 )
@@ -29,7 +25,7 @@ from repro.spark.sql.ast import (
     Sort,
     Union,
 )
-from repro.spark.sql.catalyst import _matches
+from repro.spark.sql.catalyst import _matches, estimated_rows
 
 
 class SqlAnalysisError(ValueError):
@@ -54,24 +50,7 @@ def resolve_expr(expr: Expression, available: List[str]) -> Expression:
     """Rewrite ColumnRefs in *expr* to exact output-column names."""
     if isinstance(expr, ColumnRef):
         return ColumnRef(resolve_name(expr.name, available))
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op,
-            resolve_expr(expr.left, available),
-            resolve_expr(expr.right, available),
-        )
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, resolve_expr(expr.child, available))
-    if isinstance(expr, InList):
-        return InList(
-            resolve_expr(expr.needle, available),
-            [resolve_expr(option, available) for option in expr.options],
-        )
-    if isinstance(expr, LikeExpr):
-        return LikeExpr(resolve_expr(expr.child, available), expr.pattern)
-    if isinstance(expr, Alias):
-        return Alias(resolve_expr(expr.child, available), expr.name)
-    return expr
+    return expr.map_children(resolve_expr, available)
 
 
 def _split_join_condition(
@@ -134,8 +113,6 @@ def execute(plan: LogicalPlan, session) -> DataFrame:
     tracer = session.ctx.tracer
     if not tracer.enabled:
         return _execute_node(plan, session)
-    from repro.spark.sql.catalyst import estimated_rows
-
     attrs = _plan_attrs(plan)
     attrs["est_rows"] = estimated_rows(plan, session)
     with tracer.span("sql", name=type(plan).__name__, **attrs):

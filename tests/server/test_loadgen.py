@@ -7,7 +7,7 @@ from repro.server import (
     QueryService,
     build_shape_workload,
     build_workload,
-    shape_tenant_profiles,
+    grouped_tenant_profiles,
 )
 from repro.server.loadgen import percentile
 
@@ -217,7 +217,7 @@ class TestShapeMix:
 
     def test_tenant_profiles_emphasize_distinct_shapes(self, lubm_graph):
         workload = build_shape_workload(lubm_graph, per_shape=1, seed=42)
-        profiles = shape_tenant_profiles(workload, tenants=2, emphasis=3)
+        profiles = grouped_tenant_profiles(workload, tenants=2, emphasis=3)
         assert set(profiles) == {"tenant0", "tenant1"}
         for profile in profiles.values():
             # Every workload query appears; the preferred shape repeats.
@@ -245,7 +245,7 @@ class TestShapeMix:
             requests_per_client=4,
             think_units=20,
             seed=42,
-            tenant_profiles=shape_tenant_profiles(workload, 2),
+            tenant_profiles=grouped_tenant_profiles(workload, 2),
         ).run()
         payload = report.to_payload()
         assert payload["config"]["route"] is True
@@ -362,7 +362,7 @@ class TestFederatedWorkload:
 
 class TestGroupedProfiles:
     def test_each_tenant_emphasizes_a_distinct_group(self, lubm_graph):
-        from repro.server import build_shacl_workload, grouped_tenant_profiles
+        from repro.server import build_shacl_workload
 
         workload = build_shacl_workload(lubm_graph, seed=42)
         profiles = grouped_tenant_profiles(workload, tenants=3, emphasis=3)

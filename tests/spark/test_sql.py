@@ -2,15 +2,41 @@
 
 import pytest
 
-from repro.spark.column import col, lit
-from repro.spark.sql.ast import Filter, Join, Limit, Project, Scan, Sort
+from repro.spark.column import (
+    Alias,
+    BinaryOp,
+    ColumnRef,
+    Expression,
+    InList,
+    LikeExpr,
+    Literal,
+    UnaryOp,
+    col,
+    lit,
+)
+from repro.spark.sql.ast import (
+    Aggregate,
+    Distinct,
+    Filter,
+    Join,
+    Limit,
+    LogicalPlan,
+    Project,
+    Scan,
+    Sort,
+    Union,
+)
 from repro.spark.sql.catalyst import (
     estimated_rows,
     fold_constants,
     optimize,
     output_columns,
 )
-from repro.spark.sql.executor import SqlAnalysisError, resolve_name
+from repro.spark.sql.executor import (
+    SqlAnalysisError,
+    _execute_node,
+    resolve_name,
+)
 from repro.spark.sql.lexer import SqlSyntaxError, Token, tokenize
 from repro.spark.sql.parser import parse_sql
 
@@ -308,6 +334,94 @@ class TestExecution:
         optimized = [tuple(r) for r in catalog.sql(sql).collect()]
         plain = [tuple(r) for r in catalog.sql(sql, optimized=False).collect()]
         assert optimized == plain
+
+    def test_a_swapped_join_keeps_its_column_order(self, catalog):
+        # customers is the smaller table, so the build-side rule swaps the
+        # first join: at the root and in a UNION's positional inputs the
+        # columns must still come out in the order the query wrote.
+        one = "SELECT * FROM customers JOIN orders ON name = customer"
+        other = "SELECT * FROM orders JOIN customers ON name = customer"
+        for sql in (one, one + " UNION ALL " + other):
+            optimized = catalog.sql(sql)
+            plain = catalog.sql(sql, optimized=False)
+            assert optimized.columns == plain.columns
+            assert sorted(map(tuple, optimized.collect()), key=repr) == sorted(
+                map(tuple, plain.collect()), key=repr
+            )
+        # Nothing moved, nothing added: the other order is still a bare join.
+        assert catalog.explain(other).startswith("Join(")
+
+
+_SCAN = Scan("orders")
+_PLAN_SAMPLES = {
+    Scan: _SCAN,
+    Filter: Filter(col("amount") > lit(60), _SCAN),
+    Join: Join(_SCAN, Scan("customers"), col("customer") == col("name")),
+    Project: Project([(col("amount") + lit(1), "more")], _SCAN),
+    Aggregate: Aggregate(["customer"], [("sum", "amount", "total")], _SCAN),
+    Distinct: Distinct(_SCAN),
+    Sort: Sort([("amount", False)], _SCAN),
+    Limit: Limit(2, 1, _SCAN),
+    Union: Union(_SCAN, _SCAN),
+}
+_EXPRESSION_SAMPLES = {
+    ColumnRef: col("a"),
+    Literal: lit(1),
+    BinaryOp: col("b") + lit(1),
+    UnaryOp: ~col("a"),
+    InList: col("a").isin(lit(1), col("b")),
+    LikeExpr: LikeExpr(col("a"), "x%"),
+    Alias: col("a").alias("b"),
+}
+
+
+def _typed_fields(node, base):
+    """The values (and list elements) of *node*'s attributes that are *base*s."""
+    found = []
+    for value in vars(node).values():
+        found.extend(
+            v for v in (value if isinstance(value, list) else [value])
+            if isinstance(v, base)
+        )
+    return found
+
+
+class TestTraversalIsTotal:
+    """Every node class is walked, rebuilt, described and executed."""
+
+    @pytest.mark.parametrize(
+        "cls", LogicalPlan.__subclasses__(), ids=lambda cls: cls.__name__
+    )
+    def test_plan_node(self, cls, catalog):
+        plan = _PLAN_SAMPLES[cls]  # a new node class needs a sample here
+        rebuilt = plan.map_children(lambda child: child)
+        assert type(rebuilt) is cls and rebuilt == plan
+        assert [id(c) for c in plan.children()] == [
+            id(c) for c in _typed_fields(plan, LogicalPlan)
+        ]
+        columns = output_columns(plan, catalog)
+        assert estimated_rows(plan, catalog) >= 1
+        assert len(_execute_node(plan, catalog).columns) == len(columns)
+        assert optimize(plan, catalog).pretty()
+
+    @pytest.mark.parametrize(
+        "cls", Expression.__subclasses__(), ids=lambda cls: cls.__name__
+    )
+    def test_expression_node(self, cls):
+        expr = _EXPRESSION_SAMPLES[cls]
+        rebuilt = expr.map_children(lambda child: child)
+        assert type(rebuilt) is cls and rebuilt.same_as(expr)
+        assert [id(c) for c in expr.children()] == [
+            id(c) for c in _typed_fields(expr, Expression)
+        ]
+        assert fold_constants(expr).same_as(expr)
+        row = {"a": "xy", "b": 2}
+        assert rebuilt.eval(row) == expr.eval(row)
+
+    def test_an_unknown_node_is_refused_not_guessed(self, catalog):
+        for describe in (output_columns, estimated_rows, _execute_node):
+            with pytest.raises(TypeError):
+                describe(LogicalPlan(), catalog)
 
 
 class TestResolveName:

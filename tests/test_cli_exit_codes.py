@@ -285,18 +285,28 @@ def test_unanswerable_input_is_a_typed_error(
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, kind",
     [
-        ["loadtest", "DATA", "--smoke", "--tenants", "0"],
-        ["loadtest", "DATA", "--smoke", "--clients", "0"],
-        ["loadtest", "DATA", "--smoke", "--requests", "0"],
-        ["generate", "lubm", "OUT", "--scale", "0"],
+        (["loadtest", "DATA", "--smoke", "--tenants", "0"], "positive"),
+        (["loadtest", "DATA", "--smoke", "--clients", "0"], "positive"),
+        (["loadtest", "DATA", "--smoke", "--requests", "0"], "positive"),
+        (["generate", "lubm", "OUT", "--scale", "0"], "positive"),
+        (["views", "DATA", "list", "--limit", "-1"], "positive"),
+        (["loadtest", "DATA", "--smoke", "--think", "-5"], "non-negative"),
     ],
-    ids=["loadtest-tenants", "loadtest-clients", "loadtest-requests", "scale"],
+    ids=[
+        "loadtest-tenants",
+        "loadtest-clients",
+        "loadtest-requests",
+        "scale",
+        "views-limit",
+        "loadtest-think",
+    ],
 )
-def test_zero_count_is_a_usage_error(argv, data_file, tmp_path, capsys):
+def test_zero_count_is_a_usage_error(argv, kind, data_file, tmp_path, capsys):
     """Exit 2 from the argument parser, one ``error:`` line after the
-    usage -- not a ValueError from the harness, not an empty file."""
+    usage -- not a ValueError from the harness, not an empty file, not a
+    table cut short or a negative think time run as zero."""
     out = tmp_path / "out.nt"
     argv = [{"DATA": data_file, "OUT": str(out)}.get(arg, arg) for arg in argv]
     with pytest.raises(SystemExit) as excinfo:
@@ -305,7 +315,7 @@ def test_zero_count_is_a_usage_error(argv, data_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: repro %s " % argv[0])
     assert err.endswith(
-        "error: argument %s: must be a positive integer\n" % argv[-2]
+        "error: argument %s: must be a %s integer\n" % (argv[-2], kind)
     )
     assert "Traceback" not in err and not out.exists()
 
