@@ -1056,13 +1056,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("--clients", 8, "closed-loop clients"),
         ("--tenants", 2, "tenants clients spread over"),
         ("--requests", 8, "requests per client"),
+        ("--queries", 6, "distinct workload queries"),
     ):
         loadtest.add_argument(
             flag, type=_positive_int, default=default, help=text
         )
-    loadtest.add_argument(
-        "--queries", type=int, default=6, help="distinct workload queries"
-    )
     loadtest.add_argument(
         "--think",
         type=_non_negative_int,

@@ -33,7 +33,7 @@ from repro.spark.tracing import (
     render_trace,
     trace_totals,
 )
-from repro.sparql.ast import Query
+from repro.sparql.ast import Query, where_patterns
 from repro.sparql.parser import parse_sparql
 from repro.stats import StatsCatalog
 from repro.systems.base import SparkRdfEngine, UnsupportedQueryError
@@ -316,7 +316,7 @@ def _views_section(query: Query, optimizer) -> str:
             catalog.version,
         )
     ]
-    plan = optimizer.plan_bgp(query.where.triple_patterns())
+    plan = optimizer.plan_bgp(where_patterns(query))
     chosen = [step for step in plan.steps if step.view is not None]
     if not chosen:
         lines.append(

@@ -34,6 +34,8 @@ from repro.federation.endpoint import WireEndpoint
 from repro.rdf.graph import RDFGraph
 from repro.rdf.ntriples import parse_ntriples
 from repro.server.protocol import canonical_result
+from repro.spark.metrics import MetricsCollector
+from repro.spark.tracing import Tracer
 from repro.sparql.ast import ConstructQuery
 from repro.sparql.parser import parse_sparql
 
@@ -87,7 +89,7 @@ class Subgraph:
         self.page_size = page_size
         self.tenant = tenant
         self.deadline = deadline
-        self.tracer = tracer
+        self.tracer = tracer or Tracer(MetricsCollector())
         self.max_restarts = max_restarts
         #: Local history: version 0 empty, one commit per harvest/refresh.
         self.versions = VersionedGraph()
@@ -139,15 +141,13 @@ class Subgraph:
         """
         base = self._check_construct(text)
         name = id or "harvest%d" % len(self.harvests)
-        if self.tracer is not None and self.tracer.enabled:
-            with self.tracer.span("harvest", name=name) as span:
-                record = self._harvest(base, name)
-                if span is not None:
-                    span.attrs["pages"] = record.pages
-                    span.attrs["triples"] = record.triples
-                    span.attrs["remote_version"] = record.remote_version
-                return record
-        return self._harvest(base, name)
+        with self.tracer.span("harvest", name=name) as span:
+            record = self._harvest(base, name)
+            if span is not None:
+                span.attrs["pages"] = record.pages
+                span.attrs["triples"] = record.triples
+                span.attrs["remote_version"] = record.remote_version
+        return record
 
     def _harvest(self, text: str, name: str) -> HarvestRecord:
         lines, version, pages, units = self._fetch(text, name)

@@ -141,14 +141,10 @@ class Optimizer:
         """
         from repro.optimizer.executor import execute_plan
 
-        tracer = engine.ctx.tracer
-        if tracer.enabled:
-            with tracer.span("optimize", name=self.mode) as span:
-                plan = self.plan_bgp(patterns)
-                if span is not None:
-                    span.attrs.update(plan.describe())
-        else:
+        with engine.ctx.tracer.span("optimize", name=self.mode) as span:
             plan = self.plan_bgp(patterns)
+            if span is not None:
+                span.attrs.update(plan.describe())
         return execute_plan(engine, plan, view_catalog=self.view_catalog)
 
     def __repr__(self) -> str:

@@ -19,7 +19,7 @@ the simulated cluster's real counters:
 ``cartesian``
     The nested-loop product, for disconnected BGPs.
 
-Tracing: with the context tracer enabled, every step emits a ``bgp_step``
+Tracing: when the context's tracer is on, every step emits a ``bgp_step``
 span (name = strategy) carrying ``est_rows`` and, because the step's
 output is materialized inside the span, ``actual_rows`` -- the pair the
 q-error accounting (:func:`collect_q_errors`) and EXPLAIN read.
@@ -69,17 +69,15 @@ def execute_plan(engine, plan: BgpPlan, view_catalog=None) -> RDD:
     tracer = ctx.tracer
     state: Optional[_State] = None
     for step in plan.steps:
-        if not tracer.enabled:
-            state = _apply_step(engine, state, step, view_catalog)
-            continue
+        # The pattern repr is built only for a span.
+        attrs = _step_attrs(step) if tracer.enabled else {}
         with tracer.span(
             "bgp_step",
             name=step.strategy,
-            **_step_attrs(step),
+            **attrs,
         ) as span:
             state = _apply_step(engine, state, step, view_catalog)
-            state.rdd.cache()
-            rows = state.rdd.count()
+            rows = tracer.materialize(state.rdd)
             if span is not None:
                 span.attrs["actual_rows"] = rows
     assert state is not None
@@ -151,8 +149,6 @@ def _view_scan(engine, step: JoinStep, view) -> RDD:
     ctx = engine.ctx
     ctx.metrics.incr("view_scans")
     tracer = ctx.tracer
-    if not tracer.enabled:
-        return ctx.parallelize(bindings)
     with tracer.span(
         "view",
         name=view.name,
@@ -161,9 +157,7 @@ def _view_scan(engine, step: JoinStep, view) -> RDD:
         factor=round(view.factor, 6),
     ) as span:
         rdd = ctx.parallelize(bindings)
-        # Materialize inside the span so the scan's records land here.
-        rdd.cache()
-        rows = rdd.count()
+        rows = tracer.materialize(rdd)
         if span is not None:
             span.attrs["actual_rows"] = rows
     return rdd

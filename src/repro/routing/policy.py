@@ -36,7 +36,7 @@ from repro.routing.defaults import (
     default_priors,
 )
 from repro.routing.feedback import FeedbackLog
-from repro.sparql.ast import Query
+from repro.sparql.ast import Query, where_patterns
 from repro.sparql.fragments import features_of
 from repro.sparql.shapes import QueryShape, classify_shape
 from repro.stats.catalog import StatsCatalog
@@ -216,7 +216,7 @@ class RoutingPolicy:
 
     def base_cost(self, query: Query) -> Tuple[QueryShape, float]:
         """(shape, engine-independent C_out estimate) for *query*."""
-        patterns = query.where.triple_patterns()
+        patterns = where_patterns(query)
         shape = classify_shape(query)
         if not patterns:
             return shape, 1.0

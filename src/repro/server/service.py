@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.core import AnalysisReport
 from repro.analysis.query import lint_query
@@ -300,16 +300,14 @@ class QueryService:
 
     def execute_on(self, request: QueryRequest, worker: int) -> QueryOutcome:
         """Run *request* on pool slot *worker*, consulting both caches."""
-        if self.tracer.enabled:
-            with self.tracer.span(
-                "request", name=request.id or "-", tenant=request.tenant
-            ) as span:
-                outcome = self._execute(request, worker)
-                if span is not None:
-                    span.attrs["cache"] = outcome.cache
-                    span.attrs["status"] = outcome.status
-                return outcome
-        return self._execute(request, worker)
+        with self.tracer.span(
+            "request", name=request.id or "-", tenant=request.tenant
+        ) as span:
+            outcome = self._execute(request, worker)
+            if span is not None:
+                span.attrs["cache"] = outcome.cache
+                span.attrs["status"] = outcome.status
+        return outcome
 
     def _execute(self, request: QueryRequest, worker: int) -> QueryOutcome:
         outcome = QueryOutcome(
@@ -451,29 +449,23 @@ class QueryService:
 
     def _route(self, plan, request: QueryRequest):
         """One routing decision, traced as a ``route`` span."""
-
-        def run():
+        with self.tracer.span(
+            "route", name=request.id or "-"
+        ) as span:
             decision = self.routing.decide(plan)
             self.metrics.incr("routing_decisions")
             if decision.fallback:
                 self.metrics.incr("routing_fallbacks")
-            return decision
-
-        if self.tracer.enabled:
-            with self.tracer.span(
-                "route", name=request.id or "-"
-            ) as span:
-                decision = run()
-                if span is not None:
-                    span.attrs.update(decision.describe())
-                return decision
-        return run()
+            if span is not None:
+                span.attrs.update(decision.describe())
+        return decision
 
     def _lint(self, plan, request: QueryRequest, budget) -> AnalysisReport:
         """Run the static linter over one parsed plan, traced."""
-
-        def run() -> AnalysisReport:
-            return lint_query(
+        with self.tracer.span(
+            "lint", name=request.id or "-"
+        ) as span:
+            report = lint_query(
                 plan,
                 subject=request.id or "query",
                 catalog=self.catalog,
@@ -481,18 +473,11 @@ class QueryService:
                 broadcast_threshold=self.config.runtime.broadcast_threshold,
                 mode=self.config.runtime.optimizer_mode,
             )
-
-        if self.tracer.enabled:
-            with self.tracer.span(
-                "lint", name=request.id or "-"
-            ) as span:
-                report = run()
-                if span is not None:
-                    span.attrs["errors"] = report.count("error")
-                    span.attrs["warnings"] = report.count("warning")
-                    span.attrs["rejected"] = bool(report.errors)
-                return report
-        return run()
+            if span is not None:
+                span.attrs["errors"] = report.count("error")
+                span.attrs["warnings"] = report.count("warning")
+                span.attrs["rejected"] = bool(report.errors)
+        return report
 
     # ------------------------------------------------------------------
     # Evolution
@@ -505,53 +490,47 @@ class QueryService:
     ) -> int:
         """Apply a change set: new graph version, caches invalidated,
         every pooled engine rebuilt on the new head (warm again)."""
-        if self.tracer.enabled:
-            with self.tracer.span("commit") as span:
-                version, dropped = self._commit(additions, deletions)
-                if span is not None:
-                    span.attrs["version"] = version
-                    span.attrs["invalidated"] = dropped
-                return version
-        return self._commit(additions, deletions)[0]
-
-    def _commit(self, additions, deletions) -> Tuple[int, int]:
-        version = self.versions.commit(additions, deletions)
-        dropped = self.result_cache.invalidate_below(version, self.metrics)
-        head = self.versions.head()
-        # The commit's one pass over the head: lint statistics must track
-        # it (or admission would reject queries over predicates this
-        # commit added), and every consumer below shares this object.
-        self.catalog = StatsCatalog.from_graph(head, version=version)
-        if self.optimizer is not None:
-            view_catalog = self.optimizer.view_catalog
-            # The bumped stats version retires every plan-cache entry
-            # keyed under the old catalog.
-            self.optimizer = self.config.runtime.optimizer(
-                head, version, build_views=False, catalog=self.catalog
-            )
-            if view_catalog is not None:
-                # Views stay warm across the commit: delta-apply the
-                # change set to the affected views (cost proportional to
-                # the delta) and re-attach, instead of rebuilding.  The
-                # catalog's version now matches the served head, so
-                # version-keyed consumers can assert consistency.
-                report = view_catalog.apply_delta(
-                    self.versions.delta(version), head, version
-                )
-                self.optimizer.set_view_catalog(view_catalog)
-                self.last_maintenance = report
-                self.metrics.incr(
-                    "views_maintained", report.views_affected
-                )
-        if self.routing is not None:
-            # Routing estimates re-anchor on the new head's statistics;
-            # calibration (the feedback history) deliberately survives.
-            self.routing.refresh(self.catalog)
-        for engine in self.pool:
-            engine.load(head)
+        with self.tracer.span("commit") as span:
+            version = self.versions.commit(additions, deletions)
+            dropped = self.result_cache.invalidate_below(version, self.metrics)
+            head = self.versions.head()
+            # The commit's one pass over the head: lint statistics must track
+            # it (or admission would reject queries over predicates this
+            # commit added), and every consumer below shares this object.
+            self.catalog = StatsCatalog.from_graph(head, version=version)
             if self.optimizer is not None:
-                engine.set_optimizer(self.optimizer)
-        return version, dropped
+                view_catalog = self.optimizer.view_catalog
+                # The bumped stats version retires every plan-cache entry
+                # keyed under the old catalog.
+                self.optimizer = self.config.runtime.optimizer(
+                    head, version, build_views=False, catalog=self.catalog
+                )
+                if view_catalog is not None:
+                    # Views stay warm across the commit: delta-apply the
+                    # change set to the affected views (cost proportional to
+                    # the delta) and re-attach, instead of rebuilding.  The
+                    # catalog's version now matches the served head, so
+                    # version-keyed consumers can assert consistency.
+                    report = view_catalog.apply_delta(
+                        self.versions.delta(version), head, version
+                    )
+                    self.optimizer.set_view_catalog(view_catalog)
+                    self.last_maintenance = report
+                    self.metrics.incr(
+                        "views_maintained", report.views_affected
+                    )
+            if self.routing is not None:
+                # Routing estimates re-anchor on the new head's statistics;
+                # calibration (the feedback history) deliberately survives.
+                self.routing.refresh(self.catalog)
+            for engine in self.pool:
+                engine.load(head)
+                if self.optimizer is not None:
+                    engine.set_optimizer(self.optimizer)
+            if span is not None:
+                span.attrs["version"] = version
+                span.attrs["invalidated"] = dropped
+        return version
 
     # ------------------------------------------------------------------
     # Introspection

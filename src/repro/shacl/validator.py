@@ -38,6 +38,8 @@ from repro.shacl.report import ValidationReport
 from repro.shacl.shapes import NodeShape, PropertyShape, ShapeSet
 from repro.server.protocol import canonical_result
 from repro.spark.deadline import cost_units
+from repro.spark.metrics import MetricsCollector
+from repro.spark.tracing import Tracer
 
 _XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 _RDF_LANG_STRING = (
@@ -188,7 +190,7 @@ class ShaclValidator:
 
     def __init__(self, executor, tracer=None) -> None:
         self.executor = executor
-        self.tracer = tracer
+        self.tracer = tracer or Tracer(MetricsCollector())
 
     def validate(self, shapes: ShapeSet) -> ValidationReport:
         records: List[Dict[str, Any]] = []
@@ -202,15 +204,13 @@ class ShaclValidator:
             return payload
 
         for shape in shapes:
-            if self.tracer is not None and self.tracer.enabled:
-                with self.tracer.span("validate", name=shape.name) as span:
-                    found = self._validate_shape(shape, run, probe_cache)
-                    if span is not None:
-                        span.attrs["focus_nodes"] = found[0]
-                        span.attrs["violations"] = len(found[1])
-            else:
-                found = self._validate_shape(shape, run, probe_cache)
-            focus_count, shape_violations = found
+            with self.tracer.span("validate", name=shape.name) as span:
+                focus_count, shape_violations = self._validate_shape(
+                    shape, run, probe_cache
+                )
+                if span is not None:
+                    span.attrs["focus_nodes"] = focus_count
+                    span.attrs["violations"] = len(shape_violations)
             per_shape[shape.name] = {
                 "focus_nodes": focus_count,
                 "violations": len(shape_violations),

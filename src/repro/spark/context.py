@@ -169,8 +169,6 @@ class SparkContext:
     def broadcast(self, value: Any) -> Broadcast:
         """Ship a read-only value to every executor (cost is charged)."""
         self._broadcast_counter += 1
-        if not self.tracer.enabled:
-            return Broadcast(self, value, self._broadcast_counter)
         with self.tracer.span(
             "broadcast", name="b%d" % self._broadcast_counter
         ):

@@ -232,22 +232,16 @@ class DataFrame:
                 use_broadcast = True
 
         tracer = self.ctx.tracer
-        if tracer.enabled:
-            with tracer.span(
-                "join",
-                name="broadcast" if use_broadcast else "partitioned",
-                on=",".join(keys),
-                how=how,
-            ):
-                joined = self._joined_pairs(
-                    left_pairs, right_pairs, use_broadcast, how
-                )
-                joined.cache()
-                joined.count()
-        else:
+        with tracer.span(
+            "join",
+            name="broadcast" if use_broadcast else "partitioned",
+            on=",".join(keys),
+            how=how,
+        ):
             joined = self._joined_pairs(
                 left_pairs, right_pairs, use_broadcast, how
             )
+            tracer.materialize(joined)
 
         n_left = len(left_rest)
         n_right = len(right_rest)

@@ -380,11 +380,9 @@ def _worker_main(worker_id, ctx, nodes, conn, driver_ends):
             cache_base = _cache_bases(nodes)
             run_one = _stage_task(kind, by_id[rdd_id])
             for index in task_indices:
-                if tracer.enabled:
-                    # Worker spans root at task level; the driver reattaches
-                    # them under its currently open span and renumbers seq.
-                    tracer.roots = []
-                    tracer._stack = []
+                # Worker spans root at task level; the driver reattaches
+                # them under its currently open span and renumbers seq.
+                tracer.clear()
                 del journal[:]
                 before = ctx.metrics.snapshot()
                 data = None
@@ -397,11 +395,7 @@ def _worker_main(worker_id, ctx, nodes, conn, driver_ends):
                 payload = {
                     "data": data,
                     "metrics": [(name, value) for name, value in delta if value],
-                    "spans": (
-                        [span.to_dict() for span in tracer.roots]
-                        if tracer.enabled
-                        else []
-                    ),
+                    "spans": [span.to_dict() for span in tracer.roots],
                     "accums": list(journal),
                     "error": error,
                 }
@@ -562,23 +556,14 @@ class ParallelBackend:
     # -- stages ---------------------------------------------------------
 
     def _resolve_shuffle(self, shuffled: ShuffledRDD, nodes: List[RDD]) -> None:
-        """Resolve one shuffle barrier with a parallel map stage.
-
-        Mirrors ``ShuffledRDD._ensure_shuffled`` exactly: same span, same
-        bucket construction order, same single ``record_shuffle`` charge.
+        """Resolve one shuffle barrier with a parallel map stage, inside
+        the span ``ShuffledRDD._resolve`` opens for the serial shuffle
+        too; same bucket construction order, same single
+        ``record_shuffle`` charge.
         """
-        ctx = shuffled.ctx
-        if ctx.tracer.enabled:
-            with ctx.tracer.span(
-                "shuffle",
-                name="rdd%d" % shuffled.id,
-                partitions=shuffled.partitioner.num_partitions,
-                aggregated=shuffled.aggregator is not None,
-            ) as span:
-                buckets = self._shuffle_blocks(shuffled, nodes, span)
-        else:
-            buckets = self._shuffle_blocks(shuffled, nodes, None)
-        shuffled._buckets = buckets
+        shuffled._resolve(
+            lambda span: self._shuffle_blocks(shuffled, nodes, span)
+        )
         if self._pool.procs:
             # Workers forked later find the buckets in their image.
             self._pool.resolved.append(shuffled)

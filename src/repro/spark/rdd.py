@@ -41,34 +41,6 @@ V = TypeVar("V")
 W = TypeVar("W")
 
 
-def _fault_event(
-    ctx, name: str, stage: int, partition: int, charge, **attrs: Any
-) -> None:
-    """Charge one injected-fault's counters, inside a ``fault`` span when
-    the tracer is on (so recovery costs stay conserved in the trace)."""
-    if ctx.tracer.enabled:
-        with ctx.tracer.span(
-            "fault", name=name, stage=stage, partition=partition, **attrs
-        ):
-            charge()
-    else:
-        charge()
-
-
-def _retry_event(ctx, stage: int, partition: int, attempt: int) -> None:
-    """Charge one task retry, inside a ``retry`` span when tracing."""
-    if ctx.tracer.enabled:
-        with ctx.tracer.span(
-            "retry",
-            name="attempt%d" % attempt,
-            stage=stage,
-            partition=partition,
-        ):
-            ctx.metrics.record_retry()
-    else:
-        ctx.metrics.record_retry()
-
-
 class RDD:
     """An immutable, lazily evaluated, partitioned collection.
 
@@ -142,90 +114,86 @@ class RDD:
 
         Failed attempts do not charge ``tasks`` -- that counter keeps
         meaning *successful* partition computations; the damage shows up
-        in ``tasks_failed``/``tasks_retried`` instead.
+        in ``tasks_failed``/``tasks_retried`` instead.  Each injected
+        event is charged inside its ``fault`` / ``retry`` span, so
+        recovery costs stay conserved in the trace.
         """
         ctx = self.ctx
         faults = ctx.faults
         if faults is None or not faults.active:
             ctx.metrics.record_task()
             return self.compute(index)
+        tracer = ctx.tracer
         attempt = 1
         while True:
             rule = faults.decide_task(self.id, index, attempt)
             if rule is not None and rule.kind == "fail":
-                _fault_event(
-                    ctx,
-                    "fail",
-                    self.id,
-                    index,
-                    ctx.metrics.record_task_failure,
+                with tracer.span(
+                    "fault",
+                    name="fail",
+                    stage=self.id,
+                    partition=index,
                     attempt=attempt,
-                )
+                ):
+                    ctx.metrics.record_task_failure()
                 if attempt >= ctx.max_task_attempts:
                     raise TaskFailedError(self.id, index, attempt)
-                _retry_event(ctx, self.id, index, attempt + 1)
                 attempt += 1
+                with tracer.span(
+                    "retry",
+                    name="attempt%d" % attempt,
+                    stage=self.id,
+                    partition=index,
+                ):
+                    ctx.metrics.record_retry()
                 continue
             if rule is not None and rule.kind == "straggle":
-                delay = rule.delay
-
-                def charge_straggler(delay=delay):
-                    ctx.metrics.record_straggler(delay)
+                with tracer.span(
+                    "fault",
+                    name="straggle",
+                    stage=self.id,
+                    partition=index,
+                    attempt=attempt,
+                    delay=rule.delay,
+                ):
+                    ctx.metrics.record_straggler(rule.delay)
                     if ctx.speculation:
                         # The backup copy redoes the work; both its task
                         # and the launch are charged.
                         ctx.metrics.record_speculative()
-
-                _fault_event(
-                    ctx,
-                    "straggle",
-                    self.id,
-                    index,
-                    charge_straggler,
-                    attempt=attempt,
-                    delay=delay,
-                )
             ctx.metrics.record_task()
             return self.compute(index)
 
     def _recover_lost_partition(self, index: int) -> None:
         """A loss event evicted this cached partition; rebuild it from
-        lineage, charging the recovery (Spark's RDD fault tolerance)."""
-        ctx = self.ctx
-        assert self._cached is not None
-        del self._cached[index]
-        if ctx.tracer.enabled:
-            with ctx.tracer.span(
-                "fault", name="lose", stage=self.id, partition=index
-            ):
-                self._rebuild_partition(index)
-        else:
-            self._rebuild_partition(index)
-
-    def _rebuild_partition(self, index: int) -> None:
-        """Recompute one lost partition from its parents.
+        lineage, charging the recovery (Spark's RDD fault tolerance).
 
         Only the *outermost* recovery charges ``recompute_comparisons``
         (the tasks re-executed on its behalf), so nested losses hit while
         walking the lineage are not double-billed.
         """
         ctx = self.ctx
-        ctx.metrics.record_partition_recomputed()
-        outermost = not ctx._recovering
-        if outermost:
-            ctx._recovering = True
-            tasks_before = ctx.metrics.get("tasks")
-        try:
-            data = self._run_task(index)
-        finally:
-            if outermost:
-                ctx._recovering = False
-        if outermost:
-            ctx.metrics.record_recompute_work(
-                ctx.metrics.get("tasks") - tasks_before
-            )
         assert self._cached is not None
-        self._cached[index] = data
+        del self._cached[index]
+        with ctx.tracer.span(
+            "fault", name="lose", stage=self.id, partition=index
+        ):
+            ctx.metrics.record_partition_recomputed()
+            outermost = not ctx._recovering
+            if outermost:
+                ctx._recovering = True
+                tasks_before = ctx.metrics.get("tasks")
+            try:
+                data = self._run_task(index)
+            finally:
+                if outermost:
+                    ctx._recovering = False
+            if outermost:
+                ctx.metrics.record_recompute_work(
+                    ctx.metrics.get("tasks") - tasks_before
+                )
+            assert self._cached is not None
+            self._cached[index] = data
 
     def _materialize(self) -> List[List[Any]]:
         """Evaluate every partition (filling the cache when requested).
@@ -765,12 +733,9 @@ class ParallelCollectionRDD(RDD):
 
     def compute(self, index: int) -> List[Any]:
         part = self._slices[index]
-        if self.ctx.tracer.enabled:
-            with self.ctx.tracer.span(
-                "scan", name="rdd%d" % self.id, partition=index
-            ):
-                self.ctx.metrics.record_scan(len(part))
-        else:
+        with self.ctx.tracer.span(
+            "scan", name="rdd%d" % self.id, partition=index
+        ):
             self.ctx.metrics.record_scan(len(part))
         return list(part)
 
@@ -794,12 +759,9 @@ class PrePartitionedRDD(RDD):
 
     def compute(self, index: int) -> List[Any]:
         part = self._parts[index]
-        if self.ctx.tracer.enabled:
-            with self.ctx.tracer.span(
-                "scan", name="rdd%d" % self.id, partition=index
-            ):
-                self.ctx.metrics.record_scan(len(part))
-        else:
+        with self.ctx.tracer.span(
+            "scan", name="rdd%d" % self.id, partition=index
+        ):
             self.ctx.metrics.record_scan(len(part))
         return list(part)
 
@@ -899,21 +861,21 @@ class ShuffledRDD(RDD):
         self._buckets: Union[None, List[List[Any]], ShuffleBlocks] = None
 
     def _ensure_shuffled(self) -> List[List[Any]]:
-        if self._buckets is not None:
-            return self._buckets
-        ctx = self.ctx
-        if ctx.tracer.enabled:
-            with ctx.tracer.span(
-                "shuffle",
-                name="rdd%d" % self.id,
-                partitions=self.partitioner.num_partitions,
-                aggregated=self.aggregator is not None,
-            ) as span:
-                buckets = self._do_shuffle(span)
-        else:
-            buckets = self._do_shuffle(None)
-        self._buckets = buckets
-        return buckets
+        if self._buckets is None:
+            self._resolve(self._do_shuffle)
+        return self._buckets
+
+    def _resolve(self, shuffle: Callable[[Any], Any]) -> None:
+        """Keep the buckets ``shuffle(span)`` builds, run inside this
+        shuffle's ``shuffle`` span -- the one place that span is opened,
+        for the in-process oracle and the forked backend alike."""
+        with self.ctx.tracer.span(
+            "shuffle",
+            name="rdd%d" % self.id,
+            partitions=self.partitioner.num_partitions,
+            aggregated=self.aggregator is not None,
+        ) as span:
+            self._buckets = shuffle(span)
 
     def _do_shuffle(self, span) -> List[List[Any]]:
         """Run the simulated shuffle, charging and (optionally) tracing it."""

@@ -111,15 +111,14 @@ def execute(plan: LogicalPlan, session) -> DataFrame:
     them -- the physical-plan half of ``repro explain``.
     """
     tracer = session.ctx.tracer
-    if not tracer.enabled:
-        return _execute_node(plan, session)
-    attrs = _plan_attrs(plan)
-    attrs["est_rows"] = estimated_rows(plan, session)
+    attrs: Dict[str, object] = {}
+    if tracer.enabled:  # the estimate walks the plan: only for the span
+        attrs = _plan_attrs(plan)
+        attrs["est_rows"] = estimated_rows(plan, session)
     with tracer.span("sql", name=type(plan).__name__, **attrs):
         df = _execute_node(plan, session)
-        df.rdd.cache()
-        df.rdd.count()
-        return df
+        tracer.materialize(df.rdd)
+    return df
 
 
 def _execute_node(plan: LogicalPlan, session) -> DataFrame:

@@ -20,8 +20,10 @@ Design constraints:
   everything charged while the span was open, including its children.
   ``self_metrics`` subtracts the children, so summing ``self_metrics``
   over a whole trace reproduces the flat end-of-run totals exactly.
-* **Free when off.**  ``tracer.enabled`` is a plain attribute checked
-  before any span bookkeeping; untraced runs pay one attribute read.
+* **Free when off.**  A disabled tracer's :meth:`Tracer.span` hands out
+  one shared, stateless scope: a span costs one call and allocates
+  nothing -- no :class:`Span`, no snapshot -- so every operator opens
+  its span the same way, traced or not.
 
 Span kinds emitted by the substrate and the shared driver:
 
@@ -78,7 +80,6 @@ own service-level collector and adds:
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.spark.metrics import MetricsCollector, MetricsSnapshot
@@ -234,32 +235,82 @@ class Tracer:
     # Recording
     # ------------------------------------------------------------------
 
-    @contextmanager
     def span(self, kind: str, name: str = "", **attrs: Any):
-        """Open a span; on exit its inclusive metric delta is attached.
+        """The one way to open a span::
 
-        Yields the :class:`Span` (so callers may add attrs discovered
-        mid-flight) or ``None`` when tracing is disabled.
+            with tracer.span(kind, name, **attrs) as span:
+                ...
+
+        On exit its inclusive metric delta is attached.  ``span`` is the
+        :class:`Span` (so callers may add attrs discovered mid-flight),
+        or ``None`` when tracing is disabled -- then the scope is one
+        shared object that does nothing.
         """
         if not self.enabled:
-            yield None
-            return
-        span = Span(kind, name, attrs, seq=self._seq)
-        self._seq += 1
-        before = self._metrics.snapshot()
-        self._stack.append(span)
-        try:
-            yield span
-        finally:
-            delta = self._metrics.snapshot() - before
-            span.metrics = {
-                counter: value for counter, value in delta if value
-            }
-            self._stack.pop()
-            if self._stack:
-                self._stack[-1].children.append(span)
-            else:
-                self.roots.append(span)
+            return _OFF
+        return _Open(self, Span(kind, name, attrs))
+
+    def materialize(self, rdd) -> Optional[int]:
+        """Cache and count *rdd* now when tracing: its row count, else None.
+
+        An operator whose cost is lazy calls this inside its span, so
+        the charges land on that operator instead of wherever a
+        downstream action happens to fire.  Consumers read the cache,
+        so nothing is charged twice; untraced, *rdd* stays lazy.
+        """
+        if not self.enabled:
+            return None
+        rdd.cache()
+        return rdd.count()
+
+
+class _Off:
+    """The scope a disabled tracer hands out: binds ``None``, records
+    nothing.  It holds no state, so one instance serves every call."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info: Any) -> None:
+        return None
+
+
+_OFF = _Off()
+
+
+class _Open:
+    """One span of an enabled tracer, open from enter to exit."""
+
+    __slots__ = ("tracer", "span", "before")
+
+    def __init__(self, tracer: Tracer, span: Span) -> None:
+        self.tracer = tracer
+        self.span = span
+
+    def __enter__(self) -> Span:
+        tracer = self.tracer
+        self.span.seq = tracer._seq
+        tracer._seq += 1
+        self.before = tracer._metrics.snapshot()
+        tracer._stack.append(self.span)
+        return self.span
+
+    def __exit__(self, *exc_info: Any) -> None:
+        """Attach the span with its inclusive delta to its parent (or the
+        roots) -- also when the body raised; the exception propagates."""
+        tracer = self.tracer
+        span = self.span
+        delta = tracer._metrics.snapshot() - self.before
+        span.metrics = {
+            counter: value for counter, value in delta if value
+        }
+        tracer._stack.pop()
+        if tracer._stack:
+            tracer._stack[-1].children.append(span)
+        else:
+            tracer.roots.append(span)
 
 
 # ----------------------------------------------------------------------

@@ -300,3 +300,11 @@ class DescribeQuery:
 
 
 Query = Union[SelectQuery, AskQuery, ConstructQuery, DescribeQuery]
+
+
+def where_patterns(query: Query) -> List[TriplePattern]:
+    """The WHERE clause's triple patterns; none when there is no WHERE
+    (``DESCRIBE <iri>``), which then reads as ``ASK {}`` does."""
+    if query.where is None:
+        return []
+    return query.where.triple_patterns()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.sparql.ast import Query, TriplePattern, Variable
+from repro.sparql.ast import Query, TriplePattern, Variable, where_patterns
 
 
 class QueryShape(Enum):
@@ -165,4 +165,4 @@ def classify_patterns(patterns: Sequence[TriplePattern]) -> QueryShape:
 
 def classify_shape(query: Query) -> QueryShape:
     """Shape of a query's full set of triple patterns."""
-    return classify_patterns(query.where.triple_patterns())
+    return classify_patterns(where_patterns(query))

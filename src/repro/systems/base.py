@@ -109,16 +109,6 @@ class EngineProfile:
         return "BGP" if self.sparql_features == {FEATURE_BGP} else "BGP+"
 
 
-def _force_rdd(rdd: RDD) -> RDD:
-    """Materialize *rdd* now (cached), so its lazily charged costs land in
-    the currently open trace span instead of wherever a downstream action
-    happens to fire.  Downstream consumers read the cache, so nothing is
-    double-charged."""
-    rdd.cache()
-    rdd.count()
-    return rdd
-
-
 def _algebra_span_args(node: AlgebraNode) -> Tuple[str, Dict[str, object]]:
     """(span kind, span attrs) describing one algebra operator."""
     if isinstance(node, BGP):
@@ -146,15 +136,15 @@ def join_binding_rdds(
     stage granularity the S2RDF and Naacke et al. evaluations report.
     """
     tracer = left.ctx.tracer
-    if not tracer.enabled:
-        return hash_join_bindings(left, right, shared, how)
     with tracer.span(
         "bgp_step",
         name="cartesian" if not shared else "hash",
         on=",".join(sorted(shared)),
         how=how,
     ):
-        return _force_rdd(hash_join_bindings(left, right, shared, how))
+        joined = hash_join_bindings(left, right, shared, how)
+        tracer.materialize(joined)
+    return joined
 
 
 def keyer(names: Sequence[str]) -> Callable[[List[Binding]], List[tuple]]:
@@ -278,10 +268,7 @@ class SparkRdfEngine:
                 )
             )
         try:
-            tracer = self.ctx.tracer
-            if not tracer.enabled:
-                return self._execute_parsed(query)
-            with tracer.span(
+            with self.ctx.tracer.span(
                 "query",
                 name=type(query).__name__.replace("Query", "").lower(),
                 engine=self.profile.name,
@@ -373,15 +360,17 @@ class SparkRdfEngine:
         """Evaluate one algebra node, tracing it when the tracer is on.
 
         Traced evaluation materializes every operator's output inside its
-        span (see :func:`_force_rdd`), which turns the lazy RDD pipeline
-        into per-operator cost attribution without double-charging.
+        span (see :meth:`~repro.spark.tracing.Tracer.materialize`), which
+        turns the lazy RDD pipeline into per-operator cost attribution
+        without double-charging.
         """
         tracer = self.ctx.tracer
-        if not tracer.enabled:
-            return self._compute_node(node)
-        kind, attrs = _algebra_span_args(node)
+        # The pattern reprs and variable sets are built only for a span.
+        kind, attrs = _algebra_span_args(node) if tracer.enabled else ("", {})
         with tracer.span(kind, **attrs):
-            return _force_rdd(self._compute_node(node))
+            rdd = self._compute_node(node)
+            tracer.materialize(rdd)
+        return rdd
 
     def _compute_node(self, node: AlgebraNode) -> RDD:
         if isinstance(node, BGP):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.data.lubm import LubmGenerator
+from repro.runtime import build_engine
 from repro.spark.context import SparkContext
+from repro.spark.deadline import DeadlineExceededError
 from repro.spark.tracing import (
     Span,
     Tracer,
@@ -84,6 +88,67 @@ class TestSpanMechanics:
                 raise RuntimeError("boom")
         assert tracer.current is None
         assert [span.kind for span in tracer.roots] == ["query"]
+
+
+SHAPES = Path(__file__).resolve().parents[2] / "examples/queries/shapes"
+#: The engines the wall-clock benchmark times (``warm_engines``).
+LEDGER_ENGINES = (
+    "Naive", "SPARQLGX", "S2RDF", "HAQWA", "SPARQL-Hybrid", "Spar(k)ql",
+)
+
+
+class TestTracerContract:
+    """What every ``with tracer.span(...)`` site relies on.  Span order
+    and ``seq`` are pinned per engine configuration by the raw-trace
+    shas of ``tests/systems/test_engine_pins.py``."""
+
+    def test_disabled_span_is_one_shared_scope(self, sc):
+        scope = sc.tracer.span("query")
+        assert sc.tracer.span("scan", name="rdd1", partition=0) is scope
+        assert SparkContext(2).tracer.span("bgp") is scope
+
+    @pytest.mark.parametrize("engine_name", LEDGER_ENGINES)
+    def test_untraced_measure_builds_no_span(
+        self, engine_name, lubm_graph, monkeypatch
+    ):
+        engine = build_engine(engine_name, lubm_graph)
+        queries = [
+            (SHAPES / "star" / "professor_profile.rq").read_text(),
+            (SHAPES / "snowflake" / "advising_pair.rq").read_text(),
+        ]
+        built = []
+        construct = Span.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(Span, "__init__", counting)
+        for query in queries:
+            assert engine.measure(query).rows > 0
+        assert built == []
+        # The counter does count: the same query traced builds spans.
+        assert engine.measure(queries[0], trace=True).spans
+        assert built
+
+    def test_raising_span_is_attached_with_its_delta(self, lubm_graph):
+        sc = SparkContext(default_parallelism=4)
+        engine = SparqlgxEngine(sc).load(lubm_graph)
+        tracer = sc.tracer.enable()
+        before = sc.metrics.snapshot()
+        sc.set_deadline(1)
+        with pytest.raises(DeadlineExceededError):
+            with tracer.span("request"):
+                engine.execute(LubmGenerator.query_star())
+        sc.set_deadline(None)
+        spent = sc.metrics.snapshot() - before
+        delta = {name: value for name, value in spent if value}
+        assert tracer.current is None
+        (request,) = tracer.roots
+        (query,) = request.children
+        assert query.kind == "query" and query.children
+        assert query.metrics == request.metrics == delta
+        assert delta["tasks"] > 0
 
 
 class TestMetricDeltas:

@@ -44,6 +44,8 @@ STAR_QUERY = (
     "PREFIX lubm: <http://repro.example.org/lubm#>"
     " SELECT ?s ?n WHERE { ?s lubm:memberOf ?d . ?s lubm:name ?n }"
 )
+# Legal SPARQL with no WHERE clause: shape ``empty``, as ``ASK {}``.
+DESCRIBE_QUERY = "DESCRIBE <http://repro.example.org/lubm#Department0_0>"
 # Two patterns, default broadcast threshold raised over the dataset
 # size: QL006 is the only warning-severity query rule.
 WARNING_ARGS = ["--broadcast-threshold", "1000000"]
@@ -72,6 +74,23 @@ def build_cases():
         (
             "ok-tables",
             lambda d, t: ["tables"],
+            0,
+        ),
+        (
+            "ok-route-describe-without-where",
+            lambda d, t: ["route", d, DESCRIBE_QUERY],
+            0,
+        ),
+        (
+            "ok-explain-route-describe-without-where",
+            lambda d, t: ["explain", d, DESCRIBE_QUERY, "--route"],
+            0,
+        ),
+        (
+            "ok-explain-views-describe-without-where",
+            lambda d, t: [
+                "explain", d, DESCRIBE_QUERY, "--optimize", "--views",
+            ],
             0,
         ),
         (
@@ -290,6 +309,7 @@ def test_unanswerable_input_is_a_typed_error(
         (["loadtest", "DATA", "--smoke", "--tenants", "0"], "positive"),
         (["loadtest", "DATA", "--smoke", "--clients", "0"], "positive"),
         (["loadtest", "DATA", "--smoke", "--requests", "0"], "positive"),
+        (["loadtest", "DATA", "--smoke", "--queries", "0"], "positive"),
         (["generate", "lubm", "OUT", "--scale", "0"], "positive"),
         (["views", "DATA", "list", "--limit", "-1"], "positive"),
         (["loadtest", "DATA", "--smoke", "--think", "-5"], "non-negative"),
@@ -298,6 +318,7 @@ def test_unanswerable_input_is_a_typed_error(
         "loadtest-tenants",
         "loadtest-clients",
         "loadtest-requests",
+        "loadtest-queries",
         "scale",
         "views-limit",
         "loadtest-think",

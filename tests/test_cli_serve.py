@@ -19,6 +19,7 @@ MEMBER_QUERY = (
     "PREFIX lubm: <http://repro.example.org/lubm#> "
     "SELECT DISTINCT ?d WHERE { ?s lubm:memberOf ?d }"
 )
+DESCRIBE_QUERY = "DESCRIBE <http://repro.example.org/lubm#Department0_0>"
 
 
 def write_requests(tmp_path, lines):
@@ -183,6 +184,30 @@ class TestServe:
         assert "deadline" in responses[3]["error"]
         assert "list of N-Triples lines" in responses[4]["error"]
         assert responses[5]["id"] == "good" and responses[5]["version"] == 0
+
+    def test_describe_without_where_keeps_loop_alive(
+        self, data_file, tmp_path, capsys
+    ):
+        """``DESCRIBE <iri>`` has no WHERE clause; the shape classifier
+        used to end the process on it, unanswered and with exit 1."""
+        requests = write_requests(
+            tmp_path,
+            [
+                {"op": "query", "id": "d", "query": DESCRIBE_QUERY},
+                {"op": "query", "id": "good", "query": MEMBER_QUERY},
+            ],
+        )
+        assert main(["serve", data_file, "--input", requests]) == 0
+        described, good = [
+            json.loads(line)
+            for line in capsys.readouterr().out.strip().splitlines()
+        ]
+        assert [described["status"], good["status"]] == ["ok", "ok"]
+        assert main(["query", data_file, DESCRIBE_QUERY]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        queried = printed[: printed.index("3 triple(s)")]
+        served = json.loads(described["result"])["triples"]
+        assert sorted(served) == sorted(queried) and len(served) == 3
 
     # -- error paths (exit codes asserted) ------------------------------
 
