@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Iterable, List, Optional, Union
 
 from repro.spark.broadcast import Broadcast
@@ -107,9 +108,17 @@ class SparkContext:
         self._accumulators: dict = {}
         self._rdd_counter = 0
         self._broadcast_counter = 0
+        #: Every live RDD by id, on a forked backend only: what a job's
+        #: pickled lineage names, and a worker finds in its image.
+        self._rdds: Optional[weakref.WeakValueDictionary] = (
+            weakref.WeakValueDictionary() if self.backend == "parallel" else None
+        )
 
-    def _next_rdd_id(self) -> int:
+    def _register_rdd(self, rdd: RDD) -> int:
+        """The next RDD id, under which a forked backend files *rdd*."""
         self._rdd_counter += 1
+        if self._rdds is not None:
+            self._rdds[self._rdd_counter] = rdd
         return self._rdd_counter
 
     def set_deadline(

@@ -13,12 +13,15 @@ with one entry point, ``materialize(rdd)``, and two implementations:
 
 :class:`ParallelBackend`
     Runs partition tasks on forked worker processes (``fork`` start
-    method, so RDD lineage and closures are inherited copy-on-write and
-    never pickled).  A job forks its pool once, at its first stage with
-    more than one task, and stops it when the job ends; each later stage
-    is a command to the same workers, carrying what a worker forked
-    after the previous stage would have inherited.  Execution is staged
-    like real Spark:
+    method).  A context forks its pool once, at its first stage with
+    more than one task, and keeps it for its life: the workers inherit
+    everything that existed then copy-on-write, and each later job sends
+    them its new lineage, pickled by :class:`_JobPickler` (what they
+    already hold is named, the rest goes by value, functions included),
+    with the driver state a fresh fork would have found.  Each stage is
+    a command to the same workers, carrying what a worker forked after
+    the previous stage would have inherited.  Execution is staged like
+    real Spark:
 
     1. **Shuffle map stages.**  Pending :class:`~repro.spark.rdd.ShuffledRDD`
        barriers in the lineage are resolved deepest-first.  Each map
@@ -63,11 +66,18 @@ fire in task order, which is interleaving-dependent under concurrency.
 
 from __future__ import annotations
 
+import builtins
 import gc
+import importlib
+import io
+import marshal
 import os
 import pickle
+import sys
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import types
+import weakref
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.spark import accumulator as accumulator_module
 from repro.spark.rdd import RDD, ShuffleBlocks, ShuffledRDD
@@ -91,8 +101,15 @@ _STALL_POLLS = 1200
 
 #: Process-wide flag: true inside a forked worker.  Any nested
 #: materialization in a worker falls back to the serial loop -- the
-#: oracle semantics are always safe.
-_WORKER_STATE = {"active": False}
+#: oracle semantics are always safe.  ``ctx`` is the worker's context,
+#: what :func:`_named` resolves a job's names against.
+_WORKER_STATE: Dict[str, Any] = {"active": False, "ctx": None}
+
+#: The driver ends of every live pool's pipes in this process (keys; a
+#: dict keeps their order).  A worker closes the forked copies of all of
+#: them: while any is open, a dead driver does not read as end-of-file
+#: to that pool's workers.
+_DRIVER_ENDS: Dict[Any, None] = {}
 
 
 class BackendConfigError(ValueError):
@@ -204,6 +221,128 @@ def pending_shuffles(nodes: List[RDD]) -> List[ShuffledRDD]:
 
 
 # ----------------------------------------------------------------------
+# Job pickling: a later job's lineage, for workers forked before it
+# ----------------------------------------------------------------------
+
+
+class _EmptyCell:
+    """Stands for a closure cell that holds nothing yet."""
+
+
+class _JobPickler(pickle.Pickler):
+    """Pickles a job's lineage for a pool forked before the job existed.
+
+    What every worker already holds is *named*, not copied: the context,
+    its ``metrics`` and ``tracer``, and every RDD that existed when the
+    pool forked -- RDD ids only grow, so an id at or below the pool's
+    watermark on an RDD the driver still holds is one in every worker's
+    image.  Everything else goes by value, the way Spark ships a task
+    closure and a ``ParallelCollectionRDD``: a function no import
+    reaches (a lambda, a nested function, a generated kernel) as its
+    marshalled code, its closure cells, defaults and globals -- those of
+    a module by the module's name, a kernel's namespace by value, with
+    ``builtins`` named rather than copied.
+    """
+
+    def __init__(self, file, ctx, watermark: int) -> None:
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.ctx = ctx
+        self.watermark = watermark
+        self.names = {id(ctx): "ctx", id(ctx.metrics): "metrics", id(ctx.tracer): "tracer"}
+        #: Per pickling, so what is shared stays shared on the other side.
+        self.codes: Dict[int, bytes] = {}
+        self.scopes: Dict[int, Dict[str, Any]] = {}
+
+    def reducer_override(self, obj):
+        name = self.names.get(id(obj))
+        if name is not None:
+            return _named, (name,)
+        if isinstance(obj, RDD):
+            if obj.ctx is self.ctx and obj.id <= self.watermark:
+                return _named, (obj.id,)
+            return NotImplemented
+        if type(obj) is types.FunctionType and not _importable(obj):
+            return self._function(obj)
+        return NotImplemented
+
+    def _function(self, func):
+        code = func.__code__
+        blob = self.codes.get(id(code))
+        if blob is None:
+            blob = self.codes[id(code)] = marshal.dumps(code)
+        scope = func.__globals__
+        module = sys.modules.get(scope.get("__name__"))
+        if module is not None and vars(module) is scope:
+            scope = module.__name__
+        elif id(scope) in self.scopes:
+            scope = self.scopes[id(scope)]
+        else:
+            scope = self.scopes[id(scope)] = {
+                key: value for key, value in scope.items() if key != "__builtins__"
+            }
+        cells = tuple(_cell_value(cell) for cell in func.__closure__ or ())
+        state = (func.__defaults__, func.__kwdefaults__, cells, func.__dict__, func.__qualname__)
+        # The state is set after the function exists, so a closure that
+        # reaches the function itself (recursion) finds it in the memo.
+        return _make_function, (blob, scope, func.__name__, len(cells)), state, None, None, _fill_function
+
+
+def _importable(func) -> bool:
+    """Whether unpickling can find *func* by module and qualified name."""
+    if "<" in func.__qualname__:  # <lambda>, <locals>
+        return False
+    target = sys.modules.get(func.__module__)
+    for part in func.__qualname__.split("."):
+        target = getattr(target, part, None)
+    return target is func
+
+
+def _cell_value(cell):
+    try:
+        return cell.cell_contents
+    except ValueError:
+        return _EmptyCell
+
+
+def _make_function(blob: bytes, scope, name: str, num_cells: int):
+    if isinstance(scope, str):
+        scope = vars(importlib.import_module(scope))
+    else:
+        scope["__builtins__"] = builtins
+    cells = tuple(types.CellType() for _ in range(num_cells))
+    return types.FunctionType(marshal.loads(blob), scope, name, None, cells)
+
+
+def _fill_function(func, state) -> None:
+    defaults, kwdefaults, cells, attrs, qualname = state
+    func.__defaults__ = defaults
+    func.__kwdefaults__ = kwdefaults
+    for cell, value in zip(func.__closure__ or (), cells):
+        if value is not _EmptyCell:
+            cell.cell_contents = value
+    func.__dict__.update(attrs)
+    func.__qualname__ = qualname
+
+
+def _named(name):
+    """What a job's name stands for in this worker's image."""
+    ctx = _WORKER_STATE["ctx"]
+    if name == "ctx":
+        return ctx
+    if name in ("metrics", "tracer"):
+        return getattr(ctx, name)
+    return ctx._rdds[name]
+
+
+def dump_job(ctx, watermark: int, job: Any) -> bytes:
+    """*job* pickled for workers forked when the RDD counter read
+    *watermark*; :func:`pickle.loads` reads it back in one of them."""
+    buffer = io.BytesIO()
+    _JobPickler(buffer, ctx, watermark).dump(job)
+    return buffer.getvalue()
+
+
+# ----------------------------------------------------------------------
 # Worker-side protocol helpers
 # ----------------------------------------------------------------------
 
@@ -289,12 +428,10 @@ def _install_fault_state(faults, state) -> None:
     faults._losses_fired = dict(losses)
 
 
-def _cache_bases(nodes: List[RDD]) -> Dict[int, frozenset]:
-    """Which partitions of each lineage RDD are cached right now."""
-    return {
-        node.id: frozenset(node._cached or ())
-        for node in nodes
-    }
+def _cache_bases(nodes: Iterable[RDD]) -> Dict[int, frozenset]:
+    """Which partitions of each lineage RDD are cached right now (RDDs
+    with none cached are left out)."""
+    return {node.id: frozenset(node._cached) for node in nodes if node._cached}
 
 
 def _cache_delta(nodes: List[RDD], bases: Dict[int, frozenset]):
@@ -337,8 +474,28 @@ def _stage_task(kind: str, node: RDD) -> Callable[[int], Any]:
     return node._map_blocks if kind == "map" else node._iterate
 
 
-def _worker_main(worker_id, ctx, nodes, conn, driver_ends):
-    """Body of one forked worker: serve the job's stages, one command each.
+def _install_job(ctx, blob: bytes) -> List[RDD]:
+    """Load a job's lineage and set what a fresh fork would have found:
+    the tracer's flag, the id counters, the shuffles the driver resolved
+    by itself, and the cache flags and cached partitions of RDDs this
+    worker already held (dropping what the driver unpersisted)."""
+    nodes, enabled, counters, shuffles, caches = pickle.loads(blob)
+    ctx.tracer.enabled = enabled
+    ctx._rdd_counter, ctx._broadcast_counter = counters
+    for shuffle_id, blocks in shuffles:
+        ctx._rdds[shuffle_id]._buckets = ShuffleBlocks(blocks)
+    for rdd_id, requested, checkpointed, keep in caches:
+        node = ctx._rdds[rdd_id]
+        node._cache_requested = requested
+        node._checkpoint_requested = checkpointed
+        if node._cached is not None:
+            node._cached = {i: data for i, data in node._cached.items() if i in keep}
+    return nodes
+
+
+def _worker_main(worker_id, ctx, nodes, conn):
+    """Body of one forked worker: serve its context's jobs, one stage a
+    command, until the context ends.
 
     A command is ``(map | final, rdd id, task indices)`` plus what a
     worker forked after the previous stage would have inherited: the
@@ -348,15 +505,15 @@ def _worker_main(worker_id, ctx, nodes, conn, driver_ends):
     partition data, the marginal metrics delta, completed trace spans,
     and the accumulator journal.  Scheduler-state and cache deltas are
     batched into the stage's closing ``done`` message (they are
-    commutative / idempotent, unlike the per-task streams).  ``None``
-    -- or a driver that is gone -- ends the loop.
+    commutative / idempotent, unlike the per-task streams).  A later
+    job opens with ``("job", pickled lineage and state)`` and closes
+    with ``("end",)``, which drops its nodes.  ``None`` -- or a driver
+    that is gone -- ends the loop.
     """
     try:
         _WORKER_STATE["active"] = True
-        # The forked copies of the driver's pipe ends (this worker's and
-        # the earlier workers'): while any is open a dead driver does not
-        # read as end-of-file, and its workers would wait on it forever.
-        for end in driver_ends:
+        _WORKER_STATE["ctx"] = ctx
+        for end in _DRIVER_ENDS:
             end.close()
         # The driver is the only deadline authority under this backend.
         ctx.deadline = None
@@ -372,6 +529,13 @@ def _worker_main(worker_id, ctx, nodes, conn, driver_ends):
                 break
             if command is None:
                 break
+            if command[0] == "job":
+                nodes = _install_job(ctx, command[1])
+                by_id = {node.id: node for node in nodes}
+                continue
+            if command[0] == "end":
+                nodes, by_id = [], {}
+                continue
             kind, rdd_id, task_indices, shuffles, fault_base, installs = command
             for shuffle_id, blocks in shuffles:
                 by_id[shuffle_id]._buckets = ShuffleBlocks(blocks)
@@ -430,30 +594,74 @@ def _worker_main(worker_id, ctx, nodes, conn, driver_ends):
 # ----------------------------------------------------------------------
 
 
+def _fork_config(ctx) -> Tuple[Any, ...]:
+    """What a worker takes from its fork and is never sent again: a pool
+    forked under other values is forked anew."""
+    faults = ctx.faults
+    rules = len(faults.rules) if faults is not None else 0
+    return (faults, rules, ctx.max_task_attempts, ctx.speculation, ctx.num_executors)
+
+
+def _reap(owner: int, procs: List[Any], conns: List[Any]) -> None:
+    """Kill and reap a pool's workers -- idle, or in the middle of a task
+    that never returns, or blocked sending to a driver that has stopped
+    reading -- and close the driver's ends.  Only the process that
+    forked them does: a worker's copy of a pool is not its to end."""
+    if os.getpid() != owner:
+        return
+    for proc in procs:
+        if proc.is_alive():
+            proc.kill()
+        proc.join()
+    for conn in conns:
+        _DRIVER_ENDS.pop(conn, None)
+        conn.close()
+
+
+def _blocks(buckets) -> List[List[bytes]]:
+    """A resolved shuffle's buckets as the blocks a worker is sent."""
+    if isinstance(buckets, ShuffleBlocks):
+        return buckets.blocks
+    return [[block] if block else [] for block in ShuffleBlocks.encode(buckets)]
+
+
 class _Pool:
-    """The workers of one job: forked at its first stage with more than
-    one task, stopped when the job ends, and what the driver has yet to
-    tell them -- a later stage's command carries what a worker forked
-    after the earlier ones would have found in its image.
+    """The workers of one context: forked at its first stage with more
+    than one task, killed when the context ends or a job fails, and what
+    the driver has yet to tell them -- a later job or stage carries what
+    a worker forked right before it would have found in its image.
     """
 
-    def __init__(self, size: int) -> None:
+    def __init__(self, size: int, config: Tuple[Any, ...]) -> None:
         self.size = size
+        self.config = config
         self.procs: List[Any] = []
         self.conns: List[Any] = []
+        #: The context's last RDD id at the fork: every RDD at or below
+        #: it that the driver still holds is in every worker's image.
+        self.watermark = 0
         #: Shuffles resolved since the last command (sent once, as blocks).
         self.resolved: List[ShuffledRDD] = []
-        #: The driver's cache as the workers last heard of it.
+        #: The driver's cache as the workers last heard of it (non-empty only).
         self.cache_base: Dict[int, frozenset] = {}
         #: ``(rdd id, index)`` of what each worker cached in its last stage.
         self.cached_by: List[frozenset] = [frozenset()] * size
+        #: ``(cache, checkpoint)`` requests of forked RDDs as the workers
+        #: hold them, where not ``(False, False)``.
+        self.flags: Dict[int, Tuple[bool, bool]] = {}
+        #: Forked shuffles whose buckets the workers hold.
+        self.buckets: set = set()
+        #: Ends the workers: called on a failed job, or by the collector
+        #: when the backend goes, or at interpreter exit.
+        self.close: Callable[[], Any] = lambda: None
 
-    def fork(self, ctx, nodes: List[RDD]) -> None:
+    def fork(self, owner, ctx, nodes: List[RDD]) -> None:
         # Loaded by the first forked stage, in the driver: an in-process
         # run never needs it.
         import multiprocessing
 
         mp_ctx = multiprocessing.get_context("fork")
+        self.close = weakref.finalize(owner, _reap, os.getpid(), self.procs, self.conns)
         # Workers are forked with the driver's heap frozen: a worker's
         # collections then pass over what it inherited instead of walking
         # it -- and, by touching every object header, copying its pages.
@@ -467,9 +675,10 @@ class _Pool:
             for worker_id in range(self.size):
                 driver_end, worker_end = mp_ctx.Pipe()
                 self.conns.append(driver_end)
+                _DRIVER_ENDS[driver_end] = None
                 proc = mp_ctx.Process(
                     target=_worker_main,
-                    args=(worker_id, ctx, nodes, worker_end, self.conns),
+                    args=(worker_id, ctx, nodes, worker_end),
                 )
                 proc.daemon = True
                 proc.start()
@@ -478,26 +687,83 @@ class _Pool:
         finally:
             if ours:
                 gc.unfreeze()
-        self.cache_base = _cache_bases(nodes)
+        self.watermark = ctx._rdd_counter
+        for node in list(ctx._rdds.values()):
+            if node._cached:
+                self.cache_base[node.id] = frozenset(node._cached)
+            if node._cache_requested or node._checkpoint_requested:
+                self.flags[node.id] = (node._cache_requested, node._checkpoint_requested)
+            if isinstance(node, ShuffledRDD) and node._buckets is not None:
+                self.buckets.add(node.id)
 
-    def stop(self, kill: bool) -> None:
-        """Reap every worker: told to exit after a job that succeeded,
-        killed after one that did not -- a worker may then be in the
-        middle of a task that never returns, or blocked sending to a
-        driver that has stopped reading."""
+    def alive(self) -> bool:
+        return all(proc.is_alive() for proc in self.procs)
+
+    def send_job(self, ctx, nodes: List[RDD]) -> None:
+        """Open a job on workers forked before it: its lineage, and what
+        changed since on the RDDs they hold that it reads."""
+        known = [node for node in nodes if node.id <= self.watermark]
+        shuffles = [
+            (node.id, _blocks(node._buckets))
+            for node in known
+            if isinstance(node, ShuffledRDD)
+            and node._buckets is not None
+            and node.id not in self.buckets
+        ]
+        held: Dict[int, set] = {}
+        for own in self.cached_by:
+            for rdd_id, index in own:
+                held.setdefault(rdd_id, set()).add(index)
+        caches = []
+        for node in known:
+            flags = (node._cache_requested, node._checkpoint_requested)
+            have = frozenset(node._cached or ())
+            base = self.cache_base.get(node.id, frozenset())
+            if flags != self.flags.get(node.id, (False, False)) or not (
+                base.union(held.get(node.id, ())) <= have
+            ):
+                caches.append((node.id, flags[0], flags[1], have))
+        job = (
+            nodes,
+            ctx.tracer.enabled,
+            (ctx._rdd_counter, ctx._broadcast_counter),
+            shuffles,
+            caches,
+        )
+        message = ("job", dump_job(ctx, self.watermark, job))
         for conn in self.conns:
-            if not kill:
-                try:
-                    conn.send(None)
-                except OSError:  # already gone; reaped below all the same
-                    pass
-        for proc in self.procs:
-            proc.join(timeout=0 if kill else 2.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
+            conn.send(message)
+        self.buckets.update(shuffle_id for shuffle_id, _blocks in shuffles)
+        kept = {rdd_id: have for rdd_id, _r, _c, have in caches}
+        for rdd_id, requested, checkpointed, have in caches:
+            self.flags[rdd_id] = (requested, checkpointed)
+            self.cache_base[rdd_id] = self.cache_base.get(rdd_id, frozenset()) & have
+
+        def still_held(rdd_id: int, index: int) -> bool:
+            # What a worker cached of RDDs built after the fork went with
+            # their job; of the others it keeps what the driver kept.
+            return rdd_id <= self.watermark and index in kept.get(rdd_id, (index,))
+
+        self.cached_by = [
+            frozenset(item for item in own if still_held(*item)) for own in self.cached_by
+        ]
+        self.cache_base = {
+            rdd_id: indices
+            for rdd_id, indices in self.cache_base.items()
+            if rdd_id <= self.watermark
+        }
+        # The job's new RDDs went by value, with what the driver cached.
+        self.cache_base.update(_cache_bases(node for node in nodes if node.id > self.watermark))
+
+    def end_job(self) -> None:
+        """Let the workers drop the job's nodes; a dead one is found
+        before the next job."""
+        self.resolved = []
         for conn in self.conns:
-            conn.close()
+            try:
+                conn.send(("end",))
+            except OSError:
+                pass
 
 
 class ParallelBackend:
@@ -518,8 +784,12 @@ class ParallelBackend:
                 "which this platform does not provide"
             )
         self.workers = workers
-        #: The running job's pool; ``None`` between jobs.
+        #: The context's pool, once a stage had more than one task.
         self._pool: Optional[_Pool] = None
+        #: The running job's lineage; ``None`` between jobs.
+        self._nodes: Optional[List[RDD]] = None
+        #: Whether the pool holds the running job.
+        self._sent = False
 
     def __repr__(self) -> str:
         return "ParallelBackend(workers=%d)" % self.workers
@@ -528,15 +798,11 @@ class ParallelBackend:
 
     def materialize(self, rdd: RDD) -> List[List[Any]]:
         _maybe_verify(rdd)
-        if _WORKER_STATE["active"] or self._pool is not None:
+        if _WORKER_STATE["active"] or self._nodes is not None:
             # Nested materialization (inside a worker task or a stage
             # already being driven) always takes the oracle path.
             return _serial_materialize(rdd)
-        nodes = lineage(rdd)
-        # No stage is wider than the lineage's widest RDD: a worker that
-        # could never be given a task is not forked.
-        widest = max(node.num_partitions for node in nodes)
-        self._pool = pool = _Pool(min(self.workers, widest))
+        self._nodes = nodes = lineage(rdd)
         succeeded = False
         try:
             for shuffled in pending_shuffles(nodes):
@@ -550,8 +816,47 @@ class ParallelBackend:
             succeeded = True
             return results
         finally:
-            self._pool = None
-            pool.stop(kill=not succeeded)
+            sent, self._sent, self._nodes = self._sent, False, None
+            if sent and succeeded:
+                self._pool.end_job()
+            elif sent:
+                self._drop_pool()
+
+    def _drop_pool(self) -> None:
+        pool, self._pool = self._pool, None
+        pool.close()
+
+    def _pool_for(self, ctx) -> _Pool:
+        """The pool holding the running job: the context's, sent the job,
+        or -- at the first forked stage, after a failed job, a worker
+        found dead, a change of fork-time configuration or a job wider
+        than the pool -- a new one, forked with the job in its image."""
+        if self._sent:
+            return self._pool
+        nodes = self._nodes
+        # No stage is wider than the lineage's widest RDD: a worker that
+        # could never be given a task is not forked.
+        size = min(self.workers, max(node.num_partitions for node in nodes))
+        config = _fork_config(ctx)
+        pool = self._pool
+        if pool is not None and (
+            pool.config != config or pool.size < size or not pool.alive()
+        ):
+            self._drop_pool()
+        elif pool is not None:
+            try:
+                pool.send_job(ctx, nodes)
+            except OSError:  # a worker died since the check: fork anew
+                self._drop_pool()
+        if self._pool is None:
+            self._pool = _Pool(size, config)
+            try:
+                self._pool.fork(self, ctx, nodes)
+            except BaseException:
+                self._drop_pool()
+                raise
+        self._sent = True
+        return self._pool
 
     # -- stages ---------------------------------------------------------
 
@@ -564,8 +869,8 @@ class ParallelBackend:
         shuffled._resolve(
             lambda span: self._shuffle_blocks(shuffled, nodes, span)
         )
-        if self._pool.procs:
-            # Workers forked later find the buckets in their image.
+        if self._sent:
+            # Otherwise the job's message, or the fork, carries them.
             self._pool.resolved.append(shuffled)
 
     def _shuffle_blocks(
@@ -623,14 +928,13 @@ class ParallelBackend:
             return [_stage_task(kind, node)(0)]
         from multiprocessing import connection as mp_connection
 
-        pool = self._pool
-        if not pool.procs:
-            pool.fork(ctx, nodes)
+        pool = self._pool_for(ctx)
         shuffles = [(done.id, done._buckets.blocks) for done in pool.resolved]
+        pool.buckets.update(done.id for done in pool.resolved if done.id <= pool.watermark)
         pool.resolved = []
         fault_state = _fault_state(ctx.faults)
         cached = _cache_delta(nodes, pool.cache_base)
-        pool.cache_base = _cache_bases(nodes)
+        pool.cache_base.update(_cache_bases(nodes))
         try:
             for worker_id, conn in enumerate(pool.conns):
                 own = pool.cached_by[worker_id]
@@ -666,7 +970,7 @@ class ParallelBackend:
             for conn in ready:
                 try:
                     message = conn.recv()
-                except EOFError:
+                except (EOFError, OSError):
                     worker_id = pool.conns.index(conn)
                     raise WorkerCrashError(
                         "parallel worker %d exited before "

@@ -65,7 +65,7 @@ class RDD:
         self._cached: Optional[Dict[int, List[Any]]] = None
         self._cache_requested = False
         self._checkpoint_requested = False
-        self.id = ctx._next_rdd_id()
+        self.id = ctx._register_rdd(self)
 
     # ------------------------------------------------------------------
     # Evaluation machinery
@@ -725,11 +725,15 @@ class ParallelCollectionRDD(RDD):
 
     def __init__(self, ctx, data: Iterable[Any], num_partitions: int) -> None:
         items = list(data)
-        num_partitions = max(1, min(num_partitions, max(len(items), 1)))
+        size = len(items)
+        num_partitions = max(1, min(num_partitions, size))
         super().__init__(ctx, num_partitions)
-        self._slices: List[List[Any]] = [[] for _ in range(num_partitions)]
-        for i, item in enumerate(items):
-            self._slices[i * num_partitions // max(len(items), 1)].append(item)
+        # Item i goes to slice i * n // size: slice j runs from
+        # ceil(j * size / n) to ceil((j + 1) * size / n).
+        bounds = [-(-j * size // num_partitions) for j in range(num_partitions + 1)]
+        self._slices: List[List[Any]] = [
+            items[start:end] for start, end in zip(bounds, bounds[1:])
+        ]
 
     def compute(self, index: int) -> List[Any]:
         part = self._slices[index]

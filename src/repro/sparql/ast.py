@@ -21,6 +21,10 @@ class Variable:
     def __setattr__(self, attr, value):
         raise AttributeError("Variable is immutable")
 
+    def __reduce__(self):
+        # The raising __setattr__ breaks default slots unpickling.
+        return (Variable, (self.name,))
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Variable) and self.name == other.name
 

@@ -28,6 +28,10 @@ class Solution:
     def __setattr__(self, name, value):
         raise AttributeError("Solution is immutable")
 
+    def __reduce__(self):
+        # The raising __setattr__ breaks default slots unpickling.
+        return (Solution, (self._bindings,))
+
     def get(self, variable) -> Optional[Term]:
         name = variable.name if isinstance(variable, Variable) else variable
         return self._bindings.get(name)

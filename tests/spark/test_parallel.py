@@ -38,6 +38,8 @@ from repro.spark.parallel import (
 )
 from repro.spark.partitioner import HashPartitioner
 from repro.spark.row import Row
+from repro.sparql.ast import Variable
+from repro.sparql.results import Solution
 
 needs_fork = pytest.mark.skipif(
     not parallel_available(),
@@ -110,12 +112,14 @@ def test_workers_inherit_a_frozen_heap_and_the_driver_keeps_none():
     collections skip the heap it inherited (no walk, no copy-on-write of
     every page), and the driver is back to an unfrozen heap right after
     -- also when a task raises."""
+    def frozen(ctx):
+        return ctx.parallelize(list(range(8)), 4).map(
+            lambda _: (os.getpid(), gc.get_freeze_count())
+        )
+
     sc = SparkContext(default_parallelism=4, backend="parallel", workers=2)
     assert gc.get_freeze_count() == 0
-    frozen = sc.parallelize(list(range(8)), 4).map(
-        lambda _: (os.getpid(), gc.get_freeze_count())
-    )
-    seen = frozen.collect()
+    seen = frozen(sc).collect()
     assert all(pid != os.getpid() and count > 0 for pid, count in seen)
     assert gc.get_freeze_count() == 0
 
@@ -127,22 +131,25 @@ def test_workers_inherit_a_frozen_heap_and_the_driver_keeps_none():
     with pytest.raises(ValueError, match="under a frozen heap"):
         sc.parallelize(list(range(8)), 4).map(boom).collect()
     assert gc.get_freeze_count() == 0
-    # Shuffle map stages fork too.
+    # Shuffle map stages fork too (the failed job took the pool along).
     counts = sc.parallelize([(i % 3, i) for i in range(12)], 4).groupByKey()
     assert sorted(counts.mapValues(len).collect()) == [(0, 4), (1, 4), (2, 4)]
     assert gc.get_freeze_count() == 0
     # A caller that froze its own heap first (a pre-fork server) keeps
     # it: the process-wide freeze does not nest, so the bracket stands
-    # aside -- also when a task raises.  (The count only falls as frozen
-    # objects are freed; nothing is added to it and it never reaches 0.)
+    # aside -- also when a task raises.  Fresh contexts, so that both
+    # jobs fork under the caller's freeze.  (The count only falls as
+    # frozen objects are freed; nothing is added to it and it never
+    # reaches 0.)
     gc.freeze()
     try:
         held = gc.get_freeze_count()
-        seen = frozen.collect()
+        seen = frozen(SparkContext(4, backend="parallel", workers=2)).collect()
         assert all(0 < count <= held for _, count in seen)
         assert 0 < gc.get_freeze_count() <= held
+        caller = SparkContext(4, backend="parallel", workers=2)
         with pytest.raises(ValueError, match="under a frozen heap"):
-            sc.parallelize(list(range(8)), 4).map(boom).collect()
+            caller.parallelize(list(range(8)), 4).map(boom).collect()
         assert 0 < gc.get_freeze_count() <= held
     finally:
         gc.unfreeze()
@@ -322,6 +329,17 @@ def test_row_pickle_round_trip():
     assert copy.a == 1 and copy["b"] == "x"
 
 
+def test_variable_and_solution_pickle_round_trip():
+    # Closures capture both (a FILTER's expression, a bound solution);
+    # a job sent to a pool forked before it pickles them by value.
+    variable = Variable("age")
+    copy = pickle.loads(pickle.dumps(variable))
+    assert copy == variable and hash(copy) == hash(variable)
+    solution = Solution({"x": URI("http://example.org/x"), "n": Literal("7")})
+    copy = pickle.loads(pickle.dumps(solution))
+    assert copy == solution and copy[Variable("x")] == solution["x"]
+
+
 # ----------------------------------------------------------------------
 # Deadlines
 # ----------------------------------------------------------------------
@@ -373,7 +391,7 @@ def test_cache_contents_match_serial_backend():
 
 
 # ----------------------------------------------------------------------
-# The pool's life: one fork set per job
+# The pool's life: one fork set per context
 # ----------------------------------------------------------------------
 
 
@@ -468,12 +486,13 @@ def test_a_job_forks_once_and_its_workers_serve_every_stage(
     }
     pids = {pid for _stage, _index, pid in seen.value}
     assert pids <= set(process_starts) and os.getpid() not in pids
-    # The next job has a pool of its own.
-    first, seen._value = pids, frozenset()
-    assert three_stage_job(sc, seen).collect() == expected
-    assert len(process_starts) == 2 * workers
-    assert not first & {pid for _stage, _index, pid in seen.value}
-    assert multiprocessing.active_children() == []
+    # The next job -- new lineage, new closures, a new accumulator --
+    # is sent to the same workers: nothing forks.
+    again = union_accumulator(sc)
+    assert three_stage_job(sc, again).collect() == expected
+    assert len(process_starts) == workers
+    assert {pid for _stage, _index, pid in again.value} == pids
+    assert set(process_starts) <= live_children()
 
 
 @needs_fork
@@ -485,27 +504,41 @@ def test_a_pool_is_no_wider_than_the_widest_stage_and_absent_without_one(
     assert sc.parallelize(list(range(6)), 2).map(abs).collect() == list(range(6))
     assert len(process_starts) == 2
     # A job of single-task stages runs in the driver and forks nothing.
-    del process_starts[:]
     single = sc.parallelize([(i % 3, i) for i in range(9)], 1)
     assert sorted(single.reduceByKey(lambda a, b: a + b, 1).collect()) == [
         (0, 9), (1, 12), (2, 15)
     ]
-    assert process_starts == []
+    assert len(process_starts) == 2
+    # A job wider than the pool forks one as wide as it; a narrower job
+    # after it runs on that one.
+    narrow = set(process_starts)
+    assert sc.parallelize(list(range(8)), 4).map(abs).collect() == list(range(8))
+    assert len(process_starts) == 6
+    assert not narrow & live_children()
+    assert sc.parallelize(list(range(6)), 2).map(abs).collect() == list(range(6))
+    assert len(process_starts) == 6
 
 
-def assert_nothing_left_behind():
-    """No child process, and the caller's ``gc.freeze`` count (none)."""
-    assert multiprocessing.active_children() == []
+def live_children():
+    """Pids of this process's live children."""
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def assert_nothing_left_behind(pids):
+    """None of *pids* alive, and the caller's ``gc.freeze`` count (none)."""
+    assert not set(pids) & live_children()
     assert gc.get_freeze_count() == 0
 
 
 @needs_fork
 @pytest.mark.parametrize("failure", ["task error", "deadline", "killed worker"])
-def test_a_failed_job_leaves_no_worker_and_the_context_usable(failure):
+def test_a_failed_job_leaves_no_worker_and_the_context_usable(
+    failure, process_starts
+):
     """After a job that raised, the pool is gone -- also the workers that
     were blocked sending results nobody will read (each task's output is
-    larger than a pipe buffer) -- and the context's next job is the
-    oracle's, bytes and counters."""
+    larger than a pipe buffer) -- and the context's next job forks a
+    fresh one and is the oracle's, bytes and counters."""
     sc = SparkContext(4, backend="parallel", workers=2)
     driver = os.getpid()
 
@@ -521,12 +554,15 @@ def test_a_failed_job_leaves_no_worker_and_the_context_usable(failure):
         "deadline": DeadlineExceededError,
         "killed worker": WorkerCrashError,
     }[failure]
+    # A pool that served a job before the failed one goes with it too.
+    assert sc.parallelize(list(range(4)), 4).map(abs).collect() == list(range(4))
     if failure == "deadline":
         sc.set_deadline(1)
     with pytest.raises(raised):
         sc.parallelize(list(range(8)), 8).map(bulky).collect()
     assert os.getpid() == driver
-    assert_nothing_left_behind()
+    assert process_starts and len(process_starts) == 2
+    assert_nothing_left_behind(process_starts)
     sc.set_deadline(None)
 
     def next_job(ctx):
@@ -538,11 +574,16 @@ def test_a_failed_job_leaves_no_worker_and_the_context_usable(failure):
     serial = SparkContext(4)
     assert repr(answer) == repr(next_job(serial))
     assert dict(sc.metrics.snapshot() - before) == dict(serial.metrics.snapshot())
-    assert_nothing_left_behind()
+    assert len(process_starts) == 4
+    fresh = process_starts[2:]
+    assert set(fresh) <= live_children()
+    del sc
+    gc.collect()
+    assert_nothing_left_behind(fresh)
 
 
 @needs_fork
-def test_a_task_that_never_returns_is_a_worker_crash(monkeypatch):
+def test_a_task_that_never_returns_is_a_worker_crash(monkeypatch, process_starts):
     """Liveness polling sees dead workers only; silence from every live
     one is counted in polls and, past the limit, ends the job."""
     monkeypatch.setattr(parallel_module, "_STALL_POLLS", 2)
@@ -554,8 +595,41 @@ def test_a_task_that_never_returns_is_a_worker_crash(monkeypatch):
 
     with pytest.raises(WorkerCrashError, match="no parallel worker reported"):
         sc.parallelize(list(range(8)), 4).map(spin).collect()
-    assert_nothing_left_behind()
+    assert_nothing_left_behind(process_starts)
     assert sc.parallelize(list(range(8)), 4).map(abs).collect() == list(range(8))
+    assert len(process_starts) == 4
+
+
+@needs_fork
+def test_an_idle_worker_killed_between_jobs_is_replaced(process_starts):
+    def job(ctx):
+        pairs = ctx.parallelize([(i % 5, "v%d" % i) for i in range(40)], 4)
+        return pairs.groupByKey().mapValues(sorted).collect()
+
+    serial = SparkContext(4)
+    expected = [repr(job(serial)).encode() for _ in range(2)]
+    sc = SparkContext(4, backend="parallel", workers=2)
+    got = [repr(job(sc)).encode()]
+    first = list(process_starts)
+    os.kill(first[0], signal.SIGKILL)
+    while first[0] in live_children():
+        time.sleep(0.01)
+    got.append(repr(job(sc)).encode())
+    assert got == expected
+    assert dict(sc.metrics.snapshot()) == dict(serial.metrics.snapshot())
+    assert len(process_starts) == 4
+    assert_nothing_left_behind(first)
+    assert set(process_starts[2:]) <= live_children()
+
+
+@needs_fork
+def test_no_worker_outlives_its_collected_context(process_starts):
+    sc = SparkContext(4, backend="parallel", workers=2)
+    assert sc.parallelize(list(range(8)), 4).map(abs).collect() == list(range(8))
+    assert set(process_starts) <= live_children()
+    del sc
+    gc.collect()
+    assert_nothing_left_behind(process_starts)
 
 
 # ----------------------------------------------------------------------
@@ -632,6 +706,32 @@ def test_aggregated_shuffles_feed_a_second_shuffle_in_the_same_job(workers):
     oracle_and_pool(job, workers=workers)
 
 
+@needs_fork
+def test_a_later_job_finds_what_the_driver_did_between_jobs():
+    """A pool outlives its first job: what the driver did since to RDDs
+    the workers already hold -- a cache requested after the fork, an
+    unpersist, a shuffle resolved by the driver alone -- reaches them
+    with the next job, as a fresh fork would have found it."""
+
+    def job(sc):
+        pairs = sc.parallelize([(i % 5, i) for i in range(40)], 4)
+        doubled = pairs.reduceByKey(lambda a, b: a + b, 4).mapValues(lambda v: 2 * v)
+        single = sc.parallelize([(i % 3, i) for i in range(9)], 1).partitionBy(
+            HashPartitioner(1)
+        )
+        answers = [doubled.collect()]
+        doubled.cache()
+        answers.append(doubled.map(lambda kv: kv).collect())
+        answers.append(doubled.count())
+        doubled.unpersist()
+        answers.append(doubled.keys().collect())
+        answers.append(single.collect())
+        answers.append(single.union(doubled).collect())
+        return answers
+
+    oracle_and_pool(job)
+
+
 DRIVER_THAT_DIES_BETWEEN_STAGES = """
 import os, signal, sys
 from repro.spark.context import SparkContext
@@ -655,28 +755,40 @@ pairs.reduceByKey(die_in_the_driver).map(lambda kv: kv).collect()
 """
 
 
-@needs_fork
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
-def test_workers_of_a_driver_that_died_do_not_wait_for_it(tmp_path):
-    """A worker holds forked copies of the driver's pipe ends; it closes
-    them, so a driver killed while its workers sit idle reads as
-    end-of-file and they exit instead of waiting for ever."""
+DRIVER_THAT_DIES_BETWEEN_JOBS = """
+import os, signal, sys
+from repro.spark.context import SparkContext
+
+def note_pid(part):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    return part
+
+# Two contexts, each with an idle pool: the second pool's workers were
+# forked holding copies of the first pool's pipe ends.
+contexts = [SparkContext(4, backend="parallel", workers=2) for _ in range(2)]
+for sc in contexts:
+    sc.parallelize(list(range(8)), 4).mapPartitions(note_pid).collect()
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def running(pid):
+    try:
+        with open("/proc/%d/stat" % pid) as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def assert_workers_of_a_killed_driver_exit(script, tmp_path, count):
     proc = subprocess.run(
-        [sys.executable, "-c", DRIVER_THAT_DIES_BETWEEN_STAGES, str(tmp_path)],
+        [sys.executable, "-c", script, str(tmp_path)],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         timeout=60,
     )
     assert proc.returncode == -signal.SIGKILL
     workers = [int(name) for name in os.listdir(str(tmp_path))]
-    assert len(workers) == 2
-
-    def running(pid):
-        try:
-            with open("/proc/%d/stat" % pid) as handle:
-                return handle.read().rpartition(")")[2].split()[0] != "Z"
-        except OSError:
-            return False
-
+    assert len(workers) == count
     try:
         for _ in range(100):
             if not any(map(running, workers)):
@@ -686,3 +798,24 @@ def test_workers_of_a_driver_that_died_do_not_wait_for_it(tmp_path):
     finally:
         for pid in filter(running, workers):
             os.kill(pid, signal.SIGKILL)
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_workers_of_a_driver_that_died_do_not_wait_for_it(tmp_path):
+    """A worker holds forked copies of the driver's pipe ends; it closes
+    them, so a driver killed while its workers sit idle reads as
+    end-of-file and they exit instead of waiting for ever."""
+    assert_workers_of_a_killed_driver_exit(
+        DRIVER_THAT_DIES_BETWEEN_STAGES, tmp_path, 2
+    )
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_a_driver_killed_while_two_contexts_hold_idle_pools_leaves_no_worker(
+    tmp_path,
+):
+    assert_workers_of_a_killed_driver_exit(
+        DRIVER_THAT_DIES_BETWEEN_JOBS, tmp_path, 4
+    )

@@ -14,10 +14,13 @@ sweep carries the ``slow`` marker and runs on the scheduled job.
 """
 
 import os
+from multiprocessing.process import BaseProcess
 
 import pytest
 
+from repro.bench import BenchRun
 from repro.data.lubm import LubmGenerator
+from repro.runtime import RuntimeConfig
 from repro.server.protocol import canonical_json, canonical_result
 from repro.spark.context import SparkContext
 from repro.spark.parallel import parallel_available
@@ -223,6 +226,66 @@ def test_parallel_matches_oracle_with_views(
         optimizer=view_optimizer,
     )
     assert got == views_oracle[(engine_class.profile.name, query_name)]
+
+
+@pytest.fixture
+def starts_per_context(monkeypatch):
+    """The most ``Process.start`` calls any one context made while the
+    test runs (a worker's context is its second argument)."""
+    most = [0]
+    start = BaseProcess.start
+
+    def counting_start(self):
+        ctx = self._args[1]
+        ctx.process_starts = getattr(ctx, "process_starts", 0) + 1
+        most[0] = max(most[0], ctx.process_starts)
+        start(self)
+
+    monkeypatch.setattr(BaseProcess, "start", counting_start)
+    return most
+
+
+@pytest.mark.parametrize("engine_class", ENGINES, ids=engine_id)
+def test_one_context_serves_the_whole_corpus(
+    engine_class, lubm_graph, parsed_workload, starts_per_context
+):
+    """One engine per backend runs every query in turn: each query after
+    the first on the parallel side is a job sent to the pool its context
+    forked once.  Bytes and counter deltas per query are the oracle's."""
+    engines = []
+    for backend in ("inprocess", "parallel"):
+        engine = engine_class(SparkContext(4, backend=backend, workers=2))
+        engine.load(lubm_graph)
+        engines.append(engine)
+    ran = 0
+    for name in sorted(parsed_workload):
+        query = parsed_workload[name]
+        if not engines[0].supports(query):
+            continue
+        answers = []
+        for engine in engines:
+            before = engine.ctx.metrics.snapshot()
+            result = engine.execute(query)
+            answers.append(
+                (
+                    canonical_json(canonical_result(result, query)),
+                    dict(engine.ctx.metrics.snapshot() - before),
+                )
+            )
+        assert answers[1] == answers[0], name
+        ran += 1
+    assert ran >= 2
+    assert starts_per_context[0] <= 2
+
+
+def test_each_context_of_the_assess_matrix_forks_at_most_its_workers(
+    lubm_graph, starts_per_context
+):
+    bench = BenchRun(lubm_graph, RuntimeConfig(backend="parallel", workers=2))
+    queries = {name: WORKLOAD[name] for name in ("star", "linear", "snowflake", "complex")}
+    bench.run(ENGINES, queries)
+    assert not bench.incorrect()
+    assert 0 < starts_per_context[0] <= 2
 
 
 def test_metrics_invariant_to_worker_count(lubm_graph, parsed_workload):

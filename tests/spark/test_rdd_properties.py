@@ -24,6 +24,19 @@ def test_collect_preserves_order_and_content(data, n):
     assert make_sc().parallelize(data, n).collect() == data
 
 
+@given(size=st.integers(0, 400), n=st.integers(1, 12))
+@settings(max_examples=120, deadline=None)
+def test_parallelize_slices_item_i_into_partition_i_times_n_over_size(size, n):
+    """The contiguous slices put item i where the per-item placement
+    ``i * n // size`` did (n capped at the item count, at least one)."""
+    parts = make_sc().parallelize(range(size), n).collectPartitions()
+    n = max(1, min(n, size))
+    expected = [[] for _ in range(n)]
+    for i in range(size):
+        expected[i * n // max(size, 1)].append(i)
+    assert parts == expected
+
+
 @given(data=ints, n=partitions)
 @settings(max_examples=60, deadline=None)
 def test_map_matches_builtin(data, n):

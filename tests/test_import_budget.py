@@ -37,8 +37,9 @@ ENGINE_MODULES = {"repro.systems", "repro.systems.base", "repro.systems.sparqlgx
 
 #: Runs ``main(argv)`` and reports the modules loaded before and after,
 #: the answer, and what each forked worker imported that the driver had
-#: not when it forked (one list per worker, written before the worker
-#: closes its pipe -- the driver reaps a worker only after that).
+#: not when it forked (one list per worker, written before each stage's
+#: closing message -- the driver has read the last one before the job
+#: returns, and the workers live on until the context ends).
 SCRIPT = """
 import contextlib, io, json, os, sys
 import repro.cli
@@ -47,14 +48,15 @@ imported = sorted(sys.modules)
 at_fork, workers = set(), sys.argv[1]
 os.register_at_fork(before=lambda: at_fork.update(sys.modules))
 worker_main = parallel._worker_main
-def reporting_worker(worker_id, ctx, nodes, conn, driver_ends):
+def reporting_worker(worker_id, ctx, nodes, conn):
     class Reporting:
-        send, recv = conn.send, conn.recv
-        def close(self):
-            with open(os.path.join(workers, str(os.getpid())), "w") as handle:
-                json.dump(sorted(set(sys.modules) - at_fork), handle)
-            conn.close()
-    worker_main(worker_id, ctx, nodes, Reporting(), driver_ends)
+        recv, close = conn.recv, conn.close
+        def send(self, message):
+            if message[0] == "done":
+                with open(os.path.join(workers, str(os.getpid())), "w") as handle:
+                    json.dump(sorted(set(sys.modules) - at_fork), handle)
+            conn.send(message)
+    worker_main(worker_id, ctx, nodes, Reporting())
 parallel._worker_main = reporting_worker
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
