@@ -238,10 +238,13 @@ class _JobPickler(pickle.Pickler):
     watermark on an RDD the driver still holds is one in every worker's
     image.  Everything else goes by value, the way Spark ships a task
     closure and a ``ParallelCollectionRDD``: a function no import
-    reaches (a lambda, a nested function, a generated kernel) as its
-    marshalled code, its closure cells, defaults and globals -- those of
-    a module by the module's name, a kernel's namespace by value, with
-    ``builtins`` named rather than copied.
+    reaches (a lambda, a nested function, a generated kernel, anything
+    of ``__main__``) as its marshalled code, its closure cells, defaults
+    and globals.  The globals of an imported module go by the module's
+    name; those of a script or a kernel's namespace go by value, the
+    ones the code reads, as the driver holds them now -- a script's
+    ``__main__`` in a worker is the one the fork found.  A module is
+    named, ``builtins`` too.
     """
 
     def __init__(self, file, ctx, watermark: int) -> None:
@@ -263,6 +266,8 @@ class _JobPickler(pickle.Pickler):
             return NotImplemented
         if type(obj) is types.FunctionType and not _importable(obj):
             return self._function(obj)
+        if isinstance(obj, types.ModuleType):
+            return importlib.import_module, (obj.__name__,)
         return NotImplemented
 
     def _function(self, func):
@@ -271,25 +276,34 @@ class _JobPickler(pickle.Pickler):
         if blob is None:
             blob = self.codes[id(code)] = marshal.dumps(code)
         scope = func.__globals__
-        module = sys.modules.get(scope.get("__name__"))
-        if module is not None and vars(module) is scope:
-            scope = module.__name__
-        elif id(scope) in self.scopes:
-            scope = self.scopes[id(scope)]
+        name = scope.get("__name__")
+        module = sys.modules.get(name)
+        if name != "__main__" and module is not None and vars(module) is scope:
+            scope, values = name, {}
         else:
-            scope = self.scopes[id(scope)] = {
-                key: value for key, value in scope.items() if key != "__builtins__"
-            }
+            values = {key: scope[key] for key in _global_names(code) if key in scope}
+            # One stand-in a namespace, shared by its functions.
+            scope = self.scopes.setdefault(id(scope), {})
         cells = tuple(_cell_value(cell) for cell in func.__closure__ or ())
-        state = (func.__defaults__, func.__kwdefaults__, cells, func.__dict__, func.__qualname__)
-        # The state is set after the function exists, so a closure that
-        # reaches the function itself (recursion) finds it in the memo.
+        state = (func.__defaults__, func.__kwdefaults__, cells, func.__dict__, func.__qualname__, values)
+        # The state is set after the function exists, so a closure or a
+        # global that reaches the function itself finds it in the memo.
         return _make_function, (blob, scope, func.__name__, len(cells)), state, None, None, _fill_function
 
 
+def _global_names(code) -> set:
+    """Every name *code* and the code nested in it may read as a global."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _global_names(const)
+    return names
+
+
 def _importable(func) -> bool:
-    """Whether unpickling can find *func* by module and qualified name."""
-    if "<" in func.__qualname__:  # <lambda>, <locals>
+    """Whether unpickling can find *func* by module and qualified name
+    -- and find it as the driver holds it: not one of ``__main__``."""
+    if "<" in func.__qualname__ or func.__module__ == "__main__":
         return False
     target = sys.modules.get(func.__module__)
     for part in func.__qualname__.split("."):
@@ -314,7 +328,8 @@ def _make_function(blob: bytes, scope, name: str, num_cells: int):
 
 
 def _fill_function(func, state) -> None:
-    defaults, kwdefaults, cells, attrs, qualname = state
+    defaults, kwdefaults, cells, attrs, qualname, values = state
+    func.__globals__.update(values)
     func.__defaults__ = defaults
     func.__kwdefaults__ = kwdefaults
     for cell, value in zip(func.__closure__ or (), cells):
@@ -476,12 +491,15 @@ def _stage_task(kind: str, node: RDD) -> Callable[[int], Any]:
 
 def _install_job(ctx, blob: bytes) -> List[RDD]:
     """Load a job's lineage and set what a fresh fork would have found:
-    the tracer's flag, the id counters, the shuffles the driver resolved
-    by itself, and the cache flags and cached partitions of RDDs this
-    worker already held (dropping what the driver unpersisted)."""
-    nodes, enabled, counters, shuffles, caches = pickle.loads(blob)
+    the tracer's flag, the id counters, the fault rules, the shuffles the
+    driver resolved by itself, and the cache flags and cached partitions
+    of RDDs this worker already held (dropping what the driver
+    unpersisted)."""
+    nodes, enabled, counters, rules, shuffles, caches = pickle.loads(blob)
     ctx.tracer.enabled = enabled
     ctx._rdd_counter, ctx._broadcast_counter = counters
+    if ctx.faults is not None:
+        ctx.faults.rules = rules
     for shuffle_id, blocks in shuffles:
         ctx._rdds[shuffle_id]._buckets = ShuffleBlocks(blocks)
     for rdd_id, requested, checkpointed, keep in caches:
@@ -507,8 +525,9 @@ def _worker_main(worker_id, ctx, nodes, conn):
     batched into the stage's closing ``done`` message (they are
     commutative / idempotent, unlike the per-task streams).  A later
     job opens with ``("job", pickled lineage and state)`` and closes
-    with ``("end",)``, which drops its nodes.  ``None`` -- or a driver
-    that is gone -- ends the loop.
+    with ``("end",)``, which drops its nodes; the worker answers the
+    first with ``("ready",)`` once it holds the job.  ``None`` -- or a
+    driver that is gone -- ends the loop.
     """
     try:
         _WORKER_STATE["active"] = True
@@ -532,6 +551,7 @@ def _worker_main(worker_id, ctx, nodes, conn):
             if command[0] == "job":
                 nodes = _install_job(ctx, command[1])
                 by_id = {node.id: node for node in nodes}
+                conn.send(("ready",))
                 continue
             if command[0] == "end":
                 nodes, by_id = [], {}
@@ -594,14 +614,6 @@ def _worker_main(worker_id, ctx, nodes, conn):
 # ----------------------------------------------------------------------
 
 
-def _fork_config(ctx) -> Tuple[Any, ...]:
-    """What a worker takes from its fork and is never sent again: a pool
-    forked under other values is forked anew."""
-    faults = ctx.faults
-    rules = len(faults.rules) if faults is not None else 0
-    return (faults, rules, ctx.max_task_attempts, ctx.speculation, ctx.num_executors)
-
-
 def _reap(owner: int, procs: List[Any], conns: List[Any]) -> None:
     """Kill and reap a pool's workers -- idle, or in the middle of a task
     that never returns, or blocked sending to a driver that has stopped
@@ -632,9 +644,8 @@ class _Pool:
     a worker forked right before it would have found in its image.
     """
 
-    def __init__(self, size: int, config: Tuple[Any, ...]) -> None:
+    def __init__(self, size: int) -> None:
         self.size = size
-        self.config = config
         self.procs: List[Any] = []
         self.conns: List[Any] = []
         #: The context's last RDD id at the fork: every RDD at or below
@@ -646,9 +657,6 @@ class _Pool:
         self.cache_base: Dict[int, frozenset] = {}
         #: ``(rdd id, index)`` of what each worker cached in its last stage.
         self.cached_by: List[frozenset] = [frozenset()] * size
-        #: ``(cache, checkpoint)`` requests of forked RDDs as the workers
-        #: hold them, where not ``(False, False)``.
-        self.flags: Dict[int, Tuple[bool, bool]] = {}
         #: Forked shuffles whose buckets the workers hold.
         self.buckets: set = set()
         #: Ends the workers: called on a failed job, or by the collector
@@ -691,17 +699,17 @@ class _Pool:
         for node in list(ctx._rdds.values()):
             if node._cached:
                 self.cache_base[node.id] = frozenset(node._cached)
-            if node._cache_requested or node._checkpoint_requested:
-                self.flags[node.id] = (node._cache_requested, node._checkpoint_requested)
             if isinstance(node, ShuffledRDD) and node._buckets is not None:
                 self.buckets.add(node.id)
 
     def alive(self) -> bool:
         return all(proc.is_alive() for proc in self.procs)
 
-    def send_job(self, ctx, nodes: List[RDD]) -> None:
-        """Open a job on workers forked before it: its lineage, and what
-        changed since on the RDDs they hold that it reads."""
+    def send_job(self, ctx, nodes: List[RDD]) -> bool:
+        """Open a job on workers forked before it: its lineage, and the
+        state of the RDDs they hold that it reads.  False if the job
+        does not pickle, or a worker cannot load it or is gone: a fresh
+        fork then inherits it instead."""
         known = [node for node in nodes if node.id <= self.watermark]
         shuffles = [
             (node.id, _blocks(node._buckets))
@@ -710,34 +718,36 @@ class _Pool:
             and node._buckets is not None
             and node.id not in self.buckets
         ]
-        held: Dict[int, set] = {}
-        for own in self.cached_by:
-            for rdd_id, index in own:
-                held.setdefault(rdd_id, set()).add(index)
-        caches = []
-        for node in known:
-            flags = (node._cache_requested, node._checkpoint_requested)
-            have = frozenset(node._cached or ())
-            base = self.cache_base.get(node.id, frozenset())
-            if flags != self.flags.get(node.id, (False, False)) or not (
-                base.union(held.get(node.id, ())) <= have
-            ):
-                caches.append((node.id, flags[0], flags[1], have))
+        caches = [
+            (node.id, node._cache_requested, node._checkpoint_requested, frozenset(node._cached or ()))
+            for node in known
+        ]
         job = (
             nodes,
             ctx.tracer.enabled,
             (ctx._rdd_counter, ctx._broadcast_counter),
+            ctx.faults.rules if ctx.faults is not None else None,
             shuffles,
             caches,
         )
-        message = ("job", dump_job(ctx, self.watermark, job))
-        for conn in self.conns:
-            conn.send(message)
+        try:
+            message = ("job", dump_job(ctx, self.watermark, job))
+        except Exception:  # a captured lock, file, local class...
+            return False
+        try:
+            for conn in self.conns:
+                conn.send(message)
+            # A worker that cannot load the job (a class a script defined
+            # after the fork) answers "fatal" and exits.
+            if not all(conn.recv() == ("ready",) for conn in self.conns):
+                return False
+        except (EOFError, OSError):  # a worker died since the check
+            return False
         self.buckets.update(shuffle_id for shuffle_id, _blocks in shuffles)
         kept = {rdd_id: have for rdd_id, _r, _c, have in caches}
-        for rdd_id, requested, checkpointed, have in caches:
-            self.flags[rdd_id] = (requested, checkpointed)
-            self.cache_base[rdd_id] = self.cache_base.get(rdd_id, frozenset()) & have
+        for rdd_id, have in kept.items():
+            if rdd_id in self.cache_base:
+                self.cache_base[rdd_id] &= have
 
         def still_held(rdd_id: int, index: int) -> bool:
             # What a worker cached of RDDs built after the fork went with
@@ -754,6 +764,7 @@ class _Pool:
         }
         # The job's new RDDs went by value, with what the driver cached.
         self.cache_base.update(_cache_bases(node for node in nodes if node.id > self.watermark))
+        return True
 
     def end_job(self) -> None:
         """Let the workers drop the job's nodes; a dead one is found
@@ -828,28 +839,22 @@ class ParallelBackend:
 
     def _pool_for(self, ctx) -> _Pool:
         """The pool holding the running job: the context's, sent the job,
-        or -- at the first forked stage, after a failed job, a worker
-        found dead, a change of fork-time configuration or a job wider
-        than the pool -- a new one, forked with the job in its image."""
+        or -- at the first forked stage, after a failed job, for a job
+        wider than the pool or one it could not be sent -- a new one,
+        forked with the job in its image."""
         if self._sent:
             return self._pool
         nodes = self._nodes
         # No stage is wider than the lineage's widest RDD: a worker that
         # could never be given a task is not forked.
         size = min(self.workers, max(node.num_partitions for node in nodes))
-        config = _fork_config(ctx)
         pool = self._pool
         if pool is not None and (
-            pool.config != config or pool.size < size or not pool.alive()
+            pool.size < size or not pool.alive() or not pool.send_job(ctx, nodes)
         ):
             self._drop_pool()
-        elif pool is not None:
-            try:
-                pool.send_job(ctx, nodes)
-            except OSError:  # a worker died since the check: fork anew
-                self._drop_pool()
         if self._pool is None:
-            self._pool = _Pool(size, config)
+            self._pool = _Pool(size)
             try:
                 self._pool.fork(self, ctx, nodes)
             except BaseException:

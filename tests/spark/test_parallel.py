@@ -15,6 +15,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from multiprocessing.process import BaseProcess
 
@@ -632,6 +633,85 @@ def test_no_worker_outlives_its_collected_context(process_starts):
     assert_nothing_left_behind(process_starts)
 
 
+@needs_fork
+def test_a_job_that_does_not_pickle_runs_on_a_fresh_fork(process_starts):
+    """A later job is pickled for the pool; one whose closure captures
+    what pickle refuses (a lock) is inherited by a new fork instead, as
+    every job was before pools lived on."""
+    lock = threading.Lock()
+
+    def job(ctx):
+        return ctx.parallelize(list(range(8)), 4).map(lambda x: (x, lock.locked())).collect()
+
+    serial = SparkContext(4)
+    sc = SparkContext(4, backend="parallel", workers=2)
+    for _ in range(2):
+        assert job(sc) == job(serial)
+    assert len(process_starts) == 4
+    assert_nothing_left_behind(process_starts[:2])
+    assert set(process_starts[2:]) <= live_children()
+
+
+SCRIPT_THAT_CHANGES_BETWEEN_JOBS = """
+import sys
+from multiprocessing.process import BaseProcess
+from repro.spark.context import SparkContext
+
+starts = []
+start = BaseProcess.start
+
+def counting_start(self):
+    start(self)
+    starts.append(self.pid)
+
+BaseProcess.start = counting_start
+sc = SparkContext(4, backend=sys.argv[1], workers=2)
+k = 1
+print(sc.parallelize(range(8), 4).map(lambda x: x * k).collect())
+k = 10
+print(sc.parallelize(range(8), 4).map(lambda x: x * k).collect())
+
+def scaled(x):
+    return x * k + offset
+
+offset = 3
+print(sc.parallelize(range(8), 4).map(scaled).collect())
+print(len(starts), file=sys.stderr)
+
+class Box:
+    def __init__(self, value):
+        self.value = value
+
+    def __repr__(self):
+        return "Box(%d)" % self.value
+
+print(sc.parallelize(range(8), 4).map(Box).collect())
+print(len(starts), file=sys.stderr)
+"""
+
+
+@needs_fork
+def test_a_script_that_changes_between_jobs_reads_as_the_oracle():
+    """A script's functions and the globals they read go by value with
+    each job: a global rebound and a function defined after the fork are
+    the driver's, not the fork's.  A class defined after the fork cannot
+    be loaded by the pool's workers; the job runs on a fresh fork."""
+    runs = {
+        backend: subprocess.run(
+            [sys.executable, "-c", SCRIPT_THAT_CHANGES_BETWEEN_JOBS, backend],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            capture_output=True,
+            timeout=60,
+        )
+        for backend in ("inprocess", "parallel")
+    }
+    assert runs["inprocess"].returncode == 0, runs["inprocess"].stderr
+    assert runs["parallel"].returncode == 0, runs["parallel"].stderr
+    assert runs["parallel"].stdout == runs["inprocess"].stdout
+    assert b"[0, 10, 20," in runs["inprocess"].stdout
+    assert runs["parallel"].stderr.split() == [b"2", b"4"]
+
+
 # ----------------------------------------------------------------------
 # What a later stage is sent instead of inheriting
 # ----------------------------------------------------------------------
@@ -666,6 +746,21 @@ def test_a_fault_rule_fired_in_one_stage_is_spent_in_the_next():
     serial, forked = oracle_and_pool(job, faults="lose:p=0.6;seed=5")
     assert serial.metrics.get("tasks_failed") == 2
     assert serial.metrics.get("partitions_recomputed") > 2
+    assert _fault_state(forked.faults) == _fault_state(serial.faults)
+
+
+@needs_fork
+def test_a_fault_rule_added_between_jobs_fires_in_the_pool():
+    def job(sc):
+        pairs = sc.parallelize([(i % 5, i) for i in range(40)], 4)
+        shifted = pairs.mapValues(lambda v: v + 1)
+        answers = [shifted.count()]
+        sc.faults.add_rule(FaultRule("fail", stage=shifted.id, partition=1, times=2))
+        answers.append(shifted.reduceByKey(lambda a, b: a + b).collect())
+        return answers
+
+    serial, forked = oracle_and_pool(job, faults="lose:p=0.6;seed=5")
+    assert serial.metrics.get("tasks_failed") == 2
     assert _fault_state(forked.faults) == _fault_state(serial.faults)
 
 
