@@ -7,11 +7,6 @@ attribute reads.  Importing ``repro.spark.rdd`` therefore runs
 ``repro/spark/__init__.py`` without loading ``spark.sql``, ``dataframe``
 or ``graphx``, while ``from repro.spark import RDD``, ``from repro.spark
 import *`` and ``repro.spark.RDD`` behave exactly as with eager imports.
-
-One case needs an eager import: a name that is also the name of its own
-home submodule (``repro.spark.graphx.pregel``).  The import system binds
-a submodule on its package when it first loads, which would shadow the
-export before ``__getattr__`` is ever asked.
 """
 
 from __future__ import annotations

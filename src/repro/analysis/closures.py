@@ -95,22 +95,15 @@ CLOSURE_RULES = RuleSet("closures")
 #: RDD / DataFrame methods whose function-valued arguments execute on
 #: workers, mapped to the positional indexes that hold closures.
 WORKER_METHODS: Dict[str, Tuple[int, ...]] = {
-    "aggregateByKey": (1, 2),
     "combineByKey": (0, 1, 2),
     "filter": (0,),
     "flatMap": (0,),
-    "flatMapValues": (0,),
-    "fold": (1,),
-    "foldByKey": (1,),
     "foreach": (0,),
     "keyBy": (0,),
     "map": (0,),
     "mapPartitions": (0,),
     "mapPartitionsWithIndex": (0,),
-    "mapValues": (0,),
-    "reduce": (0,),
     "reduceByKey": (0,),
-    "sortBy": (0,),
 }
 
 #: Types whose instances live on the driver only; a worker closure may

@@ -163,13 +163,6 @@ class RuleSet:
             diagnostics.extend(rule.check(context, found) or ())
         return diagnostics
 
-    def catalog(self) -> List[Dict[str, str]]:
-        """JSON-ready rule listing (the ``docs/ANALYSIS.md`` source)."""
-        return [
-            {"code": r.code, "severity": r.severity, "title": r.title}
-            for r in self._rules
-        ]
-
 
 #: The shared suppression-comment syntax: ``# repro: allow(DT002)`` with
 #: codes comma- or space-separated.  The source-level analyzers (the
@@ -363,11 +356,16 @@ class SourceAnalyzer:
         )
 
     def check_paths(self, paths: Sequence[str]) -> AnalysisReport:
-        """Analyze every ``.py`` file under *paths* into one merged report."""
+        """Analyze every ``.py`` file under *paths* into one merged report
+        (:class:`OSError` for a file that cannot be read as UTF-8)."""
         reports = []
         for path in collect_files(paths):
-            with open(path, "r", encoding="utf-8") as handle:
-                reports.append(self.check_source(path, handle.read()))
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    source = handle.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise OSError("cannot read %s: %s" % (path, exc)) from exc
+            reports.append(self.check_source(path, source))
         return merge_reports(
             self.rules.analyzer, reports, subject=",".join(paths)
         )
@@ -391,7 +389,7 @@ class SourceAnalyzer:
         args = parser.parse_args(argv)
         try:
             report = self.check_paths(args.paths)
-        except FileNotFoundError as exc:
+        except OSError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
         if args.json:

@@ -191,8 +191,13 @@ def cmd_claims(_args) -> int:
 
 def _read_query_arg(query_arg: str) -> str:
     if os.path.exists(query_arg):
-        with open(query_arg, "r", encoding="utf-8") as handle:
-            return handle.read()
+        try:
+            with open(query_arg, "r", encoding="utf-8") as handle:
+                return handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise RuntimeConfigError(
+                "cannot read query file %r: %s" % (query_arg, exc)
+            ) from exc
     return query_arg
 
 
@@ -429,7 +434,11 @@ def cmd_analyze(args) -> int:
         if not os.path.exists(path):
             print("error: cannot read path: %s" % path, file=sys.stderr)
             return 2
-    report = check_paths(args.paths)
+    try:
+        report = check_paths(args.paths)
+    except OSError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     if args.json:
         sys.stdout.write(report.to_json())
     else:
@@ -520,7 +529,7 @@ def cmd_serve(args) -> int:
         try:
             with open(args.input, "r", encoding="utf-8") as handle:
                 processed = serve_lines(service, handle, sys.stdout)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(
                 "error: cannot read request file: %s" % exc, file=sys.stderr
             )

@@ -33,12 +33,6 @@ class SystemRegistry:
     def __iter__(self):
         return iter(self._classes)
 
-    def by_name(self, name: str) -> type:
-        for cls in self._classes:
-            if cls.profile.name == name:
-                return cls
-        raise KeyError("unknown system %r" % name)
-
     def classify(
         self,
         data_model: Optional[DataModel] = None,

@@ -5,7 +5,7 @@ processing methods, as an executable data structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 
 @dataclass
@@ -15,16 +15,6 @@ class TaxonomyNode:
     label: str
     children: List["TaxonomyNode"] = field(default_factory=list)
 
-    def find(self, label: str) -> Optional["TaxonomyNode"]:
-        """Depth-first search by label."""
-        if self.label == label:
-            return self
-        for child in self.children:
-            hit = child.find(label)
-            if hit is not None:
-                return hit
-        return None
-
     def leaves(self) -> List[str]:
         if not self.children:
             return [self.label]
@@ -32,11 +22,6 @@ class TaxonomyNode:
         for child in self.children:
             out.extend(child.leaves())
         return out
-
-    def depth(self) -> int:
-        if not self.children:
-            return 1
-        return 1 + max(child.depth() for child in self.children)
 
 
 #: Figure 1 verbatim: the two axes and their leaf options.

@@ -97,8 +97,3 @@ class WireEndpoint:
     def version(self) -> int:
         """The remote graph version (one stats round trip)."""
         return int(self.stats()["version"])
-
-
-def pair_endpoint(graph, **service_kwargs) -> WireEndpoint:
-    """Build the paired in-process remote: a service behind the wire."""
-    return WireEndpoint(QueryService(graph, **service_kwargs))

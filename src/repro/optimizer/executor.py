@@ -10,7 +10,7 @@ the simulated cluster's real counters:
 ``shuffle`` / ``local``
     Both sides are keyed by the join variables and hash-joined.  The
     accumulated side stays *keyed and partitioned* between steps
-    (``mapValues`` preserves partitioning), so a ``local`` step's
+    (``preserves_partitioning``), so a ``local`` step's
     ``partitionBy`` is a genuine no-op -- only the fresh side moves.
 ``broadcast``
     The fresh pattern's bindings are collected, broadcast

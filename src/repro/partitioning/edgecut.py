@@ -129,16 +129,6 @@ class EdgeCutPartitioner(Partitioner):
             return placed
         return stable_hash(key) % self.num_partitions
 
-    def balance(self) -> float:
-        """max partition size / ideal size (1.0 is perfect)."""
-        if not self._placement:
-            return 1.0
-        counts = [0] * self.num_partitions
-        for partition in self._placement.values():
-            counts[partition] += 1
-        ideal = len(self._placement) / self.num_partitions
-        return max(counts) / ideal if ideal else 1.0
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, EdgeCutPartitioner)

@@ -76,10 +76,6 @@ class SemanticPartitioner(Partitioner):
             return placed
         return stable_hash(key) % self.num_partitions
 
-    def partition_of_class(self, cls: Term) -> Optional[int]:
-        """Where a class's subjects live (None when the class is unknown)."""
-        return self._class_partition.get(cls)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SemanticPartitioner)

@@ -192,9 +192,6 @@ class RDFGraph:
     def instances_of(self, cls: URI) -> Set[Term]:
         return set(self._pos.get(RDF.type, {}).get(cls, ()))
 
-    def classes(self) -> Set[Term]:
-        return set(self._pos.get(RDF.type, {}).keys())
-
     def copy(self) -> "RDFGraph":
         """An independent graph holding the same triples: the three
         indexes are copied container by container (terms are immutable

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.rdf.terms import URI
 
@@ -33,15 +33,12 @@ class Namespace:
         # Not kept: data generators mint one URI per entity through here.
         return self.term(local)
 
-    def __contains__(self, uri: URI) -> bool:
-        return isinstance(uri, URI) and uri.value.startswith(self._base)
-
     def __repr__(self) -> str:
         return "Namespace(%r)" % self._base
 
 
 class NamespaceManager:
-    """Bidirectional prefix <-> namespace registry (Turtle, SPARQL, display)."""
+    """Prefix -> namespace registry (Turtle, SPARQL)."""
 
     def __init__(self) -> None:
         self._by_prefix: Dict[str, str] = {}
@@ -57,19 +54,3 @@ class NamespaceManager:
         if prefix not in self._by_prefix:
             raise KeyError("unbound prefix %r" % prefix)
         return URI(self._by_prefix[prefix] + local)
-
-    def shrink(self, uri: URI) -> Optional[str]:
-        """The shortest ``prefix:local`` form of *uri*, if any prefix fits."""
-        best: Optional[Tuple[int, str]] = None
-        for prefix, namespace in self._by_prefix.items():
-            if uri.value.startswith(namespace):
-                local = uri.value[len(namespace) :]
-                if "/" in local or "#" in local:
-                    continue
-                candidate = "%s:%s" % (prefix, local)
-                if best is None or len(candidate) < best[0]:
-                    best = (len(candidate), candidate)
-        return best[1] if best else None
-
-    def prefixes(self) -> Dict[str, str]:
-        return dict(self._by_prefix)

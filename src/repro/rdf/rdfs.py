@@ -104,8 +104,3 @@ class RDFSReasoner:
         raise RuntimeError(
             "RDFS closure did not converge in %d rounds" % max_rounds
         )
-
-    def derived_triples(self, graph: RDFGraph) -> List[Triple]:
-        """Only the implicit triples the closure adds."""
-        closure = self.materialize(graph)
-        return sorted(t for t in closure if t not in graph)

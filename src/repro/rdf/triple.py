@@ -49,9 +49,6 @@ class Triple:
     def __iter__(self) -> Iterator[Term]:
         return iter(self.as_tuple())
 
-    def __getitem__(self, index: int) -> Term:
-        return self.as_tuple()[index]
-
     def n3(self) -> str:
         return "%s %s %s ." % (
             self.subject.n3(),

@@ -7,7 +7,7 @@ full-fidelity line format remains N-Triples.
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.rdf.graph import RDFGraph
 from repro.rdf.namespaces import NamespaceManager
@@ -175,35 +175,3 @@ class _TurtleParser:
 def parse_turtle(text: str) -> RDFGraph:
     """Parse Turtle text into a graph."""
     return _TurtleParser(text).parse()
-
-
-def serialize_turtle(
-    triples: Iterable[Triple],
-    namespaces: Optional[NamespaceManager] = None,
-) -> str:
-    """Serialize triples as Turtle, grouping predicates per subject."""
-    manager = namespaces or NamespaceManager()
-
-    def render(term: Term) -> str:
-        if isinstance(term, URI):
-            if term == RDF.type:
-                return "a"
-            short = manager.shrink(term)
-            return short if short else term.n3()
-        return term.n3()
-
-    by_subject = {}
-    for triple in sorted(triples):
-        by_subject.setdefault(triple.subject, []).append(triple)
-    lines: List[str] = []
-    for prefix, namespace in sorted(manager.prefixes().items()):
-        lines.append("@prefix %s: <%s> ." % (prefix, namespace))
-    if lines:
-        lines.append("")
-    for subject in sorted(by_subject, key=lambda t: t.sort_key()):
-        group = by_subject[subject]
-        parts = [
-            "%s %s" % (render(t.predicate), render(t.object)) for t in group
-        ]
-        lines.append("%s %s ." % (render(subject), " ;\n    ".join(parts)))
-    return "\n".join(lines) + "\n"

@@ -106,16 +106,6 @@ class FairShareQueue(Generic[T]):
             self._service_units.get(tenant, 0) + units
         )
 
-    def service_units(self, tenant: str) -> int:
-        return self._service_units.get(tenant, 0)
-
-    def waiting_by_tenant(self) -> Dict[str, int]:
-        return {
-            tenant: len(lane)
-            for tenant, lane in sorted(self._lanes.items())
-            if lane
-        }
-
     def drain(self) -> List[Tuple[str, T]]:
         """Pop everything in fair-share order (used at shutdown)."""
         out: List[Tuple[str, T]] = []

@@ -29,7 +29,6 @@ from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from repro.sparql.ast import Query
-from repro.sparql.parser import parse_sparql
 
 
 def normalize_query(text: str) -> str:
@@ -96,9 +95,9 @@ def normalize_query(text: str) -> str:
 class PlanCache:
     """Bounded LRU of parsed queries keyed on normalized text.
 
-    ``get_or_parse`` is the only entry point; it reports hit/miss to the
-    *metrics* collector passed by the service (kept out of the cache's
-    constructor so the cache is reusable without a service).
+    The service asks :meth:`lookup`, and hands a miss it has parsed to
+    :meth:`put` once the request is admitted; it counts hits and misses
+    itself, so the cache is reusable without a service.
 
     When the service runs with a cost-based optimizer, the statistics
     version joins the key: a plan cached under stale statistics must not
@@ -142,19 +141,6 @@ class PlanCache:
         self._plans.move_to_end((stats_version, normalized))
         while len(self._plans) > self.capacity:
             self._plans.popitem(last=False)
-
-    def get_or_parse(
-        self, normalized: str, metrics=None, stats_version: int = 0
-    ) -> Tuple[Query, bool]:
-        """(parsed query, was_hit) for one normalized query text."""
-        plan = self.lookup(normalized, stats_version=stats_version)
-        hit = plan is not None
-        if not hit:
-            plan = parse_sparql(normalized)
-            self.put(normalized, plan, stats_version=stats_version)
-        if metrics is not None:
-            metrics.record_plan_cache(hit)
-        return plan, hit
 
 
 #: A result-cache key: (normalized query text, graph version, engine name).
@@ -207,4 +193,3 @@ class ResultCache:
         if metrics is not None and dead:
             metrics.record_result_invalidations(len(dead))
         return len(dead)
-

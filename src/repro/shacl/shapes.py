@@ -372,7 +372,7 @@ def load_shapes_file(path: str) -> ShapeSet:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ShaclError("cannot read shapes file: %s" % exc) from exc
     return ShapeSet.from_json(text)
 

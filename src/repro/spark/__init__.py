@@ -3,8 +3,8 @@
 This package provides the substrate every surveyed system in the paper runs
 on: RDDs with lineage and custom partitioners, shuffles with traffic
 accounting, DataFrames with columnar partitions, a Spark-SQL engine with a
-Catalyst-style optimizer, a GraphX-style Pregel engine, and a
-GraphFrames-style motif matcher.
+Catalyst-style optimizer, GraphX-style property graphs with
+``aggregateMessages``, and a GraphFrames-style motif matcher.
 
 It is *not* a distributed system: partitions are plain Python lists and the
 "cluster" is simulated by mapping partitions onto virtual executors.  What it
@@ -29,11 +29,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "TaskFailedError",
         ),
         "repro.spark.metrics": ("MetricsCollector", "MetricsSnapshot"),
-        "repro.spark.partitioner": (
-            "HashPartitioner",
-            "Partitioner",
-            "RangePartitioner",
-        ),
+        "repro.spark.partitioner": ("HashPartitioner", "Partitioner"),
         "repro.spark.rdd": ("RDD",),
         "repro.spark.row": ("Row",),
         "repro.spark.sql.session": ("SparkSession",),

@@ -53,9 +53,6 @@ class Accumulator(Generic[T]):
         """The accumulated value (driver side)."""
         return self._value
 
-    def reset(self) -> None:
-        self._value = self._zero
-
     def __repr__(self) -> str:
         label = " %r" % self.name if self.name else ""
         return "Accumulator%s(value=%r)" % (label, self._value)

@@ -169,12 +169,6 @@ class SparkContext:
     def emptyRDD(self) -> RDD:
         return ParallelCollectionRDD(self, [], 1)
 
-    def textFile(self, path: str, num_partitions: Optional[int] = None) -> RDD:
-        """Read a local file into an RDD of lines."""
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.rstrip("\n") for line in handle]
-        return self.parallelize(lines, num_partitions)
-
     def broadcast(self, value: Any) -> Broadcast:
         """Ship a read-only value to every executor (cost is charged)."""
         self._broadcast_counter += 1

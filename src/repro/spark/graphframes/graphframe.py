@@ -28,48 +28,8 @@ class GraphFrame:
         self.session = vertices.session
 
     # ------------------------------------------------------------------
-    # Degrees
-    # ------------------------------------------------------------------
-
-    def inDegrees(self) -> DataFrame:
-        return (
-            self.edges.groupBy("dst")
-            .agg(("count", "*", "inDegree"))
-            .withColumnRenamed("dst", "id")
-        )
-
-    def outDegrees(self) -> DataFrame:
-        return (
-            self.edges.groupBy("src")
-            .agg(("count", "*", "outDegree"))
-            .withColumnRenamed("src", "id")
-        )
-
-    def degrees(self) -> DataFrame:
-        ends = self.edges.select("src").union(
-            self.edges.select("dst")
-        )
-        renamed = DataFrame(self.session, ends.rdd, ["id"])
-        return renamed.groupBy("id").agg(("count", "*", "degree"))
-
-    # ------------------------------------------------------------------
     # Filtering
     # ------------------------------------------------------------------
-
-    def filterVertices(self, condition: Expression) -> "GraphFrame":
-        """Keep matching vertices; drop edges with a removed endpoint."""
-        vertices = self.vertices.where(condition)
-        keep_ids = {row["id"] for row in vertices.select("id").collect()}
-        bcast = self.session.ctx.broadcast(keep_ids)
-        src_idx = self.edges.columns.index("src")
-        dst_idx = self.edges.columns.index("dst")
-        edges_rdd = self.edges.rdd.filter(
-            lambda values: values[src_idx] in bcast.value
-            and values[dst_idx] in bcast.value
-        )
-        return GraphFrame(
-            vertices, DataFrame(self.session, edges_rdd, self.edges.columns)
-        )
 
     def filterEdges(self, condition: Expression) -> "GraphFrame":
         """Keep matching edges (vertices are untouched, like GraphFrames)."""

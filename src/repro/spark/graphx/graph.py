@@ -11,7 +11,7 @@ costs land in the context metrics like any other workload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.spark.partitioner import HashPartitioner
 from repro.spark.rdd import RDD
@@ -36,9 +36,6 @@ class EdgeTriplet:
     dst_attr: Any
     attr: Any
 
-    def edge(self) -> Edge:
-        return Edge(self.src, self.dst, self.attr)
-
 
 class EdgeContext:
     """Handed to the send function of :meth:`Graph.aggregateMessages`."""
@@ -62,15 +59,8 @@ class EdgeContext:
         return self.triplet.src_attr
 
     @property
-    def dst_attr(self) -> Any:
-        return self.triplet.dst_attr
-
-    @property
     def attr(self) -> Any:
         return self.triplet.attr
-
-    def send_to_src(self, message: Any) -> None:
-        self._messages.append((self.triplet.src, message))
 
     def send_to_dst(self, message: Any) -> None:
         self._messages.append((self.triplet.dst, message))
@@ -127,41 +117,6 @@ class Graph:
             ),
             self.edges,
         )
-
-    def mapEdges(self, func: Callable[[Edge], Any]) -> "Graph":
-        """Transform each edge attribute."""
-        return Graph(
-            self.vertices,
-            self.edges.map(lambda e: Edge(e.src, e.dst, func(e))),
-        )
-
-    def reverse(self) -> "Graph":
-        return Graph(
-            self.vertices,
-            self.edges.map(lambda e: Edge(e.dst, e.src, e.attr)),
-        )
-
-    def subgraph(
-        self,
-        epred: Optional[Callable[[EdgeTriplet], bool]] = None,
-        vpred: Optional[Callable[[Any, Any], bool]] = None,
-    ) -> "Graph":
-        """Restrict to vertices/edges passing the predicates.
-
-        Edges survive only when both endpoints survive, like GraphX.
-        """
-        vertices = self.vertices
-        if vpred is not None:
-            vertices = vertices.filter(lambda va: vpred(va[0], va[1]))
-        vertex_set = set(vid for vid, _a in vertices.collect())
-        triplets = self.triplets()
-        kept = triplets.filter(
-            lambda t: t.src in vertex_set
-            and t.dst in vertex_set
-            and (epred is None or epred(t))
-        )
-        edges = kept.map(lambda t: Edge(t.src, t.dst, t.attr))
-        return Graph(vertices, edges)
 
     def triplets(self) -> RDD:
         """RDD of :class:`EdgeTriplet` (edges joined with both endpoints)."""

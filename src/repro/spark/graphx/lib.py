@@ -4,7 +4,7 @@ PageRank, triangle counting, shortest paths, plus connected components.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.spark.graphx.graph import Graph
 
@@ -51,98 +51,6 @@ def pagerank(
             for vid in vertex_ids
         }
     return ranks
-
-
-def connected_components_pregel(
-    graph: Graph, max_iterations: int = 50
-) -> Dict[Any, Any]:
-    """Connected components as a true Pregel computation.
-
-    Vertices propagate the minimum id they have seen along (undirected)
-    edges until no label changes -- the message-passing formulation GraphX
-    itself uses.  Results match :func:`connected_components`.
-    """
-    from repro.spark.graphx.pregel import pregel
-
-    # Make edges bidirectional so components ignore direction.
-    both_ways = graph.edges.flatMap(
-        lambda e: [e, type(e)(e.dst, e.src, e.attr)]
-    )
-    undirected = Graph(graph.vertices, both_ways)
-    labelled = undirected.mapVertices(lambda vid, attr: vid)
-
-    def vprog(vid, attr, message):
-        if message is None:
-            return attr
-        return min(attr, message)
-
-    def send(ctx):
-        if ctx.src_attr < ctx.dst_attr:
-            ctx.send_to_dst(ctx.src_attr)
-
-    result = pregel(
-        labelled,
-        initial_message=None,
-        vprog=vprog,
-        send=send,
-        merge=min,
-        max_iterations=max_iterations,
-    )
-    return dict(result.vertices.collect())
-
-
-def shortest_paths_pregel(
-    graph: Graph, landmarks: List[Any], max_iterations: int = 50
-) -> Dict[Any, Dict[Any, int]]:
-    """Landmark hop distances as a Pregel computation (directed).
-
-    Vertex state maps landmark -> best-known distance; distances flow
-    against edge direction (a vertex is close to a landmark when its
-    successor is).  Results match :func:`shortest_paths`.
-    """
-    from repro.spark.graphx.pregel import pregel
-
-    landmark_set = set(landmarks)
-    reverse = graph.reverse()
-    seeded = reverse.mapVertices(
-        lambda vid, attr: {vid: 0} if vid in landmark_set else {}
-    )
-
-    def merge(a, b):
-        out = dict(a)
-        for landmark, distance in b.items():
-            if landmark not in out or distance < out[landmark]:
-                out[landmark] = distance
-        return out
-
-    def vprog(vid, attr, message):
-        if message is None:
-            return attr
-        return merge(attr, message)
-
-    def send(ctx):
-        candidate = {
-            landmark: distance + 1
-            for landmark, distance in ctx.src_attr.items()
-        }
-        improved = {
-            landmark: distance
-            for landmark, distance in candidate.items()
-            if landmark not in ctx.dst_attr
-            or distance < ctx.dst_attr[landmark]
-        }
-        if improved:
-            ctx.send_to_dst(improved)
-
-    result = pregel(
-        seeded,
-        initial_message=None,
-        vprog=vprog,
-        send=send,
-        merge=merge,
-        max_iterations=max_iterations,
-    )
-    return dict(result.vertices.collect())
 
 
 def connected_components(graph: Graph) -> Dict[Any, Any]:

@@ -328,9 +328,6 @@ class MetricsCollector:
     def snapshot(self) -> MetricsSnapshot:
         return MetricsSnapshot(dict(self._counters))
 
-    def reset(self) -> None:
-        self._counters.clear()
-
     # -- higher-level recording helpers -------------------------------
 
     def record_task(self) -> None:

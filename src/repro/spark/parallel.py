@@ -493,8 +493,8 @@ def _install_job(ctx, blob: bytes) -> List[RDD]:
     """Load a job's lineage and set what a fresh fork would have found:
     the tracer's flag, the id counters, the fault rules, the shuffles the
     driver resolved by itself, and the cache flags and cached partitions
-    of RDDs this worker already held (dropping what the driver
-    unpersisted)."""
+    of RDDs this worker already held (dropping what the driver no longer
+    holds)."""
     nodes, enabled, counters, rules, shuffles, caches = pickle.loads(blob)
     ctx.tracer.enabled = enabled
     ctx._rdd_counter, ctx._broadcast_counter = counters

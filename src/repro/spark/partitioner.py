@@ -9,10 +9,9 @@ subclass handed to :meth:`RDD.partitionBy`.
 
 from __future__ import annotations
 
-import bisect
 import zlib
 from operator import attrgetter
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.rdf.terms import BNode, Literal, Term, URI
 
@@ -130,67 +129,3 @@ class HashPartitioner(Partitioner):
         if hashes is None:
             return [stable_hash(key) % n for key in keys]
         return [h % n for h in hashes]
-
-
-class RangePartitioner(Partitioner):
-    """Places keys into contiguous sorted ranges; used by ``sortBy``.
-
-    *bounds* are the (num_partitions - 1) upper split points, computed by
-    sampling in :meth:`RDD.sortBy`.
-    """
-
-    def __init__(self, num_partitions: int, bounds: Sequence[object]) -> None:
-        super().__init__(num_partitions)
-        self.bounds: List[object] = list(bounds)
-
-    def partition_for(self, key: object) -> int:
-        index = bisect.bisect_right(self.bounds, key)
-        return min(index, self.num_partitions - 1)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RangePartitioner)
-            and self.num_partitions == other.num_partitions
-            and self.bounds == other.bounds
-        )
-
-    def __hash__(self) -> int:
-        return hash(("RangePartitioner", self.num_partitions, tuple(self.bounds)))
-
-
-class FunctionPartitioner(Partitioner):
-    """Wraps an arbitrary key→partition function.
-
-    The escape hatch the paper credits the RDD API with: "gives the choice
-    of implementing a custom partitioner".  *name* keeps two functionally
-    distinct partitioners from comparing equal.
-    """
-
-    def __init__(
-        self,
-        num_partitions: int,
-        func: Callable[[object], int],
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(num_partitions)
-        self._func = func
-        self.name = name or getattr(func, "__name__", "custom")
-
-    def partition_for(self, key: object) -> int:
-        index = self._func(key)
-        if not 0 <= index < self.num_partitions:
-            raise ValueError(
-                "partitioner %r returned %d for key %r; expected [0, %d)"
-                % (self.name, index, key, self.num_partitions)
-            )
-        return index
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FunctionPartitioner)
-            and self.num_partitions == other.num_partitions
-            and self.name == other.name
-        )
-
-    def __hash__(self) -> int:
-        return hash(("FunctionPartitioner", self.num_partitions, self.name))

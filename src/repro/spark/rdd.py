@@ -15,7 +15,6 @@ already co-located (local) or had to cross executors (remote).
 from __future__ import annotations
 
 import pickle
-import random
 from collections import defaultdict
 from itertools import chain
 from typing import (
@@ -32,7 +31,7 @@ from typing import (
 
 from repro.spark.faults import TaskFailedError
 from repro.spark.metrics import estimate_sizes
-from repro.spark.partitioner import HashPartitioner, Partitioner, RangePartitioner
+from repro.spark.partitioner import HashPartitioner, Partitioner
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -211,12 +210,6 @@ class RDD:
 
     persist = cache
 
-    def unpersist(self) -> "RDD":
-        self._cache_requested = False
-        self._checkpoint_requested = False
-        self._cached = None
-        return self
-
     def checkpoint(self) -> "RDD":
         """Persist to (simulated) reliable storage, truncating lineage.
 
@@ -231,10 +224,6 @@ class RDD:
         return self
 
     localCheckpoint = checkpoint
-
-    @property
-    def is_checkpointed(self) -> bool:
-        return self._checkpoint_requested
 
     # ------------------------------------------------------------------
     # Narrow transformations
@@ -280,46 +269,8 @@ class RDD:
     def values(self) -> "RDD":
         return self.map(lambda kv: kv[1])
 
-    def mapValues(self, func: Callable[[Any], Any]) -> "RDD":
-        return self.mapPartitions(
-            lambda part: [(k, func(v)) for k, v in part],
-            preserves_partitioning=True,
-        )
-
-    def flatMapValues(self, func: Callable[[Any], Iterable[Any]]) -> "RDD":
-        return self.mapPartitions(
-            lambda part: [(k, u) for k, v in part for u in func(v)],
-            preserves_partitioning=True,
-        )
-
-    def glom(self) -> "RDD":
-        """Turn each partition into a single list element."""
-        return self.mapPartitions(lambda part: [list(part)])
-
     def union(self, other: "RDD") -> "RDD":
         return UnionRDD(self, other)
-
-    def sample(self, fraction: float, seed: int = 17) -> "RDD":
-        """Deterministic Bernoulli sample of each partition."""
-
-        def sample_partition(index: int, part: List[Any]) -> List[Any]:
-            rng = random.Random(seed * 1000003 + index)
-            return [x for x in part if rng.random() < fraction]
-
-        return self.mapPartitionsWithIndex(sample_partition)
-
-    def zipWithIndex(self) -> "RDD":
-        """Pair each element with its global position (eagerly sizes partitions)."""
-        sizes = [len(self._iterate(i)) for i in range(self.num_partitions)]
-        offsets = [0]
-        for size in sizes[:-1]:
-            offsets.append(offsets[-1] + size)
-
-        def zip_partition(index: int, part: List[Any]) -> List[Any]:
-            start = offsets[index]
-            return [(x, start + pos) for pos, x in enumerate(part)]
-
-        return self.mapPartitionsWithIndex(zip_partition)
 
     # ------------------------------------------------------------------
     # Wide transformations (shuffles)
@@ -335,18 +286,6 @@ class RDD:
         if self.partitioner == partitioner:
             return self
         return ShuffledRDD(self, partitioner)
-
-    def repartition(self, num_partitions: int) -> "RDD":
-        """Redistribute elements round-robin into *num_partitions* parts."""
-        indexed = self.zipWithIndex().map(lambda xi: (xi[1], xi[0]))
-        shuffled = indexed.partitionBy(HashPartitioner(num_partitions))
-        return shuffled.values()
-
-    def coalesce(self, num_partitions: int) -> "RDD":
-        """Reduce partition count without a shuffle by merging neighbours."""
-        if num_partitions >= self.num_partitions:
-            return self
-        return CoalescedRDD(self, num_partitions)
 
     def distinct(self, num_partitions: Optional[int] = None) -> "RDD":
         n = num_partitions or self.num_partitions
@@ -388,47 +327,6 @@ class RDD:
         return self.combineByKey(
             lambda v: v, func, func, num_partitions, partitioner
         )
-
-    def groupByKey(
-        self,
-        num_partitions: Optional[int] = None,
-        partitioner: Optional[Partitioner] = None,
-    ) -> "RDD":
-        return self.combineByKey(
-            lambda v: [v],
-            lambda acc, v: acc + [v],
-            lambda a, b: a + b,
-            num_partitions,
-            partitioner,
-        )
-
-    def aggregateByKey(
-        self,
-        zero: Any,
-        seq_func: Callable[[Any, Any], Any],
-        comb_func: Callable[[Any, Any], Any],
-        num_partitions: Optional[int] = None,
-    ) -> "RDD":
-        """Aggregate values per key with a zero value and two functions.
-
-        *seq_func* folds a value into an accumulator (map side);
-        *comb_func* merges accumulators (reduce side).  *zero* must be
-        immutable or treated as such.
-        """
-        return self.combineByKey(
-            lambda v: seq_func(zero, v),
-            seq_func,
-            comb_func,
-            num_partitions,
-        )
-
-    def foldByKey(
-        self,
-        zero: Any,
-        func: Callable[[Any, Any], Any],
-        num_partitions: Optional[int] = None,
-    ) -> "RDD":
-        return self.aggregateByKey(zero, func, func, num_partitions)
 
     def cogroup(
         self, other: "RDD", num_partitions: Optional[int] = None
@@ -545,71 +443,9 @@ class RDD:
 
         return self.mapPartitions(probe, preserves_partitioning=True)
 
-    def subtractByKey(self, other: "RDD") -> "RDD":
-        grouped = self.cogroup(other)
-        return grouped.flatMap(
-            lambda item: [(item[0], v) for v in item[1][0]]
-            if not item[1][1]
-            else []
-        )
-
-    def subtract(self, other: "RDD") -> "RDD":
-        left = self.map(lambda x: (x, None))
-        right = other.map(lambda x: (x, None))
-        return left.subtractByKey(right).keys()
-
-    def intersection(self, other: "RDD") -> "RDD":
-        left = self.map(lambda x: (x, None))
-        right = other.map(lambda x: (x, None))
-        return (
-            left.cogroup(right)
-            .filter(lambda item: bool(item[1][0]) and bool(item[1][1]))
-            .keys()
-        )
-
     def cartesian(self, other: "RDD") -> "RDD":
         """All pairs; charges the full nested-loop comparison count."""
         return CartesianRDD(self, other)
-
-    def sortBy(
-        self,
-        keyfunc: Callable[[Any], Any],
-        ascending: bool = True,
-        num_partitions: Optional[int] = None,
-    ) -> "RDD":
-        """Total sort via sampled range partitioning, like Spark's sortBy."""
-        n = num_partitions or self.num_partitions
-        sample = [
-            keyfunc(x)
-            for part in self._materialize()
-            for x in part
-        ]
-        sample.sort()
-        if n > 1 and sample:
-            step = max(len(sample) // n, 1)
-            bounds = sample[step::step][: n - 1]
-        else:
-            bounds = []
-        partitioner = RangePartitioner(n, bounds)
-        keyed = self.keyBy(keyfunc)
-        shuffled = keyed.partitionBy(partitioner)
-
-        def sort_partition(part: List[Any]) -> List[Any]:
-            ordered = sorted(part, key=lambda kv: kv[0], reverse=not ascending)
-            return [v for _k, v in ordered]
-
-        result = shuffled.mapPartitions(sort_partition)
-        if not ascending:
-            return ReversedPartitionsRDD(result)
-        return result
-
-    def sortByKey(
-        self, ascending: bool = True, num_partitions: Optional[int] = None
-    ) -> "RDD":
-        return (
-            self.map(lambda kv: kv)
-            .sortBy(lambda kv: kv[0], ascending, num_partitions)
-        )
 
     # ------------------------------------------------------------------
     # Actions
@@ -638,71 +474,6 @@ class RDD:
                 break
             out.extend(self._iterate(i)[: n - len(out)])
         return out
-
-    def top(self, n: int, key: Optional[Callable[[Any], Any]] = None) -> List[Any]:
-        return sorted(self.collect(), key=key, reverse=True)[:n]
-
-    def takeOrdered(
-        self, n: int, key: Optional[Callable[[Any], Any]] = None
-    ) -> List[Any]:
-        """The *n* smallest elements (by *key*), like Spark's takeOrdered."""
-        return sorted(self.collect(), key=key)[:n]
-
-    def zip(self, other: "RDD") -> "RDD":
-        """Pair elements positionally; lengths must match."""
-        left = self.collect()
-        right = other.collect()
-        if len(left) != len(right):
-            raise ValueError(
-                "cannot zip RDDs of different lengths: %d vs %d"
-                % (len(left), len(right))
-            )
-        return self.ctx.parallelize(
-            list(zip(left, right)), self.num_partitions
-        )
-
-    def reduce(self, func: Callable[[Any, Any], Any]) -> Any:
-        items = self.collect()
-        if not items:
-            raise ValueError("cannot reduce an empty RDD")
-        acc = items[0]
-        for item in items[1:]:
-            acc = func(acc, item)
-        return acc
-
-    def fold(self, zero: Any, func: Callable[[Any, Any], Any]) -> Any:
-        acc = zero
-        for item in self.collect():
-            acc = func(acc, item)
-        return acc
-
-    def sum(self) -> Any:
-        return sum(self.collect())
-
-    def max(self, key: Optional[Callable[[Any], Any]] = None) -> Any:
-        return max(self.collect(), key=key) if key else max(self.collect())
-
-    def min(self, key: Optional[Callable[[Any], Any]] = None) -> Any:
-        return min(self.collect(), key=key) if key else min(self.collect())
-
-    def countByKey(self) -> Dict[Any, int]:
-        counts: Dict[Any, int] = defaultdict(int)
-        for key, _value in self.collect():
-            counts[key] += 1
-        return dict(counts)
-
-    def countByValue(self) -> Dict[Any, int]:
-        counts: Dict[Any, int] = defaultdict(int)
-        for item in self.collect():
-            counts[item] += 1
-        return dict(counts)
-
-    def lookup(self, key: Any) -> List[Any]:
-        """Values for *key*; scans only its partition when a partitioner is set."""
-        if self.partitioner is not None:
-            index = self.partitioner.partition_for(key)
-            return [v for k, v in self._iterate(index) if k == key]
-        return [v for k, v in self.collect() if k == key]
 
     def foreach(self, func: Callable[[Any], None]) -> None:
         for item in self.collect():
@@ -807,34 +578,6 @@ class UnionRDD(RDD):
         if index < self.left.num_partitions:
             return self.left._iterate(index)
         return self.right._iterate(index - self.left.num_partitions)
-
-
-class CoalescedRDD(RDD):
-    """Merges contiguous parent partitions without shuffling."""
-
-    def __init__(self, parent: RDD, num_partitions: int) -> None:
-        super().__init__(parent.ctx, num_partitions)
-        self.parent = parent
-        self._groups: List[List[int]] = [[] for _ in range(num_partitions)]
-        for i in range(parent.num_partitions):
-            self._groups[i * num_partitions // parent.num_partitions].append(i)
-
-    def compute(self, index: int) -> List[Any]:
-        out: List[Any] = []
-        for parent_index in self._groups[index]:
-            out.extend(self.parent._iterate(parent_index))
-        return out
-
-
-class ReversedPartitionsRDD(RDD):
-    """Presents the parent's partitions in reverse order (descending sorts)."""
-
-    def __init__(self, parent: RDD) -> None:
-        super().__init__(parent.ctx, parent.num_partitions)
-        self.parent = parent
-
-    def compute(self, index: int) -> List[Any]:
-        return self.parent._iterate(self.num_partitions - 1 - index)
 
 
 class ShuffledRDD(RDD):

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 
 class Row:
     """An immutable record with named fields.
 
-    Supports access by field name (``row["s"]``, ``row.s``) and by position
+    Supports access by field name (``row["s"]``) and by position
     (``row[0]``) and equality by (fields, values).
     """
 
@@ -32,30 +32,11 @@ class Row:
                 raise KeyError(key) from None
         raise TypeError("Row indices must be int or str, not %r" % type(key))
 
-    def __getattr__(self, name: str) -> Any:
-        if name.startswith("_"):
-            # Guard against recursion while the slots are still unset
-            # (pickle probes dunders before __init__ has run).
-            raise AttributeError(name)
-        try:
-            return self._values[self._fields.index(name)]
-        except ValueError:
-            raise AttributeError(name) from None
-
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Row is immutable")
 
     def __reduce__(self):
         return (Row, (self._fields, self._values))
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._fields
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
 
     def __eq__(self, other: object) -> bool:
         return (

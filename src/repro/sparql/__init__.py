@@ -23,6 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.sparql.algebra": ("evaluate", "translate"),
         "repro.sparql.results": ("Solution", "SolutionSet"),
         "repro.sparql.shapes": ("QueryShape", "classify_shape"),
-        "repro.sparql.fragments": ("SparqlFragment", "fragment_of"),
+        "repro.sparql.fragments": ("SparqlFragment",),
     },
 )

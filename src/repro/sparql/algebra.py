@@ -45,16 +45,6 @@ from repro.sparql.results import Solution, SolutionSet
 class AlgebraNode:
     """Base class for algebra operators."""
 
-    def pretty(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        lines = [pad + self._describe()]
-        for child in self._children():
-            lines.append(child.pretty(indent + 1))
-        return "\n".join(lines)
-
-    def _describe(self) -> str:
-        return type(self).__name__
-
     def _children(self) -> List["AlgebraNode"]:
         return []
 
@@ -64,9 +54,6 @@ class BGP(AlgebraNode):
 
     def __init__(self, patterns: List[TriplePattern]) -> None:
         self.patterns = list(patterns)
-
-    def _describe(self) -> str:
-        return "BGP(%s)" % "; ".join(repr(p) for p in self.patterns)
 
 
 class AlgebraJoin(AlgebraNode):

@@ -85,10 +85,3 @@ def features_of(query: Query) -> Set[str]:
         if query.offset:
             features.add(FEATURE_OFFSET)
     return features
-
-
-def fragment_of(query: Query) -> SparqlFragment:
-    """BGP when the query is pure triple patterns; otherwise BGP+."""
-    if features_of(query) <= {FEATURE_BGP}:
-        return SparqlFragment.BGP
-    return SparqlFragment.BGP_PLUS

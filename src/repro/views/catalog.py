@@ -116,15 +116,6 @@ class MaintenanceReport:
     #: (|A| + |B| per affected view, at post-commit sizes).
     rebuild_cost_units: int = 0
 
-    def to_payload(self) -> Dict[str, int]:
-        return {
-            "views_affected": self.views_affected,
-            "rows_added": self.rows_added,
-            "rows_removed": self.rows_removed,
-            "cost_units": self.cost_units,
-            "rebuild_cost_units": self.rebuild_cost_units,
-        }
-
 
 class MaterializedView:
     """One ExtVP semi-join reduction table, exact at a graph version.

@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis.closures import check_paths, check_source, main
+from repro.analysis.closures import WORKER_METHODS, check_paths, check_source, main
 
 
 def run(*parts):
@@ -346,8 +346,8 @@ class TestWorkerMethodCoverage:
             "rdd.mapPartitions(lambda part: seen.pop())",
             "rdd.mapPartitionsWithIndex(lambda i, part: seen.pop())",
             "rdd.keyBy(lambda x: seen.pop())",
-            "rdd.sortBy(lambda x: seen.pop())",
-            "rdd.reduce(lambda a, b: seen.pop())",
+            "rdd.map(lambda x: seen.pop())",
+            "rdd.reduceByKey(lambda a, b: seen.pop())",
         ],
     )
     def test_zero_index_closures(self, call):
@@ -361,29 +361,40 @@ class TestWorkerMethodCoverage:
         )
         assert "CL001" in codes(report)
 
-    def test_fold_skips_zero_value(self):
-        # fold(zero, op): the zero value is data, only the op runs on
-        # workers.
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            "lambda v: v, lambda a, x: seen.pop(), lambda a, b: a + b",
+            "lambda v: v, lambda a, x: a + x, lambda a, b: seen.pop()",
+        ],
+        ids=["merge_value", "merge_combiners"],
+    )
+    def test_combine_by_key_later_ops(self, ops):
+        # combineByKey(create, merge_value, merge_combiners): not only the
+        # first closure runs on workers.
         report = run(
             PRELUDE,
             """
             seen = [1]
-            pairs = rdd.keyBy(lambda x: x % 2)
-            out = pairs.foldByKey(0, lambda a, b: seen.pop())
+            pairs = rdd.keyBy(lambda x: x %% 2)
+            out = pairs.combineByKey(%s)
             """
+            % ops
         )
         assert "CL001" in codes(report)
 
-    def test_aggregate_by_key_both_ops(self):
-        report = run(
-            PRELUDE,
-            """
-            seen = [1]
-            pairs = rdd.keyBy(lambda x: x % 2)
-            out = pairs.aggregateByKey(0, lambda a, x: seen.pop(), lambda a, b: a + b)
-            """
-        )
-        assert "CL001" in codes(report)
+    def test_worker_methods_are_methods(self):
+        """Every method the analyzer watches is one the RDD, DataFrame or
+        GroupedData API has: a table entry for a deleted method would
+        watch calls that can no longer happen."""
+        from repro.spark.dataframe import DataFrame, GroupedData
+        from repro.spark.rdd import RDD
+
+        assert [
+            name
+            for name in WORKER_METHODS
+            if not any(hasattr(api, name) for api in (RDD, DataFrame, GroupedData))
+        ] == []
 
 
 class TestSuppression:

@@ -60,17 +60,6 @@ class TestRuleSet:
             def nope(context, found):
                 return []
 
-    def test_catalog_lists_rules(self):
-        rules = RuleSet("t")
-
-        @rules.rule("T001", "error", "a title")
-        def a(context, found):
-            return []
-
-        assert rules.catalog() == [
-            {"code": "T001", "severity": "error", "title": "a title"}
-        ]
-
 
 class TestExitCodes:
     def test_clean(self):

@@ -8,21 +8,24 @@ what each command entered under that command's tag only.
 The census is dynamic: a branch no run takes is invisible to it, so a
 function it calls unentered can still have a caller.  The report says
 ``referenced`` where the name of such a function still occurs outside
-its own body (the toy case), and the last test is the static half of the
+its own body (the toy case); one test is the static half of the
 deletion rule -- no function under ``src/repro`` loads a global that its
-module never binds.
+module never binds -- and the last holds every ``doc`` reason of the
+committed table to the docs it cites.
 """
 
 import ast
 import builtins
 import dis
 import os
+import re
 import runpy
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 CENSUS = os.path.join(ROOT, "benchmarks", "census.py")
+TABLE = os.path.join(ROOT, "benchmarks", "CENSUS.tsv")
 SRC = os.path.join(ROOT, "src", "repro")
 CO_OPTIMIZED = 0x1  # set on function bodies, not on class bodies
 
@@ -142,3 +145,48 @@ def test_no_function_reads_a_global_its_module_never_binds():
                 path = os.path.join(folder, name)
                 unbound[os.path.relpath(path, SRC)] = unbound_globals(path)
     assert {path: names for path, names in unbound.items() if names} == {}
+
+
+def cited_docs(reason):
+    """The docs a ``doc X Y...`` reason names, in order: ``X.md`` tokens
+    (``README`` being ``README.md``) up to the first other word."""
+    cited = []
+    for word in reason.split()[1:]:
+        name = word.rstrip(";,")
+        if name != "README" and not name.endswith(".md"):
+            break
+        cited.append(name if name.endswith(".md") else name + ".md")
+        if name != word:
+            break
+    return cited
+
+
+def doc_text(doc):
+    """The text of *doc* at the root or under ``docs/`` ("" if neither)."""
+    for folder in (ROOT, os.path.join(ROOT, "docs")):
+        path = os.path.join(folder, doc)
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as handle:
+                return handle.read()
+    return ""
+
+
+def test_a_doc_reason_names_a_doc_that_names_the_function():
+    """A ``doc`` reason in the committed table holds only while every doc
+    it cites exists and names the function -- its class, for a dunder:
+    when the sentence goes, the reason goes with it."""
+    with open(TABLE, encoding="utf-8") as handle:
+        rows = [line.split("\t") for line in handle.read().splitlines()[1:]]
+    stale = []
+    for key, name, *_marks, reason in rows:
+        if reason.split()[:1] != ["doc"]:
+            continue
+        parts = name.split(".")
+        named = parts[-2] if parts[-1].startswith("__") and parts[1:] else parts[-1]
+        names_it = re.compile(r"(?<!\w)%s(?!\w)" % re.escape(named)).search
+        stale.extend(
+            "%s %s: %s" % (key, name, doc)
+            for doc in cited_docs(reason) or ["no doc cited"]
+            if not names_it(doc_text(doc))
+        )
+    assert stale == []

@@ -43,13 +43,6 @@ class TestTaxonomy:
             "GraphFrames",
         ]
 
-    def test_find(self):
-        assert TAXONOMY.find("GraphX") is not None
-        assert TAXONOMY.find("Nonexistent") is None
-
-    def test_depth(self):
-        assert TAXONOMY.depth() == 3
-
     def test_render_contains_all_labels(self):
         text = render_taxonomy()
         for leaf in TAXONOMY.leaves():
@@ -64,16 +57,10 @@ class TestRegistry:
     def test_default_has_nine_systems(self):
         assert len(default_registry()) == 9
 
-    def test_by_name(self):
-        registry = default_registry()
-        assert registry.by_name("S2RDF").profile.citation == "[24]"
-        with pytest.raises(KeyError):
-            registry.by_name("Nonexistent")
-
     def test_duplicate_rejected(self):
         registry = default_registry()
         with pytest.raises(ValueError):
-            registry.register(registry.by_name("S2X"))
+            registry.register(next(iter(registry)))
 
     def test_unprofiled_class_rejected(self):
         class NotAnEngine:

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from repro.federation import EndpointError, WireEndpoint
-from repro.federation.endpoint import pair_endpoint
 from repro.server.protocol import canonical_json
 from repro.server.service import QueryRequest, QueryService
+
+from tests.federation import pair_endpoint
 
 MEMBER_QUERY = (
     "PREFIX lubm: <http://repro.example.org/lubm#>\n"

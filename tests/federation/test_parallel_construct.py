@@ -10,10 +10,11 @@ pages and the differential validation property would be vacuous.
 import pytest
 
 from repro.federation import Subgraph
-from repro.federation.endpoint import pair_endpoint
 from repro.server.protocol import canonical_json
 from repro.server.service import QueryRequest, QueryService
 from repro.spark.parallel import parallel_available
+
+from tests.federation import pair_endpoint
 
 pytestmark = pytest.mark.skipif(
     not parallel_available(),

@@ -14,7 +14,6 @@ from repro.federation import (
     harvest_for_shapes,
     validate_remote_first,
 )
-from repro.federation.endpoint import pair_endpoint
 from repro.server.service import QueryService
 from repro.shacl import (
     ServiceExecutor,
@@ -22,6 +21,8 @@ from repro.shacl import (
     load_shapes_file,
 )
 from repro.spark.context import SparkContext
+
+from tests.federation import pair_endpoint
 
 LUBM = "http://repro.example.org/lubm#"
 ADVISOR_HARVEST = (

@@ -113,11 +113,6 @@ class TestNamespace:
         assert ns.knows == URI("http://x/knows")
         assert ns["knows"] == ns.knows
 
-    def test_contains(self):
-        ns = Namespace("http://x/")
-        assert URI("http://x/a") in ns
-        assert URI("http://y/a") not in ns
-
     def test_private_attribute_not_minted(self):
         ns = Namespace("http://x/")
         with pytest.raises(AttributeError):
@@ -137,20 +132,3 @@ class TestNamespaceManager:
     def test_expand_requires_colon(self):
         with pytest.raises(ValueError):
             NamespaceManager().expand("plain")
-
-    def test_shrink(self):
-        manager = NamespaceManager()
-        manager.bind("ex", "http://x/")
-        assert manager.shrink(URI("http://x/alice")) == "ex:alice"
-        assert manager.shrink(URI("http://other/alice")) is None
-
-    def test_shrink_rejects_nested_paths(self):
-        manager = NamespaceManager()
-        manager.bind("ex", "http://x/")
-        assert manager.shrink(URI("http://x/a/b")) is None
-
-    def test_shrink_prefers_shortest(self):
-        manager = NamespaceManager()
-        manager.bind("long", "http://x/")
-        manager.bind("s", "http://x/")
-        assert manager.shrink(URI("http://x/a")) == "s:a"

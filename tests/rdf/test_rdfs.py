@@ -110,16 +110,6 @@ class TestClosureBehaviour:
         RDFSReasoner().materialize(graph)
         assert len(graph) == 2
 
-    def test_derived_triples_only_new(self):
-        graph = RDFGraph(
-            [
-                Triple(uri("A"), RDFS.subClassOf, uri("B")),
-                Triple(uri("x"), RDF.type, uri("A")),
-            ]
-        )
-        derived = RDFSReasoner().derived_triples(graph)
-        assert derived == [Triple(uri("x"), RDF.type, uri("B"))]
-
     def test_idempotent(self):
         graph = RDFGraph(
             [

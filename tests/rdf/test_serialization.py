@@ -15,8 +15,7 @@ from repro.rdf.ntriples import (
 )
 from repro.rdf.terms import BNode, Literal, URI
 from repro.rdf.triple import Triple
-from repro.rdf.turtle import TurtleParseError, parse_turtle, serialize_turtle
-from repro.rdf.namespaces import NamespaceManager
+from repro.rdf.turtle import TurtleParseError, parse_turtle
 
 
 class TestNTriplesParsing:
@@ -172,24 +171,3 @@ class TestTurtle:
     def test_garbage_raises(self):
         with pytest.raises(TurtleParseError):
             parse_turtle("@prefix ex <oops>")
-
-    def test_serialize_groups_subjects(self):
-        manager = NamespaceManager()
-        manager.bind("ex", "http://x/")
-        graph = parse_turtle(
-            "@prefix ex: <http://x/> . ex:a ex:p ex:b ; ex:q ex:c ."
-        )
-        text = serialize_turtle(graph, manager)
-        assert text.count("ex:a") == 1
-        assert ";" in text
-
-    def test_turtle_roundtrip(self):
-        source = """
-        @prefix ex: <http://x/> .
-        ex:alice a ex:Person ; ex:age 30 ; ex:knows ex:bob .
-        ex:bob ex:name "Bob" .
-        """
-        graph = parse_turtle(source)
-        manager = NamespaceManager()
-        manager.bind("ex", "http://x/")
-        assert parse_turtle(serialize_turtle(graph, manager)) == graph

@@ -47,7 +47,6 @@ class TestTripleValidity:
 
     def test_tuple_protocol(self):
         t = Triple(uri("s"), uri("p"), uri("o"))
-        assert t[0] == uri("s")
         assert list(t) == [uri("s"), uri("p"), uri("o")]
         assert t.as_tuple() == (uri("s"), uri("p"), uri("o"))
 
@@ -196,7 +195,6 @@ class TestGraphViews:
             uri("alice"),
             uri("bob"),
         }
-        assert graph.classes() == {uri("Person")}
 
     def test_copy_is_independent(self, graph):
         clone = graph.copy()

@@ -49,7 +49,11 @@ class TestFairShare:
         queue = FairShareQueue(8)
         queue.charge("a", 10)
         queue.charge("a", 5)
-        assert queue.service_units("a") == 15
+        queue.charge("b", 14)
+        queue.offer("a", "a1")
+        queue.offer("b", "b1")
+        # a's 10 + 5 outweigh b's 14; one charge alone would not.
+        assert queue.take() == ("b", "b1")
 
     def test_fifo_within_one_tenant(self):
         queue = FairShareQueue(8)
@@ -78,10 +82,3 @@ class TestFairShare:
         queue.offer("b", 2)
         assert len(queue.drain()) == 2
         assert len(queue) == 0
-
-    def test_waiting_by_tenant(self):
-        queue = FairShareQueue(8)
-        queue.offer("a", 1)
-        queue.offer("a", 2)
-        queue.offer("b", 3)
-        assert queue.waiting_by_tenant() == {"a": 2, "b": 1}

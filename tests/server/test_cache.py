@@ -4,6 +4,7 @@ import pytest
 
 from repro.server.cache import PlanCache, ResultCache, normalize_query
 from repro.spark.metrics import MetricsCollector
+from repro.sparql.parser import parse_sparql
 
 
 class TestNormalizeQuery:
@@ -47,19 +48,10 @@ class TestPlanCache:
     def test_hit_returns_same_object(self):
         cache = PlanCache(4)
         text = normalize_query("SELECT ?s WHERE { ?s ?p ?o }")
-        first, hit1 = cache.get_or_parse(text)
-        second, hit2 = cache.get_or_parse(text)
-        assert not hit1 and hit2
-        assert first is second
-
-    def test_counters(self):
-        cache = PlanCache(4)
-        metrics = MetricsCollector()
-        text = normalize_query("SELECT ?s WHERE { ?s ?p ?o }")
-        cache.get_or_parse(text, metrics)
-        cache.get_or_parse(text, metrics)
-        assert metrics.get("plan_cache_misses") == 1
-        assert metrics.get("plan_cache_hits") == 1
+        assert cache.lookup(text) is None
+        plan = parse_sparql(text)
+        cache.put(text, plan)
+        assert cache.lookup(text) is plan
 
     def test_lru_eviction(self):
         cache = PlanCache(2)
@@ -67,11 +59,11 @@ class TestPlanCache:
             "SELECT ?s WHERE { ?s <http://x/p%d> ?o }" % i for i in range(3)
         ]
         for text in texts:
-            cache.get_or_parse(normalize_query(text))
+            text = normalize_query(text)
+            cache.put(text, parse_sparql(text))
         assert len(cache) == 2
         # Oldest entry evicted: re-fetch is a miss.
-        _, hit = cache.get_or_parse(normalize_query(texts[0]))
-        assert not hit
+        assert cache.lookup(normalize_query(texts[0])) is None
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):

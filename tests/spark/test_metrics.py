@@ -51,12 +51,6 @@ class TestMetricsCollector:
         assert diff["a"] == 2
         assert diff["b"] == 1
 
-    def test_reset(self):
-        collector = MetricsCollector()
-        collector.incr("a")
-        collector.reset()
-        assert collector.get("a") == 0
-
     def test_record_helpers_populate_expected_counters(self):
         collector = MetricsCollector()
         collector.record_task()

@@ -133,8 +133,10 @@ def test_workers_inherit_a_frozen_heap_and_the_driver_keeps_none():
         sc.parallelize(list(range(8)), 4).map(boom).collect()
     assert gc.get_freeze_count() == 0
     # Shuffle map stages fork too (the failed job took the pool along).
-    counts = sc.parallelize([(i % 3, i) for i in range(12)], 4).groupByKey()
-    assert sorted(counts.mapValues(len).collect()) == [(0, 4), (1, 4), (2, 4)]
+    counts = sc.parallelize([(i % 3, 1) for i in range(12)], 4).reduceByKey(
+        lambda a, b: a + b
+    )
+    assert sorted(counts.collect()) == [(0, 4), (1, 4), (2, 4)]
     assert gc.get_freeze_count() == 0
     # A caller that froze its own heap first (a pre-fork server) keeps
     # it: the process-wide freeze does not nest, so the bracket stands
@@ -327,7 +329,7 @@ def test_row_pickle_round_trip():
     row = Row(("a", "b"), (1, "x"))
     copy = pickle.loads(pickle.dumps(row))
     assert copy == row
-    assert copy.a == 1 and copy["b"] == "x"
+    assert copy["a"] == 1 and copy["b"] == "x"
 
 
 def test_variable_and_solution_pickle_round_trip():
@@ -461,7 +463,7 @@ def three_stage_job(sc, seen):
         .reduceByKey(lambda a, b: a + b)
         .mapPartitionsWithIndex(noting("map 2"))
         .map(lambda kv: (kv[1] % 3, kv[0]))
-        .groupByKey()
+        .reduceByKey(lambda a, b: a + b)
         .mapPartitionsWithIndex(noting("final"))
     )
 
@@ -568,7 +570,8 @@ def test_a_failed_job_leaves_no_worker_and_the_context_usable(
 
     def next_job(ctx):
         pairs = ctx.parallelize([(i % 4, i) for i in range(32)], 4)
-        return pairs.reduceByKey(lambda a, b: a + b).mapValues(str).collect()
+        summed = pairs.reduceByKey(lambda a, b: a + b)
+        return summed.map(lambda kv: (kv[0], str(kv[1]))).collect()
 
     before = sc.metrics.snapshot()
     answer = next_job(sc)
@@ -605,7 +608,7 @@ def test_a_task_that_never_returns_is_a_worker_crash(monkeypatch, process_starts
 def test_an_idle_worker_killed_between_jobs_is_replaced(process_starts):
     def job(ctx):
         pairs = ctx.parallelize([(i % 5, "v%d" % i) for i in range(40)], 4)
-        return pairs.groupByKey().mapValues(sorted).collect()
+        return pairs.reduceByKey(lambda a, b: a + b).collect()
 
     serial = SparkContext(4)
     expected = [repr(job(serial)).encode() for _ in range(2)]
@@ -719,15 +722,16 @@ def test_a_script_that_changes_between_jobs_reads_as_the_oracle():
 
 def cached_and_read_by_another_worker(sc):
     """A cached RDD whose partitions are computed in one stage and read
-    again in the next two, through ``coalesce`` and ``union``, by tasks
-    of other indices -- so by the other worker of a pool of two."""
+    again in the next two, behind a one-partition ``union`` that shifts
+    them to tasks of other indices -- so to the other worker of a pool
+    of two."""
     base = (
         sc.parallelize([(i % 5, i) for i in range(40)], 4)
-        .mapValues(lambda v: v + 1)
+        .map(lambda kv: (kv[0], kv[1] + 1))
         .cache()
     )
     spread = base.partitionBy(HashPartitioner(4))
-    folded = base.coalesce(2).partitionBy(HashPartitioner(3))
+    folded = sc.emptyRDD().union(base).partitionBy(HashPartitioner(3))
     return base, spread.union(folded).union(base)
 
 
@@ -753,7 +757,7 @@ def test_a_fault_rule_fired_in_one_stage_is_spent_in_the_next():
 def test_a_fault_rule_added_between_jobs_fires_in_the_pool():
     def job(sc):
         pairs = sc.parallelize([(i % 5, i) for i in range(40)], 4)
-        shifted = pairs.mapValues(lambda v: v + 1)
+        shifted = pairs.map(lambda kv: (kv[0], kv[1] + 1))
         answers = [shifted.count()]
         sc.faults.add_rule(FaultRule("fail", stage=shifted.id, partition=1, times=2))
         answers.append(shifted.reduceByKey(lambda a, b: a + b).collect())
@@ -779,7 +783,7 @@ def test_a_driver_run_stage_that_caches_between_two_forked_ones():
     def job(sc):
         pairs = sc.parallelize([(i % 7, i) for i in range(60)], 4)
         summed = pairs.reduceByKey(lambda a, b: a + b, 4)
-        single = summed.coalesce(1).cache()
+        single = summed.partitionBy(HashPartitioner(1)).cache()
         regrouped = single.map(lambda kv: (kv[1] % 3, kv[0])).partitionBy(
             HashPartitioner(2)
         )
@@ -796,7 +800,7 @@ def test_aggregated_shuffles_feed_a_second_shuffle_in_the_same_job(workers):
         pairs = sc.parallelize([(i % 6, i % 4) for i in range(48)], 4)
         summed = pairs.reduceByKey(lambda a, b: a + b)
         unique = summed.map(lambda kv: kv[1] % 5).distinct()
-        return unique.map(lambda x: (x % 2, x)).groupByKey().collect()
+        return unique.map(lambda x: (x % 2, x)).reduceByKey(max).collect()
 
     oracle_and_pool(job, workers=workers)
 
@@ -804,13 +808,14 @@ def test_aggregated_shuffles_feed_a_second_shuffle_in_the_same_job(workers):
 @needs_fork
 def test_a_later_job_finds_what_the_driver_did_between_jobs():
     """A pool outlives its first job: what the driver did since to RDDs
-    the workers already hold -- a cache requested after the fork, an
-    unpersist, a shuffle resolved by the driver alone -- reaches them
+    the workers already hold -- a cache requested after the fork, a
+    shuffle resolved by the driver alone -- reaches them
     with the next job, as a fresh fork would have found it."""
 
     def job(sc):
         pairs = sc.parallelize([(i % 5, i) for i in range(40)], 4)
-        doubled = pairs.reduceByKey(lambda a, b: a + b, 4).mapValues(lambda v: 2 * v)
+        summed = pairs.reduceByKey(lambda a, b: a + b, 4)
+        doubled = summed.map(lambda kv: (kv[0], 2 * kv[1]))
         single = sc.parallelize([(i % 3, i) for i in range(9)], 1).partitionBy(
             HashPartitioner(1)
         )
@@ -818,7 +823,6 @@ def test_a_later_job_finds_what_the_driver_did_between_jobs():
         doubled.cache()
         answers.append(doubled.map(lambda kv: kv).collect())
         answers.append(doubled.count())
-        doubled.unpersist()
         answers.append(doubled.keys().collect())
         answers.append(single.collect())
         answers.append(single.union(doubled).collect())

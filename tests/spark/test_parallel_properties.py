@@ -18,11 +18,7 @@ from repro.rdf.triple import Triple
 from repro.server.protocol import canonical_json, canonical_result
 from repro.spark.context import SparkContext
 from repro.spark.parallel import parallel_available
-from repro.spark.partitioner import (
-    FunctionPartitioner,
-    HashPartitioner,
-    RangePartitioner,
-)
+from repro.spark.partitioner import HashPartitioner, Partitioner
 from repro.spark.rdd import ShuffleBlocks
 from repro.sparql.parser import parse_sparql
 from repro.systems import NaiveEngine, SparqlgxEngine
@@ -141,36 +137,24 @@ pair_partitions = st.lists(
 )
 
 
-def partitioner_for(kind, num_out, keys):
-    if kind == "hash":
-        return HashPartitioner(num_out)
-    if kind == "function":
-        return FunctionPartitioner(
-            num_out, lambda key: len(repr(key)) % num_out, "repr-length"
-        )
-    bounds = sorted(keys)
-    step = max(len(bounds) // num_out, 1)
-    return RangePartitioner(num_out, bounds[step::step][: num_out - 1])
+class ReprLengthPartitioner(Partitioner):
+    """A custom placement, through the base class's ``partitions_for``."""
+
+    def partition_for(self, key):
+        return len(repr(key)) % self.num_partitions
 
 
 @given(
     partitions=pair_partitions,
     num_out=st.integers(1, 6),
-    kind=st.sampled_from(["hash", "range", "function"]),
+    kind=st.sampled_from([HashPartitioner, ReprLengthPartitioner]),
 )
 @settings(max_examples=40, deadline=None)
 def test_decoded_blocks_equal_the_serial_buckets(partitions, num_out, kind):
     """What a reduce task decodes from the blocks the driver routed is,
     partition by partition, the bucket the serial shuffle builds -- and
     an empty fragment is no block at all."""
-    if kind == "range":
-        # Range placement compares keys: give it keys of one kind.
-        partitions = [
-            [(repr(key), value) for key, value in part] for part in partitions
-        ]
-    partitioner = partitioner_for(
-        kind, num_out, [key for part in partitions for key, _value in part]
-    )
+    partitioner = kind(num_out)
 
     def shuffled(**backend):
         ctx = SparkContext(4, **backend)

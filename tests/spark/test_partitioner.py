@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.spark.partitioner import (
-    FunctionPartitioner,
-    HashPartitioner,
-    Partitioner,
-    RangePartitioner,
-    stable_hash,
-)
+from repro.spark.partitioner import HashPartitioner, Partitioner, stable_hash
 
 
 class TestStableHash:
@@ -43,9 +37,12 @@ class TestHashPartitioner:
             assert 0 <= part.partition_for(key) < 7
 
     def test_equality_by_type_and_count(self):
+        class Other(Partitioner):
+            pass
+
         assert HashPartitioner(4) == HashPartitioner(4)
         assert HashPartitioner(4) != HashPartitioner(5)
-        assert HashPartitioner(4) != RangePartitioner(4, [])
+        assert HashPartitioner(4) != Other(4)
 
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValueError):
@@ -53,37 +50,3 @@ class TestHashPartitioner:
 
     def test_hashable(self):
         assert len({HashPartitioner(4), HashPartitioner(4)}) == 1
-
-
-class TestRangePartitioner:
-    def test_bounds_split_keys(self):
-        part = RangePartitioner(3, [10, 20])
-        assert part.partition_for(5) == 0
-        assert part.partition_for(10) == 1
-        assert part.partition_for(15) == 1
-        assert part.partition_for(25) == 2
-
-    def test_overflow_clamps_to_last(self):
-        part = RangePartitioner(2, [10])
-        assert part.partition_for(1000) == 1
-
-    def test_equality_includes_bounds(self):
-        assert RangePartitioner(2, [1]) == RangePartitioner(2, [1])
-        assert RangePartitioner(2, [1]) != RangePartitioner(2, [2])
-
-
-class TestFunctionPartitioner:
-    def test_wraps_function(self):
-        part = FunctionPartitioner(2, lambda k: k % 2)
-        assert part.partition_for(3) == 1
-
-    def test_distinct_names_not_equal(self):
-        a = FunctionPartitioner(2, lambda k: 0, "a")
-        b = FunctionPartitioner(2, lambda k: 0, "b")
-        assert a != b
-        assert a == FunctionPartitioner(2, lambda k: 1, "a")
-
-    def test_out_of_range_raises(self):
-        part = FunctionPartitioner(2, lambda k: 5, "bad")
-        with pytest.raises(ValueError):
-            part.partition_for(1)

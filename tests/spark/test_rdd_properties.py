@@ -65,16 +65,6 @@ def test_distinct_matches_set(data, n):
     assert sorted(rdd.distinct().collect()) == sorted(set(data))
 
 
-@given(data=ints, n=partitions)
-@settings(max_examples=60, deadline=None)
-def test_sortBy_matches_sorted(data, n):
-    rdd = make_sc().parallelize(data, n)
-    assert rdd.sortBy(lambda x: x).collect() == sorted(data)
-    assert rdd.sortBy(lambda x: x, ascending=False).collect() == sorted(
-        data, reverse=True
-    )
-
-
 @given(data=pairs, n=partitions)
 @settings(max_examples=60, deadline=None)
 def test_reduceByKey_matches_counter(data, n):
@@ -137,14 +127,6 @@ def test_partitionBy_is_content_preserving_and_placed(data, n):
     assert sorted(placed.collect()) == sorted(data)
     for index, bucket in enumerate(placed.collectPartitions()):
         assert all(part.partition_for(k) == index for k, _v in bucket)
-
-
-@given(data=ints, a=partitions, b=partitions)
-@settings(max_examples=40, deadline=None)
-def test_repartition_then_coalesce_preserves_multiset(data, a, b):
-    sc = make_sc()
-    rdd = sc.parallelize(data, a).repartition(b).coalesce(1)
-    assert sorted(rdd.collect()) == sorted(data)
 
 
 @given(data=ints)

@@ -112,39 +112,3 @@ class TestLike:
     def test_like_needs_string_pattern(self, orders):
         with pytest.raises(SqlSyntaxError):
             orders.sql("SELECT customer FROM orders WHERE category LIKE 5")
-
-
-class TestExtraRddOperators:
-    def test_aggregateByKey(self, sc):
-        pairs = sc.parallelize(
-            [("a", 1), ("a", 5), ("b", 2)], 3
-        )
-        # Track (sum, count) per key.
-        result = dict(
-            pairs.aggregateByKey(
-                (0, 0),
-                lambda acc, v: (acc[0] + v, acc[1] + 1),
-                lambda x, y: (x[0] + y[0], x[1] + y[1]),
-            ).collect()
-        )
-        assert result == {"a": (6, 2), "b": (2, 1)}
-
-    def test_foldByKey(self, sc):
-        pairs = sc.parallelize([("a", 2), ("a", 3), ("b", 4)])
-        assert dict(
-            pairs.foldByKey(1, lambda x, y: x * y).collect()
-        ) == {"a": 6, "b": 4}
-
-    def test_takeOrdered(self, sc):
-        rdd = sc.parallelize([5, 1, 4, 2, 3])
-        assert rdd.takeOrdered(3) == [1, 2, 3]
-        assert rdd.takeOrdered(2, key=lambda x: -x) == [5, 4]
-
-    def test_zip(self, sc):
-        a = sc.parallelize([1, 2, 3], 2)
-        b = sc.parallelize(["x", "y", "z"], 3)
-        assert a.zip(b).collect() == [(1, "x"), (2, "y"), (3, "z")]
-
-    def test_zip_length_mismatch(self, sc):
-        with pytest.raises(ValueError):
-            sc.parallelize([1]).zip(sc.parallelize([1, 2])).collect()

@@ -80,12 +80,6 @@ class TestTranslation:
         )
         assert isinstance(node, AlgebraFilter)
 
-    def test_pretty_output(self):
-        node = translate(
-            parse_sparql(PREFIX + "SELECT * WHERE { ?s ex:p ?o }")
-        )
-        assert "BGP" in node.pretty()
-
 
 class TestEvaluation:
     def test_single_pattern(self, data):

@@ -4,11 +4,7 @@ import pytest
 
 from repro.rdf.terms import Literal, URI
 from repro.sparql.ast import TriplePattern, Variable
-from repro.sparql.fragments import (
-    SparqlFragment,
-    features_of,
-    fragment_of,
-)
+from repro.sparql.fragments import features_of
 from repro.sparql.parser import parse_sparql
 from repro.sparql.results import Solution, SolutionSet
 from repro.sparql.shapes import (
@@ -102,13 +98,13 @@ class TestShapes:
 class TestFragments:
     def test_pure_bgp(self):
         query = parse_sparql(PREFIX + "SELECT ?s WHERE { ?s ex:p ?o }")
-        assert fragment_of(query) is SparqlFragment.BGP
+        assert features_of(query) == {"BGP"}
 
     def test_filter_is_bgp_plus(self):
         query = parse_sparql(
             PREFIX + "SELECT ?s WHERE { ?s ex:p ?o . FILTER(?o > 1) }"
         )
-        assert fragment_of(query) is SparqlFragment.BGP_PLUS
+        assert features_of(query) == {"BGP", "FILTER"}
 
     def test_modifiers_detected(self):
         query = parse_sparql(

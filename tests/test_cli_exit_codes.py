@@ -209,6 +209,54 @@ def test_unwritable_output_path_is_a_typed_error(
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+#: Every argument that names a file to read, given a directory ("dir")
+#: or a file that is not UTF-8 (its suffix) -- each pair that used to
+#: end in a traceback.  A directory of shapes or requests, and data
+#: files, already exited 2; a directory is a valid ``analyze`` input.
+UNREADABLE_CASES = [
+    ("query-dir", "dir", lambda d, p: ["query", d, p]),
+    ("query-not-utf8", ".rq", lambda d, p: ["query", d, p]),
+    ("explain-dir", "dir", lambda d, p: ["explain", d, p]),
+    ("explain-not-utf8", ".rq", lambda d, p: ["explain", d, p]),
+    (
+        "explain-shapes-not-utf8",
+        ".json",
+        lambda d, p: ["explain", d, CLEAN_QUERY, "--shapes", p],
+    ),
+    ("route-dir", "dir", lambda d, p: ["route", d, p]),
+    ("route-not-utf8", ".rq", lambda d, p: ["route", d, p]),
+    ("lint-dir", "dir", lambda d, p: ["lint", p]),
+    ("lint-not-utf8", ".rq", lambda d, p: ["lint", p]),
+    ("lint-closures-not-utf8", ".py", lambda d, p: ["lint", "--closures", p]),
+    ("harvest-dir", "dir", lambda d, p: ["harvest", d, p]),
+    ("harvest-not-utf8", ".rq", lambda d, p: ["harvest", d, p]),
+    ("validate-not-utf8", ".json", lambda d, p: ["validate", d, p]),
+    ("analyze-not-utf8", ".py", lambda d, p: ["analyze", p]),
+    ("serve-input-not-utf8", ".jsonl", lambda d, p: ["serve", d, "--input", p]),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, argv_builder",
+    [(kind, builder) for _, kind, builder in UNREADABLE_CASES],
+    ids=[case_id for case_id, _, _ in UNREADABLE_CASES],
+)
+def test_unreadable_input_file_is_a_typed_error(
+    kind, argv_builder, data_file, tmp_path, capsys
+):
+    """Exit 2 and one ``error:`` line saying what could not be read."""
+    if kind == "dir":
+        path = tmp_path / "d"
+        path.mkdir()
+    else:
+        path = tmp_path / ("bad" + kind)
+        path.write_bytes(b"\xff\xfe not UTF-8\n")
+    assert main(argv_builder(data_file, str(path))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cannot read" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 MALFORMED_QUERY = "SELEKT ?s"
 LIMIT_QUERY = CLEAN_QUERY + " LIMIT 1"
 

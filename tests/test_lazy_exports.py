@@ -53,7 +53,7 @@ def test_exports_resolve_to_their_home_objects(name):
 @pytest.mark.parametrize("name", PACKAGES)
 def test_importing_a_package_loads_nothing_else(name):
     """Run alone in a fresh interpreter: the package, its parents, the
-    helper and the import-free defaults, plus the one eager export."""
+    helper and the import-free defaults."""
     code = (
         "import sys, %s\n"
         "print(*sorted(m for m in sys.modules if m.startswith('repro')))" % name
@@ -63,20 +63,7 @@ def test_importing_a_package_loads_nothing_else(name):
     ).stdout.split()
     parents = {name.rsplit(".", depth)[0] for depth in range(name.count("."))}
     allowed = parents | {name, "repro", "repro._lazy", "repro.defaults"}
-    if name == "repro.spark.graphx":
-        # ``pregel`` names both the export and its home submodule, so it
-        # is imported eagerly (repro/_lazy.py), with what it imports; the
-        # algorithm library beside it stays lazy.
-        assert "repro.spark.graphx.pregel" in loaded
-        allowed |= set(loaded) - {"repro.spark.graphx.lib"}
     assert set(loaded) <= allowed
-
-
-def test_an_export_named_like_its_submodule_stays_the_export():
-    from repro.spark.graphx import lib  # noqa: F401  (imports .pregel)
-    from repro.spark.graphx import pregel
-
-    assert callable(pregel) and pregel.__module__ == "repro.spark.graphx.pregel"
 
 
 def test_engine_table_agrees_with_the_profiles():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.rdf.terms import Literal, URI
 from repro.spark.context import SparkContext
-from repro.spark.graphx import Edge, EdgeTriplet
+from repro.spark.graphx import Edge
 from repro.spark.row import Row
 from repro.spark.sql.ast import Distinct, Scan, Union
 from repro.spark.sql.lexer import TokenStream, tokenize
@@ -12,11 +12,10 @@ from repro.sparql.results import Solution, SolutionSet
 
 
 class TestRow:
-    def test_access_by_index_name_attr(self):
+    def test_access_by_index_and_name(self):
         row = Row(["a", "b"], (1, 2))
         assert row[0] == 1
         assert row["b"] == 2
-        assert row.a == 1
 
     def test_unknown_accessors_raise(self):
         row = Row(["a"], (1,))
@@ -39,16 +38,10 @@ class TestRow:
     def test_protocols(self):
         row = Row(["a", "b"], (1, 2))
         assert list(row) == [1, 2]
-        assert len(row) == 2
-        assert "a" in row
         assert hash(row) == hash(Row(["a", "b"], (1, 2)))
 
 
 class TestGraphEdgeTypes:
-    def test_triplet_to_edge(self):
-        triplet = EdgeTriplet(1, "a1", 2, "a2", "p")
-        assert triplet.edge() == Edge(1, 2, "p")
-
     def test_edge_equality(self):
         assert Edge(1, 2, "x") == Edge(1, 2, "x")
         assert Edge(1, 2, "x") != Edge(2, 1, "x")
@@ -106,12 +99,6 @@ class TestContextGuards:
             SparkContext(0)
         with pytest.raises(ValueError):
             SparkContext(2, num_executors=0)
-
-    def test_text_file(self, tmp_path):
-        path = tmp_path / "lines.txt"
-        path.write_text("alpha\nbeta\n")
-        sc = SparkContext(2)
-        assert sc.textFile(str(path)).collect() == ["alpha", "beta"]
 
     def test_from_partitions_empty(self):
         sc = SparkContext(2)

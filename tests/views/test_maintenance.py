@@ -128,8 +128,6 @@ class TestEdgeCases:
         assert report.views_affected > 0
         assert 0 < report.cost_units
         assert report.rebuild_cost_units > 0
-        payload = report.to_payload()
-        assert payload["cost_units"] == report.cost_units
 
 
 class TestIncrementalEqualsRebuildProperty:
