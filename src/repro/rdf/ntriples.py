@@ -54,7 +54,14 @@ def _unescape(text: str) -> str:
 
 def _unescaped(match) -> str:
     escape = match.group(1)
-    return _UNESCAPES.get(escape) or chr(int(escape[1:], 16))
+    if escape in _UNESCAPES:
+        return _UNESCAPES[escape]
+    try:
+        return chr(int(escape[1:], 16))
+    except (ValueError, OverflowError):
+        raise ValueError(
+            "bad escape \\%s: not a Unicode code point" % escape
+        ) from None
 
 
 def _term(

@@ -35,7 +35,7 @@ def handle_request(service: QueryService, payload: Dict[str, Any]) -> Dict[str, 
         outcome = service.submit(
             QueryRequest(
                 text=payload["query"],
-                tenant=str(payload.get("tenant", "default")),
+                tenant=payload.get("tenant", "default"),
                 id=str(payload.get("id", "")),
                 deadline=payload.get("deadline"),
             )

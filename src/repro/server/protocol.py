@@ -166,6 +166,8 @@ def decode_request(line: str) -> Dict[str, Any]:
         query, deadline = payload.get("query"), payload.get("deadline")
         if not (isinstance(query, str) and query):
             raise ProtocolError("query op requires a non-empty 'query' field")
+        if not isinstance(payload.get("tenant", ""), str):
+            raise ProtocolError("tenant must be a string", request_id)
         if deadline is not None and (
             type(deadline) is not int or deadline <= 0  # True is no budget
         ):

@@ -29,14 +29,15 @@ Request lifecycle::
 
 Graph evolution: :meth:`commit` applies a change set through the
 versioned store, bumps the version, actively invalidates stale result
-cache entries, and refreshes every pooled engine's store (warm again
-before the next query).  Because the result-cache key embeds the
-version, staleness is impossible even between the bump and the purge.
-A version costs one statistics pass over the head
-(:attr:`QueryService.catalog`, the object the optimizer, the linter
-and routing all read) and one store reload per
-pooled engine; the rest is proportional to the change set -- views are
-maintained by delta, never rebuilt.
+cache entries, and brings every pooled engine's store to the new head
+(warm again before the next query).  Because the result-cache key
+embeds the version, staleness is impossible even between the bump and
+the purge.  Every step takes the commit's delta: the statistics
+(:attr:`QueryService.catalog`, the object the optimizer, the linter and
+routing all read) and the materialized views are carried forward, never
+recounted, and each pooled engine takes it through ``apply_delta`` --
+SPARQLGX rewrites only the predicate stores the delta touches, the
+other engines reload.
 
 Determinism: the service owns its own
 :class:`~repro.spark.metrics.MetricsCollector` and
@@ -150,8 +151,8 @@ class QueryOutcome:
 class _EngineSet:
     """One pool slot under adaptive routing: every candidate, warmed.
 
-    Exposes the same ``load`` / ``set_optimizer`` lifecycle as a single
-    engine so :meth:`QueryService._commit` treats both slot kinds
+    Exposes the same ``apply_delta`` / ``set_optimizer`` lifecycle as a
+    single engine so :meth:`QueryService.commit` treats both slot kinds
     uniformly; dispatch picks the member the routing decision named.
     """
 
@@ -161,9 +162,9 @@ class _EngineSet:
     def engine_for(self, name: str):
         return self._engines[name]
 
-    def load(self, graph) -> None:
+    def apply_delta(self, delta, graph) -> None:
         for name in sorted(self._engines):
-            self._engines[name].load(graph)
+            self._engines[name].apply_delta(delta, graph)
 
     def set_optimizer(self, optimizer) -> None:
         for name in sorted(self._engines):
@@ -198,16 +199,16 @@ class QueryService:
         self.queue: FairShareQueue = FairShareQueue(config.queue_limit)
         #: The last :class:`~repro.views.MaintenanceReport`, for stats().
         self.last_maintenance = None
-        #: The head's statistics: the one pass over the graph a version
-        #: costs, shared by the optimizer, the admission linter and
-        #: routing; replaced on each commit.
+        #: The head's statistics, shared by the optimizer, the admission
+        #: linter and routing: one pass over the graph here, carried
+        #: forward by each commit's delta (a new object per version).
         self.catalog = StatsCatalog.from_graph(
             self.versions.head(), version=self.versions.head_version
         )
         #: One shared optimizer over :attr:`catalog` (None when
         #: unoptimized).  Built with the materialized-view catalog here;
         #: commits instead maintain that catalog incrementally and
-        #: re-attach it (:meth:`_commit`).
+        #: re-attach it (:meth:`commit`).
         self.optimizer: Optional[Optimizer] = config.runtime.optimizer(
             self.versions.head(),
             self.versions.head_version,
@@ -489,15 +490,17 @@ class QueryService:
         deletions: List[Triple] = (),
     ) -> int:
         """Apply a change set: new graph version, caches invalidated,
-        every pooled engine rebuilt on the new head (warm again)."""
+        statistics, views and every pooled engine brought to the new
+        head by the delta (warm again)."""
         with self.tracer.span("commit") as span:
             version = self.versions.commit(additions, deletions)
             dropped = self.result_cache.invalidate_below(version, self.metrics)
             head = self.versions.head()
-            # The commit's one pass over the head: lint statistics must track
-            # it (or admission would reject queries over predicates this
-            # commit added), and every consumer below shares this object.
-            self.catalog = StatsCatalog.from_graph(head, version=version)
+            delta = self.versions.delta(version)
+            # Lint statistics must track the head (or admission would
+            # reject queries over predicates this commit added), and every
+            # consumer below shares this object.
+            self.catalog = self.catalog.apply_delta(delta, head, version)
             if self.optimizer is not None:
                 view_catalog = self.optimizer.view_catalog
                 # The bumped stats version retires every plan-cache entry
@@ -511,9 +514,7 @@ class QueryService:
                     # the delta) and re-attach, instead of rebuilding.  The
                     # catalog's version now matches the served head, so
                     # version-keyed consumers can assert consistency.
-                    report = view_catalog.apply_delta(
-                        self.versions.delta(version), head, version
-                    )
+                    report = view_catalog.apply_delta(delta, head, version)
                     self.optimizer.set_view_catalog(view_catalog)
                     self.last_maintenance = report
                     self.metrics.incr(
@@ -524,7 +525,7 @@ class QueryService:
                 # calibration (the feedback history) deliberately survives.
                 self.routing.refresh(self.catalog)
             for engine in self.pool:
-                engine.load(head)
+                engine.apply_delta(delta, head)
                 if self.optimizer is not None:
                     engine.set_optimizer(self.optimizer)
             if span is not None:

@@ -25,7 +25,10 @@ sorted-key JSON -- two builds over the same graph are byte-identical.
 Versioning: the catalog carries the
 :class:`~repro.evolution.versioned.VersionedGraph` version it was computed
 at, so the query service can refresh it on every commit and key its plan
-cache on the statistics generation actually used for planning.
+cache on the statistics generation actually used for planning.  A commit
+does not recount: :meth:`StatsCatalog.apply_delta` carries every statistic
+forward through the subjects, objects and predicates the change set
+touches, to the bytes :meth:`StatsCatalog.from_graph` would give.
 """
 
 from __future__ import annotations
@@ -56,6 +59,28 @@ MAX_PAIR_PREDICATES = 64
 
 #: Bumped when the serialized catalog layout changes incompatibly.
 CATALOG_FORMAT_VERSION = 1
+
+
+def _factors(
+    survivors: Optional[Dict[Tuple[str, str, str], int]],
+    counts: Dict[str, int],
+) -> Dict[Tuple[str, str, str], float]:
+    """The stored selectivity factors: every pair of the predicates
+    *counts* holds whose factor is below 1.0, rounded to six places (p1's
+    triple count is the denominator, a pair *survivors* lacks has none
+    surviving); none when the pairs are not kept."""
+    out: Dict[Tuple[str, str, str], float] = {}
+    if survivors is None:
+        return out
+    for p1, count in counts.items():
+        for p2 in counts:
+            if p1 == p2:
+                continue
+            for kind in PAIR_KINDS:
+                factor = survivors.get((kind, p1, p2), 0) / count
+                if factor < 1.0:
+                    out[(kind, p1, p2)] = round(factor, 6)
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,6 +150,7 @@ class StatsCatalog:
         predicates: Optional[Dict[str, PredicateStats]] = None,
         characteristic_sets: Optional[List[CharacteristicSet]] = None,
         pair_selectivity: Optional[Dict[Tuple[str, str, str], float]] = None,
+        pair_survivors: Optional[Dict[Tuple[str, str, str], int]] = None,
     ) -> None:
         self.version = version
         self.triples = triples
@@ -140,6 +166,13 @@ class StatsCatalog:
         self.pair_selectivity: Dict[Tuple[str, str, str], float] = dict(
             pair_selectivity or {}
         )
+        #: (kind, p1 n3, p2 n3) -> how many of p1's triples survive that
+        #: semi-join (1.0 factors included; a pair absent has none): the
+        #: integers the factors are rounded from, which :meth:`apply_delta`
+        #: carries forward.  None when unknown -- a catalog read back from
+        #: JSON, or one over more than :data:`MAX_PAIR_PREDICATES`
+        #: predicates.
+        self.pair_survivors = pair_survivors
 
     # ------------------------------------------------------------------
     # Construction
@@ -202,9 +235,7 @@ class StatsCatalog:
             for key, entry in sorted(grouped.items())
         ]
 
-        pair_selectivity = cls._pair_selectivities(
-            pred_count, pred_subjects, pred_objects
-        )
+        pair_survivors = cls._pair_survivors(pred_subjects, pred_objects)
 
         return cls(
             version=version,
@@ -214,20 +245,20 @@ class StatsCatalog:
             distinct_objects=len(graph.objects()),
             predicates=predicates,
             characteristic_sets=characteristic_sets,
-            pair_selectivity=pair_selectivity,
+            pair_selectivity=_factors(pair_survivors, pred_count),
+            pair_survivors=pair_survivors,
         )
 
     @staticmethod
-    def _pair_selectivities(
-        pred_count: Dict[str, int],
+    def _pair_survivors(
         pred_subjects: Dict[str, Dict[object, int]],
         pred_objects: Dict[str, Dict[object, int]],
-    ) -> Dict[Tuple[str, str, str], float]:
-        """ExtVP factors: fraction of p1's triples joining p2 per kind."""
-        if len(pred_count) > MAX_PAIR_PREDICATES:
-            return {}
-        out: Dict[Tuple[str, str, str], float] = {}
-        names = sorted(pred_count)
+    ) -> Optional[Dict[Tuple[str, str, str], int]]:
+        """ExtVP survivor counts: p1's triples joining p2, per kind."""
+        if len(pred_subjects) > MAX_PAIR_PREDICATES:
+            return None
+        out: Dict[Tuple[str, str, str], int] = {}
+        names = sorted(pred_subjects)
         by_column = {"s": pred_subjects, "o": pred_objects}
         for p1 in names:
             for p2 in names:
@@ -241,10 +272,144 @@ class StatsCatalog:
                         for term, mult in by_column[column1][p1].items()
                         if term in other
                     )
-                    factor = surviving / pred_count[p1]
-                    if factor < 1.0:
-                        out[(kind, p1, p2)] = round(factor, 6)
+                    if surviving:
+                        out[(kind, p1, p2)] = surviving
         return out
+
+    def apply_delta(
+        self, delta, graph: RDFGraph, version: int
+    ) -> "StatsCatalog":
+        """The catalog of *graph*, which is this catalog's graph with
+        *delta* (anything with ``added`` / ``removed`` triples, as a
+        :class:`~repro.evolution.versioned.Delta` holds them) applied.
+
+        Byte-equal to ``from_graph(graph, version)``; this catalog is left
+        as it is (plans, lint and routing may still hold it).  Only the
+        delta's subjects, objects and predicates are visited: a term's
+        multiplicities after the change are read off *graph*'s indexes,
+        those before it are that minus the delta's net change.  With no
+        survivor counts to carry forward while the pair statistics are
+        kept, it is :meth:`from_graph`.
+        """
+        spo, pos = graph.by_subject(), graph.by_predicate()
+        keep_pairs = len(pos) <= MAX_PAIR_PREDICATES
+        if keep_pairs and self.pair_survivors is None:
+            return StatsCatalog.from_graph(graph, version)
+        names = {p: p.n3() for p in pos}
+        # The net change of each term's multiplicity under a predicate,
+        # per column ("s" / "o"), and of each predicate's triple count.
+        net: Dict[str, Dict[object, Dict[str, int]]] = {"s": {}, "o": {}}
+        counted: Dict[str, int] = {}
+        for sign, triples in ((1, delta.added), (-1, delta.removed)):
+            for s, p, o in triples:
+                name = names.get(p) or p.n3()
+                counted[name] = counted.get(name, 0) + sign
+                for column, term in (("s", s), ("o", o)):
+                    row = net[column].setdefault(term, {})
+                    row[name] = row.get(name, 0) + sign
+
+        seen: Dict[Tuple[str, object], tuple] = {}
+
+        def multiplicities(column, term):
+            """*term*'s multiplicity per predicate in *column*, after the
+            change and before it."""
+            if (column, term) in seen:
+                return seen[column, term]
+            if column == "s":
+                after = {
+                    names[p]: len(objects)
+                    for p, objects in spo.get(term, {}).items()
+                }
+            else:
+                after = {
+                    names[p]: len(by_object[term])
+                    for p, by_object in pos.items()
+                    if term in by_object
+                }
+            before = dict(after)
+            for name, change in net[column].get(term, {}).items():
+                before[name] = before.get(name, 0) - change
+                if not before[name]:
+                    del before[name]
+            seen[column, term] = after, before
+            return after, before
+
+        # Characteristic sets: each touched subject leaves the group of
+        # its old predicate set and joins the group of its new one.
+        groups = {cs.predicates: cs for cs in self.characteristic_sets}
+        regrouped: Dict[Tuple[str, ...], list] = {}
+        subject_change = dict.fromkeys(counted, 0)
+        for subject, row in net["s"].items():
+            after, before = multiplicities("s", subject)
+            for name in row:
+                subject_change[name] += (name in after) - (name in before)
+            for sign, carried in ((-1, before), (1, after)):
+                if not carried or after == before:
+                    continue
+                key = tuple(sorted(carried))
+                if key not in regrouped:
+                    cs = groups.get(key)
+                    regrouped[key] = (
+                        [cs.subjects, dict(cs.occurrences)] if cs else [0, {}]
+                    )
+                entry = regrouped[key]
+                entry[0] += sign
+                for name, mult in carried.items():
+                    entry[1][name] = entry[1].get(name, 0) + sign * mult
+        for key, (subjects, occurrences) in regrouped.items():
+            if subjects:
+                groups[key] = CharacteristicSet(key, subjects, occurrences)
+            else:
+                del groups[key]
+
+        predicates = dict(self.predicates)
+        present = {names[p]: p for p in pos}
+        for name, change in counted.items():
+            if name not in present:
+                del predicates[name]
+                continue
+            old = predicates.get(name, PredicateStats(0, 0, 0))
+            predicates[name] = PredicateStats(
+                count=old.count + change,
+                distinct_subjects=old.distinct_subjects + subject_change[name],
+                distinct_objects=len(pos[present[name]]),
+            )
+
+        # A touched term adds m1(p1) to the count of (kind, p1, p2) when
+        # it occurs m1 times in p1's column and at all in p2's; its share
+        # is taken out as it was and put back as it is.
+        survivors = None
+        if keep_pairs:
+            survivors = dict(self.pair_survivors)
+            for term in net["s"].keys() | net["o"].keys():
+                for kind in PAIR_KINDS:
+                    column1, column2 = pair_columns(kind)
+                    after1, before1 = multiplicities(column1, term)
+                    after2, before2 = multiplicities(column2, term)
+                    for p1 in after1.keys() | before1.keys():
+                        for p2 in after2.keys() | before2.keys():
+                            change = (
+                                after1.get(p1, 0) if p2 in after2 else 0
+                            ) - (before1.get(p1, 0) if p2 in before2 else 0)
+                            if change and p1 != p2:
+                                key = (kind, p1, p2)
+                                total = survivors.pop(key, 0) + change
+                                if total:
+                                    survivors[key] = total
+
+        return StatsCatalog(
+            version=version,
+            triples=len(graph),
+            distinct_subjects=len(spo),
+            distinct_predicates=len(pos),
+            distinct_objects=len(graph.by_object()),
+            predicates=predicates,
+            characteristic_sets=[groups[key] for key in sorted(groups)],
+            pair_selectivity=_factors(
+                survivors, {p: stats.count for p, stats in predicates.items()}
+            ),
+            pair_survivors=survivors,
+        )
 
     # ------------------------------------------------------------------
     # Estimation accessors

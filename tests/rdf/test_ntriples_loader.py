@@ -41,6 +41,17 @@ _REFERENCE_TERM = re.compile(
 _PAIRS = {"\\n": "\n", "\\r": "\r", "\\t": "\t", '\\"': '"', "\\\\": "\\"}
 
 
+def reference_code_point(escape):
+    """The character ``\\`` + *escape* names (``u`` and four digits, or
+    ``U`` and eight), or the error that names the escape."""
+    try:
+        return chr(int(escape[1:], 16))
+    except (ValueError, OverflowError):
+        raise ValueError(
+            "bad escape \\%s: not a Unicode code point" % escape
+        ) from None
+
+
 def reference_unescape(text):
     out, index = [], 0
     while index < len(text):
@@ -51,11 +62,11 @@ def reference_unescape(text):
                 index += 2
                 continue
             if pair == "\\u" and index + 6 <= len(text):
-                out.append(chr(int(text[index + 2 : index + 6], 16)))
+                out.append(reference_code_point(text[index + 1 : index + 6]))
                 index += 6
                 continue
             if pair == "\\U" and index + 10 <= len(text):
-                out.append(chr(int(text[index + 2 : index + 10], 16)))
+                out.append(reference_code_point(text[index + 1 : index + 10]))
                 index += 10
                 continue
         out.append(text[index])
@@ -252,10 +263,10 @@ def test_size_is_right_when_the_source_fails_part_way():
         ("<http://s> <> <http://o> .", "URI cannot be empty"),
         # Was loaded, silently, as the plain literal "x".
         ('<http://s> <http://p> "x"^^<> .', "URI cannot be empty"),
-        ('<http://s> <http://p> "\\uZZZZ" .', "invalid literal for int()"),
-        # No such character; the reason is the interpreter's wording.
-        ('<http://s> <http://p> "\\UFFFFFFFF" .', ""),
-        ('<http://s> <http://p> "\\U00110000" .', ""),
+        # The reason names the escape, not int()'s or chr()'s complaint.
+        ('<http://s> <http://p> "\\uZZZZ" .', "bad escape \\uZZZZ: not a"),
+        ('<http://s> <http://p> "\\UFFFFFFFF" .', "bad escape \\UFFFFFFFF: not"),
+        ('<http://s> <http://p> "\\U00110000" .', "bad escape \\U00110000: not"),
     ],
 )
 def test_a_bad_term_is_a_parse_error_with_its_line(bad, reason):
@@ -267,3 +278,15 @@ def test_a_bad_term_is_a_parse_error_with_its_line(bad, reason):
     assert str(raised.value).endswith("(in %r)" % bad)
     with pytest.raises(NTriplesParseError, match="line 7: "):
         parse_ntriples_line(bad, 7)
+
+
+def test_a_bad_escape_in_a_commit_line_is_named():
+    """What ``serve`` answers for a change set with a bad escape: the
+    escape itself, and neither ``int()``'s nor ``chr()``'s wording."""
+    line = '<http://s> <http://p> "a\\uZZZZb" .'
+    with pytest.raises(NTriplesParseError) as raised:
+        parse_ntriples(line)
+    assert str(raised.value) == (
+        "line 1: bad escape \\uZZZZ: not a Unicode code point (in %r)" % line
+    )
+    assert isinstance(raised.value, ValueError)

@@ -6,12 +6,15 @@ produced them (for unordered queries) and across repeated runs, or the
 result cache's byte-identity guarantee is vacuous.
 """
 
+import io
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.runtime import build_engine
+from repro.server import QueryService
+from repro.server.frontend import serve_lines
 from repro.server.protocol import (
     ProtocolError,
     WireLiteral,
@@ -151,6 +154,18 @@ class TestRequestDecoding:
         with pytest.raises(ProtocolError) as caught:
             decode_request('{"id": "q7", "query": "ASK {}", "deadline": -3}')
         assert caught.value.id == "q7" and "deadline" in str(caught.value)
+
+    @pytest.mark.parametrize("tenant", ["[1]", "null", "7", '{"t": 0}', "true"])
+    def test_a_non_string_tenant_is_malformed(self, lubm_graph, tenant):
+        """Not stringified into a tenant of its own ("[1]", "None")."""
+        line = '{"id": "q3", "tenant": %s, "query": "ASK { ?s ?p ?o }"}' % tenant
+        with pytest.raises(ProtocolError) as caught:
+            decode_request(line)
+        assert caught.value.id == "q3" and "tenant" in str(caught.value)
+        out = io.StringIO()
+        serve_lines(QueryService(lubm_graph, pool_size=1), io.StringIO(line), out)
+        response = json.loads(out.getvalue())
+        assert (response["id"], response["status"]) == ("q3", "error")
 
     def test_well_typed_fields_pass(self):
         decode_request('{"query": "ASK { ?s ?p ?o }", "deadline": 9}')

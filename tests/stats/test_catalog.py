@@ -2,19 +2,30 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.evolution.versioned import VersionedGraph
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import URI
 from repro.rdf.triple import Triple
 from repro.stats import StatsCatalog
-from repro.stats.catalog import CharacteristicSet, PredicateStats
-from tests.graph_edits import apply_edits, edit_scripts
+from repro.stats.catalog import (
+    MAX_PAIR_PREDICATES,
+    CharacteristicSet,
+    PredicateStats,
+    _factors,
+)
+from tests.graph_edits import apply_edits, edit_scripts, linked_scripts
 
 EX = "http://example.org/"
 
 
 def _uri(name):
     return URI(EX + name)
+
+
+#: A first advisor for :func:`small_graph`'s loner.
+LONER_ADVISOR = Triple(_uri("loner"), _uri("advisor"), _uri("a1"))
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +138,8 @@ def triple_walk_catalog(graph):
         characteristic_sets=[
             CharacteristicSet(key, n, occ) for key, (n, occ) in grouped.items()
         ],
-        pair_selectivity=StatsCatalog._pair_selectivities(
-            count, subjects, objects
+        pair_selectivity=_factors(
+            StatsCatalog._pair_survivors(subjects, objects), count
         ),
     )
 
@@ -155,3 +166,123 @@ def test_edited_graph_catalog_equals_fresh_graph_catalog(script):
 def test_from_payload_rejects_unknown_format():
     with pytest.raises(ValueError, match="format"):
         StatsCatalog.from_payload({"format": 999})
+
+
+# ----------------------------------------------------------------------
+# Maintenance by delta
+# ----------------------------------------------------------------------
+
+
+def carry_forward(store, catalog, changes):
+    """Commit each ``(additions, deletions)`` of *changes* to *store* and
+    carry *catalog* along: after every commit it is byte-equal to a full
+    pass over the head, and the catalog it came from is left as it was
+    (plans, lint and routing may still hold it)."""
+    for additions, deletions in changes:
+        before = catalog.to_json()
+        version = store.commit(additions, deletions)
+        carried = catalog.apply_delta(
+            store.delta(version), store.head(), version
+        )
+        fresh = StatsCatalog.from_graph(store.head(), version)
+        assert carried.to_json() == fresh.to_json()
+        assert carried.pair_survivors == fresh.pair_survivors
+        assert catalog.to_json() == before
+        catalog = carried
+    return catalog
+
+
+def as_commit(script):
+    return (
+        [t for is_add, t in script if is_add],
+        [t for is_add, t in script if not is_add],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    base=edit_scripts,
+    commits=st.lists(st.one_of(edit_scripts, linked_scripts), max_size=6),
+)
+def test_apply_delta_equals_from_graph_after_every_commit(base, commits):
+    graph = RDFGraph()
+    apply_edits(graph, base)
+    store = VersionedGraph(graph)
+    carry_forward(
+        store,
+        StatsCatalog.from_graph(store.head()),
+        [as_commit(script) for script in commits],
+    )
+
+
+LUBM = "http://repro.example.org/lubm#"
+MENTORS = Triple(
+    URI(LUBM + "Student0_0_0"), URI(LUBM + "mentors"), URI(LUBM + "Student0_0_1")
+)
+
+
+def test_apply_delta_brings_a_predicate_in_and_takes_its_last_triple_out(
+    lubm_graph,
+):
+    store = VersionedGraph(lubm_graph)
+    catalog = carry_forward(
+        store, StatsCatalog.from_graph(store.head()), [([MENTORS], [])]
+    )
+    assert catalog.predicate_count(MENTORS.predicate.n3()) == 1
+    catalog = carry_forward(store, catalog, [([], [MENTORS])])
+    assert catalog.predicate_stats(MENTORS.predicate.n3()) is None
+    assert not any(
+        MENTORS.predicate.n3() in key for key in catalog.pair_survivors
+    )
+
+
+def test_apply_delta_drops_a_subject_with_its_last_triple(lubm_graph):
+    store = VersionedGraph(lubm_graph)
+    subject = min(
+        lubm_graph.subjects(),
+        key=lambda s: (len(list(lubm_graph.triples((s, None, None)))), s),
+    )
+    doomed = list(lubm_graph.triples((subject, None, None)))
+    catalog = carry_forward(
+        store, StatsCatalog.from_graph(store.head()), [([], doomed)]
+    )
+    assert catalog.distinct_subjects == len(lubm_graph.subjects()) - 1
+
+
+def test_apply_delta_of_an_empty_commit_only_restamps(lubm_graph):
+    store = VersionedGraph(lubm_graph)
+    first = StatsCatalog.from_graph(store.head())
+    carried = carry_forward(store, first, [([], []), ([], [])])
+    assert carried.version == 2
+    assert carried.to_payload() == dict(first.to_payload(), version=2)
+
+
+def test_apply_delta_across_the_pair_predicate_cap(small_graph):
+    """Past the cap the pairs go and the rest is still carried; back
+    under it the pairs need every term, so that commit is a full pass."""
+    store = VersionedGraph(small_graph)
+    extra = [
+        Triple(_uri("s1"), _uri("extra%d" % n), _uri("s2"))
+        for n in range(MAX_PAIR_PREDICATES)
+    ]
+    catalog = carry_forward(
+        store,
+        StatsCatalog.from_graph(store.head()),
+        [(extra[:-2], []), (extra[-2:], []), ([LONER_ADVISOR], extra[:1])],
+    )
+    assert catalog.distinct_predicates > MAX_PAIR_PREDICATES
+    assert catalog.pair_survivors is None and catalog.pair_selectivity == {}
+    catalog = carry_forward(store, catalog, [([], extra[1:3])])
+    assert catalog.distinct_predicates <= MAX_PAIR_PREDICATES
+    assert catalog.pair_selectivity
+
+
+def test_apply_delta_on_a_catalog_read_back_from_json(small_graph):
+    """JSON keeps the rounded factors, not the counts: the first commit
+    after reading one back is a full pass."""
+    store = VersionedGraph(small_graph)
+    restored = StatsCatalog.from_json(
+        StatsCatalog.from_graph(store.head()).to_json()
+    )
+    assert restored.pair_survivors is None
+    carry_forward(store, restored, [([LONER_ADVISOR], [])])
