@@ -36,7 +36,7 @@ def handle_request(service: QueryService, payload: Dict[str, Any]) -> Dict[str, 
             QueryRequest(
                 text=payload["query"],
                 tenant=payload.get("tenant", "default"),
-                id=str(payload.get("id", "")),
+                id=payload.get("id", ""),
                 deadline=payload.get("deadline"),
             )
         )

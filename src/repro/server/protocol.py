@@ -62,9 +62,10 @@ One JSON object per line.  Requests::
     {"op": "stats"}
 
 ``op`` defaults to ``query`` when omitted; a field of the wrong type
-makes the line malformed (``status: "error"``).  Responses echo the request
-``id`` and carry ``status`` (``ok`` / ``rejected`` / ``deadline`` /
-``error`` / ``unsupported``), the canonical ``result`` for ``ok``, and
+makes the line malformed (``status: "error"``), an ``id`` that is not a
+string included.  Responses echo the request ``id`` and carry
+``status`` (``ok`` / ``rejected`` / ``deadline`` / ``error`` /
+``unsupported``), the canonical ``result`` for ``ok``, and
 accounting fields (``units``, ``cache``, ``version``).  ``rejected``
 means the request never executed: either admission control turned it
 away or the static plan linter (:mod:`repro.analysis.query`) found an
@@ -157,15 +158,21 @@ def decode_request(line: str) -> Dict[str, Any]:
         raise ProtocolError("request is not valid JSON: %s" % exc) from exc
     if not isinstance(payload, dict):
         raise ProtocolError("request must be a JSON object")
+    request_id = payload.get("id", "")
+    if not isinstance(request_id, str):
+        # Echoed as it came, a number or a list would answer under an id
+        # the client never sent ("7", "None", "['x']").
+        raise ProtocolError("id must be a string")
     payload.setdefault("op", "query")
     op = payload["op"]
     if op not in ("query", "commit", "stats"):
-        raise ProtocolError("unknown op %r" % (op,))
-    request_id = payload.get("id", "")
+        raise ProtocolError("unknown op %r" % (op,), request_id)
     if op == "query":
         query, deadline = payload.get("query"), payload.get("deadline")
         if not (isinstance(query, str) and query):
-            raise ProtocolError("query op requires a non-empty 'query' field")
+            raise ProtocolError(
+                "query op requires a non-empty 'query' field", request_id
+            )
         if not isinstance(payload.get("tenant", ""), str):
             raise ProtocolError("tenant must be a string", request_id)
         if deadline is not None and (

@@ -72,7 +72,6 @@ import importlib
 import io
 import marshal
 import os
-import pickle
 import sys
 import traceback
 import types
@@ -80,7 +79,16 @@ import weakref
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.spark import accumulator as accumulator_module
-from repro.spark.rdd import RDD, ShuffleBlocks, ShuffledRDD
+from repro.rdf.terms import Term
+from repro.spark.rdd import (
+    RDD,
+    ParallelCollectionRDD,
+    PrePartitionedRDD,
+    ShuffleBlocks,
+    ShuffledRDD,
+    TermPickler,
+    TermTable,
+)
 from repro.spark.tracing import Span
 
 #: Backend names accepted by every ``backend=`` knob.
@@ -229,14 +237,15 @@ class _EmptyCell:
     """Stands for a closure cell that holds nothing yet."""
 
 
-class _JobPickler(pickle.Pickler):
+class _JobPickler(TermPickler):
     """Pickles a job's lineage for a pool forked before the job existed.
 
     What every worker already holds is *named*, not copied: the context,
-    its ``metrics`` and ``tracer``, and every RDD that existed when the
-    pool forked -- RDD ids only grow, so an id at or below the pool's
-    watermark on an RDD the driver still holds is one in every worker's
-    image.  Everything else goes by value, the way Spark ships a task
+    its ``metrics``, ``tracer`` and term table, every RDD that existed
+    when the pool forked -- RDD ids only grow, so an id at or below the
+    pool's watermark on an RDD the driver still holds is one in every
+    worker's image -- and, as every pickle on the pipe does, every term
+    of the table.  Everything else goes by value, the way Spark ships a task
     closure and a ``ParallelCollectionRDD``: a function no import
     reaches (a lambda, a nested function, a generated kernel, anything
     of ``__main__``) as its marshalled code, its closure cells, defaults
@@ -248,15 +257,23 @@ class _JobPickler(pickle.Pickler):
     """
 
     def __init__(self, file, ctx, watermark: int) -> None:
-        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        terms = ctx.executor_backend.terms
+        super().__init__(file, terms)
         self.ctx = ctx
         self.watermark = watermark
-        self.names = {id(ctx): "ctx", id(ctx.metrics): "metrics", id(ctx.tracer): "tracer"}
+        self.names = {
+            id(ctx): "ctx",
+            id(ctx.metrics): "metrics",
+            id(ctx.tracer): "tracer",
+            id(terms): "terms",
+        }
         #: Per pickling, so what is shared stays shared on the other side.
         self.codes: Dict[int, bytes] = {}
         self.scopes: Dict[int, Dict[str, Any]] = {}
 
     def reducer_override(self, obj):
+        if isinstance(obj, Term):
+            return super().reducer_override(obj)
         name = self.names.get(id(obj))
         if name is not None:
             return _named, (name,)
@@ -346,12 +363,14 @@ def _named(name):
         return ctx
     if name in ("metrics", "tracer"):
         return getattr(ctx, name)
+    if name == "terms":
+        return ctx.executor_backend.terms
     return ctx._rdds[name]
 
 
 def dump_job(ctx, watermark: int, job: Any) -> bytes:
     """*job* pickled for workers forked when the RDD counter read
-    *watermark*; :func:`pickle.loads` reads it back in one of them."""
+    *watermark*; the context's term table reads it back in one of them."""
     buffer = io.BytesIO()
     _JobPickler(buffer, ctx, watermark).dump(job)
     return buffer.getvalue()
@@ -362,7 +381,7 @@ def dump_job(ctx, watermark: int, job: Any) -> bytes:
 # ----------------------------------------------------------------------
 
 
-def _encode_error(exc: BaseException):
+def _encode_error(exc: BaseException, terms: TermTable):
     """A picklable description of a worker-task exception.
 
     Typed substrate errors round-trip exactly (they define
@@ -370,8 +389,8 @@ def _encode_error(exc: BaseException):
     the driver re-raises as :class:`WorkerCrashError`.
     """
     try:
-        blob = pickle.dumps(exc)
-        pickle.loads(blob)  # some exceptions pickle but cannot unpickle
+        blob = terms.dumps(exc)
+        terms.loads(blob)  # some exceptions pickle but cannot unpickle
         return ("pickled", blob)
     except Exception:
         return (
@@ -380,10 +399,10 @@ def _encode_error(exc: BaseException):
         )
 
 
-def _decode_error(spec) -> BaseException:
+def _decode_error(spec, terms: TermTable) -> BaseException:
     form, payload = spec
     if form == "pickled":
-        return pickle.loads(payload)
+        return terms.loads(payload)
     name, message, trace = payload
     return WorkerCrashError(
         "worker task raised %s: %s\n%s" % (name, message, trace)
@@ -484,24 +503,47 @@ def merge_cache_delta(nodes: List[RDD], delta) -> None:
             node._cached.setdefault(index, data)
 
 
-def _stage_task(kind: str, node: RDD) -> Callable[[int], Any]:
+def _stage_task(kind: str, node: RDD, terms: TermTable) -> Callable[[int], Any]:
     """What one task of a stage runs: a shuffle's map task or a partition."""
-    return node._map_blocks if kind == "map" else node._iterate
+    if kind == "map":
+        return lambda index: node._map_blocks(index, terms)
+    return node._iterate
 
 
-def _install_job(ctx, blob: bytes) -> List[RDD]:
+def _held_partitions(ctx) -> Iterable[List[Any]]:
+    """The partitions *ctx* holds as data: its leaves' and its caches'."""
+    for node in list(ctx._rdds.values()):
+        if isinstance(node, ParallelCollectionRDD):
+            yield from node._slices
+        elif isinstance(node, PrePartitionedRDD):
+            yield from node._parts
+        if node._cached:
+            for index in sorted(node._cached):
+                yield node._cached[index]
+
+
+def _send(conn, terms: TermTable, message) -> None:
+    conn.send_bytes(terms.dumps(message))
+
+
+def _recv(conn, terms: TermTable):
+    return terms.loads(conn.recv_bytes())
+
+
+def _install_job(ctx, job) -> List[RDD]:
     """Load a job's lineage and set what a fresh fork would have found:
     the tracer's flag, the id counters, the fault rules, the shuffles the
     driver resolved by itself, and the cache flags and cached partitions
     of RDDs this worker already held (dropping what the driver no longer
     holds)."""
-    nodes, enabled, counters, rules, shuffles, caches = pickle.loads(blob)
+    nodes, enabled, counters, rules, shuffles, caches = job
     ctx.tracer.enabled = enabled
     ctx._rdd_counter, ctx._broadcast_counter = counters
     if ctx.faults is not None:
         ctx.faults.rules = rules
+    terms = ctx.executor_backend.terms
     for shuffle_id, blocks in shuffles:
-        ctx._rdds[shuffle_id]._buckets = ShuffleBlocks(blocks)
+        ctx._rdds[shuffle_id]._buckets = ShuffleBlocks(blocks, terms)
     for rdd_id, requested, checkpointed, keep in caches:
         node = ctx._rdds[rdd_id]
         node._cache_requested = requested
@@ -524,10 +566,11 @@ def _worker_main(worker_id, ctx, nodes, conn):
     and the accumulator journal.  Scheduler-state and cache deltas are
     batched into the stage's closing ``done`` message (they are
     commutative / idempotent, unlike the per-task streams).  A later
-    job opens with ``("job", pickled lineage and state)`` and closes
-    with ``("end",)``, which drops its nodes; the worker answers the
-    first with ``("ready",)`` once it holds the job.  ``None`` -- or a
-    driver that is gone -- ends the loop.
+    job opens with ``("job", lineage and state)`` and closes with
+    ``("end",)``, which drops its nodes; the worker answers the first
+    with ``("ready",)`` once it holds the job.  ``None`` -- or a driver
+    that is gone -- ends the loop.  Every message both ways is pickled
+    over the context's term table, as it stood at the fork.
     """
     try:
         _WORKER_STATE["active"] = True
@@ -538,12 +581,13 @@ def _worker_main(worker_id, ctx, nodes, conn):
         ctx.deadline = None
         tracer = ctx.tracer
         faults = ctx.faults
+        terms = ctx.executor_backend.terms
         by_id = {node.id: node for node in nodes}
         journal: List[Tuple[int, Any]] = []
         accumulator_module._WORKER_JOURNAL = journal
         while True:
             try:
-                command = conn.recv()
+                command = _recv(conn, terms)
             except EOFError:
                 break
             if command is None:
@@ -551,18 +595,18 @@ def _worker_main(worker_id, ctx, nodes, conn):
             if command[0] == "job":
                 nodes = _install_job(ctx, command[1])
                 by_id = {node.id: node for node in nodes}
-                conn.send(("ready",))
+                _send(conn, terms, ("ready",))
                 continue
             if command[0] == "end":
                 nodes, by_id = [], {}
                 continue
             kind, rdd_id, task_indices, shuffles, fault_base, installs = command
             for shuffle_id, blocks in shuffles:
-                by_id[shuffle_id]._buckets = ShuffleBlocks(blocks)
+                by_id[shuffle_id]._buckets = ShuffleBlocks(blocks, terms)
             _install_fault_state(faults, fault_base)
             merge_cache_delta(nodes, installs)
             cache_base = _cache_bases(nodes)
-            run_one = _stage_task(kind, by_id[rdd_id])
+            run_one = _stage_task(kind, by_id[rdd_id], terms)
             for index in task_indices:
                 # Worker spans root at task level; the driver reattaches
                 # them under its currently open span and renumbers seq.
@@ -574,7 +618,7 @@ def _worker_main(worker_id, ctx, nodes, conn):
                 try:
                     data = run_one(index)
                 except Exception as exc:  # shipped to the driver, re-raised there
-                    error = _encode_error(exc)
+                    error = _encode_error(exc, terms)
                 delta = ctx.metrics.snapshot() - before
                 payload = {
                     "data": data,
@@ -583,21 +627,23 @@ def _worker_main(worker_id, ctx, nodes, conn):
                     "accums": list(journal),
                     "error": error,
                 }
-                conn.send(("task", index, payload))
+                _send(conn, terms, ("task", index, payload))
                 if error is not None:
                     # Mirror the serial loop: no work past a failed task.
                     break
-            conn.send(
+            _send(
+                conn,
+                terms,
                 (
                     "done",
                     worker_id,
                     _cache_delta(nodes, cache_base),
                     _fault_delta(faults, fault_base),
-                )
+                ),
             )
     except BaseException:
         try:
-            conn.send(("fatal", worker_id, traceback.format_exc()))
+            _send(conn, terms, ("fatal", worker_id, traceback.format_exc()))
         except Exception:
             pass
     finally:
@@ -630,11 +676,11 @@ def _reap(owner: int, procs: List[Any], conns: List[Any]) -> None:
         conn.close()
 
 
-def _blocks(buckets) -> List[List[bytes]]:
+def _blocks(buckets, terms: TermTable) -> List[List[bytes]]:
     """A resolved shuffle's buckets as the blocks a worker is sent."""
     if isinstance(buckets, ShuffleBlocks):
         return buckets.blocks
-    return [[block] if block else [] for block in ShuffleBlocks.encode(buckets)]
+    return [[block] if block else [] for block in ShuffleBlocks.encode(buckets, terms)]
 
 
 class _Pool:
@@ -644,8 +690,10 @@ class _Pool:
     a worker forked right before it would have found in its image.
     """
 
-    def __init__(self, size: int) -> None:
+    def __init__(self, size: int, terms: TermTable) -> None:
         self.size = size
+        #: The context's term table, extended at the fork.
+        self.terms = terms
         self.procs: List[Any] = []
         self.conns: List[Any] = []
         #: The context's last RDD id at the fork: every RDD at or below
@@ -670,6 +718,9 @@ class _Pool:
 
         mp_ctx = multiprocessing.get_context("fork")
         self.close = weakref.finalize(owner, _reap, os.getpid(), self.procs, self.conns)
+        # Appended to, never renumbered: blocks an earlier pool encoded
+        # read the same in this one.
+        self.terms.extend(_held_partitions(ctx))
         # Workers are forked with the driver's heap frozen: a worker's
         # collections then pass over what it inherited instead of walking
         # it -- and, by touching every object header, copying its pages.
@@ -712,7 +763,7 @@ class _Pool:
         fork then inherits it instead."""
         known = [node for node in nodes if node.id <= self.watermark]
         shuffles = [
-            (node.id, _blocks(node._buckets))
+            (node.id, _blocks(node._buckets, self.terms))
             for node in known
             if isinstance(node, ShuffledRDD)
             and node._buckets is not None
@@ -731,15 +782,15 @@ class _Pool:
             caches,
         )
         try:
-            message = ("job", dump_job(ctx, self.watermark, job))
+            message = dump_job(ctx, self.watermark, ("job", job))
         except Exception:  # a captured lock, file, local class...
             return False
         try:
             for conn in self.conns:
-                conn.send(message)
+                conn.send_bytes(message)
             # A worker that cannot load the job (a class a script defined
             # after the fork) answers "fatal" and exits.
-            if not all(conn.recv() == ("ready",) for conn in self.conns):
+            if not all(_recv(conn, self.terms) == ("ready",) for conn in self.conns):
                 return False
         except (EOFError, OSError):  # a worker died since the check
             return False
@@ -772,7 +823,7 @@ class _Pool:
         self.resolved = []
         for conn in self.conns:
             try:
-                conn.send(("end",))
+                _send(conn, self.terms, ("end",))
             except OSError:
                 pass
 
@@ -795,6 +846,9 @@ class ParallelBackend:
                 "which this platform does not provide"
             )
         self.workers = workers
+        #: What every pickle crossing this context's pipes is encoded
+        #: over; empty until the first fork.
+        self.terms = TermTable()
         #: The context's pool, once a stage had more than one task.
         self._pool: Optional[_Pool] = None
         #: The running job's lineage; ``None`` between jobs.
@@ -854,7 +908,7 @@ class ParallelBackend:
         ):
             self._drop_pool()
         if self._pool is None:
-            self._pool = _Pool(size)
+            self._pool = _Pool(size, self.terms)
             try:
                 self._pool.fork(self, ctx, nodes)
             except BaseException:
@@ -882,7 +936,7 @@ class ParallelBackend:
         self, shuffled: ShuffledRDD, nodes: List[RDD], span
     ) -> ShuffleBlocks:
         num_out = shuffled.partitioner.num_partitions
-        buckets = ShuffleBlocks([[] for _ in range(num_out)])
+        buckets = ShuffleBlocks([[] for _ in range(num_out)], self.terms)
         records = remote = nbytes = 0
         outputs = self._run_stage(
             shuffled.ctx, nodes, "map", shuffled, shuffled.parent.num_partitions
@@ -901,8 +955,8 @@ class ParallelBackend:
         # and encodes each merged bucket once for the push.
         merged = [buckets[index] for index in range(num_out)]
         shuffled._finish_shuffle(merged, records, remote, nbytes, span)
-        buckets = ShuffleBlocks([[] for _ in range(num_out)])
-        buckets.append(ShuffleBlocks.encode(merged))
+        buckets = ShuffleBlocks([[] for _ in range(num_out)], self.terms)
+        buckets.append(ShuffleBlocks.encode(merged, self.terms))
         return buckets
 
     def _final_stage(self, rdd: RDD, nodes: List[RDD]) -> List[List[Any]]:
@@ -930,7 +984,7 @@ class ParallelBackend:
             return []
         ctx.check_deadline()
         if num_tasks == 1:
-            return [_stage_task(kind, node)(0)]
+            return [_stage_task(kind, node, self.terms)(0)]
         from multiprocessing import connection as mp_connection
 
         pool = self._pool_for(ctx)
@@ -948,7 +1002,7 @@ class ParallelBackend:
                     for rdd_id, items in cached
                 ]
                 tasks = list(range(worker_id, num_tasks, pool.size))
-                conn.send((kind, node.id, tasks, shuffles, fault_state, installs))
+                _send(conn, self.terms, (kind, node.id, tasks, shuffles, fault_state, installs))
         except OSError as exc:
             raise WorkerCrashError(
                 "parallel worker %d is gone between stages: %s" % (worker_id, exc)
@@ -974,7 +1028,7 @@ class ParallelBackend:
             silent_polls = 0
             for conn in ready:
                 try:
-                    message = conn.recv()
+                    message = _recv(conn, self.terms)
                 except (EOFError, OSError):
                     worker_id = pool.conns.index(conn)
                     raise WorkerCrashError(
@@ -1032,7 +1086,7 @@ class ParallelBackend:
                 if accumulator is not None:
                     accumulator.add(amount)
             if payload["error"] is not None:
-                raise _decode_error(payload["error"])
+                raise _decode_error(payload["error"], self.terms)
             results[next_merge] = payload["data"]
             next_merge += 1
             # The driver poll mirrors the serial per-task kill point:

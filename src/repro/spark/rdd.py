@@ -14,6 +14,7 @@ already co-located (local) or had to cross executors (remote).
 
 from __future__ import annotations
 
+import io
 import pickle
 from collections import defaultdict
 from itertools import chain
@@ -29,6 +30,7 @@ from typing import (
     Union,
 )
 
+from repro.rdf.terms import Term
 from repro.spark.faults import TaskFailedError
 from repro.spark.metrics import estimate_sizes
 from repro.spark.partitioner import HashPartitioner, Partitioner
@@ -684,15 +686,16 @@ class ShuffledRDD(RDD):
         return fragments, len(outgoing), remote, estimate_sizes(outgoing)
 
     def _map_blocks(
-        self, map_index: int
+        self, map_index: int, terms: TermTable
     ) -> Tuple[List[Optional[bytes]], int, int, int]:
         """One shuffle map task as the forked backend runs it:
-        :meth:`_map_fragments` with each fragment pickled (``None`` for
-        an empty one), so the driver routes bytes it never decodes and
-        the reduce task that reads a partition is the one to build it.
+        :meth:`_map_fragments` with each fragment pickled over *terms*
+        (``None`` for an empty one), so the driver routes bytes it never
+        decodes and the reduce task that reads a partition is the one to
+        build it.
         """
         fragments, records, remote, nbytes = self._map_fragments(map_index)
-        return ShuffleBlocks.encode(fragments), records, remote, nbytes
+        return ShuffleBlocks.encode(fragments, terms), records, remote, nbytes
 
     def _finish_shuffle(
         self,
@@ -726,24 +729,129 @@ class ShuffledRDD(RDD):
         return buckets[index]  # decoded for this read: already the caller's
 
 
+def _term_at(index: int):
+    """What a pickle names a table's term by.  Only a table's own
+    unpickler resolves it; a plain :func:`pickle.loads` lands here."""
+    raise pickle.UnpicklingError(
+        "term #%d of a term table, read without the table" % index
+    )
+
+
+class TermTable:
+    """The terms a context's forked workers hold, each under an index:
+    the codec of every pickle that crosses that context's pipes.
+
+    The table is filled when a pool forks, from what the context holds
+    then, so every worker inherits it with the terms it lists.  A term
+    equal to one in the table is pickled as that term's index and read
+    back as the table's own object -- the one the reader already holds,
+    its hash, size and placement known.  Any other term goes by value.
+    Indices exist only inside a pickle, and the table only grows: a
+    blob encoded before a later fork reads the same after it.
+    """
+
+    def __init__(self) -> None:
+        self.terms: List[Term] = []
+        self.index: Dict[Term, int] = {}
+
+    def extend(self, partitions: Iterable[List[Any]]) -> None:
+        """Add the terms held by *partitions* that are not here yet, in
+        the order they are met, with their facts computed."""
+        collector = _TermCollector(self)
+        for part in partitions:
+            try:
+                collector.dump(part)
+            except Exception:  # a partition that cannot cross the pipe anyway
+                continue
+
+    def add(self, term: Term) -> int:
+        index = self.index.get(term)
+        if index is None:
+            term.serialized_size()
+            term.placement_hash()
+            index = self.index[term] = len(self.terms)
+            self.terms.append(term)
+        return index
+
+    def dumps(self, obj: Any) -> bytes:
+        buffer = io.BytesIO()
+        TermPickler(buffer, self).dump(obj)
+        return buffer.getvalue()
+
+    def loads(self, blob: bytes) -> Any:
+        return _TermUnpickler(io.BytesIO(blob), self).load()
+
+
+class TermPickler(pickle.Pickler):
+    """Pickles a term of the table as its index, anything else as
+    :mod:`pickle` does."""
+
+    def __init__(self, file, table: TermTable) -> None:
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.term_index = table.index
+
+    def reducer_override(self, obj):
+        if isinstance(obj, Term):
+            index = self.term_index.get(obj)
+            if index is not None:
+                return _term_at, (index,)
+        return NotImplemented
+
+
+class _TermUnpickler(pickle.Unpickler):
+    def __init__(self, file, table: TermTable) -> None:
+        super().__init__(file)
+        self.term_at = table.terms.__getitem__
+
+    def find_class(self, module, name):
+        if name == "_term_at" and module == __name__:
+            return self.term_at
+        return super().find_class(module, name)
+
+
+class _Discard:
+    """A file that keeps nothing."""
+
+    def write(self, data) -> None:
+        pass
+
+
+class _TermCollector(pickle.Pickler):
+    """Walks what it pickles the way :mod:`pickle` does -- each object
+    once, however often it is referenced -- adding every term it meets
+    to a table, and writes nowhere."""
+
+    def __init__(self, table: TermTable) -> None:
+        super().__init__(_Discard(), pickle.HIGHEST_PROTOCOL)
+        self.add = table.add
+
+    def reducer_override(self, obj):
+        if isinstance(obj, Term):
+            return _term_at, (self.add(obj),)
+        return NotImplemented
+
+
 class ShuffleBlocks:
     """A shuffle's output as its map tasks serialized it.
 
     ``blocks[i]`` holds reduce partition *i* as the pickled fragments of
     :meth:`ShuffledRDD._map_blocks` in ascending map order -- the order
-    the serial shuffle concatenates them in.  Indexing decodes: a read
-    returns a fresh list equal to the serial bucket, built by whoever
-    runs the reduce task, as Spark's shuffle files are fetched and not
-    re-serialized on the way.
+    the serial shuffle concatenates them in.  Indexing decodes, over the
+    term table the blocks were encoded with: a read returns a fresh list
+    equal to the serial bucket, built by whoever runs the reduce task,
+    as Spark's shuffle files are fetched and not re-serialized on the
+    way.
     """
 
-    def __init__(self, blocks: List[List[bytes]]) -> None:
+    def __init__(self, blocks: List[List[bytes]], terms: TermTable) -> None:
         self.blocks = blocks
+        self.terms = terms
 
     @staticmethod
-    def encode(fragments: List[List[Any]]) -> List[Optional[bytes]]:
-        """One map task's fragments, each pickled; ``None`` for an empty one."""
-        return [pickle.dumps(fragment) if fragment else None for fragment in fragments]
+    def encode(fragments: List[List[Any]], terms: TermTable) -> List[Optional[bytes]]:
+        """One map task's fragments, each pickled over *terms*; ``None``
+        for an empty one."""
+        return [terms.dumps(fragment) if fragment else None for fragment in fragments]
 
     def append(self, encoded: List[Optional[bytes]]) -> None:
         """Add one map task's encoded fragments, unread; call in map order."""
@@ -752,7 +860,7 @@ class ShuffleBlocks:
                 bucket.append(block)
 
     def __getitem__(self, index: int) -> List[Any]:
-        return list(chain.from_iterable(map(pickle.loads, self.blocks[index])))
+        return list(chain.from_iterable(map(self.terms.loads, self.blocks[index])))
 
 
 class CoGroupedRDD(RDD):

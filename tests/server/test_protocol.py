@@ -167,6 +167,59 @@ class TestRequestDecoding:
         response = json.loads(out.getvalue())
         assert (response["id"], response["status"]) == ("q3", "error")
 
+    @pytest.mark.parametrize("request_id", ["null", "7", '["x"]', '{"n": 1}', "true"])
+    @pytest.mark.parametrize(
+        "rest",
+        [
+            '"query": "ASK { ?s ?p ?o }"',
+            '"op": "commit", "additions": []',
+            '"op": "stats"',
+        ],
+    )
+    def test_a_non_string_id_is_malformed(self, lubm_graph, request_id, rest):
+        """Answered under no id, never under one the client did not send
+        ("None", "7", "['x']") nor echoed raw by one op and not another."""
+        line = '{"id": %s, %s}' % (request_id, rest)
+        with pytest.raises(ProtocolError) as caught:
+            decode_request(line)
+        assert caught.value.id == "" and "id must be a string" in str(caught.value)
+        out = io.StringIO()
+        serve_lines(QueryService(lubm_graph, pool_size=1), io.StringIO(line), out)
+        assert out.getvalue() == (
+            '{"error":"id must be a string","id":"","status":"error"}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"id": "q9"}',
+            '{"id": "q9", "op": "query", "query": ""}',
+            '{"id": "q9", "op": "explode"}',
+            '{"id": "q9", "op": ["query"]}',
+        ],
+    )
+    def test_every_error_of_an_addressed_line_names_it(self, lubm_graph, line):
+        with pytest.raises(ProtocolError) as caught:
+            decode_request(line)
+        assert caught.value.id == "q9"
+        out = io.StringIO()
+        serve_lines(QueryService(lubm_graph, pool_size=1), io.StringIO(line), out)
+        response = json.loads(out.getvalue())
+        assert (response["id"], response["status"]) == ("q9", "error")
+
+    def test_a_string_id_is_echoed_by_every_op(self, lubm_graph):
+        lines = [
+            '{"id": "7", "query": "ASK { ?s ?p ?o }"}',
+            '{"id": "7", "op": "commit", "additions": []}',
+            '{"id": "7", "op": "stats"}',
+            '{"query": "ASK { ?s ?p ?o }"}',
+        ]
+        out = io.StringIO()
+        service = QueryService(lubm_graph, pool_size=1)
+        serve_lines(service, io.StringIO("\n".join(lines)), out)
+        ids = [json.loads(line)["id"] for line in out.getvalue().splitlines()]
+        assert ids == ["7", "7", "7", ""]
+
     def test_well_typed_fields_pass(self):
         decode_request('{"query": "ASK { ?s ?p ?o }", "deadline": 9}')
         decode_request('{"op": "commit", "additions": ["<s> <p> <o> ."]}')

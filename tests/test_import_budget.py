@@ -49,13 +49,14 @@ at_fork, workers = set(), sys.argv[1]
 os.register_at_fork(before=lambda: at_fork.update(sys.modules))
 worker_main = parallel._worker_main
 def reporting_worker(worker_id, ctx, nodes, conn):
+    terms = ctx.executor_backend.terms
     class Reporting:
-        recv, close = conn.recv, conn.close
-        def send(self, message):
-            if message[0] == "done":
+        recv_bytes, close = conn.recv_bytes, conn.close
+        def send_bytes(self, blob):
+            if terms.loads(blob)[0] == "done":
                 with open(os.path.join(workers, str(os.getpid())), "w") as handle:
                     json.dump(sorted(set(sys.modules) - at_fork), handle)
-            conn.send(message)
+            conn.send_bytes(blob)
     worker_main(worker_id, ctx, nodes, Reporting())
 parallel._worker_main = reporting_worker
 out = io.StringIO()
