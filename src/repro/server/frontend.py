@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import IO, Any, Dict, Iterable, List
 
+from repro._gc import paused_collector
 from repro.rdf.ntriples import parse_ntriples
 from repro.server.protocol import (
     ProtocolError,
@@ -28,8 +29,11 @@ def _parse_change_set(lines: Iterable[str]) -> List:
     return list(parse_ntriples("\n".join(lines)))
 
 
+@paused_collector()
 def handle_request(service: QueryService, payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Apply one decoded request object; returns the response object."""
+    """Apply one decoded request object; returns the response object.
+    The request is one unit of work: the cyclic collector is paused for
+    it (:mod:`repro._gc`)."""
     op = payload.get("op", "query")
     if op == "query":
         outcome = service.submit(

@@ -61,9 +61,13 @@ One JSON object per line.  Requests::
     {"op": "commit", "additions": ["<s> <p> <o> ."], "deletions": []}
     {"op": "stats"}
 
-``op`` defaults to ``query`` when omitted; a field of the wrong type
-makes the line malformed (``status: "error"``), an ``id`` that is not a
-string included.  Responses echo the request ``id`` and carry
+``op`` defaults to ``query`` when omitted.  Each op takes the fields
+shown and no others (:data:`REQUEST_FIELDS`): ``query`` takes ``op``,
+``id``, ``tenant``, ``query``, ``deadline``; ``commit`` takes ``op``,
+``id``, ``additions``, ``deletions``; ``stats`` takes ``op``, ``id``.
+A field outside its op's set, or of the wrong type, makes the line
+malformed (``status: "error"``), an ``id`` that is not a string
+included.  Responses echo the request ``id`` and carry
 ``status`` (``ok`` / ``rejected`` / ``deadline`` / ``error`` /
 ``unsupported``), the canonical ``result`` for ``ok``, and
 accounting fields (``units``, ``cache``, ``version``).  ``rejected``
@@ -85,6 +89,13 @@ from repro.sparql.results import SolutionSet
 
 #: Bumped when the canonical result layout changes incompatibly.
 PROTOCOL_VERSION = 1
+
+#: The fields each op may carry; any other field makes the line malformed.
+REQUEST_FIELDS = {
+    "query": frozenset(("op", "id", "tenant", "query", "deadline")),
+    "commit": frozenset(("op", "id", "additions", "deletions")),
+    "stats": frozenset(("op", "id")),
+}
 
 
 class ProtocolError(ValueError):
@@ -165,8 +176,17 @@ def decode_request(line: str) -> Dict[str, Any]:
         raise ProtocolError("id must be a string")
     payload.setdefault("op", "query")
     op = payload["op"]
-    if op not in ("query", "commit", "stats"):
+    if not isinstance(op, str) or op not in REQUEST_FIELDS:
         raise ProtocolError("unknown op %r" % (op,), request_id)
+    unknown = sorted(set(payload) - REQUEST_FIELDS[op])
+    if unknown:
+        # A mistyped field ("add", "deadline_ms") would otherwise be
+        # dropped, and the request run without it.
+        raise ProtocolError(
+            "unknown field %s in a %s request"
+            % (", ".join(repr(name) for name in unknown), op),
+            request_id,
+        )
     if op == "query":
         query, deadline = payload.get("query"), payload.get("deadline")
         if not (isinstance(query, str) and query):

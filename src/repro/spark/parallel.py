@@ -575,6 +575,9 @@ def _worker_main(worker_id, ctx, nodes, conn):
     try:
         _WORKER_STATE["active"] = True
         _WORKER_STATE["ctx"] = ctx
+        # A pool is forked inside a unit of work, whose pause
+        # (``repro._gc``) the fork copies; the worker outlives the unit.
+        gc.enable()
         for end in _DRIVER_ENDS:
             end.close()
         # The driver is the only deadline authority under this backend.

@@ -28,6 +28,7 @@ from typing import (
     Union,
 )
 
+from repro._gc import paused_collector
 from repro.core.dimensions import (
     Contribution,
     DataModel,
@@ -216,7 +217,8 @@ class SparkRdfEngine:
 
     def load(self, graph: RDFGraph) -> "SparkRdfEngine":
         """Ingest a graph, building the engine's distributed representation."""
-        self._build(graph)
+        with paused_collector():
+            self._build(graph)
         self._loaded = True
         return self
 
@@ -272,7 +274,7 @@ class SparkRdfEngine:
                 "query",
                 name=type(query).__name__.replace("Query", "").lower(),
                 engine=self.profile.name,
-            ):
+            ), paused_collector():
                 return self._execute_parsed(query)
         except TaskFailedError as exc:
             if exc.engine is None:

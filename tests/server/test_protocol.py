@@ -220,10 +220,40 @@ class TestRequestDecoding:
         ids = [json.loads(line)["id"] for line in out.getvalue().splitlines()]
         assert ids == ["7", "7", "7", ""]
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ('{"op": "commit", "id": "e", "add": ["<a> <b> <c> ."]}', "'add'"),
+            ('{"id": "e", "query": "ASK { ?s ?p ?o }", "deadline_ms": 5}', "'deadline_ms'"),
+            ('{"id": "e", "op": "stats", "tenant": "t0"}', "'tenant'"),
+            ('{"id": "e", "op": "commit", "deadline": 5}', "'deadline'"),
+            ('{"id": "e", "op": "stats", "query": "ASK {}", "z": 0}', "'query', 'z'"),
+        ],
+    )
+    def test_an_unknown_field_is_malformed(self, lubm_graph, line, field):
+        """Not dropped: a mistyped ``additions`` committed nothing and
+        still advanced the version."""
+        with pytest.raises(ProtocolError) as caught:
+            decode_request(line)
+        assert caught.value.id == "e"
+        assert str(caught.value).startswith("unknown field %s in a " % field)
+        service = QueryService(lubm_graph, pool_size=1)
+        out = io.StringIO()
+        serve_lines(service, io.StringIO(line), out)
+        response = json.loads(out.getvalue())
+        assert (response["id"], response["status"]) == ("e", "error")
+        assert service.version == 0
+
     def test_well_typed_fields_pass(self):
         decode_request('{"query": "ASK { ?s ?p ?o }", "deadline": 9}')
         decode_request('{"op": "commit", "additions": ["<s> <p> <o> ."]}')
         decode_request('{"op": "commit"}')
+        # Every field each op takes, at once.
+        decode_request(
+            '{"op": "query", "id": "q", "tenant": "t", "query": "ASK {}", "deadline": 9}'
+        )
+        decode_request('{"op": "commit", "id": "c", "additions": [], "deletions": []}')
+        decode_request('{"op": "stats", "id": "s"}')
 
     def test_encode_response_is_canonical(self):
         assert (
