@@ -39,7 +39,7 @@ from repro.spark.context import SparkContext
 from repro.stats.catalog import StatsCatalog
 from repro.systems import SparqlgxEngine
 from repro.views import ViewCatalog
-from repro.views.catalog import _predicate_terms, materialize_view
+from repro.views.catalog import materialize_view
 
 
 THRESHOLD = 0.5
@@ -93,14 +93,9 @@ def _commit_stream(graph) -> List[Dict[str, tuple]]:
 
 def _views_exact(catalog: ViewCatalog, graph) -> bool:
     """Every maintained view byte-matches a from-scratch materialization."""
-    terms = _predicate_terms(graph)
     for view in catalog.sorted_views():
         oracle = materialize_view(
-            graph,
-            view.key,
-            view.factor,
-            version=view.version,
-            predicate_terms=terms,
+            graph, view.key, view.factor, version=view.version
         )
         if view.rows() != oracle.rows():
             return False

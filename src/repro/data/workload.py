@@ -266,8 +266,8 @@ def _draw_patterns(
     if shape is QueryShape.COMPLEX:
         return _complex_patterns(graph, rng)
     if shape is QueryShape.SINGLE:
-        triple = rng.choice(sorted(graph))
-        return [TriplePattern(Variable("s"), triple.predicate, Variable("o"))]
+        _s, predicate, _o = rng.choice(graph.canonical_order())
+        return [TriplePattern(Variable("s"), predicate, Variable("o"))]
     raise ValueError("cannot generate shape %r" % shape)
 
 

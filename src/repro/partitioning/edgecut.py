@@ -115,9 +115,9 @@ class EdgeCutPartitioner(Partitioner):
     ) -> None:
         super().__init__(num_partitions)
         self.edges: List[Tuple[Term, Term]] = [
-            (t.subject, t.object)
-            for t in sorted(graph)
-            if isinstance(t.object, URI) and t.predicate != RDF.type
+            (s, o)
+            for s, p, o in graph.canonical_order()
+            if isinstance(o, URI) and p != RDF.type
         ]
         self._placement = ldg_partition(
             self.edges, num_partitions, balance_slack

@@ -35,10 +35,8 @@ class PartitionedTripleStore:
         partitions: List[List[Tuple[Term, Term, Term]]] = [
             [] for _ in range(partitioner.num_partitions)
         ]
-        for triple in sorted(graph):
-            partitions[partitioner.partition_for(triple.subject)].append(
-                triple.as_tuple()
-            )
+        for triple in graph.canonical_order():
+            partitions[partitioner.partition_for(triple[0])].append(triple)
         self._partitions = partitions
         self.rdd: RDD = ctx.fromPartitions(partitions)
 

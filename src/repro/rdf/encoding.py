@@ -4,17 +4,21 @@ HAQWA (Section IV-A1) "performs an encoding of string values to integer
 ones on data, which minimizes data volume and makes processing more
 efficient."  The :class:`Dictionary` assigns each distinct term a dense
 integer id; :func:`encoded_volume_ratio` measures the volume reduction the
-paper's claim is about.
+paper's claim is about.  One encoding per graph version is shared by the
+engines that store ids (:meth:`repro.rdf.graph.RDFGraph.encoding`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.rdf.metricsutil import term_volume
 from repro.rdf.terms import Term
 from repro.rdf.triple import Triple
+
+if TYPE_CHECKING:
+    from repro.rdf.graph import RDFGraph
 
 
 @dataclass(frozen=True)
@@ -33,12 +37,14 @@ class Dictionary:
     """Bidirectional term <-> dense integer id mapping.
 
     Ids are assigned in first-seen order, so encoding is deterministic for
-    a fixed input order.
+    a fixed input order.  A frozen dictionary (:meth:`freeze`) hands out
+    no new id: it is shared read-only.
     """
 
     def __init__(self) -> None:
         self._term_to_id: Dict[Term, int] = {}
         self._id_to_term: List[Term] = []
+        self._frozen = False
 
     def __len__(self) -> int:
         return len(self._id_to_term)
@@ -48,10 +54,16 @@ class Dictionary:
         existing = self._term_to_id.get(term)
         if existing is not None:
             return existing
+        if self._frozen:
+            raise TypeError("frozen dictionary has no id for %r" % (term,))
         new_id = len(self._id_to_term)
         self._term_to_id[term] = new_id
         self._id_to_term.append(term)
         return new_id
+
+    def freeze(self) -> None:
+        """From now on, :meth:`encode_term` of an unseen term raises."""
+        self._frozen = True
 
     def lookup_term(self, term: Term) -> int:
         """The id for *term*; raises KeyError when unseen."""
@@ -86,17 +98,28 @@ class Dictionary:
             self.decode_id(encoded.object),
         )
 
-    def encode_graph(self, graph: Iterable[Triple]) -> List[Tuple[int, int, int]]:
-        """*graph* as ``(s, p, o)`` id tuples in sorted triple order, which
-        is also the order ids are handed out in: an engine's encoded store
-        is this list, placed."""
-        return [self.encode(t).as_tuple() for t in sorted(graph)]
+    def encode_graph(self, graph: "RDFGraph") -> List[Tuple[int, int, int]]:
+        """*graph* as ``(s, p, o)`` id tuples in its canonical (sorted)
+        order, which is also the order ids are handed out in."""
+        encode = self.encode_term
+        return [
+            (encode(s), encode(p), encode(o))
+            for s, p, o in graph.canonical_order()
+        ]
 
     def encode_all(self, triples: Iterable[Triple]) -> List[EncodedTriple]:
         return [self.encode(t) for t in triples]
 
     def decode_all(self, encoded: Iterable[EncodedTriple]) -> List[Triple]:
         return [self.decode(e) for e in encoded]
+
+
+class GraphEncoding(NamedTuple):
+    """One graph version's dictionary encoding: an engine's encoded
+    store is :attr:`triples`, placed."""
+
+    dictionary: Dictionary
+    triples: Tuple[Tuple[int, int, int], ...]
 
 
 def raw_volume(triples: Iterable[Triple]) -> int:

@@ -5,6 +5,13 @@ it stores triples in SPO/POS/OSP hash indexes and answers single-pattern
 lookups with any combination of bound positions.  It is also the loading
 format -- engines ingest an :class:`RDFGraph` and build their own
 distributed representation from it.
+
+Two load-time layouts hang off the graph, built on first use and shared
+read-only by every engine that loads this version of it: the canonical
+triple order (:meth:`RDFGraph.canonical_order`) and the dictionary
+encoding (:meth:`RDFGraph.encoding`).  Any ``add`` or ``remove`` that
+changes the graph drops both (docs/ARCHITECTURE.md, "Load-time
+layouts").
 """
 
 from __future__ import annotations
@@ -21,11 +28,13 @@ from typing import (
     Tuple,
 )
 
+from repro.rdf.encoding import Dictionary, GraphEncoding
 from repro.rdf.terms import Term, URI
 from repro.rdf.triple import Triple
 from repro.rdf.vocab import RDF
 
 _Pattern = Tuple[Optional[Term], Optional[Term], Optional[Term]]
+_TermTriple = Tuple[Term, Term, Term]
 _Index = Dict[Term, Dict[Term, Set[Term]]]
 
 
@@ -44,6 +53,8 @@ class RDFGraph:
         self._pos: _Index = {}
         self._osp: _Index = {}
         self._size = 0
+        self._order: Optional[Tuple[_TermTriple, ...]] = None
+        self._encoding: Optional[GraphEncoding] = None
         if triples:
             self.add_all(triples)
 
@@ -61,6 +72,7 @@ class RDFGraph:
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
         self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
         self._size += 1
+        self._order = self._encoding = None
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -90,6 +102,7 @@ class RDFGraph:
                 if not inner:
                     del index[a]
         self._size -= 1
+        self._order = self._encoding = None
         return True
 
     # ------------------------------------------------------------------
@@ -145,6 +158,39 @@ class RDFGraph:
             yield from iter(self)
 
     # ------------------------------------------------------------------
+    # Load-time layouts
+    # ------------------------------------------------------------------
+
+    def canonical_order(self) -> Tuple[_TermTriple, ...]:
+        """Every triple as an ``(s, p, o)`` tuple, in ``sorted(graph)``
+        order (ties included: the same comparator over the same
+        iteration order).  Built on first use, shared by every caller
+        until the next change; a tuple, so nobody can reorder it."""
+        order = self._order
+        if order is None:
+            order = self._order = tuple(
+                sorted(
+                    (s, p, o)
+                    for s, predicates in self._spo.items()
+                    for p, objects in predicates.items()
+                    for o in objects
+                )
+            )
+        return order
+
+    def encoding(self) -> GraphEncoding:
+        """The frozen dictionary and the id triples of
+        :meth:`canonical_order`, ids handed out in that order.  Built on
+        first use, shared by every caller until the next change."""
+        encoding = self._encoding
+        if encoding is None:
+            dictionary = Dictionary()
+            triples = tuple(dictionary.encode_graph(self))
+            dictionary.freeze()
+            encoding = self._encoding = GraphEncoding(dictionary, triples)
+        return encoding
+
+    # ------------------------------------------------------------------
     # Vocabulary views & statistics
     # ------------------------------------------------------------------
 
@@ -195,7 +241,8 @@ class RDFGraph:
     def copy(self) -> "RDFGraph":
         """An independent graph holding the same triples: the three
         indexes are copied container by container (terms are immutable
-        and shared), so nothing is re-validated or re-inserted."""
+        and shared), so nothing is re-validated or re-inserted.  The
+        copy starts without layouts."""
         clone = RDFGraph()
         clone._spo = _copy_index(self._spo)
         clone._pos = _copy_index(self._pos)

@@ -98,17 +98,33 @@ class _Parser:
             raise SparqlParseError("empty CONSTRUCT template")
         self.stream.accept("keyword", "WHERE")
         where = self._parse_group()
-        # LIMIT and OFFSET may come in either order; they page the
-        # *sorted constructed graph* at the protocol layer (the engines
-        # build the full graph -- see ConstructQuery's docstring).
+        # LIMIT and OFFSET page the *sorted constructed graph* at the
+        # protocol layer (the engines build the full graph -- see
+        # ConstructQuery's docstring).
+        limit, offset = self._parse_paging()
+        return ConstructQuery(template, where, limit=limit, offset=offset)
+
+    def _parse_paging(self) -> Tuple[Optional[int], int]:
+        """``(limit, offset)``: LIMIT and OFFSET, in either order, each an
+        unsigned INTEGER as the grammar has it (``LIMIT -1`` is an error,
+        not a page)."""
         limit: Optional[int] = None
         offset = 0
         for _attempt in range(2):
             if self.stream.accept("keyword", "LIMIT"):
-                limit = int(self.stream.expect("integer").value)
+                limit = self._unsigned_integer("LIMIT")
             elif self.stream.accept("keyword", "OFFSET"):
-                offset = int(self.stream.expect("integer").value)
-        return ConstructQuery(template, where, limit=limit, offset=offset)
+                offset = self._unsigned_integer("OFFSET")
+        return limit, offset
+
+    def _unsigned_integer(self, clause: str) -> int:
+        token = self.stream.expect("integer")
+        if not token.value.isdigit():
+            raise SparqlParseError(
+                "%s takes an unsigned integer at position %d, found %r"
+                % (clause, token.position, token.value)
+            )
+        return int(token.value)
 
     def _parse_describe(self) -> DescribeQuery:
         self.stream.expect("keyword", "DESCRIBE")
@@ -188,14 +204,7 @@ class _Parser:
             if not order_by:
                 raise SparqlParseError("empty ORDER BY")
 
-        limit: Optional[int] = None
-        offset = 0
-        # LIMIT and OFFSET may come in either order.
-        for _attempt in range(2):
-            if self.stream.accept("keyword", "LIMIT"):
-                limit = int(self.stream.expect("integer").value)
-            elif self.stream.accept("keyword", "OFFSET"):
-                offset = int(self.stream.expect("integer").value)
+        limit, offset = self._parse_paging()
         return SelectQuery(
             variables=variables,
             where=where,

@@ -26,7 +26,7 @@ _TOKEN_RE = re.compile(
   | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
   | (?P<uri><[^<>\s]*>)
   | (?P<string>(?:"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')(?:@[A-Za-z][A-Za-z0-9\-]*)?)
-  | (?P<double>[+-]?\d+\.\d+(?:[eE][+-]?\d+)?)
+  | (?P<double>[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.?\d+[eE][+-]?\d+|\d*\.\d+))
   | (?P<integer>[+-]?\d+)
   | (?P<bnode>_:[A-Za-z0-9_]+)
   | (?P<pname>[A-Za-z_][\w\-]*:[\w\-.]*|:[\w\-.]+)

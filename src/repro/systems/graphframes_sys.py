@@ -69,18 +69,11 @@ class GraphFramesEngine(SparkRdfEngine):
             [(node,) for node in nodes], ["id"]
         )
         edges = self.session.createDataFrame(
-            [
-                (t.subject, t.object, t.predicate)
-                for t in sorted(graph)
-            ],
+            [(s, o, p) for s, p, o in graph.canonical_order()],
             ["src", "dst", "label"],
         )
         self.gframe = GraphFrame(vertices.cache(), edges.cache())
-        self.predicate_frequency: Dict[Term, int] = {}
-        for triple in graph:
-            self.predicate_frequency[triple.predicate] = (
-                self.predicate_frequency.get(triple.predicate, 0) + 1
-            )
+        self.predicate_frequency: Dict[Term, int] = graph.predicate_counts()
         self.total_edges = len(graph)
 
     # ------------------------------------------------------------------

@@ -112,7 +112,7 @@ class GraphXSubgraphEngine(SparkRdfEngine):
         # Vertex attribute: the MT table (a list of partial match rows).
         vertex_rdd = self.ctx.parallelize([(v, []) for v in vertices])
         edge_rdd = self.ctx.parallelize(
-            [Edge(t.subject, t.object, t.predicate) for t in sorted(graph)]
+            [Edge(s, o, p) for s, p, o in graph.canonical_order()]
         )
         self.graph = Graph(vertex_rdd, edge_rdd)
 

@@ -33,7 +33,6 @@ from repro.core.dimensions import (
     SparkAbstraction,
 )
 from repro.data.workload import QueryWorkload
-from repro.rdf.encoding import Dictionary
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term
 from repro.spark.context import SparkContext
@@ -131,11 +130,9 @@ class HaqwaEngine(SparkRdfEngine):
     # ------------------------------------------------------------------
 
     def _build(self, graph: RDFGraph) -> None:
-        self.dictionary = Dictionary()
+        self.dictionary, encoded = graph.encoding()
         num_partitions = self.ctx.default_parallelism
         self._num_partitions = num_partitions
-
-        encoded = self.dictionary.encode_graph(graph)
 
         partitions: List[List[Tuple[int, int, int]]] = [
             [] for _ in range(num_partitions)

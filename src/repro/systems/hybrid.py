@@ -34,7 +34,6 @@ from repro.core.dimensions import (
     QueryProcessing,
     SparkAbstraction,
 )
-from repro.rdf.encoding import Dictionary
 from repro.rdf.graph import RDFGraph
 from repro.spark.context import SparkContext
 from repro.spark.partitioner import HashPartitioner
@@ -108,8 +107,7 @@ class HybridEngine(SparkRdfEngine):
     # ------------------------------------------------------------------
 
     def _build(self, graph: RDFGraph) -> None:
-        self.dictionary = Dictionary()
-        encoded = self.dictionary.encode_graph(graph)
+        self.dictionary, encoded = graph.encoding()
         self._partitioner = HashPartitioner(self.ctx.default_parallelism)
         keyed = self.ctx.parallelize(encoded).keyBy(lambda t: t[0])
         self.triples = keyed.partitionBy(self._partitioner).values().cache()

@@ -51,9 +51,7 @@ class NaiveEngine(SparkRdfEngine):
         # every triple pattern re-reads the whole source -- the behaviour
         # Section IV-A3 ascribes to plain RDD evaluation ("RDDs always
         # read the entire data set for each triple pattern").
-        self.triples = self.ctx.parallelize(
-            [t.as_tuple() for t in sorted(graph)]
-        )
+        self.triples = self.ctx.parallelize(graph.canonical_order())
 
     def _evaluate_bgp(self, patterns: List[TriplePattern]) -> RDD:
         return fold_joins(

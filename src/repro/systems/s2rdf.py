@@ -32,7 +32,6 @@ from repro.core.dimensions import (
     QueryProcessing,
     SparkAbstraction,
 )
-from repro.rdf.encoding import Dictionary
 from repro.rdf.graph import RDFGraph
 from repro.spark.context import SparkContext
 from repro.spark.dataframe import DataFrame
@@ -110,7 +109,7 @@ class S2RdfEngine(SparkRdfEngine):
 
     def _build(self, graph: RDFGraph) -> None:
         self.session = SparkSession(self.ctx)
-        self.dictionary = Dictionary()
+        self.dictionary, encoded = graph.encoding()
         self.table_sizes: Dict[str, int] = {}
         #: predicate id -> VP table name
         self._vp_names: Dict[int, str] = {}
@@ -118,8 +117,6 @@ class S2RdfEngine(SparkRdfEngine):
         self._extvp_names: Dict[Tuple[str, int, int], str] = {}
         #: (kind, p1, p2) -> selectivity factor, for all computed pairs
         self.selectivity_factors: Dict[Tuple[str, int, int], float] = {}
-
-        encoded = self.dictionary.encode_graph(graph)
 
         all_df = self.session.createDataFrame(encoded, ["s", "p", "o"])
         self.session.createOrReplaceTempView("alltriples", all_df.cache())

@@ -96,7 +96,7 @@ class S2XEngine(SparkRdfEngine):
         )
         vertex_rdd = self.ctx.parallelize([(v, None) for v in vertices])
         edge_rdd = self.ctx.parallelize(
-            [Edge(t.subject, t.object, t.predicate) for t in sorted(graph)]
+            [Edge(s, o, p) for s, p, o in graph.canonical_order()]
         )
         self.graph = Graph(vertex_rdd, edge_rdd)
 

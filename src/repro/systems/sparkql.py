@@ -71,19 +71,15 @@ class SparkqlEngine(SparkRdfEngine):
             return node_attrs.setdefault(term, {"props": {}, "types": set()})
 
         edge_tuples: List[Tuple[Term, Term, Term]] = []
-        for triple in sorted(graph):
-            attrs_of(triple.subject)
-            if triple.predicate == RDF.type:
-                attrs_of(triple.subject)["types"].add(triple.object)
-            elif isinstance(triple.object, Literal):
-                attrs_of(triple.subject)["props"].setdefault(
-                    triple.predicate, []
-                ).append(triple.object)
+        for s, p, o in graph.canonical_order():
+            attrs_of(s)
+            if p == RDF.type:
+                attrs_of(s)["types"].add(o)
+            elif isinstance(o, Literal):
+                attrs_of(s)["props"].setdefault(p, []).append(o)
             else:
-                attrs_of(triple.object)
-                edge_tuples.append(
-                    (triple.subject, triple.object, triple.predicate)
-                )
+                attrs_of(o)
+                edge_tuples.append((s, o, p))
 
         vertex_rdd = self.ctx.parallelize(sorted(node_attrs.items(), key=lambda kv: kv[0].sort_key()))
         edge_rdd = self.ctx.parallelize(
@@ -92,13 +88,11 @@ class SparkqlEngine(SparkRdfEngine):
         self.graph = Graph(vertex_rdd, edge_rdd)
         self.object_properties: Set[Term] = {p for _s, _d, p in edge_tuples}
         self.data_properties: Set[Term] = {
-            t.predicate
-            for t in graph
-            if isinstance(t.object, Literal)
+            p for _s, p, o in graph.canonical_order() if isinstance(o, Literal)
         }
         # Full triple view, for variable-predicate fallbacks.
         self._all_triples = self.ctx.parallelize(
-            [t.as_tuple() for t in sorted(graph)]
+            graph.canonical_order()
         ).cache()
 
     # ------------------------------------------------------------------

@@ -96,25 +96,21 @@ class SparkRdfMesgEngine(SparkRdfEngine):
                 triple.subject
             )
 
-        for triple in sorted(graph):
-            if triple.predicate == RDF.type:
+        for subject, predicate, obj in graph.canonical_order():
+            if predicate == RDF.type:
                 continue
-            pair = (triple.subject, triple.object)
-            self.relation_index.setdefault(triple.predicate, []).append(pair)
-            subject_classes = self.classes_of.get(triple.subject, set())
-            object_classes = self.classes_of.get(triple.object, set())
+            pair = (subject, obj)
+            self.relation_index.setdefault(predicate, []).append(pair)
+            subject_classes = self.classes_of.get(subject, set())
+            object_classes = self.classes_of.get(obj, set())
             for s_class in subject_classes:
-                self.cr_index.setdefault(
-                    (s_class, triple.predicate), []
-                ).append(pair)
+                self.cr_index.setdefault((s_class, predicate), []).append(pair)
                 for o_class in object_classes:
                     self.crc_index.setdefault(
-                        (s_class, triple.predicate, o_class), []
+                        (s_class, predicate, o_class), []
                     ).append(pair)
             for o_class in object_classes:
-                self.rc_index.setdefault(
-                    (triple.predicate, o_class), []
-                ).append(pair)
+                self.rc_index.setdefault((predicate, o_class), []).append(pair)
         self._num_partitions = self.ctx.default_parallelism
 
     # ------------------------------------------------------------------

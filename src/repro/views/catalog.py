@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
 from repro.defaults import DEFAULT_VIEW_THRESHOLD
 from repro.rdf.graph import RDFGraph
@@ -220,41 +220,61 @@ class MaterializedView:
         )
 
 
-def materialize_view(
-    graph: RDFGraph,
-    key: ViewKey,
-    factor: float,
-    version: int = 0,
-    predicate_terms: Optional[Dict[str, Term]] = None,
-) -> MaterializedView:
-    """Build one view's contents from scratch over *graph*.
-
-    The from-scratch oracle the incremental-maintenance property test
-    compares against; also the build path of :meth:`ViewCatalog.build`.
-    """
-    kind, p1_n3, p2_n3 = key
-    terms = predicate_terms or _predicate_terms(graph)
-    p1 = terms.get(p1_n3)
-    p2 = terms.get(p2_n3)
-    column1, column2 = pair_columns(kind)
-    rows: List[Tuple[Term, Term]] = []
-    if p1 is not None:
-        survivors = set()
-        if p2 is not None:
-            for triple in graph.triples((None, p2, None)):
-                survivors.add(
-                    triple.subject if column2 == "s" else triple.object
-                )
-        for triple in graph.triples((None, p1, None)):
-            value = triple.subject if column1 == "s" else triple.object
-            if value in survivors:
-                rows.append((triple.subject, triple.object))
-    return MaterializedView(key, rows, factor, version=version)
-
-
 def _predicate_terms(graph: RDFGraph) -> Dict[str, Term]:
     """N3 text -> predicate term, for resolving catalog keys on a graph."""
     return {term.n3(): term for term in graph.predicates()}
+
+
+#: A predicate's ``(s, o)`` rows, and its values per column (``s``/``o``).
+_Partition = Tuple[List[Tuple[Term, Term]], Dict[str, AbstractSet[Term]]]
+
+
+class _Partitions:
+    """Each predicate's ``(s, o)`` rows and its subject and object sets,
+    read from the graph's POS index on first use: one pass per predicate
+    however many views name it."""
+
+    def __init__(self, graph: RDFGraph) -> None:
+        self._pos = graph.by_predicate()
+        self._terms = _predicate_terms(graph)
+        self._read: Dict[str, _Partition] = {}
+
+    def get(self, n3: str) -> Optional[_Partition]:
+        """The partition of the predicate *n3* names, or None when the
+        graph carries no such predicate."""
+        partition = self._read.get(n3)
+        if partition is None:
+            term = self._terms.get(n3)
+            if term is None:
+                return None
+            objects = self._pos[term]
+            rows = [(s, o) for o, subjects in objects.items() for s in subjects]
+            partition = self._read[n3] = (
+                rows,
+                {"s": {s for s, _o in rows}, "o": objects.keys()},
+            )
+        return partition
+
+    def view(self, key: ViewKey, factor: float, version: int) -> MaterializedView:
+        """The view *key* at this graph: ``p1``'s rows whose ``column1``
+        value ``p2``'s ``column2`` holds."""
+        kind, p1, p2 = key
+        column1, column2 = pair_columns(kind)
+        first, second = self.get(p1), self.get(p2)
+        rows: List[Tuple[Term, Term]] = []
+        if first is not None and second is not None:
+            survivors = second[1][column2]
+            position = 0 if column1 == "s" else 1
+            rows = [row for row in first[0] if row[position] in survivors]
+        return MaterializedView(key, rows, factor, version=version)
+
+
+def materialize_view(
+    graph: RDFGraph, key: ViewKey, factor: float, version: int = 0
+) -> MaterializedView:
+    """Build one view's contents from scratch over *graph*, the way
+    :meth:`ViewCatalog.build` builds each of its views."""
+    return _Partitions(graph).view(key, factor, version)
 
 
 class ViewCatalog:
@@ -300,21 +320,16 @@ class ViewCatalog:
             threshold=threshold,
             version=stats.version if version is None else version,
         )
-        terms = _predicate_terms(graph)
+        partitions = _Partitions(graph)
         selected = sorted(
             key
             for key, factor in stats.pair_selectivity.items()
             if factor <= threshold
         )
         for key in selected:
-            view = materialize_view(
-                graph,
-                key,
-                stats.pair_selectivity[key],
-                version=catalog.version,
-                predicate_terms=terms,
+            catalog.views[key] = partitions.view(
+                key, stats.pair_selectivity[key], catalog.version
             )
-            catalog.views[key] = view
             # The build bill: scan p1's partition plus p2's join column.
             catalog.build_cost_units += stats.predicate_count(
                 key[1]

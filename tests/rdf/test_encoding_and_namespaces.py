@@ -9,6 +9,7 @@ from repro.rdf.encoding import (
     encoded_volume_ratio,
     raw_volume,
 )
+from repro.rdf.graph import RDFGraph
 from repro.rdf.namespaces import Namespace, NamespaceManager
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triple import Triple
@@ -52,7 +53,7 @@ class TestDictionary:
         ]
         d = Dictionary()
         # Whatever order the triples arrive in: s1 p 5 sorts first.
-        assert d.encode_graph(triples) == [(0, 1, 2), (3, 1, 4)]
+        assert d.encode_graph(RDFGraph(triples)) == [(0, 1, 2), (3, 1, 4)]
         assert d.decode_id(0) == uri("s1") and d.decode_id(3) == uri("s2")
 
     def test_decode_binding(self):

@@ -6,7 +6,7 @@ import pytest
 from repro.rdf.terms import URI
 from repro.rdf.triple import Triple
 from repro.server import QueryRequest, QueryService
-from repro.views import materialize_view
+from tests.views.oracle import oracle_view
 
 LUBM = "http://repro.example.org/lubm#"
 QUERY = (
@@ -67,7 +67,7 @@ def test_commit_maintains_views_incrementally(lubm_graph):
     # ...and every view stays exact against the post-commit head.
     head = service.versions.head()
     for view in service.view_catalog.sorted_views()[:30]:
-        oracle = materialize_view(head, view.key, view.factor)
+        oracle = oracle_view(head, view.key, view.factor)
         assert view.rows() == oracle.rows(), view.name
     # Post-commit queries still answer and still substitute.
     outcome = service.submit(QueryRequest(text=QUERY))

@@ -20,7 +20,7 @@ from repro.runtime import build_engine
 from repro.server import QueryRequest, QueryService
 from repro.server.loadgen import build_shape_workload
 from repro.stats.catalog import StatsCatalog
-from repro.views import materialize_view
+from tests.views.oracle import oracle_view
 
 LUBM = "http://repro.example.org/lubm#"
 
@@ -186,7 +186,7 @@ def test_evolved_service_equals_service_built_on_its_head(lubm_graph):
         for term in rebuilt.predicates()
     }
     views = evolved.view_catalog.sorted_views()
-    oracles = [materialize_view(rebuilt, v.key, v.factor) for v in views]
+    oracles = [oracle_view(rebuilt, v.key, v.factor) for v in views]
     assert [v.rows() for v in views] == [o.rows() for o in oracles]
     summary = evolved.stats()["views"]
     assert summary["version"] == 3

@@ -43,6 +43,30 @@ class TestTokenizer:
         kinds = [t.kind for t in tokens[:-1]]
         assert kinds == ["integer", "integer", "double"]
 
+    @pytest.mark.parametrize(
+        "text", ["1e5", "1E-5", "+2e3", ".5", "-.5", ".5e2", "1.e3", "2.5e0"]
+    )
+    def test_every_grammar_numeral_is_one_token(self, text):
+        # DOUBLE without a dot ([0-9]+ EXPONENT), with a trailing dot
+        # ([0-9]+ '.' [0-9]* EXPONENT), DECIMAL with a leading dot.
+        tokens = tokenize(text)
+        assert [(t.kind, t.value) for t in tokens[:-1]] == [("double", text)]
+        query = parse_sparql("SELECT ?s WHERE { ?s <http://x/p> %s }" % text)
+        assert query.where.triple_patterns()[0].object == Literal(float(text))
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("?o . ?x", [("var", "?o"), ("op", "."), ("var", "?x")]),
+            ("?o.?x", [("var", "?o"), ("op", "."), ("var", "?x")]),
+            ("5 .", [("integer", "5"), ("op", ".")]),
+            ("5.}", [("integer", "5"), ("op", "."), ("op", "}")]),
+            ("5.5.", [("double", "5.5"), ("op", ".")]),
+        ],
+    )
+    def test_a_dot_that_ends_a_triple_stays_an_operator(self, text, expected):
+        assert [(t.kind, t.value) for t in tokenize(text)[:-1]] == expected
+
     def test_comments_skipped(self):
         tokens = tokenize("?x # trailing comment\n?y")
         assert len(tokens) == 3  # two vars + eof
@@ -132,6 +156,16 @@ class TestSelectParsing:
         q2 = parse_sparql(EX + "SELECT ?s WHERE { ?s ex:p ?o } OFFSET 2 LIMIT 5")
         assert (q1.limit, q1.offset) == (5, 2)
         assert (q2.limit, q2.offset) == (5, 2)
+
+    @pytest.mark.parametrize("form", ["SELECT ?s", "CONSTRUCT { ?s ex:p ?o }"])
+    @pytest.mark.parametrize(
+        "paging", ["LIMIT -1", "OFFSET -3", "LIMIT +2", "LIMIT 5 OFFSET -1"]
+    )
+    def test_a_signed_limit_or_offset_is_a_parse_error(self, form, paging):
+        # The grammar's LIMIT and OFFSET take an unsigned INTEGER; a
+        # negative one used to slice the answer from its end.
+        with pytest.raises(SparqlParseError, match="unsigned integer"):
+            parse_sparql(EX + "%s WHERE { ?s ex:p ?o } %s" % (form, paging))
 
     def test_ask(self):
         query = parse_sparql(EX + "ASK { ex:a ex:p ex:b }")

@@ -121,6 +121,16 @@ def build_cases():
             2,
         ),
         (
+            "input-error-negative-limit",
+            lambda d, t: ["query", d, CLEAN_QUERY + " LIMIT -1"],
+            2,
+        ),
+        (
+            "input-error-negative-construct-offset",
+            lambda d, t: ["query", d, ADVISOR_CONSTRUCT + " OFFSET -3"],
+            2,
+        ),
+        (
             "fault-exhaustion",
             lambda d, t: [
                 "query", d, "SELECT ?s WHERE { ?s ?p ?o }",

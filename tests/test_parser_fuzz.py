@@ -21,7 +21,8 @@ _fragments = st.sampled_from(
     [
         "SELECT", "WHERE", "{", "}", "?x", "?y", "ex:p", "<http://x/a>",
         "FILTER", "(", ")", "OPTIONAL", "UNION", ".", ";", ",", '"str"',
-        "42", "3.14", "PREFIX", "ASK", "a", "&&", "||", "=", "<", "ORDER",
+        "42", "3.14", "1e5", ".5", "1.e3", "-2.5E-3", "-1", "OFFSET",
+        "PREFIX", "ASK", "a", "&&", "||", "=", "<", "ORDER",
         "BY", "LIMIT", "*", "FROM", "JOIN", "ON", "GROUP", "t", "x",
     ]
 )

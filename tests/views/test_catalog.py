@@ -1,17 +1,20 @@
 """Materialized-view catalog: selection, threshold semantics, determinism."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import URI
 from repro.rdf.triple import Triple
-from repro.stats.catalog import StatsCatalog
+from repro.stats.catalog import PAIR_KINDS, StatsCatalog
 from repro.views import (
     DEFAULT_VIEW_THRESHOLD,
     ViewCatalog,
     materialize_view,
     view_name,
 )
+
+from tests.views.oracle import oracle_payload, oracle_view
 
 EX = "http://x/"
 
@@ -62,8 +65,13 @@ class TestSelection:
     def test_view_contents_match_oracle(self, lubm_graph):
         catalog = ViewCatalog.build(lubm_graph, threshold=0.5)
         for view in catalog.sorted_views()[:25]:
-            oracle = materialize_view(lubm_graph, view.key, view.factor)
+            oracle = oracle_view(lubm_graph, view.key, view.factor)
             assert view.rows() == oracle.rows()
+
+    def test_full_payload_matches_oracle(self, lubm_graph):
+        stats = StatsCatalog.from_graph(lubm_graph)
+        catalog = ViewCatalog.build(lubm_graph, stats, threshold=0.5)
+        assert catalog.to_payload() == oracle_payload(lubm_graph, stats, 0.5)
 
     def test_factors_never_exceed_threshold(self, lubm_graph):
         catalog = ViewCatalog.build(lubm_graph, threshold=0.25)
@@ -107,3 +115,43 @@ class TestDeterminism:
 
     def test_default_threshold_exported(self):
         assert 0.0 < DEFAULT_VIEW_THRESHOLD <= 1.0
+
+
+# Small vocabularies, so views come out full, partial and empty; "p9"
+# names a predicate no triple carries.
+_NODES = ["a", "b", "c", "d"]
+_PREDICATES = ["p1", "p2", "p3"]
+_edges = st.lists(
+    st.tuples(
+        st.sampled_from(_NODES),
+        st.sampled_from(_PREDICATES),
+        st.sampled_from(_NODES + ["x"]),
+    ),
+    max_size=18,
+)
+_keys = st.lists(
+    st.tuples(
+        st.sampled_from(PAIR_KINDS),
+        st.sampled_from(_PREDICATES + ["p9"]),
+        st.sampled_from(_PREDICATES + ["p9"]),
+    ).map(lambda key: (key[0], "<%s%s>" % (EX, key[1]), "<%s%s>" % (EX, key[2]))),
+    max_size=6,
+)
+
+
+@given(_edges, _keys, st.sampled_from([0.0, 0.5, 1.0]))
+@settings(max_examples=80, deadline=None)
+def test_build_matches_the_triple_by_triple_oracle(edges, keys, threshold):
+    """Every kind, ``p1 == p2``, an absent ``p1`` or ``p2``, and empty
+    reductions: the catalog the statistics select, plus the drawn keys
+    (at factor 0, so every threshold selects them), builds to the
+    oracle's payload, and so does each key built alone."""
+    graph = RDFGraph([t(s, p, o) for s, p, o in edges])
+    stats = StatsCatalog.from_graph(graph)
+    for key in keys:
+        stats.pair_selectivity[key] = 0.0
+    catalog = ViewCatalog.build(graph, stats, threshold=threshold)
+    assert catalog.to_payload() == oracle_payload(graph, stats, threshold)
+    for key in keys:
+        alone = materialize_view(graph, key, 0.0, version=3)
+        assert alone.to_payload() == oracle_view(graph, key, 0.0, 3).to_payload()
