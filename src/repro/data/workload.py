@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.rdf.graph import RDFGraph
-from repro.rdf.terms import Literal, Term, URI
+from repro.rdf.terms import Term, URI
 from repro.rdf.vocab import RDF
 from repro.sparql.ast import SelectQuery, GroupGraphPattern, TriplePattern, Variable
 from repro.sparql.shapes import QueryShape, classify_patterns
@@ -117,21 +117,15 @@ def _random_walk(
     """A list of predicates forming an s->o walk of *length* hops."""
     node = start
     predicates: List[Term] = []
+    subjects = graph.by_subject()
     for _hop in range(length):
-        candidates = [
+        # A hop may continue only to an IRI with an outgoing triple.
+        usable = [
             t
             for t in graph.triples((node, None, None))
             if isinstance(t.object, URI)
             and t.predicate != RDF.type
-            and graph.triples((t.object, None, None))
-        ]
-        usable = [
-            t
-            for t in candidates
-            if any(
-                not isinstance(n.object, Literal) or True
-                for n in graph.triples((t.object, None, None))
-            )
+            and t.object in subjects
         ]
         if not usable:
             return None

@@ -120,6 +120,20 @@ class VersionedGraph:
             self._snapshots[version] = self._head.copy()
         return version
 
+    def revert(self) -> int:
+        """Undo the head commit (one whose consumers could not follow
+        it); returns the version the head is back at."""
+        version = self.head_version
+        if version == 0:
+            raise KeyError("no commit to revert")
+        delta = self._deltas.pop()
+        self._snapshots.pop(version, None)
+        for triple in delta.added:
+            self._head.remove(triple)
+        for triple in delta.removed:
+            self._head.add(triple)
+        return self.head_version
+
     def _should_snapshot(self, version: int) -> bool:
         if self.policy is ArchivePolicy.FULL:
             return True

@@ -26,8 +26,8 @@ _TOKEN_RE = re.compile(
   | (?P<prefix_decl>@prefix)
   | (?P<uri><[^>]*>)
   | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<double>[+-]?\d+\.\d+)
-  | (?P<integer>[+-]?\d+)
+  | (?P<double>[+-]?[0-9]+\.[0-9]+)
+  | (?P<integer>[+-]?[0-9]+)
   | (?P<boolean>true|false)
   | (?P<a_kw>\ba\b)
   | (?P<bnode>_:[A-Za-z0-9_]+)

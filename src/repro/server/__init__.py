@@ -38,6 +38,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "repro.server.service": (
             "CACHE_HIT_UNITS",
+            "CommitFailedError",
             "QueryOutcome",
             "QueryRequest",
             "QueryService",

@@ -2,9 +2,9 @@
 
 Reads one request object per line from an input stream, applies it to a
 :class:`~repro.server.service.QueryService`, and writes one canonical
-response line per request to an output stream.  Malformed lines produce
-``status: "error"`` responses rather than killing the loop -- a serving
-process must outlive bad clients.
+response line per request to an output stream.  Malformed lines, and
+commits that fail, produce ``status: "error"`` responses rather than
+killing the loop -- a serving process must outlive bad clients.
 
 Kept free of argparse and file handling so tests can drive it with
 ``io.StringIO`` pairs.
@@ -21,7 +21,7 @@ from repro.server.protocol import (
     decode_request,
     encode_response,
 )
-from repro.server.service import QueryRequest, QueryService
+from repro.server.service import CommitFailedError, QueryRequest, QueryService
 
 
 def _parse_change_set(lines: Iterable[str]) -> List:
@@ -58,7 +58,15 @@ def handle_request(service: QueryService, payload: Dict[str, Any]) -> Dict[str, 
         # The counter is cumulative; diff it across the commit so the
         # response reports only the entries *this* commit dropped.
         before = service.snapshot().result_cache_invalidations
-        version = service.commit(additions, deletions)
+        try:
+            version = service.commit(additions, deletions)
+        except CommitFailedError as exc:
+            # Nothing moved: the service still answers at its version.
+            return {
+                "id": payload.get("id", ""),
+                "status": "error",
+                "error": str(exc),
+            }
         after = service.snapshot().result_cache_invalidations
         return {
             "id": payload.get("id", ""),

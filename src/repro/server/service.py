@@ -32,12 +32,16 @@ versioned store, bumps the version, actively invalidates stale result
 cache entries, and brings every pooled engine's store to the new head
 (warm again before the next query).  Because the result-cache key
 embeds the version, staleness is impossible even between the bump and
-the purge.  Every step takes the commit's delta: the statistics
-(:attr:`QueryService.catalog`, the object the optimizer, the linter and
-routing all read) and the materialized views are carried forward, never
-recounted, and each pooled engine takes it through ``apply_delta`` --
-SPARQLGX rewrites only the predicate stores the delta touches, the
-other engines reload.
+the purge.  A commit is all or nothing: the pool is brought to the new
+head on copies of its slots, swapped in only when every slot got there;
+when one raises (a fault schedule exhausting ``max_task_attempts`` in a
+reload), the head reverts and :class:`CommitFailedError` leaves the
+version, statistics, views and every slot as they were.  Every step
+takes the commit's delta: the statistics (:attr:`QueryService.catalog`,
+the object the optimizer, the linter and routing all read) and the
+materialized views are carried forward, never recounted, and each
+pooled engine takes it through ``apply_delta`` -- SPARQLGX rewrites
+only the predicate stores the delta touches, the other engines reload.
 
 Determinism: the service owns its own
 :class:`~repro.spark.metrics.MetricsCollector` and
@@ -50,6 +54,7 @@ outcomes.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -82,6 +87,11 @@ from repro.systems.base import UnsupportedQueryError
 #: cache hits still consume (a sliver of) virtual time -- a served
 #: answer is never free -- but orders of magnitude below execution.
 CACHE_HIT_UNITS = 1
+
+
+class CommitFailedError(RuntimeError):
+    """A commit raised before the service moved to its version; the
+    service still serves the version it had (:meth:`QueryService.commit`)."""
 
 
 @dataclass(frozen=True)
@@ -151,9 +161,9 @@ class QueryOutcome:
 class _EngineSet:
     """One pool slot under adaptive routing: every candidate, warmed.
 
-    Exposes the same ``apply_delta`` / ``set_optimizer`` lifecycle as a
-    single engine so :meth:`QueryService.commit` treats both slot kinds
-    uniformly; dispatch picks the member the routing decision named.
+    Exposes the same ``set_optimizer`` lifecycle as a single engine so
+    :meth:`QueryService.commit` treats both slot kinds uniformly;
+    dispatch picks the member the routing decision named.
     """
 
     def __init__(self, engines: Dict[str, Any]) -> None:
@@ -162,13 +172,30 @@ class _EngineSet:
     def engine_for(self, name: str):
         return self._engines[name]
 
-    def apply_delta(self, delta, graph) -> None:
-        for name in sorted(self._engines):
-            self._engines[name].apply_delta(delta, graph)
-
     def set_optimizer(self, optimizer) -> None:
         for name in sorted(self._engines):
             self._engines[name].set_optimizer(optimizer)
+
+
+def _advanced(slot, delta, head):
+    """A copy of pool *slot* brought to *head* by *delta*; the slot itself
+    is left as it was, so it keeps answering if this raises.
+
+    The copy is shallow: an engine's ``apply_delta`` must rebind what it
+    changes (the default reload does), or the engine defines a
+    ``__copy__`` that gives the copy its own (SPARQLGX's store maps).
+    ``tests/server/test_write_path.py`` holds every engine to this.
+    """
+    if isinstance(slot, _EngineSet):
+        return _EngineSet(
+            {
+                name: _advanced(slot.engine_for(name), delta, head)
+                for name in sorted(slot._engines)
+            }
+        )
+    staged = copy.copy(slot)
+    staged.apply_delta(delta, head)
+    return staged
 
 
 class QueryService:
@@ -491,12 +518,24 @@ class QueryService:
     ) -> int:
         """Apply a change set: new graph version, caches invalidated,
         statistics, views and every pooled engine brought to the new
-        head by the delta (warm again)."""
+        head by the delta (warm again).
+
+        The pool is brought there first, on copies of its slots: if that
+        raises, the head reverts and :class:`CommitFailedError` leaves
+        the service answering at the version it had.
+        """
         with self.tracer.span("commit") as span:
             version = self.versions.commit(additions, deletions)
-            dropped = self.result_cache.invalidate_below(version, self.metrics)
             head = self.versions.head()
             delta = self.versions.delta(version)
+            try:
+                pool = [_advanced(slot, delta, head) for slot in self.pool]
+            except Exception as exc:
+                kept = self.versions.revert()
+                raise CommitFailedError(
+                    "commit failed, version %d kept: %s" % (kept, exc)
+                ) from exc
+            dropped = self.result_cache.invalidate_below(version, self.metrics)
             # Lint statistics must track the head (or admission would
             # reject queries over predicates this commit added), and every
             # consumer below shares this object.
@@ -524,10 +563,10 @@ class QueryService:
                 # Routing estimates re-anchor on the new head's statistics;
                 # calibration (the feedback history) deliberately survives.
                 self.routing.refresh(self.catalog)
-            for engine in self.pool:
-                engine.apply_delta(delta, head)
-                if self.optimizer is not None:
-                    engine.set_optimizer(self.optimizer)
+            if self.optimizer is not None:
+                for slot in pool:
+                    slot.set_optimizer(self.optimizer)
+            self.pool = pool
             if span is not None:
                 span.attrs["version"] = version
                 span.attrs["invalidated"] = dropped

@@ -280,9 +280,11 @@ def apply_solution_modifiers(
         # SPARQL leaves tie order unspecified; pin it to the canonical
         # full-row order (the sorts below are stable) so every engine and
         # every physical plan serializes ORDER BY results byte-identically.
+        # Unequal terms can share a sort key ("1" and "1.0"^^xsd:double,
+        # "a" and "a"@en): their N3 breaks the tie.
         ordered.sort(
             key=lambda s: tuple(
-                (name, term.sort_key())
+                (name, term.sort_key(), term.n3())
                 for name, term in sorted(s.items(), key=lambda kv: kv[0])
             )
         )

@@ -26,8 +26,8 @@ _TOKEN_RE = re.compile(
   | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
   | (?P<uri><[^<>\s]*>)
   | (?P<string>(?:"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')(?:@[A-Za-z][A-Za-z0-9\-]*)?)
-  | (?P<double>[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.?\d+[eE][+-]?\d+|\d*\.\d+))
-  | (?P<integer>[+-]?\d+)
+  | (?P<double>[+-]?(?:[0-9]+\.[0-9]*[eE][+-]?[0-9]+|\.?[0-9]+[eE][+-]?[0-9]+|[0-9]*\.[0-9]+))
+  | (?P<integer>[+-]?[0-9]+)
   | (?P<bnode>_:[A-Za-z0-9_]+)
   | (?P<pname>[A-Za-z_][\w\-]*:[\w\-.]*|:[\w\-.]+)
   | (?P<pname_ns>[A-Za-z_][\w\-]*:)

@@ -127,6 +127,16 @@ class SparqlgxEngine(SparkRdfEngine):
         }
         return written
 
+    def __copy__(self) -> "SparqlgxEngine":
+        # apply_delta rewrites the two maps in place: a copy gets its own,
+        # so the engine it was taken from answers at its version whatever
+        # happens to the copy (a service stages a commit on one).
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin.vp_tables = dict(self.vp_tables)
+        twin.vp_sizes = dict(self.vp_sizes)
+        return twin
+
     def apply_delta(self, delta, graph: RDFGraph) -> int:
         # Vertical partitioning localizes a change to the predicate
         # files it touches; every other store keeps its cached RDD.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from multiprocessing.process import BaseProcess
+
 import pytest
 
 from repro.data.lubm import LubmGenerator
@@ -53,3 +56,30 @@ def stats_passes(monkeypatch):
 
     monkeypatch.setattr(StatsCatalog, "from_graph", classmethod(counting))
     return counted
+
+
+@pytest.fixture
+def starts_per_context(monkeypatch):
+    """The most ``Process.start`` calls any one context made while the
+    test runs (a worker's context is its second argument)."""
+    most = [0]
+    start = BaseProcess.start
+
+    def counting_start(self):
+        ctx = self._args[1]
+        ctx.process_starts = getattr(ctx, "process_starts", 0) + 1
+        most[0] = max(most[0], ctx.process_starts)
+        start(self)
+
+    monkeypatch.setattr(BaseProcess, "start", counting_start)
+    return most
+
+
+@pytest.fixture(autouse=True, scope="module")
+def release_matrix_runners():
+    """After each module, the differential matrix's cached engines go,
+    and their worker pools with them."""
+    yield
+    matrix = sys.modules.get("tests.differential.matrix")
+    if matrix is not None:
+        matrix.release()

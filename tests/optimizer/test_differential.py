@@ -1,74 +1,22 @@
-"""Differential property: the optimizer may change *how*, never *what*.
+"""The optimizer may change *how*, never *what*: every engine, every
+ordering mode, answers the LUBM corpus as the reference does.
 
-For every engine and every workload query, the canonical serialized
-result bytes (:mod:`repro.server.protocol`) of the optimized execution
-must equal the unoptimized execution's -- across all ordering modes.
+A named slice of the differential matrix (tests/differential/matrix.py).
 """
 
 import pytest
 
-from repro.data.lubm import LubmGenerator
-from repro.optimizer import Optimizer
-from repro.server import build_workload
-from repro.server.protocol import canonical_json, canonical_result
-from repro.spark.context import SparkContext
-from repro.sparql.parser import parse_sparql
 from repro.systems import ALL_ENGINE_CLASSES, NaiveEngine
-from repro.systems.base import UnsupportedQueryError
+from tests.differential.matrix import Cell, check_corpus
 
 ENGINES = (NaiveEngine,) + tuple(ALL_ENGINE_CLASSES)
 
 
-def _workload(graph):
-    queries = dict(build_workload(graph, size=6, seed=42))
-    queries["complex"] = LubmGenerator.query_complex()
-    # ORDER BY with ties: the regression case for plan-dependent row order.
-    queries["filter"] = LubmGenerator.query_filter()
-    return queries
-
-
-def _canonical(engine, query):
-    return canonical_json(canonical_result(engine.execute(query), query))
-
-
-@pytest.mark.parametrize(
-    "engine_cls", ENGINES, ids=lambda cls: cls.__name__
-)
-def test_optimized_results_byte_identical(engine_cls, lubm_graph):
-    optimizer = Optimizer.for_graph(lubm_graph)
-    engine = engine_cls(SparkContext(4))
-    engine.load(lubm_graph)
-    compared = 0
-    for name, text in _workload(lubm_graph).items():
-        query = parse_sparql(text)
-        engine.set_optimizer(None)
-        try:
-            baseline = _canonical(engine, query)
-        except UnsupportedQueryError:
-            # Feature gate, independent of the optimizer: the optimized
-            # path must refuse identically.
-            engine.set_optimizer(optimizer)
-            with pytest.raises(UnsupportedQueryError):
-                _canonical(engine, query)
-            continue
-        engine.set_optimizer(optimizer)
-        optimized = _canonical(engine, query)
-        assert optimized == baseline, (
-            "%s produced different bytes on %r with the optimizer"
-            % (engine_cls.__name__, name)
-        )
-        compared += 1
-    assert compared > 0
+@pytest.mark.parametrize("engine_cls", ENGINES, ids=lambda cls: cls.__name__)
+def test_optimized_results_byte_identical(engine_cls):
+    check_corpus(Cell.of(engine_cls.profile.name, optimize=True), "lubm", "canonical")
 
 
 @pytest.mark.parametrize("mode", ["parse", "greedy", "dp"])
-def test_every_mode_agrees_on_results(mode, lubm_graph):
-    optimizer = Optimizer.for_graph(lubm_graph, mode=mode)
-    engine = NaiveEngine(SparkContext(4))
-    engine.load(lubm_graph)
-    for _name, text in _workload(lubm_graph).items():
-        query = parse_sparql(text)
-        engine.set_optimizer(None)
-        baseline = _canonical(engine, query)
-        engine.set_optimizer(optimizer)
-        assert _canonical(engine, query) == baseline
+def test_every_mode_agrees_on_results(mode):
+    check_corpus(Cell.of("Naive", optimize=True, optimizer_mode=mode), "lubm")

@@ -171,3 +171,9 @@ class TestTurtle:
     def test_garbage_raises(self):
         with pytest.raises(TurtleParseError):
             parse_turtle("@prefix ex <oops>")
+
+    @pytest.mark.parametrize("number", ["\u0663", "1.\u0665", "\u0661\u0662"])
+    def test_a_non_ascii_digit_raises(self, number):
+        # Turtle's digits are [0-9]; "<s> <p> \u0663 ." used to load as 3.
+        with pytest.raises(TurtleParseError):
+            parse_turtle("<http://x/s> <http://x/p> %s ." % number)

@@ -8,18 +8,24 @@ the one catalog object, and the head a commit stream leaves behind
 carries no trace of the edits that produced it.
 """
 
+import json
 import random
 from pathlib import Path
 
 import pytest
 
+from repro.evolution import VersionedGraph
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import URI
 from repro.rdf.triple import Triple
 from repro.runtime import build_engine
-from repro.server import QueryRequest, QueryService
+from repro.server import CommitFailedError, QueryRequest, QueryService
 from repro.server.loadgen import build_shape_workload
+from repro.server.service import _advanced
+from repro.sparql.algebra import evaluate
+from repro.sparql.parser import parse_sparql
 from repro.stats.catalog import StatsCatalog
+from repro.systems import ENGINE_HOMES
 from tests.views.oracle import oracle_view
 
 LUBM = "http://repro.example.org/lubm#"
@@ -287,3 +293,60 @@ def test_evolved_pool_answers_like_a_fresh_service_wide(
         lubm_graph, seed, engine=engine, pool_size=2, optimize=optimize,
         enable_views=optimize,
     )
+
+
+MENTORS_QUERY = "SELECT ?s ?p WHERE { ?s <%smentors> ?p }" % LUBM
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_a_commit_that_raises_leaves_the_service_at_its_version(
+    lubm_graph, optimize
+):
+    """A reload that exhausts its task attempts used to leave the version
+    bumped and the pool half-moved: the mentors query then answered ok
+    at version 1 with no rows.  Now nothing moves."""
+    service = QueryService(
+        lubm_graph,
+        engine="SPARQL-Hybrid",
+        pool_size=2,
+        enable_result_cache=False,
+        lint_admission=False,
+        optimize=optimize,
+        enable_views=optimize,
+        faults="fail:p=0.05;seed=3",
+        max_task_attempts=1,
+    )
+    catalog, optimizer, pool = service.catalog, service.optimizer, service.pool
+    with pytest.raises(CommitFailedError, match="version 0 kept"):
+        service.commit([MENTORS])
+    assert service.version == 0 and service.versions.head() == lubm_graph
+    assert service.catalog is catalog and service.optimizer is optimizer
+    assert service.pool == pool
+    if optimize:
+        assert service.view_catalog.version == 0
+    for worker in range(2):
+        outcome = service.execute_on(QueryRequest(MENTORS_QUERY), worker)
+        assert (outcome.status, outcome.version) == ("ok", 0)
+        assert json.loads(outcome.payload)["rows"] == []
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_HOMES))
+def test_a_staged_slot_leaves_the_slot_it_was_copied_from_as_it_was(engine):
+    """A commit brings a shallow copy of each pool slot to the new head;
+    whatever that does to the copy, the slot still answers at its
+    version (SPARQLGX rewrites its store maps in place, so its copy
+    takes its own)."""
+    node = [URI(LUBM + "n%d" % i) for i in range(4)]
+    p, q = URI(LUBM + "p"), URI(LUBM + "q")
+    versions = VersionedGraph(
+        RDFGraph([Triple(node[0], p, node[1]), Triple(node[1], q, node[2])])
+    )
+    query = parse_sparql("SELECT * WHERE { ?a ?r ?b }")
+    slot = build_engine(engine, versions.head())
+    before = evaluate(query, versions.head())
+    version = versions.commit(
+        [Triple(node[2], p, node[3])], [Triple(node[1], q, node[2])]
+    )
+    staged = _advanced(slot, versions.delta(version), versions.head())
+    assert staged.execute(query).same_as(evaluate(query, versions.head()))
+    assert slot.execute(query).same_as(before)

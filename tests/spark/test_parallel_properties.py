@@ -1,27 +1,22 @@
-"""Property-based oracle-differential: random graphs, random BGPs.
+"""Property-based oracle-differential on the forked backend.
 
-The hand-written differential suite covers the committed workload; this
-one closes the gap with generated inputs.  For every random small graph
-and random connected basic graph pattern, the parallel backend must
-produce the exact canonical wire bytes the in-process oracle produces,
-and the merged driver-side cost counters (records scanned, shuffle
-records) must be invariant to the worker-pool size -- scheduling is not
-allowed to leak into the cost model.
+For every small random graph and fragment query over it, the parallel
+backend answers as the reference does and charges its in-process twin's
+counters -- a named slice of the differential matrix
+(tests/differential/matrix.py).  And the shuffle codec: what a reduce
+task decodes is, partition by partition, the bucket the serial shuffle
+builds.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rdf.graph import RDFGraph
-from repro.rdf.terms import Literal, URI
-from repro.rdf.triple import Triple
-from repro.server.protocol import canonical_json, canonical_result
+from repro.rdf.terms import URI
 from repro.spark.context import SparkContext
 from repro.spark.parallel import parallel_available
 from repro.spark.partitioner import HashPartitioner, Partitioner
 from repro.spark.rdd import ShuffleBlocks
-from repro.sparql.parser import parse_sparql
-from repro.systems import NaiveEngine, SparqlgxEngine
+from tests.differential.matrix import Cell, check_graph, fragment_queries, small_graphs
 
 pytestmark = pytest.mark.skipif(
     not parallel_available(),
@@ -29,94 +24,23 @@ pytestmark = pytest.mark.skipif(
 )
 
 NS = "http://example.org/"
-PREDICATES = 3
-
-#: One random edge: (subject id, predicate id, object id or literal id).
-edges = st.lists(
-    st.tuples(
-        st.integers(0, 5),
-        st.integers(0, PREDICATES - 1),
-        st.one_of(st.integers(0, 5), st.text("ab", max_size=2)),
-    ),
-    min_size=1,
-    max_size=30,
-)
-
-#: Per-pattern choices for a connected BGP: predicate id and whether the
-#: pattern extends the chain or fans out of the first variable (a star).
-shapes = st.lists(
-    st.tuples(st.integers(0, PREDICATES - 1), st.booleans()),
-    min_size=1,
-    max_size=3,
-)
 
 
-def build_graph(raw_edges):
-    triples = []
-    for s, p, o in raw_edges:
-        obj = (
-            URI("%so%d" % (NS, o))
-            if isinstance(o, int)
-            else Literal(o)
-        )
-        triples.append(
-            Triple(URI("%ss%d" % (NS, s)), URI("%sp%d" % (NS, p)), obj)
-        )
-    return RDFGraph(triples)
-
-
-def build_bgp(raw_shapes):
-    """A connected BGP: each pattern chains or stars off earlier ones."""
-    patterns = []
-    for index, (pred, chain) in enumerate(raw_shapes):
-        subject = "?v%d" % index if chain else "?v0"
-        patterns.append(
-            "%s <%sp%d> ?v%d ." % (subject, NS, pred, index + 1)
-        )
-    variables = sorted({v for p in patterns for v in p.split() if v[0] == "?"})
-    return "SELECT %s WHERE { %s }" % (
-        " ".join(variables),
-        " ".join(patterns),
-    )
-
-
-def run_canonical(engine_class, graph, query, backend, workers=None):
-    ctx = SparkContext(4, backend=backend, workers=workers)
-    engine = engine_class(ctx)
-    engine.load(graph)
-    result = engine.execute(query)
-    counters = ctx.metrics.snapshot()
-    return (
-        canonical_json(canonical_result(result, query)),
-        counters.records_scanned,
-        counters.shuffle_records,
-    )
-
-
-@given(raw_edges=edges, raw_shapes=shapes)
+@given(graph=small_graphs, data=st.data())
 @settings(max_examples=25, deadline=None)
-def test_parallel_equals_inprocess_on_random_bgps(raw_edges, raw_shapes):
-    graph = build_graph(raw_edges)
-    query = parse_sparql(build_bgp(raw_shapes))
-    oracle = run_canonical(NaiveEngine, graph, query, "inprocess")
+def test_parallel_equals_inprocess_on_random_bgps(graph, data):
+    text = data.draw(fragment_queries(graph))
     for workers in (2, 3):
-        assert (
-            run_canonical(NaiveEngine, graph, query, "parallel", workers)
-            == oracle
-        )
+        check_graph(Cell.of("Naive", backend="parallel", workers=workers), graph, text)
 
 
-@given(raw_edges=edges, raw_shapes=shapes)
+@given(graph=small_graphs, data=st.data())
 @settings(max_examples=10, deadline=None)
-def test_partitioned_engine_agrees_on_random_bgps(raw_edges, raw_shapes):
+def test_partitioned_engine_agrees_on_random_bgps(graph, data):
     # A second engine family (vertical partitioning) exercises shuffle
     # paths the naive scan-join plan never builds.
-    graph = build_graph(raw_edges)
-    query = parse_sparql(build_bgp(raw_shapes))
-    oracle = run_canonical(SparqlgxEngine, graph, query, "inprocess")
-    assert (
-        run_canonical(SparqlgxEngine, graph, query, "parallel", 2) == oracle
-    )
+    text = data.draw(fragment_queries(graph))
+    check_graph(Cell.of("SPARQLGX", backend="parallel", workers=2), graph, text)
 
 
 #: Keys of mixed kinds the placement hash is defined on; values anything

@@ -167,6 +167,15 @@ class TestSelectParsing:
         with pytest.raises(SparqlParseError, match="unsigned integer"):
             parse_sparql(EX + "%s WHERE { ?s ex:p ?o } %s" % (form, paging))
 
+    @pytest.mark.parametrize(
+        "tail", ["?s ex:p ?o } LIMIT \u0663", "?s ex:p \u0663 }", "?s ex:p 1.\u0665 }"]
+    )
+    def test_a_non_ascii_digit_is_a_parse_error(self, tail):
+        # The grammar's digits are [0-9]; Arabic-Indic digits used to lex
+        # as numerals (LIMIT \u0663 read as LIMIT 3).
+        with pytest.raises(SparqlParseError, match="cannot lex"):
+            parse_sparql(EX + "SELECT ?s WHERE { " + tail)
+
     def test_ask(self):
         query = parse_sparql(EX + "ASK { ex:a ex:p ex:b }")
         assert isinstance(query, AskQuery)

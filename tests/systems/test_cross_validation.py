@@ -1,9 +1,8 @@
-"""The correctness net: every engine vs the reference evaluator.
+"""Every engine against the reference on the LUBM and WatDiv corpora.
 
-Each engine runs the canonical LUBM and WatDiv queries plus randomly
-generated queries of every shape; answers must match the reference as
-multisets.  Queries outside an engine's published SPARQL fragment are
-skipped (that restriction is itself asserted in test_base).
+A named slice of the differential matrix (tests/differential/matrix.py):
+the cells, the corpus and the one assertion live there.  A query outside
+an engine's fragment must be refused, not answered.
 """
 
 import pytest
@@ -11,12 +10,8 @@ import pytest
 from repro.data.lubm import LubmGenerator
 from repro.data.watdiv import WatdivGenerator
 from repro.data.workload import generate_query
-from repro.spark.context import SparkContext
-from repro.sparql.algebra import evaluate
-from repro.sparql.fragments import features_of
-from repro.sparql.parser import parse_sparql
-from repro.sparql.shapes import QueryShape
 from repro.systems import ALL_ENGINE_CLASSES, NaiveEngine
+from tests.differential.matrix import SHAPES, Cell, check, dataset, render_patterns
 
 ENGINES = (NaiveEngine,) + ALL_ENGINE_CLASSES
 
@@ -25,106 +20,39 @@ def engine_id(cls):
     return cls.profile.name
 
 
-@pytest.fixture(scope="module")
-def lubm_engines(lubm_graph):
-    loaded = {}
-    for engine_class in ENGINES:
-        engine = engine_class(SparkContext(4))
-        engine.load(lubm_graph)
-        loaded[engine_class] = engine
-    return loaded
-
-
-@pytest.fixture(scope="module")
-def watdiv_engines(watdiv_graph):
-    loaded = {}
-    for engine_class in ENGINES:
-        engine = engine_class(SparkContext(4))
-        engine.load(watdiv_graph)
-        loaded[engine_class] = engine
-    return loaded
-
-
-def check(engine, graph, query):
-    if not engine.supports(query):
-        pytest.skip(
-            "%s supports %s only"
-            % (engine.profile.name, engine.profile.sparql_fragment)
-        )
-    expected = evaluate(query, graph)
-    actual = engine.execute(query)
-    assert actual.same_as(expected), (
-        "%s: %d rows vs reference %d rows"
-        % (engine.profile.name, len(actual), len(expected))
-    )
-
-
 @pytest.mark.parametrize("engine_class", ENGINES, ids=engine_id)
 @pytest.mark.parametrize("query_name", sorted(LubmGenerator.all_queries()))
-def test_lubm_canonical(engine_class, query_name, lubm_engines, lubm_graph):
-    query = parse_sparql(LubmGenerator.all_queries()[query_name])
-    check(lubm_engines[engine_class], lubm_graph, query)
+def test_lubm_canonical(engine_class, query_name):
+    check(Cell.of(engine_class.profile.name), "lubm", query_name)
 
 
 @pytest.mark.parametrize("engine_class", ENGINES, ids=engine_id)
 @pytest.mark.parametrize("query_name", sorted(WatdivGenerator.all_queries()))
-def test_watdiv_canonical(
-    engine_class, query_name, watdiv_engines, watdiv_graph
-):
-    query = parse_sparql(WatdivGenerator.all_queries()[query_name])
-    check(watdiv_engines[engine_class], watdiv_graph, query)
-
-
-GENERATED_SHAPES = [
-    QueryShape.SINGLE,
-    QueryShape.STAR,
-    QueryShape.LINEAR,
-    QueryShape.SNOWFLAKE,
-    QueryShape.COMPLEX,
-]
+def test_watdiv_canonical(engine_class, query_name):
+    check(Cell.of(engine_class.profile.name), "watdiv", query_name)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("engine_class", ENGINES, ids=engine_id)
-@pytest.mark.parametrize(
-    "shape", GENERATED_SHAPES, ids=lambda s: s.value
-)
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: s.value)
 @pytest.mark.parametrize("seed", [1, 2])
-def test_generated_workload(
-    engine_class, shape, seed, watdiv_engines, watdiv_graph
-):
-    query = generate_query(watdiv_graph, shape, seed=seed)
-    check(watdiv_engines[engine_class], watdiv_graph, query)
+def test_generated_workload(engine_class, shape, seed):
+    query = generate_query(dataset("watdiv"), shape, seed=seed)
+    text = "SELECT * WHERE { %s }" % render_patterns(query.where.triple_patterns())
+    check(Cell.of(engine_class.profile.name), "watdiv", text)
 
 
 @pytest.mark.parametrize("engine_class", ENGINES, ids=engine_id)
-def test_empty_answer_query(engine_class, lubm_engines, lubm_graph):
-    query = parse_sparql(
-        "PREFIX lubm: <http://repro.example.org/lubm#>\n"
-        "SELECT ?s WHERE { ?s lubm:advisor ?p . ?p lubm:advisor ?s }"
-    )
-    check(lubm_engines[engine_class], lubm_graph, query)
+def test_empty_answer_query(engine_class):
+    check(Cell.of(engine_class.profile.name), "lubm", "empty")
 
 
 @pytest.mark.parametrize("engine_class", ENGINES, ids=engine_id)
-def test_unknown_constant_query(engine_class, lubm_engines, lubm_graph):
-    query = parse_sparql(
-        "PREFIX nope: <http://nowhere.example/>\n"
-        "SELECT ?s WHERE { ?s nope:pred ?o }"
-    )
-    check(lubm_engines[engine_class], lubm_graph, query)
+def test_unknown_constant_query(engine_class):
+    check(Cell.of(engine_class.profile.name), "lubm", "unknown")
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("engine_class", ENGINES, ids=engine_id)
-def test_fully_ground_pattern(engine_class, lubm_engines, lubm_graph):
-    some_triple = next(iter(lubm_graph))
-    query = parse_sparql(
-        "SELECT ?x WHERE { ?x ?p ?o . %s %s %s . }"
-        % (
-            some_triple.subject.n3(),
-            some_triple.predicate.n3(),
-            some_triple.object.n3(),
-        )
-    )
-    check(lubm_engines[engine_class], lubm_graph, query)
+def test_fully_ground_pattern(engine_class):
+    check(Cell.of(engine_class.profile.name), "lubm", "ground")

@@ -1,80 +1,29 @@
-"""Differential correctness: every engine must agree with every other.
+"""Every engine on the shared star/linear/snowflake/complex workload --
+the matrix the CLI's ``assess`` command runs -- against the reference.
 
-The cross-validation suite checks each engine against the reference
-evaluator; this one closes the remaining gap by comparing the engines
-*to each other* on the shared star/linear/snowflake/complex workload --
-the exact matrix the CLI's ``assess`` command runs.  Result sets are
-canonicalized to sorted N3 rows, so any divergence shows up as a readable
-diff rather than a multiset mismatch.
+A named slice of the differential matrix (tests/differential/matrix.py).
 """
 
 import pytest
 
-from repro.data.lubm import LubmGenerator
-from repro.spark.context import SparkContext
-from repro.sparql.parser import parse_sparql
-from repro.systems import ALL_ENGINE_CLASSES, NaiveEngine
+from repro.systems import ALL_ENGINE_CLASSES
+from tests.differential.matrix import Cell, check
 
-ENGINES = (NaiveEngine,) + ALL_ENGINE_CLASSES
-
-WORKLOAD = {
-    "star": LubmGenerator.query_star(),
-    "linear": LubmGenerator.query_linear(),
-    "snowflake": LubmGenerator.query_snowflake(),
-    "complex": LubmGenerator.query_complex(),
-}
+WORKLOAD = ("star", "linear", "snowflake", "complex")
 
 
-def engine_id(cls):
-    return cls.profile.name
+def test_naive_supports_the_whole_workload():
+    assert all(check(Cell.of("Naive"), "lubm", name).wire for name in WORKLOAD)
 
 
-def canonical_rows(solution_set):
-    """A sorted list of sorted (variable, N3 term) rows: engine-neutral."""
-    return sorted(
-        tuple(sorted((name, term.n3()) for name, term in solution.items()))
-        for solution in solution_set
-    )
-
-
-@pytest.fixture(scope="module")
-def workload_answers(lubm_graph):
-    """Canonical answers per engine per query (unsupported ones absent)."""
-    parsed = {name: parse_sparql(text) for name, text in WORKLOAD.items()}
-    answers = {}
-    for engine_class in ENGINES:
-        engine = engine_class(SparkContext(4))
-        engine.load(lubm_graph)
-        answers[engine_class.profile.name] = {
-            name: canonical_rows(engine.execute(query))
-            for name, query in parsed.items()
-            if engine.supports(query)
-        }
-    return answers
-
-
-def test_naive_supports_the_whole_workload(workload_answers):
-    assert set(workload_answers["Naive"]) == set(WORKLOAD)
-
-
-@pytest.mark.parametrize("engine_class", ALL_ENGINE_CLASSES, ids=engine_id)
+@pytest.mark.parametrize(
+    "engine_class", ALL_ENGINE_CLASSES, ids=lambda cls: cls.profile.name
+)
 @pytest.mark.parametrize("query_name", sorted(WORKLOAD))
-def test_engines_agree_on_workload(workload_answers, engine_class, query_name):
-    name = engine_class.profile.name
-    mine = workload_answers[name].get(query_name)
-    if mine is None:
-        pytest.skip(
-            "%s's fragment does not cover the %s query" % (name, query_name)
-        )
-    reference = workload_answers["Naive"][query_name]
-    assert len(mine) == len(reference), (
-        "%s returned %d rows on %s, reference %d"
-        % (name, len(mine), query_name, len(reference))
-    )
-    assert mine == reference
+def test_engines_agree_on_workload(engine_class, query_name):
+    check(Cell.of(engine_class.profile.name), "lubm", query_name)
 
 
-def test_answers_are_nonempty(workload_answers):
+def test_answers_are_nonempty():
     # An all-engines-return-nothing workload would make the suite vacuous.
-    for rows in workload_answers["Naive"].values():
-        assert rows
+    assert all(check(Cell.of("Naive"), "lubm", name).nonempty for name in WORKLOAD)

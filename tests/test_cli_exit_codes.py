@@ -299,6 +299,11 @@ UNANSWERABLE_CASES = [
         "error: unexpected bare word 'SELEKT'",
     ),
     (
+        "query-non-ascii-limit",
+        lambda d: ["query", d, CLEAN_QUERY + " LIMIT \u0663"],
+        "error: cannot lex SPARQL at position",
+    ),
+    (
         "query-unsupported-fragment",
         lambda d: ["query", d, LIMIT_QUERY, "--engine", "SPARQLGX"],
         "error: SPARQLGX supports BGP+ only; query needs ['LIMIT']",

@@ -79,6 +79,40 @@ class TestServe:
         assert "DeptFresh" in after["result"]
         assert after["result"] != before["result"]
 
+    def test_a_failed_commit_is_answered_and_the_loop_goes_on(
+        self, data_file, tmp_path, capsys
+    ):
+        # The reload exhausts its one task attempt: the process used to
+        # exit 3 at the commit line and answer nothing after it.
+        lubm = "http://repro.example.org/lubm#"
+        novel = "<%sStudent0_0_0> <%smentors> <%sStudent0_0_1> ." % (
+            (lubm,) * 3
+        )
+        mentors = "SELECT ?s ?p WHERE { ?s <%smentors> ?p }" % lubm
+        requests = write_requests(
+            tmp_path,
+            [
+                {"op": "commit", "id": "c", "additions": [novel]},
+                {"op": "query", "id": "q", "query": mentors},
+                {"op": "stats", "id": "s"},
+            ],
+        )
+        argv = [
+            "serve", data_file, "--input", requests, "--pool", "2",
+            "--engine", "SPARQL-Hybrid", "--faults", "fail:p=0.05;seed=3",
+            "--max-task-attempts", "1", "--no-result-cache", "--no-lint",
+        ]
+        assert main(argv) == 0
+        commit, query, stats = [
+            json.loads(line)
+            for line in capsys.readouterr().out.strip().splitlines()
+        ]
+        assert commit["status"] == "error" and commit["id"] == "c"
+        assert commit["error"].startswith("commit failed, version 0 kept")
+        assert (query["status"], query["version"]) == ("ok", 0)
+        assert json.loads(query["result"])["rows"] == []
+        assert stats["version"] == 0
+
     def test_commit_reports_per_commit_invalidations(
         self, data_file, tmp_path, capsys
     ):

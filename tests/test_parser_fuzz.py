@@ -24,6 +24,8 @@ _fragments = st.sampled_from(
         "42", "3.14", "1e5", ".5", "1.e3", "-2.5E-3", "-1", "OFFSET",
         "PREFIX", "ASK", "a", "&&", "||", "=", "<", "ORDER",
         "BY", "LIMIT", "*", "FROM", "JOIN", "ON", "GROUP", "t", "x",
+        # Non-ASCII digits: the grammars' digits are [0-9] only.
+        "\u0663", "1.\u0665", "\uff11",
     ]
 )
 _near_queries = st.lists(_fragments, max_size=12).map(" ".join)

@@ -1,83 +1,34 @@
-"""Differential property: views change *how*, never *what*.
+"""Views change *how*, never *what*.
 
-For every engine and workload query, canonical result bytes with a
-view-substituting optimizer equal the plain-optimizer and unoptimized
-bytes; and after a commit, the incrementally maintained catalog plans
-the same answers a freshly rebuilt one does.
+Every engine with a view-substituting optimizer answers the LUBM corpus
+as the reference does -- a named slice of the differential matrix
+(tests/differential/matrix.py); and after a commit, the incrementally
+maintained catalog plans the same answers a freshly rebuilt one does.
 """
 
 import pytest
 
-from repro.data.lubm import LubmGenerator
 from repro.evolution import VersionedGraph
 from repro.optimizer import Optimizer
-from repro.server import build_workload
-from repro.server.protocol import canonical_json, canonical_result
-from repro.spark.context import SparkContext
-from repro.sparql.parser import parse_sparql
+from repro.runtime import RuntimeConfig
 from repro.stats.catalog import StatsCatalog
-from repro.systems import ALL_ENGINE_CLASSES, NaiveEngine, SparqlgxEngine
-from repro.systems.base import UnsupportedQueryError
+from repro.systems import ALL_ENGINE_CLASSES, NaiveEngine
 from repro.views import ViewCatalog
+from tests.differential import test_matrix
+from tests.differential.matrix import Cell, answer, check_corpus, corpus
 
 ENGINES = (NaiveEngine,) + tuple(ALL_ENGINE_CLASSES)
 
 
-def _workload(graph):
-    queries = dict(build_workload(graph, size=6, seed=42))
-    queries["complex"] = LubmGenerator.query_complex()
-    queries["filter"] = LubmGenerator.query_filter()
-    return queries
+@pytest.mark.parametrize("engine_cls", ENGINES, ids=lambda cls: cls.__name__)
+def test_view_results_byte_identical(engine_cls):
+    cell = Cell.of(engine_cls.profile.name, optimize=True, views=True)
+    check_corpus(cell, "lubm", "canonical")
 
 
-def _canonical(engine, query):
-    return canonical_json(canonical_result(engine.execute(query), query))
-
-
-@pytest.mark.parametrize(
-    "engine_cls", ENGINES, ids=lambda cls: cls.__name__
-)
-def test_view_results_byte_identical(engine_cls, lubm_graph):
-    plain = Optimizer.for_graph(lubm_graph)
-    viewed = Optimizer.for_graph(lubm_graph, views=True, view_threshold=0.5)
-    assert viewed.view_catalog is not None and len(viewed.view_catalog) > 0
-    engine = engine_cls(SparkContext(4))
-    engine.load(lubm_graph)
-    compared = 0
-    for name, text in _workload(lubm_graph).items():
-        query = parse_sparql(text)
-        engine.set_optimizer(plain)
-        try:
-            baseline = _canonical(engine, query)
-        except UnsupportedQueryError:
-            engine.set_optimizer(viewed)
-            with pytest.raises(UnsupportedQueryError):
-                _canonical(engine, query)
-            continue
-        engine.set_optimizer(viewed)
-        viewed_bytes = _canonical(engine, query)
-        assert viewed_bytes == baseline, (
-            "%s produced different bytes on %r with views"
-            % (engine_cls.__name__, name)
-        )
-        compared += 1
-    assert compared > 0
-
-
-def test_workload_actually_substitutes_views(lubm_graph):
+def test_workload_actually_substitutes_views():
     """Guard against a vacuous differential: views must really be used."""
-    viewed = Optimizer.for_graph(lubm_graph, views=True, view_threshold=0.5)
-    engine = SparqlgxEngine(SparkContext(4))
-    engine.load(lubm_graph)
-    engine.set_optimizer(viewed)
-    before = engine.ctx.metrics.snapshot()
-    for _name, text in _workload(lubm_graph).items():
-        try:
-            engine.execute(text)
-        except UnsupportedQueryError:
-            continue
-    delta = engine.ctx.metrics.snapshot() - before
-    assert delta["view_scans"] > 0
+    test_matrix.test_views_are_scanned()
 
 
 def test_incremental_catalog_plans_like_rebuilt_catalog(lubm_graph):
@@ -87,8 +38,7 @@ def test_incremental_catalog_plans_like_rebuilt_catalog(lubm_graph):
     catalog = ViewCatalog.build(
         head, StatsCatalog.from_graph(head), threshold=0.5
     )
-    triples = sorted(head)
-    version = store.commit(additions=[], deletions=triples[20:50])
+    version = store.commit(additions=[], deletions=sorted(head)[20:50])
     head = store.head()
     catalog.apply_delta(store.delta(version), head, version)
 
@@ -97,19 +47,12 @@ def test_incremental_catalog_plans_like_rebuilt_catalog(lubm_graph):
     rebuilt = Optimizer.for_graph(
         head, version=version, views=True, view_threshold=0.5
     )
-
-    for optimizer_label, optimizer in (
-        ("maintained", maintained),
-        ("rebuilt", rebuilt),
-    ):
-        engine = NaiveEngine(SparkContext(4))
-        engine.load(head)
-        engine.set_optimizer(optimizer)
-        results = {
-            name: _canonical(engine, parse_sparql(text))
-            for name, text in _workload(head).items()
-        }
-        if optimizer_label == "maintained":
-            baseline = results
-        else:
-            assert results == baseline
+    maintained_answers, rebuilt_answers = (
+        [
+            answer(engine, text).wire
+            for engine in [RuntimeConfig().engine("Naive", head, optimizer=optimizer)]
+            for text in corpus("lubm").values()
+        ]
+        for optimizer in (maintained, rebuilt)
+    )
+    assert maintained_answers == rebuilt_answers
