@@ -82,22 +82,11 @@ shape-stratified one (plus per-tenant shape emphasis);
 ``loadtest --workload {uniform,shape,shacl,federated}`` also offers the
 validation fan-out and paged-harvest workload families.
 
-``query``, ``explain``, ``serve`` and ``loadtest`` accept ``--optimize``
-(plus ``--optimizer-mode`` and ``--broadcast-threshold``) to run BGPs
-through the shared cost-based optimizer instead of each engine's native
-join order, and ``--views`` (plus ``--view-threshold``) on top to
-substitute materialized ExtVP views into the plans.  ``serve`` and
-``loadtest`` run the same static linter at admission (disable with
-``--no-lint``).
-
-``query``, ``assess``, ``serve`` and ``loadtest`` accept ``--backend
-{inprocess,parallel}`` and ``--workers N`` to pick the executor backend
-(docs/PARALLEL.md): ``parallel`` runs partition tasks on a forked worker
-pool while keeping every result byte-identical to the in-process
-oracle.  The same commands (plus ``explain``) accept
-``--verify-closures`` to analyze every closure in a job's lineage at
-submission time (rules CL000..CL007, docs/ANALYSIS.md); a violating
-closure aborts the run with exit code 4.
+Every knob flag (``--optimize``, ``--backend``, ``--faults``, ``--pool``
+...) is declared by its :class:`~repro.runtime.RuntimeConfig` or
+:class:`~repro.runtime.ServiceConfig` field, meaning included, and added
+here by ``_add_knobs``; README.md's generated CLI reference lists which
+subcommand takes which.
 
 Exit codes (the full table lives in README.md): 0 success / clean lint
 / conformant ``validate``; 1 failed ``assess``/``claims`` checks or a
@@ -118,12 +107,7 @@ import sys
 from typing import List, Optional
 
 from repro.bench.reporting import format_table
-from repro.defaults import (
-    DEFAULT_BROADCAST_THRESHOLD,
-    DEFAULT_PAGE_SIZE,
-    DEFAULT_VIEW_THRESHOLD,
-    ORDER_MODES,
-)
+from repro.defaults import DEFAULT_PAGE_SIZE, DEFAULT_VIEW_THRESHOLD
 from repro.runtime import (
     RuntimeConfig,
     RuntimeConfigError,
@@ -132,7 +116,6 @@ from repro.runtime import (
     load_graph,
     write_text,
 )
-from repro.spark.parallel import BACKEND_NAMES, DEFAULT_WORKERS
 
 
 def _config_from_args(cls, args, **fixed):
@@ -685,132 +668,41 @@ def _add_data_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("data", help="RDF file (.nt or .ttl)")
 
 
-def _add_parallelism_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--parallelism", type=int, default=RuntimeConfig.parallelism
-    )
+#: The knob groups several subcommands share, each in flag order.
+_OPTIMIZER = (
+    "optimize",
+    "optimizer_mode",
+    "broadcast_threshold",
+    "views",
+    "view_threshold",
+)
+_ROUTING = ("route", "route_engines")
+_FAULTS = ("faults", "max_task_attempts", "speculation")
+_BACKEND = ("backend", "workers", "verify_closures")
+_SERVICE = (
+    "pool_size",
+    "queue_limit",
+    "default_deadline",
+    "enable_plan_cache",
+    "enable_result_cache",
+    "lint_admission",
+)
 
 
-def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        default=ServiceConfig.engine,
-        help="engine name (default SPARQLGX)",
-    )
-
-
-def _add_optimizer_arguments(parser: argparse.ArgumentParser) -> None:
-    """Cost-based-optimizer knobs shared by every executing subcommand."""
-    parser.add_argument(
-        "--optimize",
-        action="store_true",
-        help="run BGPs through the shared cost-based optimizer "
-        "(statistics catalog + DP join ordering + broadcast selection)",
-    )
-    parser.add_argument(
-        "--optimizer-mode",
-        choices=list(ORDER_MODES),
-        default=RuntimeConfig.optimizer_mode,
-        help="join ordering strategy under --optimize (default dp)",
-    )
-    parser.add_argument(
-        "--broadcast-threshold",
-        type=int,
-        default=DEFAULT_BROADCAST_THRESHOLD,
-        metavar="ROWS",
-        help="broadcast a join's build side when its estimated size is "
-        "under ROWS (default %d)" % DEFAULT_BROADCAST_THRESHOLD,
-    )
-    parser.add_argument(
-        "--views",
-        action="store_true",
-        help="materialize ExtVP views and substitute them into plans "
-        "when they strictly dominate a base scan (requires --optimize; "
-        "see docs/VIEWS.md)",
-    )
-    _add_view_threshold_argument(parser)
-
-
-def _add_view_threshold_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--view-threshold",
-        type=_selectivity_factor,
-        default=None,
-        metavar="FACTOR",
-        help="materialize an ExtVP pair when its selectivity factor is "
-        "at most FACTOR in [0, 1] (default %s)" % DEFAULT_VIEW_THRESHOLD,
-    )
-
-
-def _add_routing_arguments(parser: argparse.ArgumentParser) -> None:
-    """Adaptive-routing knobs shared by explain/serve/loadtest."""
-    parser.add_argument(
-        "--route",
-        action="store_true",
-        help="dispatch each query through the adaptive per-shape routing "
-        "policy instead of one fixed engine (see docs/ROUTING.md)",
-    )
-    parser.add_argument(
-        "--route-engines",
-        action="append",
-        metavar="NAME",
-        help="candidate engine for the routed pool (repeatable; requires "
-        "--route; default: the survey preference pool)",
-    )
-
-
-def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    """Executor-backend knobs shared by every executing subcommand."""
-    parser.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default=RuntimeConfig.backend,
-        help="executor backend: 'inprocess' runs partition tasks serially "
-        "in the driver (the byte-exact oracle); 'parallel' runs them on a "
-        "forked worker pool (see docs/PARALLEL.md)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes under --backend parallel (default %d; "
-        "ignored by the in-process backend)" % DEFAULT_WORKERS,
-    )
-    _add_verify_closures_argument(parser)
-
-
-def _add_verify_closures_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--verify-closures",
-        action="store_true",
-        help="analyze every closure in a job's lineage at submission "
-        "time (rules CL000..CL007, see docs/ANALYSIS.md); a violating "
-        "closure aborts the run with exit code 4",
-    )
-
-
-def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
-    """Fault-injection knobs shared by ``query`` and ``assess``."""
-    parser.add_argument(
-        "--faults",
-        metavar="SPEC",
-        help="inject a deterministic fault schedule, e.g. "
-        "'fail:p=0.2;lose:p=0.5;straggle:p=0.1,delay=3;seed=7' "
-        "(see docs/FAULTS.md for the grammar)",
-    )
-    parser.add_argument(
-        "--max-task-attempts",
-        type=int,
-        default=RuntimeConfig.max_task_attempts,
-        metavar="N",
-        help="retries before a failing task aborts the run (default 4)",
-    )
-    parser.add_argument(
-        "--speculation",
-        action="store_true",
-        help="launch speculative backup copies for straggling tasks",
-    )
+def _add_knobs(parser: argparse.ArgumentParser, cls, *names, **override):
+    """Add the flag of each knob *names* of *cls* as its field declares
+    it (:func:`repro.runtime.knob`); a switch keeps argparse's ``False``
+    default.  *override* replaces declared settings, for an option spelled
+    like a knob that means something else to one subcommand
+    (``explain --engine`` names several engines)."""
+    for name in names:
+        declared = cls.__dataclass_fields__[name]
+        settings = dict(declared.metadata)
+        settings.pop("flag", None)
+        if settings.get("action") != "store_true":
+            settings["default"] = declared.default
+        settings.update(override)
+        parser.add_argument(cli_flag(declared), **settings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -835,16 +727,14 @@ def build_parser() -> argparse.ArgumentParser:
     query.set_defaults(handler=cmd_query)
     _add_data_argument(query)
     query.add_argument("query", help="SPARQL file or literal query text")
-    _add_engine_argument(query)
-    _add_parallelism_argument(query)
+    _add_knobs(query, ServiceConfig, "engine")
+    _add_knobs(query, RuntimeConfig, "parallelism")
     query.add_argument(
         "--trace",
         metavar="FILE",
         help="write the execution trace (JSON span tree) to FILE",
     )
-    _add_optimizer_arguments(query)
-    _add_fault_arguments(query)
-    _add_backend_arguments(query)
+    _add_knobs(query, RuntimeConfig, *_OPTIMIZER, *_FAULTS, *_BACKEND)
 
     explain = sub.add_parser(
         "explain",
@@ -853,12 +743,15 @@ def build_parser() -> argparse.ArgumentParser:
     explain.set_defaults(handler=cmd_explain)
     _add_data_argument(explain)
     explain.add_argument("query", help="SPARQL file or literal query text")
-    explain.add_argument(
-        "--engine",
+    _add_knobs(
+        explain,
+        ServiceConfig,
+        "engine",
         action="append",
+        default=None,
         help="engine to explain (repeatable; default: SPARQLGX, S2RDF, HAQWA)",
     )
-    _add_parallelism_argument(explain)
+    _add_knobs(explain, RuntimeConfig, "parallelism")
     explain.add_argument(
         "--shapes",
         metavar="FILE",
@@ -866,9 +759,9 @@ def build_parser() -> argparse.ArgumentParser:
         "inventorying the shape set's compiled validation queries and "
         "marking the explained query if it is one of them",
     )
-    _add_optimizer_arguments(explain)
-    _add_routing_arguments(explain)
-    _add_verify_closures_argument(explain)
+    _add_knobs(
+        explain, RuntimeConfig, *_OPTIMIZER, *_ROUTING, "verify_closures"
+    )
 
     route = sub.add_parser(
         "route",
@@ -878,9 +771,12 @@ def build_parser() -> argparse.ArgumentParser:
     route.set_defaults(handler=cmd_route)
     _add_data_argument(route)
     route.add_argument("query", help="SPARQL file or literal query text")
-    route.add_argument(
-        "--engine",
+    _add_knobs(
+        route,
+        ServiceConfig,
+        "engine",
         action="append",
+        default=None,
         help="candidate engine for the pool (repeatable; default: the "
         "survey preference pool)",
     )
@@ -889,34 +785,20 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the decision as deterministic JSON instead of text",
     )
-    route.add_argument(
-        "--optimizer-mode",
-        choices=list(ORDER_MODES),
-        default=RuntimeConfig.optimizer_mode,
-        help="join ordering used by the base cost estimate (default dp)",
-    )
-    route.add_argument(
-        "--broadcast-threshold",
-        type=int,
-        default=DEFAULT_BROADCAST_THRESHOLD,
-        metavar="ROWS",
-        help="broadcast threshold for the base cost estimate (default %d)"
-        % DEFAULT_BROADCAST_THRESHOLD,
-    )
+    _add_knobs(route, RuntimeConfig, "optimizer_mode", "broadcast_threshold")
 
     assess = sub.add_parser(
         "assess", help="run the cross-system assessment on a data file"
     )
     assess.set_defaults(handler=cmd_assess)
     _add_data_argument(assess)
-    _add_parallelism_argument(assess)
+    _add_knobs(assess, RuntimeConfig, "parallelism")
     assess.add_argument(
         "--trace",
         metavar="FILE",
         help="write every run's execution trace (JSON) to FILE",
     )
-    _add_fault_arguments(assess)
-    _add_backend_arguments(assess)
+    _add_knobs(assess, RuntimeConfig, *_FAULTS, *_BACKEND)
 
     generate = sub.add_parser(
         "generate", help="write a synthetic dataset to N-Triples"
@@ -952,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="build/stats print the catalog's headline numbers, "
         "list the per-view table",
     )
-    _add_view_threshold_argument(views)
+    _add_knobs(views, RuntimeConfig, "view_threshold")
     views.add_argument(
         "--limit",
         type=_positive_int,
@@ -989,11 +871,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="precomputed catalog JSON (from `repro stats --json`) "
         "instead of --data",
     )
-    lint.add_argument(
-        "--deadline",
-        type=_positive_units,
-        default=None,
-        metavar="UNITS",
+    _add_knobs(
+        lint,
+        ServiceConfig,
+        "default_deadline",
         help="cost-unit budget for the cost-over-deadline rule QL005",
     )
     lint.add_argument(
@@ -1008,20 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and run the closure analyzer (CL000..CL007) instead of the "
         "SPARQL linter; equivalent to `repro analyze`",
     )
-    lint.add_argument(
-        "--optimizer-mode",
-        choices=list(ORDER_MODES),
-        default=RuntimeConfig.optimizer_mode,
-        help="join ordering used by the cost estimate (default dp)",
-    )
-    lint.add_argument(
-        "--broadcast-threshold",
-        type=int,
-        default=DEFAULT_BROADCAST_THRESHOLD,
-        metavar="ROWS",
-        help="broadcast threshold checked by QL006 (default %d)"
-        % DEFAULT_BROADCAST_THRESHOLD,
-    )
+    _add_knobs(lint, RuntimeConfig, "optimizer_mode", "broadcast_threshold")
 
     analyze = sub.add_parser(
         "analyze",
@@ -1194,71 +1062,16 @@ def _non_negative_int(value: str) -> int:
     return number
 
 
-def _positive_units(value: str) -> int:
-    """argparse type: a strictly positive integer of cost units."""
-    units = int(value)
-    if units <= 0:
-        raise argparse.ArgumentTypeError(
-            "must be a positive integer of cost units"
-        )
-    return units
-
-
-def _selectivity_factor(value: str) -> float:
-    """argparse type: a selectivity factor in [0, 1]."""
-    factor = float(value)
-    if not 0.0 <= factor <= 1.0:
-        raise argparse.ArgumentTypeError(
-            "must be a selectivity factor between 0 and 1"
-        )
-    return factor
-
-
 def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     """Every knob of a served pool (``serve``, ``loadtest``, ``validate``,
     ``harvest``): the service's own, then the routing, optimizer, fault
     and backend groups."""
-    _add_engine_argument(parser)
-    _add_parallelism_argument(parser)
-    parser.add_argument(
-        "--pool",
-        type=int,
-        default=ServiceConfig.pool_size,
-        help="warmed engine instances",
+    _add_knobs(parser, ServiceConfig, "engine")
+    _add_knobs(parser, RuntimeConfig, "parallelism")
+    _add_knobs(parser, ServiceConfig, *_SERVICE)
+    _add_knobs(
+        parser, RuntimeConfig, *_ROUTING, *_OPTIMIZER, *_FAULTS, *_BACKEND
     )
-    parser.add_argument(
-        "--queue-limit",
-        type=int,
-        default=ServiceConfig.queue_limit,
-        help="bounded admission queue length (beyond it: rejection)",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=_positive_units,
-        default=None,
-        metavar="UNITS",
-        help="default per-query deadline in cost units (default: none)",
-    )
-    parser.add_argument(
-        "--no-plan-cache",
-        action="store_true",
-        help="disable the parsed-plan cache",
-    )
-    parser.add_argument(
-        "--no-result-cache",
-        action="store_true",
-        help="disable the version-keyed result cache",
-    )
-    parser.add_argument(
-        "--no-lint",
-        action="store_true",
-        help="disable static lint admission (repro.analysis.query); "
-        "lint-rejectable queries then run and fail at execution time",
-    )
-    _add_routing_arguments(parser)
-    _add_optimizer_arguments(parser)
-    _add_fault_arguments(parser)
-    _add_backend_arguments(parser)
 
 
 def _raised(*names: str) -> tuple:

@@ -6,7 +6,9 @@ build engines from the *same* knob set.  This module declares that set
 once and is the single construction path everything uses:
 
 * :class:`RuntimeConfig` -- the context / plan / routing knobs, each
-  with its default and meaning stated here and nowhere else;
+  a :func:`knob` field that states its default, its meaning and its CLI
+  flag here and nowhere else (``repro.cli`` adds every knob flag from
+  these declarations);
   :meth:`~RuntimeConfig.context` builds the
   :class:`~repro.spark.context.SparkContext`,
   :meth:`~RuntimeConfig.optimizer` the shared cost-based optimizer,
@@ -34,16 +36,25 @@ layers later.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple, Union
 
-from repro.defaults import DEFAULT_BROADCAST_THRESHOLD
+from repro.defaults import (
+    DEFAULT_BROADCAST_THRESHOLD,
+    DEFAULT_VIEW_THRESHOLD,
+    ORDER_MODES,
+)
 from repro.rdf.graph import RDFGraph
 from repro.rdf.ntriples import load_ntriples_file
 from repro.spark.context import SparkContext
 from repro.spark.faults import FaultScheduler
-from repro.spark.parallel import BackendConfigError
+from repro.spark.parallel import (
+    BACKEND_NAMES,
+    DEFAULT_WORKERS,
+    BackendConfigError,
+)
 
 
 class RuntimeConfigError(ValueError):
@@ -67,53 +78,127 @@ def cli_flag(knob: dataclasses.Field) -> Optional[str]:
     return knob.metadata.get("flag", "--" + knob.name.replace("_", "-"))
 
 
+def knob(default, help: str, flag: Optional[str] = None, **argparse_kw):
+    """A config field that declares its CLI flag: *help* is the knob's
+    meaning, stated once; *argparse_kw* (``type``, ``choices``,
+    ``metavar``, ``action``) go to ``add_argument`` as written, and
+    ``choices`` also bind an API-built config.  *flag* replaces the flag
+    spelled from the field name; a ``bool`` knob's flag is a
+    ``store_true`` switch (a ``--no-X`` flag stores the knob inverted).
+    """
+    metadata = dict(argparse_kw, help=help)
+    if isinstance(default, bool):
+        metadata["action"] = "store_true"
+    if flag is not None:
+        metadata["flag"] = flag
+    return field(default=default, metadata=metadata)
+
+
+def _positive_units(value: str) -> int:
+    """argparse type: a strictly positive integer of cost units."""
+    units = int(value)
+    if units <= 0:
+        raise argparse.ArgumentTypeError(
+            "must be a positive integer of cost units"
+        )
+    return units
+
+
+def _selectivity_factor(value: str) -> float:
+    """argparse type: a selectivity factor in [0, 1]."""
+    factor = float(value)
+    if not 0.0 <= factor <= 1.0:
+        raise argparse.ArgumentTypeError(
+            "must be a selectivity factor between 0 and 1"
+        )
+    return factor
+
+
 @dataclass(frozen=True)
 class RuntimeConfig:
     """The knobs every engine-building entry point shares.
 
     Substrate knobs mirror :class:`~repro.spark.context.SparkContext`'s
     parameters (documented in full there); plan and routing knobs select
-    what runs on top of it.
+    what runs on top of it.  Each field's ``help`` says what it means.
     """
 
-    #: Partitions per RDD (and virtual executors) of every context.
-    parallelism: int = 4
-    #: Adversarial schedule, a spec string or a
-    #: :class:`~repro.spark.faults.FaultScheduler` (docs/FAULTS.md).
-    faults: Union[None, str, FaultScheduler] = None
-    #: Runs of one task before a persistent failure aborts the job.
-    max_task_attempts: int = 4
-    #: Launch speculative backup copies for straggling tasks.
-    speculation: bool = False
-    #: Executor backend, "inprocess" (the serial oracle) or "parallel"
-    #: (forked worker pool; docs/PARALLEL.md) -- same canonical bytes.
-    backend: str = "inprocess"
-    #: Worker-pool size under the parallel backend (None = its default).
-    workers: Optional[int] = None
-    #: Check every closure of a job's lineage against the worker-boundary
-    #: rules at submission (:mod:`repro.analysis.closures`).
-    verify_closures: bool = False
-    #: Run BGPs through the shared cost-based optimizer instead of each
-    #: engine's native join order (docs/OPTIMIZER.md).
-    optimize: bool = False
-    #: Join ordering under ``optimize``; also anchors the lint and
-    #: routing cost estimates.
-    optimizer_mode: str = "dp"
-    #: Broadcast a join's build side when its estimate is under this
-    #: many rows.
-    broadcast_threshold: int = DEFAULT_BROADCAST_THRESHOLD
-    #: Materialize ExtVP views and substitute them into optimized plans
-    #: (docs/VIEWS.md); an optimizer substitution, so needs ``optimize``.
-    views: bool = False
-    #: Selectivity factor at or below which an ExtVP pair is
-    #: materialized (None = :data:`repro.views.DEFAULT_VIEW_THRESHOLD`).
-    view_threshold: Optional[float] = None
-    #: Dispatch each query through the adaptive per-shape routing policy
-    #: instead of one fixed engine (docs/ROUTING.md).
-    route: bool = False
-    #: Candidate engines of the routed pool (None = the survey
-    #: preference pool); needs ``route``.
-    route_engines: Optional[Tuple[str, ...]] = None
+    parallelism: int = knob(
+        4, "partitions per RDD and executors per context (default 4)", type=int
+    )
+    faults: Union[None, str, FaultScheduler] = knob(
+        None,
+        "inject a deterministic fault schedule, e.g. 'fail:p=0.2;lose:p=0.5;"
+        "straggle:p=0.1,delay=3;seed=7' (grammar: docs/FAULTS.md)",
+        metavar="SPEC",
+    )
+    max_task_attempts: int = knob(
+        4,
+        "runs of a task before a failure aborts a job (default 4)",
+        type=int,
+        metavar="N",
+    )
+    speculation: bool = knob(False, "launch backup copies of straggling tasks")
+    backend: str = knob(
+        "inprocess",
+        "executor backend: 'inprocess' runs partition tasks serially (the "
+        "oracle), 'parallel' on forked workers, same bytes (docs/PARALLEL.md)",
+        choices=list(BACKEND_NAMES),
+    )
+    workers: Optional[int] = knob(
+        None,
+        "worker processes under --backend parallel (default %d)"
+        % DEFAULT_WORKERS,
+        type=int,
+        metavar="N",
+    )
+    verify_closures: bool = knob(
+        False,
+        "check every closure of a job's lineage at submission (CL000..CL007, "
+        "docs/ANALYSIS.md); a violating closure ends the run with exit 4",
+    )
+    optimize: bool = knob(
+        False,
+        "run BGPs through the shared cost-based optimizer instead of each "
+        "engine's native join order (docs/OPTIMIZER.md)",
+    )
+    optimizer_mode: str = knob(
+        "dp",
+        "join ordering under --optimize and of the lint and routing "
+        "estimates (default dp)",
+        choices=list(ORDER_MODES),
+    )
+    broadcast_threshold: int = knob(
+        DEFAULT_BROADCAST_THRESHOLD,
+        "broadcast a join's build side when its estimate is under ROWS rows "
+        "(default %d)" % DEFAULT_BROADCAST_THRESHOLD,
+        type=int,
+        metavar="ROWS",
+    )
+    views: bool = knob(
+        False,
+        "substitute materialized ExtVP views into optimized plans (requires "
+        "--optimize; docs/VIEWS.md)",
+    )
+    view_threshold: Optional[float] = knob(
+        None,
+        "materialize an ExtVP pair whose selectivity factor is at most "
+        "FACTOR, in [0, 1] (default %s)" % DEFAULT_VIEW_THRESHOLD,
+        type=_selectivity_factor,
+        metavar="FACTOR",
+    )
+    route: bool = knob(
+        False,
+        "dispatch each query by the adaptive per-shape routing policy instead "
+        "of one fixed engine (docs/ROUTING.md)",
+    )
+    route_engines: Optional[Tuple[str, ...]] = knob(
+        None,
+        "candidate engine of the routed pool (repeatable; requires --route; "
+        "default: the survey preference pool)",
+        action="append",
+        metavar="NAME",
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -129,6 +214,21 @@ class RuntimeConfig:
             raise RuntimeConfigError("--max-task-attempts must be >= 1")
         if self.broadcast_threshold <= 0:
             raise RuntimeConfigError("--broadcast-threshold must be positive")
+        if self.view_threshold is not None and not (
+            0.0 <= self.view_threshold <= 1.0
+        ):
+            raise RuntimeConfigError(
+                "--view-threshold must be a selectivity factor between 0 "
+                "and 1"
+            )
+        for declared in dataclasses.fields(self):
+            choices = declared.metadata.get("choices")
+            value = getattr(self, declared.name)
+            if choices is not None and value not in choices:
+                raise RuntimeConfigError(
+                    "%s must be one of %s, not %r"
+                    % (cli_flag(declared), ", ".join(choices), value)
+                )
         if self.views and not self.optimize:
             raise RuntimeConfigError("--views requires --optimize")
         if self.route_engines and not self.route:
@@ -226,27 +326,29 @@ class RuntimeConfig:
 class ServiceConfig:
     """The serving-only knobs of a :class:`repro.server.QueryService`."""
 
-    #: Engine every pool slot runs (ignored for dispatch under ``route``).
-    engine: str = "SPARQLGX"
-    #: Warmed engine instances (or routed engine sets) in the pool.
-    pool_size: int = field(default=2, metadata={"flag": "--pool"})
-    #: Bounded admission queue length (beyond it: rejection).
-    queue_limit: int = 8
-    #: Per-query budget in cost units for requests that name none.
-    default_deadline: Optional[int] = field(
-        default=None, metadata={"flag": "--deadline"}
+    engine: str = knob("SPARQLGX", "engine name (default SPARQLGX)")
+    pool_size: int = knob(
+        2, "warmed engine instances in the pool", flag="--pool", type=int
     )
-    #: Reuse parsed plans across requests with the same normalized text.
-    enable_plan_cache: bool = field(
-        default=True, metadata={"flag": "--no-plan-cache"}
+    queue_limit: int = knob(
+        8, "admission queue length (beyond it: rejection)", type=int
     )
-    #: Serve repeated queries at an unchanged graph version from stored
-    #: canonical bytes.
-    enable_result_cache: bool = field(
-        default=True, metadata={"flag": "--no-result-cache"}
+    default_deadline: Optional[int] = knob(
+        None,
+        "per-query budget in cost units for requests that name none",
+        flag="--deadline",
+        type=_positive_units,
+        metavar="UNITS",
     )
-    #: Reject provably-bad queries by static lint before any engine work.
-    lint_admission: bool = field(default=True, metadata={"flag": "--no-lint"})
+    enable_plan_cache: bool = knob(
+        True, "disable the parsed-plan cache", flag="--no-plan-cache"
+    )
+    enable_result_cache: bool = knob(
+        True, "disable the per-version result cache", flag="--no-result-cache"
+    )
+    lint_admission: bool = knob(
+        True, "disable the static lint admission check", flag="--no-lint"
+    )
     #: What every pooled engine is built from.
     runtime: RuntimeConfig = field(
         default=RuntimeConfig(), metadata={"flag": None}

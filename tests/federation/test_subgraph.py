@@ -204,6 +204,76 @@ class TestStaleness:
         }
 
 
+class _FailingEndpoint(WireEndpoint):
+    """Answers every page query until armed: ``fail_after = n`` lets n
+    more page queries through, then fails each later one with an error
+    response, as a remote that dies mid-harvest does."""
+
+    def __init__(self, service) -> None:
+        super().__init__(service)
+        self.fail_after = None
+
+    def query(self, text, id="", tenant="federation", deadline=None):
+        if self.fail_after is not None:
+            if self.fail_after == 0:
+                return {"status": "error", "error": "injected page failure"}
+            self.fail_after -= 1
+        return super().query(text, id=id, tenant=tenant, deadline=deadline)
+
+
+MEMBER_HARVEST = (
+    "CONSTRUCT { ?s <%(l)smemberOf> ?o } WHERE { ?s <%(l)smemberOf> ?o }"
+    % {"l": LUBM}
+)
+
+
+def cache_state(subgraph):
+    """What a failed harvest or refresh must leave as it was."""
+    return (
+        sorted(t.n3() for t in subgraph.head().to_list()),
+        subgraph.versions.head_version,
+        subgraph.remote_version,
+        list(subgraph.harvests),
+    )
+
+
+class TestFailedHarvestLeavesTheCache:
+    """A harvest or refresh that raises changes nothing: no triple of the
+    failed pages reaches the head, no version is committed, no harvest
+    is recorded -- never a half-extended subgraph."""
+
+    def test_failed_later_page_of_a_harvest(self, lubm_graph):
+        endpoint = _FailingEndpoint(QueryService(lubm_graph.copy()))
+        subgraph = Subgraph(endpoint, page_size=4)
+        subgraph.harvest(ADVISOR_HARVEST, id="advisors")
+        before = cache_state(subgraph)
+        endpoint.fail_after = 1  # the second page of the next harvest
+        with pytest.raises(HarvestError, match="page 1 of members failed"):
+            subgraph.harvest(MEMBER_HARVEST, id="members")
+        assert cache_state(subgraph) == before
+        endpoint.fail_after = None
+        record = subgraph.harvest(MEMBER_HARVEST, id="members")
+        assert record.pages > 1 and record.new_triples > 0
+        assert subgraph.versions.head_version == before[1] + 1
+
+    def test_refresh_failing_on_its_second_harvest(self, lubm_graph):
+        endpoint = _FailingEndpoint(QueryService(lubm_graph.copy()))
+        subgraph = Subgraph(endpoint, page_size=64)
+        first = subgraph.harvest(ADVISOR_HARVEST, id="advisors")
+        subgraph.harvest(MEMBER_HARVEST, id="members")
+        endpoint.commit(additions=[NEW_TRIPLE])
+        before = cache_state(subgraph)
+        endpoint.fail_after = first.pages  # re-fetch the first, then fail
+        with pytest.raises(HarvestError, match="page 0 of members failed"):
+            subgraph.refresh()
+        assert cache_state(subgraph) == before
+        assert subgraph.is_stale()
+        endpoint.fail_after = None
+        assert subgraph.refresh()["refreshed"]
+        assert not subgraph.is_stale()
+        assert subgraph.versions.head_version == before[1] + 1
+
+
 class TestRemoteFirstValidation:
     @pytest.mark.parametrize(
         "fixture", ["lubm_clean", "lubm_violating"]

@@ -98,6 +98,43 @@ class TestCrossFieldRules:
         with pytest.raises(RuntimeConfigError):
             build()
 
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            (
+                dict(optimize=True, optimizer_mode="zz"),
+                "--optimizer-mode must be one of dp, greedy, parse, not 'zz'",
+            ),
+            (
+                dict(backend="gpu"),
+                "--backend must be one of inprocess, parallel, not 'gpu'",
+            ),
+            (
+                dict(optimize=True, views=True, view_threshold=2.0),
+                "--view-threshold must be a selectivity factor between 0 "
+                "and 1",
+            ),
+            (
+                dict(view_threshold=-0.5),
+                "--view-threshold must be a selectivity factor between 0 "
+                "and 1",
+            ),
+        ],
+        ids=[
+            "unknown-mode",
+            "unknown-backend",
+            "threshold-over",
+            "threshold-under",
+        ],
+    )
+    def test_declared_choices_and_ranges_bind_the_api(self, knobs, message):
+        """What the parser refuses, an API-built config refuses too,
+        naming the flag -- not a bare ValueError from the planner or the
+        view catalog later."""
+        with pytest.raises(RuntimeConfigError) as excinfo:
+            RuntimeConfig(**knobs)
+        assert str(excinfo.value) == message
+
     def test_valid_combinations_construct(self):
         config = RuntimeConfig(
             optimize=True, views=True, route=True, route_engines=["S2RDF"]
