@@ -457,7 +457,7 @@ def cmd_lint(args) -> int:
         try:
             with open(args.stats, "r", encoding="utf-8") as handle:
                 catalog = StatsCatalog.from_json(handle.read())
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             print(
                 "error: cannot load stats catalog: %s" % exc, file=sys.stderr
             )

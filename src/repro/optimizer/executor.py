@@ -29,12 +29,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.spark.partitioner import HashPartitioner
 from repro.spark.rdd import RDD
 from repro.spark.tracing import Span
 from repro.optimizer.planner import BgpPlan, JoinStep
-from repro.sparql.ast import Variable
-from repro.systems.base import key_bindings, keyer
+from repro.systems.base import (
+    compile_pattern,
+    hash_join_bindings,
+    key_bindings,
+    keyer,
+)
 
 Binding = Dict[str, object]
 
@@ -103,8 +106,7 @@ def _apply_step(
     if state is None:
         return _State(fresh)
     if step.strategy == "cartesian":
-        product = state.bindings().cartesian(fresh)
-        return _State(product.map(lambda pair: {**pair[0], **pair[1]}))
+        return _State(hash_join_bindings(state.bindings(), fresh, ()))
     if step.strategy == "broadcast":
         return _broadcast_join(engine.ctx, state, fresh, step.shared)
     return _partitioned_join(engine.ctx, state, fresh, step.shared)
@@ -126,26 +128,13 @@ def _view_scan(engine, step: JoinStep, view) -> RDD:
     The view stores the (subject, object) rows of ``p1``'s partition that
     survive the semi-join; bound subject/object slots of the pattern
     filter rows, variable slots bind them (a repeated variable must match
-    itself, as in the base scan).  Rows arrive sorted by N3 text, so the
-    resulting RDD is deterministic.
+    itself, as in the base scan): the pattern compiled over the layout
+    SPARQLGX scans its predicate stores with.  Rows arrive sorted by N3
+    text, so the resulting RDD is deterministic.
     """
     pattern = step.pattern
-    bindings: List[Binding] = []
-    for s, o in view.rows():
-        binding: Binding = {}
-        consistent = True
-        for slot, value in (("subject", s), ("object", o)):
-            term = getattr(pattern, slot)
-            if isinstance(term, Variable):
-                if term.name in binding and binding[term.name] != value:
-                    consistent = False
-                    break
-                binding[term.name] = value
-            elif term != value:
-                consistent = False
-                break
-        if consistent:
-            bindings.append(binding)
+    layout = ("t[0]", pattern.predicate, "t[1]")
+    bindings = compile_pattern(pattern, layout).scan(view.rows())
     ctx = engine.ctx
     ctx.metrics.incr("view_scans")
     tracer = ctx.tracer

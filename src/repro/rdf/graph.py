@@ -6,12 +6,12 @@ lookups with any combination of bound positions.  It is also the loading
 format -- engines ingest an :class:`RDFGraph` and build their own
 distributed representation from it.
 
-Two load-time layouts hang off the graph, built on first use and shared
-read-only by every engine that loads this version of it: the canonical
-triple order (:meth:`RDFGraph.canonical_order`) and the dictionary
-encoding (:meth:`RDFGraph.encoding`).  Any ``add`` or ``remove`` that
-changes the graph drops both (docs/ARCHITECTURE.md, "Load-time
-layouts").
+Three load-time layouts hang off the graph, built on first use and
+shared read-only by every engine that loads this version of it: the
+canonical triple order (:meth:`RDFGraph.canonical_order`), the dictionary
+encoding (:meth:`RDFGraph.encoding`) and the vertex list
+(:meth:`RDFGraph.vertices`).  Any ``add`` or ``remove`` that changes the
+graph drops all three (docs/ARCHITECTURE.md, "Load-time layouts").
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ class RDFGraph:
         self._size = 0
         self._order: Optional[Tuple[_TermTriple, ...]] = None
         self._encoding: Optional[GraphEncoding] = None
+        self._vertices: Optional[Tuple[Term, ...]] = None
         if triples:
             self.add_all(triples)
 
@@ -72,7 +73,7 @@ class RDFGraph:
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
         self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
         self._size += 1
-        self._order = self._encoding = None
+        self._order = self._encoding = self._vertices = None
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -102,7 +103,7 @@ class RDFGraph:
                 if not inner:
                     del index[a]
         self._size -= 1
-        self._order = self._encoding = None
+        self._order = self._encoding = self._vertices = None
         return True
 
     # ------------------------------------------------------------------
@@ -189,6 +190,21 @@ class RDFGraph:
             dictionary.freeze()
             encoding = self._encoding = GraphEncoding(dictionary, triples)
         return encoding
+
+    def vertices(self) -> Tuple[Term, ...]:
+        """Every subject and object once, by ``sort_key()`` (terms whose
+        keys tie keep the set's iteration order): the vertex list of the
+        graph engines.  Built on first use, shared by every caller until
+        the next change."""
+        vertices = self._vertices
+        if vertices is None:
+            vertices = self._vertices = tuple(
+                sorted(
+                    self.subjects() | self.objects(),
+                    key=lambda t: t.sort_key(),
+                )
+            )
+        return vertices
 
     # ------------------------------------------------------------------
     # Vocabulary views & statistics

@@ -170,7 +170,8 @@ class ResultCache:
         if entry is not None:
             self._entries.move_to_end(key)
         if metrics is not None:
-            metrics.record_result_cache(entry is not None)
+            hit = entry is not None
+            metrics.incr("result_cache_hits" if hit else "result_cache_misses")
         return entry
 
     def put(self, key: ResultKey, payload: str, metrics=None) -> None:
@@ -179,7 +180,7 @@ class ResultCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             if metrics is not None:
-                metrics.record_result_eviction()
+                metrics.incr("result_cache_evictions")
 
     def invalidate_below(self, version: int, metrics=None) -> int:
         """Drop every entry for a graph version older than *version*.
@@ -191,5 +192,5 @@ class ResultCache:
         for key in dead:
             del self._entries[key]
         if metrics is not None and dead:
-            metrics.record_result_invalidations(len(dead))
+            metrics.incr("result_cache_invalidations", len(dead))
         return len(dead)

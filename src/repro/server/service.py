@@ -388,7 +388,7 @@ class QueryService:
                 outcome.diagnostics = [
                     d.to_payload() for d in report.sorted_diagnostics()
                 ]
-                self.metrics.record_lint_rejection()
+                self.metrics.incr("lint_rejections")
                 self.metrics.record_completion(0, 0)
                 return outcome
 
@@ -398,7 +398,9 @@ class QueryService:
                 self.plan_cache.put(
                     normalized, plan, stats_version=self.stats_version
                 )
-            self.metrics.record_plan_cache(plan_hit)
+            self.metrics.incr(
+                "plan_cache_hits" if plan_hit else "plan_cache_misses"
+            )
 
         # Routing tier: classify the shape and, under route=True, pick
         # the engine *before* the result tier -- the cache key embeds
@@ -439,7 +441,7 @@ class QueryService:
             outcome.status = "deadline"
             outcome.error = str(exc)
             outcome.service_units = exc.spent
-            self.metrics.record_deadline_abort()
+            self.metrics.incr("deadline_aborts")
             self.metrics.record_completion(0, exc.spent)
             if decision is not None:
                 # The abort's spent units are a lower bound on the true

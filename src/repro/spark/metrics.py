@@ -359,18 +359,6 @@ class MetricsCollector:
 
     # -- fault injection & recovery ------------------------------------
 
-    def record_task_failure(self) -> None:
-        self.incr("tasks_failed")
-
-    def record_retry(self) -> None:
-        self.incr("tasks_retried")
-
-    def record_partition_recomputed(self) -> None:
-        self.incr("partitions_recomputed")
-
-    def record_recompute_work(self, tasks: int) -> None:
-        self.incr("recompute_comparisons", tasks)
-
     def record_straggler(self, delay_units: int) -> None:
         self.incr("stragglers")
         self.incr("straggler_delay_units", delay_units)
@@ -389,21 +377,3 @@ class MetricsCollector:
         self.incr("queries_completed")
         self.incr("queue_wait_units", wait_units)
         self.incr("service_units", service_units)
-
-    def record_deadline_abort(self) -> None:
-        self.incr("deadline_aborts")
-
-    def record_lint_rejection(self) -> None:
-        self.incr("lint_rejections")
-
-    def record_plan_cache(self, hit: bool) -> None:
-        self.incr("plan_cache_hits" if hit else "plan_cache_misses")
-
-    def record_result_cache(self, hit: bool) -> None:
-        self.incr("result_cache_hits" if hit else "result_cache_misses")
-
-    def record_result_invalidations(self, dropped: int) -> None:
-        self.incr("result_cache_invalidations", dropped)
-
-    def record_result_eviction(self) -> None:
-        self.incr("result_cache_evictions")

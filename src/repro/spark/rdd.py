@@ -136,7 +136,7 @@ class RDD:
                     partition=index,
                     attempt=attempt,
                 ):
-                    ctx.metrics.record_task_failure()
+                    ctx.metrics.incr("tasks_failed")
                 if attempt >= ctx.max_task_attempts:
                     raise TaskFailedError(self.id, index, attempt)
                 attempt += 1
@@ -146,7 +146,7 @@ class RDD:
                     stage=self.id,
                     partition=index,
                 ):
-                    ctx.metrics.record_retry()
+                    ctx.metrics.incr("tasks_retried")
                 continue
             if rule is not None and rule.kind == "straggle":
                 with tracer.span(
@@ -179,7 +179,7 @@ class RDD:
         with ctx.tracer.span(
             "fault", name="lose", stage=self.id, partition=index
         ):
-            ctx.metrics.record_partition_recomputed()
+            ctx.metrics.incr("partitions_recomputed")
             outermost = not ctx._recovering
             if outermost:
                 ctx._recovering = True
@@ -190,8 +190,9 @@ class RDD:
                 if outermost:
                     ctx._recovering = False
             if outermost:
-                ctx.metrics.record_recompute_work(
-                    ctx.metrics.get("tasks") - tasks_before
+                ctx.metrics.incr(
+                    "recompute_comparisons",
+                    ctx.metrics.get("tasks") - tasks_before,
                 )
             assert self._cached is not None
             self._cached[index] = data

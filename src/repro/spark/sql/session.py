@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.spark.context import SparkContext
 from repro.spark.dataframe import DataFrame
+from repro.spark.rdd import RDD
 from repro.spark.row import Row
 from repro.spark.sql.catalyst import Catalog, optimize
 from repro.spark.sql.executor import execute
@@ -35,7 +36,10 @@ class SparkSession(Catalog):
     ) -> None:
         self.ctx = ctx or SparkContext(default_parallelism)
         self.autoBroadcastJoinThreshold = autoBroadcastJoinThreshold
-        self._tables: Dict[str, DataFrame] = {}
+        #: name -> (rdd, columns): a registered table keeps its rows, not
+        #: its DataFrame, whose ``session`` would point back here and make
+        #: every engine holding a session a reference cycle.
+        self._tables: Dict[str, Tuple[RDD, List[str]]] = {}
 
     # ------------------------------------------------------------------
     # DataFrame construction
@@ -72,8 +76,10 @@ class SparkSession(Catalog):
     # ------------------------------------------------------------------
 
     def createOrReplaceTempView(self, name: str, df: DataFrame) -> None:
-        """Register *df* under *name* for use in SQL queries."""
-        self._tables[name] = df
+        """Register *df*'s rows and columns under *name* for use in SQL
+        queries; :meth:`table` hands them back in a DataFrame of this
+        session."""
+        self._tables[name] = (df.rdd, df.columns)
 
     def table(self, name: str) -> DataFrame:
         if name not in self._tables:
@@ -81,7 +87,7 @@ class SparkSession(Catalog):
                 "unknown table %r; registered: %s"
                 % (name, sorted(self._tables))
             )
-        return self._tables[name]
+        return DataFrame(self, *self._tables[name])
 
     def table_columns(self, name: str) -> List[str]:
         return list(self.table(name).columns)

@@ -487,6 +487,8 @@ class StatsCatalog:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "StatsCatalog":
+        if not isinstance(payload, dict):
+            raise ValueError("a stats catalog must be a JSON object")
         if payload.get("format") != CATALOG_FORMAT_VERSION:
             raise ValueError(
                 "unsupported catalog format %r (expected %d)"
@@ -516,7 +518,12 @@ class StatsCatalog:
 
     @classmethod
     def from_json(cls, text: str) -> "StatsCatalog":
-        return cls.from_payload(json.loads(text))
+        """The catalog :meth:`to_json` wrote; ``ValueError`` for any other
+        text, a file from outside the program being one."""
+        try:
+            return cls.from_payload(json.loads(text))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError("not a stats catalog: %r" % exc) from exc
 
     def summary(self) -> Dict[str, int]:
         """The headline numbers (the ``stats`` CLI table)."""

@@ -426,6 +426,9 @@ class SparkRdfEngine:
 #: predicate and object, as source text.  An entry that is not text is
 #: the position's value in every record of the store.
 TRIPLE = ("t[0]", "t[1]", "t[2]")
+#: The layout of a GraphX ``Edge``, ``EdgeTriplet`` or ``EdgeContext``:
+#: the predicate is the edge attribute.
+EDGE = ("t.src", "t.attr", "t.dst")
 
 
 #: Generated code by (source, file name), oldest first.  A pattern asked

@@ -62,11 +62,8 @@ class GraphFramesEngine(SparkRdfEngine):
 
     def _build(self, graph: RDFGraph) -> None:
         self.session = SparkSession(self.ctx)
-        nodes = sorted(
-            graph.subjects() | graph.objects(), key=lambda t: t.sort_key()
-        )
         vertices = self.session.createDataFrame(
-            [(node,) for node in nodes], ["id"]
+            [(node,) for node in graph.vertices()], ["id"]
         )
         edges = self.session.createDataFrame(
             [(s, o, p) for s, p, o in graph.canonical_order()],

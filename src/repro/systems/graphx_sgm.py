@@ -22,7 +22,7 @@ are joined with Spark operators at the end.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.core.dimensions import (
     Contribution,
@@ -33,12 +33,17 @@ from repro.core.dimensions import (
     SparkAbstraction,
 )
 from repro.rdf.graph import RDFGraph
-from repro.rdf.terms import Term
 from repro.spark.graphx import Edge, EdgeContext, Graph
 from repro.spark.rdd import RDD
 from repro.sparql.ast import TriplePattern, Variable, connected_order
 from repro.sparql.fragments import FEATURE_BGP
-from repro.systems.base import EngineProfile, SparkRdfEngine, fold_joins
+from repro.systems.base import (
+    EDGE,
+    EngineProfile,
+    SparkRdfEngine,
+    compile_pattern,
+    fold_joins,
+)
 
 
 def decompose_into_paths(
@@ -106,11 +111,8 @@ class GraphXSubgraphEngine(SparkRdfEngine):
     )
 
     def _build(self, graph: RDFGraph) -> None:
-        vertices = sorted(
-            graph.subjects() | graph.objects(), key=lambda t: t.sort_key()
-        )
         # Vertex attribute: the MT table (a list of partial match rows).
-        vertex_rdd = self.ctx.parallelize([(v, []) for v in vertices])
+        vertex_rdd = self.ctx.parallelize([(v, []) for v in graph.vertices()])
         edge_rdd = self.ctx.parallelize(
             [Edge(s, o, p) for s, p, o in graph.canonical_order()]
         )
@@ -124,36 +126,25 @@ class GraphXSubgraphEngine(SparkRdfEngine):
         for step, pattern in enumerate(path):
             is_first = step == 0
 
-            def send(ctx: EdgeContext, pattern=pattern, is_first=is_first):
+            def send(
+                ctx: EdgeContext,
+                match=compile_pattern(pattern, EDGE),
+                is_first=is_first,
+            ):
                 partials = (
                     [{}] if is_first else (ctx.src_attr or [])
                 )
                 if not partials:
                     return
-                binding: Dict[str, Term] = {}
-                for position, value in (
-                    (pattern.subject, ctx.src),
-                    (pattern.predicate, ctx.attr),
-                    (pattern.object, ctx.dst),
-                ):
-                    if isinstance(position, Variable):
-                        bound = binding.get(position.name)
-                        if bound is None:
-                            binding[position.name] = value
-                        elif bound != value:
-                            return
-                    elif position != value:
-                        return
+                binding = match(ctx)
+                if binding is None:
+                    return
                 for partial in partials:
-                    merged = dict(partial)
-                    ok = True
-                    for name, value in binding.items():
-                        if name in merged and merged[name] != value:
-                            ok = False
-                            break
-                        merged[name] = value
-                    if ok:
-                        ctx.send_to_dst([merged])
+                    if all(
+                        partial.get(name, value) == value
+                        for name, value in binding.items()
+                    ):
+                        ctx.send_to_dst([{**partial, **binding}])
 
             messages = current.aggregateMessages(send, lambda a, b: a + b)
             # joinVertices folds the fresh rows into each vertex's MT table;

@@ -36,12 +36,7 @@ from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term
 from repro.spark.graphx import Edge, Graph
 from repro.spark.rdd import RDD
-from repro.sparql.ast import (
-    TriplePattern,
-    Variable,
-    connected_order,
-    variables_of,
-)
+from repro.sparql.ast import TriplePattern, connected_order, variables_of
 from repro.sparql.fragments import (
     FEATURE_BGP,
     FEATURE_FILTER,
@@ -50,7 +45,13 @@ from repro.sparql.fragments import (
     FEATURE_OPTIONAL,
     FEATURE_ORDER_BY,
 )
-from repro.systems.base import EngineProfile, SparkRdfEngine, fold_joins
+from repro.systems.base import (
+    EDGE,
+    EngineProfile,
+    SparkRdfEngine,
+    compile_pattern,
+    fold_joins,
+)
 
 
 class S2XEngine(SparkRdfEngine):
@@ -91,10 +92,9 @@ class S2XEngine(SparkRdfEngine):
         self.validate = validate
 
     def _build(self, graph: RDFGraph) -> None:
-        vertices = sorted(
-            graph.subjects() | graph.objects(), key=lambda t: t.sort_key()
+        vertex_rdd = self.ctx.parallelize(
+            [(v, None) for v in graph.vertices()]
         )
-        vertex_rdd = self.ctx.parallelize([(v, None) for v in vertices])
         edge_rdd = self.ctx.parallelize(
             [Edge(s, o, p) for s, p, o in graph.canonical_order()]
         )
@@ -104,32 +104,9 @@ class S2XEngine(SparkRdfEngine):
 
     def _edge_matches(self, pattern: TriplePattern) -> RDD:
         """Per-edge candidate bindings for one triple pattern (graph side)."""
-
-        def match(part) -> List[dict]:
-            out = []
-            for triplet in part:
-                binding: Dict[str, Term] = {}
-                ok = True
-                for position, value in (
-                    (pattern.subject, triplet.src),
-                    (pattern.predicate, triplet.attr),
-                    (pattern.object, triplet.dst),
-                ):
-                    if isinstance(position, Variable):
-                        bound = binding.get(position.name)
-                        if bound is None:
-                            binding[position.name] = value
-                        elif bound != value:
-                            ok = False
-                            break
-                    elif position != value:
-                        ok = False
-                        break
-                if ok:
-                    out.append(binding)
-            return out
-
-        return self.graph.triplets().mapPartitions(match)
+        return self.graph.triplets().mapPartitions(
+            compile_pattern(pattern, EDGE).scan
+        )
 
     def _evaluate_bgp(self, patterns: List[TriplePattern]) -> RDD:
         ordered = connected_order(patterns)

@@ -36,6 +36,7 @@ from repro.spark.rdd import RDD
 from repro.sparql.ast import TriplePattern, Variable, variables_of
 from repro.sparql.fragments import FEATURE_BGP
 from repro.systems.base import (
+    EDGE,
     EngineProfile,
     SparkRdfEngine,
     compile_pattern,
@@ -71,12 +72,14 @@ class SparkqlEngine(SparkRdfEngine):
             return node_attrs.setdefault(term, {"props": {}, "types": set()})
 
         edge_tuples: List[Tuple[Term, Term, Term]] = []
+        self.data_properties: Set[Term] = set()
         for s, p, o in graph.canonical_order():
             attrs_of(s)
             if p == RDF.type:
                 attrs_of(s)["types"].add(o)
             elif isinstance(o, Literal):
                 attrs_of(s)["props"].setdefault(p, []).append(o)
+                self.data_properties.add(p)
             else:
                 attrs_of(o)
                 edge_tuples.append((s, o, p))
@@ -87,9 +90,6 @@ class SparkqlEngine(SparkRdfEngine):
         )
         self.graph = Graph(vertex_rdd, edge_rdd)
         self.object_properties: Set[Term] = {p for _s, _d, p in edge_tuples}
-        self.data_properties: Set[Term] = {
-            p for _s, p, o in graph.canonical_order() if isinstance(o, Literal)
-        }
         # Full triple view, for variable-predicate fallbacks.
         self._all_triples = self.ctx.parallelize(
             graph.canonical_order()
@@ -185,7 +185,7 @@ class SparkqlEngine(SparkRdfEngine):
     def _edge_bindings(self, pattern: TriplePattern) -> RDD:
         """Bindings contributed by one object-property pattern."""
         return self.graph.edges.mapPartitions(
-            compile_pattern(pattern, ("t.src", "t.attr", "t.dst")).scan
+            compile_pattern(pattern, EDGE).scan
         )
 
     # ------------------------------------------------------------------

@@ -51,6 +51,11 @@ from repro.systems.base import (
 )
 
 
+def _by_name(index: Dict[Term, list]) -> List[Tuple[Term, list]]:
+    """An index level's files, in the sort-key order of their names."""
+    return sorted(index.items(), key=lambda kv: kv[0].sort_key())
+
+
 class SparkRdfMesgEngine(SparkRdfEngine):
     """MESG-indexed store with class pruning and dynamic pre-partitioning."""
 
@@ -224,59 +229,37 @@ class SparkRdfMesgEngine(SparkRdfEngine):
         pattern: TriplePattern,
         constraints: Dict[str, Set[Term]],
     ) -> List[dict]:
-        match = compile_pattern(pattern)
-        if isinstance(pattern.predicate, Variable):
+        """*pattern*'s bindings read from its index files, each scanned
+        with its fixed positions in the layout: a relation file holds the
+        ``(s, o)`` pairs of one predicate, a class file the members of one
+        class."""
+        predicate = pattern.predicate
+        relations: List[Tuple[str, Term, List[Tuple[Term, Term]]]] = []
+        classes: List[Tuple[Term, List[Term]]] = []
+        if isinstance(predicate, Variable):
             # Variable predicate: the whole MESG level 1 must be read.
-            out = []
-            for predicate, pairs in sorted(
-                self.relation_index.items(), key=lambda kv: kv[0].sort_key()
-            ):
-                self._count_read("REL", len(pairs))
-                for s, o in pairs:
-                    binding = match((s, predicate, o))
-                    if binding is not None and self._classes_ok(
-                        binding, constraints
-                    ):
-                        out.append(binding)
-            for cls, members in sorted(
-                self.class_index.items(), key=lambda kv: kv[0].sort_key()
-            ):
-                self._count_read("CLASS", len(members))
-                for member in members:
-                    binding = match((member, RDF.type, cls))
-                    if binding is not None and self._classes_ok(
-                        binding, constraints
-                    ):
-                        out.append(binding)
+            relations = [
+                ("REL", p, pairs) for p, pairs in _by_name(self.relation_index)
+            ]
+            classes = _by_name(self.class_index)
+        elif predicate != RDF.type:
+            level, pairs = self._select_file(pattern, constraints)
+            relations = [(level, predicate, pairs)]
+        elif isinstance(pattern.object, Variable):
+            classes = _by_name(self.class_index)
+        else:
+            members = self.class_index.get(pattern.object, [])
+            classes = [(pattern.object, members)]
+        out: List[dict] = []
+        for level, p, pairs in relations:
+            self._count_read(level, len(pairs))
+            out += compile_pattern(pattern, ("t[0]", p, "t[1]")).scan(pairs)
+        for cls, members in classes:
+            self._count_read("CLASS", len(members))
+            out += compile_pattern(pattern, ("t", RDF.type, cls)).scan(members)
+        if predicate == RDF.type:
             return out
-        if pattern.predicate == RDF.type:
-            out = []
-            if not isinstance(pattern.object, Variable):
-                members = self.class_index.get(pattern.object, [])
-                self._count_read("CLASS", len(members))
-                for member in members:
-                    binding = match((member, RDF.type, pattern.object))
-                    if binding is not None:
-                        out.append(binding)
-            else:
-                for cls, members in sorted(
-                    self.class_index.items(),
-                    key=lambda kv: kv[0].sort_key(),
-                ):
-                    self._count_read("CLASS", len(members))
-                    for member in members:
-                        binding = match((member, RDF.type, cls))
-                        if binding is not None:
-                            out.append(binding)
-            return out
-        level, pairs = self._select_file(pattern, constraints)
-        self._count_read(level, len(pairs))
-        out = []
-        for s, o in pairs:
-            binding = match((s, pattern.predicate, o))
-            if binding is not None and self._classes_ok(binding, constraints):
-                out.append(binding)
-        return out
+        return [b for b in out if self._classes_ok(b, constraints)]
 
     def _classes_ok(
         self, binding: dict, constraints: Dict[str, Set[Term]]

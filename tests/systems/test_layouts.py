@@ -102,6 +102,41 @@ def test_mutating_a_shared_layout_through_an_engine_fails_loudly(name):
         graph.canonical_order()[0] = graph.canonical_order()[1]
 
 
+GRAPH_ENGINES = ("S2X", "SPARQL-GraphX", "GraphFrames-RDF")
+
+
+def test_the_graph_engines_share_one_vertex_list():
+    graph = small_graph()
+    builds = []
+    subjects = graph.subjects
+    graph.subjects = lambda: builds.append(1) or subjects()
+    engines = [load(name, graph) for name in GRAPH_ENGINES]
+    vertices = graph.vertices()
+    assert len(builds) == 1 and graph.vertices() is vertices
+    # GraphFrames-RDF's nodelist holds the layout's own terms, in order.
+    nodes = engines[2].gframe.vertices.rdd.collect()
+    assert len(nodes) == len(vertices)
+    assert all(a is b for (a,), b in zip(nodes, vertices))
+    with pytest.raises(TypeError):
+        vertices[0] = ex("unseen")
+
+
+def test_a_change_drops_the_vertex_list_and_a_copy_starts_without():
+    graph = small_graph()
+    vertices = graph.vertices()
+    assert not graph.add(Triple(ex("p0"), ex("knows"), ex("p1")))
+    assert not graph.remove(Triple(ex("p0"), ex("knows"), ex("p9")))
+    assert graph.vertices() is vertices
+    clone = graph.copy()
+    assert clone._vertices is None and clone.vertices() == vertices
+    assert graph.add(Triple(ex("p9"), ex("knows"), ex("p0")))
+    assert graph.vertices() is not vertices
+    assert ex("p9") in graph.vertices() and ex("p9") not in vertices
+    grown = graph.vertices()
+    assert graph.remove(Triple(ex("p9"), ex("knows"), ex("p0")))
+    assert graph.vertices() == vertices and graph.vertices() is not grown
+
+
 # Unequal terms whose sort keys tie: the comparator leaves each pair in
 # iteration order, and the shared order must do exactly the same.
 TIED_OBJECTS = [
@@ -136,6 +171,9 @@ def test_the_shared_layouts_are_what_each_engine_built(triples, changes):
         old_dictionary, old_encoded = _old_encoding(graph)
         assert list(encoded) == old_encoded
         assert list(encoded) == Dictionary().encode_graph(graph)
+        assert graph.vertices() == tuple(
+            sorted(graph.subjects() | graph.objects(), key=lambda t: t.sort_key())
+        )
         assert [dictionary.decode_id(i) for i in range(len(dictionary))] == [
             old_dictionary.decode_id(i) for i in range(len(old_dictionary))
         ]

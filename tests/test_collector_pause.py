@@ -85,6 +85,21 @@ def test_a_query_leaves_no_garbage_in_reference_cycles(lubm5, queries, name, bac
             assert gc.collect() == 0, (name, backend, query)
 
 
+@pytest.mark.parametrize("name", sorted(ENGINE_HOMES))
+def test_a_dropped_engine_leaves_no_garbage_in_reference_cycles(lubm5, name):
+    """A served commit reloads an engine and drops the old one: reference
+    counting alone must free it.  (A ``SparkSession`` keeps its tables'
+    rows, not DataFrames pointing back at it: S2RDF and SPARQL-Hybrid
+    left their whole store in a cycle.)"""
+    # A first engine pays for what importing its modules leaves.
+    build_engine(name, lubm5).execute(MEMBER_QUERY)
+    gc.collect()
+    engine = build_engine(name, lubm5)
+    engine.execute(MEMBER_QUERY)
+    del engine
+    assert gc.collect() == 0
+
+
 def test_the_collector_is_back_on_after_an_unsupported_query(lubm_graph, collector_on):
     engine = build_engine("SPARQLGX", lubm_graph)
     with pytest.raises(UnsupportedQueryError):
