@@ -10,7 +10,7 @@ import re
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.rdf.graph import RDFGraph
-from repro.rdf.terms import BNode, Literal, Term, URI
+from repro.rdf.terms import Term, read_term
 from repro.rdf.triple import Triple, TripleValidityError
 
 
@@ -24,19 +24,12 @@ class NTriplesParseError(ValueError):
         self.line_number = line_number
 
 
-#: A literal token, split.
-_LITERAL = r"""
-    "(?P<lexical>(?:[^"\\]|\\.)*)"
-    (?: \^\^<(?P<datatype>[^>]*)> | @(?P<language>[A-Za-z0-9\-]+) )?
-"""
-_LITERAL_RE = re.compile(_LITERAL, re.VERBOSE)
 #: One term of any kind, captured as text.  The lookahead keeps a
 #: blank-node label maximal (``_`` may continue a label *and* start the
 #: next term), so a term matches in exactly one way and the line pattern
 #: cannot split a line differently from the term-by-term walk.
-_TOKEN = r"( <[^>]*> | _:[A-Za-z0-9_]+ (?![A-Za-z0-9_]) | %s )" % re.sub(
-    r"\(\?P<\w+>", "(?:", _LITERAL
-)
+_TOKEN = r"""( <[^>]*> | _:[A-Za-z0-9_]+ (?![A-Za-z0-9_])
+    | "(?:[^"\\]|\\.)*" (?: \^\^<[^>]*> | @[A-Za-z0-9\-]+ )? )"""
 _TERM_RE = re.compile(r"\s*" + _TOKEN, re.VERBOSE)
 #: A whole well-formed line.
 _LINE_RE = re.compile(
@@ -44,67 +37,24 @@ _LINE_RE = re.compile(
     re.VERBOSE,
 )
 
-_ESCAPE_RE = re.compile(r'\\([nrt"\\]|u.{4}|U.{8})', re.DOTALL)
-_UNESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
-
-
-def _unescape(text: str) -> str:
-    return _ESCAPE_RE.sub(_unescaped, text) if "\\" in text else text
-
-
-def _unescaped(match) -> str:
-    escape = match.group(1)
-    if escape in _UNESCAPES:
-        return _UNESCAPES[escape]
-    try:
-        return chr(int(escape[1:], 16))
-    except (ValueError, OverflowError):
-        raise ValueError(
-            "bad escape \\%s: not a Unicode code point" % escape
-        ) from None
-
-
-def _term(
-    token: str, terms: Dict[str, Term], line_number: int, line: str
-) -> Term:
-    """The term *token* spells, entered in *terms*.
-
-    *terms* holds the term built for each token seen, so one document's
-    repeated subjects, predicates, classes and values are one object
-    each (hashed once, stored once) rather than one per mention; a
-    datatype is shared as the URI token it would be.
-    """
-    try:
-        if token[0] == "<":
-            term: Term = URI(token[1:-1])
-        elif token[0] == "_":
-            term = BNode(token[2:])
-        else:
-            lexical, reference, language = _LITERAL_RE.match(token).groups()
-            lexical = _unescape(lexical)
-            datatype = None
-            if reference is not None:
-                shared = "<%s>" % reference
-                datatype = terms.get(shared)
-                if datatype is None:
-                    datatype = terms[shared] = URI(reference)
-            term = Literal(lexical, datatype, language)
-    except (ValueError, OverflowError) as exc:
-        # An empty reference, or an escape naming no character.
-        raise NTriplesParseError(line_number, line, str(exc)) from exc
-    terms[token] = term
-    return term
-
 
 def _parse_term(
     line: str, position: int, line_number: int, terms: Dict[str, Term]
 ) -> tuple:
-    """The term starting at *position* and the offset just past it."""
+    """The term starting at *position* and the offset just past it.
+
+    *terms* holds the term read for each token, so a document's repeated
+    tokens, datatypes too, are one object each (hashed once, stored once).
+    """
     match = _TERM_RE.match(line, position)
     if match is None:
         raise NTriplesParseError(line_number, line, "expected a term")
     token = match.group(1)
-    term = terms.get(token) or _term(token, terms, line_number, line)
+    try:
+        term = terms.get(token) or read_term(token, terms=terms)
+    except ValueError as exc:
+        # An empty reference, or an escape naming no character.
+        raise NTriplesParseError(line_number, line, str(exc)) from exc
     return term, match.end()
 
 
@@ -115,7 +65,7 @@ def parse_ntriples_line(
     comments.
 
     A caller parsing many lines passes one *terms* dict for all of them
-    (see :func:`_term`).
+    (see :func:`_parse_term`).
     """
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
@@ -156,11 +106,12 @@ def iter_ntriples(lines: Iterable[str]) -> Iterator[Triple]:
         subject, predicate, obj = match.groups()
         try:
             triple = Triple(
-                known(subject) or _term(subject, terms, line_number, line),
-                known(predicate) or _term(predicate, terms, line_number, line),
-                known(obj) or _term(obj, terms, line_number, line),
+                known(subject) or read_term(subject, terms=terms),
+                known(predicate) or read_term(predicate, terms=terms),
+                known(obj) or read_term(obj, terms=terms),
             )
-        except TripleValidityError as exc:
+        except ValueError as exc:
+            # A term :func:`read_term` refuses, or one out of its place.
             raise NTriplesParseError(line_number, line, str(exc)) from exc
         yield triple
 
@@ -168,7 +119,8 @@ def iter_ntriples(lines: Iterable[str]) -> Iterator[Triple]:
 def parse_ntriples(source: Union[str, Iterable[str]]) -> RDFGraph:
     """Parse N-Triples text (one string) or an iterable of lines."""
     if isinstance(source, str):
-        source = source.splitlines()
+        # Not splitlines(): a literal holds U+2028, U+0085, ... as written.
+        source = re.split(r"\r\n?|\n", source)
     return RDFGraph(iter_ntriples(source))
 
 

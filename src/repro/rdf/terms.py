@@ -1,12 +1,16 @@
 """RDF terms: the three disjoint resource sets U (URIs), L (literals) and
 B (blank nodes) of Section II-A, plus a total order so term collections can
 be sorted deterministically (ORDER BY, range partitioning).
+
+:func:`read_term`, the inverse of :meth:`Term.n3`, is the one reader of a
+term's text for N-Triples, Turtle, SPARQL and SHACL's wire rows.
 """
 
 from __future__ import annotations
 
+import re
 import zlib
-from typing import Optional
+from typing import Dict, Optional
 
 #: The one way past the raising ``__setattr__`` of the immutable terms.
 _set = object.__setattr__
@@ -273,3 +277,87 @@ _XSD_FLOAT = URI(_XSD + "float")
 _XSD_DECIMAL = URI(_XSD + "decimal")
 _XSD_BOOLEAN = URI(_XSD + "boolean")
 _XSD_STRING = URI(_XSD + "string")
+
+
+# -- Term syntax ---------------------------------------------------------
+
+#: The quoted string (language tag included) and the numerals of the
+#: Turtle and SPARQL 1.1 grammars, for their tokenizers to share.
+STRING = r"""(?:"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')(?:@[A-Za-z][A-Za-z0-9\-]*)?"""
+DOUBLE = r"[+-]?(?:[0-9]+\.[0-9]*[eE][+-]?[0-9]+|\.?[0-9]+[eE][+-]?[0-9]+)"
+DECIMAL = r"[+-]?[0-9]*\.[0-9]+"
+INTEGER = r"[+-]?[0-9]+"
+
+#: A quoted string and its suffix, split (N-Triples' wider language tag).
+_STRING_RE = re.compile(
+    r"""(?:"((?:[^"\\]|\\.)*)"|'((?:[^'\\]|\\.)*)')"""
+    r"(?:@([A-Za-z0-9\-]+)|\^\^(<[^>]*>))?"
+)
+_NUMERAL_RE = re.compile(
+    "(?P<integer>%s)|(?P<decimal>%s)|(?P<double>%s)" % (INTEGER, DECIMAL, DOUBLE)
+)
+_LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
+#: ECHAR and UCHAR.  Any other backslash is kept as written.
+_ESCAPE_RE = re.compile(r"""\\([tbnrf"'\\]|u.{4}|U.{8})""", re.DOTALL)
+_ECHARS = {
+    "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+    '"': '"', "'": "'", "\\": "\\",
+}
+
+
+def _unescaped(match) -> str:
+    escape = match.group(1)
+    if escape in _ECHARS:
+        return _ECHARS[escape]
+    try:
+        return chr(int(escape[1:], 16))
+    except (ValueError, OverflowError):
+        raise ValueError(
+            "bad escape \\%s: not a Unicode code point" % escape
+        ) from None
+
+
+def read_term(
+    token: str,
+    datatype: Optional[URI] = None,
+    terms: Optional[Dict[str, Term]] = None,
+) -> Term:
+    """The term *token* spells: an ``<iri>``, a ``_:label``, a quoted
+    string with an optional ``@lang`` or ``^^<iri>`` (else *datatype*,
+    read by the caller from ``^^prefix:name``), a numeral or a boolean.
+
+    A decimal and a double are both ``Literal(float)``, where SPARQL
+    would type a decimal ``xsd:decimal`` and keep a double's text.
+    *terms* maps tokens to terms read; the token is entered there, and a
+    datatype is the term of its ``<iri>`` token.  Raises ValueError on
+    anything else and on an escape naming no character.
+    """
+    terms = {} if terms is None else terms
+    first = token[:1]
+    if first == "<" and token.find(">") == len(token) - 1:
+        term: Term = URI(token[1:-1])
+    elif first == '"' or first == "'":
+        match = _STRING_RE.fullmatch(token)
+        if match is None:
+            raise ValueError("not a term: %r" % token)
+        double, single, language, reference = match.groups()
+        lexical = single if double is None else double
+        if "\\" in lexical:
+            lexical = _ESCAPE_RE.sub(_unescaped, lexical)
+        if reference is not None:
+            datatype = terms.get(reference) or read_term(reference, terms=terms)
+        term = Literal(lexical, datatype, language)
+    elif token[:2] == "_:" and _LABEL_RE.fullmatch(token, 2):
+        term = BNode(token[2:])
+    elif token == "true" or token == "false":
+        term = Literal(token == "true")
+    else:
+        numeral = _NUMERAL_RE.fullmatch(token)
+        if numeral is None:
+            raise ValueError("not a term: %r" % token)
+        if numeral.lastgroup == "integer":
+            term = Literal(int(token))
+        else:
+            term = Literal(float(token))
+    terms[token] = term
+    return term

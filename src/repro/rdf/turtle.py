@@ -7,13 +7,13 @@ full-fidelity line format remains N-Triples.
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.rdf.graph import RDFGraph
 from repro.rdf.namespaces import NamespaceManager
-from repro.rdf.terms import BNode, Literal, Term, URI
+from repro.rdf.terms import DECIMAL, DOUBLE, INTEGER, STRING, Term, URI, read_term
 from repro.rdf.triple import Triple
-from repro.rdf.vocab import RDF, XSD
+from repro.rdf.vocab import RDF
 
 
 class TurtleParseError(ValueError):
@@ -25,17 +25,16 @@ _TOKEN_RE = re.compile(
     (?P<ws>\s+|\#[^\n]*)
   | (?P<prefix_decl>@prefix)
   | (?P<uri><[^>]*>)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<double>[+-]?[0-9]+\.[0-9]+)
-  | (?P<integer>[+-]?[0-9]+)
+  | (?P<string>%s)
+  | (?P<double>%s|%s)
+  | (?P<integer>%s)
   | (?P<boolean>true|false)
   | (?P<a_kw>\ba\b)
   | (?P<bnode>_:[A-Za-z0-9_]+)
   | (?P<pname>[A-Za-z_][\w\-]*?:[\w\-.]*)
-  | (?P<pname_ns>[A-Za-z_][\w\-]*:)
-  | (?P<word>[A-Za-z][A-Za-z0-9\-]*)
-  | (?P<punct>[.;,\^@])
-    """,
+  | (?P<punct>[.;,^])
+    """
+    % (STRING, DOUBLE, DECIMAL, INTEGER),
     re.VERBOSE,
 )
 
@@ -90,12 +89,9 @@ class _TurtleParser:
     def _parse_prefix(self) -> None:
         self.advance()  # @prefix
         kind, text = self.advance()
-        if kind == "pname_ns":
-            prefix = text[:-1]
-        elif kind == "pname" and text.endswith(":"):
-            prefix = text[:-1]
-        else:
+        if kind != "pname" or not text.endswith(":"):
             raise TurtleParseError("expected prefix name, found %r" % text)
+        prefix = text[:-1]
         kind, text = self.advance()
         if kind != "uri":
             raise TurtleParseError("expected namespace URI, found %r" % text)
@@ -126,50 +122,31 @@ class _TurtleParser:
         self.expect_punct(".")
 
     def _parse_predicate(self) -> URI:
-        kind, text = self.advance()
-        if kind == "a_kw":
+        if self.peek()[0] == "a_kw":
+            self.advance()
             return RDF.type
-        if kind == "uri":
-            return URI(text[1:-1])
+        return self._parse_iri("predicate")
+
+    def _parse_iri(self, what: str) -> URI:
+        kind, text = self.advance()
         if kind == "pname":
-            term = self.namespaces.expand(text)
-            return term
-        raise TurtleParseError("expected predicate, found %r" % text)
+            return self.namespaces.expand(text)
+        if kind != "uri":
+            raise TurtleParseError("expected %s, found %r" % (what, text))
+        return read_term(text)
 
     def _parse_term(self, as_subject: bool) -> Term:
         kind, text = self.advance()
-        if kind == "uri":
-            return URI(text[1:-1])
         if kind == "pname":
             return self.namespaces.expand(text)
-        if kind == "bnode":
-            return BNode(text[2:])
-        if as_subject:
+        if as_subject and kind not in ("uri", "bnode"):
             raise TurtleParseError("invalid subject %r" % text)
-        if kind == "string":
-            lexical = text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-            next_kind, next_text = self.peek()
-            if next_kind == "punct" and next_text == "^":
-                self.advance()
-                self.expect_punct("^")
-                dt_kind, dt_text = self.advance()
-                if dt_kind == "uri":
-                    return Literal(lexical, datatype=URI(dt_text[1:-1]))
-                if dt_kind == "pname":
-                    return Literal(lexical, datatype=self.namespaces.expand(dt_text))
-                raise TurtleParseError("expected datatype after ^^")
-            if next_kind == "punct" and next_text == "@":
-                self.advance()
-                lang_kind, lang_text = self.advance()
-                return Literal(lexical, language=lang_text)
-            return Literal(lexical)
-        if kind == "integer":
-            return Literal(int(text))
-        if kind == "double":
-            return Literal(float(text))
-        if kind == "boolean":
-            return Literal(text == "true")
-        raise TurtleParseError("invalid object %r" % text)
+        datatype = None
+        if kind == "string" and self.peek() == ("punct", "^"):
+            self.advance()
+            self.expect_punct("^")
+            datatype = self._parse_iri("datatype after ^^")
+        return read_term(text, datatype)
 
 
 def parse_turtle(text: str) -> RDFGraph:

@@ -25,25 +25,28 @@ hashing (used only for lookup, never for iteration order).
 
 from __future__ import annotations
 
+import re
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from repro.sparql.ast import Query
+from repro.sparql.tokenizer import IRI
+
+_IRI_RE = re.compile(IRI)
 
 
 def normalize_query(text: str) -> str:
     """Canonical form of a SPARQL query's text, for cache keying.
 
-    Strips comments (``#`` to end of line, except inside IRI ``<...>``
-    brackets and string literals) and collapses every whitespace run
-    *outside* string literals and IRIs to a single space; whitespace
-    inside a literal is content and survives byte-for-byte.  This is
+    Strips comments (``#`` to end of line, except inside IRIs, read where
+    the tokenizer reads one, and string literals) and collapses every
+    other whitespace run to a single space; whitespace inside a literal
+    is content and survives byte-for-byte.  This is
     *textual* normalization only -- two semantically equal but
     differently written queries stay distinct keys, which is the
     conservative (never-wrong) choice.
     """
     out = []
-    in_iri = False
     quote: Optional[str] = None
     pending_space = False
     i, n = 0, len(text)
@@ -68,16 +71,12 @@ def normalize_query(text: str) -> str:
                 quote = None
             i += 1
             continue
-        if in_iri:
-            out.append(ch)
-            if ch == ">":
-                in_iri = False
-            i += 1
+        iri = _IRI_RE.match(text, i) if ch == "<" else None
+        if iri is not None:
+            emit(iri.group())
+            i = iri.end()
             continue
-        if ch == "<":
-            in_iri = True
-            emit(ch)
-        elif ch in ("'", '"'):
+        if ch in ("'", '"'):
             quote = ch
             emit(ch)
         elif ch == "#":

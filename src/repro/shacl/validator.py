@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.rdf.ntriples import NTriplesParseError, _parse_term
-from repro.rdf.terms import BNode, Literal, Term, URI
+from repro.rdf.terms import BNode, Literal, Term, URI, read_term
 from repro.shacl.compile import (
     CompiledQuery,
     class_probe,
@@ -49,17 +48,6 @@ _RDF_LANG_STRING = (
 
 class ValidationExecutionError(RuntimeError):
     """A compiled query could not be executed (rejected, deadline, ...)."""
-
-
-def term_from_n3(text: str) -> Term:
-    """Decode one N3-rendered term from a canonical wire row."""
-    try:
-        term, end = _parse_term(text, 0, 1, {})
-    except NTriplesParseError as exc:
-        raise ValueError("not an N3 term: %r (%s)" % (text, exc)) from exc
-    if text[end:].strip():
-        raise ValueError("trailing content after N3 term: %r" % text)
-    return term
 
 
 def node_kind_of(term: Term) -> str:
@@ -324,7 +312,7 @@ class ShaclValidator:
         probe_values: List[str] = []
         for focus in focuses:
             for value in by_focus.get(focus, []):
-                term = term_from_n3(value)
+                term = read_term(value)
                 kind = node_kind_of(term)
                 if prop.node_kind is not None and kind != prop.node_kind:
                     violation(
@@ -373,7 +361,7 @@ class ShaclValidator:
                 key = (value, prop.class_)
                 if key not in probe_cache:
                     probe = class_probe(
-                        shape, index, term_from_n3(value), prop.class_
+                        shape, index, read_term(value), prop.class_
                     )
                     probe_cache[key] = bool(run(probe)["value"])
                 if not probe_cache[key]:

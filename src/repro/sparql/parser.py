@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.rdf.namespaces import NamespaceManager
-from repro.rdf.terms import Literal, Term, URI
-from repro.rdf.vocab import RDF, XSD
+from repro.rdf.terms import Literal, Term, URI, read_term
+from repro.rdf.vocab import RDF
 from repro.sparql.ast import (
     Arithmetic,
     AskQuery,
@@ -135,12 +135,8 @@ class _Parser:
             if token.kind == "var":
                 self.stream.next()
                 variables.append(Variable(token.value[1:]))
-            elif token.kind == "uri":
-                self.stream.next()
-                terms.append(URI(token.value[1:-1]))
-            elif token.kind == "pname":
-                self.stream.next()
-                terms.append(self.namespaces.expand(token.value))
+            elif token.kind in ("uri", "pname"):
+                terms.append(self._parse_iri())
             else:
                 break
         if not variables and not terms:
@@ -280,22 +276,15 @@ class _Parser:
         if token.kind == "var":
             self.stream.next()
             return Variable(token.value[1:])
-        if token.kind == "uri":
-            self.stream.next()
-            return URI(token.value[1:-1])
-        if token.kind == "pname":
-            self.stream.next()
-            return self.namespaces.expand(token.value)
         if predicate_position and self.stream.accept("keyword", "A"):
             return RDF.type
         if token.kind == "bnode":
             self.stream.next()
             # Blank nodes in patterns behave as non-projectable variables.
             return Variable("__bnode_%s" % token.value[2:])
-        if allow_literal:
-            literal = self._try_parse_literal()
-            if literal is not None:
-                return literal
+        term = self._try_parse_constant(allow_literal)
+        if term is not None:
+            return term
         raise SparqlParseError(
             "expected %s at position %d, found %r"
             % (
@@ -305,39 +294,45 @@ class _Parser:
             )
         )
 
-    def _try_parse_literal(self) -> Optional[Literal]:
+    def _try_parse_constant(self, allow_literal: bool = True) -> Optional[Term]:
+        """An IRI or, if *allow_literal*, a literal; None before anything
+        else."""
         token = self.stream.peek()
-        if token.kind == "string":
+        if token.kind in ("uri", "pname"):
+            return self._parse_iri()
+        if not allow_literal:
+            return None
+        if self.stream.at_keyword("TRUE", "FALSE"):
             self.stream.next()
-            body = token.value
-            language = None
-            if not body.endswith(('"', "'")):
-                body, language = body.rsplit("@", 1)
-            lexical = body[1:-1].replace('\\"', '"').replace("\\'", "'")
-            if language is not None:
-                return Literal(lexical, language=language)
-            if self.stream.accept("op", "^"):
-                self.stream.expect("op", "^")
-                dt_token = self.stream.next()
-                if dt_token.kind == "uri":
-                    return Literal(lexical, datatype=URI(dt_token.value[1:-1]))
-                if dt_token.kind == "pname":
-                    return Literal(
-                        lexical, datatype=self.namespaces.expand(dt_token.value)
-                    )
-                raise SparqlParseError("expected datatype after ^^")
-            return Literal(lexical)
-        if token.kind == "integer":
-            self.stream.next()
-            return Literal(int(token.value))
-        if token.kind == "double":
-            self.stream.next()
-            return Literal(float(token.value))
-        if self.stream.accept("keyword", "TRUE"):
-            return Literal(True)
-        if self.stream.accept("keyword", "FALSE"):
-            return Literal(False)
-        return None
+            return Literal(token.value == "TRUE")
+        if token.kind not in ("string", "integer", "double"):
+            return None
+        self.stream.next()
+        datatype = None
+        if token.kind == "string" and self.stream.accept("op", "^"):
+            self.stream.expect("op", "^")
+            datatype = self._parse_iri()
+        return self._read(token, datatype)
+
+    def _parse_iri(self) -> URI:
+        token = self.stream.next()
+        if token.kind == "pname":
+            return self.namespaces.expand(token.value)
+        if token.kind != "uri":
+            raise SparqlParseError(
+                "expected an IRI at position %d, found %r"
+                % (token.position, token.value or "<eof>")
+            )
+        return self._read(token)
+
+    def _read(self, token, datatype: Optional[URI] = None) -> Term:
+        """The term *token* spells (:func:`repro.rdf.terms.read_term`)."""
+        try:
+            return read_term(token.value, datatype)
+        except ValueError as exc:
+            raise SparqlParseError(
+                "%s at position %d" % (exc, token.position)
+            ) from None
 
     # -- filter expressions -----------------------------------------------
 
@@ -428,15 +423,9 @@ class _Parser:
             return VarExpr(Variable(token.value[1:]))
         if token.kind == "keyword" and token.value in _BUILTINS:
             return self._parse_builtin()
-        if token.kind == "uri":
-            self.stream.next()
-            return TermExpr(URI(token.value[1:-1]))
-        if token.kind == "pname":
-            self.stream.next()
-            return TermExpr(self.namespaces.expand(token.value))
-        literal = self._try_parse_literal()
-        if literal is not None:
-            return TermExpr(literal)
+        term = self._try_parse_constant()
+        if term is not None:
+            return TermExpr(term)
         raise SparqlParseError(
             "unexpected token %r in expression at position %d"
             % (token.value or "<eof>", token.position)

@@ -6,6 +6,11 @@ import re
 from dataclasses import dataclass
 from typing import List
 
+from repro.rdf.terms import DECIMAL, DOUBLE, INTEGER, STRING
+
+#: An IRI; any other ``<`` is the operator.
+IRI = r"<[^<>\s]*>"
+
 
 class SparqlParseError(ValueError):
     """Raised on malformed SPARQL text."""
@@ -24,16 +29,16 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+|\#[^\n]*)
   | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
-  | (?P<uri><[^<>\s]*>)
-  | (?P<string>(?:"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')(?:@[A-Za-z][A-Za-z0-9\-]*)?)
-  | (?P<double>[+-]?(?:[0-9]+\.[0-9]*[eE][+-]?[0-9]+|\.?[0-9]+[eE][+-]?[0-9]+|[0-9]*\.[0-9]+))
-  | (?P<integer>[+-]?[0-9]+)
+  | (?P<uri>%s)
+  | (?P<string>%s)
+  | (?P<double>%s|%s)
+  | (?P<integer>%s)
   | (?P<bnode>_:[A-Za-z0-9_]+)
   | (?P<pname>[A-Za-z_][\w\-]*:[\w\-.]*|:[\w\-.]+)
-  | (?P<pname_ns>[A-Za-z_][\w\-]*:)
   | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op><=|>=|!=|\|\||&&|[{}().,;=<>!*/+\-\^@])
-    """,
+    """
+    % (IRI, STRING, DOUBLE, DECIMAL, INTEGER),
     re.VERBOSE,
 )
 
@@ -70,8 +75,6 @@ def tokenize(text: str) -> List[Token]:
                     "unexpected bare word %r at position %d"
                     % (value, match.start())
                 )
-        elif kind == "pname_ns":
-            tokens.append(Token("pname", value, match.start()))
         else:
             tokens.append(Token(kind, value, match.start()))
     tokens.append(Token("eof", "", len(text)))

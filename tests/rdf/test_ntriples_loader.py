@@ -38,7 +38,10 @@ _REFERENCE_TERM = re.compile(
     """,
     re.VERBOSE,
 )
-_PAIRS = {"\\n": "\n", "\\r": "\r", "\\t": "\t", '\\"': '"', "\\\\": "\\"}
+_PAIRS = {
+    "\\t": "\t", "\\b": "\b", "\\n": "\n", "\\r": "\r", "\\f": "\f",
+    '\\"': '"', "\\'": "'", "\\\\": "\\",
+}
 
 
 def reference_code_point(escape):
@@ -128,7 +131,9 @@ def outcome(parse, lines):
 
 _hex = st.sampled_from("0123456789abcdefABCDEF")
 _escape = st.one_of(
-    st.sampled_from(["\\n", "\\r", "\\t", '\\"', "\\\\", "\\q", "\\u12"]),
+    st.sampled_from(
+        ["\\n", "\\r", "\\t", "\\b", "\\f", '\\"', "\\'", "\\\\", "\\q", "\\u12"]
+    ),
     st.builds("\\u{}".format, st.text(_hex, min_size=4, max_size=4)),
     st.builds("\\U000{}".format, st.text(_hex, min_size=5, max_size=5)),
     # A code point no character has, and digits that are not hex.

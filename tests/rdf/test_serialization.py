@@ -16,6 +16,7 @@ from repro.rdf.ntriples import (
 from repro.rdf.terms import BNode, Literal, URI
 from repro.rdf.triple import Triple
 from repro.rdf.turtle import TurtleParseError, parse_turtle
+from repro.sparql.parser import parse_sparql
 
 
 class TestNTriplesParsing:
@@ -98,11 +99,18 @@ class TestNTriplesParsing:
 _uris = st.sampled_from(
     [URI("http://x/%s" % c) for c in "abcdefgh"]
 )
+#: Quotes, backslashes, every escape N-Triples has, controls, non-ASCII.
+_text = st.text(
+    alphabet=st.one_of(
+        st.characters(blacklist_categories=("Cs",)),
+        st.sampled_from("\"'\\\n\r\t\b\f\u2028\x85é日\U0001d11e"),
+    ),
+    max_size=12,
+)
 _literals = st.one_of(
-    st.text(
-        alphabet=st.characters(blacklist_categories=("Cs", "Cc")),
-        max_size=12,
-    ).map(Literal),
+    _text.map(Literal),
+    st.builds(Literal, _text, language=st.sampled_from(["en", "fr-CA"])),
+    st.builds(Literal, _text, datatype=_uris),
     st.integers(-1000, 1000).map(Literal),
     st.booleans().map(Literal),
 )
@@ -114,8 +122,16 @@ _triples = st.builds(Triple, _subjects, _uris, _objects)
 @given(st.lists(_triples, max_size=25))
 @settings(max_examples=80, deadline=None)
 def test_ntriples_roundtrip_property(triples):
+    """What ``n3()`` writes, N-Triples, Turtle and SPARQL read back."""
     graph = RDFGraph(triples)
-    assert parse_ntriples(serialize_ntriples(graph)) == graph
+    text = serialize_ntriples(graph)
+    assert parse_ntriples(text) == graph
+    assert parse_turtle(text) == graph
+    for triple in triples:
+        if isinstance(triple.object, BNode):
+            continue  # a variable in a query pattern
+        query = parse_sparql("ASK { ?s ?p %s }" % triple.object.n3())
+        assert query.where.elements[0].object == triple.object
 
 
 class TestTurtle:

@@ -38,6 +38,16 @@ class TestNormalizeQuery:
             == "SELECT ?s WHERE { ?s ?p \"a  b\" . ?s ?q 'x  y' }"
         )
 
+    def test_a_less_than_comparison_opens_no_iri(self):
+        """Regression: ``<`` in a FILTER was read as an IRI up to the
+        comment's ``>``, so the comment ate the closing brace."""
+        text = "SELECT ?a WHERE { ?a <http://x/p> ?b FILTER (?b < 5) # b > 1\n }"
+        normalized = normalize_query(text)
+        assert normalized == (
+            "SELECT ?a WHERE { ?a <http://x/p> ?b FILTER (?b < 5) }"
+        )
+        assert parse_sparql(normalized) == parse_sparql(text)
+
     def test_equivalent_texts_share_a_key(self):
         a = "SELECT ?s WHERE { ?s ?p ?o }"
         b = "SELECT ?s  WHERE {\n  ?s ?p ?o\n}  # trailing comment"

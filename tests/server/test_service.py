@@ -9,11 +9,17 @@ import pytest
 from repro.data.lubm import LUBM
 from repro.rdf.terms import Literal
 from repro.rdf.triple import Triple
-from repro.runtime import UnknownEngineError
+from repro.runtime import RuntimeConfig, UnknownEngineError
 from repro.server import QueryRequest, QueryService
 from repro.server.frontend import handle_request
-from repro.server.protocol import WireLiteral, encode_response
+from repro.server.protocol import (
+    WireLiteral,
+    canonical_json,
+    canonical_result,
+    encode_response,
+)
 from repro.spark.deadline import DeadlineExceededError
+from repro.sparql.parser import parse_sparql
 
 SHAPE_QUERIES = os.path.join(
     os.path.dirname(__file__), "..", "..", "examples", "queries", "shapes"
@@ -143,6 +149,23 @@ class TestCaching:
         second = service.submit(QueryRequest(text=collapsed))
         assert first.status == "ok" and second.status == "ok"
         assert second.cache == "cold"  # distinct keys, no false sharing
+
+    def test_a_filter_with_less_than_answers_what_query_answers(
+        self, service, lubm_graph
+    ):
+        """Regression: a ``<`` comparison followed by a comment with a
+        ``>`` failed to parse once normalized for the cache."""
+        text = (
+            "PREFIX lubm: <http://repro.example.org/lubm#>\n"
+            "SELECT ?s ?a WHERE { ?s lubm:age ?a FILTER (?a < 40) # ?a > 0\n}"
+        )
+        served = service.submit(QueryRequest(text=text))
+        assert served.status == "ok", served.error
+        # What `repro query` answers: the engine on the text as given.
+        run = RuntimeConfig().engine("SPARQLGX", lubm_graph).measure(text)
+        answer = canonical_result(run.answer, parse_sparql(text))
+        assert answer["rows"]
+        assert served.payload == canonical_json(answer)
 
     def test_cache_hit_is_cheap(self, service):
         cold = service.submit(QueryRequest(text=MEMBER_QUERY))

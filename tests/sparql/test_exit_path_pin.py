@@ -8,7 +8,7 @@ way the parent commit had it (its ``Solution`` methods written out over
 plain dicts), and the canonical wire text of both must be equal.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.rdf.terms import BNode, Literal, URI
 from repro.server.protocol import canonical_json, canonical_result
@@ -19,12 +19,14 @@ from repro.sparql.results import Solution
 
 def parent_modifiers(query, bindings):
     """``apply_solution_modifiers`` at the parent: rows of ``Solution``s
-    (dicts here), ``Solution.project`` and the ``frozen``-keyed DISTINCT."""
+    (dicts here), ``Solution.project`` and the ``frozen``-keyed DISTINCT.
+    An ORDER BY tie between unequal terms is broken by their N3, the
+    rule ``test_an_order_by_tie_between_unequal_terms_is_pinned`` pins."""
     ordered = [dict(b) for b in bindings]  # Solution(b)
     if query.order_by:
         ordered.sort(
             key=lambda s: tuple(
-                (name, term.sort_key())
+                (name, term.sort_key(), term.n3())
                 for name, term in sorted(s.items(), key=lambda kv: kv[0])
             )
         )
@@ -121,6 +123,19 @@ queries = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(queries, bindings)
+# Two rows whose keys tie and whose item counts differ: the oracle once
+# sorted them by (name, sort_key) alone, and they came out swapped.
+@example(
+    query=SelectQuery(
+        variables=[Variable("a")],
+        where=GroupGraphPattern(),
+        order_by=[(Variable("a"), False)],
+    ),
+    rows=[
+        {"a": Literal("\\00\\'0"), "b": Literal("\\00\\'0")},
+        {"a": Literal("\\00\\'0", datatype=URI("http://x/dt"))},
+    ],
+)
 def test_tuple_path_equals_row_path(query, rows):
     expected = parent_wire_text(query, rows)
     for collected in (rows, [Solution(row) for row in rows]):

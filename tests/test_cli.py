@@ -150,6 +150,27 @@ class TestCli:
         )
         assert len(load_graph(str(path))) == 1
 
+    @pytest.mark.parametrize(
+        "literal, printed",
+        [(r'"a\\b"', r'"a\\b"'), (r'"x\ny"', r'"x\ny"'), (r'"it\'s"', '"it\'s"')],
+    )
+    def test_a_literal_of_the_data_is_a_constant_of_a_query(
+        self, tmp_path, capsys, literal, printed
+    ):
+        """Regression: the query read these constants otherwise than the
+        loader read the data, and each query answered 0 rows."""
+        path = tmp_path / "escapes.nt"
+        path.write_text(
+            r'<http://x/s1> <http://x/p> "a\\b" .' "\n"
+            r'<http://x/s2> <http://x/p> "x\ny" .' "\n"
+            r'<http://x/s3> <http://x/p> "it\'s" .' "\n"
+        )
+        query = "SELECT ?o WHERE { ?s <http://x/p> %s . ?s <http://x/p> ?o }"
+        assert main(["query", str(path), query % literal]) == 0
+        out = capsys.readouterr().out
+        assert "1 solution(s)" in out
+        assert "| %s |" % printed in out
+
     def test_query_recovers_under_fault_schedule(self, data_file, capsys):
         query = (
             "PREFIX lubm: <http://repro.example.org/lubm#>\n"
