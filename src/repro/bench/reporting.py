@@ -8,26 +8,16 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """An aligned ASCII table."""
-    cells = [[str(value) for value in row] for row in rows]
-    widths = [
-        max([len(headers[i])] + [len(row[i]) for row in cells])
-        for i in range(len(headers))
-    ]
+    """An aligned ASCII table: one row format for the whole table, each
+    cell left-justified to its column's widest text."""
+    cells = [tuple(map(str, row)) for row in rows]
+    widths = [len(header) for header in headers]
+    for column, texts in enumerate(zip(*cells)):
+        widths[column] = max(widths[column], max(map(len, texts)))
     sep = "+" + "+".join("-" * (w + 2) for w in widths) + "+"
-    lines = [sep]
-    lines.append(
-        "|" + "|".join(
-            " %s " % headers[i].ljust(widths[i]) for i in range(len(headers))
-        ) + "|"
-    )
-    lines.append(sep)
-    for row in cells:
-        lines.append(
-            "|" + "|".join(
-                " %s " % row[i].ljust(widths[i]) for i in range(len(row))
-            ) + "|"
-        )
+    line = "|" + "|".join(" %%-%ds " % w for w in widths) + "|"
+    lines = [sep, line % tuple(headers), sep]
+    lines.extend([line % row for row in cells])
     lines.append(sep)
     return "\n".join(lines)
 

@@ -106,6 +106,7 @@ import os
 import sys
 from typing import List, Optional
 
+from repro._gc import paused_collector
 from repro.bench.reporting import format_table
 from repro.defaults import DEFAULT_PAGE_SIZE, DEFAULT_VIEW_THRESHOLD
 from repro.runtime import (
@@ -184,7 +185,11 @@ def _read_query_arg(query_arg: str) -> str:
     return query_arg
 
 
+@paused_collector()
 def cmd_query(args) -> int:
+    """Load, build, execute and render as one unit of work, the
+    collector paused throughout (docs/ARCHITECTURE.md, "The cyclic
+    collector"); the pauses of ``load`` and ``execute`` nest inside."""
     from repro.sparql.results import SolutionSet
 
     config = _config_from_args(RuntimeConfig, args)

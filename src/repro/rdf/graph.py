@@ -65,20 +65,64 @@ class RDFGraph:
 
     def add(self, triple: Triple) -> bool:
         """Insert a triple; returns False when it was already present."""
-        s, p, o = triple.as_tuple()
-        objects = self._spo.setdefault(s, {}).setdefault(p, set())
-        if o in objects:
-            return False
-        objects.add(o)
-        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
-        self._size += 1
-        self._order = self._encoding = self._vertices = None
-        return True
+        row = (triple.subject, triple.predicate, triple.object)
+        return self.add_rows((row,)) == 1
 
     def add_all(self, triples: Iterable[Triple]) -> int:
         """Insert many; returns how many were new."""
-        return sum(1 for t in triples if self.add(t))
+        return self.add_rows(map(Triple.as_tuple, triples))
+
+    def add_rows(self, rows: Iterable[_TermTriple]) -> int:
+        """Insert ``(s, p, o)`` term rows; returns how many were new.
+
+        The one insertion loop: :meth:`add`, :meth:`add_all` and the
+        N-Triples loader (which hands its rows over without building a
+        :class:`Triple`) all come here.  The caller vouches for the
+        positions -- a subject that is a URI or blank node, a URI
+        predicate.  Keys enter each index in the order the rows first
+        bring them.  The size and the layout drop are settled also when
+        *rows* raises part way, so the graph holds what was read.
+        """
+        spo, pos, osp = self._spo, self._pos, self._osp
+        spo_get, pos_get, osp_get = spo.get, pos.get, osp.get
+        added = 0
+        try:
+            for s, p, o in rows:
+                by_predicate = spo_get(s)
+                if by_predicate is None:
+                    spo[s] = {p: {o}}
+                else:
+                    objects = by_predicate.get(p)
+                    if objects is None:
+                        by_predicate[p] = {o}
+                    elif o in objects:
+                        continue
+                    else:
+                        objects.add(o)
+                by_object = pos_get(p)
+                if by_object is None:
+                    pos[p] = {o: {s}}
+                else:
+                    subjects = by_object.get(o)
+                    if subjects is None:
+                        by_object[o] = {s}
+                    else:
+                        subjects.add(s)
+                by_subject = osp_get(o)
+                if by_subject is None:
+                    osp[o] = {s: {p}}
+                else:
+                    predicates = by_subject.get(s)
+                    if predicates is None:
+                        by_subject[s] = {p}
+                    else:
+                        predicates.add(p)
+                added += 1
+        finally:
+            if added:
+                self._size += added
+                self._order = self._encoding = self._vertices = None
+        return added
 
     def remove(self, triple: Triple) -> bool:
         """Delete a triple; returns False when it was absent."""

@@ -7,7 +7,7 @@ surveyed systems; local files or strings here).
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term, read_term
@@ -24,16 +24,25 @@ class NTriplesParseError(ValueError):
         self.line_number = line_number
 
 
-#: One term of any kind, captured as text.  The lookahead keeps a
-#: blank-node label maximal (``_`` may continue a label *and* start the
-#: next term), so a term matches in exactly one way and the line pattern
-#: cannot split a line differently from the term-by-term walk.
-_TOKEN = r"""( <[^>]*> | _:[A-Za-z0-9_]+ (?![A-Za-z0-9_])
-    | "(?:[^"\\]|\\.)*" (?: \^\^<[^>]*> | @[A-Za-z0-9\-]+ )? )"""
+#: An IRI, and what may stand as a subject: an IRI or a blank node.  The
+#: lookahead keeps a blank-node label maximal (``_`` may continue a label
+#: *and* start the next term), so a term matches in exactly one way and
+#: the line pattern cannot split a line differently from the term-by-term
+#: walk.
+_IRI = r"<[^>]*>"
+_SUBJECT = r"(?: %s | _:[A-Za-z0-9_]+ (?![A-Za-z0-9_]) )" % _IRI
+#: One term of any kind, captured as text.
+_TOKEN = r"""( %s | "(?:[^"\\]|\\.)*" (?: \^\^%s | @[A-Za-z0-9\-]+ )? )""" % (
+    _SUBJECT,
+    _IRI,
+)
 _TERM_RE = re.compile(r"\s*" + _TOKEN, re.VERBOSE)
-#: A whole well-formed line.
+#: A whole well-formed line whose terms stand where RDF allows them: an
+#: IRI or a blank node as subject, an IRI as predicate.  What it admits
+#: needs no position check, since a subject or predicate token can only
+#: read as a URI or BNode.
 _LINE_RE = re.compile(
-    r"\s* %s \s* %s \s* %s \s* \. \s* \Z" % (_TOKEN, _TOKEN, _TOKEN),
+    r"\s* (%s) \s* (%s) \s* %s \s* \. \s* \Z" % (_SUBJECT, _IRI, _TOKEN),
     re.VERBOSE,
 )
 
@@ -84,14 +93,15 @@ def parse_ntriples_line(
         raise NTriplesParseError(line_number, line, str(exc)) from exc
 
 
-def iter_ntriples(lines: Iterable[str]) -> Iterator[Triple]:
-    """Parse an iterable of lines, yielding triples.
+def _rows(lines: Iterable[str]) -> Iterator[Tuple[Term, Term, Term]]:
+    """The ``(s, p, o)`` term rows of an iterable of lines.
 
     A well-formed line costs one match of the line pattern and one table
-    lookup per term.  Any other line -- blank, comment or malformed --
-    goes through :func:`parse_ntriples_line`, so what is accepted and
-    what each error says is the term-by-term walk's.  The token table
-    lives as long as the call.
+    lookup per term, and builds no :class:`Triple`.  Any other line --
+    blank, comment, malformed or with a term out of its place -- goes
+    through :func:`parse_ntriples_line`, so what is accepted and what
+    each error says is the term-by-term walk's.  The token table lives
+    as long as the call.
     """
     terms: Dict[str, Term] = {}
     known = terms.get
@@ -101,19 +111,26 @@ def iter_ntriples(lines: Iterable[str]) -> Iterator[Triple]:
         if match is None:
             triple = parse_ntriples_line(line, line_number, terms)
             if triple is not None:
-                yield triple
+                yield triple.as_tuple()
             continue
         subject, predicate, obj = match.groups()
         try:
-            triple = Triple(
+            row = (
                 known(subject) or read_term(subject, terms=terms),
                 known(predicate) or read_term(predicate, terms=terms),
                 known(obj) or read_term(obj, terms=terms),
             )
         except ValueError as exc:
-            # A term :func:`read_term` refuses, or one out of its place.
+            # A term :func:`read_term` refuses.
             raise NTriplesParseError(line_number, line, str(exc)) from exc
-        yield triple
+        yield row
+
+
+def iter_ntriples(lines: Iterable[str]) -> Iterator[Triple]:
+    """Parse an iterable of lines, yielding triples (the rows of
+    :func:`_rows`, each as a :class:`Triple`)."""
+    for row in _rows(lines):
+        yield Triple(*row)
 
 
 def parse_ntriples(source: Union[str, Iterable[str]]) -> RDFGraph:
@@ -121,7 +138,9 @@ def parse_ntriples(source: Union[str, Iterable[str]]) -> RDFGraph:
     if isinstance(source, str):
         # Not splitlines(): a literal holds U+2028, U+0085, ... as written.
         source = re.split(r"\r\n?|\n", source)
-    return RDFGraph(iter_ntriples(source))
+    graph = RDFGraph()
+    graph.add_rows(_rows(source))
+    return graph
 
 
 def serialize_ntriples(triples: Iterable[Triple]) -> str:
@@ -131,8 +150,10 @@ def serialize_ntriples(triples: Iterable[Triple]) -> str:
 
 def load_ntriples_file(path: str) -> RDFGraph:
     """Parse an N-Triples file from disk."""
+    graph = RDFGraph()
     with open(path, "r", encoding="utf-8") as handle:
-        return RDFGraph(iter_ntriples(handle))
+        graph.add_rows(_rows(handle))
+    return graph
 
 
 def save_ntriples_file(path: str, triples: Iterable[Triple]) -> int:

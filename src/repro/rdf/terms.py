@@ -317,6 +317,31 @@ def _unescaped(match) -> str:
         ) from None
 
 
+#: UCHAR, the one escape an IRI may hold, and what IRIREF forbids a
+#: decoded one to be: n3() writes an IRI as it is, so such a character
+#: would make an IRI nothing reads back.
+_IRI_ESCAPE_RE = re.compile(r"\\(u.{4}|U.{8})", re.DOTALL)
+_NOT_IN_IRI = frozenset(map(chr, range(0x21))) | frozenset('<>"{}|^`\\')
+
+
+def _iri_unescaped(match) -> str:
+    char = _unescaped(match)
+    if char in _NOT_IN_IRI:
+        raise ValueError(
+            "bad escape \\%s: %r cannot stand in an IRI" % (match.group(1), char)
+        )
+    return char
+
+
+def decode_iri(text: str) -> str:
+    """The IRI *text* (between ``<`` and ``>``) spells, its ``\\uXXXX``
+    and ``\\UXXXXXXXX`` escapes decoded.  Raises ValueError on an escape
+    naming no character or one IRIREF forbids."""
+    if "\\" in text:
+        return _IRI_ESCAPE_RE.sub(_iri_unescaped, text)
+    return text
+
+
 def read_term(
     token: str,
     datatype: Optional[URI] = None,
@@ -335,7 +360,7 @@ def read_term(
     terms = {} if terms is None else terms
     first = token[:1]
     if first == "<" and token.find(">") == len(token) - 1:
-        term: Term = URI(token[1:-1])
+        term: Term = URI(decode_iri(token[1:-1]))
     elif first == '"' or first == "'":
         match = _STRING_RE.fullmatch(token)
         if match is None:

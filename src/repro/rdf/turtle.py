@@ -11,7 +11,16 @@ from typing import List, Optional, Tuple
 
 from repro.rdf.graph import RDFGraph
 from repro.rdf.namespaces import NamespaceManager
-from repro.rdf.terms import DECIMAL, DOUBLE, INTEGER, STRING, Term, URI, read_term
+from repro.rdf.terms import (
+    DECIMAL,
+    DOUBLE,
+    INTEGER,
+    STRING,
+    Term,
+    URI,
+    decode_iri,
+    read_term,
+)
 from repro.rdf.triple import Triple
 from repro.rdf.vocab import RDF
 
@@ -95,7 +104,7 @@ class _TurtleParser:
         kind, text = self.advance()
         if kind != "uri":
             raise TurtleParseError("expected namespace URI, found %r" % text)
-        self.namespaces.bind(prefix, text[1:-1])
+        self.namespaces.bind(prefix, decode_iri(text[1:-1]))
         self.expect_punct(".")
 
     def _parse_statement(self) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.rdf.namespaces import NamespaceManager
-from repro.rdf.terms import Literal, Term, URI, read_term
+from repro.rdf.terms import Literal, Term, URI, decode_iri, read_term
 from repro.rdf.vocab import RDF
 from repro.sparql.ast import (
     Arithmetic,
@@ -67,7 +67,13 @@ class _Parser:
             prefix_token = self.stream.expect("pname")
             prefix = prefix_token.value.rstrip(":")
             uri_token = self.stream.expect("uri")
-            self.namespaces.bind(prefix, uri_token.value[1:-1])
+            try:
+                namespace = decode_iri(uri_token.value[1:-1])
+            except ValueError as exc:
+                raise SparqlParseError(
+                    "%s at position %d" % (exc, uri_token.position)
+                ) from None
+            self.namespaces.bind(prefix, namespace)
         if self.stream.at_keyword("SELECT"):
             return self._parse_select()
         if self.stream.at_keyword("ASK"):

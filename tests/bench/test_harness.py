@@ -1,6 +1,7 @@
 """Tests for the benchmark harness and reporting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench import BenchRun, format_series, format_table, run_engine_on_query
 from repro.data.lubm import LubmGenerator
@@ -103,6 +104,40 @@ class TestBenchRun:
         assert bench.results[0].correct is True
 
 
+def cell_by_cell_table(headers, rows):
+    """``format_table`` as it was: one ``ljust`` and one ``%`` per cell,
+    kept as the oracle of the one-format-per-table rendering."""
+    cells = [[str(value) for value in row] for row in rows]
+    widths = [
+        max([len(headers[i])] + [len(row[i]) for row in cells])
+        for i in range(len(headers))
+    ]
+    sep = "+" + "+".join("-" * (w + 2) for w in widths) + "+"
+    lines = [sep]
+    lines.append(
+        "|" + "|".join(
+            " %s " % headers[i].ljust(widths[i]) for i in range(len(headers))
+        ) + "|"
+    )
+    lines.append(sep)
+    for row in cells:
+        lines.append(
+            "|" + "|".join(
+                " %s " % row[i].ljust(widths[i]) for i in range(len(row))
+            ) + "|"
+        )
+    lines.append(sep)
+    return "\n".join(lines)
+
+
+#: Cell text: empty, ``%`` directives, non-ASCII, and what a table holds.
+_cell_text = st.one_of(
+    st.sampled_from(["", "%", "%s", "%d%%", "100%", "é", "日本", "<http://x/a>"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+_cell = st.one_of(_cell_text, st.integers(-999, 99999), st.floats(allow_nan=False))
+
+
 class TestReporting:
     def test_format_table_alignment(self):
         text = format_table(
@@ -111,6 +146,29 @@ class TestReporting:
         lines = text.splitlines()
         assert len({len(line) for line in lines}) == 1  # rectangular
         assert "long-name" in text
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda width: st.tuples(
+                st.lists(_cell_text, min_size=width, max_size=width),
+                st.lists(
+                    st.lists(_cell, min_size=width, max_size=width), max_size=6
+                ),
+            )
+        )
+    )
+    def test_format_table_is_the_cell_by_cell_table(self, table):
+        """One row format per table writes the bytes one ``ljust`` and
+        one ``%`` per cell wrote."""
+        headers, rows = table
+        assert format_table(headers, rows) == cell_by_cell_table(headers, rows)
+
+    def test_a_header_wider_than_every_cell_sets_the_width(self):
+        headers, rows = ["?a-long-header", "%s"], [["x", "100%"], ["", "é"]]
+        text = format_table(headers, rows)
+        assert text == cell_by_cell_table(headers, rows)
+        assert "| x              | 100% |" in text
 
     def test_format_series(self):
         text = format_series("throughput", {1: 10, 2: 20}, unit="rec/s")

@@ -5,10 +5,14 @@ error paths.
 token.  It must be indistinguishable -- triples and error texts -- from
 the slow spelling kept here as the oracle: a walk that matches one term
 at a time and unescapes character by character.  ``RDFGraph(triples)``
-and ``add_all`` must leave the indexes repeated ``add`` leaves.
+and ``add_all`` must leave the indexes repeated ``add`` leaves, and the
+row loader behind ``load_ntriples_file`` and ``parse_ntriples`` the
+indexes ``RDFGraph(iter_ntriples(lines))`` builds.
 """
 
+import os
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +20,9 @@ from hypothesis import given, settings, strategies as st
 from repro.rdf.graph import RDFGraph
 from repro.rdf.ntriples import (
     NTriplesParseError,
+    _rows,
     iter_ntriples,
+    load_ntriples_file,
     parse_ntriples,
     parse_ntriples_line,
 )
@@ -55,22 +61,30 @@ def reference_code_point(escape):
         ) from None
 
 
-def reference_unescape(text):
+#: What IRIREF forbids an escape in an IRI to decode to.
+_NOT_IN_IRI = {chr(code) for code in range(0x21)} | set('<>"{}|^`\\')
+
+
+def reference_unescape(text, iri=False):
+    """*text* with its escapes decoded: in an IRI, UCHAR only."""
     out, index = [], 0
     while index < len(text):
         if text[index] == "\\" and index + 1 < len(text):
             pair = text[index : index + 2]
-            if pair in _PAIRS:
+            if pair in _PAIRS and not iri:
                 out.append(_PAIRS[pair])
                 index += 2
                 continue
-            if pair == "\\u" and index + 6 <= len(text):
-                out.append(reference_code_point(text[index + 1 : index + 6]))
-                index += 6
-                continue
-            if pair == "\\U" and index + 10 <= len(text):
-                out.append(reference_code_point(text[index + 1 : index + 10]))
-                index += 10
+            width = {"\\u": 6, "\\U": 10}.get(pair)
+            if width is not None and index + width <= len(text):
+                escape = text[index + 1 : index + width]
+                char = reference_code_point(escape)
+                if iri and char in _NOT_IN_IRI:
+                    raise ValueError(
+                        "bad escape \\%s: %r cannot stand in an IRI" % (escape, char)
+                    )
+                out.append(char)
+                index += width
                 continue
         out.append(text[index])
         index += 1
@@ -83,14 +97,16 @@ def reference_term(line, position, number):
         raise NTriplesParseError(number, line, "expected a term")
     try:
         if match.group("uri") is not None:
-            term = URI(match.group("uri"))
+            term = URI(reference_unescape(match.group("uri"), iri=True))
         elif match.group("bnode") is not None:
             term = BNode(match.group("bnode"))
         else:
             datatype = match.group("datatype")
             term = Literal(
                 reference_unescape(match.group("lexical")),
-                datatype=None if datatype is None else URI(datatype),
+                datatype=None
+                if datatype is None
+                else URI(reference_unescape(datatype, iri=True)),
                 language=match.group("lang"),
             )
     except (ValueError, OverflowError) as exc:
@@ -150,6 +166,16 @@ _reference = st.one_of(
         st.characters(blacklist_characters=">\n\r", blacklist_categories=("Cs",)),
         max_size=8,
     ),
+    # UCHAR: a character, one IRIREF forbids, none at all, a short one.
+    st.lists(
+        st.one_of(
+            st.sampled_from(["http://x/", "\\u0041", "\\U0001F600", "\\u00e9"]),
+            st.sampled_from(["\\u0020", "\\u003E", "\\u005C", "\\u007b", "\\u0000"]),
+            st.sampled_from(["\\uZZZZ", "\\UFFFFFFFF", "\\u12", "\\n"]),
+        ),
+        min_size=1,
+        max_size=3,
+    ).map("".join),
 )
 _label = st.text("abzAZ09_", min_size=1, max_size=4)
 _language = st.text("enUS-09", min_size=1, max_size=5)
@@ -254,6 +280,74 @@ def test_size_is_right_when_the_source_fails_part_way():
             )
         )
     assert len(graph) == len(list(graph)) == 1
+
+
+# ----------------------------------------------------------------------
+# The row loader: file and text straight into the indexes
+# ----------------------------------------------------------------------
+
+
+def built(load):
+    """The graph *load* builds, as its three indexes in key order and
+    how many objects each distinct term is held as; or the error."""
+    try:
+        graph = load()
+    except NTriplesParseError as exc:
+        return ("error", exc.line_number, str(exc))
+    objects = {}
+    for index in (graph._spo, graph._pos, graph._osp):
+        for outer, inner in index.items():
+            objects.setdefault(outer, set()).add(id(outer))
+            for key, members in inner.items():
+                objects.setdefault(key, set()).add(id(key))
+                for member in members:
+                    objects.setdefault(member, set()).add(id(member))
+    assert len(graph) == len(list(graph))
+    return (
+        [keys_in_order(index) for index in (graph._spo, graph._pos, graph._osp)],
+        sorted(len(ids) for ids in objects.values()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_line, max_size=8))
+def test_the_row_loader_builds_what_iter_ntriples_builds(lines):
+    # Every line ends, so the file and the text have the same lines.
+    lines = [line if line.endswith("\n") else line + "\n" for line in lines]
+    expected = built(lambda: RDFGraph(iter_ntriples(lines)))
+    assert built(lambda: parse_ntriples("".join(lines))) == expected
+    assert built(lambda: parse_ntriples(lines)) == expected
+    handle, path = tempfile.mkstemp(suffix=".nt")
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8", newline="") as out:
+            out.write("".join(lines))
+        assert built(lambda: load_ntriples_file(path)) == expected
+    finally:
+        os.unlink(path)
+    if expected[0] != "error":
+        # One object per token: no term is held twice.
+        assert set(expected[1]) <= {1}
+
+
+def test_a_row_load_that_raises_part_way_keeps_the_graph_whole():
+    graph = RDFGraph(
+        iter_ntriples(["<http://x/s> <http://x/p> <http://x/o> ."])
+    )
+    before = graph.canonical_order()
+    with pytest.raises(NTriplesParseError, match="line 4"):
+        graph.add_rows(
+            _rows(
+                [
+                    "<http://x/s> <http://x/p> <http://x/o> .",
+                    "<http://x/s> <http://x/p> <http://x/o2> .",
+                    "# a comment",
+                    '"x" <http://x/p> <http://x/o> .',
+                ]
+            )
+        )
+    assert len(graph) == len(list(graph)) == 2
+    # The layouts were dropped: the new triple is in the order.
+    assert len(graph.canonical_order()) == 2 and len(before) == 1
 
 
 # ----------------------------------------------------------------------

@@ -96,8 +96,17 @@ class TestNTriplesParsing:
         assert load_ntriples_file(str(path)) == graph
 
 
-_uris = st.sampled_from(
-    [URI("http://x/%s" % c) for c in "abcdefgh"]
+#: ASCII paths, and paths IRIREF allows raw: non-ASCII characters but
+#: whitespace (SPARQL's IRI token stops at Unicode whitespace).
+_uris = st.one_of(
+    st.sampled_from([URI("http://x/%s" % c) for c in "abcdefgh"]),
+    st.text(
+        st.characters(
+            min_codepoint=0xA1, blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")
+        ),
+        min_size=1,
+        max_size=4,
+    ).map(lambda path: URI("http://x/" + path)),
 )
 #: Quotes, backslashes, every escape N-Triples has, controls, non-ASCII.
 _text = st.text(
@@ -132,6 +141,45 @@ def test_ntriples_roundtrip_property(triples):
             continue  # a variable in a query pattern
         query = parse_sparql("ASK { ?s ?p %s }" % triple.object.n3())
         assert query.where.elements[0].object == triple.object
+
+
+#: One IRI, its ``A`` written as a UCHAR in each spelling.
+_ESCAPED_IRIS = ["<http://x/\\u0041>", "<http://x/\\U00000041>"]
+
+
+@pytest.mark.parametrize("iri", _ESCAPED_IRIS)
+def test_an_escape_in_an_iri_reads_as_its_character(iri):
+    """Regression: ``<http://x/\\u0041>`` was kept as written, though the
+    N-Triples, Turtle and SPARQL grammars all decode UCHAR in an IRI."""
+    expected = URI("http://x/A")
+    (triple,) = parse_ntriples("%s <http://x/p> %s .\n" % (iri, iri))
+    assert triple.subject == triple.object == expected
+    (triple,) = parse_turtle("%s <http://x/p> %s .\n" % (iri, iri))
+    assert triple.subject == triple.object == expected
+    query = parse_sparql("ASK { ?s ?p %s }" % iri)
+    assert query.where.elements[0].object == expected
+    # A prefix's namespace too.
+    (triple,) = parse_turtle("@prefix x: <http://x/\\u0041/> .\nx:s x:p x:o .\n")
+    assert triple.subject == URI("http://x/A/s")
+    query = parse_sparql("PREFIX x: <http://x/\\u0041/> ASK { x:s ?p ?o }")
+    assert query.where.elements[0].subject == URI("http://x/A/s")
+
+
+@pytest.mark.parametrize("escape", ["\\u0020", "\\u003E", "\\u005C", "\\U0000007C"])
+def test_an_escape_to_a_character_iriref_forbids_is_an_error(escape):
+    """``n3()`` writes an IRI as it is: a space or ``>`` decoded into one
+    would be written where nothing reads it back."""
+    iri = "<http://x/%s>" % escape
+    with pytest.raises(NTriplesParseError, match="cannot stand in an IRI"):
+        parse_ntriples("<http://x/s> <http://x/p> %s .\n" % iri)
+    with pytest.raises(ValueError, match="cannot stand in an IRI"):
+        parse_turtle("<http://x/s> <http://x/p> %s .\n" % iri)
+    with pytest.raises(ValueError, match="cannot stand in an IRI"):
+        parse_turtle("@prefix x: %s .\n" % iri)
+    with pytest.raises(ValueError, match="cannot stand in an IRI"):
+        parse_sparql("ASK { ?s ?p %s }" % iri)
+    with pytest.raises(ValueError, match="cannot stand in an IRI"):
+        parse_sparql("PREFIX x: %s ASK { ?s ?p ?o }" % iri)
 
 
 class TestTurtle:

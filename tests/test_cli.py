@@ -171,6 +171,29 @@ class TestCli:
         assert "1 solution(s)" in out
         assert "| %s |" % printed in out
 
+    @pytest.mark.parametrize("suffix", [".nt", ".ttl"])
+    def test_an_iri_escape_in_the_data_is_the_iri_of_a_query(
+        self, tmp_path, capsys, suffix
+    ):
+        """Regression: ``<http://x/\\u0041>`` in the data loaded as
+        itself, and no query for ``<http://x/A>`` found it."""
+        path = tmp_path / ("escapes" + suffix)
+        path.write_text(r"<http://x/\u0041> <http://x/p> <http://x/o> ." "\n")
+        query = "SELECT ?p WHERE { <http://x/A> ?p ?o }"
+        assert main(["query", str(path), query]) == 0
+        assert "1 solution(s)" in capsys.readouterr().out
+        query = r"SELECT ?p WHERE { <http://x/\U00000041> ?p ?o }"
+        assert main(["query", str(path), query]) == 0
+        assert "1 solution(s)" in capsys.readouterr().out
+
+    def test_an_iri_escape_iriref_forbids_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "escapes.nt"
+        path.write_text(r"<http://x/a\u0020b> <http://x/p> <http://x/o> ." "\n")
+        assert main(["query", str(path), "SELECT ?s WHERE { ?s ?p ?o }"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse RDF file")
+        assert "line 1: bad escape \\u0020" in err and len(err.splitlines()) == 1
+
     def test_query_recovers_under_fault_schedule(self, data_file, capsys):
         query = (
             "PREFIX lubm: <http://repro.example.org/lubm#>\n"

@@ -16,6 +16,7 @@ import os
 import pytest
 
 from repro._gc import paused_collector
+from repro.cli import main
 from repro.data.lubm import LubmGenerator
 from repro.runtime import build_engine
 from repro.server import QueryService
@@ -145,6 +146,31 @@ def test_nested_pauses_leave_the_collector_as_they_found_it(collector_on):
             with paused_collector():
                 raise KeyError("inner")
     assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "lines, code",
+    [
+        (["<http://x/s> <http://x/p> <http://x/o> ."], 0),
+        (["<http://x/s> <http://x/p> <http://x/o> .", "", '"x" <http://x/p> <http://x/o> .'], 2),
+    ],
+    ids=["answered", "malformed-file"],
+)
+def test_repro_query_leaves_the_collector_as_it_found_it(
+    tmp_path, capsys, collector_on, enabled, lines, code
+):
+    """``repro query`` is one paused unit from load to table; after it,
+    on success or on a malformed file, the collector is on or off as the
+    caller had it."""
+    path = tmp_path / "data.nt"
+    path.write_text("\n".join(lines) + "\n")
+    if not enabled:
+        gc.disable()
+    assert main(["query", str(path), "SELECT ?s WHERE { ?s ?p ?o }"]) == code
+    assert gc.isenabled() is enabled
+    if code:
+        assert "line 3" in capsys.readouterr().err
 
 
 @needs_fork
