@@ -14,11 +14,11 @@ reasoner and the class-index systems (SparkRDF) have schema to work with.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.rdf.graph import RDFGraph
 from repro.rdf.namespaces import Namespace
-from repro.rdf.terms import Literal, URI
+from repro.rdf.terms import Literal, Term, URI
 from repro.rdf.triple import Triple
 from repro.rdf.vocab import RDF, RDFS
 
@@ -87,11 +87,15 @@ class LubmGenerator:
 
     def generate(self, include_tbox: bool = False) -> RDFGraph:
         """Build the instance graph (optionally with the TBox)."""
-        rng = random.Random(self.seed)
         graph = RDFGraph()
         if include_tbox:
             graph.add_all(self.tbox())
+        graph.add_rows(self._rows(random.Random(self.seed)))
+        return graph
 
+    def _rows(self, rng: random.Random) -> Iterator[Tuple[Term, Term, Term]]:
+        """The instance triples as ``(s, p, o)`` term rows, in insertion
+        order, every draw of *rng* made between the rows as it comes."""
         professor_kinds = (
             LUBM.FullProfessor,
             LUBM.AssociateProfessor,
@@ -100,70 +104,46 @@ class LubmGenerator:
 
         for u in range(self.num_universities):
             university = LUBM["University%d" % u]
-            graph.add(Triple(university, RDF.type, LUBM.University))
-            graph.add(
-                Triple(university, LUBM.name, Literal("University %d" % u))
-            )
+            yield university, RDF.type, LUBM.University
+            yield university, LUBM.name, Literal("University %d" % u)
             for d in range(self.departments_per_university):
                 department = LUBM["Department%d_%d" % (u, d)]
-                graph.add(Triple(department, RDF.type, LUBM.Department))
-                graph.add(
-                    Triple(department, LUBM.subOrganizationOf, university)
-                )
-                graph.add(
-                    Triple(
-                        department,
-                        LUBM.name,
-                        Literal("Department %d of University %d" % (d, u)),
-                    )
+                yield department, RDF.type, LUBM.Department
+                yield department, LUBM.subOrganizationOf, university
+                yield department, LUBM.name, Literal(
+                    "Department %d of University %d" % (d, u)
                 )
 
                 courses = []
                 for c in range(self.courses_per_department):
                     course = LUBM["Course%d_%d_%d" % (u, d, c)]
-                    graph.add(Triple(course, RDF.type, LUBM.Course))
-                    graph.add(
-                        Triple(course, LUBM.name, Literal("Course %d" % c))
-                    )
+                    yield course, RDF.type, LUBM.Course
+                    yield course, LUBM.name, Literal("Course %d" % c)
                     courses.append(course)
 
                 professors = []
                 for p in range(self.professors_per_department):
                     professor = LUBM["Professor%d_%d_%d" % (u, d, p)]
                     kind = professor_kinds[p % len(professor_kinds)]
-                    graph.add(Triple(professor, RDF.type, kind))
-                    graph.add(Triple(professor, LUBM.worksFor, department))
-                    graph.add(
-                        Triple(
-                            professor,
-                            LUBM.name,
-                            Literal("Professor %d.%d.%d" % (u, d, p)),
-                        )
+                    yield professor, RDF.type, kind
+                    yield professor, LUBM.worksFor, department
+                    yield professor, LUBM.name, Literal(
+                        "Professor %d.%d.%d" % (u, d, p)
                     )
-                    graph.add(
-                        Triple(
-                            professor,
-                            LUBM.emailAddress,
-                            Literal("prof%d_%d_%d@uni%d.edu" % (u, d, p, u)),
-                        )
+                    yield professor, LUBM.emailAddress, Literal(
+                        "prof%d_%d_%d@uni%d.edu" % (u, d, p, u)
                     )
                     taught = rng.sample(
                         courses, k=min(2, len(courses))
                     )
                     for course in taught:
-                        graph.add(Triple(professor, LUBM.teacherOf, course))
+                        yield professor, LUBM.teacherOf, course
                     for pub in range(self.publications_per_professor):
                         publication = LUBM[
                             "Publication%d_%d_%d_%d" % (u, d, p, pub)
                         ]
-                        graph.add(
-                            Triple(publication, RDF.type, LUBM.Publication)
-                        )
-                        graph.add(
-                            Triple(
-                                publication, LUBM.publicationAuthor, professor
-                            )
-                        )
+                        yield publication, RDF.type, LUBM.Publication
+                        yield publication, LUBM.publicationAuthor, professor
                     professors.append(professor)
 
                 for s in range(self.students_per_department):
@@ -174,33 +154,18 @@ class LubmGenerator:
                         if graduate
                         else LUBM.UndergraduateStudent
                     )
-                    graph.add(Triple(student, RDF.type, kind))
-                    graph.add(Triple(student, LUBM.memberOf, department))
-                    graph.add(
-                        Triple(
-                            student,
-                            LUBM.name,
-                            Literal("Student %d.%d.%d" % (u, d, s)),
-                        )
+                    yield student, RDF.type, kind
+                    yield student, LUBM.memberOf, department
+                    yield student, LUBM.name, Literal(
+                        "Student %d.%d.%d" % (u, d, s)
                     )
-                    graph.add(
-                        Triple(
-                            student,
-                            LUBM.age,
-                            Literal(18 + rng.randrange(12)),
-                        )
-                    )
+                    yield student, LUBM.age, Literal(18 + rng.randrange(12))
                     if graduate and professors:
-                        graph.add(
-                            Triple(
-                                student, LUBM.advisor, rng.choice(professors)
-                            )
-                        )
+                        yield student, LUBM.advisor, rng.choice(professors)
                     for course in rng.sample(
                         courses, k=min(3, len(courses))
                     ):
-                        graph.add(Triple(student, LUBM.takesCourse, course))
-        return graph
+                        yield student, LUBM.takesCourse, course
 
     # ------------------------------------------------------------------
     # Canonical query texts (one per shape family)

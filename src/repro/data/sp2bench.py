@@ -11,12 +11,11 @@ famous "articles with the same author set" complex joins.
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import Iterator, Tuple
 
 from repro.rdf.graph import RDFGraph
 from repro.rdf.namespaces import Namespace
-from repro.rdf.terms import Literal
-from repro.rdf.triple import Triple
+from repro.rdf.terms import Literal, Term
 from repro.rdf.vocab import RDF
 
 #: The SP2Bench-like vocabulary namespace.
@@ -43,43 +42,39 @@ class Sp2bGenerator:
         self.seed = seed
 
     def generate(self) -> RDFGraph:
-        rng = random.Random(self.seed)
         graph = RDFGraph()
+        graph.add_rows(self._rows(random.Random(self.seed)))
+        return graph
 
+    def _rows(self, rng: random.Random) -> Iterator[Tuple[Term, Term, Term]]:
+        """The triples as ``(s, p, o)`` term rows, in insertion order,
+        every draw of *rng* made between the rows as it comes."""
         authors = []
         for a in range(self.num_authors):
             person = SP2B["Author%d" % a]
-            graph.add(Triple(person, RDF.type, SP2B.Person))
-            graph.add(Triple(person, SP2B.name, Literal("Author %d" % a)))
+            yield person, RDF.type, SP2B.Person
+            yield person, SP2B.name, Literal("Author %d" % a)
             authors.append(person)
 
         journals = []
         for j in range(self.num_journals):
             journal = SP2B["Journal%d" % j]
-            graph.add(Triple(journal, RDF.type, SP2B.Journal))
-            graph.add(
-                Triple(journal, SP2B.title, Literal("Journal %d" % j))
-            )
+            yield journal, RDF.type, SP2B.Journal
+            yield journal, SP2B.title, Literal("Journal %d" % j)
             journals.append(journal)
 
         articles = []
         for i in range(self.num_articles):
             article = SP2B["Article%d" % i]
-            graph.add(Triple(article, RDF.type, SP2B.Article))
-            graph.add(
-                Triple(article, SP2B.title, Literal("Article %d" % i))
-            )
-            graph.add(
-                Triple(article, SP2B.year, Literal(1990 + rng.randrange(30)))
-            )
-            graph.add(Triple(article, SP2B.journal, rng.choice(journals)))
-            graph.add(
-                Triple(article, SP2B.pages, Literal(1 + rng.randrange(40)))
-            )
+            yield article, RDF.type, SP2B.Article
+            yield article, SP2B.title, Literal("Article %d" % i)
+            yield article, SP2B.year, Literal(1990 + rng.randrange(30))
+            yield article, SP2B.journal, rng.choice(journals)
+            yield article, SP2B.pages, Literal(1 + rng.randrange(40))
             for author in rng.sample(
                 authors, k=min(self.authors_per_article, len(authors))
             ):
-                graph.add(Triple(article, SP2B.creator, author))
+                yield article, SP2B.creator, author
             # Citations point strictly backwards: an acyclic citation DAG
             # with chains, like real bibliographies.
             if articles:
@@ -87,9 +82,8 @@ class Sp2bGenerator:
                     articles,
                     k=min(self.citations_per_article, len(articles)),
                 ):
-                    graph.add(Triple(article, SP2B.cites, cited))
+                    yield article, SP2B.cites, cited
             articles.append(article)
-        return graph
 
     # ------------------------------------------------------------------
     # Canonical queries (mirroring SP2Bench's Q families)

@@ -10,12 +10,11 @@ reviews connecting users to products, and retailer offers.
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import Iterator, Tuple
 
 from repro.rdf.graph import RDFGraph
 from repro.rdf.namespaces import Namespace
-from repro.rdf.terms import Literal
-from repro.rdf.triple import Triple
+from repro.rdf.terms import Literal, Term
 from repro.rdf.vocab import RDF
 
 #: The WatDiv-like vocabulary namespace.
@@ -42,46 +41,40 @@ class WatdivGenerator:
         self.seed = seed
 
     def generate(self) -> RDFGraph:
-        rng = random.Random(self.seed)
         graph = RDFGraph()
+        graph.add_rows(self._rows(random.Random(self.seed)))
+        return graph
 
+    def _rows(self, rng: random.Random) -> Iterator[Tuple[Term, Term, Term]]:
+        """The triples as ``(s, p, o)`` term rows, in insertion order,
+        every draw of *rng* made between the rows as it comes."""
         categories = [WATDIV["Category%d" % c] for c in range(5)]
 
         products = []
         for p in range(self.num_products):
             product = WATDIV["Product%d" % p]
-            graph.add(Triple(product, RDF.type, WATDIV.Product))
-            graph.add(
-                Triple(product, WATDIV.caption, Literal("Product %d" % p))
-            )
-            graph.add(
-                Triple(product, WATDIV.hasCategory, rng.choice(categories))
-            )
-            graph.add(
-                Triple(product, WATDIV.price, Literal(5 + rng.randrange(95)))
-            )
+            yield product, RDF.type, WATDIV.Product
+            yield product, WATDIV.caption, Literal("Product %d" % p)
+            yield product, WATDIV.hasCategory, rng.choice(categories)
+            yield product, WATDIV.price, Literal(5 + rng.randrange(95))
             products.append(product)
 
         retailers = []
         for r in range(self.num_retailers):
             retailer = WATDIV["Retailer%d" % r]
-            graph.add(Triple(retailer, RDF.type, WATDIV.Retailer))
-            graph.add(
-                Triple(retailer, WATDIV.legalName, Literal("Retailer %d" % r))
-            )
+            yield retailer, RDF.type, WATDIV.Retailer
+            yield retailer, WATDIV.legalName, Literal("Retailer %d" % r)
             # Each retailer offers a random subset of products.
             for product in rng.sample(products, k=max(1, len(products) // 3)):
-                graph.add(Triple(retailer, WATDIV.offers, product))
+                yield retailer, WATDIV.offers, product
             retailers.append(retailer)
 
         users = []
         for u in range(self.num_users):
             user = WATDIV["User%d" % u]
-            graph.add(Triple(user, RDF.type, WATDIV.User))
-            graph.add(Triple(user, WATDIV.name, Literal("User %d" % u)))
-            graph.add(
-                Triple(user, WATDIV.age, Literal(16 + rng.randrange(60)))
-            )
+            yield user, RDF.type, WATDIV.User
+            yield user, WATDIV.name, Literal("User %d" % u)
+            yield user, WATDIV.age, Literal(16 + rng.randrange(60))
             users.append(user)
 
         review_count = 0
@@ -90,7 +83,7 @@ class WatdivGenerator:
             for _f in range(self.friends_per_user):
                 friend = users[(u + 1 + rng.randrange(5)) % len(users)]
                 if friend != user:
-                    graph.add(Triple(user, WATDIV.friendOf, friend))
+                    yield user, WATDIV.friendOf, friend
             # Reviews: power-law-ish product choice (popular head).
             for _r in range(self.reviews_per_user):
                 index = min(
@@ -99,14 +92,11 @@ class WatdivGenerator:
                 product = products[index]
                 review = WATDIV["Review%d" % review_count]
                 review_count += 1
-                graph.add(Triple(review, RDF.type, WATDIV.Review))
-                graph.add(Triple(review, WATDIV.reviewer, user))
-                graph.add(Triple(review, WATDIV.reviewFor, product))
-                graph.add(
-                    Triple(review, WATDIV.rating, Literal(1 + rng.randrange(5)))
-                )
-                graph.add(Triple(user, WATDIV.purchased, product))
-        return graph
+                yield review, RDF.type, WATDIV.Review
+                yield review, WATDIV.reviewer, user
+                yield review, WATDIV.reviewFor, product
+                yield review, WATDIV.rating, Literal(1 + rng.randrange(5))
+                yield user, WATDIV.purchased, product
 
     # ------------------------------------------------------------------
     # Canonical query templates (WatDiv's S/L/F/C families)

@@ -11,7 +11,16 @@ engines that store ids (:meth:`repro.rdf.graph.RDFGraph.encoding`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.rdf.metricsutil import term_volume
 from repro.rdf.terms import Term
@@ -75,6 +84,12 @@ class Dictionary:
 
     def decode_id(self, term_id: int) -> Term:
         return self._id_to_term[term_id]
+
+    @property
+    def terms(self) -> Sequence[Term]:
+        """Every term at its id: ``terms[i]`` is ``decode_id(i)``, for a
+        kernel that decodes a column without a call per value."""
+        return self._id_to_term
 
     def decode_binding(self, binding: Dict[str, int]) -> Dict[str, Term]:
         """A binding of ids as the same binding of terms."""

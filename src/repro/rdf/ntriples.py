@@ -28,7 +28,9 @@ class NTriplesParseError(ValueError):
 #: lookahead keeps a blank-node label maximal (``_`` may continue a label
 #: *and* start the next term), so a term matches in exactly one way and
 #: the line pattern cannot split a line differently from the term-by-term
-#: walk.
+#: walk.  An IRI token is held to ``terms.IRIREF`` by :func:`read_term`,
+#: once per distinct token, not here once per line: a raw character
+#: IRIREF forbids is a ``not a term`` error that names its line.
 _IRI = r"<[^>]*>"
 _SUBJECT = r"(?: %s | _:[A-Za-z0-9_]+ (?![A-Za-z0-9_]) )" % _IRI
 #: One term of any kind, captured as text.

@@ -15,6 +15,7 @@ from repro.rdf.terms import (
     DECIMAL,
     DOUBLE,
     INTEGER,
+    IRIREF,
     STRING,
     Term,
     URI,
@@ -33,7 +34,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+|\#[^\n]*)
   | (?P<prefix_decl>@prefix)
-  | (?P<uri><[^>]*>)
+  | (?P<uri>%s)
   | (?P<string>%s)
   | (?P<double>%s|%s)
   | (?P<integer>%s)
@@ -43,7 +44,7 @@ _TOKEN_RE = re.compile(
   | (?P<pname>[A-Za-z_][\w\-]*?:[\w\-.]*)
   | (?P<punct>[.;,^])
     """
-    % (STRING, DOUBLE, DECIMAL, INTEGER),
+    % (IRIREF, STRING, DOUBLE, DECIMAL, INTEGER),
     re.VERBOSE,
 )
 
@@ -55,7 +56,11 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
         match = _TOKEN_RE.match(text, position)
         if match is None:
             raise TurtleParseError(
-                "cannot lex turtle at %r" % text[position : position + 30]
+                "line %d: cannot lex turtle at %r"
+                % (
+                    text.count("\n", 0, position) + 1,
+                    text[position : position + 30],
+                )
             )
         position = match.end()
         kind = match.lastgroup

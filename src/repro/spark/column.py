@@ -1,14 +1,29 @@
 """Column expressions: the tiny expression language DataFrames evaluate.
 
-``col("price") > lit(10)`` builds an expression tree; DataFrames and the
-SQL executor evaluate trees against rows.  The Catalyst-style optimizer in
-:mod:`repro.spark.sql.catalyst` rewrites these same trees (constant folding,
-predicate splitting), so the node set is deliberately small and closed.
+``col("price") > lit(10)`` builds an expression tree.  A DataFrame
+operator compiles its trees once, with :class:`ColumnCompiler`, into a
+per-partition kernel over the row tuple's positions; ``Expression.eval``
+over a mapping of column names is the reference semantics the compiled
+text reproduces, and what Catalyst's constant folding runs.  The
+Catalyst-style optimizer in :mod:`repro.spark.sql.catalyst` rewrites these
+same trees (constant folding, predicate splitting), so the node set is
+deliberately small and closed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+from repro.spark.kernels import generate
 
 
 class TreeNode:
@@ -327,3 +342,151 @@ def conjoin(conjuncts: Sequence[Expression]) -> Optional[Expression]:
     for conjunct in conjuncts:
         result = conjunct if result is None else BinaryOp("and", result, conjunct)
     return result
+
+
+# ----------------------------------------------------------------------
+# Compiling expressions into kernels
+# ----------------------------------------------------------------------
+
+#: Each comparison and arithmetic operator as Python spells it.
+_PYTHON_OPS = {
+    "=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+    "+": "+", "-": "-", "*": "*", "/": "/",
+}
+_ARITHMETIC = frozenset("+-*/")
+
+
+def _is_atom(text: str) -> bool:
+    """Whether *text* is a row position, a name or ``None`` (any other
+    text is parenthesised): a value that is free to read twice and cannot
+    raise."""
+    return not text.startswith("(")
+
+
+def tuple_display(items: Iterable[str]) -> str:
+    """Source text of the tuple whose items are the texts *items*."""
+    listed = list(items)
+    return "(%s%s)" % (", ".join(listed), "," if len(listed) == 1 else "")
+
+
+class ColumnCompiler:
+    """Column expressions as source text over a row tuple ``v``.
+
+    *columns* names the row's positions: ``col("b")`` over ``["a", "b"]``
+    is ``v[1]``.  A literal is a constant of :attr:`namespace`, the
+    globals the kernel runs with.  The text reproduces
+    :meth:`Expression.eval` exactly: a comparison with a ``None`` side is
+    ``False`` and arithmetic with one is ``None``, both sides evaluated
+    first; ``and``, ``or`` and ``not`` apply ``bool`` and short-circuit;
+    ``IN`` compares the options in order up to the first equal one.  A
+    value that is tested and then used is bound once, ``(a0 := ...)``.
+    """
+
+    def __init__(self, columns: Sequence[str]) -> None:
+        self.positions = {name: index for index, name in enumerate(columns)}
+        self.namespace: Dict[str, object] = {}
+        self._names = 0
+
+    def _fresh(self, prefix: str) -> str:
+        name = "%s%d" % (prefix, self._names)
+        self._names += 1
+        return name
+
+    def _constant(self, value: object) -> str:
+        name = self._fresh("c")
+        self.namespace[name] = value
+        return name
+
+    def _bound(self, text: str) -> Tuple[str, str]:
+        """``(reuse, first)``: the text to read *text*'s value again, and
+        the text of its first read, which binds it."""
+        if _is_atom(text):
+            return text, text
+        name = self._fresh("a")
+        return name, "(%s := %s)" % (name, text)
+
+    def value(self, expr: Expression) -> str:
+        """Source text of ``expr.eval(row)``."""
+        if isinstance(expr, ColumnRef):
+            position = self.positions.get(expr.name)
+            if position is None:
+                raise KeyError(
+                    "unknown column %r; available: %s"
+                    % (expr.name, sorted(self.positions))
+                )
+            return "v[%d]" % position
+        if isinstance(expr, Literal):
+            return "None" if expr.value is None else self._constant(expr.value)
+        if isinstance(expr, Alias):
+            return self.value(expr.child)
+        if isinstance(expr, BinaryOp):
+            if expr.op in ("and", "or"):
+                return "(True if %s else False)" % self.truth(expr)
+            return self._binary(expr)
+        if isinstance(expr, UnaryOp):
+            if expr.op == "not":
+                return "(not %s)" % self.truth(expr.child)
+            child = self.value(expr.child)
+            if expr.op == "neg":
+                return "(-%s)" % child
+            return "(%s is %sNone)" % (
+                child, "not " if expr.op == "isnotnull" else ""
+            )
+        if isinstance(expr, InList):
+            needle, first = self._bound(self.value(expr.needle))
+            if not expr.options:
+                return "(%s, False)[1]" % first
+            tests = [
+                "%s == %s" % (needle if index else first, self.value(option))
+                for index, option in enumerate(expr.options)
+            ]
+            return "(True if %s else False)" % " or ".join(tests)
+        if isinstance(expr, LikeExpr):
+            child, first = self._bound(self.value(expr.child))
+            regex = self._constant(expr._regex)
+            return "(False if %s is None else %s.match(str(%s)) is not None)" % (
+                first, regex, child
+            )
+        raise TypeError("cannot compile %r" % (expr,))
+
+    def _binary(self, expr: BinaryOp) -> str:
+        sides = [self.value(expr.left), self.value(expr.right)]
+        # A constant (``c``) is never None; any other side is tested.
+        tested = [side for side in sides if side[0] != "c"]
+        if all(map(_is_atom, sides)):
+            nulls = " or ".join("%s is None" % side for side in tested)
+        else:
+            # Both sides are evaluated before the test, as eval does.
+            bound = [self._bound(side) for side in sides]
+            sides = [reuse for reuse, _first in bound]
+            nulls = " | ".join(
+                "(%s is None)" % first
+                for (_reuse, first), side in zip(bound, sides)
+                if side[0] != "c"
+            )
+        applied = "%s %s %s" % (sides[0], _PYTHON_OPS[expr.op], sides[1])
+        if not nulls:
+            return "(%s)" % applied
+        null = "None" if expr.op in _ARITHMETIC else "False"
+        return "(%s if %s else %s)" % (null, nulls, applied)
+
+    def truth(self, expr: Expression) -> str:
+        """Source text whose truth is ``bool(expr.eval(row))``: for a
+        filter's condition, with no ``bool`` applied where the test
+        applies it anyway."""
+        if isinstance(expr, BinaryOp) and expr.op in ("and", "or"):
+            return "(%s %s %s)" % (
+                self.truth(expr.left), expr.op, self.truth(expr.right)
+            )
+        if isinstance(expr, Alias):
+            return self.truth(expr.child)
+        return self.value(expr)
+
+    def sort_key(self, expr: Expression) -> Callable[[Tuple[Any, ...]], Any]:
+        """``lambda v: (value is None, value)`` for *expr*'s value: a row's
+        key that orders nulls last."""
+        reuse, first = self._bound(self.value(expr))
+        text = "(%s is None, %s)" % (first, reuse)
+        return generate(
+            "key " + text, "key = lambda v: %s\n" % text, self.namespace
+        )["key"]

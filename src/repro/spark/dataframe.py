@@ -14,13 +14,14 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.spark.column import (
-    Alias,
-    ColumnRef,
+    ColumnCompiler,
     Expression,
     col,
     output_name,
+    tuple_display,
 )
-from repro.spark.metrics import estimate_size
+from repro.spark.kernels import comprehension
+from repro.spark.metrics import estimate_size, estimate_sizes
 from repro.spark.rdd import RDD
 from repro.spark.row import Row
 
@@ -31,8 +32,18 @@ def _as_expr(column: ColumnLike) -> Expression:
     return col(column) if isinstance(column, str) else column
 
 
+def _positions(indices: Iterable[int]) -> str:
+    """Source text of the tuple of a row ``v``'s items at *indices*."""
+    return tuple_display("v[%d]" % index for index in indices)
+
+
 class DataFrame:
-    """An immutable table: an RDD of value tuples plus column names."""
+    """An immutable table: an RDD of value tuples plus column names.
+
+    An operator that runs per row compiles its column expressions once
+    (:class:`~repro.spark.column.ColumnCompiler`) into a kernel over the
+    tuple's positions, run once per partition: no row is read by name.
+    """
 
     def __init__(self, session, rdd: RDD, columns: Sequence[str]) -> None:
         if len(set(columns)) != len(columns):
@@ -76,48 +87,49 @@ class DataFrame:
             names.append(output_name(expr, default="_c%d" % i))
         if len(set(names)) != len(names):
             raise ValueError("duplicate output columns in select: %r" % names)
-        source_columns = self.columns
-
-        def project(part: List[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
-            out = []
-            for values in part:
-                row = dict(zip(source_columns, values))
-                out.append(tuple(expr.eval(row) for expr in exprs))
-            return out
-
+        compiler = ColumnCompiler(self.columns)
+        project = comprehension(
+            "select",
+            tuple_display(map(compiler.value, exprs)),
+            namespace=compiler.namespace,
+        )
         return self._with(self._rdd.mapPartitions(project), names)
 
     def where(self, condition: Expression) -> "DataFrame":
         """Keep rows satisfying *condition*."""
         self._require_columns(condition.references())
-        source_columns = self.columns
-
-        def keep(values: Tuple[Any, ...]) -> bool:
-            return bool(condition.eval(dict(zip(source_columns, values))))
-
-        return self._with(self._rdd.filter(keep), self.columns)
+        compiler = ColumnCompiler(self.columns)
+        keep = comprehension(
+            "where",
+            "v",
+            condition=compiler.truth(condition),
+            namespace=compiler.namespace,
+        )
+        return self._with(
+            self._rdd.mapPartitions(keep, preserves_partitioning=True),
+            self.columns,
+        )
 
     filter = where
 
     def withColumn(self, name: str, expr: Expression) -> "DataFrame":
         """Add (or replace) a column computed from *expr*."""
-        source_columns = self.columns
+        compiler = ColumnCompiler(self.columns)
+        value = compiler.value(expr)
         if name in self.columns:
             index = self.columns.index(name)
-
-            def replace(values: Tuple[Any, ...]) -> Tuple[Any, ...]:
-                row = dict(zip(source_columns, values))
-                out = list(values)
-                out[index] = expr.eval(row)
-                return tuple(out)
-
-            return self._with(self._rdd.map(replace), self.columns)
-
-        def append(values: Tuple[Any, ...]) -> Tuple[Any, ...]:
-            row = dict(zip(source_columns, values))
-            return values + (expr.eval(row),)
-
-        return self._with(self._rdd.map(append), self.columns + [name])
+            items = ["v[%d]" % i for i in range(len(self.columns))]
+            items[index] = value
+            replace = comprehension(
+                "replace", tuple_display(items), namespace=compiler.namespace
+            )
+            return self._with(self._rdd.mapPartitions(replace), self.columns)
+        append = comprehension(
+            "append", "v + (%s,)" % value, namespace=compiler.namespace
+        )
+        return self._with(
+            self._rdd.mapPartitions(append), self.columns + [name]
+        )
 
     def withColumnRenamed(self, old: str, new: str) -> "DataFrame":
         self._require_columns([old])
@@ -127,10 +139,8 @@ class DataFrame:
     def drop(self, *names: str) -> "DataFrame":
         keep = [c for c in self.columns if c not in names]
         indices = [self.columns.index(c) for c in keep]
-        return self._with(
-            self._rdd.map(lambda values: tuple(values[i] for i in indices)),
-            keep,
-        )
+        project = comprehension("drop", _positions(indices))
+        return self._with(self._rdd.mapPartitions(project), keep)
 
     def distinct(self) -> "DataFrame":
         return self._with(self._rdd.distinct(), self.columns)
@@ -157,19 +167,12 @@ class DataFrame:
             directions = [ascending] * len(exprs)
         else:
             directions = list(ascending)
-        source_columns = self.columns
+        compiler = ColumnCompiler(self.columns)
+        keys = [compiler.sort_key(expr) for expr in exprs]
 
         rows = self._rdd.collect()
-        for position in range(len(exprs) - 1, -1, -1):
-            expr = exprs[position]
-            direction = directions[position]
-
-            def key_at(values, expr=expr):
-                row = dict(zip(source_columns, values))
-                value = expr.eval(row)
-                return (value is None, value)
-
-            rows.sort(key=key_at, reverse=not direction)
+        for position in range(len(keys) - 1, -1, -1):
+            rows.sort(key=keys[position], reverse=not directions[position])
         return self._with(
             self.ctx.parallelize(rows, self._rdd.num_partitions), self.columns
         )
@@ -207,23 +210,8 @@ class DataFrame:
             )
         out_columns = keys + left_rest + right_rest
 
-        left_key_idx = [self.columns.index(k) for k in keys]
-        left_rest_idx = [self.columns.index(c) for c in left_rest]
-        right_key_idx = [other.columns.index(k) for k in keys]
-        right_rest_idx = [other.columns.index(c) for c in right_rest]
-
-        left_pairs = self._rdd.map(
-            lambda v: (
-                tuple(v[i] for i in left_key_idx),
-                tuple(v[i] for i in left_rest_idx),
-            )
-        )
-        right_pairs = other._rdd.map(
-            lambda v: (
-                tuple(v[i] for i in right_key_idx),
-                tuple(v[i] for i in right_rest_idx),
-            )
-        )
+        left_pairs = self._rdd.mapPartitions(self._split(keys, left_rest))
+        right_pairs = other._rdd.mapPartitions(other._split(keys, right_rest))
 
         use_broadcast = hint == "broadcast"
         if hint is None and how == "inner":
@@ -243,16 +231,31 @@ class DataFrame:
             )
             tracer.materialize(joined)
 
-        n_left = len(left_rest)
-        n_right = len(right_rest)
+        # The side an outer join may miss is that many nulls.
+        left, right = "*l", "*r"
+        if how in ("right", "outer"):
+            left = "*(nl if l is None else l)"
+        if how in ("left", "outer"):
+            right = "*(nr if r is None else r)"
+        assemble = comprehension(
+            "assemble",
+            "(*k, %s, %s)" % (left, right),
+            "k, (l, r)",
+            namespace={
+                "nl": (None,) * len(left_rest),
+                "nr": (None,) * len(right_rest),
+            },
+        )
+        return self._with(joined.mapPartitions(assemble), out_columns)
 
-        def assemble(item: Tuple[Any, Tuple[Any, Any]]) -> Tuple[Any, ...]:
-            key, (left_values, right_values) = item
-            left_values = left_values if left_values is not None else (None,) * n_left
-            right_values = right_values if right_values is not None else (None,) * n_right
-            return tuple(key) + tuple(left_values) + tuple(right_values)
-
-        return self._with(joined.map(assemble), out_columns)
+    def _split(self, keys: List[str], rest: List[str]):
+        """The kernel from a partition of rows to ``(key, rest)`` pairs of
+        value tuples: the join's keyed side."""
+        key_at = [self.columns.index(k) for k in keys]
+        rest_at = [self.columns.index(c) for c in rest]
+        return comprehension(
+            "split", "(%s, %s)" % (_positions(key_at), _positions(rest_at))
+        )
 
     def _joined_pairs(
         self, left_pairs: RDD, right_pairs: RDD, use_broadcast: bool, how: str
@@ -284,9 +287,9 @@ class DataFrame:
                 "ambiguous columns %r in crossJoin" % sorted(overlap)
             )
         product = self._rdd.cartesian(other._rdd)
+        concat = comprehension("concat", "(*a, *b)", "a, b")
         return self._with(
-            product.map(lambda pair: tuple(pair[0]) + tuple(pair[1])),
-            self.columns + other.columns,
+            product.mapPartitions(concat), self.columns + other.columns
         )
 
     # ------------------------------------------------------------------
@@ -322,9 +325,7 @@ class DataFrame:
 
     def _estimated_bytes(self) -> int:
         """Row-format size estimate used by the broadcast threshold."""
-        return sum(
-            estimate_size(values) for values in self._rdd.collect()
-        )
+        return estimate_sizes(self._rdd.collect())
 
     def storage_bytes(self, columnar: bool = True) -> int:
         """Estimated in-memory footprint.

@@ -11,7 +11,6 @@ storage/partitioning/matching machinery.
 
 from __future__ import annotations
 
-import linecache
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -41,6 +40,7 @@ from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term
 from repro.spark.context import SparkContext
 from repro.spark.faults import TaskFailedError
+from repro.spark.kernels import comprehension, generate
 from repro.spark.metrics import MetricsSnapshot
 from repro.spark.rdd import RDD
 from repro.spark.tracing import Span
@@ -153,8 +153,7 @@ def keyer(names: Sequence[str]) -> Callable[[List[Binding]], List[tuple]]:
     pairs, the key being the tuple of the binding's values for *names*:
     one comprehension with the key spelled out, no call per record."""
     key = "".join("b[%r], " % name for name in names)
-    source = "key = lambda part: [((%s), b) for b in part]\n" % key
-    return _generate("key " + " ".join(names), source, {})["key"]
+    return comprehension("key", "((%s), b)" % key, "b")
 
 
 def key_bindings(rdd: RDD, names: Sequence[str]) -> RDD:
@@ -431,36 +430,6 @@ TRIPLE = ("t[0]", "t[1]", "t[2]")
 EDGE = ("t.src", "t.attr", "t.dst")
 
 
-#: Generated code by (source, file name), oldest first.  A pattern asked
-#: again is not compiled again, and a served process that is asked ever
-#: new patterns keeps at most this many compiled and filed in linecache.
-_KERNELS: Dict[Tuple[str, str], Any] = {}
-_KERNEL_LIMIT = 1024
-
-
-def _generate(
-    label: str, source: str, namespace: Dict[str, object]
-) -> Dict[str, Callable]:
-    """What *source* -- one ``name = lambda ...`` per line -- assigns when
-    run with *namespace* for globals.  The text is filed in ``linecache``,
-    so a traceback shows the line, ``inspect.getsource`` finds it and the
-    closure verifier reads generated code like any other."""
-    filename = "<repro kernel: %s>" % label
-    code = _KERNELS.get((source, filename))
-    if code is None:
-        if len(_KERNELS) >= _KERNEL_LIMIT:
-            evicted = next(iter(_KERNELS))
-            del _KERNELS[evicted]
-            linecache.cache.pop(evicted[1], None)
-        code = _KERNELS[source, filename] = compile(source, filename, "exec")
-        linecache.cache[filename] = (
-            len(source), None, source.splitlines(True), filename
-        )
-    made: Dict[str, Callable] = {}
-    exec(code, namespace, made)
-    return made
-
-
 def _show(position: object) -> str:
     """A pattern position or a layout entry as a kernel's name shows it."""
     return position.n3() if isinstance(position, Term) else str(position)
@@ -522,7 +491,7 @@ def compile_pattern(
         "scan = lambda part: [{binding} for t in part if {condition}]\n"
         "match = lambda t: {binding} if {condition} else None\n"
     ).format(binding=binding, condition=condition)
-    made = _generate(label, source, namespace)
+    made = generate(label, source, namespace)
     made["match"].scan = made["scan"]
     return made["match"]
 

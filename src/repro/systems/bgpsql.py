@@ -13,6 +13,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.rdf.encoding import Dictionary
 from repro.rdf.terms import Term
+from repro.spark.kernels import comprehension
 from repro.spark.rdd import RDD
 from repro.spark.sql.session import SparkSession
 from repro.sparql.ast import TriplePattern, Variable
@@ -84,15 +85,15 @@ def run_bgp_sql(
     sql: str,
     variables: Sequence[str],
 ) -> RDD:
-    """Run :func:`bgp_to_sql`'s text; the rows as bindings of terms."""
+    """Run :func:`bgp_to_sql`'s text; the rows as bindings of terms, each
+    decoded by one generated dict display with the positions fixed."""
     result = session.sql(sql)
-    names = list(result.columns)
-
-    def decode(values: tuple) -> dict:
-        return {
-            name: dictionary.decode_id(value)
-            for name, value in zip(names, values)
-            if name in variables
-        }
-
-    return result.rdd.map(decode)
+    binding = ", ".join(
+        "%r: t[v[%d]]" % (name, index)
+        for index, name in enumerate(result.columns)
+        if name in variables
+    )
+    decode = comprehension(
+        "decode", "{%s}" % binding, namespace={"t": dictionary.terms}
+    )
+    return result.rdd.mapPartitions(decode)

@@ -548,17 +548,16 @@ class TestGeneratedKernels:
         import inspect
         import linecache
 
+        from repro.spark import kernels
         from repro.sparql.ast import Variable
-        from repro.systems import base
+        from repro.systems.base import compile_pattern
 
-        for constant in range(base._KERNEL_LIMIT + 50):
-            latest = base.compile_pattern(
-                (Variable("s"), constant, Variable("o"))
-            )
+        for constant in range(kernels._KERNEL_LIMIT + 50):
+            latest = compile_pattern((Variable("s"), constant, Variable("o")))
         filed = [
             name for name in linecache.cache
             if name.startswith("<repro kernel: ")
         ]
-        assert len(filed) <= base._KERNEL_LIMIT
-        assert len(base._KERNELS) <= base._KERNEL_LIMIT
+        assert len(filed) <= kernels._KERNEL_LIMIT
+        assert len(kernels._KERNELS) <= kernels._KERNEL_LIMIT
         assert "t[1] == c1" in inspect.getsource(latest.scan)

@@ -1,10 +1,16 @@
 """Tests for the LUBM-like and WatDiv-like generators."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.data.lubm import LUBM, LubmGenerator
+from repro.data.sp2bench import Sp2bGenerator
 from repro.data.watdiv import WATDIV, WatdivGenerator
+from repro.rdf.graph import RDFGraph
 from repro.rdf.rdfs import RDFSReasoner
+from repro.rdf.triple import Triple
 from repro.rdf.vocab import RDF
 from repro.sparql.algebra import evaluate
 from repro.sparql.parser import parse_sparql
@@ -104,3 +110,49 @@ class TestWatdivGenerator:
         for name, text in WatdivGenerator.all_queries().items():
             query = parse_sparql(text)
             assert len(evaluate(query, watdiv_graph)) > 0, name
+
+
+#: Per generator (seed 3): a digest of the ``repr`` of every row it
+#: inserts, in order, how many, and the generator's next draw after the
+#: last one -- recorded from the triple-by-triple ``RDFGraph.add`` calls
+#: the generators made before they handed their rows over in one call.
+TRIPLE_BY_TRIPLE = {
+    "lubm": ["aef7e319854dde7c", 849, 0.14655519713176268],
+    "watdiv": ["20eb5f5576251858", 1092, 0.48590052930985606],
+    "sp2bench": ["a211796daada9f42", 456, 0.8115514128083371],
+}
+
+
+def _index_dump(graph):
+    """The three indexes with keys and sets in their iteration order."""
+    return [
+        [
+            (key, [(key2, list(values)) for key2, values in inner.items()])
+            for key, inner in index.items()
+        ]
+        for index in (graph._spo, graph._pos, graph._osp)
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("lubm", lambda: LubmGenerator(2, seed=3)),
+        ("watdiv", lambda: WatdivGenerator(seed=3)),
+        ("sp2bench", lambda: Sp2bGenerator(seed=3)),
+    ],
+)
+def test_one_add_rows_call_builds_what_triple_by_triple_adds_did(name, make):
+    """The same rows in the same order and the same random draws, and
+    indexes equal to those of one ``add(Triple(...))`` per row, key order
+    and set order included (one process, so one hash seed)."""
+    rng = random.Random(3)
+    rows = list(make()._rows(rng))
+    digest = hashlib.sha256(
+        "\n".join(repr(row) for row in rows).encode()
+    ).hexdigest()[:16]
+    assert [digest, len(rows), rng.random()] == TRIPLE_BY_TRIPLE[name]
+    one_by_one = RDFGraph()
+    for row in rows:
+        one_by_one.add(Triple(*row))
+    assert _index_dump(make().generate()) == _index_dump(one_by_one)

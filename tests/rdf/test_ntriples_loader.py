@@ -44,6 +44,11 @@ _REFERENCE_TERM = re.compile(
     """,
     re.VERBOSE,
 )
+#: IRIREF's body: characters it does not forbid, one at a time, or UCHAR.
+_IRI_BODY = re.compile(
+    r"""(?: [^\x00-\x20<>"{}|^`\\] | \\u[0-9A-Fa-f]{4} | \\U[0-9A-Fa-f]{8} )*""",
+    re.VERBOSE,
+)
 _PAIRS = {
     "\\t": "\t", "\\b": "\b", "\\n": "\n", "\\r": "\r", "\\f": "\f",
     '\\"': '"', "\\'": "'", "\\\\": "\\",
@@ -67,6 +72,8 @@ _NOT_IN_IRI = {chr(code) for code in range(0x21)} | set('<>"{}|^`\\')
 
 def reference_unescape(text, iri=False):
     """*text* with its escapes decoded: in an IRI, UCHAR only."""
+    if iri and _IRI_BODY.fullmatch(text) is None:
+        raise ValueError("not a term: %r" % ("<%s>" % text))
     out, index = [], 0
     while index < len(text):
         if text[index] == "\\" and index + 1 < len(text):

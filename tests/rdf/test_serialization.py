@@ -1,5 +1,7 @@
 """Tests for N-Triples and Turtle parsing/serialization, incl. roundtrips."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -180,6 +182,36 @@ def test_an_escape_to_a_character_iriref_forbids_is_an_error(escape):
         parse_sparql("ASK { ?s ?p %s }" % iri)
     with pytest.raises(ValueError, match="cannot stand in an IRI"):
         parse_sparql("PREFIX x: %s ASK { ?s ?p ?o }" % iri)
+
+
+@pytest.mark.parametrize(
+    "iri",
+    ["http://x/a b", 'http://x/a"b', "http://x/{a}", "http://x/a|b",
+     "http://x/a^b", "http://x/a`b", "http://x/a\\b"],
+)
+def test_a_raw_character_iriref_forbids_is_a_parse_error(iri):
+    """Such an IRI was loaded, and no query could name it: N-Triples and
+    Turtle read one IRIREF pattern, and the error names the line."""
+    first = "<http://x/s> <http://x/p> <http://x/o> .\n"
+    for line in (
+        "<%s> <http://x/p> <http://x/o> .\n" % iri,
+        "<http://x/s> <%s> <http://x/o> .\n" % iri,
+        "<http://x/s> <http://x/p> <%s> .\n" % iri,
+        '<http://x/s> <http://x/p> "1"^^<%s> .\n' % iri,
+    ):
+        with pytest.raises(NTriplesParseError, match="^line 2: "):
+            parse_ntriples(first + line)
+        with pytest.raises(TurtleParseError, match="^line 2: cannot lex"):
+            parse_turtle(first + line)
+
+
+def test_iriref_admits_as_written_exactly_what_an_escape_may_decode_to():
+    from repro.rdf.terms import _NOT_IN_IRI, IRIREF
+
+    iriref = re.compile(IRIREF)
+    chars = set(map(chr, range(0x10000))) | {chr(0x10FFFF)}
+    admitted = {char for char in chars if iriref.fullmatch("<%s>" % char)}
+    assert admitted == chars - _NOT_IN_IRI
 
 
 class TestTurtle:

@@ -194,6 +194,20 @@ class TestCli:
         assert err.startswith("error: cannot parse RDF file")
         assert "line 1: bad escape \\u0020" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("suffix", [".nt", ".ttl"])
+    def test_an_iri_with_a_raw_space_exits_2_naming_the_line(
+        self, tmp_path, capsys, suffix
+    ):
+        path = tmp_path / ("space" + suffix)
+        path.write_text(
+            "<http://x/s> <http://x/p> <http://x/o> .\n"
+            "<http://x/s> <http://x/p> <http://x/a b> .\n"
+        )
+        assert main(["query", str(path), "SELECT ?s WHERE { ?s ?p ?o }"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse RDF file")
+        assert ": line 2: " in err and len(err.splitlines()) == 1
+
     def test_query_recovers_under_fault_schedule(self, data_file, capsys):
         query = (
             "PREFIX lubm: <http://repro.example.org/lubm#>\n"
