@@ -21,12 +21,13 @@ class Term:
 
     #: Per-term facts, each filled once something asks for it and None
     #: before: the term's hash (terms key every graph index), the bytes
-    #: the cost model charges to move it and the hash that places it on
-    #: a partition (every shuffled record asks for both).  None of them
+    #: the cost model charges to move it, the hash that places it on a
+    #: partition (every shuffled record asks for both) and its N3 text
+    #: (every answer cell and ORDER BY tie renders it).  None of them
     #: ever changes.  Constructors only clear the slots and
     #: ``__reduce__`` rebuilds through them, so neither parsing nor the
     #: worker pipe computes (or carries) a fact nobody asked for.
-    __slots__ = ("_hash", "_size", "_placement")
+    __slots__ = ("_hash", "_size", "_placement", "_n3")
 
     #: Sort rank between term kinds: blank nodes < URIs < literals.
     _kind_rank = 0
@@ -93,6 +94,7 @@ class URI(Term):
         _set(self, "_hash", None)
         _set(self, "_size", None)
         _set(self, "_placement", None)
+        _set(self, "_n3", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("URI is immutable")
@@ -103,7 +105,11 @@ class URI(Term):
         return (URI, (self.value,))
 
     def n3(self) -> str:
-        return "<%s>" % self.value
+        text = self._n3
+        if text is None:
+            text = "<%s>" % self.value
+            _set(self, "_n3", text)
+        return text
 
     def local_name(self) -> str:
         """The fragment after the last '#' or '/', for display."""
@@ -144,6 +150,7 @@ class BNode(Term):
         _set(self, "_hash", None)
         _set(self, "_size", None)
         _set(self, "_placement", None)
+        _set(self, "_n3", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("BNode is immutable")
@@ -153,7 +160,11 @@ class BNode(Term):
         return (BNode, (self.label,))
 
     def n3(self) -> str:
-        return "_:%s" % self.label
+        text = self._n3
+        if text is None:
+            text = "_:%s" % self.label
+            _set(self, "_n3", text)
+        return text
 
     def _value_key(self):
         return self.label
@@ -201,6 +212,7 @@ class Literal(Term):
         _set(self, "_hash", None)
         _set(self, "_size", None)
         _set(self, "_placement", None)
+        _set(self, "_n3", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("Literal is immutable")
@@ -211,18 +223,23 @@ class Literal(Term):
         return (Literal, (self.lexical, self.datatype, self.language))
 
     def n3(self) -> str:
-        escaped = (
-            self.lexical.replace("\\", "\\\\")
-            .replace('"', '\\"')
-            .replace("\n", "\\n")
-            .replace("\r", "\\r")
-            .replace("\t", "\\t")
-        )
-        if self.language:
-            return '"%s"@%s' % (escaped, self.language)
-        if self.datatype:
-            return '"%s"^^%s' % (escaped, self.datatype.n3())
-        return '"%s"' % escaped
+        text = self._n3
+        if text is None:
+            escaped = (
+                self.lexical.replace("\\", "\\\\")
+                .replace('"', '\\"')
+                .replace("\n", "\\n")
+                .replace("\r", "\\r")
+                .replace("\t", "\\t")
+            )
+            if self.language:
+                text = '"%s"@%s' % (escaped, self.language)
+            elif self.datatype:
+                text = '"%s"^^%s' % (escaped, self.datatype.n3())
+            else:
+                text = '"%s"' % escaped
+            _set(self, "_n3", text)
+        return text
 
     def to_python(self):
         """The literal as a Python value when the datatype is numeric/bool."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Generic, TypeVar
 
-from repro.spark.metrics import estimate_size
+from repro.spark.metrics import estimate_sizes
 
 T = TypeVar("T")
 
@@ -25,7 +25,7 @@ class Broadcast(Generic[T]):
         self._value = value
         self.id = broadcast_id
         num_records = len(value) if hasattr(value, "__len__") else 1
-        nbytes = estimate_size(value) * ctx.num_executors
+        nbytes = estimate_sizes((value,)) * ctx.num_executors
         ctx.metrics.record_broadcast(num_records, nbytes)
 
     @property

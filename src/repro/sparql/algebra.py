@@ -21,6 +21,7 @@ from typing import (
 )
 
 from repro.rdf.terms import Term
+from repro.spark.kernels import comprehension
 from repro.sparql.ast import (
     AskQuery,
     FilterExpr,
@@ -298,8 +299,12 @@ def apply_solution_modifiers(
             reverse=not ascending,
         )
     result = SolutionSet(query.projected())
-    names = result.variables
-    result.rows = [tuple([s.get(n) for n in names]) for s in ordered]
+    project = comprehension(
+        "project",
+        "(%s)" % "".join("s.get(%r)," % name for name in result.variables),
+        target="s",
+    )
+    result.rows = project(ordered)
     if query.distinct:
         result = result.distinct()
     if query.offset:

@@ -9,10 +9,11 @@ systems.
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional, Tuple
 
 from repro.rdf.namespaces import NamespaceManager
-from repro.rdf.terms import Literal, Term, URI, decode_iri, read_term
+from repro.rdf.terms import IRIREF, Literal, Term, URI, decode_iri, read_term
 from repro.rdf.vocab import RDF
 from repro.sparql.ast import (
     Arithmetic,
@@ -38,6 +39,10 @@ from repro.sparql.ast import (
     Variable,
 )
 from repro.sparql.tokenizer import SparqlParseError, TokenStream, tokenize
+
+#: What a PREFIX's IRI must be, as every ``<...>`` term is
+#: (:func:`repro.rdf.terms.read_term`) and Turtle's ``@prefix``.
+_IRIREF_RE = re.compile(IRIREF)
 
 _BUILTINS = {
     "REGEX", "BOUND", "ISIRI", "ISURI", "ISLITERAL", "ISBLANK",
@@ -67,6 +72,11 @@ class _Parser:
             prefix_token = self.stream.expect("pname")
             prefix = prefix_token.value.rstrip(":")
             uri_token = self.stream.expect("uri")
+            if not _IRIREF_RE.fullmatch(uri_token.value):
+                raise SparqlParseError(
+                    "not an IRI: %r at position %d"
+                    % (uri_token.value, uri_token.position)
+                )
             try:
                 namespace = decode_iri(uri_token.value[1:-1])
             except ValueError as exc:

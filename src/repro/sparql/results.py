@@ -14,6 +14,7 @@ from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.rdf.terms import Term
+from repro.spark.kernels import comprehension
 from repro.sparql.ast import Variable
 
 
@@ -140,11 +141,18 @@ class SolutionSet:
         return out
 
     def to_table(self) -> List[Tuple]:
-        """Rows of n3-rendered strings, ordered by the header."""
-        return [
-            tuple([term.n3() if term is not None else "" for term in row])
-            for row in self.rows
-        ]
+        """Rows of n3-rendered strings, ordered by the header: each term
+        as it renders once (``Term._n3``), an unbound cell ``""``."""
+        cells = ["c%d" % column for column in range(len(self.variables))]
+        render = comprehension(
+            "table",
+            "(%s)" % "".join(
+                '"" if %s is None else (%s._n3 or %s.n3()),' % (c, c, c)
+                for c in cells
+            ),
+            target="(%s)" % "".join(c + "," for c in cells),
+        )
+        return render(self.rows)
 
     def __repr__(self) -> str:
         return "SolutionSet(vars=%r, size=%d)" % (self.variables, len(self))

@@ -19,6 +19,7 @@ from repro.rdf.terms import BNode, Literal, URI
 from repro.rdf.triple import Triple
 from repro.rdf.turtle import TurtleParseError, parse_turtle
 from repro.sparql.parser import parse_sparql
+from repro.sparql.tokenizer import SparqlParseError
 
 
 class TestNTriplesParsing:
@@ -191,7 +192,10 @@ def test_an_escape_to_a_character_iriref_forbids_is_an_error(escape):
 )
 def test_a_raw_character_iriref_forbids_is_a_parse_error(iri):
     """Such an IRI was loaded, and no query could name it: N-Triples and
-    Turtle read one IRIREF pattern, and the error names the line."""
+    Turtle read one IRIREF pattern, and the error names the line.  So
+    does a prefix's IRI, SPARQL's too (it was read unchecked, and with
+    ``x:c`` named an IRI no query could write), naming the token's
+    position."""
     first = "<http://x/s> <http://x/p> <http://x/o> .\n"
     for line in (
         "<%s> <http://x/p> <http://x/o> .\n" % iri,
@@ -203,6 +207,10 @@ def test_a_raw_character_iriref_forbids_is_a_parse_error(iri):
             parse_ntriples(first + line)
         with pytest.raises(TurtleParseError, match="^line 2: cannot lex"):
             parse_turtle(first + line)
+    with pytest.raises(TurtleParseError, match="^line 1: cannot lex"):
+        parse_turtle("@prefix x: <%s> .\nx:c x:p x:o .\n" % iri)
+    with pytest.raises(SparqlParseError, match="at position 1[08]$"):
+        parse_sparql("PREFIX x: <%s> ASK { x:c ?p ?o }" % iri)
 
 
 def test_iriref_admits_as_written_exactly_what_an_escape_may_decode_to():

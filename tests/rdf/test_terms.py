@@ -149,3 +149,68 @@ class TestCachedHash:
     def test_cache_slot_is_not_writable(self):
         with pytest.raises(AttributeError):
             URI("http://x/a")._hash = 7
+
+
+def fresh_n3(term):
+    """The N3 text of *term*, rendered here, as ``n3()`` did before a term
+    kept its text: the oracle of :class:`TestRememberedN3`."""
+    if isinstance(term, URI):
+        return "<%s>" % term.value
+    if isinstance(term, BNode):
+        return "_:%s" % term.label
+    escaped = (
+        term.lexical.replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+        .replace("\r", "\\r")
+        .replace("\t", "\\t")
+    )
+    if term.language:
+        return '"%s"@%s' % (escaped, term.language)
+    if term.datatype:
+        return '"%s"^^%s' % (escaped, fresh_n3(term.datatype))
+    return '"%s"' % escaped
+
+
+#: Quotes, backslashes, control characters, U+2028 and non-ASCII text.
+awkward = st.text(
+    alphabet=st.one_of(
+        st.characters(min_codepoint=32, max_codepoint=126),
+        st.sampled_from('\\"\n\r\t\x00\x7f\u2028é日\U0001d11e'),
+    ),
+    max_size=16,
+)
+any_term = st.one_of(
+    st.builds(URI, awkward.filter(bool)),
+    st.builds(BNode, names),
+    st.builds(Literal, awkward),
+    st.builds(Literal, awkward, language=st.sampled_from(["en", "fr-CA"])),
+    st.builds(Literal, awkward, datatype=st.builds(URI, awkward.filter(bool))),
+    st.builds(Literal, st.one_of(st.integers(), st.booleans(), st.floats())),
+)
+
+
+class TestRememberedN3:
+    """A term renders its N3 text once and keeps it (``_n3``), like its
+    hash: the kept text is the text a fresh rendering gives, and the
+    worker pipe does not carry it."""
+
+    @given(term=any_term)
+    def test_kept_text_is_the_fresh_rendering(self, term):
+        assert term._n3 is None
+        text = term.n3()
+        assert text == fresh_n3(term) == term._n3
+        assert term.n3() is text
+
+    @given(term=any_term)
+    def test_equal_after_a_pickle_round_trip(self, term):
+        bare = pickle.dumps(term)
+        text = term.n3()
+        assert pickle.dumps(term) == bare
+        copy = pickle.loads(pickle.dumps(term, pickle.HIGHEST_PROTOCOL))
+        assert copy._n3 is None
+        assert copy.n3() == text == fresh_n3(copy)
+
+    def test_memo_slot_is_not_writable(self):
+        with pytest.raises(AttributeError):
+            URI("http://x/a")._n3 = "<http://x/b>"

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.rdf.terms import BNode, Literal, URI
+from repro.spark.context import SparkContext
 from repro.spark.metrics import estimate_size, estimate_sizes
 from repro.spark.parallel import parallel_available
 from repro.spark.partitioner import HashPartitioner, Partitioner, stable_hash
@@ -185,6 +186,32 @@ def test_a_column_is_priced_like_its_records(records):
     assert estimate_sizes(copy) == expected
     assert estimate_sizes(records) == expected
     assert estimate_sizes(tuple(records)) == expected
+
+
+bindings = st.dictionaries(names, terms, max_size=4)
+#: What engines broadcast: a hash join's build side (key tuples to the
+#: bindings that carry them), Spar(k)ql-S2X's candidate sets, a list of
+#: pairs, a bare term -- and anything at all.
+broadcast_values = st.one_of(
+    st.dictionaries(
+        st.one_of(*key_kinds[:4]), st.lists(bindings, max_size=3), max_size=5
+    ),
+    st.dictionaries(names, st.sets(terms, max_size=3), max_size=3),
+    pair_columns,
+    terms,
+    values,
+)
+
+
+@given(value=broadcast_values)
+@settings(max_examples=300, deadline=None)
+def test_a_broadcast_is_priced_like_its_value(value):
+    expected = reference_size(value)
+    copy = pickle.loads(pickle.dumps(value))
+    assert estimate_sizes((copy,)) == expected == estimate_size(copy)
+    ctx = SparkContext(num_executors=3)
+    ctx.broadcast(value)
+    assert ctx.metrics.snapshot()["broadcast_bytes"] == 3 * expected
 
 
 class _ByReprLength(Partitioner):

@@ -1,9 +1,16 @@
 """Tests for query shapes, fragments, and solution sets."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.rdf.terms import Literal, URI
-from repro.sparql.ast import TriplePattern, Variable
+from repro.rdf.terms import BNode, Literal, URI
+from repro.sparql.algebra import apply_solution_modifiers
+from repro.sparql.ast import (
+    GroupGraphPattern,
+    SelectQuery,
+    TriplePattern,
+    Variable,
+)
 from repro.sparql.fragments import features_of
 from repro.sparql.parser import parse_sparql
 from repro.sparql.results import Solution, SolutionSet
@@ -202,3 +209,56 @@ class TestSolutionSet:
     def test_variables_accept_variable_objects(self):
         s = SolutionSet([Variable("x")])
         assert s.variables == ["x"]
+
+
+def _pool():
+    """Five terms, none rendered yet; rows share them."""
+    return [
+        URI("http://x/a"),
+        BNode("b"),
+        Literal('say "hi"\\\n\u2028é'),
+        Literal("1", language="en"),
+        Literal(7),
+    ]
+
+
+_names = ["a", "b", "c", "d", "e"]
+#: Bindings as positions in the pool, over the header's names and one more.
+_bindings = st.lists(
+    st.dictionaries(st.sampled_from(_names + ["unprojected"]), st.integers(0, 4)),
+    max_size=8,
+)
+_headers = st.lists(st.sampled_from(_names), max_size=5)
+
+
+def _solutions(bindings):
+    pool = _pool()
+    return [{n: pool[i] for n, i in binding.items()} for binding in bindings]
+
+
+class TestAnswerKernels:
+    """The generated projection and table kernels against the per-cell
+    comprehensions they replaced, kept here as oracles."""
+
+    @given(bindings=_bindings, header=_headers, wrap=st.booleans())
+    def test_projection_is_the_per_cell_comprehension(
+        self, bindings, header, wrap
+    ):
+        solutions = _solutions(bindings)
+        if wrap:
+            solutions = [Solution(solution) for solution in solutions]
+        query = SelectQuery([Variable(n) for n in header], GroupGraphPattern())
+        rows = apply_solution_modifiers(query, solutions).rows
+        assert rows == [tuple([s.get(n) for n in header]) for s in solutions]
+        assert all(type(row) is tuple for row in rows)
+
+    @given(bindings=_bindings, header=_headers)
+    def test_table_is_the_per_cell_rendering(self, bindings, header):
+        answer = SolutionSet(header, map(Solution, _solutions(bindings)))
+        table = answer.to_table()  # renders each term the first time
+        expected = [
+            tuple([term.n3() if term is not None else "" for term in row])
+            for row in answer.rows
+        ]
+        assert table == expected
+        assert answer.to_table() == expected  # read from the kept text

@@ -208,6 +208,16 @@ class TestCli:
         assert err.startswith("error: cannot parse RDF file")
         assert ": line 2: " in err and len(err.splitlines()) == 1
 
+    def test_a_prefix_iri_iriref_forbids_exits_2(self, tmp_path, capsys):
+        """Regression: a PREFIX's IRI skipped the IRIREF check, so
+        ``x:c`` below read as ``<http://x/a|bc>`` and the query ran."""
+        path = tmp_path / "one.nt"
+        path.write_text("<http://x/s> <http://x/p> <http://x/o> .\n")
+        query = "PREFIX x: <http://x/a|b> ASK { x:c ?p ?o }"
+        assert main(["query", str(path), query]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: not an IRI: '<http://x/a|b>' at position 10\n"
+
     def test_query_recovers_under_fault_schedule(self, data_file, capsys):
         query = (
             "PREFIX lubm: <http://repro.example.org/lubm#>\n"
