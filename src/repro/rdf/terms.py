@@ -314,8 +314,9 @@ _NUMERAL_RE = re.compile(
     "(?P<integer>%s)|(?P<decimal>%s)|(?P<double>%s)" % (INTEGER, DECIMAL, DOUBLE)
 )
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
-#: ECHAR and UCHAR.  Any other backslash is kept as written.
-_ESCAPE_RE = re.compile(r"""\\([tbnrf"'\\]|u.{4}|U.{8})""", re.DOTALL)
+#: A backslash and what follows it: ECHAR, UCHAR -- or, an error, any
+#: other character, or a ``\u`` or ``\U`` short of its digits.
+_ESCAPE_RE = re.compile(r"\\(u.{0,4}|U.{0,8}|.)", re.DOTALL)
 _ECHARS = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
     '"': '"', "'": "'", "\\": "\\",
@@ -326,6 +327,8 @@ def _unescaped(match) -> str:
     escape = match.group(1)
     if escape in _ECHARS:
         return _ECHARS[escape]
+    if len(escape) != {"u": 5, "U": 9}.get(escape[0]):
+        raise ValueError("bad escape \\%s: neither ECHAR nor UCHAR" % escape)
     try:
         return chr(int(escape[1:], 16))
     except (ValueError, OverflowError):
@@ -383,7 +386,8 @@ def read_term(
     would type a decimal ``xsd:decimal`` and keep a double's text.
     *terms* maps tokens to terms read; the token is entered there, and a
     datatype is the term of its ``<iri>`` token.  Raises ValueError on
-    anything else and on an escape naming no character.
+    anything else, on a backslash that starts neither ECHAR nor UCHAR,
+    and on a UCHAR naming no character.
     """
     terms = {} if terms is None else terms
     first = token[:1]

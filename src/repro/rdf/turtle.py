@@ -49,8 +49,10 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> List[Tuple[str, str]]:
+def _tokenize(text: str) -> Tuple[List[Tuple[str, str]], List[int]]:
+    """The tokens of *text*, and the offset each one starts at."""
     tokens: List[Tuple[str, str]] = []
+    starts: List[int] = []
     position = 0
     while position < len(text):
         match = _TOKEN_RE.match(text, position)
@@ -67,13 +69,16 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
         if kind == "ws":
             continue
         tokens.append((kind, match.group()))
+        starts.append(match.start())
     tokens.append(("eof", ""))
-    return tokens
+    starts.append(len(text))
+    return tokens, starts
 
 
 class _TurtleParser:
     def __init__(self, text: str) -> None:
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens, self.starts = _tokenize(text)
         self.index = 0
         self.namespaces = NamespaceManager()
         self.graph = RDFGraph()
@@ -147,7 +152,7 @@ class _TurtleParser:
             return self.namespaces.expand(text)
         if kind != "uri":
             raise TurtleParseError("expected %s, found %r" % (what, text))
-        return read_term(text)
+        return self._read_term(text)
 
     def _parse_term(self, as_subject: bool) -> Term:
         kind, text = self.advance()
@@ -160,7 +165,15 @@ class _TurtleParser:
             self.advance()
             self.expect_punct("^")
             datatype = self._parse_iri("datatype after ^^")
-        return read_term(text, datatype)
+        return self._read_term(text, datatype)
+
+    def _read_term(self, text: str, datatype: Optional[URI] = None) -> Term:
+        """``read_term``, its error naming the line of the token just read."""
+        try:
+            return read_term(text, datatype)
+        except ValueError as exc:
+            line = self.text.count("\n", 0, self.starts[self.index - 1]) + 1
+            raise TurtleParseError("line %d: %s" % (line, exc)) from None
 
 
 def parse_turtle(text: str) -> RDFGraph:

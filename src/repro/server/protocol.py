@@ -223,6 +223,14 @@ class WireLiteral(str):
     def of(cls, text: str) -> "WireLiteral":
         return cls(canonical_json(text))
 
+    @classmethod
+    def of_payload(cls, payload: Any) -> "WireLiteral":
+        """``of(canonical_json(payload))``, with one encoder pass: canonical
+        JSON is compact and ASCII-safe, so it holds printable ASCII only,
+        where ``json.dumps`` escapes ``\\`` and ``"`` and nothing else."""
+        text = canonical_json(payload)
+        return cls('"%s"' % text.replace("\\", "\\\\").replace('"', '\\"'))
+
 
 def encode_response(payload: Dict[str, Any]) -> str:
     """One canonical response line (no newline appended)."""

@@ -24,7 +24,7 @@ Request lifecycle::
       result cache (text, version, engine) -- hit: return stored literal
             (the engine component is the routed winner under route=True)
       miss: engine.execute under ctx.set_deadline(budget) -> canonical_result
-            -> canonical_json -> WireLiteral (escaped once) -> cache put
+            -> WireLiteral.of_payload (encoded once) -> cache put
       outcome: ok | deadline | rejected | unsupported | failed
 
 Graph evolution: :meth:`commit` applies a change set through the
@@ -69,11 +69,7 @@ from repro.routing import RoutingPolicy
 from repro.runtime import ServiceConfig, resolve_engine
 from repro.server.admission import FairShareQueue
 from repro.server.cache import PlanCache, ResultCache, normalize_query
-from repro.server.protocol import (
-    WireLiteral,
-    canonical_json,
-    canonical_result,
-)
+from repro.server.protocol import WireLiteral, canonical_result
 from repro.spark.deadline import DeadlineExceededError, cost_units
 from repro.spark.faults import TaskFailedError
 from repro.spark.metrics import MetricsCollector, MetricsSnapshot
@@ -465,9 +461,7 @@ class QueryService:
         if run.cost["view_scans"]:
             # This execution read at least one materialized ExtVP view.
             self.metrics.incr("view_hits", run.cost["view_scans"])
-        outcome.result = WireLiteral.of(
-            canonical_json(canonical_result(run.answer, plan))
-        )
+        outcome.result = WireLiteral.of_payload(canonical_result(run.answer, plan))
         outcome.cache = "plan" if plan_hit else "cold"
         outcome.service_units = max(spent, 1)
         if decision is not None:

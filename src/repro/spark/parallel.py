@@ -31,7 +31,9 @@ with one entry point, ``materialize(rdd)``, and two implementations:
        pickled per reduce partition.  The driver routes those blocks to
        the workers as the bytes they are
        (:class:`~repro.spark.rdd.ShuffleBlocks`); the reduce task that
-       reads a partition decodes it.
+       reads a partition decodes it.  A fragment for a partition the
+       map task's own worker reads (:func:`aligned_shuffles`) stays in
+       that worker, unpickled, until a later reader fetches it.
     2. **Final stage.**  The target RDD's partitions are computed by the
        pool and streamed back the same way.
 
@@ -60,8 +62,9 @@ Determinism contract (see ``docs/PARALLEL.md`` for the full statement):
 Known, documented divergences from the oracle (results stay identical;
 only cost accounting differs): cross-task reuse of a partition cached
 *during* the same stage (e.g. a cached cartesian build side) is
-per-worker rather than global, and untargeted ``times=N`` fault rules
-fire in task order, which is interleaving-dependent under concurrency.
+per-worker rather than global, untargeted ``times=N`` fault rules
+fire in task order, which is interleaving-dependent under concurrency,
+and a shuffle whose kept fragments went with a lost pool runs again.
 """
 
 from __future__ import annotations
@@ -82,6 +85,8 @@ from repro.spark import accumulator as accumulator_module
 from repro.rdf.terms import Term
 from repro.spark.rdd import (
     RDD,
+    CoGroupedRDD,
+    MapPartitionsRDD,
     ParallelCollectionRDD,
     PrePartitionedRDD,
     ShuffleBlocks,
@@ -217,6 +222,42 @@ def lineage(rdd: RDD) -> List[RDD]:
             if isinstance(child, RDD) and id(child) not in seen:
                 stack.append((child, False))
     return order
+
+
+def aligned_shuffles(rdd: RDD, pending: List[ShuffledRDD]) -> set:
+    """Ids of the shuffles the job that materializes *rdd* reads only as
+    partition *i* in task *i* of a stage of more than one task.
+
+    A stage is the map stage of a pending shuffle, whose task *i* reads
+    partition *i* of the shuffle's parent, or the final stage on *rdd*
+    (not run when *rdd* is a shuffle: the driver reads it).  Its tasks
+    follow one-to-one dependencies -- ``MapPartitionsRDD`` and
+    ``CoGroupedRDD`` -- down to the shuffles the stage reads; a union or
+    a cartesian product reads other indices, and a single-task stage
+    runs on the driver.  So worker *w* of a pool of *W* is the only
+    process that reads partitions *r* = *w* mod *W* of an aligned shuffle.
+    A path through a cached RDD does not count: later jobs read the
+    cache, and what a worker kept would only be fetched back.
+    """
+    stack = [(shuffled.parent, shuffled.parent.num_partitions > 1) for shuffled in pending]
+    stack.append((rdd, rdd.num_partitions > 1 and type(rdd) is not ShuffledRDD))
+    aligned, other, seen = set(), set(), set()
+    while stack:
+        node, one_to_one = stack.pop()
+        if (node.id, one_to_one) in seen:
+            continue
+        seen.add((node.id, one_to_one))
+        one_to_one = one_to_one and not node._cache_requested
+        if isinstance(node, ShuffledRDD):
+            # A stage boundary: its parent is read by its own map stage.
+            (aligned if one_to_one else other).add(node.id)
+            continue
+        one_to_one = one_to_one and isinstance(node, (MapPartitionsRDD, CoGroupedRDD))
+        for attr in ("parent", "left", "right"):
+            child = getattr(node, attr, None)
+            if isinstance(child, RDD):
+                stack.append((child, one_to_one))
+    return aligned - other
 
 
 def pending_shuffles(nodes: List[RDD]) -> List[ShuffledRDD]:
@@ -503,10 +544,14 @@ def merge_cache_delta(nodes: List[RDD], delta) -> None:
             node._cached.setdefault(index, data)
 
 
-def _stage_task(kind: str, node: RDD, terms: TermTable) -> Callable[[int], Any]:
-    """What one task of a stage runs: a shuffle's map task or a partition."""
+def _stage_task(
+    kind: str, node: RDD, terms: TermTable, keep=(), kept=None
+) -> Callable[[int], Any]:
+    """What one task of a stage runs: a shuffle's map task -- keeping the
+    fragments for the reduce partitions in *keep* in *kept* -- or a
+    partition."""
     if kind == "map":
-        return lambda index: node._map_blocks(index, terms)
+        return lambda index: node._map_blocks(index, terms, keep, kept)
     return node._iterate
 
 
@@ -528,6 +573,25 @@ def _send(conn, terms: TermTable, message) -> None:
 
 def _recv(conn, terms: TermTable):
     return terms.loads(conn.recv_bytes())
+
+
+def _release(held, shuffle_ids, terms: Optional[TermTable] = None):
+    """Let go of the fragments this worker kept of *shuffle_ids*; with
+    *terms*, as ``((shuffle id, map index, reduce index), block)`` pairs
+    for the driver, each fragment pickled as a map task would have."""
+    out = []
+    for shuffle_id in shuffle_ids:
+        kept = held.pop(shuffle_id, {})
+        if terms is not None:
+            out += [
+                ((shuffle_id, map_index, index), terms.dumps(fragment))
+                for map_index, own in kept.items()
+                for index, fragment in own.items()
+            ]
+        # Blocks installed on this worker's copy of the shuffle still
+        # name the dict: empty it, so the fragments go now.
+        kept.clear()
+    return out
 
 
 def _install_job(ctx, job) -> List[RDD]:
@@ -586,6 +650,9 @@ def _worker_main(worker_id, ctx, nodes, conn):
         faults = ctx.faults
         terms = ctx.executor_backend.terms
         by_id = {node.id: node for node in nodes}
+        #: The fragments this worker's map tasks kept for its own reduce
+        #: partitions: ``held[shuffle id][map index][reduce index]``.
+        held: Dict[int, Dict[int, Dict[int, List[Any]]]] = {}
         journal: List[Tuple[int, Any]] = []
         accumulator_module._WORKER_JOURNAL = journal
         while True:
@@ -603,13 +670,18 @@ def _worker_main(worker_id, ctx, nodes, conn):
             if command[0] == "end":
                 nodes, by_id = [], {}
                 continue
-            kind, rdd_id, task_indices, shuffles, fault_base, installs = command
+            if command[0] == "fetch":
+                _send(conn, terms, ("fetched", _release(held, command[1], terms)))
+                continue
+            kind, rdd_id, task_indices, shuffles, fault_base, installs, keep, drop = command
+            _release(held, drop)
             for shuffle_id, blocks in shuffles:
-                by_id[shuffle_id]._buckets = ShuffleBlocks(blocks, terms)
+                by_id[shuffle_id]._buckets = ShuffleBlocks(blocks, terms, held.get(shuffle_id))
             _install_fault_state(faults, fault_base)
             merge_cache_delta(nodes, installs)
             cache_base = _cache_bases(nodes)
-            run_one = _stage_task(kind, by_id[rdd_id], terms)
+            kept = held.setdefault(rdd_id, {}) if keep else None
+            run_one = _stage_task(kind, by_id[rdd_id], terms, keep, kept)
             for index in task_indices:
                 # Worker spans root at task level; the driver reattaches
                 # them under its currently open span and renumbers seq.
@@ -634,6 +706,8 @@ def _worker_main(worker_id, ctx, nodes, conn):
                 if error is not None:
                     # Mirror the serial loop: no work past a failed task.
                     break
+            if kept == {}:
+                del held[rdd_id]
             _send(
                 conn,
                 terms,
@@ -708,8 +782,12 @@ class _Pool:
         self.cache_base: Dict[int, frozenset] = {}
         #: ``(rdd id, index)`` of what each worker cached in its last stage.
         self.cached_by: List[frozenset] = [frozenset()] * size
-        #: Forked shuffles whose buckets the workers hold.
+        #: Forked shuffles whose buckets the workers hold, every block.
         self.buckets: set = set()
+        #: Shuffles of which the workers keep fragments (``ShuffleBlocks.held``).
+        self.held: set = set()
+        #: The context's live RDDs by id: tells when a held shuffle is gone.
+        self.rdds: Any = {}
         #: Ends the workers: called on a failed job, or by the collector
         #: when the backend goes, or at interpreter exit.
         self.close: Callable[[], Any] = lambda: None
@@ -750,6 +828,7 @@ class _Pool:
             if ours:
                 gc.unfreeze()
         self.watermark = ctx._rdd_counter
+        self.rdds = ctx._rdds
         for node in list(ctx._rdds.values()):
             if node._cached:
                 self.cache_base[node.id] = frozenset(node._cached)
@@ -820,6 +899,42 @@ class _Pool:
         self.cache_base.update(_cache_bases(node for node in nodes if node.id > self.watermark))
         return True
 
+    def fetch(self, shuffles: List[ShuffledRDD]) -> None:
+        """Pull what the workers keep of *shuffles* into the driver's
+        blocks -- between stages or jobs, while every worker is idle --
+        and let the workers drop it.  Raises ``EOFError`` or ``OSError``
+        if a worker is gone."""
+        ids = [shuffled.id for shuffled in shuffles]
+        for conn in self.conns:
+            _send(conn, self.terms, ("fetch", ids))
+        pulled: Dict[Tuple[int, int, int], bytes] = {}
+        for conn in self.conns:
+            reply = _recv(conn, self.terms)
+            if reply[0] != "fetched":  # "fatal": the worker is gone
+                raise EOFError(reply[0])
+            pulled.update(reply[1])
+        for shuffled in shuffles:
+            buckets = shuffled._buckets
+            buckets.blocks = [
+                [entry if type(entry) is bytes else pulled[shuffled.id, entry, index] for entry in bucket]
+                for index, bucket in enumerate(buckets.blocks)
+            ]
+            buckets.held = False
+            self.held.discard(shuffled.id)
+
+    def held_shuffles(self) -> List[ShuffledRDD]:
+        """The shuffles the driver still holds of which the workers keep
+        fragments."""
+        live = (self.rdds.get(shuffle_id) for shuffle_id in sorted(self.held))
+        return [node for node in live if node is not None]
+
+    def released(self) -> List[int]:
+        """Held shuffles the driver no longer holds: the workers may drop
+        what they keep of them."""
+        gone = sorted(shuffle_id for shuffle_id in self.held if shuffle_id not in self.rdds)
+        self.held.difference_update(gone)
+        return gone
+
     def end_job(self) -> None:
         """Let the workers drop the job's nodes; a dead one is found
         before the next job."""
@@ -858,6 +973,9 @@ class ParallelBackend:
         self._nodes: Optional[List[RDD]] = None
         #: Whether the pool holds the running job.
         self._sent = False
+        #: Ids of the running job's shuffles that each worker reads only
+        #: its own partitions of (:func:`aligned_shuffles`).
+        self._aligned: set = set()
 
     def __repr__(self) -> str:
         return "ParallelBackend(workers=%d)" % self.workers
@@ -873,7 +991,15 @@ class ParallelBackend:
         self._nodes = nodes = lineage(rdd)
         succeeded = False
         try:
-            for shuffled in pending_shuffles(nodes):
+            # A later job reads what an earlier one left in the workers
+            # as blocks the driver holds, whichever process reads it.
+            kept = self._pool.held if self._pool is not None else ()
+            held = [node for node in nodes if node.id in kept]
+            if held:
+                self.gather(held)
+            pending = pending_shuffles(nodes)
+            self._aligned = aligned_shuffles(rdd, pending)
+            for shuffled in pending:
                 self._resolve_shuffle(shuffled, nodes)
             if isinstance(rdd, ShuffledRDD):
                 # Buckets are resolved; reading them is plain driver
@@ -890,9 +1016,44 @@ class ParallelBackend:
             elif sent:
                 self._drop_pool()
 
-    def _drop_pool(self) -> None:
+    def _drop_pool(self, idle: bool = False) -> None:
+        """End the pool.  What its workers keep of shuffles the driver
+        still holds is fetched first if they are *idle* and alive;
+        otherwise it goes with them, and those shuffles are left
+        unresolved, to run again from lineage when next read (Spark's
+        ``FetchFailed`` path)."""
         pool, self._pool = self._pool, None
+        held = pool.held_shuffles()
+        if held:
+            try:
+                if not (idle and pool.alive()):
+                    raise EOFError("the pool is not idle")
+                pool.fetch(held)
+            except (EOFError, OSError):
+                for shuffled in held:
+                    shuffled._buckets = None
         pool.close()
+
+    def gather(self, shuffles: List[ShuffledRDD]) -> None:
+        """Fetch what the pool's workers keep of *shuffles*, for a read
+        between stages or jobs, while every worker is idle.  A pool that
+        is gone took it along: between jobs, *shuffles* are then left
+        unresolved, to run again from lineage; inside a job, the job
+        fails as it does whenever a worker dies."""
+        pool = self._pool
+        try:
+            if pool is None or not pool.alive():
+                raise EOFError("the pool is gone")
+            pool.fetch(shuffles)
+        except (EOFError, OSError) as exc:
+            if self._sent:
+                raise WorkerCrashError(
+                    "a parallel worker holding shuffle output is gone: %s" % exc
+                )
+            if pool is not None:
+                self._drop_pool()
+            for shuffled in shuffles:
+                shuffled._buckets = None
 
     def _pool_for(self, ctx) -> _Pool:
         """The pool holding the running job: the context's, sent the job,
@@ -909,7 +1070,7 @@ class ParallelBackend:
         if pool is not None and (
             pool.size < size or not pool.alive() or not pool.send_job(ctx, nodes)
         ):
-            self._drop_pool()
+            self._drop_pool(idle=True)
         if self._pool is None:
             self._pool = _Pool(size, self.terms)
             try:
@@ -941,8 +1102,11 @@ class ParallelBackend:
         num_out = shuffled.partitioner.num_partitions
         buckets = ShuffleBlocks([[] for _ in range(num_out)], self.terms)
         records = remote = nbytes = 0
+        # A worker keeps what it reads itself unless the combine, which
+        # is the driver's, reads every bucket.
+        keep = shuffled.aggregator is None and shuffled.id in self._aligned
         outputs = self._run_stage(
-            shuffled.ctx, nodes, "map", shuffled, shuffled.parent.num_partitions
+            shuffled.ctx, nodes, "map", shuffled, shuffled.parent.num_partitions, keep
         )
         # Appending in ascending map index reproduces the serial bucket
         # order byte-for-byte; the driver routes the blocks unread.
@@ -952,6 +1116,11 @@ class ParallelBackend:
             remote += task_remote
             nbytes += task_bytes
         if shuffled.aggregator is None:
+            buckets.held = any(
+                type(entry) is int for bucket in buckets.blocks for entry in bucket
+            )
+            if buckets.held:
+                self._pool.held.add(shuffled.id)
             shuffled._finish_shuffle(buckets, records, remote, nbytes, span)
             return buckets
         # The reduce-side combine is the driver's: it decodes, merges,
@@ -974,9 +1143,18 @@ class ParallelBackend:
     # -- the stage engine -----------------------------------------------
 
     def _run_stage(
-        self, ctx, nodes: List[RDD], kind: str, node: RDD, num_tasks: int
+        self,
+        ctx,
+        nodes: List[RDD],
+        kind: str,
+        node: RDD,
+        num_tasks: int,
+        keep: bool = False,
     ) -> List[Any]:
         """Run tasks ``0..num_tasks-1`` on the pool; merge in task order.
+        Task *i* runs on worker *i* mod pool size; with *keep*, a map
+        task keeps the fragments for the reduce partitions its worker
+        reads.
 
         A single-task stage runs on the driver directly -- that is the
         oracle path, so it is always semantically safe and keeps a job
@@ -991,9 +1169,13 @@ class ParallelBackend:
         from multiprocessing import connection as mp_connection
 
         pool = self._pool_for(ctx)
-        shuffles = [(done.id, done._buckets.blocks) for done in pool.resolved]
-        pool.buckets.update(done.id for done in pool.resolved if done.id <= pool.watermark)
-        pool.resolved = []
+        resolved, pool.resolved = pool.resolved, []
+        pool.buckets.update(
+            done.id
+            for done in resolved
+            if done.id <= pool.watermark and done.id not in self._aligned
+        )
+        drop = pool.released()
         fault_state = _fault_state(ctx.faults)
         cached = _cache_delta(nodes, pool.cache_base)
         pool.cache_base.update(_cache_bases(nodes))
@@ -1005,7 +1187,12 @@ class ParallelBackend:
                     for rdd_id, items in cached
                 ]
                 tasks = list(range(worker_id, num_tasks, pool.size))
-                _send(conn, self.terms, (kind, node.id, tasks, shuffles, fault_state, installs))
+                # A shuffle the job reads aligned goes to each worker as
+                # the partitions its tasks read; any other, whole.
+                shuffles = [(done.id, self._route(done, worker_id, pool.size)) for done in resolved]
+                kept = range(worker_id, node.num_partitions, pool.size) if keep else ()
+                command = (kind, node.id, tasks, shuffles, fault_state, installs, kept, drop)
+                _send(conn, self.terms, command)
         except OSError as exc:
             raise WorkerCrashError(
                 "parallel worker %d is gone between stages: %s" % (worker_id, exc)
@@ -1071,6 +1258,16 @@ class ParallelBackend:
                 for index, _data in items
             )
         return results
+
+    def _route(self, shuffled: ShuffledRDD, worker_id: int, size: int):
+        """The blocks of a resolved shuffle that a worker is sent."""
+        blocks = shuffled._buckets.blocks
+        if shuffled.id not in self._aligned:
+            return blocks
+        return [
+            bucket if index % size == worker_id else None
+            for index, bucket in enumerate(blocks)
+        ]
 
     def _merge_ready(self, ctx, results, buffered, next_merge) -> int:
         """Merge buffered payloads while the next task index is present.

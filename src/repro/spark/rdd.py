@@ -17,7 +17,6 @@ from __future__ import annotations
 import io
 import pickle
 from collections import defaultdict
-from itertools import chain
 from typing import (
     Any,
     Callable,
@@ -611,6 +610,12 @@ class ShuffledRDD(RDD):
         self._buckets: Union[None, List[List[Any]], ShuffleBlocks] = None
 
     def _ensure_shuffled(self) -> List[List[Any]]:
+        buckets = self._buckets
+        if type(buckets) is ShuffleBlocks and buckets.held:
+            # Fragments are still in the workers that wrote them: the
+            # backend fetches them, or -- its pool being gone -- leaves
+            # the shuffle unresolved, to run again from lineage.
+            self.ctx.executor_backend.gather([self])
         if self._buckets is None:
             self._resolve(self._do_shuffle)
         return self._buckets
@@ -687,16 +692,29 @@ class ShuffledRDD(RDD):
         return fragments, len(outgoing), remote, estimate_sizes(outgoing)
 
     def _map_blocks(
-        self, map_index: int, terms: TermTable
-    ) -> Tuple[List[Optional[bytes]], int, int, int]:
+        self,
+        map_index: int,
+        terms: TermTable,
+        keep: Iterable[int] = (),
+        kept: Optional[Dict[int, Dict[int, List[Any]]]] = None,
+    ) -> Tuple[List[Union[None, bytes, int]], int, int, int]:
         """One shuffle map task as the forked backend runs it:
         :meth:`_map_fragments` with each fragment pickled over *terms*
         (``None`` for an empty one), so the driver routes bytes it never
         decodes and the reduce task that reads a partition is the one to
-        build it.
+        build it.  A fragment for a reduce partition in *keep* -- one the
+        worker running this task reads itself -- is not pickled: it stays
+        in *kept*, ``kept[map_index][reduce_index]``, and the map index
+        stands in its place.
         """
         fragments, records, remote, nbytes = self._map_fragments(map_index)
-        return ShuffleBlocks.encode(fragments, terms), records, remote, nbytes
+        encoded: List[Any] = ShuffleBlocks.encode(fragments, terms, keep)
+        own = {index: fragments[index] for index in keep if fragments[index]}
+        if own:
+            kept[map_index] = own
+            for index in own:
+                encoded[index] = map_index
+        return encoded, records, remote, nbytes
 
     def _finish_shuffle(
         self,
@@ -833,35 +851,60 @@ class _TermCollector(pickle.Pickler):
 
 
 class ShuffleBlocks:
-    """A shuffle's output as its map tasks serialized it.
+    """A shuffle's output as its map tasks left it.
 
-    ``blocks[i]`` holds reduce partition *i* as the pickled fragments of
-    :meth:`ShuffledRDD._map_blocks` in ascending map order -- the order
-    the serial shuffle concatenates them in.  Indexing decodes, over the
-    term table the blocks were encoded with: a read returns a fresh list
-    equal to the serial bucket, built by whoever runs the reduce task,
-    as Spark's shuffle files are fetched and not re-serialized on the
-    way.
+    ``blocks[i]`` holds reduce partition *i* as one entry per non-empty
+    fragment of :meth:`ShuffledRDD._map_blocks`, in ascending map order
+    -- the order the serial shuffle concatenates them in.  An entry is
+    the fragment pickled over the term table the blocks were encoded
+    with, or, for a fragment the worker that wrote it kept because that
+    worker reads partition *i* too, the map index it is kept under:
+    ``local[map index][i]`` in that worker, where indexing reads it as
+    the list it is.  In the driver, ``held`` says that some entries are
+    such indices, to be fetched before any other process reads them.
+    A worker's ``blocks[i]`` is ``None`` for a partition it was not sent.
+
+    Indexing builds a fresh list equal to the serial bucket, in whoever
+    runs the reduce task, as Spark's shuffle files are fetched and not
+    re-serialized on the way.
     """
 
-    def __init__(self, blocks: List[List[bytes]], terms: TermTable) -> None:
+    def __init__(
+        self,
+        blocks: List[Optional[List[Union[bytes, int]]]],
+        terms: TermTable,
+        local: Optional[Dict[int, Dict[int, List[Any]]]] = None,
+    ) -> None:
         self.blocks = blocks
         self.terms = terms
+        self.local = local
+        self.held = False
 
     @staticmethod
-    def encode(fragments: List[List[Any]], terms: TermTable) -> List[Optional[bytes]]:
+    def encode(
+        fragments: List[List[Any]], terms: TermTable, keep: Iterable[int] = ()
+    ) -> List[Optional[bytes]]:
         """One map task's fragments, each pickled over *terms*; ``None``
-        for an empty one."""
-        return [terms.dumps(fragment) if fragment else None for fragment in fragments]
+        for an empty one and for one whose reduce index is in *keep*."""
+        return [
+            terms.dumps(fragment) if fragment and index not in keep else None
+            for index, fragment in enumerate(fragments)
+        ]
 
-    def append(self, encoded: List[Optional[bytes]]) -> None:
-        """Add one map task's encoded fragments, unread; call in map order."""
+    def append(self, encoded: List[Union[None, bytes, int]]) -> None:
+        """Add one map task's entries, unread; call in map order."""
         for bucket, block in zip(self.blocks, encoded):
             if block is not None:
                 bucket.append(block)
 
     def __getitem__(self, index: int) -> List[Any]:
-        return list(chain.from_iterable(map(self.terms.loads, self.blocks[index])))
+        bucket: List[Any] = []
+        for entry in self.blocks[index]:
+            if type(entry) is bytes:
+                bucket += self.terms.loads(entry)
+            else:
+                bucket += self.local[entry][index]
+        return bucket
 
 
 class CoGroupedRDD(RDD):

@@ -71,7 +71,10 @@ _NOT_IN_IRI = {chr(code) for code in range(0x21)} | set('<>"{}|^`\\')
 
 
 def reference_unescape(text, iri=False):
-    """*text* with its escapes decoded: in an IRI, UCHAR only."""
+    """*text* with its escapes decoded: in an IRI, UCHAR only.  In a
+    literal, a backslash that starts neither ECHAR nor UCHAR -- another
+    character, or a ``\\u``/``\\U`` that the text ends before its
+    digits do -- is an error naming what follows it."""
     if iri and _IRI_BODY.fullmatch(text) is None:
         raise ValueError("not a term: %r" % ("<%s>" % text))
     out, index = [], 0
@@ -93,6 +96,9 @@ def reference_unescape(text, iri=False):
                 out.append(char)
                 index += width
                 continue
+            if not iri:
+                escape = text[index + 1 :] if width is not None else pair[1]
+                raise ValueError("bad escape \\%s: neither ECHAR nor UCHAR" % escape)
         out.append(text[index])
         index += 1
     return "".join(out)

@@ -375,3 +375,27 @@ class TestStablePaging:
         payload = canonical_result(engine.execute(plan), plan)
         assert payload["triples"] == full["triples"][3:]
         assert payload["page"]["limit"] is None
+
+
+#: JSON values whose strings hold what an answer's text may: quotes,
+#: backslashes, control characters, DEL and non-ASCII.
+json_strings = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\\x00\x1f\n\t\x7f\x80\u2028\ufeffé日𝄞/'),
+        st.characters(),
+    )
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | json_strings,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(json_strings, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(payload=json_values)
+def test_a_payload_literal_is_the_literal_of_its_canonical_text(payload):
+    literal = WireLiteral.of_payload(payload)
+    assert literal == WireLiteral.of(canonical_json(payload))
+    assert isinstance(literal, WireLiteral)
+    assert json.loads(json.loads(literal)) == payload

@@ -918,3 +918,145 @@ def test_a_driver_killed_while_two_contexts_hold_idle_pools_leaves_no_worker(
     assert_workers_of_a_killed_driver_exit(
         DRIVER_THAT_DIES_BETWEEN_JOBS, tmp_path, 4
     )
+
+
+# ----------------------------------------------------------------------
+# Map output a worker reads itself stays in that worker
+# ----------------------------------------------------------------------
+
+
+SNOWFLAKE = "examples/queries/shapes/snowflake/advising_pair.rq"
+
+
+@needs_fork
+def test_a_worker_keeps_its_own_map_output_and_is_sent_only_what_it_reads(
+    monkeypatch,
+):
+    """A count, not a clock, on the LUBM-5 snowflake (eight map stages
+    and a final one in one job).  No fragment a map task wrote for a
+    reduce partition of its own worker reaches the driver, and each
+    worker is sent only the blocks of the partitions its tasks read --
+    so every block crosses the driver's pipes once each way."""
+    from repro.data.lubm import LubmGenerator
+    from repro.runtime import build_engine
+    from repro.sparql.parser import parse_sparql
+
+    driver = os.getpid()
+    maps, commands = [], []
+    run_stage = ParallelBackend._run_stage
+    send = parallel_module._send
+
+    def spying_stage(self, ctx, nodes, kind, node, num_tasks, keep=False):
+        outputs = run_stage(self, ctx, nodes, kind, node, num_tasks, keep)
+        if kind == "map":
+            maps.append((keep, self._pool.size, [encoded for encoded, *_ in outputs]))
+        return outputs
+
+    def spying_send(conn, terms, message):
+        if os.getpid() == driver and message[0] in ("map", "final"):
+            pool = engine.ctx.executor_backend._pool
+            commands.append((pool.conns.index(conn), pool.size, message))
+        send(conn, terms, message)
+
+    monkeypatch.setattr(ParallelBackend, "_run_stage", spying_stage)
+    monkeypatch.setattr(parallel_module, "_send", spying_send)
+    graph = LubmGenerator(num_universities=5, seed=42).generate()
+    engine = build_engine("SPARQLGX", graph, backend="parallel", workers=2, parallelism=8)
+    with open(SNOWFLAKE) as handle:
+        query = parse_sparql(handle.read())
+    serial = build_engine("SPARQLGX", graph, parallelism=8)
+    assert engine.execute(query).rows == serial.execute(query).rows
+    assert len(maps) == 8 and all(keep for keep, _size, _outputs in maps)
+    received = kept = 0
+    for _keep, size, outputs in maps:
+        for map_index, encoded in enumerate(outputs):
+            for index, entry in enumerate(encoded):
+                if index % size == map_index % size:
+                    assert type(entry) is not bytes
+                    kept += entry is not None
+                else:
+                    received += type(entry) is bytes
+    assert kept and received
+    sent = 0
+    for worker_id, size, command in commands:
+        for _shuffle_id, blocks in command[3]:
+            for index, bucket in enumerate(blocks):
+                assert (bucket is not None) == (index % size == worker_id)
+                sent += sum(type(entry) is bytes for entry in bucket or ())
+    assert sent == received
+
+
+def shared_shuffle_jobs(ctx, between):
+    """Two jobs over one join: its two shuffles run in the first, and the
+    second reads them again after *between* ran."""
+    left = ctx.parallelize([(i % 5, i) for i in range(40)], 4)
+    right = ctx.parallelize([(i % 5, -i) for i in range(20)], 3)
+    joined = left.join(right, 4)
+    first = joined.collect()
+    between(ctx)
+    second = joined.map(lambda kv: (kv[0], kv[1][0] + kv[1][1])).collect()
+    return first, second
+
+
+@needs_fork
+def test_a_later_job_fetches_what_the_workers_kept():
+    serial = SparkContext(4)
+    expected = shared_shuffle_jobs(serial, lambda ctx: None)
+    sc = SparkContext(4, backend="parallel", workers=2)
+    fetched = []
+
+    def note_held(ctx):
+        pool = ctx.executor_backend._pool
+        fetched.extend(shuffled.id for shuffled in pool.held_shuffles())
+
+    assert shared_shuffle_jobs(sc, note_held) == expected
+    assert len(fetched) == 2 and not sc.executor_backend._pool.held
+    assert dict(sc.metrics.snapshot()) == dict(serial.metrics.snapshot())
+
+
+@needs_fork
+def test_a_worker_killed_between_jobs_that_share_a_shuffle(process_starts):
+    """A pool that dies takes what its workers kept with it: the next
+    job finds the shuffles unresolved and runs them again from lineage
+    on a fresh pool -- charged again, as Spark charges a map stage re-run
+    after a fetch failure -- and answers as the oracle does."""
+    serial = SparkContext(4)
+    expected = shared_shuffle_jobs(serial, lambda ctx: None)
+
+    def kill_a_worker(ctx):
+        assert len(ctx.executor_backend._pool.held) == 2
+        os.kill(process_starts[0], signal.SIGKILL)
+        while process_starts[0] in live_children():
+            time.sleep(0.01)
+
+    sc = SparkContext(4, backend="parallel", workers=2)
+    assert shared_shuffle_jobs(sc, kill_a_worker) == expected
+    assert len(process_starts) == 4
+    assert sc.metrics.get("shuffle_records") == 2 * serial.metrics.get("shuffle_records")
+    assert_nothing_left_behind(process_starts[:2])
+
+
+@needs_fork
+def test_kept_fragments_go_with_the_first_command_after_their_shuffle(monkeypatch):
+    sc = SparkContext(4, backend="parallel", workers=2)
+    drops = []
+    send = parallel_module._send
+    driver = os.getpid()
+
+    def spying_send(conn, terms, message):
+        if os.getpid() == driver and message[0] in ("map", "final"):
+            drops.append(message[7])
+        send(conn, terms, message)
+
+    monkeypatch.setattr(parallel_module, "_send", spying_send)
+    joined = sc.parallelize([(i % 5, i) for i in range(40)], 4).join(
+        sc.parallelize([(i % 5, -i) for i in range(20)], 4)
+    )
+    joined.collect()
+    pool = sc.executor_backend._pool
+    held = sorted(pool.held)
+    assert len(held) == 2 and not any(drops)
+    del joined
+    gc.collect()
+    assert sc.parallelize(list(range(8)), 4).map(abs).collect() == list(range(8))
+    assert drops[-2:] == [held, held] and not pool.held

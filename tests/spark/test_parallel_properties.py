@@ -9,7 +9,7 @@ builds.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.rdf.terms import URI
 from repro.spark.context import SparkContext
@@ -100,3 +100,77 @@ def test_decoded_blocks_equal_the_serial_buckets(partitions, num_out, kind):
         assert len(forked._buckets.blocks[index]) == sum(
             bool(task_fragments[index]) for task_fragments in fragments
         )
+
+
+#: A lineage as a plan, built the same way on each backend's context:
+#: ``("leaf", records, partitions)`` or an operator over sub-plans.
+#: Every operator yields ``(small int, str)`` pairs, so any plan composes.
+leaf_plans = st.tuples(
+    st.just("leaf"),
+    st.lists(st.tuples(st.integers(0, 5), st.text("ab", max_size=2)), min_size=2, max_size=10),
+    st.integers(1, 5),
+)
+
+
+def operator_plans(children):
+    partitions = st.integers(1, 5)
+    return st.one_of(
+        st.tuples(st.just("partitionBy"), children, partitions),
+        st.tuples(st.sampled_from(["join", "leftOuterJoin"]), children, children, st.none() | partitions),
+        st.tuples(st.just("union"), children, children),
+        st.tuples(st.just("cartesian"), children, children),
+        st.tuples(st.just("reduceByKey"), children, partitions),
+        st.tuples(st.just("cache"), children),
+    )
+
+
+lineage_plans = st.recursive(leaf_plans, operator_plans, max_leaves=5)
+
+
+def build(plan, ctx):
+    """The RDD *plan* describes on *ctx*.  A cached node is collected
+    once as it is built -- its own job -- so that later stages read it
+    from the cache on both backends."""
+    kind, args = plan[0], plan[1:]
+    if kind == "leaf":
+        records, partitions = args
+        return ctx.parallelize(records, partitions)
+    if kind == "partitionBy":
+        return build(args[0], ctx).partitionBy(HashPartitioner(args[1]))
+    if kind in ("join", "leftOuterJoin"):
+        left, right, partitions = args
+        joined = getattr(build(left, ctx), kind)(build(right, ctx), partitions)
+        return joined.map(lambda kv: (kv[0], repr(kv[1])))
+    if kind == "union":
+        return build(args[0], ctx).union(build(args[1], ctx))
+    if kind == "cartesian":
+        pairs = build(args[0], ctx).cartesian(build(args[1], ctx))
+        return pairs.map(lambda ab: ((ab[0][0] + ab[1][0]) % 6, ab[0][1] + ab[1][1]))
+    if kind == "reduceByKey":
+        return build(args[0], ctx).reduceByKey(min, args[1])
+    cached = build(args[0], ctx).cache()
+    cached.collect()
+    return cached
+
+
+JOIN = ("join", ("leaf", [(i % 4, "a") for i in range(9)], 5), ("leaf", [(i % 3, "b") for i in range(7)], 3), 4)
+
+
+@given(plan=lineage_plans, workers=st.sampled_from([1, 2, 3]))
+@example(plan=JOIN, workers=3)
+@example(plan=("union", ("cache", JOIN), ("partitionBy", JOIN, 3)), workers=2)
+@settings(max_examples=40, deadline=None)
+def test_random_lineages_answer_and_charge_as_the_oracle(plan, workers):
+    """Shuffles read aligned keep a worker's own fragments in the worker;
+    a later job (the second ``collect()``, or one over a cached node)
+    fetches them first.  Neither is visible: over random lineages, with
+    partition counts the worker count need not divide, every answer and
+    every counter is the in-process backend's."""
+    runs = []
+    for backend in ({}, {"backend": "parallel", "workers": workers}):
+        ctx = SparkContext(4, **backend)
+        root = build(plan, ctx)
+        answers = [root.collect(), root.collect()]
+        charged = {name: value for name, value in ctx.metrics.snapshot() if value}
+        runs.append((repr(answers), charged))
+    assert runs[1] == runs[0]

@@ -194,6 +194,49 @@ class TestCli:
         assert err.startswith("error: cannot parse RDF file")
         assert "line 1: bad escape \\u0020" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("escape", [r"\q", r"\u12"])
+    def test_an_unknown_escape_in_n_triples_exits_2_naming_the_line(
+        self, tmp_path, capsys, escape
+    ):
+        """Regression: ``\\q`` and a short ``\\u12`` were kept as written."""
+        path = tmp_path / "escapes.nt"
+        path.write_text(
+            "<http://x/s> <http://x/p> <http://x/o> .\n"
+            '<http://x/s> <http://x/p> "a%s" .\n' % escape
+        )
+        assert main(["query", str(path), "SELECT ?s WHERE { ?s ?p ?o }"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse RDF file")
+        assert ": line 2: bad escape %s: neither ECHAR nor UCHAR" % escape in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("escape", [r"\q", r"\u12"])
+    def test_an_unknown_escape_in_turtle_exits_2_naming_the_line(
+        self, tmp_path, capsys, escape
+    ):
+        path = tmp_path / "escapes.ttl"
+        path.write_text(
+            "@prefix x: <http://x/> .\n"
+            "x:s x:p x:o ;\n"
+            '    x:q "a%s" .\n' % escape
+        )
+        assert main(["query", str(path), "SELECT ?s WHERE { ?s ?p ?o }"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse RDF file")
+        assert ": line 3: bad escape %s: neither ECHAR nor UCHAR" % escape in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("escape", [r"\q", r"\u12"])
+    def test_an_unknown_escape_in_sparql_exits_2_naming_the_position(
+        self, tmp_path, capsys, escape
+    ):
+        path = tmp_path / "one.nt"
+        path.write_text("<http://x/s> <http://x/p> <http://x/o> .\n")
+        query = 'SELECT ?s WHERE { ?s ?p "a%s" }' % escape
+        assert main(["query", str(path), query]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad escape %s: neither ECHAR nor UCHAR at position 24\n" % escape
+
     @pytest.mark.parametrize("suffix", [".nt", ".ttl"])
     def test_an_iri_with_a_raw_space_exits_2_naming_the_line(
         self, tmp_path, capsys, suffix
