@@ -194,7 +194,20 @@ def cmd_query(args) -> int:
 
     config = _config_from_args(RuntimeConfig, args)
     engine = config.engine(args.engine, load_graph(args.data))
-    run = engine.measure(_read_query_arg(args.query), trace=bool(args.trace))
+    text = _read_query_arg(args.query)
+    try:
+        run = engine.measure(text, trace=bool(args.trace))
+    except Exception as exc:
+        code = _report_typed(exc)
+        if code is not None:
+            return code
+        # Anything else is a fault of the engine's own: one line, exit 3.
+        print(
+            "error: %s raised %s: %s"
+            % (engine.profile.name, type(exc).__name__, exc),
+            file=sys.stderr,
+        )
+        return 3
     result, cost, sc = run.answer, run.cost, engine.ctx
     if args.trace:
         from repro.explain import run_record, write_trace_file
@@ -1080,8 +1093,8 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _raised(*names: str) -> tuple:
-    """The typed errors called *names* (``module.Class``) for an
-    ``except`` clause, read when a failure is being handled.  A class
+    """The typed errors called *names* (``module.Class``), for an
+    ``isinstance`` test, read when a failure is being handled.  A class
     whose module was never imported is left out -- nothing can have
     raised it -- so no subsystem is loaded merely to name its errors.
     """
@@ -1093,30 +1106,33 @@ def _raised(*names: str) -> tuple:
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except _raised("repro.analysis.closures.ClosureAnalysisError") as exc:
+def _report_typed(exc: Exception) -> Optional[int]:
+    """Report a typed error on stderr, in a line or two, and return its
+    exit code; None, reporting nothing, for any other exception."""
+    closure = _raised("repro.analysis.closures.ClosureAnalysisError")
+    if isinstance(exc, closure):
         print("error: closure rejected at job submission:", file=sys.stderr)
         print(str(exc), file=sys.stderr)
         return 4
-    except _raised("repro.shacl.shapes.ShaclError") as exc:
+    if isinstance(exc, _raised("repro.shacl.shapes.ShaclError")):
         print("error: bad shapes file: %s" % exc, file=sys.stderr)
         return 2
-    except _raised("repro.spark.faults.FaultSpecError") as exc:
+    if isinstance(exc, _raised("repro.spark.faults.FaultSpecError")):
         print("error: invalid --faults spec: %s" % exc, file=sys.stderr)
         return 2
-    except (
-        RuntimeConfigError,
-        *_raised(
-            "repro.sparql.tokenizer.SparqlParseError",
-            "repro.systems.base.UnsupportedQueryError",
+    if isinstance(
+        exc,
+        (
+            RuntimeConfigError,
+            *_raised(
+                "repro.sparql.tokenizer.SparqlParseError",
+                "repro.systems.base.UnsupportedQueryError",
+            ),
         ),
-    ) as exc:
+    ):
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except _raised("repro.spark.faults.TaskFailedError") as exc:
+    if isinstance(exc, _raised("repro.spark.faults.TaskFailedError")):
         print("error: %s" % exc, file=sys.stderr)
         print(
             "the fault schedule exhausted --max-task-attempts; raise the "
@@ -1124,11 +1140,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 3
-    except _raised("repro.spark.parallel.WorkerCrashError") as exc:
+    if isinstance(exc, _raised("repro.spark.parallel.WorkerCrashError")):
         # The first line names the worker and how it ended; the rest is
         # the worker's own traceback, when it lived to send one.
         print("error: %s" % str(exc).splitlines()[0], file=sys.stderr)
         return 3
+    return None
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
     except BrokenPipeError:
         # Output piped into a closed reader (e.g. `| head`): not an error.
         try:
@@ -1136,6 +1159,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         except Exception:
             pass
         return 0
+    except Exception as exc:
+        code = _report_typed(exc)
+        if code is None:
+            raise
+        return code
 
 
 if __name__ == "__main__":

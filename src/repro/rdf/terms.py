@@ -256,7 +256,12 @@ class Literal(Term):
         if isinstance(value, bool):
             return (0, int(value), "")
         if isinstance(value, (int, float)):
-            return (1, float(value), "")
+            value = float(value)
+            if value != value:
+                # NaN equals nothing, itself included: it goes after
+                # +inf, so that any two keys compare and a sort is total.
+                return (1, _INF, "NaN")
+            return (1, value, "")
         return (2, 0.0, self.lexical)
 
     def __eq__(self, other: object) -> bool:
@@ -294,6 +299,8 @@ _XSD_FLOAT = URI(_XSD + "float")
 _XSD_DECIMAL = URI(_XSD + "decimal")
 _XSD_BOOLEAN = URI(_XSD + "boolean")
 _XSD_STRING = URI(_XSD + "string")
+
+_INF = float("inf")
 
 
 # -- Term syntax ---------------------------------------------------------

@@ -455,6 +455,19 @@ class QueryService:
             outcome.error = str(exc)
             self.metrics.record_completion(0, 0)
             return outcome
+        except Exception as exc:
+            # A fault of the engine's own: this request fails, the service
+            # does not.  The slot's state is unknown, so it is built anew
+            # at the served head.
+            outcome.status = "error"
+            outcome.error = "%s raised %s: %s" % (
+                engine_label,
+                type(exc).__name__,
+                exc,
+            )
+            self.metrics.record_completion(0, 0)
+            self.pool[worker] = self._build_worker()
+            return outcome
         finally:
             ctx.set_deadline(None)
         spent = cost_units(run.cost)

@@ -168,7 +168,12 @@ def _call(expr: FunctionCall, solution: Solution) -> Term:
         flags = 0
         if len(values) == 3 and "i" in _string_value(values[2]):
             flags = re.IGNORECASE
-        return Literal(re.search(pattern, text, flags) is not None)
+        try:
+            return Literal(re.search(pattern, text, flags) is not None)
+        except re.error as exc:
+            # An invalid pattern is an expression error: the row fails
+            # the FILTER, as any other error does.
+            raise FilterEvalError("invalid REGEX pattern: %s" % exc) from exc
     if name in ("ISIRI", "ISURI"):
         return Literal(isinstance(values[0], URI))
     if name == "ISLITERAL":

@@ -17,7 +17,7 @@ Mechanics reproduced from Section IV-A1 of the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.dimensions import (
     Contribution,
@@ -45,6 +45,75 @@ from repro.systems.base import (
     compile_pattern,
     fold_joins,
 )
+
+
+#: One store record: a triple's (subject, object).
+Pair = Tuple[Term, Term]
+
+
+def _pair_key(pair: Pair) -> tuple:
+    """A record's place in its store: subject, then object, by sort key;
+    objects whose keys tie (``"1"^^xsd:int`` and ``"1.0"^^xsd:double``,
+    ``"chat"@en`` and ``"chat"@fr``) go by N3 text, so the order is the
+    graph's alone, whatever order its index was filled in."""
+    return (pair[0].sort_key(), pair[1].sort_key(), pair[1].n3())
+
+
+def _sorted_pairs(objects, subject_keys: Dict[Term, tuple]) -> List[Pair]:
+    """One predicate's (s, o) pairs, from its object -> subjects index, in
+    :func:`_pair_key` order.  A pair's key is taken once (a subject's at
+    most once per *subject_keys*); N3 text is read only when two objects'
+    keys tie."""
+    pairs, keys = [], []
+    object_keys = set()
+    for obj, subjects in objects.items():
+        object_key = obj.sort_key()
+        object_keys.add(object_key)
+        for subject in subjects:
+            subject_key = subject_keys.get(subject)
+            if subject_key is None:
+                subject_key = subject_keys[subject] = subject.sort_key()
+            pairs.append((subject, obj))
+            keys.append((subject_key, object_key))
+    if len(object_keys) < len(objects):
+        order = sorted(
+            range(len(pairs)),
+            key=lambda index: (keys[index], pairs[index][1].n3()),
+        )
+    else:
+        order = sorted(range(len(pairs)), key=keys.__getitem__)
+    return [pairs[index] for index in order]
+
+
+def _position(pairs: List[Pair], pair: Pair) -> int:
+    """Where *pair* is, or would go, in the :func:`_pair_key`-sorted
+    *pairs* (``bisect_left``'s ``key=`` needs Python 3.10)."""
+    key = _pair_key(pair)
+    low, high = 0, len(pairs)
+    while low < high:
+        middle = (low + high) // 2
+        if _pair_key(pairs[middle]) < key:
+            low = middle + 1
+        else:
+            high = middle
+    return low
+
+
+def _merge(pairs: List[Pair], removed: List[Pair], added: List[Pair]) -> bool:
+    """Bisect each removed pair out of, and each added pair into, the
+    :func:`_pair_key`-sorted *pairs*, in place.  False, with *pairs* half
+    merged, when a removed pair is not where the order puts it: the
+    store did not hold it, or is not in that order."""
+    for pair in removed:
+        index = _position(pairs, pair)
+        if index == len(pairs) or pairs[index] != pair:
+            return False
+        del pairs[index]
+    for pair in added:
+        index = _position(pairs, pair)
+        if index == len(pairs) or pairs[index] != pair:
+            pairs.insert(index, pair)
+    return True
 
 
 class SparqlgxEngine(SparkRdfEngine):
@@ -83,49 +152,39 @@ class SparqlgxEngine(SparkRdfEngine):
     def _build(self, graph: RDFGraph) -> None:
         self.vp_tables: Dict[Term, RDD] = {}
         self.vp_sizes: Dict[Term, int] = {}
-        self._build_stores(graph, graph.by_predicate())
-
-    def _build_stores(self, graph: RDFGraph, predicates) -> int:
-        """(Re)build the stores of *predicates*; returns records written."""
         # One "file" (RDD) per predicate, holding (s, o) pairs only, read
-        # off the graph's predicate -> object -> subjects index and sorted
-        # by the terms' sort keys, each key taken once per term.
+        # off the graph's predicate -> object -> subjects index; a
+        # subject's sort key is taken once for all its stores.
         by_predicate = graph.by_predicate()
-        sort_keys: Dict[Term, tuple] = {}
-        written = 0
-        for predicate in sorted(predicates, key=Term.sort_key):
-            pairs, keys = [], []
-            for obj, subjects in by_predicate.get(predicate, {}).items():
-                object_key = obj.sort_key()
-                for subject in subjects:
-                    subject_key = sort_keys.get(subject)
-                    if subject_key is None:
-                        subject_key = sort_keys[subject] = subject.sort_key()
-                    pairs.append((subject, obj))
-                    keys.append((subject_key, object_key))
-            if not pairs:
-                # Its last triple was deleted: the file goes.
-                self.vp_tables.pop(predicate, None)
-                self.vp_sizes.pop(predicate, None)
-                continue
-            order = sorted(range(len(pairs)), key=keys.__getitem__)
-            self.vp_tables[predicate] = self.ctx.parallelize(
-                [pairs[index] for index in order]
-            ).cache()
-            self.vp_sizes[predicate] = len(pairs)
-            written += len(pairs)
+        subject_keys: Dict[Term, tuple] = {}
+        for predicate in sorted(by_predicate, key=Term.sort_key):
+            self._store(
+                predicate, _sorted_pairs(by_predicate[predicate], subject_keys)
+            )
+        self._count(graph)
 
+    def _store(self, predicate: Term, pairs: List[Pair]) -> int:
+        """Make *pairs* the store of *predicate*; returns records written."""
+        if not pairs:
+            # Its last triple was deleted: the file goes.
+            self.vp_tables.pop(predicate, None)
+            self.vp_sizes.pop(predicate, None)
+            return 0
+        self.vp_tables[predicate] = self.ctx.parallelize(pairs).cache()
+        self.vp_sizes[predicate] = len(pairs)
+        return len(pairs)
+
+    def _count(self, graph: RDFGraph) -> None:
         # The statistics the survey says SPARQLGX counts -- partition
         # sizes above, and the distinct subjects, predicates and objects
         # -- are sizes of the graph's own indexes: the numbers a
         # StatsCatalog holds, by definition, with no statistics pass.
         self.stats = {
             "distinct_subjects": len(graph.by_subject()),
-            "distinct_predicates": len(by_predicate),
+            "distinct_predicates": len(graph.by_predicate()),
             "distinct_objects": len(graph.by_object()),
             "triples": len(graph),
         }
-        return written
 
     def __copy__(self) -> "SparqlgxEngine":
         # apply_delta rewrites the two maps in place: a copy gets its own,
@@ -139,10 +198,34 @@ class SparqlgxEngine(SparkRdfEngine):
 
     def apply_delta(self, delta, graph: RDFGraph) -> int:
         # Vertical partitioning localizes a change to the predicate
-        # files it touches; every other store keeps its cached RDD.
-        return self._build_stores(
-            graph, {t.predicate for t in (*delta.added, *delta.removed)}
-        )
+        # files it touches; every other store keeps its cached RDD.  A
+        # touched store is the old one with the delta's pairs merged in.
+        # A delta pair costs the merge about log2(n) bisection steps; an
+        # enumeration costs about two steps' time per pair of the store
+        # (timed, EXPERIMENTS.md COMMIT-DELTA).  So a new store, or a
+        # delta of more than 2n / log2(n) pairs, is enumerated afresh,
+        # into the same order (_pair_key is total); so is a store the
+        # merge finds out of that order.
+        changes: Dict[Term, Tuple[List[Pair], List[Pair]]] = {}
+        for side, triples in enumerate((delta.removed, delta.added)):
+            for triple in triples:
+                changes.setdefault(triple.predicate, ([], []))[side].append(
+                    (triple.subject, triple.object)
+                )
+        by_predicate = graph.by_predicate()
+        written = 0
+        for predicate in sorted(changes, key=Term.sort_key):
+            removed, added = changes[predicate]
+            size = self.vp_sizes.get(predicate, 0)
+            changed = len(removed) + len(added)
+            pairs = None
+            if size and changed * size.bit_length() <= 2 * size:
+                pairs = self.vp_tables[predicate].items()
+            if pairs is None or not _merge(pairs, removed, added):
+                pairs = _sorted_pairs(by_predicate.get(predicate, {}), {})
+            written += self._store(predicate, pairs)
+        self._count(graph)
+        return written
 
     # ------------------------------------------------------------------
 

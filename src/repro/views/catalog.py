@@ -358,30 +358,35 @@ class ViewCatalog:
         *delta* is a :class:`~repro.evolution.versioned.Delta` (or any
         object with ``added``/``removed`` triple tuples), *graph* the
         **post-commit** head, *version* the new graph version.  Views
-        whose predicates the delta does not touch are not visited.
+        whose predicates the delta does not touch are not visited.  The
+        delta is walked once: each view reads its predicates' triples
+        and join values from the walk's groups, not from the delta.
         """
         report = MaintenanceReport()
-        touched: Dict[str, bool] = {}
-        for triple in list(delta.added) + list(delta.removed):
-            touched[triple.predicate.n3()] = True
+        walk = _DeltaWalk(delta)
         affected = sorted(
             key
             for key in self.views
-            if key[1] in touched or key[2] in touched
+            if key[1] in walk.touched or key[2] in walk.touched
         )
         terms = _predicate_terms(graph)
         # Post-commit partition sizes, counted from the index once per
-        # predicate; one the head no longer carries is absent (size 0).
-        sizes = {n3: graph.predicate_count(term) for n3, term in terms.items()}
+        # predicate an affected view names; one the head no longer
+        # carries is absent (size 0).
+        sizes: Dict[str, int] = {}
+        for key in affected:
+            for n3 in key[1:]:
+                if n3 not in sizes:
+                    term = terms.get(n3)
+                    sizes[n3] = graph.predicate_count(term) if term else 0
         for key in affected:
             view = self.views[key]
             report.views_affected += 1
             report.cost_units += self._maintain_view(
-                view, delta, graph, terms, report
+                view, walk, graph, terms, report
             )
-            p1_count = sizes.get(key[1], 0)
-            p2_count = sizes.get(key[2], 0)
-            report.rebuild_cost_units += p1_count + p2_count
+            p1_count = sizes[key[1]]
+            report.rebuild_cost_units += p1_count + sizes[key[2]]
             view.version = version
             view.factor = (
                 round(len(view) / p1_count, 6) if p1_count else 0.0
@@ -392,7 +397,7 @@ class ViewCatalog:
     def _maintain_view(
         self,
         view: MaterializedView,
-        delta,
+        walk: "_DeltaWalk",
         graph: RDFGraph,
         terms: Dict[str, Term],
         report: MaintenanceReport,
@@ -403,16 +408,12 @@ class ViewCatalog:
         p2_term = terms.get(p2_n3)
         cost = 0
         # Step 1: deleted p1 triples leave the view.
-        for triple in delta.removed:
-            if triple.predicate.n3() != p1_n3:
-                continue
+        for triple in walk.removed.get(p1_n3, ()):
             cost += 1
             if view._remove_row((triple.subject, triple.object)):
                 report.rows_removed += 1
         # Step 2: added p1 triples join iff their value survives in B_new.
-        for triple in delta.added:
-            if triple.predicate.n3() != p1_n3:
-                continue
+        for triple in walk.added.get(p1_n3, ()):
             cost += 1
             value = triple.subject if view.column1 == "s" else triple.object
             if p2_term is not None and _has_p_with_value(
@@ -423,7 +424,7 @@ class ViewCatalog:
         # Steps 3 and 4: p2-side membership changes.  Values are probed
         # against the post-commit graph, so a value both added and
         # removed within one commit resolves to its final membership.
-        for value in _delta_values(delta.removed, p2_n3, view.column2):
+        for value in walk.values(walk.removed, p2_n3, view.column2):
             cost += 1
             if p2_term is not None and _has_p_with_value(
                 graph, p2_term, view.column2, value
@@ -433,7 +434,7 @@ class ViewCatalog:
                 cost += 1
                 if view._remove_row(row):
                     report.rows_removed += 1
-        for value in _delta_values(delta.added, p2_n3, view.column2):
+        for value in walk.values(walk.added, p2_n3, view.column2):
             cost += 1
             if p1_term is None:
                 continue
@@ -481,12 +482,36 @@ class ViewCatalog:
         )
 
 
-def _delta_values(triples, predicate_n3: str, column: str) -> List[Term]:
-    """Distinct join-column values of delta triples carrying the predicate,
-    sorted by N3 text for a deterministic probe order."""
-    values: Dict[Term, None] = {}
+class _DeltaWalk:
+    """One commit's delta, walked once: its removed and added triples by
+    predicate N3 text (in delta order), and each group's distinct
+    join-column values, sorted by N3 text for a deterministic probe
+    order, read once per (predicate, column) however many views ask."""
+
+    def __init__(self, delta) -> None:
+        self.removed = _by_predicate(delta.removed)
+        self.added = _by_predicate(delta.added)
+        self.touched = self.removed.keys() | self.added.keys()
+        self._values: Dict[Tuple[int, str, str], List[Term]] = {}
+
+    def values(self, groups, predicate_n3: str, column: str) -> List[Term]:
+        """The *column* values of the triples carrying *predicate_n3* in
+        *groups* (:attr:`removed` or :attr:`added`)."""
+        key = (id(groups), predicate_n3, column)
+        values = self._values.get(key)
+        if values is None:
+            distinct = dict.fromkeys(
+                triple.subject if column == "s" else triple.object
+                for triple in groups.get(predicate_n3, ())
+            )
+            values = self._values[key] = sorted(
+                distinct, key=lambda term: term.n3()
+            )
+        return values
+
+
+def _by_predicate(triples) -> Dict[str, List]:
+    groups: Dict[str, List] = {}
     for triple in triples:
-        if triple.predicate.n3() != predicate_n3:
-            continue
-        values[triple.subject if column == "s" else triple.object] = None
-    return sorted(values, key=lambda term: term.n3())
+        groups.setdefault(triple.predicate.n3(), []).append(triple)
+    return groups

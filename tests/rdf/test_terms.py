@@ -105,6 +105,20 @@ class TestOrdering:
     def test_comparison_with_non_term(self):
         assert URI("http://a").__lt__(42) is NotImplemented
 
+    def test_nan_sorts_after_every_number_in_any_input_order(self):
+        # float("nan") compares with nothing: a key holding it would
+        # leave a sort in its input order.
+        doubles = [
+            Literal(text, datatype=XSD.double)
+            for text in ("2", "NaN", "1", "INF", "-INF")
+        ]
+        want = ["-INF", "1", "2", "INF", "NaN"]
+        for order in (doubles, doubles[::-1], doubles[2:] + doubles[:2]):
+            assert [t.lexical for t in sorted(order)] == want
+        nan = Literal("NaN", datatype=XSD.double)
+        assert nan.sort_key() == Literal("NaN", datatype=XSD.float).sort_key()
+        assert nan.sort_key() < Literal("a").sort_key()
+
 
 # Text that exercises str hashing beyond ASCII, and the empty literal.
 texts = st.text(max_size=12)

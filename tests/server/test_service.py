@@ -328,6 +328,41 @@ class TestErrorStatuses:
         assert "BGP" in outcome.error
 
 
+BAD_REGEX_QUERY = 'SELECT ?s WHERE { ?s ?p ?o FILTER(REGEX(STR(?s), "(")) }'
+
+
+class TestRequestBoundary:
+    """One request's failure is its own response, never the service's."""
+
+    def test_invalid_regex_answers_no_rows(self, service):
+        outcome = service.submit(QueryRequest(text=BAD_REGEX_QUERY))
+        assert outcome.status == "ok"
+        assert json.loads(outcome.payload)["rows"] == []
+
+    def test_engine_error_is_one_response_and_the_slot_is_rebuilt(
+        self, lubm_graph
+    ):
+        expected = QueryService(lubm_graph, engine="SPARQLGX", pool_size=1)
+        expected = expected.submit(QueryRequest(text=MEMBER_QUERY))
+        service = QueryService(lubm_graph, engine="SPARQLGX", pool_size=1)
+        broken = service.pool[0]
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        broken.measure = explode
+        outcome = service.submit(QueryRequest(text=MEMBER_QUERY, id="x"))
+        assert (outcome.status, outcome.id) == ("error", "x")
+        assert outcome.error == "SPARQLGX raised RuntimeError: boom"
+        assert outcome.result is None
+        assert service.pool[0] is not broken
+        # No answer was cached (the parse was): the rebuilt slot runs the
+        # query and answers what a fresh service does.
+        again = service.submit(QueryRequest(text=MEMBER_QUERY))
+        assert (again.status, again.cache) == ("ok", "plan")
+        assert again.payload == expected.payload
+
+
 class TestFaultIntegration:
     def test_answers_survive_fault_schedule(self, lubm_graph):
         clean = QueryService(lubm_graph, pool_size=1).submit(

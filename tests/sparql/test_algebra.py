@@ -190,6 +190,15 @@ class TestFilterBuiltins:
         )
         assert len(result) == 1
 
+    def test_invalid_regex_pattern_fails_the_row(self, data):
+        # An unbalanced "(" is an expression error, not a crash: every
+        # row fails the FILTER, and NOT of an error is still an error.
+        for text in (
+            'SELECT ?s WHERE { ?s a ?t . FILTER REGEX(STR(?s), "(") }',
+            'SELECT ?s WHERE { ?s a ?t . FILTER(!REGEX(STR(?s), "(")) }',
+        ):
+            assert len(run(data, text)) == 0
+
     def test_bound_in_optional(self, data):
         result = run(
             data,

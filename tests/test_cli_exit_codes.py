@@ -8,8 +8,9 @@ code  meaning
 0     success; ``lint`` found nothing
 2     unusable inputs (bad spec, unknown engine, unreadable file,
       unwritable output path, malformed or unsupported query)
-3     a fault schedule exhausted ``--max-task-attempts``, or a
-      parallel worker process crashed
+3     a fault schedule exhausted ``--max-task-attempts``, a
+      parallel worker process crashed, or an engine raised an error
+      of its own
 4     ``lint`` found warnings only
 5     ``lint`` found errors
 ====  ==========================================================
@@ -31,6 +32,7 @@ from repro.rdf.ntriples import save_ntriples_file
 from repro.spark import parallel as parallel_module
 from repro.spark import rdd as rdd_module
 from repro.spark.parallel import parallel_available
+from repro.systems.sparqlgx import SparqlgxEngine
 
 CLEAN_QUERY = (
     "PREFIX lubm: <http://repro.example.org/lubm#>"
@@ -44,6 +46,8 @@ STAR_QUERY = (
     "PREFIX lubm: <http://repro.example.org/lubm#>"
     " SELECT ?s ?n WHERE { ?s lubm:memberOf ?d . ?s lubm:name ?n }"
 )
+# An unbalanced REGEX pattern: every row fails the FILTER.
+BAD_REGEX_QUERY = 'SELECT ?s WHERE { ?s ?p ?o FILTER(REGEX(STR(?s), "(")) }'
 # Legal SPARQL with no WHERE clause: shape ``empty``, as ``ASK {}``.
 DESCRIBE_QUERY = "DESCRIBE <http://repro.example.org/lubm#Department0_0>"
 # Two patterns, default broadcast threshold raised over the dataset
@@ -139,6 +143,11 @@ def build_cases():
             3,
         ),
         (
+            "ok-query-invalid-regex",
+            lambda d, t: ["query", d, BAD_REGEX_QUERY],
+            0,
+        ),
+        (
             "lint-warnings",
             lambda d, t: ["lint", STAR_QUERY, "--data", d] + WARNING_ARGS,
             4,
@@ -174,6 +183,27 @@ def test_exit_code(argv_builder, expected, data_file, tmp_path, capsys):
     code = main(argv_builder(data_file, tmp_path))
     capsys.readouterr()
     assert code == expected
+
+
+def test_invalid_regex_answers_no_rows(data_file, capsys):
+    assert main(["query", data_file, BAD_REGEX_QUERY]) == 0
+    captured = capsys.readouterr()
+    assert "\n0 solution(s)\n" in captured.out
+    assert captured.err == ""
+
+
+def test_engine_fault_is_one_error_line(data_file, capsys, monkeypatch):
+    """An error none of the typed ones names, raised inside an engine:
+    exit 3 and one ``error:`` line naming the engine and the error."""
+
+    def explode(self, plan):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(SparqlgxEngine, "_evaluate_bgp", explode)
+    assert main(["query", data_file, CLEAN_QUERY]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SPARQLGX raised RuntimeError: boom\n"
 
 
 ADVISOR_CONSTRUCT = (

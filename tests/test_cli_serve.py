@@ -29,6 +29,30 @@ def write_requests(tmp_path, lines):
 
 
 class TestServe:
+    def test_invalid_regex_line_is_answered_and_the_next_one_too(
+        self, data_file, tmp_path, capsys
+    ):
+        requests = write_requests(
+            tmp_path,
+            [
+                {
+                    "id": "regex",
+                    "query": 'SELECT ?s WHERE { ?s ?p ?o '
+                    'FILTER(REGEX(STR(?s), "(")) }',
+                },
+                {"id": "next", "query": MEMBER_QUERY},
+            ],
+        )
+        assert main(["serve", data_file, "--input", requests]) == 0
+        regex, after = [
+            json.loads(line)
+            for line in capsys.readouterr().out.strip().splitlines()
+        ]
+        assert (regex["id"], regex["status"]) == ("regex", "ok")
+        assert json.loads(regex["result"])["rows"] == []
+        assert (after["id"], after["status"]) == ("next", "ok")
+        assert json.loads(after["result"])["rows"]
+
     def test_end_to_end_request_loop(self, data_file, tmp_path, capsys):
         requests = write_requests(
             tmp_path,
