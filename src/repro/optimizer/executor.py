@@ -5,19 +5,26 @@ The executor only asks an engine for what every engine already provides:
 the engine's own storage and partitioning (the same call the shared
 DESCRIBE path uses).  Everything after the leaf scans runs on the common
 RDD machinery, so the physical strategy the planner picked is charged to
-the simulated cluster's real counters:
+the simulated cluster's real counters.  :func:`run_steps` is the one join
+layer, for the optimizer's plans and for SPARQL-Hybrid's greedy policy
+(``HybridEngine._plan``), which alone emits ``hash``, ``colocated`` and
+``broadcast_accumulated``.
 
 ``shuffle`` / ``local``
     Both sides are keyed by the join variables and hash-joined.  The
     accumulated side stays *keyed and partitioned* between steps
     (``preserves_partitioning``), so a ``local`` step's
     ``partitionBy`` is a genuine no-op -- only the fresh side moves.
-``broadcast``
-    The fresh pattern's bindings are collected, broadcast
-    (``broadcast_bytes`` charged), and probed partition-locally on the
-    accumulated side without disturbing its keying or partitioning.
-``cartesian``
-    The nested-loop product, for disconnected BGPs.
+``broadcast`` / ``broadcast_accumulated``
+    The fresh pattern's (accumulated side's) bindings are collected,
+    broadcast (``broadcast_bytes`` charged), and probed partition-locally
+    by the other side without disturbing its keying or partitioning.
+``cartesian`` / ``hash``
+    ``hash_join_bindings``: the product (no shared variable) or the keyed
+    hash join, leaving plain bindings.
+``colocated``
+    Both sides keyed by their one shared subject and placed as the store
+    places subjects: bindings still where the store put them stay put.
 
 Tracing: when the context's tracer is on, every step emits a ``bgp_step``
 span (name = strategy) carrying ``est_rows`` and, because the step's
@@ -27,16 +34,18 @@ q-error accounting (:func:`collect_q_errors`) and EXPLAIN read.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.spark.kernels import comprehension
+from repro.spark.partitioner import HashPartitioner
 from repro.spark.rdd import RDD
 from repro.spark.tracing import Span
 from repro.optimizer.planner import BgpPlan, JoinStep
 from repro.systems.base import (
     compile_pattern,
     hash_join_bindings,
-    key_bindings,
     keyer,
+    merge_joined,
 )
 
 Binding = Dict[str, object]
@@ -53,12 +62,6 @@ class _State:
         """The plain bindings view (drops keying, costs nothing extra)."""
         return self.rdd.values() if self.key is not None else self.rdd
 
-    def keyed_by(self, names: Tuple[str, ...]) -> RDD:
-        """The (key, binding) view for the given join variables."""
-        if self.key == names:
-            return self.rdd
-        return key_bindings(self.bindings(), names)
-
 
 def execute_plan(engine, plan: BgpPlan, view_catalog=None) -> RDD:
     """Run *plan* on *engine*, returning an RDD of bindings.
@@ -68,10 +71,21 @@ def execute_plan(engine, plan: BgpPlan, view_catalog=None) -> RDD:
     from the materialized ExtVP view instead of the engine's base
     representation (a ``view`` span records est/actual rows).
     """
-    ctx = engine.ctx
+    return run_steps(
+        engine.ctx,
+        plan.steps,
+        lambda step: _leaf_scan(engine, step, view_catalog),
+    )
+
+
+def run_steps(
+    ctx, steps: Sequence[JoinStep], scan: Callable[[JoinStep], RDD]
+) -> RDD:
+    """The bindings of *steps*, each step's pattern read by *scan* right
+    before its join (so RDDs are allocated in step order)."""
     tracer = ctx.tracer
     state: Optional[_State] = None
-    for step in plan.steps:
+    for step in steps:
         # The pattern repr is built only for a span.
         attrs = _step_attrs(step) if tracer.enabled else {}
         with tracer.span(
@@ -79,7 +93,7 @@ def execute_plan(engine, plan: BgpPlan, view_catalog=None) -> RDD:
             name=step.strategy,
             **attrs,
         ) as span:
-            state = _apply_step(engine, state, step, view_catalog)
+            state = _apply_step(ctx, state, step, scan(step))
             rows = tracer.materialize(state.rdd)
             if span is not None:
                 span.attrs["actual_rows"] = rows
@@ -100,16 +114,20 @@ def _step_attrs(step: JoinStep) -> Dict[str, object]:
 
 
 def _apply_step(
-    engine, state: Optional[_State], step: JoinStep, view_catalog=None
+    ctx, state: Optional[_State], step: JoinStep, fresh: RDD
 ) -> _State:
-    fresh = _leaf_scan(engine, step, view_catalog)
     if state is None:
         return _State(fresh)
-    if step.strategy == "cartesian":
-        return _State(hash_join_bindings(state.bindings(), fresh, ()))
-    if step.strategy == "broadcast":
-        return _broadcast_join(engine.ctx, state, fresh, step.shared)
-    return _partitioned_join(engine.ctx, state, fresh, step.shared)
+    strategy, shared = step.strategy, step.shared
+    if strategy in ("cartesian", "hash"):
+        return _State(hash_join_bindings(state.bindings(), fresh, shared))
+    if strategy == "broadcast":
+        return _broadcast_join(ctx, state, fresh, shared)
+    if strategy == "broadcast_accumulated":
+        return _broadcast_join(ctx, _State(fresh), state.bindings(), shared)
+    if strategy == "colocated":
+        return _colocated_join(ctx, state.bindings(), fresh, shared)
+    return _partitioned_join(ctx, state, fresh, shared)
 
 
 def _leaf_scan(engine, step: JoinStep, view_catalog) -> RDD:
@@ -157,8 +175,12 @@ def _partitioned_join(
 ) -> _State:
     """The shuffle hash join; a no-op shuffle on the accumulated side when
     it is already partitioned on *shared* (the planner's ``local`` case)."""
-    left = state.keyed_by(shared)
-    right = key_bindings(fresh, shared)
+    by_key = keyer(shared)
+    if state.key == shared:
+        left = state.rdd
+    else:
+        left = state.bindings().mapPartitions(by_key)
+    right = fresh.mapPartitions(by_key)
     joined = left.join(right, num_partitions=ctx.default_parallelism)
     merged = joined.mapPartitions(
         lambda part: [(key, {**l, **r}) for key, (l, r) in part],
@@ -167,20 +189,33 @@ def _partitioned_join(
     return _State(merged, key=shared)
 
 
-def _broadcast_join(
-    ctx, state: _State, fresh: RDD, shared: Tuple[str, ...]
+def _colocated_join(
+    ctx, accumulated: RDD, fresh: RDD, shared: Tuple[str, ...]
 ) -> _State:
-    """Broadcast the fresh side; probe the accumulated side in place."""
-    keyed_part = keyer(shared)
-    build: Dict[Tuple[object, ...], List[Binding]] = {}
-    for part in fresh._materialize():
-        for key, binding in keyed_part(part):
-            build.setdefault(key, []).append(binding)
-    bcast = ctx.broadcast(build)
-    metrics = ctx.metrics
-    keyed = state.key is not None
+    """Key both sides by the bare value of their one shared variable (a
+    1-tuple key would hash elsewhere) and place them as the store is."""
+    (name,) = shared
+    keyed = comprehension("key", "(b[%r], b)" % name, "b")
+    left, right = accumulated.mapPartitions(keyed), fresh.mapPartitions(keyed)
+    partitioner = HashPartitioner(ctx.default_parallelism)
+    placed = left.partitionBy(partitioner).join(right.partitionBy(partitioner))
+    return _State(merge_joined(placed))
 
-    def probe(part: List[object]) -> List[object]:
+
+def _broadcast_join(
+    ctx, probe: _State, build: RDD, shared: Tuple[str, ...]
+) -> _State:
+    """Broadcast *build*'s bindings; probe *probe*'s in place."""
+    keyed_part = keyer(shared)
+    hashed: Dict[Tuple[object, ...], List[Binding]] = {}
+    for part in build._materialize():
+        for key, binding in keyed_part(part):
+            hashed.setdefault(key, []).append(binding)
+    bcast = ctx.broadcast(hashed)
+    metrics = ctx.metrics
+    keyed = probe.key is not None
+
+    def probe_part(part: List[object]) -> List[object]:
         table = bcast.value
         out: List[object] = []
         comparisons = 0
@@ -197,8 +232,8 @@ def _broadcast_join(
         metrics.record_join(comparisons, len(part), len(out))
         return out
 
-    probed = state.rdd.mapPartitions(probe, preserves_partitioning=True)
-    return _State(probed, key=state.key)
+    probed = probe.rdd.mapPartitions(probe_part, preserves_partitioning=True)
+    return _State(probed, key=probe.key)
 
 
 # ----------------------------------------------------------------------

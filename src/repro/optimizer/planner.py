@@ -90,7 +90,8 @@ class JoinStep:
     index: int  # position in the original pattern list
     pattern: TriplePattern
     shared: Tuple[str, ...]  # join variables with the prefix (sorted)
-    strategy: str  # scan | broadcast | local | shuffle | cartesian
+    strategy: str  # scan | broadcast | local | shuffle | cartesian, or the
+    # hybrid policy's hash | colocated | broadcast_accumulated
     est_build: float  # estimated rows of this pattern's scan
     est_rows: float  # estimated rows after this step
     view: Optional[ViewChoice] = None  # substituted materialized view

@@ -242,11 +242,15 @@ class Literal(Term):
         return text
 
     def to_python(self):
-        """The literal as a Python value when the datatype is numeric/bool."""
-        if self.datatype == _XSD_INTEGER or self.datatype == _XSD_INT:
-            return int(self.lexical)
-        if self.datatype in (_XSD_DOUBLE, _XSD_DECIMAL, _XSD_FLOAT):
-            return float(self.lexical)
+        """The literal as a Python value when the datatype is numeric/bool;
+        None for a numeric datatype whose lexical form is not one."""
+        try:
+            if self.datatype == _XSD_INTEGER or self.datatype == _XSD_INT:
+                return int(self.lexical)
+            if self.datatype in (_XSD_DOUBLE, _XSD_DECIMAL, _XSD_FLOAT):
+                return float(self.lexical)
+        except ValueError:
+            return None
         if self.datatype == _XSD_BOOLEAN:
             return self.lexical == "true"
         return self.lexical
@@ -256,12 +260,14 @@ class Literal(Term):
         if isinstance(value, bool):
             return (0, int(value), "")
         if isinstance(value, (int, float)):
-            value = float(value)
+            # An int stays exact (no float() to overflow or round);
+            # Python compares it with a float exactly, and 1 == 1.0.
             if value != value:
                 # NaN equals nothing, itself included: it goes after
                 # +inf, so that any two keys compare and a sort is total.
                 return (1, _INF, "NaN")
             return (1, value, "")
+        # A string, or an ill-typed numeric: by its lexical text.
         return (2, 0.0, self.lexical)
 
     def __eq__(self, other: object) -> bool:

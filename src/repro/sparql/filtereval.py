@@ -43,6 +43,8 @@ def effective_boolean_value(term: Term) -> bool:
     """EBV per the spec: booleans, numbers (non-zero), strings (non-empty)."""
     if isinstance(term, Literal):
         value = term.to_python()
+        if value is None:  # an ill-typed numeric
+            return False
         if isinstance(value, bool):
             return value
         if isinstance(value, (int, float)):
@@ -129,6 +131,8 @@ def _compare(expr: Comparison, solution: Solution) -> bool:
     if not isinstance(left, Literal) or not isinstance(right, Literal):
         raise FilterEvalError("cannot order non-literals")
     lv, rv = left.to_python(), right.to_python()
+    if lv is None or rv is None:
+        raise FilterEvalError("cannot order an ill-typed literal")
     if isinstance(lv, bool) or isinstance(rv, bool):
         raise FilterEvalError("cannot order booleans")
     numeric_left = isinstance(lv, (int, float))

@@ -156,11 +156,6 @@ def keyer(names: Sequence[str]) -> Callable[[List[Binding]], List[tuple]]:
     return comprehension("key", "((%s), b)" % key, "b")
 
 
-def key_bindings(rdd: RDD, names: Sequence[str]) -> RDD:
-    """*rdd*'s bindings as ``(key, binding)`` pairs (:func:`keyer`)."""
-    return rdd.mapPartitions(keyer(names))
-
-
 def merge_joined(joined: RDD) -> RDD:
     """The ``(key, (left, right))`` pairs of a join of bindings as merged
     bindings; the missing right side of a left join adds nothing."""

@@ -18,13 +18,16 @@ Spark abstraction and proposes a hybrid plan:
   subject joins are already co-located, so they never shuffle and never
   broadcast).
 
-Data is partitioned by subject hash, as in the study.
+Data is partitioned by subject hash, as in the study.  The DATAFRAME and
+HYBRID strategies are a planning policy, :meth:`HybridEngine._plan`, whose
+steps run on the optimizer's executor (:mod:`repro.optimizer.executor`),
+the one join layer over binding RDDs.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import List, Optional, Set
 
 from repro.core.dimensions import (
     Contribution,
@@ -34,30 +37,29 @@ from repro.core.dimensions import (
     QueryProcessing,
     SparkAbstraction,
 )
+from repro.optimizer.executor import run_steps
+from repro.optimizer.planner import JoinStep
 from repro.rdf.graph import RDFGraph
 from repro.spark.context import SparkContext
 from repro.spark.partitioner import HashPartitioner
 from repro.spark.rdd import RDD
 from repro.spark.sql.session import SparkSession
-from repro.sparql.ast import TriplePattern, Variable, connected_order
+from repro.sparql.ast import (
+    TriplePattern,
+    Variable,
+    connected_order,
+    variables_of,
+)
 from repro.sparql.fragments import FEATURE_BGP
 from repro.systems.base import (
     EngineProfile,
     SparkRdfEngine,
     fold_joins,
     hash_join_bindings,
-    key_bindings,
-    merge_joined,
     scan_triples,
 )
 from repro.systems.bgpsql import bgp_to_sql, run_bgp_sql
 from repro.systems.localmatch import encode_pattern
-
-
-def _subject_variable(pattern: TriplePattern) -> Optional[str]:
-    """The name of *pattern*'s subject variable; None for a constant."""
-    subject = pattern.subject
-    return subject.name if isinstance(subject, Variable) else None
 
 
 class JoinStrategy(Enum):
@@ -102,41 +104,28 @@ class HybridEngine(SparkRdfEngine):
         #: Build sides with at most this many records are broadcast.
         self.broadcast_threshold = broadcast_threshold
 
-    # ------------------------------------------------------------------
-    # Build: subject-hash partitioned triples + DataFrame + SQL views
-    # ------------------------------------------------------------------
-
     def _build(self, graph: RDFGraph) -> None:
         self.dictionary, encoded = graph.encoding()
         self._partitioner = HashPartitioner(self.ctx.default_parallelism)
         keyed = self.ctx.parallelize(encoded).keyBy(lambda t: t[0])
         self.triples = keyed.partitionBy(self._partitioner).values().cache()
         self.triples.count()  # materialize at load: the shuffle is load cost
-        # Predicate statistics drive the greedy hybrid optimizer.
-        self.predicate_counts: Dict[int, int] = {}
-        for _s, p, _o in encoded:
-            self.predicate_counts[p] = self.predicate_counts.get(p, 0) + 1
-        self.session = SparkSession(self.ctx)
-        df = self.session.createDataFrame(encoded, ["s", "p", "o"])
-        self.session.createOrReplaceTempView("triples", df.cache())
-        self.total_triples = len(encoded)
+        # Predicate statistics drive the greedy plan.
+        self.predicate_counts = graph.predicate_counts()
+        self._encoded = encoded
+        # The SQL strategy's session and ``triples`` view, made by its
+        # first query: no other strategy reads them.
+        self.session: Optional[SparkSession] = None
 
     def _estimated_size(self, pattern: TriplePattern) -> int:
         if isinstance(pattern.predicate, Variable):
-            base = self.total_triples
+            base = len(self._encoded)
         else:
-            base = self.predicate_counts.get(
-                self.dictionary.get(pattern.predicate), 0
-            )
-        if not isinstance(pattern.subject, Variable):
-            base = max(base // 10, 1)
-        if not isinstance(pattern.object, Variable):
-            base = max(base // 10, 1)
+            base = self.predicate_counts.get(pattern.predicate, 0)
+        for position in (pattern.subject, pattern.object):
+            if not isinstance(position, Variable):
+                base = max(base // 10, 1)
         return base
-
-    # ------------------------------------------------------------------
-    # Pattern scans
-    # ------------------------------------------------------------------
 
     def _pattern_rdd(self, pattern: TriplePattern) -> RDD:
         """Bindings of one pattern (reads the whole subject-partitioned set)."""
@@ -147,10 +136,6 @@ class HybridEngine(SparkRdfEngine):
             return self.ctx.emptyRDD()
         return scan_triples(self.triples, local, preserves_partitioning=True)
 
-    # ------------------------------------------------------------------
-    # Strategies
-    # ------------------------------------------------------------------
-
     def _evaluate_bgp(self, patterns: List[TriplePattern]) -> RDD:
         if self.strategy is JoinStrategy.SPARK_SQL:
             return self._evaluate_sql(patterns)
@@ -159,15 +144,24 @@ class HybridEngine(SparkRdfEngine):
             joined = fold_joins(
                 patterns, self._pattern_rdd, join=hash_join_bindings
             )
+        elif len(patterns) == 1:
+            # Nothing to join (the optimizer's leaf scans come here): no
+            # step, so no second ``bgp_step`` inside the optimizer's.
+            joined = self._pattern_rdd(patterns[0])
         else:
-            joined = self._evaluate_generic(
-                patterns,
-                use_partitioning=self.strategy is JoinStrategy.HYBRID,
+            joined = run_steps(
+                self.ctx,
+                self._plan(patterns),
+                lambda step: self._pattern_rdd(step.pattern),
             )
         return joined.map(self.dictionary.decode_binding)
 
     def _evaluate_sql(self, patterns: List[TriplePattern]) -> RDD:
         """Self-joins over the triples table, planned by Catalyst."""
+        if self.session is None:
+            self.session = SparkSession(self.ctx)
+            df = self.session.createDataFrame(self._encoded, ["s", "p", "o"])
+            self.session.createOrReplaceTempView("triples", df.cache())
         compiled = bgp_to_sql(
             patterns,
             ["triples"] * len(patterns),
@@ -181,84 +175,43 @@ class HybridEngine(SparkRdfEngine):
             self.session, self.dictionary, self.last_sql, variables
         )
 
-    def _evaluate_generic(
-        self, patterns: List[TriplePattern], use_partitioning: bool
-    ) -> RDD:
-        """Greedy plan: smallest-first, broadcast/partitioned per join.
-
-        With *use_partitioning*, subject-subject joins keep the bindings
-        keyed by the subject so the existing subject-hash placement makes
-        the join shuffle-free -- the hybrid strategy's advantage.
+    def _plan(self, patterns: List[TriplePattern]) -> List[JoinStep]:
+        """The greedy plan of [21]: smallest estimate first, then the
+        connected one; a join is broadcast when one side's estimate is
+        within the threshold, else partitioned -- or, under the hybrid
+        strategy, ``colocated`` when it is on the subject both sides are
+        still placed by.
         """
-        ordered = connected_order(sorted(patterns, key=self._estimated_size))
-        # What the plan knows of the accumulated side, starting from the
-        # first pattern; fold_joins brings the others in, in this order.
-        incoming = iter(ordered)
-        first = next(incoming)
-        result_size = self._estimated_size(first)
-        subject_keyed_var = _subject_variable(first)
-
-        def join(result: RDD, matches: RDD, shared: List[str]) -> RDD:
-            nonlocal result_size, subject_keyed_var
-            pattern = next(incoming)
-            size = self._estimated_size(pattern)
-            subject_var = _subject_variable(pattern)
-            accumulated_size = result_size
-            result_size = max(result_size, size)
-            if (
-                use_partitioning
-                and subject_keyed_var is not None
-                and shared == [subject_keyed_var]
-                and subject_var == subject_keyed_var
-            ):
-                # Both sides derive from the same subject-hash placement:
-                # zip partitions locally, no shuffle, no broadcast.
-                return self._local_subject_join(result, matches, shared[0])
-            if size <= self.broadcast_threshold:
-                return self._broadcast_join(result, matches, shared)
-            if shared and accumulated_size <= self.broadcast_threshold:
-                # The accumulated side is the small one: broadcast it and
-                # probe with the new pattern's (larger) match stream.
-                subject_keyed_var = None
-                return self._broadcast_join(matches, result, shared)
-            if subject_var is not None and shared == [subject_var]:
-                subject_keyed_var = subject_var
-            else:
-                subject_keyed_var = None
-            return hash_join_bindings(result, matches, shared)
-
-        return fold_joins(ordered, self._pattern_rdd, join=join)
-
-    # ------------------------------------------------------------------
-    # Join operators
-    # ------------------------------------------------------------------
-
-    def _broadcast_join(
-        self, left: RDD, right: RDD, shared: List[str]
-    ) -> RDD:
-        if not shared:
-            return hash_join_bindings(left, right, shared)
-        return merge_joined(
-            key_bindings(left, shared).broadcastJoin(
-                key_bindings(right, shared)
-            )
+        sizes = [self._estimated_size(pattern) for pattern in patterns]
+        order = connected_order(
+            sorted(range(len(patterns)), key=sizes.__getitem__),
+            names=lambda i: variables_of(patterns[i]),
         )
-
-    def _local_subject_join(
-        self, left: RDD, right: RDD, subject_var: str
-    ) -> RDD:
-        """Partition-local join of two subject-anchored binding streams.
-
-        Both inputs are derived from the subject-partitioned store with
-        partitioning preserved, so bindings for one subject live in the
-        same partition index on both sides.
-        """
-
-        def keyed(part: List[dict]) -> List[tuple]:
-            return [(b[subject_var], b) for b in part]
-
-        left_keyed = left.mapPartitions(keyed)
-        right_keyed = right.mapPartitions(keyed)
-        left_placed = left_keyed.partitionBy(self._partitioner)
-        right_placed = right_keyed.partitionBy(self._partitioner)
-        return merge_joined(left_placed.join(right_placed))
+        colocate = self.strategy is JoinStrategy.HYBRID
+        threshold = self.broadcast_threshold
+        steps: List[JoinStep] = []
+        bound: Set[str] = set()
+        placed_by: Optional[str] = None  # the accumulated side's subject
+        accumulated = 0  # the accumulated side's estimate
+        for index in order:
+            pattern, size = patterns[index], sizes[index]
+            shared = tuple(sorted(bound & variables_of(pattern)))
+            is_variable = isinstance(pattern.subject, Variable)
+            subject = pattern.subject.name if is_variable else None
+            if not steps:
+                strategy, placed_by = "scan", subject
+            elif colocate and shared == (placed_by,) == (subject,):
+                strategy = "colocated"
+            elif size <= threshold:
+                strategy = "broadcast" if shared else "cartesian"
+            elif shared and accumulated <= threshold:
+                strategy, placed_by = "broadcast_accumulated", None
+            else:
+                strategy = "hash" if shared else "cartesian"
+                placed_by = subject if shared == (subject,) else None
+            accumulated = max(accumulated, size)
+            steps.append(
+                JoinStep(index, pattern, shared, strategy, size, accumulated)
+            )
+            bound |= variables_of(pattern)
+        return steps

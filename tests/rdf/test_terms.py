@@ -119,6 +119,42 @@ class TestOrdering:
         assert nan.sort_key() == Literal("NaN", datatype=XSD.float).sort_key()
         assert nan.sort_key() < Literal("a").sort_key()
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.builds(
+                    Literal,
+                    st.sampled_from(["abc", "1x", "", "NaN", "9" * 400]),
+                    datatype=st.sampled_from(
+                        [XSD.int, XSD.integer, XSD.double]
+                    ),
+                ),
+                st.builds(Literal, st.integers(-(2**60), 2**60)),
+                st.builds(Literal, st.floats()),
+                st.builds(Literal, st.sampled_from(["abc", "1", ""])),
+            ),
+            max_size=8,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_any_two_keys_compare_and_a_sort_is_order_free(self, terms, rng):
+        """Ill-typed, 400-digit, NaN and beyond-2^53 numerics: no key
+        raises or fails to compare, so sorting by (key, N3 text) -- the
+        SPARQLGX store's order -- does not depend on the input order."""
+        keys = [term.sort_key() for term in terms]
+        for a in keys:
+            for b in keys:
+                assert (a < b) + (a == b) + (a > b) == 1
+        shuffled = list(terms)
+        rng.shuffle(shuffled)
+        by_key = lambda term: (term.sort_key(), term.n3())
+        assert sorted(shuffled, key=by_key) == sorted(terms, key=by_key)
+
+    def test_integers_past_2_to_the_53_keep_their_order(self):
+        big = 2**53
+        assert Literal(big) < Literal(big + 1)
+        assert Literal(1).sort_key() == Literal(1.0).sort_key()
+
 
 # Text that exercises str hashing beyond ASCII, and the empty literal.
 texts = st.text(max_size=12)

@@ -7,6 +7,8 @@ from repro.core.survey import render_survey
 from repro.data.lubm import LubmGenerator
 from repro.rdf.ntriples import save_ntriples_file
 
+XSD = "http://www.w3.org/2001/XMLSchema#"
+
 
 @pytest.fixture
 def data_file(tmp_path, lubm_graph):
@@ -185,6 +187,35 @@ class TestCli:
         query = r"SELECT ?p WHERE { <http://x/\U00000041> ?p ?o }"
         assert main(["query", str(path), query]) == 0
         assert "1 solution(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "literal",
+        ['"abc"^^<%sint>' % XSD, '"%s"^^<%sinteger>' % ("9" * 401, XSD)],
+        ids=["ill_typed", "401_digits"],
+    )
+    def test_a_numeric_literal_no_number_fits_is_answered(
+        self, tmp_path, capsys, literal
+    ):
+        """Regression: SPARQLGX's store build raised ValueError on an
+        ill-typed ``xsd:int`` and OverflowError on a 401-digit integer;
+        ORDER BY and FILTER raised on the ill-typed one under Naive too."""
+        path = tmp_path / "numeric.nt"
+        path.write_text("<http://x/s> <http://x/p> %s .\n" % literal)
+        query = "SELECT ?o WHERE { ?s <http://x/p> ?o }"
+        # ``"abc" > 3`` is a type error and an ill-typed numeric's
+        # effective boolean value is false: the row fails either FILTER.
+        kept = 0 if literal.startswith('"abc"') else 1
+        cases = [
+            (query, 1),
+            (query + " ORDER BY ?o", 1),
+            (query.replace(" }", " FILTER(?o > 3) }"), kept),
+            (query.replace(" }", " FILTER(?o) }"), kept),
+        ]
+        for engine in ("Naive", "SPARQLGX"):
+            for text, rows in cases:
+                argv = ["query", str(path), text, "--engine", engine]
+                assert main(argv) == 0
+                assert "%d solution(s)" % rows in capsys.readouterr().out
 
     def test_an_iri_escape_iriref_forbids_exits_2(self, tmp_path, capsys):
         path = tmp_path / "escapes.nt"
