@@ -20,11 +20,15 @@ layer, for the optimizer's plans and for SPARQL-Hybrid's greedy policy
     broadcast (``broadcast_bytes`` charged), and probed partition-locally
     by the other side without disturbing its keying or partitioning.
 ``cartesian`` / ``hash``
-    ``hash_join_bindings``: the product (no shared variable) or the keyed
-    hash join, leaving plain bindings.
+    ``join_rows``: the product (no shared variable) or the keyed
+    hash join, leaving plain rows.
 ``colocated``
     Both sides keyed by their one shared subject and placed as the store
-    places subjects: bindings still where the store put them stay put.
+    places subjects: rows still where the store put them stay put.
+
+Every RDD here holds rows over its ``header`` (or ``(key, row)`` pairs,
+their rows over it); a step's output header and its key and merge
+kernels come from :class:`~repro.spark.rows.RowJoin`, once per step.
 
 Tracing: when the context's tracer is on, every step emits a ``bgp_step``
 span (name = strategy) carrying ``est_rows`` and, because the step's
@@ -37,34 +41,32 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.spark.kernels import comprehension
+from repro.spark.metrics import RowTable
 from repro.spark.partitioner import HashPartitioner
 from repro.spark.rdd import RDD
+from repro.spark.rows import RowJoin, join_rows, keyer, rows
 from repro.spark.tracing import Span
 from repro.optimizer.planner import BgpPlan, JoinStep
-from repro.systems.base import (
-    compile_pattern,
-    hash_join_bindings,
-    keyer,
-    merge_joined,
-)
-
-Binding = Dict[str, object]
+from repro.systems.base import compile_pattern
 
 
 class _State:
-    """The accumulated side: a bindings RDD, keyed when *key* is set."""
+    """The accumulated side: an RDD of rows, of ``(key, row)`` pairs
+    when *key* is set."""
 
     def __init__(self, rdd: RDD, key: Optional[Tuple[str, ...]] = None):
         self.rdd = rdd
         self.key = key
 
     def bindings(self) -> RDD:
-        """The plain bindings view (drops keying, costs nothing extra)."""
-        return self.rdd.values() if self.key is not None else self.rdd
+        """The plain rows view (drops keying, costs nothing extra)."""
+        if self.key is None:
+            return self.rdd
+        return rows(self.rdd.values(), self.rdd.header)
 
 
 def execute_plan(engine, plan: BgpPlan, view_catalog=None) -> RDD:
-    """Run *plan* on *engine*, returning an RDD of bindings.
+    """Run *plan* on *engine*, returning an RDD of rows.
 
     When *view_catalog* is given, steps the planner annotated with a
     :class:`~repro.optimizer.planner.ViewChoice` read their leaf bindings
@@ -81,7 +83,7 @@ def execute_plan(engine, plan: BgpPlan, view_catalog=None) -> RDD:
 def run_steps(
     ctx, steps: Sequence[JoinStep], scan: Callable[[JoinStep], RDD]
 ) -> RDD:
-    """The bindings of *steps*, each step's pattern read by *scan* right
+    """The rows of *steps*, each step's pattern read by *scan* right
     before its join (so RDDs are allocated in step order)."""
     tracer = ctx.tracer
     state: Optional[_State] = None
@@ -94,9 +96,9 @@ def run_steps(
             **attrs,
         ) as span:
             state = _apply_step(ctx, state, step, scan(step))
-            rows = tracer.materialize(state.rdd)
+            count = tracer.materialize(state.rdd)
             if span is not None:
-                span.attrs["actual_rows"] = rows
+                span.attrs["actual_rows"] = count
     assert state is not None
     return state.bindings()
 
@@ -120,7 +122,7 @@ def _apply_step(
         return _State(fresh)
     strategy, shared = step.strategy, step.shared
     if strategy in ("cartesian", "hash"):
-        return _State(hash_join_bindings(state.bindings(), fresh, shared))
+        return _State(join_rows(state.bindings(), fresh, shared))
     if strategy == "broadcast":
         return _broadcast_join(ctx, state, fresh, shared)
     if strategy == "broadcast_accumulated":
@@ -131,7 +133,7 @@ def _apply_step(
 
 
 def _leaf_scan(engine, step: JoinStep, view_catalog) -> RDD:
-    """One pattern's bindings: the chosen view, or the engine's base scan."""
+    """One pattern's rows: the chosen view, or the engine's base scan."""
     if step.view is None or view_catalog is None:
         return engine._evaluate_bgp([step.pattern])
     view = view_catalog.get(step.view.key)
@@ -141,7 +143,7 @@ def _leaf_scan(engine, step: JoinStep, view_catalog) -> RDD:
 
 
 def _view_scan(engine, step: JoinStep, view) -> RDD:
-    """Bindings of *step*'s pattern read from a materialized view.
+    """Rows of *step*'s pattern read from a materialized view.
 
     The view stores the (subject, object) rows of ``p1``'s partition that
     survive the semi-join; bound subject/object slots of the pattern
@@ -152,7 +154,8 @@ def _view_scan(engine, step: JoinStep, view) -> RDD:
     """
     pattern = step.pattern
     layout = ("t[0]", pattern.predicate, "t[1]")
-    bindings = compile_pattern(pattern, layout).scan(view.rows())
+    match = compile_pattern(pattern, layout)
+    found = match.scan(view.rows())
     ctx = engine.ctx
     ctx.metrics.incr("view_scans")
     tracer = ctx.tracer
@@ -163,10 +166,10 @@ def _view_scan(engine, step: JoinStep, view) -> RDD:
         base_rows=step.view.base_rows,
         factor=round(view.factor, 6),
     ) as span:
-        rdd = ctx.parallelize(bindings)
-        rows = tracer.materialize(rdd)
+        rdd = rows(ctx.parallelize(found), match.header)
+        count = tracer.materialize(rdd)
         if span is not None:
-            span.attrs["actual_rows"] = rows
+            span.attrs["actual_rows"] = count
     return rdd
 
 
@@ -175,18 +178,23 @@ def _partitioned_join(
 ) -> _State:
     """The shuffle hash join; a no-op shuffle on the accumulated side when
     it is already partitioned on *shared* (the planner's ``local`` case)."""
-    by_key = keyer(shared)
-    if state.key == shared:
+    join = RowJoin(state.rdd.header, fresh.header, shared)
+    if state.key == join.key:
         left = state.rdd
     else:
-        left = state.bindings().mapPartitions(by_key)
-    right = fresh.mapPartitions(by_key)
+        accumulated = state.bindings()
+        left = rows(
+            accumulated.mapPartitions(keyer(join.key, accumulated.header)),
+            accumulated.header,
+        )
+    right = rows(
+        fresh.mapPartitions(keyer(join.key, fresh.header)), fresh.header
+    )
     joined = left.join(right, num_partitions=ctx.default_parallelism)
     merged = joined.mapPartitions(
-        lambda part: [(key, {**l, **r}) for key, (l, r) in part],
-        preserves_partitioning=True,
+        join.kernel("(k, {row})", "k, (l, r)"), preserves_partitioning=True
     )
-    return _State(merged, key=shared)
+    return _State(rows(merged, join.header), key=join.key)
 
 
 def _colocated_join(
@@ -195,45 +203,52 @@ def _colocated_join(
     """Key both sides by the bare value of their one shared variable (a
     1-tuple key would hash elsewhere) and place them as the store is."""
     (name,) = shared
-    keyed = comprehension("key", "(b[%r], b)" % name, "b")
-    left, right = accumulated.mapPartitions(keyed), fresh.mapPartitions(keyed)
+    join = RowJoin(accumulated.header, fresh.header, shared)
+
+    def keyed(side: RDD) -> RDD:
+        key = comprehension("key", "(r[%d], r)" % side.header.index(name), "r")
+        return rows(side.mapPartitions(key), side.header)
+
+    left, right = keyed(accumulated), keyed(fresh)
     partitioner = HashPartitioner(ctx.default_parallelism)
     placed = left.partitionBy(partitioner).join(right.partitionBy(partitioner))
-    return _State(merge_joined(placed))
+    return _State(rows(placed.mapPartitions(join.pairs()), join.header))
 
 
 def _broadcast_join(
     ctx, probe: _State, build: RDD, shared: Tuple[str, ...]
 ) -> _State:
-    """Broadcast *build*'s bindings; probe *probe*'s in place."""
-    keyed_part = keyer(shared)
-    hashed: Dict[Tuple[object, ...], List[Binding]] = {}
+    """Broadcast *build*'s rows; probe *probe*'s in place."""
+    join = RowJoin(probe.rdd.header, build.header, shared)
+    keyed_build = keyer(join.key, build.header)
+    hashed = RowTable(build.header)
     for part in build._materialize():
-        for key, binding in keyed_part(part):
-            hashed.setdefault(key, []).append(binding)
+        for key, row in keyed_build(part):
+            hashed.setdefault(key, []).append(row)
     bcast = ctx.broadcast(hashed)
     metrics = ctx.metrics
     keyed = probe.key is not None
+    keyed_probe = keyer(join.key, probe.rdd.header)
+    extend = join.extend()
 
     def probe_part(part: List[object]) -> List[object]:
         table = bcast.value
         out: List[object] = []
         comparisons = 0
-        bindings = [item[1] for item in part] if keyed else part
-        for item, (key, binding) in zip(part, keyed_part(bindings)):
+        probed = [item[1] for item in part] if keyed else part
+        for item, (key, l) in zip(part, keyed_probe(probed)):
             matches = table.get(key)
             if matches:
                 comparisons += len(matches)
-                for build_binding in matches:
-                    merged = {**binding, **build_binding}
-                    out.append((item[0], merged) if keyed else merged)
+                merged = extend(matches, l)
+                out += [(item[0], row) for row in merged] if keyed else merged
             else:
                 comparisons += 1
         metrics.record_join(comparisons, len(part), len(out))
         return out
 
     probed = probe.rdd.mapPartitions(probe_part, preserves_partitioning=True)
-    return _State(probed, key=probe.key)
+    return _State(rows(probed, join.header), key=probe.key)
 
 
 # ----------------------------------------------------------------------

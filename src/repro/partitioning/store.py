@@ -17,8 +17,23 @@ from repro.rdf.vocab import RDF
 from repro.spark.context import SparkContext
 from repro.spark.partitioner import Partitioner
 from repro.spark.rdd import RDD
+from repro.spark.rows import rows
 from repro.sparql.ast import TriplePattern, Variable
-from repro.systems.localmatch import compile_bgp_local
+from repro.systems.localmatch import compile_bgp_local, subject_index
+
+
+class SubjectIndexes(dict):
+    """Partition index -> :func:`subject_index` of that partition of a
+    store, built on first use by the process that reads the partition and
+    kept with the store.  It pickles empty, so none crosses a pipe."""
+
+    def __reduce__(self):
+        return SubjectIndexes, ()
+
+    def of(self, index: int, triples: List[Tuple[Term, Term, Term]]):
+        if index not in self:
+            self[index] = subject_index(triples)
+        return self[index]
 
 
 class PartitionedTripleStore:
@@ -39,6 +54,7 @@ class PartitionedTripleStore:
             partitions[partitioner.partition_for(triple[0])].append(triple)
         self._partitions = partitions
         self.rdd: RDD = ctx.fromPartitions(partitions)
+        self._subject_indexes = SubjectIndexes()
 
     # ------------------------------------------------------------------
     # Placement quality measurements
@@ -95,8 +111,13 @@ class PartitionedTripleStore:
         subjects = {p.subject for p in patterns}
         if len(subjects) != 1:
             raise ValueError("evaluate_star_locally needs a star BGP")
-        return self.rdd.mapPartitions(
-            compile_bgp_local([tuple(p.positions()) for p in patterns])
+        run = compile_bgp_local([tuple(p.positions()) for p in patterns])
+        indexes = self._subject_indexes
+        return rows(
+            self.rdd.mapPartitionsWithIndex(
+                lambda index, part: run(part, indexes.of(index, part))
+            ),
+            run.header,
         )
 
     def linear_hop_locality(self, predicate: Term) -> float:

@@ -91,11 +91,6 @@ class Dictionary:
         kernel that decodes a column without a call per value."""
         return self._id_to_term
 
-    def decode_binding(self, binding: Dict[str, int]) -> Dict[str, Term]:
-        """A binding of ids as the same binding of terms."""
-        terms = self._id_to_term
-        return {name: terms[value] for name, value in binding.items()}
-
     def __contains__(self, term: Term) -> bool:
         return term in self._term_to_id
 

@@ -206,6 +206,7 @@ class Literal(Term):
         elif isinstance(lexical, float):
             datatype = datatype or _XSD_DOUBLE
             lexical = repr(lexical)
+            lexical = _NON_FINITE.get(lexical, lexical)
         _set(self, "lexical", str(lexical))
         _set(self, "datatype", datatype)
         _set(self, "language", language)
@@ -243,17 +244,27 @@ class Literal(Term):
 
     def to_python(self):
         """The literal as a Python value when the datatype is numeric/bool;
-        None for a numeric datatype whose lexical form is not one."""
-        try:
-            if self.datatype == _XSD_INTEGER or self.datatype == _XSD_INT:
-                return int(self.lexical)
-            if self.datatype in (_XSD_DOUBLE, _XSD_DECIMAL, _XSD_FLOAT):
-                return float(self.lexical)
-        except ValueError:
+        None for a numeric datatype whose lexical form is not one: its
+        text must be a numeral of SPARQL's grammar (``INF``, ``-INF`` and
+        ``NaN`` too, for a double or float), not just anything Python's
+        ``int()`` or ``float()`` reads (``" 7 "``, ``"1_000"``, ``"inf"``)."""
+        datatype, lexical = self.datatype, self.lexical
+        if datatype == _XSD_INTEGER or datatype == _XSD_INT:
+            form, read = _INTEGER_RE, int
+        elif datatype == _XSD_DECIMAL:
+            form, read = _DECIMAL_RE, float
+        elif datatype == _XSD_DOUBLE or datatype == _XSD_FLOAT:
+            form, read = _DOUBLE_RE, float
+        elif datatype == _XSD_BOOLEAN:
+            return lexical == "true"
+        else:
+            return lexical
+        if form.fullmatch(lexical) is None:
             return None
-        if self.datatype == _XSD_BOOLEAN:
-            return self.lexical == "true"
-        return self.lexical
+        try:
+            return read(lexical)
+        except ValueError:  # an integer of more digits than int() reads
+            return None
 
     def _value_key(self):
         value = self.to_python()
@@ -326,6 +337,12 @@ _STRING_RE = re.compile(
 _NUMERAL_RE = re.compile(
     "(?P<integer>%s)|(?P<decimal>%s)|(?P<double>%s)" % (INTEGER, DECIMAL, DOUBLE)
 )
+#: What a numeric datatype's lexical form may be (``Literal.to_python``).
+_INTEGER_RE = re.compile(INTEGER)
+_DECIMAL_RE = re.compile("%s|%s" % (INTEGER, DECIMAL))
+_DOUBLE_RE = re.compile("%s|%s|%s|-?INF|NaN" % (INTEGER, DECIMAL, DOUBLE))
+#: Python's text for a float that is not finite, as XSD spells it.
+_NON_FINITE = {"inf": "INF", "-inf": "-INF", "nan": "NaN"}
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
 #: A backslash and what follows it: ECHAR, UCHAR -- or, an error, any
 #: other character, or a ``\u`` or ``\U`` short of its digits.

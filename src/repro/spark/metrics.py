@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 from repro.rdf.terms import BNode, Literal, Term, URI
@@ -121,6 +121,90 @@ def _column_size(column: Sequence[object]) -> int:
             + _column_size(names) + _column_size(values)
         )
     return sum(map(estimate_size, column))
+
+
+def _text_size(name: str) -> int:
+    return len(name.encode("utf-8"))
+
+
+class Header(tuple):
+    """The names a row's positions bind, in order: a solution RDD holds
+    plain tuples aligned with its header (``RDD.header``), as its records
+    or as the values of its ``(key, row)`` pairs.  A position in *maybe*
+    may hold ``None``, unbound; every other position is bound in every
+    row, which is known when the RDD is built.
+
+    A row is priced as the dict it stands for, ``{name: value}`` over its
+    bound positions: ``8 + sum(8 + len(name) + size(value))``.  So pricing
+    needs no test per row of the positions that are always bound.
+    """
+
+    def __new__(cls, names: Iterable[str] = (), maybe: Iterable[str] = ()):
+        header = super().__new__(cls, names)
+        header.maybe = frozenset(maybe).intersection(header)
+        always = [
+            i for i, name in enumerate(header) if name not in header.maybe
+        ]
+        #: Per row: the dict's overhead and the names always present.
+        header._fixed = 8 + sum(8 + _text_size(header[i]) for i in always)
+        header._always = tuple(always)
+        header._optional = [
+            (i, 8 + _text_size(name))
+            for i, name in enumerate(header)
+            if name in header.maybe
+        ]
+        return header
+
+    def __reduce__(self):
+        return Header, (tuple(self), self.maybe)
+
+    def price(self, rows: Sequence[tuple]) -> int:
+        """What :func:`estimate_sizes` charges for the dicts *rows* stand
+        for, by column."""
+        always = self._always
+        if len(always) == len(self):
+            values = list(chain.from_iterable(rows))
+        elif not always:
+            values = []
+        elif len(always) == 1:
+            values = list(map(itemgetter(*always), rows))
+        else:
+            values = list(chain.from_iterable(map(itemgetter(*always), rows)))
+        total = self._fixed * len(rows) + _column_size(values)
+        for index, cost in self._optional:
+            bound = [
+                value for row in rows if (value := row[index]) is not None
+            ]
+            total += cost * len(bound) + _column_size(bound)
+        return total
+
+    def price_pairs(self, records: Sequence[tuple]) -> int:
+        """:meth:`price` for ``(key, row)`` records: a shuffle's output."""
+        keys = [key for key, _row in records]
+        return (
+            16 * len(records)
+            + _column_size(keys)
+            + self.price([row for _key, row in records])
+        )
+
+
+class RowTable(dict):
+    """A broadcast build side: join key -> list of rows over *header*,
+    priced as the same table of dicts (:meth:`size`)."""
+
+    def __init__(self, header: Header) -> None:
+        super().__init__()
+        self.header = header
+
+    def size(self) -> int:
+        """``estimate_size`` of the table with each row a dict."""
+        lists = list(self.values())
+        return (
+            8 + 8 * len(self)
+            + _column_size(list(self))
+            + 8 * len(lists) + 4 * sum(map(len, lists))
+            + self.header.price(list(chain.from_iterable(lists)))
+        )
 
 
 @dataclass(frozen=True)

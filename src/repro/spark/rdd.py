@@ -31,7 +31,7 @@ from typing import (
 
 from repro.rdf.terms import Term
 from repro.spark.faults import TaskFailedError
-from repro.spark.metrics import estimate_sizes
+from repro.spark.metrics import Header, estimate_sizes
 from repro.spark.partitioner import HashPartitioner, Partitioner
 
 T = TypeVar("T")
@@ -49,6 +49,12 @@ class RDD:
     :meth:`SparkContext.parallelize` and derives new RDDs with the
     transformation methods below.
     """
+
+    #: For an RDD of solutions, the :class:`~repro.spark.metrics.Header`
+    #: its rows are tuples over -- its records, or the values of its
+    #: ``(key, row)`` pairs -- set by whoever builds it; a shuffle of
+    #: those pairs prices each row as the dict it stands for.
+    header: Optional[Header] = None
 
     def __init__(
         self,
@@ -694,7 +700,13 @@ class ShuffledRDD(RDD):
         here = ctx.executor_for(map_index)
         is_remote = [ctx.executor_for(r) != here for r in range(num_out)]
         remote = sum(map(is_remote.__getitem__, placements))
-        return fragments, len(outgoing), remote, estimate_sizes(outgoing)
+        header = self.parent.header
+        nbytes = (
+            estimate_sizes(outgoing)
+            if header is None or self.aggregator is not None
+            else header.price_pairs(outgoing)
+        )
+        return fragments, len(outgoing), remote, nbytes
 
     def _map_blocks(
         self,

@@ -12,7 +12,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -269,31 +268,44 @@ def evaluate_node(node: AlgebraNode, source) -> List[Solution]:
 
 
 def apply_solution_modifiers(
-    query: SelectQuery, solutions: Iterable[Mapping[str, Term]]
+    query: SelectQuery,
+    solutions: Iterable[object],
+    header: Optional[Sequence[str]] = None,
 ) -> SolutionSet:
     """ORDER BY -> projection -> DISTINCT -> OFFSET/LIMIT, per the spec.
 
-    *solutions* are the collected binding mappings (an engine's dicts,
-    the evaluator's ``Solution`` objects); each leaves as one tuple.
+    *solutions* are an engine's rows, tuples over *header* with ``None``
+    for unbound, or -- with no header -- binding mappings (the
+    evaluator's ``Solution`` objects, dicts); each leaves as one tuple.
     """
-    ordered = list(solutions)
+    if header is None:
+        mappings = list(solutions)
+        header = sorted({name for s in mappings for name, _term in s.items()})
+        ordered = [tuple(s.get(name) for name in header) for s in mappings]
+    else:
+        ordered = list(solutions)
     if query.order_by:
         # SPARQL leaves tie order unspecified; pin it to the canonical
         # full-row order (the sorts below are stable) so every engine and
         # every physical plan serializes ORDER BY results byte-identically.
         # Unequal terms can share a sort key ("1" and "1.0"^^xsd:double,
-        # "a" and "a"@en): their N3 breaks the tie.
+        # "a" and "a"@en): their N3 breaks the tie.  Unbound names are
+        # left out, as a mapping leaves them out.
+        by_name = sorted(range(len(header)), key=header.__getitem__)
         ordered.sort(
-            key=lambda s: tuple(
-                (name, term.sort_key(), term.n3())
-                for name, term in sorted(s.items(), key=lambda kv: kv[0])
+            key=lambda row: tuple(
+                (header[i], term.sort_key(), term.n3())
+                for i in by_name
+                if (term := row[i]) is not None
             )
         )
     for variable, ascending in reversed(query.order_by):
-        name = variable.name
+        if variable.name not in header:
+            continue  # unbound everywhere: every key is equal
+        at = header.index(variable.name)
         ordered.sort(
-            key=lambda s: (
-                (term := s.get(name)) is not None,
+            key=lambda row: (
+                (term := row[at]) is not None,
                 term.sort_key() if term is not None else None,
             ),
             reverse=not ascending,
@@ -301,8 +313,11 @@ def apply_solution_modifiers(
     result = SolutionSet(query.projected())
     project = comprehension(
         "project",
-        "(%s)" % "".join("s.get(%r)," % name for name in result.variables),
-        target="s",
+        "(%s)" % "".join(
+            "r[%d], " % header.index(name) if name in header else "None, "
+            for name in result.variables
+        ),
+        target="r",
     )
     result.rows = project(ordered)
     if query.distinct:

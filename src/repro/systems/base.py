@@ -40,9 +40,10 @@ from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term
 from repro.spark.context import SparkContext
 from repro.spark.faults import TaskFailedError
-from repro.spark.kernels import comprehension, generate
-from repro.spark.metrics import MetricsSnapshot
+from repro.spark.kernels import generate
+from repro.spark.metrics import Header, MetricsSnapshot
 from repro.spark.rdd import RDD
+from repro.spark.rows import join_rows, rows, union_rows
 from repro.spark.tracing import Span
 from repro.sparql.algebra import (
     AlgebraFilter,
@@ -67,10 +68,6 @@ from repro.sparql.filtereval import passes_filter
 from repro.sparql.fragments import FEATURE_BGP, features_of
 from repro.sparql.parser import parse_sparql
 from repro.sparql.results import Solution, SolutionSet
-
-#: A binding inside an RDD: variable name -> term.
-Binding = Dict[str, Term]
-
 
 class UnsupportedQueryError(ValueError):
     """The engine's published SPARQL fragment does not cover the query."""
@@ -128,7 +125,7 @@ def _algebra_span_args(node: AlgebraNode) -> Tuple[str, Dict[str, object]]:
 def join_binding_rdds(
     left: RDD, right: RDD, shared: Sequence[str], how: str = "inner"
 ) -> RDD:
-    """Join two RDDs of bindings on the given shared variable names.
+    """Join two RDDs of rows on the given shared variable names.
 
     With no shared variables this degenerates to a cartesian product --
     exactly Spark's behaviour the paper criticizes.  When the context's
@@ -143,43 +140,16 @@ def join_binding_rdds(
         on=",".join(sorted(shared)),
         how=how,
     ):
-        joined = hash_join_bindings(left, right, shared, how)
+        joined = join_rows(left, right, shared, how)
         tracer.materialize(joined)
     return joined
 
 
-def keyer(names: Sequence[str]) -> Callable[[List[Binding]], List[tuple]]:
-    """The function from a partition of bindings to its ``(key, binding)``
-    pairs, the key being the tuple of the binding's values for *names*:
-    one comprehension with the key spelled out, no call per record."""
-    key = "".join("b[%r], " % name for name in names)
-    return comprehension("key", "((%s), b)" % key, "b")
-
-
-def merge_joined(joined: RDD) -> RDD:
-    """The ``(key, (left, right))`` pairs of a join of bindings as merged
-    bindings; the missing right side of a left join adds nothing."""
-    return joined.mapPartitions(
-        lambda part: [{**left, **(right or {})} for _, (left, right) in part]
+def solution_of(header: Sequence[str], row: Sequence[Term]) -> Solution:
+    """One row as the :class:`Solution` it stands for: its bound names."""
+    return Solution(
+        {name: value for name, value in zip(header, row) if value is not None}
     )
-
-
-def hash_join_bindings(
-    left: RDD, right: RDD, shared: Sequence[str], how: str = "inner"
-) -> RDD:
-    """:func:`join_binding_rdds` without the span: the keyed hash join
-    (cartesian product for no shared variable) as a lazy RDD, for engines
-    whose own join operators are not ``bgp_step`` stages."""
-    if not shared:
-        product = left.cartesian(right)
-        return product.map(lambda pair: {**pair[0], **pair[1]})
-    if how not in ("inner", "left"):
-        raise ValueError("unknown join type %r" % how)
-    key = keyer(sorted(shared))
-    left_pairs, right_pairs = left.mapPartitions(key), right.mapPartitions(key)
-    if how == "inner":
-        return merge_joined(left_pairs.join(right_pairs))
-    return merge_joined(left_pairs.leftOuterJoin(right_pairs))
 
 
 class SparkRdfEngine:
@@ -311,15 +281,18 @@ class SparkRdfEngine:
         from repro.sparql.ast import ConstructQuery, DescribeQuery
 
         if isinstance(query, ConstructQuery):
-            bindings = self._evaluate_node(translate_group(query.where))
-            solutions = [Solution(b) for b in bindings.collect()]
+            found = self._evaluate_node(translate_group(query.where))
+            solutions = [
+                solution_of(found.header, row) for row in found.collect()
+            ]
             return instantiate_template(query.template, solutions)
         if isinstance(query, DescribeQuery):
             return self._execute_describe(query)
-        collected = self._evaluate_node(translate(query)).collect()
+        found = self._evaluate_node(translate(query))
+        collected = found.collect()
         if isinstance(query, AskQuery):
             return bool(collected)
-        return apply_solution_modifiers(query, collected)
+        return apply_solution_modifiers(query, collected, found.header)
 
     def _execute_describe(self, query):
         """DESCRIBE: resolve resources, then fetch their subject triples
@@ -330,12 +303,12 @@ class SparkRdfEngine:
 
         resources = list(query.terms)
         if query.where is not None:
-            bindings = self._evaluate_node(translate_group(query.where))
-            for binding in bindings.collect():
+            found = self._evaluate_node(translate_group(query.where))
+            for row in found.collect():
+                solution = solution_of(found.header, row)
                 for variable in query.variables:
-                    value = binding.get(variable.name)
-                    if value is not None:
-                        resources.append(value)
+                    if solution.get(variable) is not None:
+                        resources.append(solution.get(variable))
         graph = RDFGraph()
         for resource in dict.fromkeys(resources):
             try:
@@ -344,8 +317,10 @@ class SparkRdfEngine:
                 )
             except TripleValidityError:
                 continue  # literal "resources" describe nothing
-            for row in self._evaluate_bgp([pattern]).collect():
-                graph.add(Triple(resource, row["__dp"], row["__do"]))
+            found = self._evaluate_bgp([pattern])
+            p, o = found.header.index("__dp"), found.header.index("__do")
+            for row in found.collect():
+                graph.add(Triple(resource, row[p], row[o]))
         return graph
 
     # ------------------------------------------------------------------
@@ -371,39 +346,43 @@ class SparkRdfEngine:
     def _compute_node(self, node: AlgebraNode) -> RDD:
         if isinstance(node, BGP):
             if not node.patterns:
-                return self.ctx.parallelize([{}], 1)
+                return self._empty_row()
             if self.optimizer is not None and len(node.patterns) > 1:
                 return self.optimizer.execute_bgp(self, node.patterns)
             return self._evaluate_bgp(node.patterns)
-        if isinstance(node, AlgebraJoin):
+        if isinstance(node, (AlgebraJoin, LeftJoin)):
             left = self._evaluate_node(node.left)
             right = self._evaluate_node(node.right)
             shared = sorted(
                 node_variables(node.left) & node_variables(node.right)
             )
-            return join_binding_rdds(left, right, shared)
-        if isinstance(node, LeftJoin):
-            left = self._evaluate_node(node.left)
-            right = self._evaluate_node(node.right)
-            shared = sorted(
-                node_variables(node.left) & node_variables(node.right)
-            )
-            return join_binding_rdds(left, right, shared, how="left")
+            how = "left" if isinstance(node, LeftJoin) else "inner"
+            return join_binding_rdds(left, right, shared, how)
         if isinstance(node, AlgebraUnion):
             result = self._evaluate_node(node.branches[0])
             for branch in node.branches[1:]:
-                result = result.union(self._evaluate_node(branch))
+                result = union_rows(result, self._evaluate_node(branch))
             return result
         if isinstance(node, AlgebraFilter):
             child = self._evaluate_node(node.child)
-            expression = node.expression
-            return child.filter(
-                lambda binding: passes_filter(expression, Solution(binding))
+            expression, header = node.expression, child.header
+            kept = child.filter(
+                lambda row: passes_filter(expression, solution_of(header, row))
             )
+            return rows(kept, header)
         raise TypeError("unknown algebra node %r" % (node,))
 
+    def _no_rows(self, patterns: Sequence[TriplePattern]) -> RDD:
+        """No rows, over *patterns*' variables (a constant the data lacks)."""
+        return rows(self.ctx.emptyRDD(), Header(pattern_variables(patterns)))
+
+    def _empty_row(self) -> RDD:
+        """The one row that binds nothing (no pattern at all)."""
+        return rows(self.ctx.parallelize([()], 1), Header())
+
     def _evaluate_bgp(self, patterns: List[TriplePattern]) -> RDD:
-        """Engine-specific distributed BGP evaluation -> RDD of bindings."""
+        """Engine-specific distributed BGP evaluation -> RDD of rows over
+        its ``header``."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -433,12 +412,12 @@ def _show(position: object) -> str:
 def compile_pattern(
     pattern: Union[TriplePattern, Sequence[object]],
     layout: Sequence[object] = TRIPLE,
-) -> Callable[[Any], Optional[Binding]]:
-    """*pattern* as ``match(record) -> binding or None`` (variable name ->
-    value, in first-occurrence order) for probes of a few candidates,
-    and ``match.scan(partition) -> [binding, ...]`` for everything else:
-    one comprehension with the tests and the binding written inline, no
-    Python call per record.
+) -> Callable[[Any], Optional[tuple]]:
+    """*pattern* as ``match(record) -> row or None`` (the values of its
+    variables, in first-occurrence order: ``match.header``) for probes of
+    a few candidates, and ``match.scan(partition) -> [row, ...]`` for
+    everything else: one comprehension with the tests and the row written
+    inline, no Python call per record.
 
     *pattern* is a :class:`TriplePattern` or its three positions in the
     store's value space (terms or dictionary-encoded ints); *layout*
@@ -477,29 +456,34 @@ def compile_pattern(
                 namespace["h%d" % index] = hash(position)
                 test = "((h := {at}._hash) == h{i} or h is None) and " + test
             tests.append(test.format(at=at, i=index))
-    binding = "{%s}" % ", ".join("%r: %s" % bind for bind in binds.items())
+    row = "(%s)" % "".join("%s, " % at for at in binds.values())
     condition = " and ".join(tests) or "True"
     label = " ".join(map(_show, positions))
     if layout is not TRIPLE:
         label += " over " + ", ".join(map(_show, layout))
     source = (
-        "scan = lambda part: [{binding} for t in part if {condition}]\n"
-        "match = lambda t: {binding} if {condition} else None\n"
-    ).format(binding=binding, condition=condition)
+        "scan = lambda part: [{row} for t in part if {condition}]\n"
+        "match = lambda t: {row} if {condition} else None\n"
+    ).format(row=row, condition=condition)
     made = generate(label, source, namespace)
-    made["match"].scan = made["scan"]
-    return made["match"]
+    match = made["match"]
+    match.scan = made["scan"]
+    match.header = Header(binds)
+    return match
 
 
 def scan_triples(
     rdd: RDD,
     pattern: Union[TriplePattern, Sequence[object]],
     preserves_partitioning: bool = False,
+    layout: Sequence[object] = TRIPLE,
 ) -> RDD:
-    """The bindings of *pattern* over an RDD of ``(s, p, o)`` tuples, in
-    the tuples' own value space: its compiled scan, once per partition."""
-    return rdd.mapPartitions(
-        compile_pattern(pattern).scan, preserves_partitioning
+    """The rows of *pattern* over an RDD of records laid out as *layout*
+    says (``(s, p, o)`` tuples by default), in the records' own value
+    space: its compiled scan, once per partition."""
+    match = compile_pattern(pattern, layout)
+    return rows(
+        rdd.mapPartitions(match.scan, preserves_partitioning), match.header
     )
 
 

@@ -14,7 +14,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.rdf.encoding import Dictionary
 from repro.rdf.terms import Term
 from repro.spark.kernels import comprehension
+from repro.spark.metrics import Header
 from repro.spark.rdd import RDD
+from repro.spark.rows import rows
 from repro.spark.sql.session import SparkSession
 from repro.sparql.ast import TriplePattern, Variable
 
@@ -85,15 +87,15 @@ def run_bgp_sql(
     sql: str,
     variables: Sequence[str],
 ) -> RDD:
-    """Run :func:`bgp_to_sql`'s text; the rows as bindings of terms, each
-    decoded by one generated dict display with the positions fixed."""
+    """Run :func:`bgp_to_sql`'s text; its rows decoded to terms, each by
+    one generated tuple display with the positions fixed, over the
+    header of the result's variable columns."""
     result = session.sql(sql)
-    binding = ", ".join(
-        "%r: t[v[%d]]" % (name, index)
-        for index, name in enumerate(result.columns)
-        if name in variables
-    )
+    columns = [i for i, name in enumerate(result.columns) if name in variables]
     decode = comprehension(
-        "decode", "{%s}" % binding, namespace={"t": dictionary.terms}
+        "decode",
+        "(%s)" % "".join("t[v[%d]], " % i for i in columns),
+        namespace={"t": dictionary.terms},
     )
-    return result.rdd.mapPartitions(decode)
+    header = Header(result.columns[i] for i in columns)
+    return rows(result.rdd.mapPartitions(decode), header)

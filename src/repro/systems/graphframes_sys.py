@@ -31,7 +31,9 @@ from repro.rdf.terms import Term
 from repro.spark.column import col, lit
 from repro.spark.dataframe import DataFrame
 from repro.spark.graphframes import GraphFrame
+from repro.spark.metrics import Header
 from repro.spark.rdd import RDD
+from repro.spark.rows import layout, rows
 from repro.spark.sql.session import SparkSession
 from repro.sparql.ast import TriplePattern, Variable
 from repro.sparql.fragments import FEATURE_BGP
@@ -161,12 +163,5 @@ class GraphFramesEngine(SparkRdfEngine):
             var_columns[var_name] = "%s.id" % motif_name
         for var_name, edge in label_vars.items():
             var_columns[var_name] = "%s.label" % edge
-
-        def to_binding(values: tuple) -> dict:
-            row = dict(zip(columns, values))
-            return {
-                var_name: row[column]
-                for var_name, column in var_columns.items()
-            }
-
-        return result.rdd.map(to_binding)
+        to_row = layout(columns, list(var_columns.values()))
+        return rows(result.rdd.mapPartitions(to_row), Header(var_columns))

@@ -34,7 +34,11 @@ from repro.core.dimensions import (
 )
 from repro.rdf.graph import RDFGraph
 from repro.spark.graphx import Edge, EdgeContext, Graph
+from repro.spark.kernels import comprehension
+from repro.spark.metrics import Header
 from repro.spark.rdd import RDD
+from repro.spark.rows import rows
+from repro.sparql.algebra import pattern_variables
 from repro.sparql.ast import TriplePattern, Variable, connected_order
 from repro.sparql.fragments import FEATURE_BGP
 from repro.systems.base import (
@@ -136,15 +140,17 @@ class GraphXSubgraphEngine(SparkRdfEngine):
                 )
                 if not partials:
                     return
-                binding = match(ctx)
-                if binding is None:
+                row = match(ctx)
+                if row is None:
                     return
+                found = dict(zip(match.header, row))
                 for partial in partials:
                     if all(
                         partial.get(name, value) == value
-                        for name, value in binding.items()
+                        for name, value in found.items()
                     ):
-                        ctx.send_to_dst([{**partial, **binding}])
+                        # An MT row stays a dict: vertex state, shuffled.
+                        ctx.send_to_dst([dict(partial, **found)])
 
             messages = current.aggregateMessages(send, lambda a, b: a + b)
             # joinVertices folds the fresh rows into each vertex's MT table;
@@ -153,7 +159,13 @@ class GraphXSubgraphEngine(SparkRdfEngine):
                 messages, lambda vid, attr, rows: rows
             )
         # End vertices' MT tables hold the chain's partial results.
-        return current.vertices.flatMap(lambda va: va[1] or [])
+        header = Header(pattern_variables(path))
+        as_rows = comprehension(
+            "row", "(%s)" % "".join("r[%r], " % name for name in header), "r"
+        )
+        return rows(
+            current.vertices.flatMap(lambda va: as_rows(va[1] or ())), header
+        )
 
     def _evaluate_bgp(self, patterns: List[TriplePattern]) -> RDD:
         paths = decompose_into_paths(list(patterns))

@@ -33,11 +33,13 @@ from repro.core.dimensions import (
     SparkAbstraction,
 )
 from repro.data.workload import QueryWorkload
+from repro.partitioning.store import SubjectIndexes
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term
 from repro.spark.context import SparkContext
 from repro.spark.partitioner import HashPartitioner, stable_hash
 from repro.spark.rdd import RDD
+from repro.spark.rows import decoder, rows
 from repro.sparql.ast import TriplePattern, Variable, connected_order
 from repro.sparql.fragments import (
     FEATURE_BGP,
@@ -172,6 +174,7 @@ class HaqwaEngine(SparkRdfEngine):
             partitions,
             partitioner=HashPartitioner(num_partitions),
         ).cache()
+        self._subject_indexes = SubjectIndexes()
 
     def _partition_of(self, subject_id: int) -> int:
         return stable_hash(subject_id) % self._num_partitions
@@ -188,7 +191,7 @@ class HaqwaEngine(SparkRdfEngine):
             ]
         except KeyError:
             # A query constant never seen in the data: no results.
-            return self.ctx.emptyRDD()
+            return self._no_rows(patterns)
 
         groups = group_by_subject(patterns)
         if len(groups) == 1 or self._locally_coverable(groups):
@@ -235,35 +238,35 @@ class HaqwaEngine(SparkRdfEngine):
     def _match_in_partitions(
         self, local_patterns: List[tuple], anchor_subject
     ) -> RDD:
-        """The bindings of *local_patterns* matched inside each partition.
+        """The rows of *local_patterns* matched inside each partition.
 
         *anchor_subject* -- a subject of the patterns, variable or
-        constant -- anchors deduplication: a binding is emitted only from
+        constant -- anchors deduplication: a row is emitted only from
         the home partition of the subject it binds there, so the replicas
         other partitions hold never produce duplicates.
         """
-        anchor_var = constant_home = None
+        match_locally = compile_bgp_local(local_patterns)
+        header = match_locally.header
+        anchor = constant_home = None
         if isinstance(anchor_subject, Variable):
-            anchor_var = anchor_subject.name
+            anchor = header.index(anchor_subject.name)
         else:
             constant_home = self._partition_of(
                 self.dictionary.lookup_term(anchor_subject)
             )
         homes_of = self.store.partitioner.partitions_for
-        decode = self.dictionary.decode_binding
-        match_locally = compile_bgp_local(local_patterns)
+        decode = decoder(self.dictionary.terms, header)
+        indexes = self._subject_indexes
 
-        def run_partition(index: int, part: List[tuple]) -> List[dict]:
-            if anchor_var is None:  # a constant subject: its home answers
-                if index != constant_home:
-                    return []
-                return list(map(decode, match_locally(part)))
-            found = match_locally(part)
-            homes = homes_of([binding[anchor_var] for binding in found])
-            return [
-                decode(binding)
-                for binding, home in zip(found, homes)
-                if home == index
-            ]
+        def run_partition(index: int, part: List[tuple]) -> List[tuple]:
+            if anchor is None and index != constant_home:
+                return []  # a constant subject: its home answers
+            found = match_locally(part, indexes.of(index, part))
+            if anchor is not None:
+                homes = homes_of([row[anchor] for row in found])
+                found = [
+                    row for row, home in zip(found, homes) if home == index
+                ]
+            return decode(found)
 
-        return self.store.mapPartitionsWithIndex(run_partition)
+        return rows(self.store.mapPartitionsWithIndex(run_partition), header)

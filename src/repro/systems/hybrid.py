@@ -43,6 +43,7 @@ from repro.rdf.graph import RDFGraph
 from repro.spark.context import SparkContext
 from repro.spark.partitioner import HashPartitioner
 from repro.spark.rdd import RDD
+from repro.spark.rows import decoder, join_rows, rows
 from repro.spark.sql.session import SparkSession
 from repro.sparql.ast import (
     TriplePattern,
@@ -55,7 +56,6 @@ from repro.systems.base import (
     EngineProfile,
     SparkRdfEngine,
     fold_joins,
-    hash_join_bindings,
     scan_triples,
 )
 from repro.systems.bgpsql import bgp_to_sql, run_bgp_sql
@@ -128,12 +128,12 @@ class HybridEngine(SparkRdfEngine):
         return base
 
     def _pattern_rdd(self, pattern: TriplePattern) -> RDD:
-        """Bindings of one pattern (reads the whole subject-partitioned set)."""
+        """Rows of one pattern (reads the whole subject-partitioned set)."""
         try:
             local = encode_pattern(pattern, self.dictionary.lookup_term)
         except KeyError:
             # A query constant never seen in the data: no results.
-            return self.ctx.emptyRDD()
+            return self._no_rows([pattern])
         return scan_triples(self.triples, local, preserves_partitioning=True)
 
     def _evaluate_bgp(self, patterns: List[TriplePattern]) -> RDD:
@@ -142,7 +142,7 @@ class HybridEngine(SparkRdfEngine):
         if self.strategy is JoinStrategy.RDD:
             # Partitioned joins in the input logical order, never broadcast.
             joined = fold_joins(
-                patterns, self._pattern_rdd, join=hash_join_bindings
+                patterns, self._pattern_rdd, join=join_rows
             )
         elif len(patterns) == 1:
             # Nothing to join (the optimizer's leaf scans come here): no
@@ -154,7 +154,8 @@ class HybridEngine(SparkRdfEngine):
                 self._plan(patterns),
                 lambda step: self._pattern_rdd(step.pattern),
             )
-        return joined.map(self.dictionary.decode_binding)
+        decode = decoder(self.dictionary.terms, joined.header)
+        return rows(joined.mapPartitions(decode), joined.header)
 
     def _evaluate_sql(self, patterns: List[TriplePattern]) -> RDD:
         """Self-joins over the triples table, planned by Catalyst."""
@@ -169,7 +170,7 @@ class HybridEngine(SparkRdfEngine):
             self.dictionary.get,
         )
         if compiled is None:
-            return self.ctx.emptyRDD()
+            return self._no_rows(patterns)
         self.last_sql, variables = compiled
         return run_bgp_sql(
             self.session, self.dictionary, self.last_sql, variables

@@ -9,8 +9,11 @@ the common subject-bound case.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
+from repro.spark.kernels import generate
+from repro.spark.metrics import Header
+from repro.spark.rows import RowJoin
 from repro.sparql.ast import TriplePattern, Variable
 from repro.systems.base import compile_pattern
 
@@ -20,79 +23,81 @@ LocalPosition = Union[Variable, Any]
 LocalPattern = Tuple[LocalPosition, LocalPosition, LocalPosition]
 
 
-def encode_pattern(
-    pattern: TriplePattern, encode_constant
-) -> LocalPattern:
+def encode_pattern(pattern: TriplePattern, encode_constant) -> LocalPattern:
     """Map a TriplePattern into the store's value space.
 
     *encode_constant* translates a bound RDF term; it may raise KeyError
     for terms absent from the store's dictionary (no triple can match).
     """
-    out = []
-    for position in pattern.positions():
-        if isinstance(position, Variable):
-            out.append(position)
-        else:
-            out.append(encode_constant(position))
-    return tuple(out)
+    return tuple(
+        p if isinstance(p, Variable) else encode_constant(p)
+        for p in pattern.positions()
+    )
 
 
-def compile_bgp_local(
-    patterns: Sequence[LocalPattern],
-) -> Callable[[Sequence[Tuple[Any, Any, Any]]], List[Dict[str, Any]]]:
-    """*patterns* as the function from the triples of one partition to
-    their bindings (nested-index join): the patterns are compiled and
-    what each must agree on is worked out here, once for all partitions."""
+def subject_index(triples: Sequence[Tuple[Any, Any, Any]]) -> Dict[Any, list]:
+    """*triples* by subject, each subject's in their order."""
+    by_subject: Dict[Any, list] = {}
+    for triple in triples:
+        by_subject.setdefault(triple[0], []).append(triple)
+    return by_subject
+
+
+def compile_bgp_local(patterns: Sequence[LocalPattern]) -> Callable:
+    """*patterns* as ``run(triples, by_subject=None)``, the rows of one
+    partition's triples over ``run.header`` (nested-index join; the
+    subject index is built when not given): the patterns are compiled,
+    and what each must agree on and adds is written into one kernel per
+    pattern, once for all partitions."""
     steps = []
-    bound: Set[str] = set()
+    header = Header()
     for pattern in patterns:
         subject = pattern[0]
-        names = {p.name for p in pattern if isinstance(p, Variable)}
-        # Every binding so far binds exactly *bound*, so what a candidate
-        # must agree with is known per pattern; a subject found through
-        # the index already agrees.
-        by_index = isinstance(subject, Variable) and subject.name in bound
-        agree = sorted(names & bound)
+        match = compile_pattern(pattern)
+        # Every row so far is over *header*, so what a candidate must
+        # agree on is known per pattern; one found through the subject
+        # index already agrees on its subject.
+        by_index = isinstance(subject, Variable) and subject.name in header
+        agree = [name for name in match.header if name in header]
         if by_index:
             agree.remove(subject.name)
-        bound |= names
-        steps.append((compile_pattern(pattern).scan, subject, by_index, agree))
+        join = RowJoin(header, match.header, agree)
+        # The candidates: each row's subject's triples, or -- scanned
+        # once, not once per row -- the partition's or the constant
+        # subject's.
+        matches = (
+            "scan(index.get(l[%d], ()))" % header.index(subject.name)
+            if by_index
+            else "found"
+        )
+        text = "[%s for l in rows for r in %s%s]" % (
+            join.merged, matches, " if " + join.equal if join.key else ""
+        )
+        extend = generate(
+            "extend " + text,
+            "extend = lambda rows, found, index: %s\n" % text,
+            {"scan": match.scan},
+        )["extend"]
+        steps.append((match.scan, subject, by_index, extend))
+        header = join.header
 
-    def run(triples: Sequence[Tuple[Any, Any, Any]]) -> List[Dict[str, Any]]:
-        by_subject: Dict[Any, List[Tuple[Any, Any, Any]]] = {}
-        for triple in triples:
-            by_subject.setdefault(triple[0], []).append(triple)
-        bindings: List[Dict[str, Any]] = [{}]
-        for scan, subject, by_index, agree in steps:
+    def run(triples, by_subject=None) -> List[tuple]:
+        if by_subject is None:
+            by_subject = subject_index(triples)
+        found: List[tuple] = []
+        bindings: List[tuple] = [()]
+        for scan, subject, by_index, extend in steps:
             if not by_index:
-                # Scanned once, not once per binding: the partition, or
-                # the triples of the pattern's constant subject.
-                matches = scan(
+                found = scan(
                     triples
                     if isinstance(subject, Variable)
                     else by_subject.get(subject, ())
                 )
-            next_bindings: List[Dict[str, Any]] = []
-            for binding in bindings:
-                if by_index:
-                    matches = scan(by_subject.get(binding[subject.name], ()))
-                for matched in matches:
-                    for other in agree:
-                        if binding[other] != matched[other]:
-                            break
-                    else:
-                        next_bindings.append({**binding, **matched})
-            bindings = next_bindings
+            bindings = extend(bindings, found, by_subject)
             if not bindings:
                 break
         return bindings
 
+    run.header = header
     return run
 
-
-def match_bgp_local(
-    patterns: Sequence[LocalPattern],
-    triples: Sequence[Tuple[Any, Any, Any]],
-) -> List[Dict[str, Any]]:
-    """All bindings of *patterns* over *triples*."""
-    return compile_bgp_local(patterns)(triples)

@@ -268,7 +268,7 @@ class S2RdfEngine(SparkRdfEngine):
     def _evaluate_bgp(self, patterns: List[TriplePattern]) -> RDD:
         compiled = self.compile_sql(list(patterns))
         if compiled is None:
-            return self.ctx.emptyRDD()
+            return self._no_rows(patterns)
         self.last_sql, variables = compiled
         return run_bgp_sql(
             self.session, self.dictionary, self.last_sql, variables

@@ -36,6 +36,7 @@ from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term
 from repro.spark.graphx import Edge, Graph
 from repro.spark.rdd import RDD
+from repro.spark.rows import rows
 from repro.sparql.ast import TriplePattern, connected_order, variables_of
 from repro.sparql.fragments import (
     FEATURE_BGP,
@@ -49,8 +50,8 @@ from repro.systems.base import (
     EDGE,
     EngineProfile,
     SparkRdfEngine,
-    compile_pattern,
     fold_joins,
+    scan_triples,
 )
 
 
@@ -103,10 +104,8 @@ class S2XEngine(SparkRdfEngine):
     # ------------------------------------------------------------------
 
     def _edge_matches(self, pattern: TriplePattern) -> RDD:
-        """Per-edge candidate bindings for one triple pattern (graph side)."""
-        return self.graph.triplets().mapPartitions(
-            compile_pattern(pattern, EDGE).scan
-        )
+        """Per-edge candidate rows for one triple pattern (graph side)."""
+        return scan_triples(self.graph.triplets(), pattern, layout=EDGE)
 
     def _evaluate_bgp(self, patterns: List[TriplePattern]) -> RDD:
         ordered = connected_order(patterns)
@@ -129,10 +128,11 @@ class S2XEngine(SparkRdfEngine):
             for name, indices in var_patterns.items():
                 sets = []
                 for index in indices:
+                    at = matches[index].header.index(name)
                     sets.append(
                         set(
                             matches[index]
-                            .map(lambda b, n=name: b[n])
+                            .map(lambda row, at=at: row[at])
                             .distinct()
                             .collect()
                         )
@@ -142,16 +142,17 @@ class S2XEngine(SparkRdfEngine):
             bcast = self.ctx.broadcast(candidates)
             for index in range(len(matches)):
                 before = matches[index].count()
+                header = matches[index].header
                 filtered = matches[index].filter(
-                    lambda b: all(
+                    lambda row, header=header: all(
                         value in bcast.value[name]
-                        for name, value in b.items()
+                        for name, value in zip(header, row)
                     )
                 ).cache()
                 after = filtered.count()
                 if after != before:
                     changed = True
-                matches[index] = filtered
+                matches[index] = rows(filtered, header)
             if rounds > len(ordered) + 2:
                 break
         self.last_validation_rounds = rounds

@@ -32,14 +32,15 @@ from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import BNode, Literal, Term, URI
 from repro.rdf.vocab import RDF
 from repro.spark.graphx import Edge, Graph
+from repro.spark.metrics import Header
 from repro.spark.rdd import RDD
+from repro.spark.rows import rows
 from repro.sparql.ast import TriplePattern, Variable, variables_of
 from repro.sparql.fragments import FEATURE_BGP
 from repro.systems.base import (
     EDGE,
     EngineProfile,
     SparkRdfEngine,
-    compile_pattern,
     fold_joins,
     scan_triples,
 )
@@ -147,46 +148,50 @@ class SparkqlEngine(SparkRdfEngine):
     def _node_table(
         self, var: str, constraints: List[TriplePattern]
     ) -> RDD:
-        """Candidate rows for one entity variable from node properties."""
+        """Candidate rows for one entity variable from node properties,
+        over *var* and then each constraint's new object variable."""
+        header, steps = [var], []
+        for pattern in constraints:
+            obj = pattern.object
+            if isinstance(obj, Variable) and obj.name not in header:
+                header.append(obj.name)
+            # The object's position in the row, or None for a constant.
+            at = header.index(obj.name) if isinstance(obj, Variable) else None
+            predicate = pattern.predicate
+            steps.append((predicate == RDF.type, predicate, at, obj))
 
-        def rows(part) -> List[dict]:
+        def rows_of(part) -> List[tuple]:
             out = []
             for vertex, attrs in part:
-                bindings = [{var: vertex}]
-                for pattern in constraints:
-                    next_bindings: List[dict] = []
-                    if pattern.predicate == RDF.type:
-                        if pattern.object in attrs["types"]:
-                            next_bindings = bindings
+                found = [(vertex,)]
+                for is_type, predicate, at, obj in steps:
+                    if is_type:
+                        if obj not in attrs["types"]:
+                            found = []
                     else:
-                        values = attrs["props"].get(pattern.predicate, [])
-                        for binding in bindings:
-                            for value in values:
-                                if isinstance(pattern.object, Variable):
-                                    name = pattern.object.name
-                                    if (
-                                        name in binding
-                                        and binding[name] != value
-                                    ):
-                                        continue
-                                    extended = dict(binding)
-                                    extended[name] = value
-                                    next_bindings.append(extended)
-                                elif pattern.object == value:
-                                    next_bindings.append(binding)
-                    bindings = next_bindings
-                    if not bindings:
+                        values = attrs["props"].get(predicate, [])
+                        found = [
+                            row + (value,) if at == len(row) else row
+                            for row in found
+                            for value in values
+                            if (
+                                obj == value
+                                if at is None
+                                else at == len(row) or row[at] == value
+                            )
+                        ]
+                    if not found:
                         break
-                out.extend(bindings)
+                out.extend(found)
             return out
 
-        return self.graph.vertices.mapPartitions(rows)
+        return rows(
+            self.graph.vertices.mapPartitions(rows_of), Header(header)
+        )
 
     def _edge_bindings(self, pattern: TriplePattern) -> RDD:
-        """Bindings contributed by one object-property pattern."""
-        return self.graph.edges.mapPartitions(
-            compile_pattern(pattern, EDGE).scan
-        )
+        """Rows contributed by one object-property pattern."""
+        return scan_triples(self.graph.edges, pattern, layout=EDGE)
 
     # ------------------------------------------------------------------
     # BFS plan
@@ -265,5 +270,5 @@ class SparkqlEngine(SparkRdfEngine):
             steps(), lambda step: step[1](), names=lambda step: step[0]
         )
         if result is None:
-            return self.ctx.parallelize([{}], 1)
+            return self._empty_row()
         return result

@@ -38,8 +38,10 @@ from repro.core.dimensions import (
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term
 from repro.rdf.vocab import RDF
+from repro.spark.metrics import Header
 from repro.spark.partitioner import stable_hash
 from repro.spark.rdd import RDD
+from repro.spark.rows import join_rows, rows
 from repro.sparql.ast import TriplePattern, Variable, variables_of
 from repro.sparql.fragments import FEATURE_BGP
 from repro.systems.base import (
@@ -47,7 +49,6 @@ from repro.systems.base import (
     SparkRdfEngine,
     compile_pattern,
     fold_joins,
-    hash_join_bindings,
 )
 
 
@@ -168,46 +169,32 @@ class SparkRdfMesgEngine(SparkRdfEngine):
         subject/object variables select CRC > CR > RC > relation files.
         """
         predicate = pattern.predicate
-        subject_classes = (
-            sorted(
-                constraints.get(pattern.subject.name, ()),
-                key=lambda t: t.sort_key(),
-            )
-            if isinstance(pattern.subject, Variable)
+        subject_classes, object_classes = (
+            sorted(constraints.get(p.name, ()), key=lambda t: t.sort_key())
+            if isinstance(p, Variable)
             else []
+            for p in (pattern.subject, pattern.object)
         )
-        object_classes = (
-            sorted(
-                constraints.get(pattern.object.name, ()),
-                key=lambda t: t.sort_key(),
-            )
-            if isinstance(pattern.object, Variable)
-            else []
-        )
+        # The smallest candidate file, the first of equal sizes.
         if subject_classes and object_classes:
-            best: Optional[List[Tuple[Term, Term]]] = None
-            for s_class in subject_classes:
-                for o_class in object_classes:
-                    candidate = self.crc_index.get(
-                        (s_class, predicate, o_class), []
-                    )
-                    if best is None or len(candidate) < len(best):
-                        best = candidate
-            return "CRC", best or []
+            return "CRC", min(
+                (
+                    self.crc_index.get((s_class, predicate, o_class), [])
+                    for s_class in subject_classes
+                    for o_class in object_classes
+                ),
+                key=len,
+            )
         if subject_classes:
-            best = None
-            for s_class in subject_classes:
-                candidate = self.cr_index.get((s_class, predicate), [])
-                if best is None or len(candidate) < len(best):
-                    best = candidate
-            return "CR", best or []
+            return "CR", min(
+                (self.cr_index.get((c, predicate), []) for c in subject_classes),
+                key=len,
+            )
         if object_classes:
-            best = None
-            for o_class in object_classes:
-                candidate = self.rc_index.get((predicate, o_class), [])
-                if best is None or len(candidate) < len(best):
-                    best = candidate
-            return "RC", best or []
+            return "RC", min(
+                (self.rc_index.get((predicate, c), []) for c in object_classes),
+                key=len,
+            )
         return "REL", self.relation_index.get(predicate, [])
 
     # ------------------------------------------------------------------
@@ -220,16 +207,17 @@ class SparkRdfMesgEngine(SparkRdfEngine):
         constraints: Dict[str, Set[Term]],
         prepartition_on: Optional[str],
     ) -> RDD:
-        """Bindings of one pattern as a pre-partitioned RDD (an RDSG)."""
-        bindings = self._match_pattern(pattern, constraints)
-        return self._prepartition(bindings, prepartition_on)
+        """Rows of one pattern as a pre-partitioned RDD (an RDSG)."""
+        found = self._match_pattern(pattern, constraints)
+        header = compile_pattern(pattern).header
+        return rows(self._prepartition(found, prepartition_on, header), header)
 
     def _match_pattern(
         self,
         pattern: TriplePattern,
         constraints: Dict[str, Set[Term]],
-    ) -> List[dict]:
-        """*pattern*'s bindings read from its index files, each scanned
+    ) -> List[tuple]:
+        """*pattern*'s rows read from its index files, each scanned
         with its fixed positions in the layout: a relation file holds the
         ``(s, o)`` pairs of one predicate, a class file the members of one
         class."""
@@ -250,7 +238,7 @@ class SparkRdfMesgEngine(SparkRdfEngine):
         else:
             members = self.class_index.get(pattern.object, [])
             classes = [(pattern.object, members)]
-        out: List[dict] = []
+        out: List[tuple] = []
         for level, p, pairs in relations:
             self._count_read(level, len(pairs))
             out += compile_pattern(pattern, ("t[0]", p, "t[1]")).scan(pairs)
@@ -259,19 +247,21 @@ class SparkRdfMesgEngine(SparkRdfEngine):
             out += compile_pattern(pattern, ("t", RDF.type, cls)).scan(members)
         if predicate == RDF.type:
             return out
-        return [b for b in out if self._classes_ok(b, constraints)]
-
-    def _classes_ok(
-        self, binding: dict, constraints: Dict[str, Set[Term]]
-    ) -> bool:
-        """Verify remaining class constraints (multi-class subjects)."""
-        for name, classes in constraints.items():
-            value = binding.get(name)
-            if value is None:
-                continue
-            if not classes <= self.classes_of.get(value, set()):
-                return False
-        return True
+        # The remaining class constraints (multi-class subjects).
+        header = compile_pattern(pattern).header
+        checks = [
+            (header.index(name), wanted)
+            for name, wanted in constraints.items()
+            if name in header
+        ]
+        return [
+            row
+            for row in out
+            if all(
+                wanted <= self.classes_of.get(row[at], set())
+                for at, wanted in checks
+            )
+        ]
 
     def _count_read(self, level: str, records: int) -> None:
         self.last_index_reads[level] = (
@@ -280,18 +270,18 @@ class SparkRdfMesgEngine(SparkRdfEngine):
         self.ctx.metrics.incr("records_scanned", records)
 
     def _prepartition(
-        self, bindings: List[dict], variable: Optional[str]
+        self, found: List[tuple], variable: Optional[str], header: Header
     ) -> RDD:
         """Dynamic pre-partitioning: co-locate equal join-variable values."""
         if variable is None:
-            return self.ctx.parallelize(bindings)
-        partitions: List[List[dict]] = [
+            return self.ctx.parallelize(found)
+        partitions: List[List[tuple]] = [
             [] for _ in range(self._num_partitions)
         ]
-        for binding in bindings:
-            value = binding.get(variable)
-            index = stable_hash((value,)) % self._num_partitions
-            partitions[index].append(binding)
+        at = header.index(variable)
+        for row in found:
+            index = stable_hash((row[at],)) % self._num_partitions
+            partitions[index].append(row)
         return self.ctx.fromPartitions(partitions)
 
     # ------------------------------------------------------------------
@@ -330,14 +320,14 @@ class SparkRdfMesgEngine(SparkRdfEngine):
             units,
             lambda unit: self._generate_rdsg(unit[0], constraints, unit[1]),
             names=lambda unit: variables_of(unit[0]),
-            join=hash_join_bindings,
+            join=join_rows,
         )
         # Patterns with no variables at all (fully ground).
         for pattern in kept:
             if not pattern.variables() and not self._match_pattern(
                 pattern, constraints
             ):
-                return self.ctx.emptyRDD()
+                return self._no_rows(patterns)
         if result is None:
-            return self.ctx.parallelize([{}], 1)
+            return self._empty_row()
         return result

@@ -30,6 +30,7 @@ from repro.core.dimensions import (
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term
 from repro.spark.rdd import RDD
+from repro.spark.rows import rows
 from repro.sparql.ast import TriplePattern, Variable, connected_order
 from repro.sparql.fragments import (
     FEATURE_BGP,
@@ -42,8 +43,8 @@ from repro.sparql.fragments import (
 from repro.systems.base import (
     EngineProfile,
     SparkRdfEngine,
-    compile_pattern,
     fold_joins,
+    scan_triples,
 )
 
 
@@ -250,27 +251,27 @@ class SparqlgxEngine(SparkRdfEngine):
         )
 
     def _pattern_rdd(self, pattern: TriplePattern) -> RDD:
-        """The bindings of one pattern, scanning only its predicate store."""
+        """The rows of one pattern, scanning only its predicate store."""
         if isinstance(pattern.predicate, Variable):
             # Unbounded predicate: every store must be read.
             result: Optional[RDD] = None
             for predicate, table in self.vp_tables.items():
                 part = self._match_in_store(pattern, predicate, table)
                 result = part if result is None else result.union(part)
-            return result if result is not None else self.ctx.emptyRDD()
-        table = self.vp_tables.get(pattern.predicate)
-        if table is None:
-            return self.ctx.emptyRDD()
-        return self._match_in_store(pattern, pattern.predicate, table)
+            if result is not None:
+                return rows(result, part.header)
+        else:
+            table = self.vp_tables.get(pattern.predicate)
+            if table is not None:
+                return self._match_in_store(pattern, pattern.predicate, table)
+        return self._no_rows([pattern])
 
     def _match_in_store(
         self, pattern: TriplePattern, predicate: Term, table: RDD
     ) -> RDD:
         # An (s, o) pair is scanned as it lies: the store's predicate is
         # compared, or bound, when the pattern is compiled.
-        return table.mapPartitions(
-            compile_pattern(pattern, ("t[0]", predicate, "t[1]")).scan
-        )
+        return scan_triples(table, pattern, layout=("t[0]", predicate, "t[1]"))
 
     def _evaluate_bgp(self, patterns: List[TriplePattern]) -> RDD:
         if self.enable_reordering:

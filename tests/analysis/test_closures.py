@@ -481,10 +481,11 @@ class TestGeneratedKernels:
     @staticmethod
     def kernels(constant):
         from repro.sparql.ast import Variable
-        from repro.systems.base import compile_pattern, keyer
+        from repro.spark.rows import keyer
+        from repro.systems.base import compile_pattern
 
         match = compile_pattern((Variable("s"), constant, Variable("o")))
-        return match, match.scan, keyer(["s", "o"])
+        return match, match.scan, keyer(["s", "o"], match.header)
 
     def test_source_is_recoverable_and_verifies_clean(self):
         import inspect

@@ -56,10 +56,16 @@ class TestDictionary:
         assert d.encode_graph(RDFGraph(triples)) == [(0, 1, 2), (3, 1, 4)]
         assert d.decode_id(0) == uri("s1") and d.decode_id(3) == uri("s2")
 
-    def test_decode_binding(self):
+    def test_decode_rows(self):
+        from repro.spark.rows import decoder
+
         d = Dictionary()
-        ids = {"x": d.encode_term(uri("a")), "y": d.encode_term(Literal(5))}
-        assert d.decode_binding(ids) == {"x": uri("a"), "y": Literal(5)}
+        row = (d.encode_term(uri("a")), d.encode_term(Literal(5)))
+        decode = decoder(d.terms, ("x", "y"))
+        assert decode([row, row[::-1]]) == [
+            (uri("a"), Literal(5)),
+            (Literal(5), uri("a")),
+        ]
 
     def test_triple_roundtrip(self):
         d = Dictionary()

@@ -150,6 +150,55 @@ class TestOrdering:
         by_key = lambda term: (term.sort_key(), term.n3())
         assert sorted(shuffled, key=by_key) == sorted(terms, key=by_key)
 
+    @pytest.mark.parametrize(
+        "text, datatype",
+        [
+            ("1_000", "integer"),
+            (" 7 ", "int"),
+            ("1_0.5", "decimal"),
+            ("inf", "double"),
+            ("Infinity", "double"),
+            ("1e5", "decimal"),
+            ("1.", "decimal"),
+            ("0x1A", "integer"),
+            ("\u0661", "integer"),  # a digit, but not an ASCII one
+        ],
+    )
+    def test_a_numeral_outside_the_lexical_space_is_ill_typed(
+        self, text, datatype
+    ):
+        literal = Literal(text, datatype=getattr(XSD, datatype))
+        assert literal.to_python() is None
+        assert literal.sort_key()[1] == (2, 0.0, text)  # sorted by its text
+
+    @pytest.mark.parametrize(
+        "text, datatype, value",
+        [
+            ("-7", "integer", -7),
+            ("+7", "int", 7),
+            ("0.5", "decimal", 0.5),
+            (".5", "decimal", 0.5),
+            ("5", "decimal", 5.0),
+            ("1.5e3", "double", 1500.0),
+            ("2E-1", "float", 0.2),
+            ("INF", "double", float("inf")),
+            ("-INF", "float", float("-inf")),
+        ],
+    )
+    def test_a_numeral_of_the_grammar_is_its_value(
+        self, text, datatype, value
+    ):
+        literal = Literal(text, datatype=getattr(XSD, datatype))
+        assert literal.to_python() == value
+
+    def test_nan_and_python_floats_that_are_not_finite(self):
+        nan = Literal("NaN", datatype=XSD.double).to_python()
+        assert nan != nan
+        assert Literal(float("inf")).lexical == "INF"
+        assert Literal(float("-inf")).lexical == "-INF"
+        assert Literal(float("nan")).lexical == "NaN"
+        assert Literal(float("inf")).to_python() == float("inf")
+
     def test_integers_past_2_to_the_53_keep_their_order(self):
         big = 2**53
         assert Literal(big) < Literal(big + 1)

@@ -17,9 +17,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.rdf.terms import BNode, Literal, URI
 from repro.spark.context import SparkContext
-from repro.spark.metrics import estimate_size, estimate_sizes
+from repro.spark.metrics import (
+    Header,
+    RowTable,
+    estimate_size,
+    estimate_sizes,
+)
 from repro.spark.parallel import parallel_available
 from repro.spark.partitioner import HashPartitioner, Partitioner, stable_hash
+from repro.spark.rows import rows
 
 
 def reference_size(value):
@@ -212,6 +218,59 @@ def test_a_broadcast_is_priced_like_its_value(value):
     ctx = SparkContext(num_executors=3)
     ctx.broadcast(value)
     assert ctx.metrics.snapshot()["broadcast_bytes"] == 3 * expected
+
+
+@st.composite
+def headed_rows(draw):
+    """(header, ``(key, row)`` records): distinct names, ASCII or not,
+    none at all too; some may be unbound, and a row holds None only
+    there; values are terms or ints, a column of one kind or mixed."""
+    header_names = draw(st.lists(names, unique=True, max_size=4))
+    maybe = set()
+    if header_names:
+        maybe = draw(st.sets(st.sampled_from(header_names)))
+    value = draw(st.sampled_from([terms, ints, st.one_of(terms, ints)]))
+    row = st.tuples(
+        *(
+            st.one_of(st.none(), value) if name in maybe else value
+            for name in header_names
+        )
+    )
+    key = draw(st.sampled_from(key_kinds[:4]))
+    records = draw(st.lists(st.tuples(key, row), max_size=6))
+    return Header(header_names, maybe), records
+
+
+def as_dict(header, row):
+    """The binding a row stands for: its bound names."""
+    return {
+        name: value for name, value in zip(header, row) if value is not None
+    }
+
+
+@given(headed=headed_rows())
+@settings(max_examples=300, deadline=None)
+def test_rows_are_priced_as_the_dicts_they_stand_for(headed):
+    """Shuffled ``(key, row)`` records and a broadcast build table cost
+    exactly what the same records and table of dicts cost."""
+    header, records = headed
+    dicts = [(key, as_dict(header, row)) for key, row in records]
+    expected = sum(map(reference_size, dicts))
+    assert header.price_pairs(pickle.loads(pickle.dumps(records))) == expected
+    assert header.price_pairs(records) == expected == estimate_sizes(dicts)
+    table, dict_table = RowTable(header), {}
+    for key, row in records:
+        table.setdefault(key, []).append(row)
+        dict_table.setdefault(key, []).append(as_dict(header, row))
+    assert table.size() == reference_size(dict_table)
+    ctx = SparkContext(num_executors=3)
+    ctx.broadcast(table)
+    assert ctx.metrics.snapshot()["broadcast_bytes"] == 3 * table.size()
+    # A shuffle of the records charges the dicts' price.
+    keyed = rows(ctx.parallelize(records, 2), header)
+    before = ctx.metrics.snapshot()
+    keyed.partitionBy(HashPartitioner(3)).collect()
+    assert (ctx.metrics.snapshot() - before).shuffle_bytes == expected
 
 
 class _ByReprLength(Partitioner):

@@ -6,6 +6,7 @@ from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triple import Triple
 from repro.spark.context import SparkContext
+from repro.spark.metrics import Header
 from repro.sparql.algebra import translate
 from repro.sparql.parser import parse_sparql
 from repro.systems import NaiveEngine, UnsupportedQueryError
@@ -15,6 +16,7 @@ from repro.systems.base import (
     join_binding_rdds,
     node_variables,
     pattern_variables,
+    rows,
 )
 from repro.systems.bgpsql import bgp_to_sql
 from repro.sparql.ast import (
@@ -96,16 +98,17 @@ class TestHelpers:
         match = compile_pattern(
             TriplePattern(Variable("s"), uri("p"), Variable("o"))
         )
-        binding = match((uri("a"), uri("p"), uri("b")))
-        assert binding == {"s": uri("a"), "o": uri("b")}
+        assert match.header == ("s", "o")
+        assert match((uri("a"), uri("p"), uri("b"))) == (uri("a"), uri("b"))
         assert match((uri("a"), uri("q"), uri("b"))) is None
 
     def test_compile_pattern_repeated_variable(self):
         match = compile_pattern(
             TriplePattern(Variable("x"), uri("p"), Variable("x"))
         )
+        assert match.header == ("x",)
         assert match((uri("a"), uri("p"), uri("b"))) is None
-        assert match((uri("a"), uri("p"), uri("a"))) == {"x": uri("a")}
+        assert match((uri("a"), uri("p"), uri("a"))) == (uri("a"),)
 
     def test_pattern_variables_order(self):
         patterns = [
@@ -152,21 +155,21 @@ class TestHelpers:
         sc = SparkContext(2)
         calls = []
         units = [
-            ("u1", {"x", "y"}, [{"x": 1, "y": 2}]),
-            ("u2", {"y", "z"}, [{"y": 2, "z": 3}]),
-            ("u3", {"w"}, [{"w": 4}, {"w": 5}]),
+            ("u1", ("x", "y"), [(1, 2)]),
+            ("u2", ("y", "z"), [(2, 3)]),
+            ("u3", ("w",), [(4,), (5,)]),
         ]
 
         def evaluate(unit):
             calls.append("evaluate " + unit[0])
-            return sc.parallelize(unit[2])
+            return rows(sc.parallelize(unit[2]), Header(unit[1]))
 
         def join(left, right, shared):
             calls.append("join on %s" % ",".join(shared))
             return join_binding_rdds(left, right, shared)
 
         result = fold_joins(
-            units, evaluate, names=lambda unit: unit[1], join=join
+            units, evaluate, names=lambda unit: set(unit[1]), join=join
         )
         assert calls == [
             "evaluate u1",
@@ -175,10 +178,8 @@ class TestHelpers:
             "evaluate u3",
             "join on ",
         ]
-        assert sorted(result.collect(), key=lambda b: b["w"]) == [
-            {"x": 1, "y": 2, "z": 3, "w": 4},
-            {"x": 1, "y": 2, "z": 3, "w": 5},
-        ]
+        assert result.header == ("x", "y", "z", "w")
+        assert sorted(result.collect()) == [(1, 2, 3, 4), (1, 2, 3, 5)]
 
     def test_fold_joins_of_no_units_is_none(self):
         assert fold_joins([], lambda unit: unit) is None
@@ -187,10 +188,14 @@ class TestHelpers:
         sc = SparkContext(2)
         s_o = TriplePattern(Variable("s"), uri("p"), Variable("o"))
         o_z = TriplePattern(Variable("o"), uri("q"), Variable("z"))
-        rows = {s_o: [{"s": 1, "o": 2}], o_z: [{"o": 2, "z": 3}]}
+        found = {s_o: (("s", "o"), [(1, 2)]), o_z: (("o", "z"), [(2, 3)])}
         sc.tracer.enable()
-        joined = fold_joins([s_o, o_z], lambda p: sc.parallelize(rows[p]))
-        assert joined.collect() == [{"s": 1, "o": 2, "z": 3}]
+        joined = fold_joins(
+            [s_o, o_z],
+            lambda p: rows(sc.parallelize(found[p][1]), Header(found[p][0])),
+        )
+        assert joined.header == ("s", "o", "z")
+        assert joined.collect() == [(1, 2, 3)]
         steps = [s for s in sc.tracer.roots if s.kind == "bgp_step"]
         assert [s.attrs["on"] for s in steps] == ["o"]
 
@@ -203,27 +208,28 @@ class TestHelpers:
 
     def test_join_binding_rdds_inner(self):
         sc = SparkContext(2)
-        left = sc.parallelize([{"x": 1, "y": 2}, {"x": 3, "y": 4}])
-        right = sc.parallelize([{"x": 1, "z": 9}])
-        joined = join_binding_rdds(left, right, ["x"]).collect()
-        assert joined == [{"x": 1, "y": 2, "z": 9}]
+        left = rows(sc.parallelize([(1, 2), (3, 4)]), Header(("x", "y")))
+        right = rows(sc.parallelize([(9, 1)]), Header(("z", "x")))
+        joined = join_binding_rdds(left, right, ["x"])
+        assert joined.header == ("x", "y", "z")
+        assert joined.collect() == [(1, 2, 9)]
 
     def test_join_binding_rdds_left(self):
         sc = SparkContext(2)
-        left = sc.parallelize([{"x": 1}, {"x": 2}])
-        right = sc.parallelize([{"x": 1, "z": 9}])
-        joined = sorted(
-            join_binding_rdds(left, right, ["x"], how="left").collect(),
-            key=lambda b: b["x"],
-        )
-        assert joined == [{"x": 1, "z": 9}, {"x": 2}]
+        left = rows(sc.parallelize([(1,), (2,)]), Header(("x",)))
+        right = rows(sc.parallelize([(1, 9)]), Header(("x", "z")))
+        joined = join_binding_rdds(left, right, ["x"], how="left")
+        assert joined.header == ("x", "z")
+        assert joined.header.maybe == {"z"}
+        assert sorted(joined.collect()) == [(1, 9), (2, None)]
 
     def test_join_binding_rdds_cartesian_when_disjoint(self):
         sc = SparkContext(2)
-        left = sc.parallelize([{"a": 1}])
-        right = sc.parallelize([{"b": 2}, {"b": 3}])
+        left = rows(sc.parallelize([(1,)]), Header(("a",)))
+        right = rows(sc.parallelize([(2,), (3,)]), Header(("b",)))
         joined = join_binding_rdds(left, right, [])
-        assert len(joined.collect()) == 2
+        assert joined.header == ("a", "b")
+        assert sorted(joined.collect()) == [(1, 2), (1, 3)]
 
 
 class TestBgpToSql:

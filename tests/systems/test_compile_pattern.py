@@ -3,7 +3,7 @@ triple, over every layout a triple pattern can have, in both value
 spaces the engines scan (terms and dictionary-encoded ints) and in the
 three shapes a scanned record has (a triple, SPARQLGX's ``(s, o)`` pair
 in a store of one predicate, Spar(k)ql's ``Edge``); and
-``match_bgp_local``, which joins through it, against the per-candidate
+``compile_bgp_local``, which joins through it, against the per-candidate
 walk it replaced."""
 
 import itertools
@@ -15,7 +15,7 @@ from repro.rdf.terms import BNode, Literal, URI
 from repro.spark.graphx import Edge
 from repro.sparql.ast import TriplePattern, Variable
 from repro.systems.base import compile_pattern
-from repro.systems.localmatch import match_bgp_local
+from repro.systems.localmatch import compile_bgp_local
 
 
 def reference_match(triple, positions):
@@ -97,9 +97,12 @@ def test_every_layout_matches_like_the_reference(universe):
             for triple in triples:
                 expected = reference_match(triple, positions)
                 got = match(triple)
-                assert got == expected, (positions, triple)
-                if expected is not None:
-                    assert list(got) == list(expected)  # same key order
+                if expected is None:
+                    assert got is None, (positions, triple)
+                else:
+                    # A row over the header, in the reference's key order.
+                    assert match.header == tuple(expected), positions
+                    assert got == tuple(expected.values()), (positions, triple)
         seen += 1
     assert seen == 27
 
@@ -146,12 +149,12 @@ def test_every_layout_scans_like_the_reference(universe, hashed):
                 if (binding := reference_match(triple, positions)) is not None
             ]
             got = match.scan(records)
-            assert got == expected, (name, positions)
-            assert [list(b) for b in got] == [list(b) for b in expected]
+            assert got == [tuple(b.values()) for b in expected], (
+                name, positions
+            )
+            assert all(match.header == tuple(b) for b in expected)
             # The probe entry point is the same kernel, one record a call.
-            assert [
-                b for r in records if (b := match(r)) is not None
-            ] == expected
+            assert [b for r in records if (b := match(r)) is not None] == got
             seen.add((name, positions))
     assert len(seen) == 3 * 27
 
@@ -176,10 +179,12 @@ def test_local_bgp_joins_like_the_reference(universe):
     ]
     for left, right in itertools.product(first, second):
         expected = reference_bgp([left, right], triples)
-        got = match_bgp_local([left, right], triples)
-        assert got == expected, (left, right)
-        assert [list(b) for b in got] == [list(b) for b in expected]
+        run = compile_bgp_local([left, right])
+        assert run(triples) == [tuple(b.values()) for b in expected], (
+            left, right
+        )
+        assert all(run.header == tuple(b) for b in expected)
 
 
 def test_no_patterns_is_one_empty_binding():
-    assert match_bgp_local([], [(1, 2, 3)]) == [{}]
+    assert compile_bgp_local([])([(1, 2, 3)]) == [()]

@@ -12,17 +12,14 @@ from repro.data.lubm import LubmGenerator
 from repro.data.watdiv import WatdivGenerator
 from repro.server.protocol import canonical_json, canonical_result
 from repro.spark.context import SparkContext
+from repro.spark.metrics import Header
 from repro.spark.rdd import RDD
-from repro.sparql.algebra import evaluate
+from repro.spark.rows import rows
+from repro.sparql.algebra import evaluate, pattern_variables
 from repro.sparql.ast import TriplePattern, Variable, connected_order
 from repro.sparql.fragments import features_of
 from repro.sparql.parser import parse_sparql
-from repro.systems.base import (
-    fold_joins,
-    hash_join_bindings,
-    keyer,
-    merge_joined,
-)
+from repro.systems.base import fold_joins
 from repro.systems.hybrid import HybridEngine, JoinStrategy
 from tests.differential import matrix
 from tests.systems.conftest import assert_engine_matches_reference
@@ -176,14 +173,41 @@ class TestStrategyCostProperties:
 # ----------------------------------------------------------------------
 
 
+def keyer(names):
+    """Bindings (dicts) as ``(key, binding)`` pairs, the key their values
+    for *names*."""
+    return lambda part: [(tuple(b[n] for n in names), b) for b in part]
+
+
+def merge_joined(joined: RDD) -> RDD:
+    return joined.mapPartitions(
+        lambda part: [{**left, **(right or {})} for _, (left, right) in part]
+    )
+
+
+def hash_join_bindings(left: RDD, right: RDD, shared) -> RDD:
+    """The keyed hash join of bindings as dicts, priced as dicts."""
+    if not shared:
+        product = left.cartesian(right)
+        return product.map(lambda pair: {**pair[0], **pair[1]})
+    key = keyer(sorted(shared))
+    return merge_joined(left.mapPartitions(key).join(right.mapPartitions(key)))
+
+
 def reference_generic(
     engine: HybridEngine, patterns: List[TriplePattern], use_partitioning: bool
 ) -> RDD:
     """SPARQL-Hybrid's greedy fold and its two join operators as they ran
-    before the plan went to the optimizer's executor: smallest-first,
+    before the plan went to the optimizer's executor, over bindings as
+    dicts (so every shuffle and broadcast prices dicts): smallest-first,
     broadcast/partitioned per join, and with *use_partitioning* a
     subject-subject join zipped partition-locally."""
     threshold = engine.broadcast_threshold
+
+    def scan(pattern):
+        found = engine._pattern_rdd(pattern)
+        header = found.header
+        return found.map(lambda row: dict(zip(header, row)))
 
     def subject_variable(pattern):
         subject = pattern.subject
@@ -238,7 +262,7 @@ def reference_generic(
             subject_keyed_var = None
         return hash_join_bindings(result, matches, shared)
 
-    return fold_joins(ordered, engine._pattern_rdd, join=join)
+    return fold_joins(ordered, scan, join=join)
 
 
 GRAPHS = ("lubm", "watdiv")
@@ -264,9 +288,18 @@ def _engines(dataset, strategy, parallelism, threshold):
         )
         pair.append(engine.load(graph))
     reference = pair[1]
-    reference._evaluate_bgp = lambda patterns: reference_generic(
-        reference, patterns, strategy is JoinStrategy.HYBRID
-    ).map(reference.dictionary.decode_binding)
+    terms = reference.dictionary.terms
+
+    def evaluate(patterns):
+        header = Header(pattern_variables(patterns))
+        return rows(
+            reference_generic(
+                reference, patterns, strategy is JoinStrategy.HYBRID
+            ).map(lambda b: tuple(terms[b[name]] for name in header)),
+            header,
+        )
+
+    reference._evaluate_bgp = evaluate
     return tuple(pair)
 
 

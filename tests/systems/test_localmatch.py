@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sparql.ast import TriplePattern, Variable
-from repro.systems.localmatch import encode_pattern, match_bgp_local
+from repro.systems.localmatch import compile_bgp_local, encode_pattern
 
 V = Variable
 
@@ -17,46 +17,46 @@ class TestMatchBgpLocal:
     ]
 
     def test_empty_patterns_yield_empty_binding(self):
-        assert match_bgp_local([], self.TRIPLES) == [{}]
+        assert compile_bgp_local([]).header == ()
+        assert compile_bgp_local([])(self.TRIPLES) == [()]
 
     def test_single_pattern_all_variables(self):
-        bindings = match_bgp_local([(V("s"), V("p"), V("o"))], self.TRIPLES)
-        assert len(bindings) == 4
+        run = compile_bgp_local([(V("s"), V("p"), V("o"))])
+        assert run.header == ("s", "p", "o")
+        assert len(run(self.TRIPLES)) == 4
 
     def test_constant_predicate(self):
-        bindings = match_bgp_local([(V("s"), 11, V("o"))], self.TRIPLES)
-        assert bindings == [{"s": 1, "o": 5}]
+        run = compile_bgp_local([(V("s"), 11, V("o"))])
+        assert run.header == ("s", "o")
+        assert run(self.TRIPLES) == [(1, 5)]
 
     def test_constant_subject_uses_index(self):
-        bindings = match_bgp_local([(1, 10, V("o"))], self.TRIPLES)
-        assert bindings == [{"o": 2}]
+        run = compile_bgp_local([(1, 10, V("o"))])
+        assert run.header == ("o",)
+        assert run(self.TRIPLES) == [(2,)]
 
     def test_chain_join(self):
-        bindings = match_bgp_local(
-            [(V("a"), 10, V("b")), (V("b"), 10, V("c"))], self.TRIPLES
-        )
-        found = {(b["a"], b["b"], b["c"]) for b in bindings}
-        assert found == {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
+        run = compile_bgp_local([(V("a"), 10, V("b")), (V("b"), 10, V("c"))])
+        assert run.header == ("a", "b", "c")
+        assert set(run(self.TRIPLES)) == {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
 
     def test_repeated_variable_within_pattern(self):
         triples = [(1, 10, 1), (1, 10, 2)]
-        bindings = match_bgp_local([(V("x"), 10, V("x"))], triples)
-        assert bindings == [{"x": 1}]
+        run = compile_bgp_local([(V("x"), 10, V("x"))])
+        assert run.header == ("x",)
+        assert run(triples) == [(1,)]
 
     def test_no_match_short_circuits(self):
-        bindings = match_bgp_local(
-            [(V("s"), 99, V("o")), (V("s"), 10, V("o2"))], self.TRIPLES
-        )
-        assert bindings == []
+        run = compile_bgp_local([(V("s"), 99, V("o")), (V("s"), 10, V("o2"))])
+        assert run(self.TRIPLES) == []
 
     def test_bound_variable_propagates(self):
-        bindings = match_bgp_local(
-            [(1, 10, V("x")), (V("x"), 10, V("y"))], self.TRIPLES
-        )
-        assert bindings == [{"x": 2, "y": 3}]
+        run = compile_bgp_local([(1, 10, V("x")), (V("x"), 10, V("y"))])
+        assert run.header == ("x", "y")
+        assert run(self.TRIPLES) == [(2, 3)]
 
     def test_empty_store(self):
-        assert match_bgp_local([(V("s"), V("p"), V("o"))], []) == []
+        assert compile_bgp_local([(V("s"), V("p"), V("o"))])([]) == []
 
 
 class TestEncodePattern:

@@ -464,14 +464,16 @@ def test_killed_worker_is_a_typed_error(data_file, capsys, monkeypatch):
     """A worker that dies mid-task ends in exit 3 and one ``error:``
     line: killed from inside a shuffle map task, no flag involved."""
     driver = os.getpid()
-    price = rdd_module.estimate_sizes
+    map_task = rdd_module.ShuffledRDD._map_fragments
 
-    def die_in_a_worker(records):
+    def die_in_a_worker(shuffled, map_index):
         if os.getpid() != driver:
             os.kill(os.getpid(), signal.SIGKILL)
-        return price(records)
+        return map_task(shuffled, map_index)
 
-    monkeypatch.setattr(rdd_module, "estimate_sizes", die_in_a_worker)
+    monkeypatch.setattr(
+        rdd_module.ShuffledRDD, "_map_fragments", die_in_a_worker
+    )
     argv = ["query", data_file, STAR_QUERY, "--backend", "parallel"]
     assert main(argv + ["--workers", "2"]) == 3
     captured = capsys.readouterr()
@@ -487,14 +489,16 @@ def test_task_that_never_returns_is_a_typed_error(data_file, capsys, monkeypatch
     """Workers that are alive and silent past the stall limit end the
     same way: exit 3, one ``error:`` line, nothing left running."""
     driver = os.getpid()
-    price = rdd_module.estimate_sizes
+    map_task = rdd_module.ShuffledRDD._map_fragments
 
-    def spin_in_a_worker(records):
+    def spin_in_a_worker(shuffled, map_index):
         while os.getpid() != driver:
             pass
-        return price(records)
+        return map_task(shuffled, map_index)
 
-    monkeypatch.setattr(rdd_module, "estimate_sizes", spin_in_a_worker)
+    monkeypatch.setattr(
+        rdd_module.ShuffledRDD, "_map_fragments", spin_in_a_worker
+    )
     monkeypatch.setattr(parallel_module, "_STALL_POLLS", 2)
     argv = ["query", data_file, STAR_QUERY, "--backend", "parallel"]
     assert main(argv + ["--workers", "2"]) == 3

@@ -162,7 +162,10 @@ class TestPartitionedStoreEvaluation:
         )
         got = SolutionSet(
             ["s", "d", "a"],
-            [Solution(b) for b in bindings.collect()],
+            [
+                Solution(dict(zip(bindings.header, row)))
+                for row in bindings.collect()
+            ],
         )
         expected = evaluate(query, lubm_graph)
         assert got.same_as(expected)
