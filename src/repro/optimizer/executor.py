@@ -40,11 +40,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.spark.kernels import comprehension
 from repro.spark.metrics import RowTable
 from repro.spark.partitioner import HashPartitioner
 from repro.spark.rdd import RDD
-from repro.spark.rows import RowJoin, join_rows, keyer, rows
+from repro.spark.rows import RowJoin, join_rows, keyed, keyer, rows
 from repro.spark.tracing import Span
 from repro.optimizer.planner import BgpPlan, JoinStep
 from repro.systems.base import compile_pattern
@@ -182,19 +181,13 @@ def _partitioned_join(
     if state.key == join.key:
         left = state.rdd
     else:
-        accumulated = state.bindings()
-        left = rows(
-            accumulated.mapPartitions(keyer(join.key, accumulated.header)),
-            accumulated.header,
-        )
-    right = rows(
-        fresh.mapPartitions(keyer(join.key, fresh.header)), fresh.header
-    )
+        left = keyed(state.bindings(), join.key)
+    right = keyed(fresh, join.key)
     joined = left.join(right, num_partitions=ctx.default_parallelism)
     merged = joined.mapPartitions(
         join.kernel("(k, {row})", "k, (l, r)"), preserves_partitioning=True
     )
-    return _State(rows(merged, join.header), key=join.key)
+    return _State(rows(merged, join.header, join.key), key=join.key)
 
 
 def _colocated_join(
@@ -204,12 +197,7 @@ def _colocated_join(
     1-tuple key would hash elsewhere) and place them as the store is."""
     (name,) = shared
     join = RowJoin(accumulated.header, fresh.header, shared)
-
-    def keyed(side: RDD) -> RDD:
-        key = comprehension("key", "(r[%d], r)" % side.header.index(name), "r")
-        return rows(side.mapPartitions(key), side.header)
-
-    left, right = keyed(accumulated), keyed(fresh)
+    left, right = keyed(accumulated, name), keyed(fresh, name)
     partitioner = HashPartitioner(ctx.default_parallelism)
     placed = left.partitionBy(partitioner).join(right.partitionBy(partitioner))
     return _State(rows(placed.mapPartitions(join.pairs()), join.header))
@@ -248,7 +236,7 @@ def _broadcast_join(
         return out
 
     probed = probe.rdd.mapPartitions(probe_part, preserves_partitioning=True)
-    return _State(rows(probed, join.header), key=probe.key)
+    return _State(rows(probed, join.header, probe.key), key=probe.key)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ how even is the load.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term, URI
@@ -22,17 +22,22 @@ from repro.sparql.ast import TriplePattern, Variable
 from repro.systems.localmatch import compile_bgp_local, subject_index
 
 
-class SubjectIndexes(dict):
-    """Partition index -> :func:`subject_index` of that partition of a
-    store, built on first use by the process that reads the partition and
-    kept with the store.  It pickles empty, so none crosses a pipe."""
+class PartitionIndexes(dict):
+    """Partition index -> what *build* makes of that partition of an
+    RDD, built on first use by the process that reads the partition and
+    kept with its owner.  It pickles empty (*build* goes by name), so no
+    index crosses a pipe."""
+
+    def __init__(self, build: Callable[[List[Any]], Any]) -> None:
+        super().__init__()
+        self.build = build
 
     def __reduce__(self):
-        return SubjectIndexes, ()
+        return PartitionIndexes, (self.build,)
 
-    def of(self, index: int, triples: List[Tuple[Term, Term, Term]]):
+    def of(self, index: int, part: List[Any]):
         if index not in self:
-            self[index] = subject_index(triples)
+            self[index] = self.build(part)
         return self[index]
 
 
@@ -54,7 +59,7 @@ class PartitionedTripleStore:
             partitions[partitioner.partition_for(triple[0])].append(triple)
         self._partitions = partitions
         self.rdd: RDD = ctx.fromPartitions(partitions)
-        self._subject_indexes = SubjectIndexes()
+        self._subject_indexes = PartitionIndexes(subject_index)
 
     # ------------------------------------------------------------------
     # Placement quality measurements

@@ -178,14 +178,26 @@ class Header(tuple):
             total += cost * len(bound) + _column_size(bound)
         return total
 
-    def price_pairs(self, records: Sequence[tuple]) -> int:
-        """:meth:`price` for ``(key, row)`` records: a shuffle's output."""
-        keys = [key for key, _row in records]
-        return (
-            16 * len(records)
-            + _column_size(keys)
-            + self.price([row for _key, row in records])
+    def price_keyed(
+        self, columns: Sequence[Sequence[object]], at, count: int
+    ) -> int:
+        """What :func:`estimate_sizes` charges for *count* ``(key, row)``
+        records with each row a dict, from the rows' *columns*: the key
+        is the tuple of a row's values at the positions *at*, or, *at*
+        being one position (an int), the bare value there.  Each pair
+        costs 16, a key tuple 8 + 4 per item, and every column a key
+        or a row reads is sized once."""
+        key = (at,) if type(at) is int else tuple(at)
+        sizes = {i: _column_size(columns[i]) for i in dict.fromkeys(self._always + key)}
+        total = (16 + self._fixed) * count + sum(
+            map(sizes.__getitem__, self._always + key)
         )
+        if type(at) is not int:
+            total += (8 + 4 * len(key)) * count
+        for index, cost in self._optional:
+            bound = [value for value in columns[index] if value is not None]
+            total += cost * len(bound) + _column_size(bound)
+        return total
 
 
 class RowTable(dict):

@@ -77,8 +77,17 @@ def _column_hashes(column: Sequence[object]) -> Optional[List[int]]:
         return placed
     if kinds != {tuple} or len(set(map(len, column))) != 1:
         return None
-    folded = [0x811C9DC5] * len(column)
-    for items in zip(*column):
+    return _folded(list(zip(*column)), len(column))
+
+
+def _folded(
+    item_columns: Sequence[Sequence[object]], count: int
+) -> Optional[List[int]]:
+    """``stable_hash`` of the *count* tuples whose items are the values
+    of *item_columns*, item column by item column from 0x811C9DC5; None
+    when an item column is of a kind :func:`_column_hashes` refuses."""
+    folded = [0x811C9DC5] * count
+    for items in item_columns:
         placed = _column_hashes(items)
         if placed is None:
             return None
@@ -104,6 +113,18 @@ class Partitioner:
         asks, once for all its records."""
         return list(map(self.partition_for, keys))
 
+    def partitions_at(
+        self, columns: Sequence[Sequence[object]], at, count: int
+    ) -> List[int]:
+        """:meth:`partitions_for` of *count* keys cut from row *columns*:
+        each the tuple of its row's values at the positions *at*, or, *at*
+        being one position (an int), the bare value there."""
+        if type(at) is int:
+            return self.partitions_for(columns[at])
+        if not at:
+            return self.partitions_for([()] * count)
+        return self.partitions_for(list(zip(*[columns[i] for i in at])))
+
     def __eq__(self, other: object) -> bool:
         return (
             type(self) is type(other)
@@ -128,4 +149,17 @@ class HashPartitioner(Partitioner):
         hashes = _column_hashes(keys)
         if hashes is None:
             return [stable_hash(key) % n for key in keys]
+        return [h % n for h in hashes]
+
+    def partitions_at(
+        self, columns: Sequence[Sequence[object]], at, count: int
+    ) -> List[int]:
+        """The key tuples' hashes folded from the key columns' own, with
+        no key built; a column of another kind builds the keys."""
+        if type(at) is int:
+            return self.partitions_for(columns[at])
+        hashes = _folded([columns[i] for i in at], count)
+        if hashes is None:
+            return super().partitions_at(columns, at, count)
+        n = self.num_partitions
         return [h % n for h in hashes]

@@ -52,9 +52,15 @@ class RDD:
 
     #: For an RDD of solutions, the :class:`~repro.spark.metrics.Header`
     #: its rows are tuples over -- its records, or the values of its
-    #: ``(key, row)`` pairs -- set by whoever builds it; a shuffle of
-    #: those pairs prices each row as the dict it stands for.
+    #: ``(key, row)`` pairs -- set by whoever builds it
+    #: (:func:`~repro.spark.rows.rows`).
     header: Optional[Header] = None
+    #: For ``(key, row)`` pairs over :attr:`header`, where each key was
+    #: cut from its row: a tuple of positions for the tuple of the row's
+    #: values there, one position (an int) for the bare value there.  A
+    #: shuffle of such pairs places them and prices each row as the dict
+    #: it stands for from the rows' columns, never building a key.
+    key_at: Union[None, int, Tuple[int, ...]] = None
 
     def __init__(
         self,
@@ -686,13 +692,23 @@ class ShuffledRDD(RDD):
             outgoing = part
         if not outgoing:
             return fragments, 0, 0, 0
-        # The task's records are placed and priced together, by column;
-        # a pair that came as anything but a plain tuple becomes one.
-        if set(map(type, outgoing)) != {tuple}:
-            outgoing = [(key, value) for key, value in outgoing]
-        placements = self.partitioner.partitions_for(
-            [key for key, _value in outgoing]
-        )
+        at = self.parent.key_at
+        count = len(outgoing)
+        if at is not None and self.aggregator is None:
+            # Keys cut from rows: placed and priced from the row columns.
+            _keys, values = zip(*outgoing)
+            columns = list(zip(*values))
+            placements = self.partitioner.partitions_at(columns, at, count)
+            nbytes = self.parent.header.price_keyed(columns, at, count)
+        else:
+            # Placed and priced by column all the same; a pair that came
+            # as anything but a plain tuple becomes one.
+            if set(map(type, outgoing)) != {tuple}:
+                outgoing = [(key, value) for key, value in outgoing]
+            placements = self.partitioner.partitions_for(
+                [key for key, _value in outgoing]
+            )
+            nbytes = estimate_sizes(outgoing)
         for reduce_index, record in zip(placements, outgoing):
             fragments[reduce_index].append(record)
         # Whether a record bound for each reduce partition leaves this
@@ -700,13 +716,7 @@ class ShuffledRDD(RDD):
         here = ctx.executor_for(map_index)
         is_remote = [ctx.executor_for(r) != here for r in range(num_out)]
         remote = sum(map(is_remote.__getitem__, placements))
-        header = self.parent.header
-        nbytes = (
-            estimate_sizes(outgoing)
-            if header is None or self.aggregator is not None
-            else header.price_pairs(outgoing)
-        )
-        return fragments, len(outgoing), remote, nbytes
+        return fragments, count, remote, nbytes
 
     def _map_blocks(
         self,

@@ -7,30 +7,47 @@ the values of ``(key, row)`` pairs.  Everything done to rows is a kernel
 written from headers alone, once per operator: a key (:func:`keyer`), a
 layout (:func:`layout`), a decode (:func:`decoder`) and a join's merge
 (:class:`RowJoin`, run by :func:`join_rows`).  A shuffle or a broadcast
-of rows prices each as the dict it stands for.
+of rows prices each as the dict it stands for; pairs keyed by
+:func:`keyed` record where their keys were cut from, so a shuffle map
+task places and prices them from the row columns.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Sequence
+from typing import Any, Callable, List, Sequence, Union
 
 from repro.spark.kernels import comprehension, generate
 from repro.spark.metrics import Header
 
 
-def rows(rdd, header: Header):
-    """*rdd*, marked as holding rows over *header* (``RDD.header``)."""
+def rows(rdd, header: Header, key: Union[None, str, Sequence[str]] = None):
+    """*rdd*, marked as holding rows over *header* (``RDD.header``); with
+    *key*, as holding ``(key, row)`` pairs keyed as :func:`keyer` keys
+    them by *key*, whose positions it records (``RDD.key_at``)."""
     rdd.header = header
+    if isinstance(key, str):
+        rdd.key_at = header.index(key)
+    elif key is not None:
+        rdd.key_at = tuple(map(header.index, key))
     return rdd
 
 
-def keyer(names: Sequence[str], header: Sequence[str]) -> Callable:
+def keyer(key: Union[str, Sequence[str]], header: Sequence[str]) -> Callable:
     """The function from a partition of rows over *header* to its
     ``(key, row)`` pairs, the key being the tuple of the row's values for
-    *names*: one comprehension with the positions spelled out, no call
-    per record."""
-    key = "".join("r[%d], " % header.index(name) for name in names)
-    return comprehension("key", "((%s), r)" % key, "r")
+    the names in *key*, or, *key* being one name, the bare value for it:
+    one comprehension with the positions spelled out, no call per
+    record."""
+    if isinstance(key, str):
+        return comprehension("key", "(r[%d], r)" % header.index(key), "r")
+    items = "".join("r[%d], " % header.index(name) for name in key)
+    return comprehension("key", "((%s), r)" % items, "r")
+
+
+def keyed(rdd, key: Union[str, Sequence[str]]):
+    """*rdd*'s rows as their :func:`keyer` pairs, marked with the key's
+    positions, so a shuffle places and prices them by row column."""
+    return rows(rdd.mapPartitions(keyer(key, rdd.header)), rdd.header, key)
 
 
 def layout(header: Sequence[str], names: Sequence[str]) -> Callable:
@@ -182,10 +199,8 @@ def join_rows(left, right, shared: Sequence[str], how: str = "inner"):
         return rows(
             product.mapPartitions(join.kernel("{row}", "(l, r)")), join.header
         )
-    key_left = keyer(join.key, left.header)
-    key_right = keyer(join.key, right.header)
-    left_pairs = rows(left.mapPartitions(key_left), left.header)
-    right_pairs = rows(right.mapPartitions(key_right), right.header)
+    left_pairs = keyed(left, join.key)
+    right_pairs = keyed(right, join.key)
     if how == "inner":
         merged = left_pairs.join(right_pairs).mapPartitions(join.pairs())
     elif join.compatible is None:

@@ -33,7 +33,7 @@ from repro.core.dimensions import (
     SparkAbstraction,
 )
 from repro.data.workload import QueryWorkload
-from repro.partitioning.store import SubjectIndexes
+from repro.partitioning.store import PartitionIndexes
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import Term
 from repro.spark.context import SparkContext
@@ -51,7 +51,11 @@ from repro.sparql.fragments import (
     FEATURE_UNION,
 )
 from repro.systems.base import EngineProfile, SparkRdfEngine, fold_joins
-from repro.systems.localmatch import compile_bgp_local, encode_pattern
+from repro.systems.localmatch import (
+    compile_bgp_local,
+    encode_pattern,
+    subject_index,
+)
 
 
 def group_by_subject(
@@ -174,7 +178,7 @@ class HaqwaEngine(SparkRdfEngine):
             partitions,
             partitioner=HashPartitioner(num_partitions),
         ).cache()
-        self._subject_indexes = SubjectIndexes()
+        self._subject_indexes = PartitionIndexes(subject_index)
 
     def _partition_of(self, subject_id: int) -> int:
         return stable_hash(subject_id) % self._num_partitions

@@ -28,6 +28,7 @@ from repro.core.dimensions import (
     QueryProcessing,
     SparkAbstraction,
 )
+from repro.partitioning.store import PartitionIndexes
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import BNode, Literal, Term, URI
 from repro.rdf.vocab import RDF
@@ -44,6 +45,20 @@ from repro.systems.base import (
     fold_joins,
     scan_triples,
 )
+
+
+def vertex_index(part: List[Tuple[Term, Dict]]) -> Tuple[Dict, Dict]:
+    """A partition of vertices as ``(by_predicate, by_class)``: each data
+    property, and each ``rdf:type`` class, to the positions in *part* of
+    the vertices that carry it, in order."""
+    by_predicate: Dict[Term, List[int]] = {}
+    by_class: Dict[Term, List[int]] = {}
+    for position, (_vertex, attrs) in enumerate(part):
+        for predicate in attrs["props"]:
+            by_predicate.setdefault(predicate, []).append(position)
+        for cls in attrs["types"]:
+            by_class.setdefault(cls, []).append(position)
+    return by_predicate, by_class
 
 
 class SparkqlEngine(SparkRdfEngine):
@@ -90,6 +105,7 @@ class SparkqlEngine(SparkRdfEngine):
             [Edge(s, d, p) for s, d, p in edge_tuples]
         )
         self.graph = Graph(vertex_rdd, edge_rdd)
+        self._vertex_indexes = PartitionIndexes(vertex_index)
         self.object_properties: Set[Term] = {p for _s, _d, p in edge_tuples}
         # Full triple view, for variable-predicate fallbacks.
         self._all_triples = self.ctx.parallelize(
@@ -152,41 +168,61 @@ class SparkqlEngine(SparkRdfEngine):
         over *var* and then each constraint's new object variable."""
         header, steps = [var], []
         for pattern in constraints:
-            obj = pattern.object
-            if isinstance(obj, Variable) and obj.name not in header:
+            obj, predicate = pattern.object, pattern.predicate
+            if predicate == RDF.type:
+                test = "class"
+            elif not isinstance(obj, Variable):
+                test = "value"
+            elif obj.name in header:
+                test = "equal"  # the object is a variable bound before
+            else:
+                test = "new"
                 header.append(obj.name)
-            # The object's position in the row, or None for a constant.
-            at = header.index(obj.name) if isinstance(obj, Variable) else None
-            predicate = pattern.predicate
-            steps.append((predicate == RDF.type, predicate, at, obj))
+            at = header.index(obj.name) if test == "equal" else None
+            steps.append((test, predicate, at, obj))
 
-        def rows_of(part) -> List[tuple]:
-            out = []
-            for vertex, attrs in part:
-                found = [(vertex,)]
-                for is_type, predicate, at, obj in steps:
-                    if is_type:
-                        if obj not in attrs["types"]:
-                            found = []
-                    else:
-                        values = attrs["props"].get(predicate, [])
-                        found = [
-                            row + (value,) if at == len(row) else row
-                            for row in found
-                            for value in values
-                            if (
-                                obj == value
-                                if at is None
-                                else at == len(row) or row[at] == value
-                            )
-                        ]
-                    if not found:
-                        break
-                out.extend(found)
-            return out
+        def rows_of(index: int, part) -> List[tuple]:
+            by_predicate, by_class = indexes.of(index, part)
+            # Every constraint needs its predicate (or class) on the
+            # vertex: walk the fewest vertices one of them leaves.
+            candidates = min(
+                (
+                    by_class.get(obj, ())
+                    if test == "class"
+                    else by_predicate.get(predicate, ())
+                    for test, predicate, _at, obj in steps
+                ),
+                key=len,
+            )
+            # (position, row) for every candidate, one constraint at a
+            # time: a row's expansions stay where the row was, so rows
+            # come in vertex order, and per vertex in constraint order.
+            found = [(p, (part[p][0],)) for p in candidates]
+            for test, predicate, at, obj in steps:
+                if test == "class":
+                    found = [
+                        (p, row)
+                        for p, row in found
+                        if obj in part[p][1]["types"]
+                    ]
+                    continue
+                each = [
+                    (p, row, value)
+                    for p, row in found
+                    for value in part[p][1]["props"].get(predicate, ())
+                ]
+                if test == "new":
+                    found = [(p, row + (value,)) for p, row, value in each]
+                elif test == "equal":
+                    found = [(p, row) for p, row, v in each if row[at] == v]
+                else:
+                    found = [(p, row) for p, row, v in each if obj == v]
+            return [row for _p, row in found]
 
+        indexes = self._vertex_indexes
         return rows(
-            self.graph.vertices.mapPartitions(rows_of), Header(header)
+            self.graph.vertices.mapPartitionsWithIndex(rows_of),
+            Header(header),
         )
 
     def _edge_bindings(self, pattern: TriplePattern) -> RDD:

@@ -67,9 +67,13 @@ FORMS = ("SELECT", "ASK", "CONSTRUCT", "DESCRIBE")
 #: What a core can be wrapped in; CONSTANT binds one of its variables to
 #: a term it matches (a star or chain anchored on a constant).  LIMIT and
 #: OFFSET page a CONSTRUCT's graph, and bring an ORDER BY to a SELECT: a
-#: page of rows is only defined over an order.
+#: page of rows is only defined over an order.  REJOIN adds a group that
+#: may leave a fresh variable unbound -- a UNION branch beside the body
+#: when UNION is among the wrappers, else an OPTIONAL -- and then joins
+#: the body with a pattern on that variable.
 WRAPPERS = (
-    "CONSTANT", "OPTIONAL", "UNION", "FILTER", "DISTINCT", "ORDER BY", "LIMIT", "OFFSET"
+    "CONSTANT", "OPTIONAL", "UNION", "FILTER", "DISTINCT", "ORDER BY", "LIMIT", "OFFSET",
+    "REJOIN",
 )
 
 
@@ -130,6 +134,30 @@ def fragment_query(
         body += " " + render_patterns([last])
     if "OPTIONAL" in wrappers:
         body += " OPTIONAL { %s }" % beside(last)
+    if "REJOIN" in wrappers:
+        # ?maybe is bound only where the group matched.  The pattern
+        # that joins on it reads what the group reads for an IRI the core
+        # binds the group's subject to, so bound rows can agree too.
+        anchor = choose(names)
+        subject = value_of(anchor)
+        if type(subject) is URI and graph.by_subject().get(subject):
+            predicate = choose(
+                sorted(graph.by_subject()[subject], key=URI.sort_key)
+            )
+        else:
+            predicate = choose(predicates)
+            subjects = set().union(*graph.by_predicate()[predicate].values())
+            subject = choose(
+                sorted(
+                    (t for t in subjects if type(t) is URI), key=URI.sort_key
+                )[:8]
+            )
+        group = "?%s %s ?maybe ." % (anchor, predicate.n3())
+        if "UNION" in wrappers:
+            body = "{ %s } UNION { %s }" % (body, group)
+        else:
+            body += " OPTIONAL { %s }" % group
+        body += " %s %s ?maybe ." % (subject.n3(), predicate.n3())
     variable, other = "?" + choose(names), "?" + choose(names)
     if "FILTER" in wrappers:
         test = choose(("isIRI(%s)", "!BOUND(%s)", "%s != " + other, "="))
@@ -183,6 +211,7 @@ CORPUS_FRAGMENTS = (
         ("ASK", ("UNION", "FILTER")),
         ("CONSTRUCT", ("OPTIONAL", "LIMIT", "OFFSET")),
         ("SELECT", WRAPPERS),
+        ("SELECT", ("UNION", "REJOIN")),
     ]
 )
 GENERATORS = {

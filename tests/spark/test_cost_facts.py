@@ -25,7 +25,7 @@ from repro.spark.metrics import (
 )
 from repro.spark.parallel import parallel_available
 from repro.spark.partitioner import HashPartitioner, Partitioner, stable_hash
-from repro.spark.rows import rows
+from repro.spark.rows import keyed, rows
 
 
 def reference_size(value):
@@ -220,25 +220,48 @@ def test_a_broadcast_is_priced_like_its_value(value):
     assert ctx.metrics.snapshot()["broadcast_bytes"] == 3 * expected
 
 
+#: What a row's column holds: terms, ints or strings, one kind or mixed.
+column_kinds = [
+    terms, ints, text, st.one_of(terms, ints), st.one_of(ints, text)
+]
+
+
 @st.composite
-def headed_rows(draw):
-    """(header, ``(key, row)`` records): distinct names, ASCII or not,
-    none at all too; some may be unbound, and a row holds None only
-    there; values are terms or ints, a column of one kind or mixed."""
+def keyed_rows(draw):
+    """(header, key, rows): distinct names, ASCII or not, none at all
+    too; some may be unbound, and a row holds None only there; each
+    column its own kind.  The key is a tuple of the names (none, some
+    or all, in any order) or one name, its bare value; a key name may
+    be one a row leaves unbound."""
     header_names = draw(st.lists(names, unique=True, max_size=4))
     maybe = set()
     if header_names:
         maybe = draw(st.sets(st.sampled_from(header_names)))
-    value = draw(st.sampled_from([terms, ints, st.one_of(terms, ints)]))
     row = st.tuples(
         *(
-            st.one_of(st.none(), value) if name in maybe else value
+            st.one_of(st.none(), kind) if name in maybe else kind
             for name in header_names
+            for kind in [draw(st.sampled_from(column_kinds))]
         )
     )
-    key = draw(st.sampled_from(key_kinds[:4]))
-    records = draw(st.lists(st.tuples(key, row), max_size=6))
-    return Header(header_names, maybe), records
+    if header_names and draw(st.booleans()):
+        key = draw(st.sampled_from(header_names))
+    else:
+        key = tuple(
+            draw(st.permutations(header_names))[: draw(
+                st.integers(0, len(header_names))
+            )]
+        )
+    table = draw(st.lists(row, max_size=8))
+    return Header(header_names, maybe), key, table
+
+
+def cut(header, key, row):
+    """The key a row over *header* is shuffled under: its value for one
+    name, or the tuple of its values for a tuple of names."""
+    if isinstance(key, str):
+        return row[header.index(key)]
+    return tuple(row[header.index(name)] for name in key)
 
 
 def as_dict(header, row):
@@ -248,29 +271,73 @@ def as_dict(header, row):
     }
 
 
-@given(headed=headed_rows())
-@settings(max_examples=300, deadline=None)
-def test_rows_are_priced_as_the_dicts_they_stand_for(headed):
-    """Shuffled ``(key, row)`` records and a broadcast build table cost
-    exactly what the same records and table of dicts cost."""
-    header, records = headed
-    dicts = [(key, as_dict(header, row)) for key, row in records]
-    expected = sum(map(reference_size, dicts))
-    assert header.price_pairs(pickle.loads(pickle.dumps(records))) == expected
-    assert header.price_pairs(records) == expected == estimate_sizes(dicts)
-    table, dict_table = RowTable(header), {}
-    for key, row in records:
-        table.setdefault(key, []).append(row)
-        dict_table.setdefault(key, []).append(as_dict(header, row))
-    assert table.size() == reference_size(dict_table)
-    ctx = SparkContext(num_executors=3)
-    ctx.broadcast(table)
-    assert ctx.metrics.snapshot()["broadcast_bytes"] == 3 * table.size()
-    # A shuffle of the records charges the dicts' price.
-    keyed = rows(ctx.parallelize(records, 2), header)
-    before = ctx.metrics.snapshot()
-    keyed.partitionBy(HashPartitioner(3)).collect()
-    assert (ctx.metrics.snapshot() - before).shuffle_bytes == expected
+def prices_rows(examples):
+    """Rows keyed by their own values -- shuffled, priced by column
+    directly, and broadcast as a build table -- cost exactly what the
+    same records and table of dicts cost, and a shuffle places each
+    where ``stable_hash`` of its key says."""
+
+    @given(keyed_table=keyed_rows(), num_partitions=st.integers(1, 16))
+    @settings(max_examples=examples, deadline=None)
+    def test(keyed_table, num_partitions):
+        header, key, table = keyed_table
+        records = [(cut(header, key, row), row) for row in table]
+        dicts = [(k, as_dict(header, row)) for k, row in records]
+        expected = sum(map(reference_size, dicts))
+        assert estimate_sizes(dicts) == expected
+        if isinstance(key, str):
+            at = header.index(key)
+        else:
+            at = tuple(map(header.index, key))
+        keys = [k for k, _row in records]
+        if table:
+            # Fresh from the pipe no term knows its size or placement;
+            # then every term does.
+            copy = pickle.loads(pickle.dumps(table))
+            for table_rows in (copy, copy, table):
+                columns = list(zip(*table_rows))
+                count = len(table_rows)
+                assert header.price_keyed(columns, at, count) == expected
+                assert HashPartitioner(num_partitions).partitions_at(
+                    columns, at, count
+                ) == [reference_hash(k) % num_partitions for k in keys]
+                by_length = _ByReprLength(num_partitions)
+                assert by_length.partitions_at(columns, at, count) == [
+                    by_length.partition_for(k) for k in keys
+                ]
+        table_of, dict_table = RowTable(header), {}
+        for k, row in records:
+            table_of.setdefault(k, []).append(row)
+            dict_table.setdefault(k, []).append(as_dict(header, row))
+        assert table_of.size() == reference_size(dict_table)
+        ctx = SparkContext(num_executors=3)
+        ctx.broadcast(table_of)
+        assert ctx.metrics.snapshot()["broadcast_bytes"] == 3 * table_of.size()
+        # A shuffle of the keyed rows charges the dicts' price, and puts
+        # every record where a shuffle of the same pairs, keys and all,
+        # puts it.
+        pairs = keyed(rows(ctx.parallelize(table, 2), header), key)
+        assert pairs.key_at == at
+        partitioner = HashPartitioner(num_partitions)
+        before = ctx.metrics.snapshot()
+        placed = pairs.partitionBy(partitioner).collectPartitions()
+        assert (ctx.metrics.snapshot() - before).shuffle_bytes == expected
+        assert placed == (
+            ctx.parallelize(records, 2).partitionBy(partitioner)
+        ).collectPartitions()
+        assert all(
+            reference_hash(k) % num_partitions == index
+            for index, part in enumerate(placed)
+            for k, _row in part
+        )
+
+    return test
+
+
+test_rows_are_priced_as_the_dicts_they_stand_for = prices_rows(300)
+test_rows_are_priced_as_the_dicts_they_stand_for_deep = pytest.mark.slow(
+    prices_rows(5000)
+)
 
 
 class _ByReprLength(Partitioner):
@@ -280,25 +347,48 @@ class _ByReprLength(Partitioner):
         return len(repr(key)) % self.num_partitions
 
 
-@given(
-    keys=st.one_of(*(st.lists(kind, max_size=6) for kind in key_kinds)),
-    num_partitions=st.integers(1, 7),
+def places_keys(examples):
+    """A column of keys is placed as each key is, through
+    ``partitions_for`` and, as the row columns a key is cut from,
+    through ``partitions_at``."""
+
+    @given(
+        keys=st.one_of(*(st.lists(kind, max_size=6) for kind in key_kinds)),
+        num_partitions=st.integers(1, 16),
+    )
+    @settings(max_examples=examples, deadline=None)
+    def test(keys, num_partitions):
+        # Fresh from the pipe no term knows its placement; then every
+        # term does.  (The copy is held to the copy's definition, see
+        # above.)
+        copy = pickle.loads(pickle.dumps(keys))
+        expected = [reference_hash(key) % num_partitions for key in copy]
+        hashed = HashPartitioner(num_partitions)
+        assert hashed.partitions_for(copy) == expected
+        assert hashed.partitions_for(copy) == expected
+        assert hashed.partitions_for(tuple(copy)) == expected
+        assert [hashed.partition_for(key) for key in copy] == expected
+        assert hashed.partitions_at([copy], 0, len(copy)) == expected
+        widths = {len(key) for key in copy if type(key) is tuple}
+        tuples = all(type(key) is tuple for key in copy)
+        if copy and tuples and len(widths) == 1:
+            # The key tuples' items as row columns, in reverse order.
+            (width,) = widths
+            columns = list(zip(*copy))[::-1]
+            at = tuple(range(width))[::-1]
+            assert hashed.partitions_at(columns, at, len(copy)) == expected
+        by_length = _ByReprLength(5)
+        assert by_length.partitions_for(keys) == [
+            by_length.partition_for(key) for key in keys
+        ]
+
+    return test
+
+
+test_a_column_is_placed_like_its_keys = places_keys(400)
+test_a_column_is_placed_like_its_keys_deep = pytest.mark.slow(
+    places_keys(5000)
 )
-@settings(max_examples=400, deadline=None)
-def test_a_column_is_placed_like_its_keys(keys, num_partitions):
-    # Fresh from the pipe no term knows its placement; then every term
-    # does.  (The copy is held to the copy's definition, see above.)
-    copy = pickle.loads(pickle.dumps(keys))
-    expected = [reference_hash(key) % num_partitions for key in copy]
-    hashed = HashPartitioner(num_partitions)
-    assert hashed.partitions_for(copy) == expected
-    assert hashed.partitions_for(copy) == expected
-    assert hashed.partitions_for(tuple(copy)) == expected
-    assert [hashed.partition_for(key) for key in copy] == expected
-    by_length = _ByReprLength(5)
-    assert by_length.partitions_for(keys) == [
-        by_length.partition_for(key) for key in keys
-    ]
 
 
 @given(term=terms)

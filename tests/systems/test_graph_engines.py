@@ -3,10 +3,15 @@ Spar(k)ql, the GraphFrames system and SparkRDF.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data.lubm import LUBM, LubmGenerator
+from repro.rdf.graph import RDFGraph
+from repro.rdf.terms import Literal, URI
+from repro.rdf.triple import Triple
 from repro.rdf.vocab import RDF
 from repro.spark.context import SparkContext
+from repro.sparql.ast import TriplePattern, Variable
 from repro.sparql.parser import parse_sparql
 from repro.systems.graphframes_sys import GraphFramesEngine
 from repro.systems.graphx_sgm import (
@@ -90,6 +95,111 @@ class TestKassaieSubgraphMatcher:
             PREFIX + "SELECT ?s WHERE { ?s lubm:advisor ?p . ?p lubm:advisor ?q }"
         )
         assert len(result) == 0
+
+
+EX = "http://repro.example.org/nodes#"
+_vertices = [URI(EX + "v%d" % i) for i in range(8)]
+#: The last class and property are in no graph.
+_classes = [URI(EX + "C%d" % i) for i in range(4)]
+_properties = [URI(EX + "d%d" % i) for i in range(4)]
+_values = [Literal(i) for i in range(3)]
+
+#: Vertices with classes and data property values: on four partitions
+#: most of them lack some property or class.
+vertex_graphs = st.lists(
+    st.one_of(
+        st.builds(
+            Triple,
+            st.sampled_from(_vertices),
+            st.just(RDF.type),
+            st.sampled_from(_classes[:-1]),
+        ),
+        st.builds(
+            Triple,
+            st.sampled_from(_vertices),
+            st.sampled_from(_properties[:-1]),
+            st.sampled_from(_values),
+        ),
+    ),
+    min_size=1,
+    max_size=30,
+).map(RDFGraph)
+X = Variable("x")
+constraint_sets = st.lists(
+    st.one_of(
+        st.builds(
+            TriplePattern,
+            st.just(X),
+            st.just(RDF.type),
+            st.sampled_from(_classes),
+        ),
+        st.builds(
+            TriplePattern,
+            st.just(X),
+            st.sampled_from(_properties),
+            st.one_of(
+                st.sampled_from([Variable("a"), Variable("b")]),
+                st.sampled_from(_values),
+            ),
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def walk_every_vertex(part, constraints):
+    """A partition's node table for ``?x`` by definition: every vertex
+    against every constraint, as bindings."""
+    out = []
+    for vertex, attrs in part:
+        found = [{"x": vertex}]
+        for pattern in constraints:
+            obj = pattern.object
+            if pattern.predicate == RDF.type:
+                found = found if obj in attrs["types"] else []
+                continue
+            values = attrs["props"].get(pattern.predicate, [])
+            if not isinstance(obj, Variable):
+                found = [b for b in found for v in values if v == obj]
+            else:
+                found = [
+                    {**b, obj.name: v}
+                    for b in found
+                    for v in values
+                    if b.get(obj.name, v) == v
+                ]
+        out += found
+    return out
+
+
+def node_tables_walk_their_candidates(examples):
+    @given(graph=vertex_graphs, constraints=constraint_sets)
+    @settings(max_examples=examples, deadline=None)
+    def test(graph, constraints):
+        engine = SparkqlEngine(SparkContext(4))
+        engine.load(graph)
+        table = engine._node_table("x", constraints)
+        found = [
+            [dict(zip(table.header, row)) for row in part]
+            for part in table.collectPartitions()
+        ]
+        assert found == [
+            walk_every_vertex(part, constraints)
+            for part in engine.graph.vertices.collectPartitions()
+        ]
+
+    return test
+
+
+#: A node table walks the fewest candidates a constraint leaves, and
+#: finds the rows, in the order, of a walk over every vertex.
+test_a_node_table_is_the_walk_over_every_vertex = (
+    node_tables_walk_their_candidates(150)
+)
+test_a_node_table_is_the_walk_over_every_vertex_deep = pytest.mark.slow(
+    node_tables_walk_their_candidates(3000)
+)
 
 
 class TestSparkql:
